@@ -132,7 +132,8 @@ let bechamel () =
 
 (* ---- columnar vs row kernel benchmark ----
 
-   Times each hot kernel on NetFlix-scale synthetic tables three ways:
+   Times each hot kernel on NetFlix-scale synthetic tables (CROSS on
+   k-means-shaped ones: 4 000 points x 100 centroids) three ways:
    the row engine with the columnar gate off at jobs=1 (the pre-columnar
    serial baseline), and the columnar path at jobs=1 and at the parallel
    jobs count. All three outputs must be byte-identical (CSV compare;
@@ -173,6 +174,21 @@ let kernels_par () =
       (Array.init movies_n (fun i ->
            [| Value.Int i; Value.Int (1950 + (i mod 60)) |]))
   in
+  let points, centroids =
+    let xy id =
+      Schema.make
+        [ { Schema.name = id; ty = Value.Tint };
+          { Schema.name = "x"; ty = Value.Tfloat };
+          { Schema.name = "y"; ty = Value.Tfloat } ]
+    in
+    let rows n =
+      Array.init n (fun i ->
+          [| Value.Int i; Value.Float (float_of_int (i * 37 mod 101));
+             Value.Float (float_of_int (i * 53 mod 103)) |])
+    in
+    ( Table.create_unchecked (xy "pid") (rows 4_000),
+      Table.create_unchecked (xy "cid") (rows 100) )
+  in
   let kernels =
     [ ("select", fun () -> Kernel.select ratings Expr.(col "rating" >= int 4));
       ("project", fun () -> Kernel.project ratings [ "user"; "rating" ]);
@@ -186,7 +202,16 @@ let kernels_par () =
             ~aggs:
               [ Aggregate.make (Aggregate.Sum "rating") ~as_name:"total";
                 Aggregate.make Aggregate.Count ~as_name:"n" ]);
-      ("sort", fun () -> Table.sort_by ratings [ "movie"; "user" ]) ]
+      ("sort", fun () -> Table.sort_by ratings [ "movie"; "user" ]);
+      (* last, so the heap they leave behind does not slow the rows
+         above *)
+      ("group_by2", fun () ->
+          Kernel.group_by ratings ~keys:[ "user"; "movie" ]
+            ~aggs:
+              [ Aggregate.make (Aggregate.Sum "rating") ~as_name:"total";
+                Aggregate.make Aggregate.Count ~as_name:"n" ]);
+      (* k-means' assignment step: every point against every centroid *)
+      ("cross", fun () -> Kernel.cross_join points centroids) ]
   in
   let reps = 5 in
   let best_of ~columnar jobs f =

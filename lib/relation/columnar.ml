@@ -27,24 +27,6 @@ let ipush b x =
 
 let icontents b = Array.sub b.ia 0 b.ilen
 
-type fbuf = {
-  mutable fa : float array;
-  mutable flen : int;
-}
-
-let fbuf () = { fa = Array.make 64 0.; flen = 0 }
-
-let fpush b x =
-  if b.flen = Array.length b.fa then begin
-    let bigger = Array.make (2 * b.flen) 0. in
-    Array.blit b.fa 0 bigger 0 b.flen;
-    b.fa <- bigger
-  end;
-  b.fa.(b.flen) <- x;
-  b.flen <- b.flen + 1
-
-let fcontents b = Array.sub b.fa 0 b.flen
-
 (* ---- SELECT ---- *)
 
 let mask_to_indices ~start mask =
@@ -235,16 +217,112 @@ let try_map_column t ~target ~expr =
     end
   end
 
-(* ---- JOIN ---- *)
+(* ---- dense key codes ----
+
+   [dense_codes a] renumbers an int key column by first appearance:
+   row i gets a code below [count], equal codes iff equal keys, and
+   code c is the c-th distinct key in row order. Narrow key ranges
+   index a slot array directly; wide ones go through an
+   open-addressing table. The returned index also answers lookups of
+   keys from another column (a join's probe side): -1 for a key the
+   column never holds, which no code can be. *)
+
+type key_index =
+  | Slots of {
+      lo : int;
+      hi : int;
+      slot : int array;  (** [slot.(k - lo)] = code of [k], or -1 *)
+    }
+  | Probe of {
+      keys : int array;
+      ids : int array;  (** code of the key in [keys] at the same slot, or -1 *)
+      mask : int;
+    }
+
+(* spread high key bits into the low ones the probe mask keeps *)
+let mix k =
+  let h = k * 0x9E3779B97F4A7C1 in
+  h lxor (h lsr 29)
+
+let rec pow2_above n p = if p >= n then p else pow2_above n (2 * p)
+
+let dense_codes (a : int array) =
+  let n = Array.length a in
+  let codes = Array.make n 0 in
+  let next = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    let k = a.(i) in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  let lo = !lo and hi = !hi in
+  (* [hi - lo] wraps negative when the true span exceeds max_int *)
+  let span = hi - lo in
+  let index =
+    if n > 0 && span >= 0 && span < max 4096 (2 * n) then begin
+      let slot = Array.make (span + 1) (-1) in
+      for i = 0 to n - 1 do
+        let s = a.(i) - lo in
+        let c = slot.(s) in
+        if c >= 0 then codes.(i) <- c
+        else begin
+          slot.(s) <- !next;
+          codes.(i) <- !next;
+          incr next
+        end
+      done;
+      Slots { lo; hi; slot }
+    end
+    else begin
+      let cap = pow2_above (2 * n) 16 in
+      let mask = cap - 1 in
+      let keys = Array.make cap 0 and ids = Array.make cap (-1) in
+      for i = 0 to n - 1 do
+        let k = a.(i) in
+        let h = ref (mix k land mask) in
+        while ids.(!h) >= 0 && keys.(!h) <> k do
+          h := (!h + 1) land mask
+        done;
+        if ids.(!h) < 0 then begin
+          keys.(!h) <- k;
+          ids.(!h) <- !next;
+          incr next
+        end;
+        codes.(i) <- ids.(!h)
+      done;
+      Probe { keys; ids; mask }
+    end
+  in
+  (codes, !next, index)
+
+(* the code of every key of [a] under [index], -1 where absent *)
+let lookup_codes index (a : int array) =
+  match index with
+  | Slots { lo; hi; slot } ->
+    Array.map (fun k -> if k >= lo && k <= hi then slot.(k - lo) else -1) a
+  | Probe { keys; ids; mask } ->
+    Array.map
+      (fun k ->
+         let h = ref (mix k land mask) in
+         while ids.(!h) >= 0 && keys.(!h) <> k do
+           h := (!h + 1) land mask
+         done;
+         ids.(!h))
+      a
 
 (* int view of a join/group key column; [None] when the type cannot key
-   a columnar hash table byte-identically (floats: the row engine's
-   structural equality makes every NaN its own key) *)
+   byte-identically (floats: the row engine's structural equality makes
+   every NaN its own key). String keys use their dictionary codes:
+   equal codes iff equal strings within one column. *)
 let int_keys (col : Column.t) =
   match col.Column.data with
   | Column.Ints a -> Some a
   | Column.Bools a -> Some (Array.map (fun b -> if b then 1 else 0) a)
-  | Column.Floats _ | Column.Dict _ -> None
+  | Column.Dict { codes; _ } -> Some codes
+  | Column.Floats _ -> None
+
+(* ---- JOIN ---- *)
 
 let try_join left right ~left_key ~right_key =
   if not (Column.enabled ()) then None
@@ -260,50 +338,65 @@ let try_join left right ~left_key ~right_key =
       mark "join";
       let lcols = Table.columns left and rcols = Table.columns right in
       let nl = Table.row_count left and nr = Table.row_count right in
-      (* emitted (left row, right row) pairs, in the serial kernel's
-         order: right rows in order, matches most-recent-first *)
-      let lsel = ibuf () and rsel = ibuf () in
-      (match lty with
-       | Value.Tstring ->
-         let decode (c : Column.t) =
-           match c.Column.data with
-           | Column.Dict { codes; dict } -> (codes, dict)
-           | _ -> assert false
-         in
-         let lcodes, ldict = decode lcols.(li) in
-         let rcodes, rdict = decode rcols.(ri) in
-         let build : (string, int) Hashtbl.t =
-           Hashtbl.create (max 16 nl)
-         in
-         for i = 0 to nl - 1 do
-           Hashtbl.add build ldict.(lcodes.(i)) i
-         done;
-         for r = 0 to nr - 1 do
-           List.iter
-             (fun l ->
-                ipush lsel l;
-                ipush rsel r)
-             (Hashtbl.find_all build rdict.(rcodes.(r)))
-         done
-       | _ ->
-         let lk =
-           match int_keys lcols.(li) with Some a -> a | None -> assert false
-         in
-         let rk =
-           match int_keys rcols.(ri) with Some a -> a | None -> assert false
-         in
-         let build : (int, int) Hashtbl.t = Hashtbl.create (max 16 nl) in
-         for i = 0 to nl - 1 do
-           Hashtbl.add build lk.(i) i
-         done;
-         for r = 0 to nr - 1 do
-           List.iter
-             (fun l ->
-                ipush lsel l;
-                ipush rsel r)
-             (Hashtbl.find_all build rk.(r))
-         done);
-      let lidx = icontents lsel and ridx = icontents rsel in
+      let lkeys = Option.get (int_keys lcols.(li))
+      and rkeys = Option.get (int_keys rcols.(ri)) in
+      let lcode, groups, index = dense_codes lkeys in
+      (* the left code each right row probes with, -1 for no match *)
+      let rcode =
+        match (lcols.(li).Column.data, rcols.(ri).Column.data) with
+        | Column.Dict { dict = ldict; _ }, Column.Dict { dict = rdict; _ } ->
+          (* two dictionaries: hash each distinct string once, not per
+             row. Entries the left rows never use map to -1 too. *)
+          let entry_code =
+            lookup_codes index (Array.init (Array.length ldict) Fun.id)
+          in
+          let by_string = Hashtbl.create (max 16 groups) in
+          Array.iteri
+            (fun e s ->
+               if entry_code.(e) >= 0 then
+                 Hashtbl.replace by_string s entry_code.(e))
+            ldict;
+          let rmap =
+            Array.map
+              (fun s ->
+                 Option.value (Hashtbl.find_opt by_string s) ~default:(-1))
+              rdict
+          in
+          Array.map (fun c -> rmap.(c)) rkeys
+        | _ -> lookup_codes index rkeys
+      in
+      (* CSR build: [rows.(start.(g) .. start.(g+1) - 1)] are the left
+         rows with code g, newest first — [Hashtbl.find_all]'s order,
+         so output order is the serial kernel's *)
+      let start = Array.make (groups + 1) 0 in
+      Array.iter (fun g -> start.(g + 1) <- start.(g + 1) + 1) lcode;
+      for g = 1 to groups do
+        start.(g) <- start.(g) + start.(g - 1)
+      done;
+      let fill = Array.sub start 0 groups in
+      let rows = Array.make nl 0 in
+      for i = nl - 1 downto 0 do
+        let g = lcode.(i) in
+        rows.(fill.(g)) <- i;
+        fill.(g) <- fill.(g) + 1
+      done;
+      (* emitted (left row, right row) pairs, right rows in order; the
+         index arrays are sized exactly up front *)
+      let total = ref 0 in
+      Array.iter
+        (fun g -> if g >= 0 then total := !total + start.(g + 1) - start.(g))
+        rcode;
+      let lidx = Array.make !total 0 and ridx = Array.make !total 0 in
+      let k = ref 0 in
+      for r = 0 to nr - 1 do
+        let g = rcode.(r) in
+        if g >= 0 then
+          for p = start.(g) to start.(g + 1) - 1 do
+            lidx.(!k) <- rows.(p);
+            ridx.(!k) <- r;
+            incr k
+          done
+      done;
       let r_keep =
         Array.of_list
           (List.filteri (fun j _ -> j <> ri)
@@ -322,180 +415,171 @@ let try_join left right ~left_key ~right_key =
     end
   end
 
+(* ---- CROSS ---- *)
+
+let try_cross left right =
+  if not (Column.enabled ()) then None
+  else begin
+    (* same schema (and same clash error) as the row path *)
+    let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
+    mark "cross";
+    let nl = Table.row_count left and nr = Table.row_count right in
+    (* left-major, right-minor: the serial kernel's nested-loop order *)
+    let lidx = Array.make (nl * nr) 0 and ridx = Array.make (nl * nr) 0 in
+    for i = 0 to nl - 1 do
+      for j = 0 to nr - 1 do
+        lidx.((i * nr) + j) <- i;
+        ridx.((i * nr) + j) <- j
+      done
+    done;
+    let gather idx c = Column.gather c idx in
+    Some
+      (Table.of_columns out_schema
+         (Array.append
+            (Array.map (gather lidx) (Table.columns left))
+            (Array.map (gather ridx) (Table.columns right))))
+  end
+
 (* ---- GROUP BY ---- *)
 
-(* typed per-aggregation accumulators, one slot per group *)
-type acc =
-  | A_count
-  | A_sum_i of {
-      src : int array;
-      sums : ibuf;
-    }
-  | A_sum_f of {
-      src : float array;
-      sums : fbuf;
-    }
-  | A_avg_i of {
-      src : int array;
-      sums : fbuf;
-    }
-  | A_avg_f of {
-      src : float array;
-      sums : fbuf;
-    }
-  | A_minmax of {
-      src : Column.t;
-      best : ibuf;  (** row index of the current winner *)
-      dir : int;    (** -1 = MIN, +1 = MAX *)
-    }
-  | A_first of {
-      src : Column.t;
-      first : ibuf;  (** row index of the group's first row *)
-    }
+(* Per-row group ids for a key tuple, dense in first-appearance order
+   of the whole tuple. Each key column is dense-coded and folded into
+   the running code as [prev * d + cur]; re-densifying after every key
+   keeps the running code below n, so the fold stays below n². *)
+let group_ids key_cols =
+  match key_cols with
+  | [] -> invalid_arg "Columnar.group_ids: no keys"
+  | first :: rest ->
+    let n = Array.length first in
+    let codes, count, _ = dense_codes first in
+    List.fold_left
+      (fun (prev, _) col ->
+         let cur, d, _ = dense_codes col in
+         let codes, count, _ =
+           dense_codes (Array.init n (fun i -> (prev.(i) * d) + cur.(i)))
+         in
+         (codes, count))
+      (codes, count) rest
 
-let acc_of_agg schema cols (a : Aggregate.t) =
-  let input c =
-    (* same Not_found as the row path on unknown input columns *)
-    let i = Schema.index_of schema c in
-    cols.(i)
+let summable (fn : Aggregate.fn) (src : Column.t option) =
+  match (fn, src) with
+  | (Aggregate.Sum _ | Aggregate.Avg _),
+    Some { Column.data = Column.Ints _ | Column.Floats _; _ } -> true
+  | (Aggregate.Sum _ | Aggregate.Avg _), _ -> false
+  | _ -> true
+
+(* one aggregation's output column over dense group ids [gid], where
+   [reps.(g)] is group g's first row and [counts.(g)] its size *)
+let aggregate ~gid ~reps ~counts (fn : Aggregate.fn) (src : Column.t option) =
+  let groups = Array.length reps and n = Array.length gid in
+  let avg sums =
+    Column.make
+      (Column.Floats
+         (Array.init groups (fun g -> sums.(g) /. float_of_int counts.(g))))
   in
-  match a.Aggregate.fn with
-  | Aggregate.Count -> Some A_count
-  | Aggregate.Sum c -> (
-    match (input c).Column.data with
-    | Column.Ints src -> Some (A_sum_i { src; sums = ibuf () })
-    | Column.Floats src -> Some (A_sum_f { src; sums = fbuf () })
-    | _ -> None (* row path raises on schema construction; let it *))
-  | Aggregate.Avg c -> (
-    match (input c).Column.data with
-    | Column.Ints src -> Some (A_avg_i { src; sums = fbuf () })
-    | Column.Floats src -> Some (A_avg_f { src; sums = fbuf () })
-    | _ -> None)
-  | Aggregate.Min c ->
-    Some (A_minmax { src = input c; best = ibuf (); dir = -1 })
-  | Aggregate.Max c ->
-    Some (A_minmax { src = input c; best = ibuf (); dir = 1 })
-  | Aggregate.First c -> Some (A_first { src = input c; first = ibuf () })
-
-let acc_new_group acc row =
-  match acc with
-  | A_count -> ()
-  | A_sum_i a -> ipush a.sums a.src.(row)
-  | A_sum_f a -> fpush a.sums a.src.(row)
-  (* AVG starts from 0. and adds every value, like [Aggregate.S_avg];
-     SUM seeds from the first value (0. +. -0. would lose the sign) *)
-  | A_avg_i a -> fpush a.sums (float_of_int a.src.(row))
-  | A_avg_f a -> fpush a.sums a.src.(row)
-  | A_minmax a -> ipush a.best row
-  | A_first a -> ipush a.first row
-
-let acc_step acc g row =
-  match acc with
-  | A_count -> ()
-  | A_sum_i a -> a.sums.ia.(g) <- a.sums.ia.(g) + a.src.(row)
-  | A_sum_f a -> a.sums.fa.(g) <- a.sums.fa.(g) +. a.src.(row)
-  | A_avg_i a -> a.sums.fa.(g) <- a.sums.fa.(g) +. float_of_int a.src.(row)
-  | A_avg_f a -> a.sums.fa.(g) <- a.sums.fa.(g) +. a.src.(row)
-  | A_minmax a ->
-    (* strict comparison keeps the earliest winner on ties, exactly as
-       [Aggregate.step] does *)
-    let c = Column.compare_at a.src row a.best.ia.(g) in
-    if (a.dir < 0 && c < 0) || (a.dir > 0 && c > 0) then a.best.ia.(g) <- row
-  | A_first _ -> ()
-
-let acc_finish acc ~counts =
-  match acc with
-  | A_count -> Column.make (Column.Ints (icontents counts))
-  | A_sum_i a -> Column.make (Column.Ints (icontents a.sums))
-  | A_sum_f a -> Column.make (Column.Floats (fcontents a.sums))
-  | A_avg_i { sums; _ } ->
-    Column.make
-      (Column.Floats
-         (Array.init sums.flen (fun g ->
-              sums.fa.(g) /. float_of_int counts.ia.(g))))
-  | A_avg_f { sums; _ } ->
-    Column.make
-      (Column.Floats
-         (Array.init sums.flen (fun g ->
-              sums.fa.(g) /. float_of_int counts.ia.(g))))
-  | A_minmax a -> Column.gather a.src (icontents a.best)
-  | A_first a -> Column.gather a.src (icontents a.first)
+  match (fn, src) with
+  | Aggregate.Count, _ -> Column.make (Column.Ints counts)
+  | Aggregate.Sum _, Some { Column.data = Column.Ints a; _ } ->
+    let sums = Array.make groups 0 in
+    for r = 0 to n - 1 do
+      let g = gid.(r) in
+      sums.(g) <- sums.(g) + a.(r)
+    done;
+    Column.make (Column.Ints sums)
+  | Aggregate.Sum _, Some { Column.data = Column.Floats a; _ } ->
+    (* SUM seeds from the group's first value, like [Aggregate.step]
+       (0. +. -0. would lose the sign) *)
+    let sums = Array.make groups 0. in
+    for r = 0 to n - 1 do
+      let g = gid.(r) in
+      sums.(g) <- (if reps.(g) = r then a.(r) else sums.(g) +. a.(r))
+    done;
+    Column.make (Column.Floats sums)
+  (* AVG starts from 0. and adds every value, like [Aggregate.S_avg] *)
+  | Aggregate.Avg _, Some { Column.data = Column.Ints a; _ } ->
+    let sums = Array.make groups 0. in
+    for r = 0 to n - 1 do
+      let g = gid.(r) in
+      sums.(g) <- sums.(g) +. float_of_int a.(r)
+    done;
+    avg sums
+  | Aggregate.Avg _, Some { Column.data = Column.Floats a; _ } ->
+    let sums = Array.make groups 0. in
+    for r = 0 to n - 1 do
+      let g = gid.(r) in
+      sums.(g) <- sums.(g) +. a.(r)
+    done;
+    avg sums
+  | (Aggregate.Min _ | Aggregate.Max _), Some c ->
+    let dir = match fn with Aggregate.Min _ -> -1 | _ -> 1 in
+    (* row index of each group's winner; strict comparison keeps the
+       earliest on ties, exactly as [Aggregate.step] does *)
+    let best = Array.copy reps in
+    for r = 0 to n - 1 do
+      let g = gid.(r) in
+      if dir * Column.compare_at c r best.(g) > 0 then best.(g) <- r
+    done;
+    Column.gather c best
+  | Aggregate.First _, Some c -> Column.gather c reps
+  | _ -> invalid_arg "Columnar.aggregate: input does not fit the function"
 
 let try_group_by t ~keys ~aggs =
   if not (Column.enabled ()) then None
-  else
-    match keys with
-    | [ key ] -> (
-      let schema = Table.schema t in
-      let ki = Schema.index_of schema key in
-      let cols = Table.columns t in
+  else begin
+    let schema = Table.schema t in
+    (* same Not_found as the row path on unknown keys or inputs *)
+    let kis = List.map (Schema.index_of schema) keys in
+    let inputs =
+      List.map
+        (fun (a : Aggregate.t) ->
+           Option.map (Schema.index_of schema) (Aggregate.input_column a.fn))
+        aggs
+    in
+    let cols = Table.columns t in
+    let srcs = List.map (Option.map (Array.get cols)) inputs in
+    let key_cols = List.filter_map (fun i -> int_keys cols.(i)) kis in
+    (* keyless GROUP BY (one row even when empty), float keys (row-path
+       NaN semantics), repeated keys (a duplicate output column) and
+       SUM/AVG over non-numeric inputs (a schema error) stay on rows *)
+    if
+      keys = []
+      || List.length key_cols <> List.length kis
+      || List.length (List.sort_uniq Int.compare kis) <> List.length kis
+      || not (List.for_all2 (fun (a : Aggregate.t) -> summable a.fn) aggs srcs)
+    then None
+    else begin
+      mark "group_by";
       let n = Table.row_count t in
-      (* resolve the string key through its dictionary codes: equal
-         codes iff equal strings, and code first-appearance order is
-         string first-appearance order *)
-      let codes =
-        match cols.(ki).Column.data with
-        | Column.Dict { codes; _ } -> Some codes
-        | _ -> int_keys cols.(ki)
+      let gid, groups = group_ids key_cols in
+      let reps = Array.make groups 0 and counts = Array.make groups 0 in
+      for r = n - 1 downto 0 do
+        let g = gid.(r) in
+        reps.(g) <- r;
+        counts.(g) <- counts.(g) + 1
+      done;
+      (* same output schema construction as the serial kernel *)
+      let scols = Array.of_list (Schema.columns schema) in
+      let agg_cols =
+        List.map2
+          (fun (a : Aggregate.t) i ->
+             { Schema.name = a.as_name;
+               ty =
+                 Aggregate.result_type a.fn
+                   ~input:(Option.map (fun i -> scols.(i).Schema.ty) i) })
+          aggs inputs
       in
-      match codes with
-      | None -> None (* float keys: row-path NaN semantics *)
-      | Some codes -> (
-        let accs_opt =
-          List.map (fun a -> (a, acc_of_agg schema cols a)) aggs
-        in
-        if List.exists (fun (_, o) -> o = None) accs_opt then None
-        else begin
-          mark "group_by";
-          let accs =
-            Array.of_list
-              (List.map
-                 (fun (_, o) -> match o with Some a -> a | None -> assert false)
-                 accs_opt)
-          in
-          let na = Array.length accs in
-          let groups : (int, int) Hashtbl.t = Hashtbl.create (max 16 n) in
-          let reps = ibuf () and counts = ibuf () in
-          for row = 0 to n - 1 do
-            match Hashtbl.find_opt groups codes.(row) with
-            | Some g ->
-              counts.ia.(g) <- counts.ia.(g) + 1;
-              for j = 0 to na - 1 do
-                acc_step accs.(j) g row
-              done
-            | None ->
-              let g = reps.ilen in
-              Hashtbl.add groups codes.(row) g;
-              ipush reps row;
-              ipush counts 1;
-              for j = 0 to na - 1 do
-                acc_new_group accs.(j) row
-              done
-          done;
-          (* same output schema construction as the serial kernel *)
-          let scols = Array.of_list (Schema.columns schema) in
-          let key_col = scols.(ki) in
-          let agg_cols =
-            List.map
-              (fun (a : Aggregate.t) ->
-                 let input_ty =
-                   Option.map
-                     (fun c -> scols.(Schema.index_of schema c).Schema.ty)
-                     (Aggregate.input_column a.Aggregate.fn)
-                 in
-                 { Schema.name = a.Aggregate.as_name;
-                   ty = Aggregate.result_type a.Aggregate.fn ~input:input_ty })
-              aggs
-          in
-          let out_schema = Schema.make (key_col :: agg_cols) in
-          let rep_idx = icontents reps in
-          let out_key = Column.gather cols.(ki) rep_idx in
-          let out_aggs =
-            Array.to_list (Array.map (fun acc -> acc_finish acc ~counts) accs)
-          in
-          Some (Table.of_columns out_schema (Array.of_list (out_key :: out_aggs)))
-        end))
-    | _ -> None
+      let out_schema =
+        Schema.make (List.map (fun i -> scols.(i)) kis @ agg_cols)
+      in
+      let out_keys = List.map (fun i -> Column.gather cols.(i) reps) kis in
+      let out_aggs =
+        List.map2
+          (fun (a : Aggregate.t) src -> aggregate ~gid ~reps ~counts a.fn src)
+          aggs srcs
+      in
+      Some (Table.of_columns out_schema (Array.of_list (out_keys @ out_aggs)))
+    end
+  end
 
 (* ---- fused SELECT/PROJECT/MAP chains ---- *)
 

@@ -9,8 +9,10 @@
     {!Vector.vectorizable}, or the operator shape has row-path semantics
     that column-at-a-time evaluation cannot reproduce exactly (float
     join/group keys, whose NaN behavior under structural equality is
-    row-specific; multi-column group keys; SUM/AVG over non-numeric
-    inputs).
+    row-specific; keyless GROUP BY, which yields one row even over an
+    empty input; SUM/AVG over non-numeric inputs). Every fallback
+    counts [kernel.row.<kernel>] in {!Kernel}; every columnar run counts
+    [kernel.columnar.<kernel>].
 
     Exceptions the row path would raise (unknown columns, ill-typed
     predicates evaluated on live rows, [Division_by_zero]) propagate
@@ -28,18 +30,30 @@ val try_project : Table.t -> string list -> Table.t option
 val try_map_column :
   Table.t -> target:string -> expr:Expr.t -> Table.t option
 
-(** Hash equi-join, build side = left, probe in right-row order with
-    per-key match lists in the serial kernel's [Hashtbl.find_all] order.
-    Runs serially at every jobs setting (the hash build dominates and
-    chunking regressed it), so jobs = 1 and jobs = 4 are trivially
+(** Equi-join on int, bool or string keys, build side = left. The left
+    keys are dense-coded once and the left rows counting-sorted into
+    one bucket per key (a CSR layout), newest row first — the serial
+    kernel's [Hashtbl.find_all] order — so probing in right-row order
+    reproduces its output order. String keys map each distinct right
+    dictionary entry to a left code once, not per row. Runs serially at
+    every jobs setting, so jobs = 1 and jobs = 4 are trivially
     identical. *)
 val try_join :
   Table.t -> Table.t -> left_key:string -> right_key:string ->
   Table.t option
 
-(** Single-key grouping over int/string/bool keys with typed
-    accumulators (dictionary codes serve as string group ids). Group
-    order is first appearance, as in the serial kernel. *)
+(** Cartesian product as two index vectors (left-major, right-minor:
+    the serial kernel's nested-loop order) gathered over both sides'
+    columns. Either side may be empty. *)
+val try_cross : Table.t -> Table.t -> Table.t option
+
+(** Grouping on one or more int/string/bool keys. Each key column is
+    dense-coded in first-appearance order (dictionary codes stand in
+    for strings) and folded into one group id per row, re-densified
+    after every key; aggregations then run column-at-a-time into
+    arrays sized to the group count. Group order is first appearance
+    of the whole key tuple, as in the serial kernel. A float key, a
+    repeated key or an empty key list returns [None]. *)
 val try_group_by :
   Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t option
 

@@ -43,12 +43,17 @@ let dispatch name ~rows serial parallel =
 
 (* The hot kernels try the vectorized columnar path first; [None] means
    "not expressible byte-identically in columns", and the row path —
-   serial or domain-pool chunked — runs instead. *)
+   serial or domain-pool chunked — runs instead, counted as
+   [kernel.row.<kernel>] (the columnar side counts
+   [kernel.columnar.<kernel>]). *)
+
+let row_path name = Obs.Metrics.incr Obs.Metrics.default ("kernel.row." ^ name)
 
 let select t pred =
   match Columnar.try_select t pred with
   | Some r -> r
   | None ->
+  row_path "select";
   dispatch "select" ~rows:(Table.row_count t)
     (fun () ->
        let schema = Table.schema t in
@@ -69,6 +74,7 @@ let project t cols =
   match Columnar.try_project t cols with
   | Some r -> r
   | None ->
+  row_path "project";
   dispatch "project" ~rows:(Table.row_count t)
     (fun () ->
        let schema = Table.schema t in
@@ -85,6 +91,7 @@ let map_column t ~target ~expr =
   match Columnar.try_map_column t ~target ~expr with
   | Some r -> r
   | None ->
+  row_path "map";
   dispatch "map" ~rows:(Table.row_count t)
     (fun () ->
        let schema = Table.schema t in
@@ -156,6 +163,7 @@ let join left right ~left_key ~right_key =
   match Columnar.try_join left right ~left_key ~right_key with
   | Some r -> r
   | None ->
+  row_path "join";
   dispatch "join" ~rows:(Table.row_count left + Table.row_count right)
     (fun () -> serial_join left right ~left_key ~right_key)
     (fun ~jobs -> Par.join ~jobs left right ~left_key ~right_key)
@@ -234,6 +242,10 @@ let anti_join left right ~left_key ~right_key =
        (Table.rows left))
 
 let cross_join left right =
+  match Columnar.try_cross left right with
+  | Some r -> r
+  | None ->
+  row_path "cross";
   let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
   let out = ref [] in
   Array.iter
@@ -373,6 +385,7 @@ let group_by t ~keys ~aggs =
   match Columnar.try_group_by t ~keys ~aggs with
   | Some r -> r
   | None ->
+  row_path "group_by";
   let mergeable =
     List.for_all (Par.exactly_mergeable (Table.schema t)) aggs
   in

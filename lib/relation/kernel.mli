@@ -6,10 +6,13 @@
     simulated time they charge (and in which operators they can express
     at all).
 
-    The hot kernels (select, project, map_column, join, group_by)
-    dispatch to the {!Par} domain-pool variants when
-    [Pool.effective_jobs () > 1] and the input is large enough; the
-    parallel paths are byte-identical to the serial ones (see
+    The hot kernels (select, project, map_column, join, cross_join,
+    group_by) try the vectorized {!Columnar} path first. When it does
+    not apply they run the row path and count [kernel.row.<kernel>]
+    (with [map] for map_column and [cross] for cross_join). The row
+    paths of all but cross_join dispatch to the {!Par} domain-pool
+    variants when [Pool.effective_jobs () > 1] and the input is large
+    enough; the parallel paths are byte-identical to the serial ones (see
     docs/parallelism.md), so dispatch never changes an answer. GROUP BY
     only parallelizes when every aggregation is
     {!Par.exactly_mergeable} — float SUM/AVG always runs serially. *)

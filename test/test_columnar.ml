@@ -277,9 +277,9 @@ let test_prop_column_roundtrip_nulls () =
 
    Reference = the row engine (columnar gate off) at jobs=1. The
    columnar path must match its CSV byte-for-byte at jobs 1, 2 and 4 —
-   including the kernels' deliberate fallbacks (float keys, multi-key
-   GROUP BY, ...), which take the row path and are identical by
-   construction. *)
+   including the kernels' deliberate fallbacks (float keys, keyless
+   GROUP BY, SUM/AVG over non-numeric inputs), which take the row path
+   and are identical by construction. *)
 
 let jobs_matrix = [ 1; 2; 4 ]
 
@@ -332,9 +332,41 @@ let test_prop_kernel_differential () =
                      Aggregate.make (Aggregate.Avg "k") ~as_name:"avg" ]);
             (fun () -> Table.sort_by t names) ]
         in
+        let str = first_col_of_ty t Value.Tstring
+        and bool = first_col_of_ty t Value.Tbool
+        and flt = first_col_of_ty t Value.Tfloat in
+        let multi keys =
+          (* multi-key GROUP BY: dense codes folded key by key *)
+          fun () ->
+            Kernel.group_by t ~keys
+              ~aggs:
+                ([ Aggregate.make (Aggregate.Sum "k") ~as_name:"s";
+                   Aggregate.make Aggregate.Count ~as_name:"n";
+                   Aggregate.make (Aggregate.Avg "k") ~as_name:"avg";
+                   Aggregate.make (Aggregate.Max "k") ~as_name:"hi" ]
+                 @ (match str with
+                    | Some s ->
+                      [ Aggregate.make (Aggregate.Min s) ~as_name:"lo" ]
+                    | None -> [])
+                 @
+                 match flt with
+                 | Some f ->
+                   [ Aggregate.make (Aggregate.Sum f) ~as_name:"fs";
+                     Aggregate.make (Aggregate.First f) ~as_name:"ff" ]
+                 | None -> [])
+        in
+        let multi_keyed =
+          (match (str, bool) with
+           | Some s, Some b -> [ multi [ s; b ]; multi [ "k"; s; b ] ]
+           | _ -> [])
+          @ (match str with Some s -> [ multi [ "k"; s ] ] | None -> [])
+          @ (match bool with Some b -> [ multi [ b; "k" ] ] | None -> [])
+          (* a float key anywhere in the list: row fallback, identical *)
+          @ match flt with Some f -> [ multi [ "k"; f ] ] | None -> []
+        in
         let typed =
           (* type-dependent kernels, when the shape has such a column *)
-          (match first_col_of_ty t Value.Tstring with
+          (match str with
            | Some s ->
              [ (fun () -> Kernel.select t Expr.(col s = str "s0"));
                (fun () ->
@@ -358,8 +390,12 @@ let test_prop_kernel_differential () =
                    ~aggs:[ Aggregate.make Aggregate.Count ~as_name:"n" ]) ]
           | None -> []
         in
-        List.for_all columnar_matches (kernels @ typed))
+        List.for_all columnar_matches (kernels @ typed @ multi_keyed))
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* shapes for kernels whose output grows with rows x rows *)
+let cap_rows sh =
+  { sh with Qcheck_lite.sh_rows = min sh.Qcheck_lite.sh_rows 40 }
 
 let test_prop_join_differential () =
   try
@@ -367,11 +403,131 @@ let test_prop_join_differential () =
       Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
         let a = Qcheck_lite.table_of_shape sa
         and b = Qcheck_lite.table_of_shape sb in
-        columnar_matches (fun () ->
-            Kernel.join a b ~left_key:"k" ~right_key:"k")
-        && columnar_matches (fun () ->
-               Kernel.semi_join a b ~left_key:"k" ~right_key:"k"))
+        (* [k] has negative values and duplicates on both sides. String
+           and bool keys can match nearly all pairs, so those joins run
+           on capped shapes *)
+        let a' = Qcheck_lite.table_of_shape (cap_rows sa)
+        and b' = Qcheck_lite.table_of_shape (cap_rows sb) in
+        let same_ty ty =
+          match (first_col_of_ty a' ty, first_col_of_ty b' ty) with
+          | Some l, Some r ->
+            [ (fun () -> Kernel.join a' b' ~left_key:l ~right_key:r);
+              (* a filtered left side whose dictionary outlives some of
+                 its rows' keys *)
+              (fun () ->
+                 Kernel.join
+                   (Kernel.select a' Expr.(col "k" > int 0))
+                   b' ~left_key:l ~right_key:r) ]
+          | _ -> []
+        in
+        List.for_all columnar_matches
+          ([ (fun () -> Kernel.join a b ~left_key:"k" ~right_key:"k");
+             (fun () -> Kernel.join b a ~left_key:"k" ~right_key:"k");
+             (fun () -> Kernel.semi_join a b ~left_key:"k" ~right_key:"k") ]
+           @ same_ty Value.Tstring @ same_ty Value.Tbool))
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* CROSS on capped shapes (the product is rows x rows), with each side
+   also forced empty *)
+let test_prop_cross_differential () =
+  try
+    Qcheck_lite.check ~count:20 ~seed ~name:"columnar cross == row cross"
+      Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
+        let a = Qcheck_lite.table_of_shape (cap_rows sa)
+        and b = Qcheck_lite.table_of_shape (cap_rows sb) in
+        let empty sh =
+          Qcheck_lite.table_of_shape { sh with Qcheck_lite.sh_rows = 0 }
+        in
+        List.for_all columnar_matches
+          [ (fun () -> Kernel.cross_join a b);
+            (fun () -> Kernel.cross_join (empty sa) b);
+            (fun () -> Kernel.cross_join a (empty sb)) ])
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* keys at the ends of the int range (the slot-array span overflows
+   and the open-addressing table takes over), string keys present on
+   one side only, and duplicates on both sides *)
+let test_extreme_and_missing_keys () =
+  let ints name vs =
+    Table.create_unchecked
+      (Schema.make
+         [ { Schema.name = name; ty = Value.Tint };
+           { Schema.name = name ^ "_v"; ty = Value.Tint } ])
+      (Array.of_list (List.mapi (fun i v -> [| Value.Int v; Value.Int i |]) vs))
+  in
+  let l = ints "a" [ max_int; min_int; 0; -1; max_int; 7; min_int ]
+  and r = ints "b" [ min_int; 5; max_int; -1; min_int; 0 ] in
+  let strs name vs =
+    Table.create_unchecked
+      (Schema.make
+         [ { Schema.name = name; ty = Value.Tstring };
+           { Schema.name = "n"; ty = Value.Tint } ])
+      (Array.of_list
+         (List.mapi (fun i v -> [| Value.Str v; Value.Int i |]) vs))
+  in
+  let ls = strs "s" [ "x"; "y"; "x"; "only-left"; "y"; "" ]
+  and rs = strs "t" [ "y"; "only-right"; "x"; ""; "y"; "missing" ] in
+  let cases =
+    [ ("int join", fun () -> Kernel.join l r ~left_key:"a" ~right_key:"b");
+      ("int join swapped", fun () ->
+          Kernel.join r l ~left_key:"b" ~right_key:"a");
+      ("string join", fun () -> Kernel.join ls rs ~left_key:"s" ~right_key:"t");
+      ("string join swapped", fun () ->
+          Kernel.join rs ls ~left_key:"t" ~right_key:"s");
+      ("wide group_by", fun () ->
+          Kernel.group_by l ~keys:[ "a" ]
+            ~aggs:[ Aggregate.make (Aggregate.Sum "a_v") ~as_name:"s" ]);
+      ("wide multi-key group_by", fun () ->
+          Kernel.group_by (Kernel.join l r ~left_key:"a" ~right_key:"b")
+            ~keys:[ "b_v"; "a" ]
+            ~aggs:[ Aggregate.make Aggregate.Count ~as_name:"n" ]);
+      ("cross", fun () -> Kernel.cross_join ls rs) ]
+  in
+  List.iter
+    (fun (name, f) ->
+       Alcotest.(check bool) (name ^ " byte-identical, jobs 1/2/4") true
+         (columnar_matches f))
+    cases;
+  (* a repeated key is a duplicate output column: both paths reject it *)
+  let raises columnar =
+    Column.with_enabled columnar (fun () ->
+        match Kernel.group_by l ~keys:[ "a"; "a" ] ~aggs:[] with
+        | exception Invalid_argument msg -> msg
+        | _ -> "no error")
+  in
+  Alcotest.(check string) "repeated key" (raises false) (raises true)
+
+(* The paper's NetFlix and k-means workflows run their GROUP BY, JOIN and
+   CROSS operators entirely on the columnar kernels. *)
+let test_zoo_kernels_columnar () =
+  let run graph bindings =
+    Column.with_enabled true (fun () ->
+        Pool.with_jobs 1 (fun () ->
+            ignore
+              (Ir.Interp.outputs ~store:(Ir.Interp.store_of_list bindings)
+                 graph)))
+  in
+  let counter name = Obs.Metrics.counter Obs.Metrics.default name in
+  let kernels = [ "group_by"; "join"; "cross" ] in
+  let counts path =
+    List.map (fun k -> counter ("kernel." ^ path ^ "." ^ k)) kernels
+  in
+  let row0 = counts "row" and col0 = counts "columnar" in
+  let ratings, movies = Workloads.Datagen.netflix ~movies:1000 () in
+  run (Workloads.Workflows.netflix ())
+    [ ("ratings", ratings.Workloads.Datagen.table);
+      ("movies", movies.Workloads.Datagen.table) ];
+  let pts, cents = Workloads.Datagen.kmeans_points ~points:400 ~k:5 () in
+  run (Workloads.Workflows.kmeans ~iterations:2 ())
+    [ ("points", pts.Workloads.Datagen.table);
+      ("centroids", cents.Workloads.Datagen.table) ];
+  List.iteri
+    (fun i k ->
+       Alcotest.(check int) ("kernel.row." ^ k) 0
+         (counter ("kernel.row." ^ k) - List.nth row0 i);
+       Alcotest.(check bool) ("kernel.columnar." ^ k ^ " > 0") true
+         (counter ("kernel.columnar." ^ k) - List.nth col0 i > 0))
+    kernels
 
 (* fused chains: Fused.run with fusion's columnar path on and off, and
    the equivalent unfused kernel sequence, all byte-identical *)
@@ -476,8 +632,8 @@ let test_fixture_identity_jobs4 () =
 
 (* Per-row allocation budgets, in bytes per input row. The columnar
    kernels allocate unboxed index/accumulator arrays (measured on this
-   fixture: group_by ~11, project ~0, join ~102 B/row) where the row
-   engine boxes every cell (group_by ~480 B/row). Budgets sit 2-6x
+   fixture: group_by ~8, project ~0, join ~72 B/row) where the row
+   engine boxes every cell (group_by ~480 B/row). Budgets sit 3-8x
    above the measured columnar cost and far below per-row boxing, so a
    silent fallback to the row path trips them. *)
 let alloc_budgets =
@@ -597,6 +753,12 @@ let () =
             test_prop_kernel_differential;
           Alcotest.test_case "joins, jobs 1/2/4" `Quick
             test_prop_join_differential;
+          Alcotest.test_case "cross joins, jobs 1/2/4" `Quick
+            test_prop_cross_differential;
+          Alcotest.test_case "extreme and one-sided keys" `Quick
+            test_extreme_and_missing_keys;
+          Alcotest.test_case "netflix and k-means stay columnar" `Quick
+            test_zoo_kernels_columnar;
           Alcotest.test_case "fused chains, fusion on/off" `Quick
             test_prop_fused_differential ] );
       ( "regression",
