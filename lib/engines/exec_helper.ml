@@ -31,13 +31,41 @@ type accum = {
   mutable stats : op_stat list;
 }
 
+(* a span whose attributes are built only when a collector listens *)
+let span name attrs f =
+  if Obs.Trace.enabled () then Obs.Trace.with_span ~attrs:(attrs ()) name f
+  else f ()
+
+(* A fused chain runs as SELECT/PROJECT/MAP kernels over one view. The
+   view is settled only at each MAP and at the tail, where one-pass
+   fused evaluation gathered, so every size is the fused one. A chain
+   the columnar kernels cannot run end to end runs on rows from its
+   source as one unit, as the fused row pass did. *)
+let run_chain src kinds =
+  let step t : Ir.Operator.kind -> Table.t option = function
+    | Ir.Operator.Select { pred } -> Columnar.try_select t pred
+    | Ir.Operator.Project { columns } -> Columnar.try_project t columns
+    | Ir.Operator.Map { target; expr } ->
+      Columnar.try_map_column t ~target ~expr
+    | k -> invalid_arg ("Exec_helper.run_chain: " ^ Ir.Operator.kind_name k)
+  in
+  match
+    List.fold_left
+      (fun t k -> Option.bind t (fun t -> step t k))
+      (Some src) kinds
+  with
+  | Some out -> Table.settle out
+  | None ->
+    Column.with_enabled false (fun () ->
+        List.fold_left (fun t kind -> Ir.Interp.eval_kind kind [ t ]) src kinds)
+
 (* Evaluates a graph; [bound] overrides relation lookups (used for WHILE
    bodies); returns per-node (table, modeled_mb) plus output bindings in
    node order (later bindings shadow earlier ones on lookup).
 
    When fusion is on ({!Ir.Fusion.enabled}), chains planned by
-   {!Ir.Fusion.plan} execute as one {!Relation.Fused} pass at the chain
-   tail; interior nodes are skipped entirely — never materialized, never
+   {!Ir.Fusion.plan} execute in one {!run_chain} at the chain tail;
+   interior nodes are skipped entirely — never materialized, never
    entered in [values]/[by_name] (the planner guarantees nothing reads
    them). Their op_stats are still emitted, with modeled volumes from
    {!Ir.Sizing}, so cost-model and Fig-14 telemetry stay populated.
@@ -92,17 +120,15 @@ let rec eval_graph ?(protect = []) ~hdfs
       List.map (Ir.Dag.node g) chain.Ir.Fusion.members
     in
     let kinds = List.map (fun (m : Ir.Operator.node) -> m.kind) members in
-    let steps = Ir.Fusion.steps g chain in
     let out =
-      Obs.Trace.with_span
-        ~attrs:[ ("chain_len", Obs.Trace.Int (List.length members));
-                 ("ops",
-                  Obs.Trace.String
-                    (String.concat ","
-                       (List.map Ir.Operator.kind_name kinds)));
-                 ("rows_in", Obs.Trace.Int (Table.row_count src_table)) ]
-        "kernel.fused"
-      @@ fun () -> Relation.Fused.run src_table steps
+      span "kernel.fused"
+        (fun () ->
+           [ ("chain_len", Obs.Trace.Int (List.length members));
+             ("ops",
+              Obs.Trace.String
+                (String.concat "," (List.map Ir.Operator.kind_name kinds)));
+             ("rows_in", Obs.Trace.Int (Table.row_count src_table)) ])
+      @@ fun () -> run_chain src_table kinds
     in
     (* modeled volumes: interiors estimated via Sizing (their tables
        never exist to measure); the tail uses end-to-end measured
@@ -182,7 +208,25 @@ let rec eval_graph ?(protect = []) ~hdfs
            | Ir.Operator.While { condition; max_iterations; body } ->
              eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins
            | kind ->
-             let out = Ir.Interp.eval_kind kind in_tables in
+             let out =
+               span "kernel"
+                 (fun () ->
+                    [ ("op", Obs.Trace.String (Ir.Operator.kind_name kind));
+                      ("rows_in",
+                       Obs.Trace.Int
+                         (List.fold_left
+                            (fun s t -> s + Table.row_count t) 0 in_tables)) ])
+               @@ fun () ->
+               let out = Ir.Interp.eval_kind kind in_tables in
+               (* the path the kernel took, read off its output *)
+               if Obs.Trace.enabled () then
+                 Obs.Trace.add_attr "path"
+                   (Obs.Trace.String
+                      (if Table.is_view out then "view"
+                       else if Table.is_columnar out then "columnar"
+                       else "row"));
+               out
+             in
              let mb =
                propagate kind ~in_modeled ~in_bytes
                  ~out_bytes:(Table.encoded_bytes out)
@@ -287,7 +331,7 @@ let execute ?max_jobs ~hdfs (g : Ir.Operator.graph) =
     List.map
       (fun (n : Ir.Operator.node) ->
          let t, mb = Hashtbl.find values n.id in
-         (n.output, t, mb))
+         (n.output, Table.materialize t, mb))
       out_nodes
   in
   let output_mb = List.fold_left (fun s (_, _, mb) -> s +. mb) 0. outputs in

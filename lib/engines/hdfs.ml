@@ -17,7 +17,9 @@ let put t name ?modeled_mb table =
     | Some mb -> mb
     | None -> Relation.Table.encoded_mb table
   in
-  Hashtbl.replace t.entries name { table; modeled_mb }
+  (* a stored table holds no view: it must not pin its inputs' columns *)
+  Hashtbl.replace t.entries name
+    { table = Relation.Table.materialize table; modeled_mb }
 
 exception No_such_relation of string
 

@@ -88,20 +88,6 @@ let plan ?(protect = []) (g : Operator.graph) =
     plan_chains;
   { plan_chains; roles }
 
-let steps (g : Operator.graph) (c : chain) =
-  List.map
-    (fun id ->
-       match (Dag.node g id).Operator.kind with
-       | Operator.Select { pred } -> Relation.Fused.Filter pred
-       | Operator.Project { columns } -> Relation.Fused.Keep columns
-       | Operator.Map { target; expr } ->
-         Relation.Fused.Map_col { target; expr }
-       | k ->
-         invalid_arg
-           (Printf.sprintf "Fusion.steps: %s is not fusable"
-              (Operator.kind_name k)))
-    c.members
-
 let override = ref None
 
 let set_enabled v = override := v

@@ -4,8 +4,9 @@
     execution side: the code generators already {e render} merged
     operators ([Render.render ~shared_scans]); this module decides which
     chains the interpreter ([Engines.Exec_helper]) may {e run} merged,
-    with interior results never materialized. The per-row kernel that
-    executes a planned chain is {!Relation.Fused}.
+    with interior results never materialized: [Engines.Exec_helper]
+    runs a planned chain as SELECT/PROJECT/MAP kernels over one
+    {!Relation.Table.view}, materializing nothing until the tail.
 
     A chain is a maximal run of row-local operators — SELECT, PROJECT,
     MAP — linked head-to-tail by single-consumer edges. A node may sit
@@ -47,11 +48,6 @@ val plan : ?protect:string list -> Operator.graph -> plan
 val chains : plan -> chain list
 
 val role : plan -> int -> role
-
-(** Kernel steps for a chain, in dataflow order. Raises
-    [Invalid_argument] if a member is not SELECT/PROJECT/MAP (the
-    planner never produces such a chain). *)
-val steps : Operator.graph -> chain -> Relation.Fused.step list
 
 (** Is fusion on? [set_enabled] override first, else the
     [MUSKETEER_FUSION] environment variable ("0" / "false" / "off" /

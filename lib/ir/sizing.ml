@@ -82,11 +82,11 @@ let project_mb table columns ~in_mb =
   in
   if not known then None
   else begin
-    let cols = Table.columns table in
+    let bytes = Table.column_bytes table in
     let total = ref 0 and kept = ref 0 in
     List.iteri
       (fun i (c : Schema.column) ->
-         let b = Column.encoded_bytes cols.(i) in
+         let b = bytes.(i) in
          total := !total + b;
          if List.mem c.name columns then kept := !kept + b)
       (Schema.columns schema);

@@ -413,6 +413,15 @@ let encoded_bytes t =
   let valid_bytes = match t.valid with None -> 0 | Some bm -> Bytes.length bm in
   data_bytes + valid_bytes
 
+let gathered_bytes t ~rows =
+  match t.data with
+  | Ints _ | Floats _ -> 8 * rows
+  | Bools _ -> rows
+  | Dict { dict; _ } ->
+    if rows < Array.length dict then
+      invalid_arg "Column.gathered_bytes: the gather would compact";
+    Array.fold_left (fun acc s -> acc + String.length s + 1) (4 * rows) dict
+
 let dictionary_size t =
   match t.data with
   | Dict { dict; _ } -> Some (Array.length dict)

@@ -94,6 +94,13 @@ val compare_at : t -> int -> int -> int
     [ceil(n/8)]. *)
 val encoded_bytes : t -> int
 
+(** [gathered_bytes t ~rows] is [encoded_bytes (gather t idx)] for any
+    [idx] of [rows] slots that keeps the dictionary whole
+    ([rows] >= {!dictionary_size}), on a fully valid column — the size
+    of a view's column without gathering it. Raises [Invalid_argument]
+    when the gather would compact the dictionary. *)
+val gathered_bytes : t -> rows:int -> int
+
 (** Distinct entries in a dictionary column; [None] for other types. *)
 val dictionary_size : t -> int option
 

@@ -7,26 +7,6 @@ let par_threshold = 512
 
 let mark name = Obs.Metrics.incr Obs.Metrics.default ("kernel.columnar." ^ name)
 
-(* ---- growable scratch buffers (amortized O(1) push) ---- *)
-
-type ibuf = {
-  mutable ia : int array;
-  mutable ilen : int;
-}
-
-let ibuf () = { ia = Array.make 64 0; ilen = 0 }
-
-let ipush b x =
-  if b.ilen = Array.length b.ia then begin
-    let bigger = Array.make (2 * b.ilen) 0 in
-    Array.blit b.ia 0 bigger 0 b.ilen;
-    b.ia <- bigger
-  end;
-  b.ia.(b.ilen) <- x;
-  b.ilen <- b.ilen + 1
-
-let icontents b = Array.sub b.ia 0 b.ilen
-
 (* ---- SELECT ---- *)
 
 let mask_to_indices ~start mask =
@@ -47,74 +27,76 @@ let mask_to_indices ~start mask =
 
 (* single-pass filter for the overwhelmingly common predicate shape
    [col ⊕ const] over an int column: no boolean mask, no intermediate
-   vectors — one tight loop pushing surviving row indices. Semantics
-   are [Int.compare], which primitive int comparison matches. *)
-let fast_int_filter (a : int array) op k buf ~start ~len =
-  let stop = start + len - 1 in
-  (match (op : Expr.cmpop) with
-   | Expr.Eq ->
-     for i = start to stop do
-       if a.(i) = k then ipush buf i
-     done
-   | Expr.Neq ->
-     for i = start to stop do
-       if a.(i) <> k then ipush buf i
-     done
-   | Expr.Lt ->
-     for i = start to stop do
-       if a.(i) < k then ipush buf i
-     done
-   | Expr.Le ->
-     for i = start to stop do
-       if a.(i) <= k then ipush buf i
-     done
-   | Expr.Gt ->
-     for i = start to stop do
-       if a.(i) > k then ipush buf i
-     done
-   | Expr.Ge ->
-     for i = start to stop do
-       if a.(i) >= k then ipush buf i
-     done);
-  icontents buf
-
-let flip_cmp : Expr.cmpop -> Expr.cmpop = function
-  | Expr.Eq -> Expr.Eq
-  | Expr.Neq -> Expr.Neq
-  | Expr.Lt -> Expr.Gt
-  | Expr.Le -> Expr.Ge
-  | Expr.Gt -> Expr.Lt
-  | Expr.Ge -> Expr.Le
-
-let try_fast_indices schema cols pred ~start ~len =
-  let int_col c =
-    match Schema.index_of schema c with
-    | i -> (
-      match cols.(i).Column.data with
-      | Column.Ints a -> Some a
-      | _ -> None)
-    | exception Not_found -> None
+   vectors — one loop collecting surviving row indices. Semantics are
+   [Int.compare], which primitive int comparison matches. *)
+let fast_int_filter (a : int array) op k ~start ~len =
+  let keep : int -> bool =
+    match (op : Expr.cmpop) with
+    | Expr.Eq -> fun x -> x = k
+    | Expr.Neq -> fun x -> x <> k
+    | Expr.Lt -> fun x -> x < k
+    | Expr.Le -> fun x -> x <= k
+    | Expr.Gt -> fun x -> x > k
+    | Expr.Ge -> fun x -> x >= k
   in
-  match (pred : Expr.t) with
-  | Expr.Cmp (op, Expr.Col c, Expr.Const (Value.Int k)) ->
-    Option.map
-      (fun a -> fast_int_filter a op k (ibuf ()) ~start ~len)
-      (int_col c)
-  | Expr.Cmp (op, Expr.Const (Value.Int k), Expr.Col c) ->
-    Option.map
-      (fun a -> fast_int_filter a (flip_cmp op) k (ibuf ()) ~start ~len)
-      (int_col c)
-  | _ -> None
+  let out = Array.make len 0 and kept = ref 0 in
+  for i = start to start + len - 1 do
+    if keep a.(i) then begin
+      out.(!kept) <- i;
+      incr kept
+    end
+  done;
+  Array.sub out 0 !kept
 
-let select_range schema cols pred ~start ~len =
-  match try_fast_indices schema cols pred ~start ~len with
+(* ---- reading through a view ---- *)
+
+(* Evaluates [e] over rows [start, start + len) of a view of [n] rows:
+   each column reads through its group's index, whose slice is cut
+   once per group and only if some column of the group is read. *)
+let eval_range schema (v : Table.view) ~n ~start ~len e =
+  let slices =
+    Array.map
+      (fun ix ->
+         lazy
+           (Vector.Sparse
+              (if start = 0 && len = n then ix else Array.sub ix start len)))
+      v.idx
+  in
+  Vector.eval schema (Array.map fst v.vcols) ~len
+    ~sel:(fun i ->
+        match v.vcols.(i) with
+        | _, -1 -> Vector.Dense (start, len)
+        | _, g -> Lazy.force slices.(g))
+    e
+
+(* [f ~start ~len] over [0, n), chunked on the pool when that pays *)
+let chunked n f =
+  let jobs = Pool.effective_jobs () in
+  if jobs > 1 && n >= par_threshold then
+    Array.to_list
+      (Pool.run
+         (Array.map
+            (fun (start, len) () -> f ~start ~len)
+            (Pool.chunks ~jobs n)))
+  else [ f ~start:0 ~len:n ]
+
+(* [col ⊕ const] over a row-aligned int column filters it in place; the
+   predicate has type-checked, so its column exists *)
+let select_range schema (v : Table.view) ~n pred ~start ~len =
+  let in_place =
+    match (pred : Expr.t) with
+    | Expr.Cmp (op, Expr.Col c, Expr.Const (Value.Int k)) -> (
+      match v.vcols.(Schema.index_of schema c) with
+      | { Column.data = Column.Ints a; _ }, -1 ->
+        Some (fast_int_filter a op k ~start ~len)
+      | _ -> None)
+    | _ -> None
+  in
+  match in_place with
   | Some idx -> idx
   | None ->
-    let mask =
-      Vector.to_mask ~length:len
-        (Vector.eval schema cols ~sel:(Vector.Dense (start, len)) pred)
-    in
-    mask_to_indices ~start mask
+    mask_to_indices ~start
+      (Vector.to_mask ~length:len (eval_range schema v ~n ~start ~len pred))
 
 let try_select t pred =
   if not (Column.enabled ()) then None
@@ -129,26 +111,15 @@ let try_select t pred =
       let n = Table.row_count t in
       if n = 0 then Some t
       else begin
-        let cols = Table.columns t in
-        let jobs = Pool.effective_jobs () in
-        let idx =
-          if jobs > 1 && n >= par_threshold then
-            Array.concat
-              (Array.to_list
-                 (Pool.run
-                    (Array.map
-                       (fun (start, len) () ->
-                          select_range schema cols pred ~start ~len)
-                       (Pool.chunks ~jobs n))))
-          else select_range schema cols pred ~start:0 ~len:n
+        let v = Table.parts t in
+        let keep =
+          Array.concat (chunked n (select_range schema v ~n pred))
         in
-        if Array.length idx = n then
-          (* nothing filtered: share the input columns outright *)
-          Some (Table.of_columns schema cols)
-        else
-          Some
-            (Table.of_columns schema
-               (Array.map (fun c -> Column.gather c idx) cols))
+        let kept = Array.length keep in
+        (* nothing filtered: the view is shared as it is *)
+        Some
+          (Table.of_view schema ~rows:kept
+             (if kept = n then v else Table.reindex v keep))
       end
     end
   end
@@ -163,11 +134,11 @@ let try_project t names =
     let idxs = List.map (Schema.index_of schema) names in
     let out_schema = Schema.restrict schema names in
     mark "project";
-    let cols = Table.columns t in
-    (* columns are immutable, so the projection shares them: zero copy *)
+    let v = Table.parts t in
+    (* the kept columns keep their bases and indices: zero copy *)
     Some
-      (Table.of_columns out_schema
-         (Array.of_list (List.map (fun i -> cols.(i)) idxs)))
+      (Table.of_view out_schema ~rows:(Table.row_count t)
+         { v with vcols = Array.of_list (List.map (Array.get v.vcols) idxs) })
   end
 
 (* ---- MAP ---- *)
@@ -183,37 +154,27 @@ let try_map_column t ~target ~expr =
       mark "map";
       let ty = Expr.infer schema expr in
       let out_schema = Schema.with_column schema { Schema.name = target; ty } in
-      let replace = Schema.mem schema target in
       let n = Table.row_count t in
-      let cols = Table.columns t in
+      (* a fused chain gathered every column at a MAP: settle the view
+         there too (kernel outputs come settled, so solo MAPs skip it) *)
+      let v = Table.parts (Table.settle t) in
       let new_col =
         if n = 0 then empty_column ty
-        else begin
-          let jobs = Pool.effective_jobs () in
-          if jobs > 1 && n >= par_threshold then
-            Column.concat
-              (Array.to_list
-                 (Pool.run
-                    (Array.map
-                       (fun (start, len) () ->
-                          Vector.to_column ~length:len
-                            (Vector.eval schema cols
-                               ~sel:(Vector.Dense (start, len)) expr))
-                       (Pool.chunks ~jobs n))))
-          else
-            Vector.to_column ~length:n
-              (Vector.eval schema cols ~sel:(Vector.Dense (0, n)) expr)
-        end
+        else
+          Column.concat
+            (chunked n (fun ~start ~len ->
+                 Vector.to_column ~length:len
+                   (eval_range schema v ~n ~start ~len expr)))
       in
-      let out_cols =
-        if replace then begin
-          let out = Array.copy cols in
-          out.(Schema.index_of schema target) <- new_col;
+      let vcols =
+        if Schema.mem schema target then begin
+          let out = Array.copy v.vcols in
+          out.(Schema.index_of schema target) <- (new_col, -1);
           out
         end
-        else Array.append cols [| new_col |]
+        else Array.append v.vcols [| (new_col, -1) |]
       in
-      Some (Table.of_columns out_schema out_cols)
+      Some (Table.of_view out_schema ~rows:n { v with vcols })
     end
   end
 
@@ -246,17 +207,26 @@ let mix k =
 
 let rec pow2_above n p = if p >= n then p else pow2_above n (2 * p)
 
-let dense_codes (a : int array) =
+(* [?range]: every key is known to lie in [0, range), which saves the
+   bounds scan. [?into] receives the codes (default: a fresh array); it
+   may be [a] itself, since row i's key is read before its code is
+   written. *)
+let dense_codes ?range ?into (a : int array) =
   let n = Array.length a in
-  let codes = Array.make n 0 in
+  let codes = match into with Some c -> c | None -> Array.make n 0 in
   let next = ref 0 in
-  let lo = ref max_int and hi = ref min_int in
-  for i = 0 to n - 1 do
-    let k = a.(i) in
-    if k < !lo then lo := k;
-    if k > !hi then hi := k
-  done;
-  let lo = !lo and hi = !hi in
+  let lo, hi =
+    match range with
+    | Some r -> (0, r - 1)
+    | None ->
+      let lo = ref max_int and hi = ref min_int in
+      for i = 0 to n - 1 do
+        let k = a.(i) in
+        if k < !lo then lo := k;
+        if k > !hi then hi := k
+      done;
+      (!lo, !hi)
+  in
   (* [hi - lo] wraps negative when the true span exceeds max_int *)
   let span = hi - lo in
   let index =
@@ -336,17 +306,26 @@ let try_join left right ~left_key ~right_key =
     if lty <> rty || lty = Value.Tfloat then None
     else begin
       mark "join";
-      let lcols = Table.columns left and rcols = Table.columns right in
+      (* only the key columns are read, each coded off its base column
+         and read through its view index: the buckets need any
+         injective code *)
+      let lv = Table.parts left and rv = Table.parts right in
+      let through (v : Table.view) g codes =
+        if g < 0 then codes else Table.compose codes v.idx.(g)
+      in
+      let lkey, lvia = lv.vcols.(li) and rkey, rvia = rv.vcols.(ri) in
       let nl = Table.row_count left and nr = Table.row_count right in
-      let lkeys = Option.get (int_keys lcols.(li))
-      and rkeys = Option.get (int_keys rcols.(ri)) in
-      let lcode, groups, index = dense_codes lkeys in
+      let rkeys = Option.get (int_keys rkey) in
+      let bcode, groups, index = dense_codes (Option.get (int_keys lkey)) in
+      let lcode = through lv lvia bcode in
       (* the left code each right row probes with, -1 for no match *)
       let rcode =
-        match (lcols.(li).Column.data, rcols.(ri).Column.data) with
+        through rv rvia @@
+        match (lkey.Column.data, rkey.Column.data) with
         | Column.Dict { dict = ldict; _ }, Column.Dict { dict = rdict; _ } ->
           (* two dictionaries: hash each distinct string once, not per
-             row. Entries the left rows never use map to -1 too. *)
+             row. An entry no left row holds maps to -1 or to an empty
+             bucket. *)
           let entry_code =
             lookup_codes index (Array.init (Array.length ldict) Fun.id)
           in
@@ -397,21 +376,23 @@ let try_join left right ~left_key ~right_key =
             incr k
           done
       done;
-      let r_keep =
-        Array.of_list
-          (List.filteri (fun j _ -> j <> ri)
-             (List.mapi (fun j _ -> j) (Schema.columns rs)))
-      in
       let r_cols_keep = List.filteri (fun j _ -> j <> ri) (Schema.columns rs) in
       let out_schema =
         if r_cols_keep = [] then ls
         else Schema.concat ls (Schema.make r_cols_keep)
       in
-      let out_left = Array.map (fun c -> Column.gather c lidx) lcols in
-      let out_right =
-        Array.map (fun j -> Column.gather rcols.(j) ridx) r_keep
+      (* a view: each input's groups composed with its pair index *)
+      let rv =
+        { rv with
+          vcols =
+            Array.of_list
+              (List.filteri (fun j _ -> j <> ri) (Array.to_list rv.vcols)) }
       in
-      Some (Table.of_columns out_schema (Array.append out_left out_right))
+      Some
+        (Table.of_view out_schema ~rows:!total
+           (Table.concat_views
+              (Table.reindex lv lidx)
+              (Table.reindex rv ridx)))
     end
   end
 
@@ -432,34 +413,71 @@ let try_cross left right =
         ridx.((i * nr) + j) <- j
       done
     done;
-    let gather idx c = Column.gather c idx in
     Some
-      (Table.of_columns out_schema
-         (Array.append
-            (Array.map (gather lidx) (Table.columns left))
-            (Array.map (gather ridx) (Table.columns right))))
+      (Table.of_view out_schema ~rows:(nl * nr)
+         (Table.concat_views
+            (Table.reindex (Table.parts left) lidx)
+            (Table.reindex (Table.parts right) ridx)))
   end
 
 (* ---- GROUP BY ---- *)
 
 (* Per-row group ids for a key tuple, dense in first-appearance order
-   of the whole tuple. Each key column is dense-coded and folded into
-   the running code as [prev * d + cur]; re-densifying after every key
-   keeps the running code below n, so the fold stays below n². *)
-let group_ids key_cols =
-  match key_cols with
+   of the whole tuple. A key is its base column's int keys and, when it
+   is read through a view, the row index. Before the last step any
+   injective code will do: a key whose values span a narrow range is
+   coded as its offset from the minimum, with no array; a wider one is
+   dense-coded off its base column. Each key is folded into the running
+   code as [prev * d + cur], read through the index; the running code is
+   re-densified only when the next fold would leave the range the
+   slot-array path of {!dense_codes} takes, so it stays below n times
+   the base's row count. *)
+let group_ids n keys =
+  let limit = max 4096 (2 * n) in
+  match keys with
   | [] -> invalid_arg "Columnar.group_ids: no keys"
-  | first :: rest ->
-    let n = Array.length first in
-    let codes, count, _ = dense_codes first in
-    List.fold_left
-      (fun (prev, _) col ->
-         let cur, d, _ = dense_codes col in
-         let codes, count, _ =
-           dense_codes (Array.init n (fun i -> (prev.(i) * d) + cur.(i)))
-         in
-         (codes, count))
-      (codes, count) rest
+  | [ (base, None) ] ->
+    let codes, count, _ = dense_codes base in
+    (codes, count)
+  | keys ->
+    (* the running code, rewritten in place by every fold *)
+    let acc = Array.make n 0 in
+    let densify range =
+      let _, count, _ = dense_codes ~range ~into:acc acc in
+      count
+    in
+    let range =
+      List.fold_left
+        (fun range ((base : int array), via) ->
+           let lo = ref max_int and hi = ref min_int in
+           Array.iter
+             (fun k ->
+                if k < !lo then lo := k;
+                if k > !hi then hi := k)
+             base;
+           let lo = !lo and hi = !hi in
+           (* [hi - lo] wraps negative when the span exceeds max_int *)
+           let codes, lo, d =
+             if hi - lo >= 0 && hi - lo < limit then (base, lo, hi - lo + 1)
+             else
+               let codes, d, _ = dense_codes base in
+               (codes, 0, d)
+           in
+           let range = if range * d > limit then densify range else range in
+           (match via with
+            | None ->
+              for i = 0 to n - 1 do
+                acc.(i) <- (acc.(i) * d) + codes.(i) - lo
+              done
+            | Some ix ->
+              for i = 0 to n - 1 do
+                acc.(i) <- (acc.(i) * d) + codes.(ix.(i)) - lo
+              done);
+           range * d)
+        1 keys
+    in
+    let count = densify range in
+    (acc, count)
 
 let summable (fn : Aggregate.fn) (src : Column.t option) =
   match (fn, src) with
@@ -515,10 +533,22 @@ let aggregate ~gid ~reps ~counts (fn : Aggregate.fn) (src : Column.t option) =
     (* row index of each group's winner; strict comparison keeps the
        earliest on ties, exactly as [Aggregate.step] does *)
     let best = Array.copy reps in
-    for r = 0 to n - 1 do
-      let g = gid.(r) in
-      if dir * Column.compare_at c r best.(g) > 0 then best.(g) <- r
-    done;
+    (match c.Column.data with
+     | Column.Ints a when Column.all_valid c ->
+       for r = 0 to n - 1 do
+         let g = gid.(r) in
+         if dir * Int.compare a.(r) a.(best.(g)) > 0 then best.(g) <- r
+       done
+     | Column.Floats a when Column.all_valid c ->
+       for r = 0 to n - 1 do
+         let g = gid.(r) in
+         if dir * Float.compare a.(r) a.(best.(g)) > 0 then best.(g) <- r
+       done
+     | _ ->
+       for r = 0 to n - 1 do
+         let g = gid.(r) in
+         if dir * Column.compare_at c r best.(g) > 0 then best.(g) <- r
+       done);
     Column.gather c best
   | Aggregate.First _, Some c -> Column.gather c reps
   | _ -> invalid_arg "Columnar.aggregate: input does not fit the function"
@@ -535,9 +565,23 @@ let try_group_by t ~keys ~aggs =
            Option.map (Schema.index_of schema) (Aggregate.input_column a.fn))
         aggs
     in
-    let cols = Table.columns t in
-    let srcs = List.map (Option.map (Array.get cols)) inputs in
-    let key_cols = List.filter_map (fun i -> int_keys cols.(i)) kis in
+    (* keys are coded off their base columns, read through the view's
+       indexes; only aggregation inputs are gathered *)
+    let t = Table.settle t in
+    let v = Table.parts t in
+    let via i =
+      match v.vcols.(i) with
+      | c, -1 -> (c, None)
+      | c, g -> (c, Some v.idx.(g))
+    in
+    let srcs = List.map (Option.map (Table.column_at t)) inputs in
+    let key_cols =
+      List.filter_map
+        (fun i ->
+           let c, ix = via i in
+           Option.map (fun keys -> (keys, ix)) (int_keys c))
+        kis
+    in
     (* keyless GROUP BY (one row even when empty), float keys (row-path
        NaN semantics), repeated keys (a duplicate output column) and
        SUM/AVG over non-numeric inputs (a schema error) stay on rows *)
@@ -550,7 +594,7 @@ let try_group_by t ~keys ~aggs =
     else begin
       mark "group_by";
       let n = Table.row_count t in
-      let gid, groups = group_ids key_cols in
+      let gid, groups = group_ids n key_cols in
       let reps = Array.make groups 0 and counts = Array.make groups 0 in
       for r = n - 1 downto 0 do
         let g = gid.(r) in
@@ -571,7 +615,14 @@ let try_group_by t ~keys ~aggs =
       let out_schema =
         Schema.make (List.map (fun i -> scols.(i)) kis @ agg_cols)
       in
-      let out_keys = List.map (fun i -> Column.gather cols.(i) reps) kis in
+      let out_keys =
+        List.map
+          (fun i ->
+             match via i with
+             | c, None -> Column.gather c reps
+             | c, Some ix -> Column.gather c (Table.compose ix reps))
+          kis
+      in
       let out_aggs =
         List.map2
           (fun (a : Aggregate.t) src -> aggregate ~gid ~reps ~counts a.fn src)
@@ -579,112 +630,4 @@ let try_group_by t ~keys ~aggs =
       in
       Some (Table.of_columns out_schema (Array.of_list (out_keys @ out_aggs)))
     end
-  end
-
-(* ---- fused SELECT/PROJECT/MAP chains ---- *)
-
-(* chain state: columns of some materialized length plus a selection
-   over them. [Filter] only refines the selection; [Keep] drops
-   columns; [Map_col] densifies (gathers through the selection) so the
-   fresh column can sit alongside the others. *)
-
-let densify cols sel =
-  match sel with
-  | Vector.Dense (0, len)
-    when Array.length cols = 0 || len = Column.length cols.(0) -> cols
-  | Vector.Dense (start, len) ->
-    let idx = Array.init len (fun i -> start + i) in
-    Array.map (fun c -> Column.gather c idx) cols
-  | Vector.Sparse idx -> Array.map (fun c -> Column.gather c idx) cols
-
-let refine sel mask =
-  let picked = mask_to_indices ~start:0 mask in
-  match sel with
-  | Vector.Dense (start, _) ->
-    Vector.Sparse (Array.map (fun i -> start + i) picked)
-  | Vector.Sparse idx -> Vector.Sparse (Array.map (fun i -> idx.(i)) picked)
-
-let try_fused t steps =
-  if not (Column.enabled ()) then None
-  else begin
-    let schema0 = Table.schema t in
-    (* every expression in the chain must vectorize against the schema
-       its step sees; otherwise the whole chain runs on rows *)
-    let plan_ok =
-      List.fold_left
-        (fun acc step ->
-           match acc with
-           | None -> None
-           | Some schema -> (
-             match (step : Fused_step.t) with
-             | Fused_step.Filter pred ->
-               if
-                 Vector.vectorizable schema pred
-                 && Expr.infer schema pred = Value.Tbool
-               then Some schema
-               else None
-             | Fused_step.Keep names -> Some (Schema.restrict schema names)
-             | Fused_step.Map_col { target; expr } ->
-               if Vector.vectorizable schema expr then
-                 Some
-                   (Schema.with_column schema
-                      { Schema.name = target; ty = Expr.infer schema expr })
-               else None))
-        (Some schema0) steps
-    in
-    match plan_ok with
-    | None -> None
-    | Some _ ->
-      mark "fused";
-      let n = Table.row_count t in
-      let state =
-        List.fold_left
-          (fun (schema, cols, sel) step ->
-             match (step : Fused_step.t) with
-             | Fused_step.Filter pred ->
-               let len = Vector.sel_length sel in
-               if len = 0 then (schema, cols, sel)
-               else begin
-                 let mask =
-                   Vector.to_mask ~length:len
-                     (Vector.eval schema cols ~sel pred)
-                 in
-                 (schema, cols, refine sel mask)
-               end
-             | Fused_step.Keep names ->
-               let idxs =
-                 Array.of_list (List.map (Schema.index_of schema) names)
-               in
-               ( Schema.restrict schema names,
-                 Array.map (fun i -> cols.(i)) idxs,
-                 sel )
-             | Fused_step.Map_col { target; expr } ->
-               let ty = Expr.infer schema expr in
-               let out_schema =
-                 Schema.with_column schema { Schema.name = target; ty }
-               in
-               let len = Vector.sel_length sel in
-               let dense = densify cols sel in
-               let new_col =
-                 if len = 0 then empty_column ty
-                 else
-                   Vector.to_column ~length:len
-                     (Vector.eval schema dense
-                        ~sel:(Vector.Dense (0, len)) expr)
-               in
-               let replace = Schema.mem schema target in
-               let out_cols =
-                 if replace then begin
-                   let out = Array.copy dense in
-                   out.(Schema.index_of schema target) <- new_col;
-                   out
-                 end
-                 else Array.append dense [| new_col |]
-               in
-               (out_schema, out_cols, Vector.Dense (0, len)))
-          (schema0, Table.columns t, Vector.Dense (0, n))
-          steps
-      in
-      let schema, cols, sel = state in
-      Some (Table.of_columns schema (densify cols sel))
   end

@@ -14,6 +14,17 @@
     counts [kernel.row.<kernel>] in {!Kernel}; every columnar run counts
     [kernel.columnar.<kernel>].
 
+    Output is late-materialized ({!Table.view}): JOIN and CROSS return
+    their inputs' column groups composed with the pair indices, SELECT
+    composes each group's index with the rows it keeps, PROJECT drops
+    columns, and MAP, the SELECT predicate, GROUP BY and the JOIN keys
+    read only the columns they name, each through its own group's
+    index. The views come back unsettled ({!Table.settle}): {!Kernel}
+    settles select, join and cross output, where the eager kernels
+    gathered, and a fused chain settles at each MAP (MAP settles its
+    input) and at its tail, where the one-pass fused kernel gathered.
+    Any other reader materializes the view.
+
     Exceptions the row path would raise (unknown columns, ill-typed
     predicates evaluated on live rows, [Division_by_zero]) propagate
     from here with identical payloads — never swallowed into [None]. *)
@@ -43,8 +54,8 @@ val try_join :
   Table.t option
 
 (** Cartesian product as two index vectors (left-major, right-minor:
-    the serial kernel's nested-loop order) gathered over both sides'
-    columns. Either side may be empty. *)
+    the serial kernel's nested-loop order) composed with both sides'
+    groups. Either side may be empty. *)
 val try_cross : Table.t -> Table.t -> Table.t option
 
 (** Grouping on one or more int/string/bool keys. Each key column is
@@ -56,10 +67,3 @@ val try_cross : Table.t -> Table.t -> Table.t option
     repeated key or an empty key list returns [None]. *)
 val try_group_by :
   Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t option
-
-(** Fused SELECT/PROJECT/MAP chains evaluated as column chunks with a
-    selection vector threaded between stages ({!Fused} calls this before
-    its row loop). [compile_error]s — unknown columns, ill-typed MAP
-    expressions — are raised by {!Fused.compile} before this runs, so
-    both paths fail identically. *)
-val try_fused : Table.t -> Fused_step.t list -> Table.t option

@@ -51,7 +51,7 @@ let row_path name = Obs.Metrics.incr Obs.Metrics.default ("kernel.row." ^ name)
 
 let select t pred =
   match Columnar.try_select t pred with
-  | Some r -> r
+  | Some r -> Table.settle r
   | None ->
   row_path "select";
   dispatch "select" ~rows:(Table.row_count t)
@@ -161,7 +161,7 @@ let serial_join left right ~left_key ~right_key =
 
 let join left right ~left_key ~right_key =
   match Columnar.try_join left right ~left_key ~right_key with
-  | Some r -> r
+  | Some r -> Table.settle r
   | None ->
   row_path "join";
   dispatch "join" ~rows:(Table.row_count left + Table.row_count right)
@@ -243,7 +243,7 @@ let anti_join left right ~left_key ~right_key =
 
 let cross_join left right =
   match Columnar.try_cross left right with
-  | Some r -> r
+  | Some r -> Table.settle r
   | None ->
   row_path "cross";
   let out_schema = Schema.concat (Table.schema left) (Table.schema right) in

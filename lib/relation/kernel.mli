@@ -17,8 +17,8 @@
     only parallelizes when every aggregation is
     {!Par.exactly_mergeable} — float SUM/AVG always runs serially. *)
 
-(** Row count at or above which the hot kernels (and {!Fused.run}) go
-    parallel when the pool has more than one domain. *)
+(** Row count at or above which the hot kernels go parallel when the
+    pool has more than one domain. *)
 val par_threshold : int
 
 val select : Table.t -> Expr.t -> Table.t

@@ -1,25 +1,37 @@
-(* A table is a schema plus row data in one of two physical
+(* A table is a schema plus row data in one of three physical
    representations:
 
    - row-backed: [Value.t array array], the seed engine's layout;
    - column-backed: one typed {!Column.t} per schema column (unboxed
-     int/float/bool arrays, dictionary-encoded strings).
+     int/float/bool arrays, dictionary-encoded strings);
+   - a view: column groups, each a set of base columns read through one
+     shared row-index vector. JOIN, CROSS and SELECT return views, so a
+     column nobody reads is never gathered (late materialization).
 
-   Either view is materialized lazily from the other and memoized, so
-   the whole pre-columnar API ([rows], [get], [create], ...) keeps
-   working unchanged while the vectorized kernels exchange columns.
-   The conversions are exact inverses (see Column), which is what the
-   columnar differential suite proves end-to-end.
+   Rows and columns are materialized lazily from whichever form the
+   table has and memoized, so the whole pre-columnar API ([rows], [get],
+   [create], ...) keeps working unchanged while the vectorized kernels
+   exchange columns and views. The conversions are exact inverses (see
+   Column), which is what the columnar differential suite proves
+   end-to-end.
 
    Memo fields are unsynchronized on purpose: tables are immutable, so
    concurrent domains can at worst both compute the same value and race
-   to store it — a benign race; a stale [None]/[-1] just recomputes. *)
+   to store it — a benign race; a stale [None]/[-1] just recomputes. A
+   view is dropped only after its columns are stored, so a reader that
+   finds no view always finds the columns. *)
+
+type view = {
+  idx : int array array;
+  vcols : (Column.t * int) array;
+}
 
 type t = {
   schema : Schema.t;
   nrows : int;
   mutable rows_v : Value.t array array option;
   mutable cols_v : Column.t array option;
+  mutable view_v : view option;
   mutable encoded : int;  (* memoized [encoded_bytes]; -1 = not computed *)
 }
 
@@ -40,6 +52,12 @@ let check_row schema i row =
 
 let of_rows schema rows =
   { schema; nrows = Array.length rows; rows_v = Some rows; cols_v = None;
+    view_v = None; encoded = -1 }
+
+(* a column-backed table from kernel output, correct by construction *)
+let of_columns_unchecked schema cols =
+  let nrows = if Array.length cols = 0 then 0 else Column.length cols.(0) in
+  { schema; nrows; rows_v = None; cols_v = Some cols; view_v = None;
     encoded = -1 }
 
 let create schema rows =
@@ -78,7 +96,7 @@ let of_columns schema cols =
                non-nullable)"
               c.name))
     (Schema.columns schema);
-  { schema; nrows; rows_v = None; cols_v = Some cols; encoded = -1 }
+  of_columns_unchecked schema cols
 
 let schema t = t.schema
 
@@ -86,11 +104,48 @@ let row_count t = t.nrows
 
 let is_empty t = row_count t = 0
 
+(* ---- views ---- *)
+
+let view_materialized = "kernel.view.materialized"
+
+let force_view t v =
+  Obs.Metrics.incr Obs.Metrics.default view_materialized;
+  let cols =
+    Array.map
+      (fun (c, g) -> if g < 0 then c else Column.gather c v.idx.(g))
+      v.vcols
+  in
+  t.cols_v <- Some cols;
+  t.view_v <- None;
+  cols
+
+let columns t =
+  match t.cols_v with
+  | Some cols -> cols
+  | None -> (
+    match t.view_v with
+    | Some v -> force_view t v
+    | None ->
+      let rows = Option.get t.rows_v in
+      let col_tys =
+        Array.of_list
+          (List.map (fun (c : Schema.column) -> c.ty)
+             (Schema.columns t.schema))
+      in
+      let cols =
+        Array.mapi
+          (fun j ty ->
+             Column.of_values ty (Array.map (fun row -> row.(j)) rows))
+          col_tys
+      in
+      t.cols_v <- Some cols;
+      cols)
+
 let rows t =
   match t.rows_v with
   | Some rows -> rows
   | None ->
-    let cols = Option.get t.cols_v in
+    let cols = columns t in
     let arity = Array.length cols in
     let rows =
       Array.init t.nrows (fun i ->
@@ -99,35 +154,105 @@ let rows t =
     t.rows_v <- Some rows;
     rows
 
-let columns t =
-  match t.cols_v with
-  | Some cols -> cols
-  | None ->
-    let rows = Option.get t.rows_v in
-    let col_tys =
-      Array.of_list
-        (List.map (fun (c : Schema.column) -> c.ty) (Schema.columns t.schema))
-    in
-    let cols =
-      Array.mapi
-        (fun j ty ->
-           Column.of_values ty (Array.map (fun row -> row.(j)) rows))
-        col_tys
-    in
-    t.cols_v <- Some cols;
-    cols
-
 let is_columnar t = t.cols_v <> None
+
+let is_view t = t.view_v <> None
+
+let materialize t =
+  if is_view t then ignore (columns t);
+  t
+
+(* the columns, when the table has them or is a view *)
+let cols_opt t = if is_view t then Some (columns t) else t.cols_v
+
+let parts t =
+  match t.view_v with
+  | Some v -> v
+  | None -> { idx = [||]; vcols = Array.map (fun c -> (c, -1)) (columns t) }
+
+let column_at t j =
+  match t.view_v with
+  | Some v ->
+    let c, g = v.vcols.(j) in
+    if g < 0 then c else Column.gather c v.idx.(g)
+  | None -> (columns t).(j)
+
+let compose (ix : int array) (keep : int array) =
+  let n = Array.length keep in
+  let out = Array.make n 0 in
+  for k = 0 to n - 1 do
+    out.(k) <- ix.(keep.(k))
+  done;
+  out
+
+let reindex v keep =
+  let groups = Array.length v.idx in
+  { idx = Array.append (Array.map (fun ix -> compose ix keep) v.idx) [| keep |];
+    vcols = Array.map (fun (c, g) -> (c, if g < 0 then groups else g)) v.vcols }
+
+let concat_views a b =
+  let shift = Array.length a.idx in
+  { idx = Array.append a.idx b.idx;
+    vcols =
+      Array.append a.vcols
+        (Array.map
+           (fun (c, g) -> (c, if g < 0 then g else g + shift))
+           b.vcols) }
+
+(* A view whose columns are all row-aligned is plain columns; groups no
+   column reads are dropped, so no kernel composes or keeps alive an
+   index nobody reads. *)
+let of_view schema ~rows v =
+  if Array.for_all (fun (_, g) -> g < 0) v.vcols then
+    of_columns_unchecked schema (Array.map fst v.vcols)
+  else begin
+    let used = List.sort_uniq compare (List.map snd (Array.to_list v.vcols)) in
+    let used = List.filter (fun g -> g >= 0) used in
+    let remap g =
+      if g < 0 then g else List.length (List.filter (( > ) g) used)
+    in
+    let v =
+      { idx = Array.of_list (List.map (Array.get v.idx) used);
+        vcols = Array.map (fun (c, g) -> (c, remap g)) v.vcols }
+    in
+    { schema; nrows = rows; rows_v = None; cols_v = None; view_v = Some v;
+      encoded = -1 }
+  end
+
+(* [Column.gather] compacts a dictionary when it selects fewer rows than
+   the dictionary has entries. A chain of eager gathers applies that
+   rule at every step, so each kernel whose eager form gathers settles
+   its view: indexed dictionary columns that the rule would compact at
+   this row count are gathered now, exactly as the eager gather would
+   have. Every other indexed column then gathers without compaction,
+   whatever it is read through later. *)
+let settle t =
+  let compacts (c, g) =
+    g >= 0
+    && match Column.dictionary_size c with
+       | Some d -> t.nrows < d
+       | None -> false
+  in
+  match t.view_v with
+  | Some v when Array.exists compacts v.vcols ->
+    of_view t.schema ~rows:t.nrows
+      { v with
+        vcols =
+          Array.map
+            (fun ((c, g) as e) ->
+               if compacts e then (Column.gather c v.idx.(g), -1) else e)
+            v.vcols }
+  | _ -> t
 
 let column t name =
   let i = Schema.index_of t.schema name in
-  match t.cols_v with
+  match cols_opt t with
   | Some cols -> Column.to_values cols.(i)
   | None -> Array.map (fun row -> row.(i)) (rows t)
 
 let get t i name =
   let j = Schema.index_of t.schema name in
-  match t.cols_v with
+  match cols_opt t with
   | Some cols -> Column.get cols.(j) i
   | None -> (rows t).(i).(j)
 
@@ -164,14 +289,27 @@ let encoded_of_rows schema rows =
     (Schema.columns schema);
   !total
 
+(* per-column bytes of the columns the table has or would materialize:
+   a settled indexed column gathers without compaction, so its size
+   follows from the row count and the base dictionary alone *)
+let column_bytes t =
+  let t = settle t in
+  match t.view_v with
+  | Some v ->
+    Array.map
+      (fun (c, g) ->
+         if g < 0 then Column.encoded_bytes c
+         else Column.gathered_bytes c ~rows:t.nrows)
+      v.vcols
+  | None -> Array.map Column.encoded_bytes (columns t)
+
 let encoded_bytes t =
   if t.encoded >= 0 then t.encoded
   else begin
     let n =
-      match t.cols_v with
-      | Some cols ->
-        Array.fold_left (fun acc c -> acc + Column.encoded_bytes c) 0 cols
-      | None -> encoded_of_rows t.schema (Option.get t.rows_v)
+      match (t.cols_v, t.view_v, t.rows_v) with
+      | None, None, Some rows -> encoded_of_rows t.schema rows
+      | _ -> Array.fold_left ( + ) 0 (column_bytes t)
     in
     t.encoded <- n;
     n
@@ -256,7 +394,7 @@ let sep = '|'
 
 let to_csv t =
   let buf = Buffer.create (16 * (row_count t + 1)) in
-  (match t.cols_v with
+  (match cols_opt t with
    | Some cols ->
      (* stream straight off the columns; no boxed rows materialized *)
      let arity = Array.length cols in

@@ -9,10 +9,6 @@ type sel =
   | Dense of int * int
   | Sparse of int array
 
-let sel_length = function
-  | Dense (_, len) -> len
-  | Sparse idx -> Array.length idx
-
 (* ---- vectorizability ----
 
    Mirrors [Expr.infer]'s typing rules, but refuses (instead of
@@ -89,7 +85,13 @@ let as_iv = function
 let as_fv = function
   | VFloat a -> Fa a
   | VConst (Value.Float x) -> Fc x
-  | VInt a -> Fa (Array.map float_of_int a)
+  | VInt a ->
+    let n = Array.length a in
+    let out = Array.create_float n in
+    for i = 0 to n - 1 do
+      out.(i) <- float_of_int a.(i)
+    done;
+    Fa out
   | VConst (Value.Int x) -> Fc (float_of_int x)
   | _ -> invalid_arg "Vector: expected numeric operand"
 
@@ -129,76 +131,55 @@ let float_op : Expr.binop -> float -> float -> float = function
   | Expr.Div -> fun a b -> if b = 0. then 0. else a /. b
   | Expr.Mod -> Float.rem
 
-(* the hot shapes (array ⊕ const, array ⊕ array) get one specialized
-   loop per operator so the per-element work is a primitive, not a
-   closure chain — this is where the vectorized win comes from *)
+(* Every shape runs as array ⊕ array: a constant operand is spread into
+   an array first, and each operator gets its own loop, so the
+   per-element work is a primitive, not a closure call — without
+   flambda a closure over floats would also box every value. *)
+
+let ints ~len = function Ia a -> a | Ic x -> Array.make len x
+let floats ~len = function Fa a -> a | Fc x -> Array.make len x
+let bools ~len = function Ba a -> a | Bc x -> Array.make len x
+let strs ~len = function Sa a -> a | Sc x -> Array.make len x
+
 let int_binop ~len op a b =
   match a, b with
   | Ic x, Ic y -> VConst (Value.Int (int_op op x y))
-  | Ia xs, Ic y ->
-    VInt
-      (match op with
-       | Expr.Add -> Array.map (fun x -> x + y) xs
-       | Expr.Sub -> Array.map (fun x -> x - y) xs
-       | Expr.Mul -> Array.map (fun x -> x * y) xs
-       | Expr.Div -> Array.map (fun x -> x / y) xs
-       | Expr.Mod -> Array.map (fun x -> x mod y) xs)
-  | Ic x, Ia ys ->
-    VInt
-      (match op with
-       | Expr.Add -> Array.map (fun y -> x + y) ys
-       | Expr.Sub -> Array.map (fun y -> x - y) ys
-       | Expr.Mul -> Array.map (fun y -> x * y) ys
-       | Expr.Div -> Array.map (fun y -> x / y) ys
-       | Expr.Mod -> Array.map (fun y -> x mod y) ys)
-  | Ia xs, Ia ys ->
-    VInt
-      (match op with
-       | Expr.Add -> Array.init len (fun i -> xs.(i) + ys.(i))
-       | Expr.Sub -> Array.init len (fun i -> xs.(i) - ys.(i))
-       | Expr.Mul -> Array.init len (fun i -> xs.(i) * ys.(i))
-       | Expr.Div -> Array.init len (fun i -> xs.(i) / ys.(i))
-       | Expr.Mod -> Array.init len (fun i -> xs.(i) mod ys.(i)))
+  | _ ->
+    let xs = ints ~len a and ys = ints ~len b in
+    let o = Array.make len 0 in
+    (match op with
+     | Expr.Add -> for i = 0 to len - 1 do o.(i) <- xs.(i) + ys.(i) done
+     | Expr.Sub -> for i = 0 to len - 1 do o.(i) <- xs.(i) - ys.(i) done
+     | Expr.Mul -> for i = 0 to len - 1 do o.(i) <- xs.(i) * ys.(i) done
+     | Expr.Div -> for i = 0 to len - 1 do o.(i) <- xs.(i) / ys.(i) done
+     | Expr.Mod -> for i = 0 to len - 1 do o.(i) <- xs.(i) mod ys.(i) done);
+    VInt o
 
 let float_binop ~len op a b =
   match a, b with
   | Fc x, Fc y -> VConst (Value.Float (float_op op x y))
-  | Fa xs, Fc y ->
-    VFloat
-      (match op with
-       | Expr.Add -> Array.map (fun x -> x +. y) xs
-       | Expr.Sub -> Array.map (fun x -> x -. y) xs
-       | Expr.Mul -> Array.map (fun x -> x *. y) xs
-       | Expr.Div ->
-         if y = 0. then Array.map (fun _ -> 0.) xs
-         else Array.map (fun x -> x /. y) xs
-       | Expr.Mod -> Array.map (fun x -> Float.rem x y) xs)
-  | Fc x, Fa ys ->
-    VFloat
-      (match op with
-       | Expr.Add -> Array.map (fun y -> x +. y) ys
-       | Expr.Sub -> Array.map (fun y -> x -. y) ys
-       | Expr.Mul -> Array.map (fun y -> x *. y) ys
-       | Expr.Div -> Array.map (fun y -> if y = 0. then 0. else x /. y) ys
-       | Expr.Mod -> Array.map (fun y -> Float.rem x y) ys)
-  | Fa xs, Fa ys ->
-    VFloat
-      (match op with
-       | Expr.Add -> Array.init len (fun i -> xs.(i) +. ys.(i))
-       | Expr.Sub -> Array.init len (fun i -> xs.(i) -. ys.(i))
-       | Expr.Mul -> Array.init len (fun i -> xs.(i) *. ys.(i))
-       | Expr.Div ->
-         Array.init len (fun i ->
-             let y = ys.(i) in
-             if y = 0. then 0. else xs.(i) /. y)
-       | Expr.Mod -> Array.init len (fun i -> Float.rem xs.(i) ys.(i)))
+  | _ ->
+    let xs = floats ~len a and ys = floats ~len b in
+    let o = Array.create_float len in
+    (match op with
+     | Expr.Add -> for i = 0 to len - 1 do o.(i) <- xs.(i) +. ys.(i) done
+     | Expr.Sub -> for i = 0 to len - 1 do o.(i) <- xs.(i) -. ys.(i) done
+     | Expr.Mul -> for i = 0 to len - 1 do o.(i) <- xs.(i) *. ys.(i) done
+     | Expr.Div ->
+       for i = 0 to len - 1 do
+         let y = ys.(i) in
+         o.(i) <- (if y = 0. then 0. else xs.(i) /. y)
+       done
+     | Expr.Mod ->
+       for i = 0 to len - 1 do o.(i) <- Float.rem xs.(i) ys.(i) done);
+    VFloat o
 
 let str_concat ~len a b =
   match a, b with
   | Sc x, Sc y -> VConst (Value.Str (x ^ y))
-  | Sa xs, Sc y -> VStr (Array.map (fun x -> x ^ y) xs)
-  | Sc x, Sa ys -> VStr (Array.map (fun y -> x ^ y) ys)
-  | Sa xs, Sa ys -> VStr (Array.init len (fun i -> xs.(i) ^ ys.(i)))
+  | _ ->
+    let xs = strs ~len a and ys = strs ~len b in
+    VStr (Array.init len (fun i -> xs.(i) ^ ys.(i)))
 
 (* ---- comparisons (Value.compare semantics per type) ---- *)
 
@@ -215,162 +196,204 @@ let cmp_test : Expr.cmpop -> int -> bool = function
 let int_cmp ~len op a b =
   match a, b with
   | Ic x, Ic y -> VConst (Value.Bool (cmp_test op (Int.compare x y)))
-  | Ia xs, Ic y ->
-    VBool
-      (match op with
-       | Expr.Eq -> Array.map (fun (x : int) -> x = y) xs
-       | Expr.Neq -> Array.map (fun (x : int) -> x <> y) xs
-       | Expr.Lt -> Array.map (fun (x : int) -> x < y) xs
-       | Expr.Le -> Array.map (fun (x : int) -> x <= y) xs
-       | Expr.Gt -> Array.map (fun (x : int) -> x > y) xs
-       | Expr.Ge -> Array.map (fun (x : int) -> x >= y) xs)
-  | Ic x, Ia ys ->
-    VBool
-      (match op with
-       | Expr.Eq -> Array.map (fun (y : int) -> x = y) ys
-       | Expr.Neq -> Array.map (fun (y : int) -> x <> y) ys
-       | Expr.Lt -> Array.map (fun (y : int) -> x < y) ys
-       | Expr.Le -> Array.map (fun (y : int) -> x <= y) ys
-       | Expr.Gt -> Array.map (fun (y : int) -> x > y) ys
-       | Expr.Ge -> Array.map (fun (y : int) -> x >= y) ys)
-  | Ia xs, Ia ys ->
-    VBool
-      (match op with
-       | Expr.Eq -> Array.init len (fun i -> xs.(i) = ys.(i))
-       | Expr.Neq -> Array.init len (fun i -> xs.(i) <> ys.(i))
-       | Expr.Lt -> Array.init len (fun i -> xs.(i) < ys.(i))
-       | Expr.Le -> Array.init len (fun i -> xs.(i) <= ys.(i))
-       | Expr.Gt -> Array.init len (fun i -> xs.(i) > ys.(i))
-       | Expr.Ge -> Array.init len (fun i -> xs.(i) >= ys.(i)))
+  | _ ->
+    let xs = ints ~len a and ys = ints ~len b in
+    let o = Array.make len false in
+    (match op with
+     | Expr.Eq -> for i = 0 to len - 1 do o.(i) <- xs.(i) = ys.(i) done
+     | Expr.Neq -> for i = 0 to len - 1 do o.(i) <- xs.(i) <> ys.(i) done
+     | Expr.Lt -> for i = 0 to len - 1 do o.(i) <- xs.(i) < ys.(i) done
+     | Expr.Le -> for i = 0 to len - 1 do o.(i) <- xs.(i) <= ys.(i) done
+     | Expr.Gt -> for i = 0 to len - 1 do o.(i) <- xs.(i) > ys.(i) done
+     | Expr.Ge -> for i = 0 to len - 1 do o.(i) <- xs.(i) >= ys.(i) done);
+    VBool o
 
-(* Float.compare, not IEEE <: NaN equals itself and sorts
-   deterministically, exactly as in [Value.compare] *)
+(* [test] is a closure over ints, which do not box. Float.compare, not
+   IEEE <: NaN equals itself and sorts deterministically, exactly as in
+   [Value.compare] *)
 let float_cmp ~len op a b =
+  let test = cmp_test op in
   match a, b with
-  | Fc x, Fc y -> VConst (Value.Bool (cmp_test op (Float.compare x y)))
-  | Fa xs, Fc y ->
-    VBool
-      (match op with
-       | Expr.Eq -> Array.map (fun x -> Float.compare x y = 0) xs
-       | Expr.Neq -> Array.map (fun x -> Float.compare x y <> 0) xs
-       | Expr.Lt -> Array.map (fun x -> Float.compare x y < 0) xs
-       | Expr.Le -> Array.map (fun x -> Float.compare x y <= 0) xs
-       | Expr.Gt -> Array.map (fun x -> Float.compare x y > 0) xs
-       | Expr.Ge -> Array.map (fun x -> Float.compare x y >= 0) xs)
-  | Fc x, Fa ys ->
-    VBool
-      (match op with
-       | Expr.Eq -> Array.map (fun y -> Float.compare x y = 0) ys
-       | Expr.Neq -> Array.map (fun y -> Float.compare x y <> 0) ys
-       | Expr.Lt -> Array.map (fun y -> Float.compare x y < 0) ys
-       | Expr.Le -> Array.map (fun y -> Float.compare x y <= 0) ys
-       | Expr.Gt -> Array.map (fun y -> Float.compare x y > 0) ys
-       | Expr.Ge -> Array.map (fun y -> Float.compare x y >= 0) ys)
-  | Fa xs, Fa ys ->
-    VBool
-      (match op with
-       | Expr.Eq -> Array.init len (fun i -> Float.compare xs.(i) ys.(i) = 0)
-       | Expr.Neq ->
-         Array.init len (fun i -> Float.compare xs.(i) ys.(i) <> 0)
-       | Expr.Lt -> Array.init len (fun i -> Float.compare xs.(i) ys.(i) < 0)
-       | Expr.Le -> Array.init len (fun i -> Float.compare xs.(i) ys.(i) <= 0)
-       | Expr.Gt -> Array.init len (fun i -> Float.compare xs.(i) ys.(i) > 0)
-       | Expr.Ge -> Array.init len (fun i -> Float.compare xs.(i) ys.(i) >= 0))
+  | Fc x, Fc y -> VConst (Value.Bool (test (Float.compare x y)))
+  | _ ->
+    let xs = floats ~len a and ys = floats ~len b in
+    let o = Array.make len false in
+    for i = 0 to len - 1 do
+      o.(i) <- test (Float.compare xs.(i) ys.(i))
+    done;
+    VBool o
 
 let str_cmp ~len op a b =
-  let t = cmp_test op in
-  let f x y = t (String.compare x y) in
+  let test = cmp_test op in
   match a, b with
-  | Sc x, Sc y -> VConst (Value.Bool (f x y))
-  | Sa xs, Sc y -> VBool (Array.map (fun x -> f x y) xs)
-  | Sc x, Sa ys -> VBool (Array.map (fun y -> f x y) ys)
-  | Sa xs, Sa ys -> VBool (Array.init len (fun i -> f xs.(i) ys.(i)))
+  | Sc x, Sc y -> VConst (Value.Bool (test (String.compare x y)))
+  | _ ->
+    let xs = strs ~len a and ys = strs ~len b in
+    VBool (Array.init len (fun i -> test (String.compare xs.(i) ys.(i))))
 
 let bool_cmp ~len op a b =
-  let t = cmp_test op in
-  let f x y = t (Bool.compare x y) in
+  let test = cmp_test op in
   match a, b with
-  | Bc x, Bc y -> VConst (Value.Bool (f x y))
-  | Ba xs, Bc y -> VBool (Array.map (fun x -> f x y) xs)
-  | Bc x, Ba ys -> VBool (Array.map (fun y -> f x y) ys)
-  | Ba xs, Ba ys -> VBool (Array.init len (fun i -> f xs.(i) ys.(i)))
+  | Bc x, Bc y -> VConst (Value.Bool (test (Bool.compare x y)))
+  | _ ->
+    let xs = bools ~len a and ys = bools ~len b in
+    VBool (Array.init len (fun i -> test (Bool.compare xs.(i) ys.(i))))
 
 (* ---- booleans ---- *)
 
-let bool_binop ~len f a b =
+let bool_binop ~len ~conj a b =
   match a, b with
-  | Bc x, Bc y -> VConst (Value.Bool (f x y))
-  | Ba xs, Bc y -> VBool (Array.map (fun x -> f x y) xs)
-  | Bc x, Ba ys -> VBool (Array.map (fun y -> f x y) ys)
-  | Ba xs, Ba ys -> VBool (Array.init len (fun i -> f xs.(i) ys.(i)))
+  | Bc x, Bc y -> VConst (Value.Bool (if conj then x && y else x || y))
+  | _ ->
+    let xs = bools ~len a and ys = bools ~len b in
+    let o = Array.make len false in
+    if conj then for i = 0 to len - 1 do o.(i) <- xs.(i) && ys.(i) done
+    else for i = 0 to len - 1 do o.(i) <- xs.(i) || ys.(i) done;
+    VBool o
 
 (* ---- column reads through the selection ---- *)
 
-let read_ints a sel =
-  match sel with
-  | Dense (0, len) when len = Array.length a -> a
-  | Dense (start, len) -> Array.sub a start len
-  | Sparse idx -> Array.map (fun i -> a.(i)) idx
-
-let read_floats a sel =
-  match sel with
-  | Dense (0, len) when len = Array.length a -> a
-  | Dense (start, len) -> Array.sub a start len
-  | Sparse idx -> Array.map (fun i -> a.(i)) idx
-
-let read_bools a sel =
-  match sel with
-  | Dense (0, len) when len = Array.length a -> a
-  | Dense (start, len) -> Array.sub a start len
-  | Sparse idx -> Array.map (fun i -> a.(i)) idx
-
 let read_column (col : Column.t) sel =
-  match col.Column.data with
-  | Column.Ints a -> VInt (read_ints a sel)
-  | Column.Floats a -> VFloat (read_floats a sel)
-  | Column.Bools a -> VBool (read_bools a sel)
-  | Column.Dict { codes; dict } -> (
+  let col =
     match sel with
-    | Dense (start, len) ->
-      VStr (Array.init len (fun k -> dict.(codes.(start + k))))
-    | Sparse idx -> VStr (Array.map (fun i -> dict.(codes.(i))) idx))
+    | Dense (0, len) when len = Column.length col -> col
+    | Dense (start, len) -> Column.gather col (Array.init len (( + ) start))
+    | Sparse idx -> Column.gather col idx
+  in
+  match col.Column.data with
+  | Column.Ints a -> VInt a
+  | Column.Floats a -> VFloat a
+  | Column.Bools a -> VBool a
+  | Column.Dict { codes; dict } -> VStr (Array.map (Array.get dict) codes)
+
+(* ---- two columns read through row indexes ----
+
+   [col ⊕ col] over a view: the loop reads both operands through their
+   indexes, where gathering each first would take two more passes. *)
+
+type indexed_pair =
+  | Float_pair of float array * int array * float array * int array
+  | Int_pair of int array * int array * int array * int array
+  | No_pair
+
+let float_binop_at op xs ix ys iy =
+  let n = Array.length ix in
+  let o = Array.create_float n in
+  (match op with
+   | Expr.Add -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) +. ys.(iy.(k)) done
+   | Expr.Sub -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) -. ys.(iy.(k)) done
+   | Expr.Mul -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) *. ys.(iy.(k)) done
+   | Expr.Div ->
+     for k = 0 to n - 1 do
+       let y = ys.(iy.(k)) in
+       o.(k) <- (if y = 0. then 0. else xs.(ix.(k)) /. y)
+     done
+   | Expr.Mod ->
+     for k = 0 to n - 1 do o.(k) <- Float.rem xs.(ix.(k)) ys.(iy.(k)) done);
+  VFloat o
+
+let int_binop_at op (xs : int array) ix (ys : int array) iy =
+  let n = Array.length ix in
+  let o = Array.make n 0 in
+  (match op with
+   | Expr.Add -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) + ys.(iy.(k)) done
+   | Expr.Sub -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) - ys.(iy.(k)) done
+   | Expr.Mul -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) * ys.(iy.(k)) done
+   | Expr.Div -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) / ys.(iy.(k)) done
+   | Expr.Mod ->
+     for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) mod ys.(iy.(k)) done);
+  VInt o
+
+let float_cmp_at op xs ix ys iy =
+  let test = cmp_test op in
+  let n = Array.length ix in
+  let o = Array.make n false in
+  for k = 0 to n - 1 do
+    o.(k) <- test (Float.compare xs.(ix.(k)) ys.(iy.(k)))
+  done;
+  VBool o
+
+let int_cmp_at op (xs : int array) ix (ys : int array) iy =
+  let test = cmp_test op in
+  let n = Array.length ix in
+  let o = Array.make n false in
+  for k = 0 to n - 1 do
+    o.(k) <- test (Int.compare xs.(ix.(k)) ys.(iy.(k)))
+  done;
+  VBool o
 
 (* ---- evaluation ---- *)
 
-let eval schema cols ~sel e =
-  let len = sel_length sel in
-  let rec go : Expr.t -> vec = function
-    | Expr.Col c ->
-      let i =
-        try Schema.index_of schema c
-        with Not_found ->
-          raise
-            (Expr.Type_error (Printf.sprintf "unknown column %S" c))
-      in
-      read_column cols.(i) sel
+let eval schema cols ~len ~sel e =
+  let index_of c =
+    try Schema.index_of schema c
+    with Not_found ->
+      raise (Expr.Type_error (Printf.sprintf "unknown column %S" c))
+  in
+  let pair a b =
+    match (a : Expr.t), (b : Expr.t) with
+    | Expr.Col x, Expr.Col y -> (
+      let i = index_of x and j = index_of y in
+      match
+        (cols.(i) : Column.t).Column.data, sel i,
+        (cols.(j) : Column.t).Column.data, sel j
+      with
+      | Column.Floats xs, Sparse ix, Column.Floats ys, Sparse iy ->
+        Float_pair (xs, ix, ys, iy)
+      | Column.Ints xs, Sparse ix, Column.Ints ys, Sparse iy ->
+        Int_pair (xs, ix, ys, iy)
+      | _ -> No_pair)
+    | _ -> No_pair
+  in
+  (* a subexpression that occurs twice, like [(x - c) * (x - c)], is
+     computed (or a column read) once; results are never mutated, so
+     sharing is safe *)
+  let memo = ref [] in
+  let rec go (e : Expr.t) : vec =
+    match e with
     | Expr.Const v -> VConst v
-    | Expr.Binop (op, a, b) ->
-      let va = go a and vb = go b in
-      if is_string va || is_string vb then
-        str_concat ~len (as_sv va) (as_sv vb)
-      else if is_float va || is_float vb then
-        float_binop ~len op (as_fv va) (as_fv vb)
-      else int_binop ~len op (as_iv va) (as_iv vb)
+    | _ -> (
+      match List.find_opt (fun (e', _) -> compare e e' = 0) !memo with
+      | Some (_, v) -> v
+      | None ->
+        let v = compute e in
+        memo := (e, v) :: !memo;
+        v)
+  and compute : Expr.t -> vec = function
+    | Expr.Const v -> VConst v
+    | Expr.Col c ->
+      let i = index_of c in
+      read_column cols.(i) (sel i)
+    | Expr.Binop (op, a, b) -> (
+      match pair a b with
+      | Float_pair (xs, ix, ys, iy) -> float_binop_at op xs ix ys iy
+      | Int_pair (xs, ix, ys, iy) -> int_binop_at op xs ix ys iy
+      | No_pair ->
+        let va = go a and vb = go b in
+        if is_string va || is_string vb then
+          str_concat ~len (as_sv va) (as_sv vb)
+        else if is_float va || is_float vb then
+          float_binop ~len op (as_fv va) (as_fv vb)
+        else int_binop ~len op (as_iv va) (as_iv vb))
     | Expr.Cmp (op, a, b) -> (
-      let va = go a and vb = go b in
-      if is_string va || is_string vb then
-        str_cmp ~len op (as_sv va) (as_sv vb)
-      else
-        match va, vb with
-        | (VBool _ | VConst (Value.Bool _)), _ ->
-          bool_cmp ~len op (as_bv va) (as_bv vb)
-        | _ when is_float va || is_float vb ->
-          float_cmp ~len op (as_fv va) (as_fv vb)
-        | _ -> int_cmp ~len op (as_iv va) (as_iv vb))
+      match pair a b with
+      | Float_pair (xs, ix, ys, iy) -> float_cmp_at op xs ix ys iy
+      | Int_pair (xs, ix, ys, iy) -> int_cmp_at op xs ix ys iy
+      | No_pair -> (
+        let va = go a and vb = go b in
+        if is_string va || is_string vb then
+          str_cmp ~len op (as_sv va) (as_sv vb)
+        else
+          match va, vb with
+          | (VBool _ | VConst (Value.Bool _)), _ ->
+            bool_cmp ~len op (as_bv va) (as_bv vb)
+          | _ when is_float va || is_float vb ->
+            float_cmp ~len op (as_fv va) (as_fv vb)
+          | _ -> int_cmp ~len op (as_iv va) (as_iv vb)))
     | Expr.And (a, b) ->
-      bool_binop ~len ( && ) (as_bv (go a)) (as_bv (go b))
+      bool_binop ~len ~conj:true (as_bv (go a)) (as_bv (go b))
     | Expr.Or (a, b) ->
-      bool_binop ~len ( || ) (as_bv (go a)) (as_bv (go b))
+      bool_binop ~len ~conj:false (as_bv (go a)) (as_bv (go b))
     | Expr.Not a -> (
       match as_bv (go a) with
       | Bc x -> VConst (Value.Bool (not x))

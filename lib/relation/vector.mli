@@ -24,24 +24,24 @@ type vec =
   | VStr of string array
   | VConst of Value.t  (** same scalar in every slot *)
 
-(** Which slots of the backing columns an evaluation reads:
+(** Which slots of a backing column an evaluation reads:
     [Dense (start, len)] is the contiguous range (chunked kernels),
-    [Sparse idx] a selection vector. Result vectors have [len] /
-    [Array.length idx] slots. *)
+    [Sparse idx] a row-index vector (a view's group index). *)
 type sel =
   | Dense of int * int
   | Sparse of int array
-
-val sel_length : sel -> int
 
 (** [vectorizable schema e] — can [e] be evaluated column-at-a-time
     with exactly the row semantics? Never raises. *)
 val vectorizable : Schema.t -> Expr.t -> bool
 
-(** [eval schema cols ~sel e] evaluates [e] over the selected slots.
+(** [eval schema cols ~len ~sel e] evaluates [e] over [len] slots,
+    reading column [i] through its own selection [sel i] (each of
+    length [len]); only the columns [e] names are read.
     Precondition: [vectorizable schema e]; the columns match [schema].
     May raise [Division_by_zero] exactly when the row path would. *)
-val eval : Schema.t -> Column.t array -> sel:sel -> Expr.t -> vec
+val eval :
+  Schema.t -> Column.t array -> len:int -> sel:(int -> sel) -> Expr.t -> vec
 
 (** [to_column ~length v] materializes a result vector as a column
     ([length] resolves [VConst]). *)

@@ -28,8 +28,10 @@
       HDFS read + zero compute.
 
     Time is simulated (discrete-event over virtual seconds), matching
-    the simulated cluster: service time = simulated makespan + the
-    wall-clock seconds the planner really spent. Executions are
+    the simulated cluster: service time = simulated makespan. The
+    wall-clock seconds the planner really spent are reported per
+    outcome ([planning_s]) and never added to virtual time, so served
+    latencies repeat exactly from run to run. Executions are
     isolated by HDFS snapshot/restore, so a served submission's outputs
     are byte-identical to a one-shot [run] of the same graph — the
     serve bench and CI smoke test assert this.

@@ -99,7 +99,8 @@ let insert t ~key ~inputs ~mb table =
     done;
     t.tick <- t.tick + 1;
     Hashtbl.replace t.tbl key
-      { c_inputs = inputs; c_mb = mb; c_table = table; c_last = t.tick };
+      { c_inputs = inputs; c_mb = mb;
+        c_table = Relation.Table.materialize table; c_last = t.tick };
     t.bytes_mb <- t.bytes_mb +. mb
   end
 

@@ -529,40 +529,303 @@ let test_zoo_kernels_columnar () =
          (counter ("kernel.columnar." ^ k) - List.nth col0 i > 0))
     kernels
 
-(* fused chains: Fused.run with fusion's columnar path on and off, and
-   the equivalent unfused kernel sequence, all byte-identical *)
+(* fused chains are SELECT/MAP/SELECT/PROJECT kernels over one view:
+   run over a plain table and over a filtered view, with the columnar
+   path on and off, they are byte-identical to the row engine *)
 let test_prop_fused_differential () =
   try
-    Qcheck_lite.check ~count:25 ~seed ~name:"fused == unfused, on and off"
+    Qcheck_lite.check ~count:25 ~seed ~name:"view chain == row chain"
       Qcheck_lite.shape_arbitrary (fun sh ->
         let t = Qcheck_lite.table_of_shape sh in
-        let steps =
-          [ Fused.Filter Expr.(col "k" > int (-8));
-            Fused.Map_col { target = "m"; expr = Expr.(col "k" * int 2) };
-            Fused.Filter Expr.(col "m" <= int 16);
-            Fused.Keep [ "k"; "m" ] ]
-        in
-        let unfused () =
-          let t = Kernel.select t Expr.(col "k" > int (-8)) in
+        let chain src () =
+          let t = Kernel.select (src ()) Expr.(col "k" > int (-8)) in
           let t =
             Kernel.map_column t ~target:"m" ~expr:Expr.(col "k" * int 2)
           in
           let t = Kernel.select t Expr.(col "m" <= int 16) in
           Kernel.project t [ "k"; "m" ]
         in
-        let expect = Table.to_csv (row_reference unfused) in
         List.for_all
-          (fun jobs ->
+          (fun src ->
+             let expect = Table.to_csv (row_reference (chain src)) in
              List.for_all
-               (fun columnar ->
-                  let got =
-                    Column.with_enabled columnar (fun () ->
-                        Pool.with_jobs jobs (fun () -> Fused.run t steps))
-                  in
-                  Table.to_csv got = expect)
-               [ true; false ])
-          jobs_matrix)
+               (fun jobs ->
+                  List.for_all
+                    (fun columnar ->
+                       let got =
+                         Column.with_enabled columnar (fun () ->
+                             Pool.with_jobs jobs (chain src))
+                       in
+                       Table.to_csv got = expect)
+                    [ true; false ])
+               jobs_matrix)
+          [ (fun () -> t); (fun () -> Kernel.select t Expr.(col "k" < int 9)) ])
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* ---- late-materialized views ----
+
+   JOIN and CROSS return views over their inputs' columns; SELECT,
+   PROJECT, MAP, GROUP BY and JOIN then read through the views. Every
+   chain below starts at a view and must match the row engine byte for
+   byte at jobs 1, 2 and 4. *)
+
+let first_cols_of_ty t ty =
+  List.filter_map
+    (fun (c : Schema.column) -> if c.ty = ty then Some c.name else None)
+    (Schema.columns (Table.schema t))
+
+(* kernels to run over the view [v ()]: filters (selective ones over
+   dictionary columns among them), maps reading one or two indexed
+   columns, projections, single- and multi-key GROUP BY, and JOINs with
+   the view on either side *)
+let view_chains v other =
+  let t = v () in
+  let strs = first_cols_of_ty t Value.Tstring
+  and ints = first_cols_of_ty t Value.Tint
+  and floats = first_cols_of_ty t Value.Tfloat
+  and bools = first_cols_of_ty t Value.Tbool in
+  let count = [ Aggregate.make Aggregate.Count ~as_name:"n" ] in
+  let on f = fun () -> f (v ()) in
+  [ on (fun t -> Kernel.select t Expr.(col "k" > int 0));
+    on (fun t ->
+        Kernel.group_by
+          (Kernel.select t Expr.(col "k" >= int (-4)))
+          ~keys:[ "k" ]
+          ~aggs:
+            [ Aggregate.make (Aggregate.Sum "k") ~as_name:"s";
+              Aggregate.make (Aggregate.Max "k") ~as_name:"hi" ]);
+    on (fun t ->
+        let t = Kernel.map_column t ~target:"m" ~expr:Expr.(col "k" * int 3) in
+        Kernel.project (Kernel.select t Expr.(col "m" < int 9)) [ "m"; "k" ]);
+    on (fun t -> Kernel.join t other ~left_key:"k" ~right_key:"k");
+    on (fun t -> Kernel.join other t ~left_key:"k" ~right_key:"k") ]
+  @ (match ints with
+     | a :: b :: _ ->
+       [ on (fun t ->
+             Kernel.select
+               (Kernel.map_column t ~target:"d" ~expr:Expr.(col a - col b))
+               Expr.(col a = col b));
+         on (fun t -> Kernel.group_by t ~keys:[ a; b ] ~aggs:count) ]
+     | _ -> [])
+  @ (match floats with
+     | a :: b :: _ ->
+       [ on (fun t ->
+             Kernel.select
+               (Kernel.map_column t ~target:"f" ~expr:Expr.(col a * col b))
+               Expr.(col a < col b));
+         on (fun t ->
+             Kernel.group_by t ~keys:[ "k" ]
+               ~aggs:[ Aggregate.make (Aggregate.Min a) ~as_name:"lo" ]) ]
+     | _ -> [])
+  @ List.concat_map
+      (fun s ->
+         [ (* selective: the dictionary outlives most of its rows *)
+           on (fun t -> Kernel.select t Expr.(col s = str "s1"));
+           on (fun t ->
+               Kernel.project
+                 (Kernel.select t Expr.(col s <> str "s3"))
+                 [ s; "k" ]);
+           on (fun t -> Kernel.group_by t ~keys:[ s; "k" ] ~aggs:count) ])
+      (match strs with s :: _ -> [ s ] | [] -> [])
+  @
+  match bools with
+  | b :: _ -> [ on (fun t -> Kernel.group_by t ~keys:[ b; "k" ] ~aggs:count) ]
+  | [] -> []
+
+let test_prop_view_chains () =
+  try
+    Qcheck_lite.check ~count:20 ~seed ~name:"view chains == row engine"
+      Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
+        let a = Qcheck_lite.table_of_shape (cap_rows sa)
+        and b = Qcheck_lite.table_of_shape (cap_rows sb) in
+        let empty sh =
+          Qcheck_lite.table_of_shape { sh with Qcheck_lite.sh_rows = 0 }
+        in
+        let same_ty ty =
+          match (first_col_of_ty a ty, first_col_of_ty b ty) with
+          | Some l, Some r ->
+            [ (fun () -> Kernel.join a b ~left_key:l ~right_key:r) ]
+          | _ -> []
+        in
+        let sources =
+          [ (fun () -> Kernel.cross_join a b);
+            (fun () -> Kernel.cross_join (empty sa) b);
+            (fun () -> Kernel.cross_join a (empty sb));
+            (fun () -> Kernel.join a b ~left_key:"k" ~right_key:"k");
+            (fun () ->
+               Kernel.join (Kernel.select a Expr.(col "k" > int (-3))) b
+                 ~left_key:"k" ~right_key:"k") ]
+          @ same_ty Value.Tstring @ same_ty Value.Tbool
+        in
+        (* a join partner whose names no view column takes *)
+        let dims =
+          Table.create_unchecked
+            (Schema.make
+               [ { Schema.name = "k"; ty = Value.Tint };
+                 { Schema.name = "label"; ty = Value.Tstring } ])
+            (Array.init 9 (fun i ->
+                 [| Value.Int (i - 4);
+                    Value.Str (Printf.sprintf "l%d" (i mod 3)) |]))
+        in
+        List.for_all
+          (fun v -> List.for_all columnar_matches (view_chains v dims))
+          sources)
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* a view's size is counted without gathering it, and equals the size
+   of its materialization — settled or not, dictionaries included *)
+let test_prop_view_encoded_bytes () =
+  try
+    Qcheck_lite.check ~count:25 ~seed ~name:"view bytes == materialized bytes"
+      Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
+        let a = Qcheck_lite.table_of_shape (cap_rows sa)
+        and b = Qcheck_lite.table_of_shape (cap_rows sb) in
+        let views =
+          [ (fun () -> Kernel.cross_join a b);
+            (fun () -> Kernel.join a b ~left_key:"k" ~right_key:"k");
+            (fun () ->
+               Kernel.select (Kernel.cross_join a b) Expr.(col "k" = int 1));
+            (fun () ->
+               (* unsettled: a chain interior, as a fused chain sees it *)
+               Option.get
+                 (Columnar.try_select (Kernel.cross_join a b)
+                    Expr.(col "r_k" > int 2))) ]
+          @ List.map
+              (fun s () ->
+                 Option.get
+                   (Columnar.try_select
+                      (Kernel.join b a ~left_key:"k" ~right_key:"k")
+                      Expr.(col s = str "s2")))
+              (first_cols_of_ty b Value.Tstring)
+        in
+        Column.with_enabled true (fun () ->
+            List.for_all
+              (fun v ->
+                 let t = v () in
+                 let viewed = Table.is_view t || Table.row_count t = 0 in
+                 let bytes = Table.encoded_bytes t in
+                 let still_view = Table.is_view t || Table.row_count t = 0 in
+                 let materialized =
+                   Table.of_columns (Table.schema t) (Table.columns t)
+                 in
+                 viewed && still_view
+                 && bytes = Table.encoded_bytes materialized)
+              views))
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* Kernels over views give the sizes eager execution gives: a chain run
+   lazily has the encoded bytes of the same chain with every kernel's
+   output materialized before the next one runs — consecutive selective
+   filters over dictionary columns included, where the order of
+   dictionary compactions decides the size. *)
+let test_prop_lazy_sizes_are_eager () =
+  let force t = Table.of_columns (Table.schema t) (Table.columns t) in
+  try
+    Qcheck_lite.check ~count:25 ~seed ~name:"lazy sizes == eager sizes"
+      Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
+        let a = Qcheck_lite.table_of_shape (cap_rows sa)
+        and b = Qcheck_lite.table_of_shape (cap_rows sb) in
+        (* each filter drops a share of the rows and of the distinct
+           strings, so successive compactions can disagree with one
+           composed one *)
+        let filters =
+          List.map
+            (fun c t -> Kernel.select t Expr.(col "k" > int c))
+            [ -6; -2; 2; 6 ]
+          @ List.map
+              (fun s t -> Kernel.select t Expr.(col s <> str "s1"))
+              (first_cols_of_ty a Value.Tstring)
+        in
+        let chains =
+          [ [ (fun t -> Kernel.join t b ~left_key:"k" ~right_key:"k") ]
+            @ filters
+            @ [ (fun t -> Kernel.select t Expr.(col "k" > int (-5)));
+                (fun t ->
+                   Kernel.map_column t ~target:"m"
+                     ~expr:Expr.(col "k" + int 1)) ];
+            [ (fun t -> Kernel.cross_join t b);
+              (fun t -> Kernel.select t Expr.(col "r_k" > int 2)) ]
+            @ filters
+            @ [ (fun t -> Kernel.group_by t ~keys:[ "k" ]
+                    ~aggs:[ Aggregate.make Aggregate.Count ~as_name:"n" ]) ] ]
+        in
+        Column.with_enabled true (fun () ->
+            List.for_all
+              (fun chain ->
+                 let lazy_ = List.fold_left (fun t k -> k t) a chain
+                 and eager = List.fold_left (fun t k -> force (k t)) a chain in
+                 Table.encoded_bytes lazy_ = Table.encoded_bytes eager
+                 && Table.to_csv lazy_ = Table.to_csv eager)
+              chains))
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* NetFlix and k-means read every JOIN/CROSS view through SELECT, MAP,
+   GROUP BY or JOIN: nothing inside the workflow materializes one. Only
+   a workflow output is forced, when it leaves the job. *)
+let test_zoo_views_stay_lazy () =
+  let materialized () =
+    Obs.Metrics.counter Obs.Metrics.default "kernel.view.materialized"
+  in
+  let ratings, movies = Workloads.Datagen.netflix ~movies:1000 () in
+  let pts, cents = Workloads.Datagen.kmeans_points ~points:400 ~k:5 () in
+  List.iter
+    (fun (name, graph, bindings) ->
+       Column.with_enabled true @@ fun () ->
+       Pool.with_jobs 1 @@ fun () ->
+       let before = materialized () in
+       let outputs =
+         Ir.Interp.outputs ~store:(Ir.Interp.store_of_list bindings) graph
+       in
+       Alcotest.(check int) (name ^ ": no view materialized mid-workflow") 0
+         (materialized () - before);
+       let views = List.filter (fun (_, t) -> Table.is_view t) outputs in
+       List.iter (fun (_, t) -> ignore (Table.materialize t)) outputs;
+       Alcotest.(check int) (name ^ ": each view output forced once")
+         (List.length views) (materialized () - before);
+       (* the engine path forces its outputs as they leave the job *)
+       let hdfs = Engines.Hdfs.create () in
+       List.iter (fun (r, t) -> Engines.Hdfs.put hdfs r t) bindings;
+       let r = Engines.Exec_helper.execute ~hdfs graph in
+       List.iter
+         (fun (out, t, _) ->
+            Alcotest.(check bool) (name ^ ": " ^ out ^ " leaves as columns")
+              false (Table.is_view t))
+         r.Engines.Exec_helper.outputs)
+    [ ("netflix", Workloads.Workflows.netflix (),
+       [ ("ratings", ratings.Workloads.Datagen.table);
+         ("movies", movies.Workloads.Datagen.table) ]);
+      ("kmeans", Workloads.Workflows.kmeans ~iterations:2 (),
+       [ ("points", pts.Workloads.Datagen.table);
+         ("centroids", cents.Workloads.Datagen.table) ]) ]
+
+(* the stores that outlive a job hold no view: a view would pin its
+   inputs' columns for as long as the entry lives *)
+let test_stores_hold_no_view () =
+  Column.with_enabled true @@ fun () ->
+  let t =
+    Qcheck_lite.table_of_shape
+      { Qcheck_lite.sh_rows = 30; sh_extra = [ (Value.Tstring, 10) ];
+        sh_null = 0.; sh_seed = 7 }
+  in
+  let view () = Kernel.cross_join t (Kernel.project t [ "c0" ]) in
+  Alcotest.(check bool) "kernel output is a view" true
+    (Table.is_view (view ()));
+  let hdfs = Engines.Hdfs.create () in
+  Engines.Hdfs.put hdfs "x" (view ());
+  Alcotest.(check bool) "HDFS entry" false
+    (Table.is_view (Engines.Hdfs.table hdfs "x"));
+  let share = Engines.Subplan_share.create () in
+  Engines.Subplan_share.publish share ~key:"p" ~inputs:[] ~mb:1. (view ());
+  (match Engines.Subplan_share.claim share ~key:"p" with
+   | Some (s, _) ->
+     Alcotest.(check bool) "subplan share entry" false (Table.is_view s)
+   | None -> Alcotest.fail "published subplan not claimable");
+  let cache = Serve.Subresult_cache.create ~capacity_mb:64. in
+  Serve.Subresult_cache.insert cache ~key:"p" ~inputs:[] ~mb:1. (view ());
+  match Serve.Subresult_cache.find cache ~key:"p" ~epoch:(fun _ -> 0) with
+  | Some (c, _) ->
+    Alcotest.(check bool) "sub-result cache entry" false (Table.is_view c)
+  | None -> Alcotest.fail "inserted sub-result not found"
 
 (* ---- satellite: 4k-row fixture regression ----
 
@@ -759,6 +1022,16 @@ let () =
             test_extreme_and_missing_keys;
           Alcotest.test_case "netflix and k-means stay columnar" `Quick
             test_zoo_kernels_columnar;
+          Alcotest.test_case "view chains, jobs 1/2/4" `Quick
+            test_prop_view_chains;
+          Alcotest.test_case "view bytes = materialized bytes" `Quick
+            test_prop_view_encoded_bytes;
+          Alcotest.test_case "lazy sizes = eager sizes" `Quick
+            test_prop_lazy_sizes_are_eager;
+          Alcotest.test_case "netflix and k-means views stay lazy" `Quick
+            test_zoo_views_stay_lazy;
+          Alcotest.test_case "stores hold no view" `Quick
+            test_stores_hold_no_view;
           Alcotest.test_case "fused chains, fusion on/off" `Quick
             test_prop_fused_differential ] );
       ( "regression",

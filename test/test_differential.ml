@@ -12,9 +12,9 @@ let m = Musketeer.create ~cluster ()
 
 (* fault-free forced execution; [None] when the engine cannot express
    the workflow (inadmissible — skipped, not a failure) *)
-let run_on backend spec =
+let run_on ?(graph_of = Qcheck_lite.graph_of_spec) backend spec =
   let hdfs = Qcheck_lite.hdfs_of_spec spec in
-  let graph = Qcheck_lite.graph_of_spec spec in
+  let graph = graph_of spec in
   match Musketeer.plan m ~backends:[ backend ] ~workflow:"diff" ~hdfs graph with
   | None -> None
   | Some (plan, g') -> (
@@ -40,10 +40,11 @@ let run_on backend spec =
 let canonical table =
   Relation.Table.to_csv (Relation.Table.sort_by table [ "k"; "v" ])
 
-let agree spec =
+let agree ?graph_of spec =
   let results =
     List.filter_map
-      (fun b -> Option.map (fun t -> (b, canonical t)) (run_on b spec))
+      (fun b ->
+         Option.map (fun t -> (b, canonical t)) (run_on ?graph_of b spec))
       Engines.Backend.all
   in
   match results with
@@ -175,13 +176,49 @@ let test_pipeline_jobs_invariant () =
          reference (at_jobs jobs))
     [ 2; 4 ]
 
+(* ---- late-materialized views across engines ----
+
+   The generated pipelines again, behind a self-JOIN whose output stays a
+   view until a kernel needs its columns: a MAP reads both sides through
+   their indexes and a PROJECT drops the rest. Every admissible engine
+   agrees, at jobs 1 and at jobs 4. *)
+let joined_graph (spec : Qcheck_lite.workflow_spec) =
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let j = Ir.Builder.join b ~left_key:"k" ~right_key:"k" r r in
+  let m =
+    Ir.Builder.map b ~target:"v" ~expr:Relation.Expr.(col "v" - col "r_v") j
+  in
+  let h =
+    List.fold_left (Qcheck_lite.apply_op b)
+      (Ir.Builder.project b ~columns:[ "k"; "v" ] m)
+      spec.ops
+  in
+  let out =
+    Ir.Builder.select b ~name:"out" ~pred:Relation.Expr.(col "k" > int (-1)) h
+  in
+  Ir.Builder.finish b ~outputs:[ out ]
+
+let test_views_agree () =
+  try
+    Qcheck_lite.check ~count:15 ~seed ~name:"view pipelines, one for all"
+      Qcheck_lite.spec_arbitrary (fun spec ->
+        List.for_all
+          (fun jobs ->
+             Relation.Pool.with_jobs jobs (fun () ->
+                 agree ~graph_of:joined_graph spec))
+          [ 1; 4 ])
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
 let () =
   Alcotest.run "differential"
     [ ("one-for-all",
        [ Alcotest.test_case "generated workflows agree across engines"
            `Slow test_engines_agree;
          Alcotest.test_case "every engine admits a simple select" `Quick
-           test_all_engines_admit_simple ]);
+           test_all_engines_admit_simple;
+         Alcotest.test_case "view pipelines agree, jobs 1 and 4" `Slow
+           test_views_agree ]);
       ("parallel",
        [ Alcotest.test_case "parallel kernels byte-identical to serial"
            `Quick test_par_kernels_agree;

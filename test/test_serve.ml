@@ -485,6 +485,31 @@ let test_slo_never_cancels_started () =
     Alcotest.(check int) "but not in SLO" 0 s.Serve.Service.slo_met
   | _ -> Alcotest.fail "one outcome expected"
 
+(* virtual time carries modeled seconds only: two runs of one trace give
+   bit-identical latencies, however long planning took on the wall *)
+let test_latencies_repeat_exactly () =
+  let trace () =
+    [ sub ~tenant:"a" ~workflow:"heavy" ~at:0. (heavy_graph ());
+      sub ~tenant:"b" ~at:0. (agg_graph ());
+      sub ~tenant:"a" ~workflow:"light" ~at:1. (light_graph ());
+      sub ~tenant:"b" ~at:2. (agg_graph ()) ]
+  in
+  let latencies () =
+    let outcomes, _ =
+      Serve.Service.run ~config:(config ~concurrency:1 ())
+        (Experiments.Common.musketeer_for cluster)
+        ~hdfs:(fresh_hdfs ()) (trace ())
+    in
+    List.map
+      (fun (o : Serve.Service.outcome) ->
+         (Int64.bits_of_float o.latency_s, Int64.bits_of_float o.finish_s))
+      outcomes
+  in
+  let first = latencies () in
+  Alcotest.(check int) "every submission served" 4 (List.length first);
+  Alcotest.(check bool) "bit-identical latencies and finish times" true
+    (first = latencies ())
+
 (* the degradation ladder climbs under queue-delay pressure and climbs
    back down on its own as the EWMA decays — without ever changing the
    bytes a submission completes with *)
@@ -869,6 +894,8 @@ let () =
            `Quick test_shed_oldest_first;
          Alcotest.test_case "SLO expires queued submissions" `Quick
            test_slo_expires_queued;
+         Alcotest.test_case "modeled latencies repeat exactly" `Quick
+           test_latencies_repeat_exactly;
          Alcotest.test_case "SLO never cancels a started execution"
            `Quick test_slo_never_cancels_started;
          Alcotest.test_case "degradation ladder climbs and reverts"
