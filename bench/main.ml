@@ -133,23 +133,16 @@ let bechamel () =
 (* ---- columnar vs row kernel benchmark ----
 
    Times each hot kernel on NetFlix-scale synthetic tables (CROSS on
-   k-means-shaped ones: 4 000 points x 100 centroids) three ways:
-   the row engine with the columnar gate off at jobs=1 (the pre-columnar
-   serial baseline), and the columnar path at jobs=1 and at the parallel
-   jobs count. All three outputs must be byte-identical (CSV compare;
-   fatal otherwise). Ratios are row-baseline / columnar — ≥ 1.0 means
-   the vectorized path is no slower than the engine it replaced.
-   Writes BENCH_kernels.json; with MUSKETEER_BENCH_GATE=1 (CI) the run
-   fails if any ratio drops below 1.0. On a single-core machine jobs=4
-   exercises the pool without beating jobs=1; the gate compares both
-   against the row baseline, not against each other. *)
+   k-means-shaped ones: 4 000 points x 100 centroids) two ways: the
+   row engine with the columnar gate off (the pre-columnar baseline)
+   and the columnar path. Both outputs must be byte-identical (CSV
+   compare; fatal otherwise). Ratios are row-baseline / columnar —
+   ≥ 1.0 means the vectorized path is no slower than the engine it
+   replaced. Writes BENCH_kernels.json; with MUSKETEER_BENCH_GATE=1
+   (CI) the run fails if any ratio drops below 1.0. *)
 
-let kernels_par () =
+let kernels () =
   let open Relation in
-  let par_jobs =
-    let configured = Pool.configured_jobs () in
-    if configured > 1 then configured else 4
-  in
   let ratings_n = 400_000 and movies_n = 17_000 in
   let ratings =
     let schema =
@@ -214,12 +207,11 @@ let kernels_par () =
       ("cross", fun () -> Kernel.cross_join points centroids) ]
   in
   let reps = 5 in
-  let best_of ~columnar jobs f =
+  let best_of ~columnar f =
     let best = ref infinity and out = ref None in
     for _ = 1 to reps do
       let result, s =
-        Obs.Trace.time (fun () ->
-            Column.with_enabled columnar (fun () -> Pool.with_jobs jobs f))
+        Obs.Trace.time (fun () -> Column.with_enabled columnar f)
       in
       if s < !best then best := s;
       out := Some result
@@ -227,11 +219,10 @@ let kernels_par () =
     (Option.get !out, !best)
   in
   let gate = Sys.getenv_opt "MUSKETEER_BENCH_GATE" = Some "1" in
-  Printf.printf
-    "columnar vs row kernels (%d rows, parallel jobs=%d, best of %d)\n"
-    ratings_n par_jobs reps;
-  Printf.printf "%-10s %12s %12s %12s %8s %8s  %s\n" "kernel" "row j1"
-    "col j1" "col j4" "r(j1)" "r(j4)" "identical";
+  Printf.printf "columnar vs row kernels (%d rows, best of %d)\n" ratings_n
+    reps;
+  Printf.printf "%-10s %12s %12s %8s  %s\n" "kernel" "row" "columnar"
+    "ratio" "identical";
   (* a columnar timing under this is a zero-copy rewrite (PROJECT
      reduces to column aliasing): a ratio against a ~0s denominator is
      a measurement artifact, not a speedup, so such kernels report
@@ -240,51 +231,38 @@ let kernels_par () =
   let results =
     List.map
       (fun (name, f) ->
-         let row_out, row_s = best_of ~columnar:false 1 f in
-         let col_out, col_s = best_of ~columnar:true 1 f in
-         let par_out, par_s = best_of ~columnar:true par_jobs f in
-         let row_csv = Table.to_csv row_out in
-         let identical =
-           row_csv = Table.to_csv col_out && row_csv = Table.to_csv par_out
-         in
-         let zero_copy =
-           col_s < zero_copy_threshold_s || par_s < zero_copy_threshold_s
-         in
-         let ratio1 = row_s /. col_s and ratio4 = row_s /. par_s in
-         let fmt_ratio r =
-           if zero_copy then "  0-copy" else Printf.sprintf "%7.2fx" r
-         in
-         Printf.printf "%-10s %10.1fms %10.1fms %10.1fms %s %s  %b\n%!"
-           name (1000. *. row_s) (1000. *. col_s) (1000. *. par_s)
-           (fmt_ratio ratio1) (fmt_ratio ratio4) identical;
+         let row_out, row_s = best_of ~columnar:false f in
+         let col_out, col_s = best_of ~columnar:true f in
+         let identical = Table.to_csv row_out = Table.to_csv col_out in
+         let zero_copy = col_s < zero_copy_threshold_s in
+         let ratio = row_s /. col_s in
+         Printf.printf "%-10s %10.1fms %10.1fms %s  %b\n%!" name
+           (1000. *. row_s) (1000. *. col_s)
+           (if zero_copy then "  0-copy" else Printf.sprintf "%7.2fx" ratio)
+           identical;
          if not identical then begin
            Printf.eprintf "FATAL: %s columnar output differs from row engine\n"
              name;
            exit 1
          end;
-         (name, row_s, col_s, par_s, ratio1, ratio4, zero_copy))
+         (name, row_s, col_s, ratio, zero_copy))
       kernels
   in
   let json =
     let b = Buffer.create 1024 in
     Buffer.add_string b "{\n";
     Buffer.add_string b (Printf.sprintf "  \"rows\": %d,\n" ratings_n);
-    Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" par_jobs);
     Buffer.add_string b (Printf.sprintf "  \"reps\": %d,\n" reps);
     Buffer.add_string b "  \"kernels\": [\n";
     List.iteri
-      (fun i (name, row_s, col_s, par_s, ratio1, ratio4, zero_copy) ->
-         let json_ratio r =
-           if zero_copy then "null" else Printf.sprintf "%.3f" r
-         in
+      (fun i (name, row_s, col_s, ratio, zero_copy) ->
          Buffer.add_string b
            (Printf.sprintf
               "    {\"kernel\": %S, \"row_serial_s\": %.6f, \
-               \"columnar_s\": %.6f, \"parallel_s\": %.6f, \
-               \"zero_copy\": %b, \"ratio_jobs1\": %s, \"ratio_jobs4\": \
-               %s}%s\n"
-              name row_s col_s par_s zero_copy (json_ratio ratio1)
-              (json_ratio ratio4)
+               \"columnar_s\": %.6f, \"zero_copy\": %b, \
+               \"ratio\": %s}%s\n"
+              name row_s col_s zero_copy
+              (if zero_copy then "null" else Printf.sprintf "%.3f" ratio)
               (if i = List.length results - 1 then "" else ",")))
       results;
     Buffer.add_string b "  ]\n}\n";
@@ -296,15 +274,13 @@ let kernels_par () =
   if gate then begin
     let slow =
       List.filter
-        (fun (_, _, _, _, r1, r4, zero_copy) ->
-           (not zero_copy) && (r1 < 1.0 || r4 < 1.0))
+        (fun (_, _, _, r, zero_copy) -> (not zero_copy) && r < 1.0)
         results
     in
     List.iter
-      (fun (name, _, _, _, r1, r4, _) ->
-         Printf.eprintf
-           "GATE: %s columnar/row ratio below 1.0 (jobs1 %.2f, jobs4 %.2f)\n"
-           name r1 r4)
+      (fun (name, _, _, r, _) ->
+         Printf.eprintf "GATE: %s columnar/row ratio below 1.0 (%.2f)\n" name
+           r)
       slow;
     if slow <> [] then exit 1;
     Printf.printf
@@ -317,8 +293,7 @@ let kernels_par () =
    Two workloads at NetFlix scale: a select→map→project chain (fusion
    runs it as one pass with no intermediate tables) and a shared-scan
    DAG (two branches over the same HDFS relation; fusion fetches and
-   charges it once). Each runs best-of-3 with fusion off and on, at
-   jobs=1 so the comparison isolates fusion from the domain pool;
+   charges it once). Each runs best-of-3 with fusion off and on;
    outputs must be byte-identical. Writes BENCH_fusion.json. *)
 
 let fusion_bench () =
@@ -388,8 +363,7 @@ let fusion_bench () =
     let best = ref infinity and out = ref None in
     for _ = 1 to reps do
       let result, s =
-        Obs.Trace.time (fun () ->
-            Pool.with_jobs 1 (fun () -> Engines.Exec_helper.execute ~hdfs g))
+        Obs.Trace.time (fun () -> Engines.Exec_helper.execute ~hdfs g)
       in
       if s < !best then best := s;
       out := Some result
@@ -400,7 +374,7 @@ let fusion_bench () =
     Option.value ~default:0.
       (Obs.Metrics.gauge Obs.Metrics.default "fusion.intermediate_mb_saved")
   in
-  Printf.printf "fused vs unfused execution (%d rows, jobs=1, best of %d)\n"
+  Printf.printf "fused vs unfused execution (%d rows, best of %d)\n"
     ratings_n reps;
   Printf.printf "%-12s %12s %12s %9s %10s %10s  %s\n" "workload" "unfused"
     "fused" "speedup" "saved MB" "input MB" "identical";
@@ -1010,7 +984,7 @@ let calibration_bench () =
    load and gates the three serving mechanisms:
 
    (1) byte-identity: a small load is served under every combination of
-       jobs {1,4} x fusion {on,off} x columnar {on,off}, and every
+       fusion {on,off} x columnar {on,off}, and every
        served submission's outputs must byte-match a one-shot run of
        the same workflow on a snapshot of the initial HDFS (fatal
        otherwise) — caching, admission and scan sharing may only move
@@ -1109,61 +1083,52 @@ let serve_bench () =
   (* -- part 1: byte-identity matrix -- *)
   let identity_configs = ref 0 in
   List.iter
-    (fun jobs ->
+    (fun fusion ->
        List.iter
-         (fun fusion ->
+         (fun columnar ->
+            incr identity_configs;
+            Column.with_enabled columnar @@ fun () ->
+            Ir.Fusion.set_enabled (Some fusion);
+            Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
+            @@ fun () ->
+            let hdfs = fresh_hdfs () in
+            let base = Engines.Hdfs.snapshot hdfs in
+            let m = Experiments.Common.musketeer_for cluster in
+            let subs =
+              Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
+                ~tenants ~mix ()
+            in
+            let outcomes, _ = Serve.Service.run ~config m ~hdfs subs in
+            let reference =
+              List.map
+                (fun (e : Serve.Client.mix_entry) ->
+                   (e.workflow, reference_outputs ~hdfs:base e))
+                mix
+            in
             List.iter
-              (fun columnar ->
-                 incr identity_configs;
-                 Pool.with_jobs jobs @@ fun () ->
-                 Column.with_enabled columnar @@ fun () ->
-                 Ir.Fusion.set_enabled (Some fusion);
-                 Fun.protect
-                   ~finally:(fun () -> Ir.Fusion.set_enabled None)
-                 @@ fun () ->
-                 let hdfs = fresh_hdfs () in
-                 let base = Engines.Hdfs.snapshot hdfs in
-                 let m = Experiments.Common.musketeer_for cluster in
-                 let subs =
-                   Serve.Client.generate ~seed:4242 ~rate_per_s:1.
-                     ~count:8 ~tenants ~mix ()
+              (fun (o : Serve.Service.outcome) ->
+                 (match o.error with
+                  | Some err ->
+                    Printf.eprintf
+                      "FATAL: serve %s failed (fusion=%b columnar=%b): %s\n"
+                      o.sub.Serve.Service.workflow fusion columnar err;
+                    exit 1
+                  | None -> ());
+                 let want =
+                   List.assoc o.sub.Serve.Service.workflow reference
                  in
-                 let outcomes, _ =
-                   Serve.Service.run ~config m ~hdfs subs
-                 in
-                 let reference =
-                   List.map
-                     (fun (e : Serve.Client.mix_entry) ->
-                        (e.workflow, reference_outputs ~hdfs:base e))
-                     mix
-                 in
-                 List.iter
-                   (fun (o : Serve.Service.outcome) ->
-                      (match o.error with
-                       | Some err ->
-                         Printf.eprintf
-                           "FATAL: serve %s failed (jobs=%d fusion=%b \
-                            columnar=%b): %s\n"
-                           o.sub.Serve.Service.workflow jobs fusion columnar
-                           err;
-                         exit 1
-                       | None -> ());
-                      let want =
-                        List.assoc o.sub.Serve.Service.workflow reference
-                      in
-                      if sorted_csv o.outputs <> want then begin
-                        Printf.eprintf
-                          "FATAL: served %s output differs from one-shot \
-                           run (jobs=%d fusion=%b columnar=%b)\n"
-                          o.sub.Serve.Service.workflow jobs fusion columnar;
-                        exit 1
-                      end)
-                   outcomes)
-              [ true; false ])
+                 if sorted_csv o.outputs <> want then begin
+                   Printf.eprintf
+                     "FATAL: served %s output differs from one-shot \
+                      run (fusion=%b columnar=%b)\n"
+                     o.sub.Serve.Service.workflow fusion columnar;
+                   exit 1
+                 end)
+              outcomes)
          [ true; false ])
-    [ 1; 4 ];
+    [ true; false ];
   Printf.printf
-    "identity: 8 submissions x %d configs (jobs x fusion x columnar) \
+    "identity: 8 submissions x %d configs (fusion x columnar) \
      byte-identical to one-shot runs\n%!"
     !identity_configs;
 
@@ -1295,8 +1260,8 @@ let serve_bench () =
    Three claims about the serving layer's multi-query optimization,
    all enforced fatally (virtual time makes them deterministic):
    (1) byte identity: with sharing on, every served output equals a
-       one-shot run of the same workflow under jobs {1,4} x fusion x
-       columnar — sharing may only move accounting, never rows;
+       one-shot run of the same workflow under fusion x columnar —
+       sharing may only move accounting, never rows;
    (2) repeat traffic over a two-tenant common-prefix mix cuts the
        total modeled makespan by >= 1.3x versus sharing off;
    (3) the shared prefix executes once per input epoch: N sequential
@@ -1397,62 +1362,57 @@ let subplan_bench () =
   (* -- part 1: byte-identity matrix with sharing ON -- *)
   let identity_configs = ref 0 in
   List.iter
-    (fun jobs ->
+    (fun fusion ->
        List.iter
-         (fun fusion ->
+         (fun columnar ->
+            incr identity_configs;
+            Column.with_enabled columnar @@ fun () ->
+            Ir.Fusion.set_enabled (Some fusion);
+            Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
+            @@ fun () ->
+            let hdfs = fresh_hdfs () in
+            let base = Engines.Hdfs.snapshot hdfs in
+            let m = Experiments.Common.musketeer_for cluster in
+            let subs =
+              Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
+                ~tenants ~mix ()
+            in
+            let outcomes, _ =
+              Serve.Service.run ~config:(config ~cache_mb:256.) m
+                ~hdfs subs
+            in
+            let reference =
+              List.map
+                (fun (e : Serve.Client.mix_entry) ->
+                   (e.workflow, reference_outputs ~hdfs:base e))
+                mix
+            in
             List.iter
-              (fun columnar ->
-                 incr identity_configs;
-                 Pool.with_jobs jobs @@ fun () ->
-                 Column.with_enabled columnar @@ fun () ->
-                 Ir.Fusion.set_enabled (Some fusion);
-                 Fun.protect
-                   ~finally:(fun () -> Ir.Fusion.set_enabled None)
-                 @@ fun () ->
-                 let hdfs = fresh_hdfs () in
-                 let base = Engines.Hdfs.snapshot hdfs in
-                 let m = Experiments.Common.musketeer_for cluster in
-                 let subs =
-                   Serve.Client.generate ~seed:4242 ~rate_per_s:1.
-                     ~count:8 ~tenants ~mix ()
+              (fun (o : Serve.Service.outcome) ->
+                 (match o.error with
+                  | Some err ->
+                    Printf.eprintf
+                      "FATAL: shared serve %s failed (\
+                       fusion=%b columnar=%b): %s\n"
+                      o.sub.Serve.Service.workflow fusion columnar
+                      err;
+                    exit 1
+                  | None -> ());
+                 let want =
+                   List.assoc o.sub.Serve.Service.workflow reference
                  in
-                 let outcomes, _ =
-                   Serve.Service.run ~config:(config ~cache_mb:256.) m
-                     ~hdfs subs
-                 in
-                 let reference =
-                   List.map
-                     (fun (e : Serve.Client.mix_entry) ->
-                        (e.workflow, reference_outputs ~hdfs:base e))
-                     mix
-                 in
-                 List.iter
-                   (fun (o : Serve.Service.outcome) ->
-                      (match o.error with
-                       | Some err ->
-                         Printf.eprintf
-                           "FATAL: shared serve %s failed (jobs=%d \
-                            fusion=%b columnar=%b): %s\n"
-                           o.sub.Serve.Service.workflow jobs fusion columnar
-                           err;
-                         exit 1
-                       | None -> ());
-                      let want =
-                        List.assoc o.sub.Serve.Service.workflow reference
-                      in
-                      if sorted_csv o.outputs <> want then begin
-                        Printf.eprintf
-                          "FATAL: shared-subplan %s output differs from \
-                           one-shot run (jobs=%d fusion=%b columnar=%b)\n"
-                          o.sub.Serve.Service.workflow jobs fusion columnar;
-                        exit 1
-                      end)
-                   outcomes)
-              [ true; false ])
+                 if sorted_csv o.outputs <> want then begin
+                   Printf.eprintf
+                     "FATAL: shared-subplan %s output differs from \
+                      one-shot run (fusion=%b columnar=%b)\n"
+                     o.sub.Serve.Service.workflow fusion columnar;
+                   exit 1
+                 end)
+              outcomes)
          [ true; false ])
-    [ 1; 4 ];
+    [ true; false ];
   Printf.printf
-    "identity: 8 shared-subplan submissions x %d configs (jobs x fusion x \
+    "identity: 8 shared-subplan submissions x %d configs (fusion x \
      columnar) byte-identical to one-shot runs\n%!"
     !identity_configs;
 
@@ -1621,7 +1581,7 @@ let subplan_bench () =
        unshed 2x run;
    (2) chaos identity: under fault injection + shedding + SLOs, every
        COMPLETED submission stays byte-identical to a one-shot run
-       across jobs {1,4} x fusion x columnar, and no scan/subplan
+       across fusion x columnar, and no scan/subplan
        flight is left open;
    (3) crash-restart: a fresh service restored from the run ledger
        brings plan-cache hit rate and p99 latency back within 10% of
@@ -1804,71 +1764,66 @@ let overload_bench () =
   let identity_completed = ref 0 in
   let identity_dropped = ref 0 in
   List.iter
-    (fun jobs ->
+    (fun fusion ->
        List.iter
-         (fun fusion ->
+         (fun columnar ->
+            incr identity_configs;
+            Column.with_enabled columnar @@ fun () ->
+            Ir.Fusion.set_enabled (Some fusion);
+            Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
+            @@ fun () ->
+            let hdfs = fresh_hdfs () in
+            let base = Engines.Hdfs.snapshot hdfs in
+            let m = Experiments.Common.musketeer_for cluster in
+            let subs =
+              Serve.Client.generate ~seed:4242 ~rate_per_s:over_rate
+                ~count:12 ~tenants ~mix ()
+            in
+            let outcomes, svc =
+              Serve.Service.run ~config:chaos_config m ~hdfs subs
+            in
+            let reference =
+              List.map
+                (fun (e : Serve.Client.mix_entry) ->
+                   (e.workflow, reference_outputs ~hdfs:base e))
+                mix
+            in
             List.iter
-              (fun columnar ->
-                 incr identity_configs;
-                 Pool.with_jobs jobs @@ fun () ->
-                 Column.with_enabled columnar @@ fun () ->
-                 Ir.Fusion.set_enabled (Some fusion);
-                 Fun.protect
-                   ~finally:(fun () -> Ir.Fusion.set_enabled None)
-                 @@ fun () ->
-                 let hdfs = fresh_hdfs () in
-                 let base = Engines.Hdfs.snapshot hdfs in
-                 let m = Experiments.Common.musketeer_for cluster in
-                 let subs =
-                   Serve.Client.generate ~seed:4242 ~rate_per_s:over_rate
-                     ~count:12 ~tenants ~mix ()
-                 in
-                 let outcomes, svc =
-                   Serve.Service.run ~config:chaos_config m ~hdfs subs
-                 in
-                 let reference =
-                   List.map
-                     (fun (e : Serve.Client.mix_entry) ->
-                        (e.workflow, reference_outputs ~hdfs:base e))
-                     mix
-                 in
-                 List.iter
-                   (fun (o : Serve.Service.outcome) ->
-                      match o.status, o.error with
-                      | Serve.Service.(Shed _ | Expired), _ | _, Some _ ->
-                        incr identity_dropped
-                      | Serve.Service.Served, None ->
-                        incr identity_completed;
-                        let want =
-                          List.assoc o.sub.Serve.Service.workflow reference
-                        in
-                        if sorted_csv o.outputs <> want then begin
-                          Printf.eprintf
-                            "FATAL: completed %s output differs from \
-                             one-shot run under chaos (jobs=%d fusion=%b \
-                             columnar=%b)\n"
-                            o.sub.Serve.Service.workflow jobs fusion
-                            columnar;
-                          exit 1
-                        end)
-                   outcomes;
-                 if Serve.Service.open_flights svc <> 0 then begin
-                   Printf.eprintf
-                     "FATAL: chaos run leaked flights (jobs=%d fusion=%b \
-                      columnar=%b)\n"
-                     jobs fusion columnar;
-                   exit 1
-                 end)
-              [ true; false ])
+              (fun (o : Serve.Service.outcome) ->
+                 match o.status, o.error with
+                 | Serve.Service.(Shed _ | Expired), _ | _, Some _ ->
+                   incr identity_dropped
+                 | Serve.Service.Served, None ->
+                   incr identity_completed;
+                   let want =
+                     List.assoc o.sub.Serve.Service.workflow reference
+                   in
+                   if sorted_csv o.outputs <> want then begin
+                     Printf.eprintf
+                       "FATAL: completed %s output differs from \
+                        one-shot run under chaos (fusion=%b \
+                        columnar=%b)\n"
+                       o.sub.Serve.Service.workflow fusion
+                       columnar;
+                     exit 1
+                   end)
+              outcomes;
+            if Serve.Service.open_flights svc <> 0 then begin
+              Printf.eprintf
+                "FATAL: chaos run leaked flights (fusion=%b \
+                 columnar=%b)\n"
+                fusion columnar;
+              exit 1
+            end)
          [ true; false ])
-    [ 1; 4 ];
+    [ true; false ];
   if !identity_completed = 0 then begin
     Printf.eprintf "FATAL: chaos matrix completed nothing\n";
     exit 1
   end;
   Printf.printf
     "chaos identity: %d completed submissions byte-identical across %d \
-     configs (jobs x fusion x columnar; %d shed/expired/errored)\n%!"
+     configs (fusion x columnar; %d shed/expired/errored)\n%!"
     !identity_completed !identity_configs !identity_dropped;
 
   (* -- part 3: crash-restart recovery from the ledger -- *)
@@ -2032,7 +1987,7 @@ let () =
         targets;
       print_endline "bechamel  Bechamel micro-benchmarks (partitioning)";
       print_endline
-        "kernels-par  serial vs parallel kernel speedups (BENCH_kernels.json)";
+        "kernels   columnar vs row kernel ratios (BENCH_kernels.json)";
       print_endline
         "fusion    fused vs unfused execution + shared scans \
          (BENCH_fusion.json)";
@@ -2052,7 +2007,7 @@ let () =
         "overload  shedding, SLOs, chaos identity, crash-restart \
          (BENCH_overload.json)"
     | [ "bechamel" ] -> run_target "bechamel" bechamel
-    | [ "kernels-par" ] -> run_target "kernels-par" kernels_par
+    | [ "kernels" ] -> run_target "kernels" kernels
     | [ "fusion" ] -> run_target "fusion" fusion_bench
     | [ "supervision" ] -> run_target "supervision" supervision_bench
     | [ "calibration" ] -> run_target "calibration" calibration_bench
@@ -2073,8 +2028,7 @@ let () =
            | Some (_, _, f) -> run_target name f
            | None ->
              if raw = "bechamel" then run_target "bechamel" bechamel
-             else if raw = "kernels-par" then
-               run_target "kernels-par" kernels_par
+             else if raw = "kernels" then run_target "kernels" kernels
              else if raw = "fusion" then run_target "fusion" fusion_bench
              else if raw = "supervision" then
                run_target "supervision" supervision_bench

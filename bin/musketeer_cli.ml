@@ -156,18 +156,6 @@ let inject_arg =
            E.g. --inject 'worker\\@0.5;straggler*2:p=0.8'. Deterministic \
            for a given --seed; see docs/fault-tolerance.md.")
 
-let jobs_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains used by the parallel relational kernels (overrides \
-           the MUSKETEER_JOBS environment variable); 1 forces the exact \
-           serial code paths. \
-           Defaults to the machine's core count minus one. Engine \
-           simulators additionally cap kernel parallelism at their \
-           simulated worker count.")
-
 let no_fusion_arg =
   Arg.(
     value & flag
@@ -414,8 +402,7 @@ let setup kind nodes =
   (m, hdfs, graph)
 
 let plan_cmd =
-  let run kind nodes backend dot trace jobs no_fusion =
-    Relation.Pool.set_jobs jobs;
+  let run kind nodes backend dot trace no_fusion =
     set_fusion no_fusion;
     with_trace trace @@ fun () ->
     let m, hdfs, graph = setup kind nodes in
@@ -436,13 +423,12 @@ let plan_cmd =
           Graphviz rendering colored per job).")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ dot_arg
-      $ trace_arg $ jobs_arg $ no_fusion_arg)
+      $ trace_arg $ no_fusion_arg)
 
 let run_cmd =
-  let run kind nodes backend show_code trace inject seed retries jobs
+  let run kind nodes backend show_code trace inject seed retries
       no_fusion deadline_factor deadline no_speculation replan_threshold
       breaker ledger no_calibrate =
-    Relation.Pool.set_jobs jobs;
     set_fusion no_fusion;
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
@@ -494,7 +480,7 @@ let run_cmd =
        ~doc:"Plan and execute a workflow on the simulated cluster.")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ show_code_arg
-      $ trace_arg $ inject_arg $ seed_arg $ retries_arg $ jobs_arg
+      $ trace_arg $ inject_arg $ seed_arg $ retries_arg
       $ no_fusion_arg $ deadline_factor_arg $ deadline_arg
       $ no_speculation_arg $ replan_threshold_arg $ breaker_arg
       $ ledger_arg $ no_calibrate_arg)
@@ -519,9 +505,8 @@ let parse_cmd =
 
 let run_file_cmd =
   let run frontend file tables nodes backend show_code history_file trace
-      inject seed retries jobs no_fusion deadline_factor deadline
+      inject seed retries no_fusion deadline_factor deadline
       no_speculation replan_threshold breaker ledger no_calibrate =
-    Relation.Pool.set_jobs jobs;
     set_fusion no_fusion;
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
@@ -593,21 +578,20 @@ let run_file_cmd =
     Term.(
       const
         (fun frontend file tables nodes backend show_code history trace inject
-          seed retries jobs no_fusion deadline_factor deadline no_speculation
+          seed retries no_fusion deadline_factor deadline no_speculation
           replan_threshold breaker ledger no_calibrate ->
           with_parse_errors (fun () ->
               run frontend file tables nodes backend show_code history trace
-                inject seed retries jobs no_fusion deadline_factor deadline
+                inject seed retries no_fusion deadline_factor deadline
                 no_speculation replan_threshold breaker ledger no_calibrate))
       $ frontend_arg $ file_arg $ tables_arg $ nodes_arg $ backend_arg
       $ show_code_arg $ history_arg $ trace_arg $ inject_arg $ seed_arg
-      $ retries_arg $ jobs_arg $ no_fusion_arg $ deadline_factor_arg
+      $ retries_arg $ no_fusion_arg $ deadline_factor_arg
       $ deadline_arg $ no_speculation_arg $ replan_threshold_arg
       $ breaker_arg $ ledger_arg $ no_calibrate_arg)
 
 let explain_cmd =
-  let run kind nodes backend trace jobs no_fusion ledger no_calibrate =
-    Relation.Pool.set_jobs jobs;
+  let run kind nodes backend trace no_fusion ledger no_calibrate =
     set_fusion no_fusion;
     (* read-only: factors shape the explained costs, nothing is appended *)
     ignore (setup_calibration ledger no_calibrate);
@@ -625,7 +609,7 @@ let explain_cmd =
           costs are shown raw and calibrated).")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ trace_arg
-      $ jobs_arg $ no_fusion_arg $ ledger_arg $ no_calibrate_arg)
+      $ no_fusion_arg $ ledger_arg $ no_calibrate_arg)
 
 let json_arg =
   Arg.(
@@ -637,10 +621,9 @@ let json_arg =
            human-readable tables.")
 
 let stats_cmd =
-  let run kind nodes backend repeat trace inject seed retries jobs
+  let run kind nodes backend repeat trace inject seed retries
       deadline_factor deadline no_speculation replan_threshold breaker
       ledger no_calibrate json =
-    Relation.Pool.set_jobs jobs;
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
     let supervision =
@@ -693,7 +676,7 @@ let stats_cmd =
           breaker states. --json makes the dump machine-readable.")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ repeat_arg
-      $ trace_arg $ inject_arg $ seed_arg $ retries_arg $ jobs_arg
+      $ trace_arg $ inject_arg $ seed_arg $ retries_arg
       $ deadline_factor_arg $ deadline_arg $ no_speculation_arg
       $ replan_threshold_arg $ breaker_arg $ ledger_arg $ no_calibrate_arg
       $ json_arg)
@@ -878,7 +861,7 @@ let restart_after_arg =
 
 let serve_cmd =
   let run mix_spec tenants_spec rate count seed nodes concurrency
-      cache_capacity subresult_cache_mb check_identity trace jobs no_fusion
+      cache_capacity subresult_cache_mb check_identity trace no_fusion
       breaker ledger no_calibrate inject retries deadline_factor deadline
       no_speculation replan_threshold slo queue_cap global_queue_cap
       shed_policy_s pressure_threshold retry_budget restart_after =
@@ -929,7 +912,6 @@ let serve_cmd =
       Format.eprintf "--restart-after requires --ledger@.";
       exit 1
     end;
-    Relation.Pool.set_jobs jobs;
     set_fusion no_fusion;
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
@@ -1132,7 +1114,7 @@ let serve_cmd =
     Term.(
       const run $ mix_arg $ tenants_arg $ rate_arg $ count_arg $ seed_arg
       $ nodes_arg $ concurrency_arg $ cache_capacity_arg
-      $ subresult_cache_mb_arg $ check_identity_arg $ trace_arg $ jobs_arg
+      $ subresult_cache_mb_arg $ check_identity_arg $ trace_arg
       $ no_fusion_arg $ breaker_arg $ ledger_arg $ no_calibrate_arg
       $ inject_arg $ retries_arg $ deadline_factor_arg $ deadline_arg
       $ no_speculation_arg $ replan_threshold_arg $ slo_arg $ queue_cap_arg

@@ -4,7 +4,7 @@ let log_src = Logs.Src.create "musketeer.optimizer" ~doc:"IR rewrites"
 
 module Log = (val Logs.src_log log_src)
 
-(* Atomic: rewrites may fire from kernels running on pool domains. *)
+(* Atomic, so rewrites fired from any domain count correctly. *)
 let rewrite_count = Atomic.make 0
 
 let last_rewrite_count () = Atomic.get rewrite_count

@@ -19,8 +19,8 @@ let op_nodes (g : Ir.Dag.t) =
     g.Ir.Operator.nodes
 
 (* candidate operator sets priced since process start; the per-search
-   delta is attached to the "partition" span. Atomic so searches run
-   from worker domains still count correctly. *)
+   delta is attached to the "partition" span. Atomic, so a search run
+   from any domain counts correctly. *)
 let sets_scored = Atomic.make 0
 
 (* Cheapest feasible backend for a node set; memoized by the caller. *)

@@ -52,19 +52,6 @@ let gas_message_volumes ~(job : Job.t) ~stats volumes =
     Perf.comm_mb = !message_mb *. job.options.Job.shuffle_multiplier;
     process_mb = !process_mb *. job.options.Job.process_multiplier }
 
-(* How many workers the back-end being simulated would really use on
-   [cluster]; caps the domain pool so a single-core engine runs its
-   kernels serially while a cluster-wide engine may use the full pool. *)
-let simulated_workers ~(cluster : Cluster.t) (backend : Backend.t) =
-  match backend with
-  | Backend.Serial_c -> 1
-  | Backend.Metis | Backend.Graph_chi | Backend.X_stream ->
-    (* single-machine engines: one node's cores *)
-    cluster.Cluster.cores_per_node
-  | Backend.Hadoop | Backend.Spark | Backend.Naiad | Backend.Power_graph
-  | Backend.Giraph ->
-    cluster.Cluster.nodes * cluster.Cluster.cores_per_node
-
 let of_spec spec =
   let run ~cluster ~hdfs (job : Job.t) =
     Obs.Trace.with_span
@@ -75,11 +62,7 @@ let of_spec spec =
     match spec.spec_supports job.graph with
     | Error reason -> Error (Report.Unsupported reason)
     | Ok () ->
-      let exec =
-        Exec_helper.execute
-          ~max_jobs:(simulated_workers ~cluster spec.spec_backend)
-          ~hdfs job.graph
-      in
+      let exec = Exec_helper.execute ~hdfs job.graph in
       let opts = job.options in
       let volumes =
         { exec.volumes with

@@ -47,12 +47,6 @@ type spec = {
 (** Default hooks: always admit, no penalty. *)
 val default_spec : Backend.t -> spec
 
-(** How many workers the simulated back-end would really use on this
-    cluster: 1 for SerialC, one node's cores for the single-machine
-    engines (Metis, GraphChi, X-Stream), all cores otherwise. {!of_spec}
-    passes it to {!Exec_helper.execute} as the kernel-parallelism cap. *)
-val simulated_workers : cluster:Cluster.t -> Backend.t -> int
-
 (** Volume reshaping for vertex-centric engines: the literal dataflow
     body charges shuffles for every JOIN/DIFFERENCE/UNION it uses to
     encode one superstep, but a GAS runtime only sends the gathered

@@ -40,7 +40,8 @@ let span name attrs f =
    view is settled only at each MAP and at the tail, where one-pass
    fused evaluation gathered, so every size is the fused one. A chain
    the columnar kernels cannot run end to end runs on rows from its
-   source as one unit, as the fused row pass did. *)
+   source as one unit, as the fused row pass did, counted as
+   [kernel.row.chain] beside the refusal's [kernel.fallback.<reason>]. *)
 let run_chain src kinds =
   let step t : Ir.Operator.kind -> Table.t option = function
     | Ir.Operator.Select { pred } -> Columnar.try_select t pred
@@ -56,6 +57,7 @@ let run_chain src kinds =
   with
   | Some out -> Table.settle out
   | None ->
+    Obs.Metrics.incr Obs.Metrics.default "kernel.row.chain";
     Column.with_enabled false (fun () ->
         List.fold_left (fun t kind -> Ir.Interp.eval_kind kind [ t ]) src kinds)
 
@@ -301,27 +303,13 @@ and eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins =
   | Some v -> v
   | None -> assert false
 
-(* [max_jobs] caps kernel parallelism at the engine's simulated worker
-   count for the duration of the run: a simulated single-core engine
-   must not fan out onto the whole domain pool. *)
-let execute ?max_jobs ~hdfs (g : Ir.Operator.graph) =
+let execute ~hdfs (g : Ir.Operator.graph) =
   let acc =
     { input_mb = 0.; process_mb = 0.; comm_mb = 0.; iterations = 1;
       stats = [] }
   in
   let bound = Hashtbl.create 1 in
-  let values, _ =
-    match max_jobs with
-    | None -> eval_graph ~hdfs ~bound ~acc g
-    | Some cap -> Pool.with_cap cap (fun () -> eval_graph ~hdfs ~bound ~acc g)
-  in
-  let st = Pool.stats () in
-  Obs.Metrics.set_gauge Obs.Metrics.default "pool.domains"
-    (float_of_int st.Pool.domains);
-  Obs.Metrics.set_gauge Obs.Metrics.default "pool.batches"
-    (float_of_int st.Pool.batches);
-  Obs.Metrics.set_gauge Obs.Metrics.default "pool.tasks"
-    (float_of_int st.Pool.tasks);
+  let values, _ = eval_graph ~hdfs ~bound ~acc g in
   let out_nodes =
     match g.outputs with
     | [] -> Ir.Dag.sinks g

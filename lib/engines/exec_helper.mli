@@ -33,12 +33,8 @@ exception Execution_error of string
     iterate must reject such graphs before calling this). Raises
     {!Execution_error} on missing relations and propagates kernel
     errors. Does {b not} write outputs back to HDFS — the engine does,
-    so it can account for the push.
-
-    [max_jobs] caps kernel parallelism ({!Relation.Pool.with_cap}) for
-    the duration of the run, so an engine simulating [n] workers never
-    uses more than [n] domains. *)
-val execute : ?max_jobs:int -> hdfs:Hdfs.t -> Ir.Operator.graph -> result
+    so it can account for the push. *)
+val execute : hdfs:Hdfs.t -> Ir.Operator.graph -> result
 
 (** [is_graph_idiom g] — true when the graph is a single WHILE
     (plus INPUT nodes) whose body contains a JOIN followed by a

@@ -123,7 +123,7 @@ let saved_mb t = t.saved_mb
 
 (* Dynamic scope: installing a share here lets [Exec_helper.eval_graph]
    and the engines consult it without threading a parameter through
-   every engine signature. Main-domain only, like the pool itself. *)
+   every engine signature. Main-domain only. *)
 let installed : t option ref = ref None
 
 let active () = !installed

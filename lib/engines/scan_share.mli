@@ -21,7 +21,7 @@
     submission scanning the same INPUT, or a plan-cache hit replaying
     scans; these never touch the cross counters),
     [scan.cross_invalidated] (epoch-stale entries dropped), and the
-    [scan.cross_mb_saved] gauge. Main-domain only, like the pool. *)
+    [scan.cross_mb_saved] gauge. Main-domain only. *)
 
 type t
 

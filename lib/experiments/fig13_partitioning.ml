@@ -5,7 +5,8 @@
     search is exponential (practical up to ~13 operators, as the paper
     cuts over), the dynamic-programming heuristic stays in the
     millisecond range at 18 operators. [measurements] is also exposed to
-    the Bechamel harness in bench/main.ml. *)
+    the Bechamel harness in bench/main.ml; [sets_scored] counts the
+    same searches' work without a clock. *)
 
 let prefix_graph full x =
   let op_ids =
@@ -29,9 +30,8 @@ let time_once f = snd (Obs.Trace.time f)
 
 (* Millisecond-scale searches are vulnerable to a single ill-timed GC
    pause (the test suite runs these after experiments that leave a large
-   heap — and, with the kernel pool active, extra domains). Take the
-   best of three for fast measurements; long runs are self-averaging
-   and not worth repeating. *)
+   heap). Take the best of three for fast measurements; long runs are
+   self-averaging and not worth repeating. *)
 let time_best f =
   let s = time_once f in
   if s >= 0.05 then s
@@ -76,6 +76,46 @@ let measurements ?(max_ops = 18) ?(budget_s = 5.) () =
          Some (x, exh, memo, dyn)
        end)
     (List.init max_ops (fun i -> i + 1))
+
+(* the histogram keeps every observation, so its sum grows by exactly
+   the sets one search priced *)
+let scored_total () =
+  match
+    Obs.Metrics.histogram Obs.Metrics.default "partition.sets_scored"
+  with
+  | Some h -> h.Obs.Metrics.mean *. float_of_int h.Obs.Metrics.count
+  | None -> 0.
+
+let count_scored search =
+  let before = scored_total () in
+  ignore (search ());
+  int_of_float (Float.round (scored_total () -. before))
+
+(** (operators, exhaustive sets, dynamic sets) for each size in [ops]:
+    the candidate operator sets each search prices, read off the
+    partitioner's [partition.sets_scored] histogram. Deterministic,
+    unlike {!measurements}. Exhaustive is skipped (None) above
+    [max_exhaustive] operators. *)
+let sets_scored ?(max_exhaustive = 14) ops =
+  let m, hdfs, full = setup () in
+  let profile = Musketeer.profile m in
+  let backends = Engines.Backend.all in
+  List.map
+    (fun x ->
+       let g = prefix_graph full x in
+       let est = Musketeer.estimator m ~workflow:"netflix-prefix" ~hdfs g in
+       let exh =
+         if x > max_exhaustive then None
+         else
+           Some
+             (count_scored (fun () ->
+                  Musketeer.Partitioner.exhaustive ~profile ~est ~backends g))
+       in
+       ( x,
+         exh,
+         count_scored (fun () ->
+             Musketeer.Partitioner.dynamic ~profile ~est ~backends g) ))
+    ops
 
 let run ppf =
   Common.table ppf

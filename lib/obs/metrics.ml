@@ -32,7 +32,7 @@ type recovery_event = {
 }
 
 type t = {
-  lock : Mutex.t;  (* guards every field; kernels record from pool domains *)
+  lock : Mutex.t;  (* guards every field *)
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   histos : (string, float list ref) Hashtbl.t;  (* reverse record order *)
@@ -41,7 +41,7 @@ type t = {
 }
 
 (* Every public operation takes the registry lock exactly once (none of
-   them nest), so recording from parallel kernels cannot corrupt the
+   them nest), so recording from several domains cannot corrupt the
    hash tables or lose updates. *)
 let locked t f = Mutex.protect t.lock f
 

@@ -5,8 +5,7 @@
     backend, rewrite hit counts, partitioner search sizes, per-job
     prediction error); experiments and tests can use private registries
     via {!create}. Everything is process-local; each registry is guarded
-    by a mutex, so parallel kernels running on the domain pool can
-    record into it safely.
+    by a mutex, so any domain may record into it.
 
     The prediction records are the live Figure-14 signal: every
     executed job joins the cost model's estimate against the observed

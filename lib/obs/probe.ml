@@ -49,11 +49,6 @@ let attach ?(metrics = Metrics.default) ~backend ?(input_mb = 0.)
   Trace.add_attr "probe.gc_major_collections"
     (Trace.Int sample.major_collections);
   if mb > 0. then Trace.add_attr "probe.mb_per_s" (Trace.Float mb_s);
-  (* pool utilization at sample time, when the domain pool reported it *)
-  (match Metrics.gauge metrics "pool.domains" with
-   | Some d ->
-     Trace.add_attr "probe.pool_domains" (Trace.Int (int_of_float d))
-   | None -> ());
   (* registry histograms: aggregate across jobs, keyed per backend too *)
   let observe name v =
     Metrics.observe metrics name v;

@@ -3,8 +3,8 @@
     A probe wraps one engine dispatch and measures what the job cost
     the process: wall time on the shared {!Clock}, GC pressure from
     [Gc.quick_stat] deltas (allocation in the minor and major heaps,
-    collection counts), data throughput when the caller knows the MB
-    moved, and domain-pool utilization at sample time. The sample is
+    collection counts) and data throughput when the caller knows the MB
+    moved. The sample is
     attached to the innermost open trace span (["probe.*"] attributes)
     and folded into registry histograms (["probe.wall_s"],
     ["probe.mb_per_s"], each also keyed per backend), which in turn

@@ -74,28 +74,6 @@ let step fn state v =
   | _, _, None -> invalid_arg "Aggregate.step: missing input value"
   | _ -> invalid_arg "Aggregate.step: state/function mismatch"
 
-(* Merge the partial states of two row partitions, [a] built from the
-   earlier rows. Exact for Count/Sum(int)/Min/Max; Avg merges its
-   (sum, count) pair (exact while the float sum is — always, for int
-   inputs in double range); First keeps the earlier partition's value,
-   so merging partitions in row order reproduces the serial result. *)
-let merge fn a b =
-  match fn, a, b with
-  | Count, S_count m, S_count n -> S_count (m + n)
-  | Sum _, S_sum None, (S_sum _ as s) -> s
-  | Sum _, (S_sum _ as s), S_sum None -> s
-  | Sum _, S_sum (Some x), S_sum (Some y) -> S_sum (Some (add_values x y))
-  | (Min _ | Max _), S_minmax None, (S_minmax _ as s) -> s
-  | (Min _ | Max _), (S_minmax _ as s), S_minmax None -> s
-  | Min _, S_minmax (Some x), S_minmax (Some y) ->
-    S_minmax (Some (if Value.compare y x < 0 then y else x))
-  | Max _, S_minmax (Some x), S_minmax (Some y) ->
-    S_minmax (Some (if Value.compare y x > 0 then y else x))
-  | Avg _, S_avg (s1, n1), S_avg (s2, n2) -> S_avg (s1 +. s2, n1 + n2)
-  | First _, (S_first (Some _) as s), S_first _ -> s
-  | First _, S_first None, (S_first _ as s) -> s
-  | _ -> invalid_arg "Aggregate.merge: state/function mismatch"
-
 let finish fn state =
   match fn, state with
   | Count, S_count n -> Value.Int n

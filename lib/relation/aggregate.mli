@@ -40,15 +40,6 @@ val init : fn -> state
 
 val step : fn -> state -> Value.t option -> state
 
-(** [merge fn a b] combines the partial states of two row partitions,
-    where [a] covers the earlier rows. Used by the parallel GROUP BY:
-    per-domain partial aggregation states are merged in partition
-    order, which makes even the order-dependent [First] deterministic
-    (the earlier partition wins) and keeps [Avg] exact via its
-    (sum, count) pair. Raises [Invalid_argument] on mismatched
-    states. *)
-val merge : fn -> state -> state -> state
-
 val finish : fn -> state -> Value.t
 
 val fn_to_string : fn -> string

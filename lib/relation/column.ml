@@ -269,116 +269,6 @@ let gather t idx =
   in
   { data; valid = gather_valid t.valid idx }
 
-(* ---- concatenation (chunk reassembly) ---- *)
-
-let concat_valid cols total =
-  if List.for_all all_valid cols then None
-  else begin
-    let bm = bitmap_create total in
-    let off = ref 0 in
-    List.iter
-      (fun c ->
-         let n = length c in
-         for i = 0 to n - 1 do
-           if valid_at c i then bitmap_set bm (!off + i)
-         done;
-         off := !off + n)
-      cols;
-    Some bm
-  end
-
-let concat cols =
-  match cols with
-  | [] -> invalid_arg "Column.concat: empty list"
-  | [ c ] -> c
-  | first :: _ ->
-    let total = List.fold_left (fun s c -> s + length c) 0 cols in
-    let data =
-      match first.data with
-      | Ints _ ->
-        let out = Array.make total 0 in
-        let off = ref 0 in
-        List.iter
-          (fun c ->
-             match c.data with
-             | Ints a ->
-               Array.blit a 0 out !off (Array.length a);
-               off := !off + Array.length a
-             | _ -> invalid_arg "Column.concat: mixed column types")
-          cols;
-        Ints out
-      | Floats _ ->
-        let out = Array.make total 0. in
-        let off = ref 0 in
-        List.iter
-          (fun c ->
-             match c.data with
-             | Floats a ->
-               Array.blit a 0 out !off (Array.length a);
-               off := !off + Array.length a
-             | _ -> invalid_arg "Column.concat: mixed column types")
-          cols;
-        Floats out
-      | Bools _ ->
-        let out = Array.make total false in
-        let off = ref 0 in
-        List.iter
-          (fun c ->
-             match c.data with
-             | Bools a ->
-               Array.blit a 0 out !off (Array.length a);
-               off := !off + Array.length a
-             | _ -> invalid_arg "Column.concat: mixed column types")
-          cols;
-        Bools out
-      | Dict _ ->
-        (* re-encode codes against a merged dictionary, first appearance
-           across the concatenation *)
-        let out_codes = Array.make total 0 in
-        let index : (string, int) Hashtbl.t = Hashtbl.create 64 in
-        let entries = ref [] in
-        let next = ref 0 in
-        let off = ref 0 in
-        List.iter
-          (fun c ->
-             match c.data with
-             | Dict { codes; dict } ->
-               let remap = Array.make (Array.length dict) (-1) in
-               Array.iteri
-                 (fun i code ->
-                    if c.valid = None || valid_at c i then begin
-                      let m =
-                        if remap.(code) >= 0 then remap.(code)
-                        else begin
-                          let s = dict.(code) in
-                          let m =
-                            match Hashtbl.find_opt index s with
-                            | Some m -> m
-                            | None ->
-                              let m = !next in
-                              Hashtbl.add index s m;
-                              entries := s :: !entries;
-                              incr next;
-                              m
-                          in
-                          remap.(code) <- m;
-                          m
-                        end
-                      in
-                      out_codes.(!off + i) <- m
-                    end)
-                 codes;
-               off := !off + Array.length codes
-             | _ -> invalid_arg "Column.concat: mixed column types")
-          cols;
-        let dict = Array.make !next "" in
-        List.iteri (fun k s -> dict.(!next - 1 - k) <- s) !entries;
-        Dict { codes = out_codes; dict }
-    in
-    { data; valid = concat_valid cols total }
-
-let append a b = concat [ a; b ]
-
 (* ---- comparison (Value.compare same-type semantics) ---- *)
 
 let compare_at t i j =

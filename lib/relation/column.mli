@@ -73,14 +73,6 @@ val to_options : t -> Value.t option array
     sizes stay honest after selective filters. *)
 val gather : t -> int array -> t
 
-(** [concat cols] appends columns of one type in order; dictionaries
-    are merged (first-appearance order across the concatenation). Used
-    to reassemble chunked kernel outputs in chunk order. *)
-val concat : t list -> t
-
-(** [append a b] is [concat [a; b]]. *)
-val append : t -> t -> t
-
 (** [compare_at t i j] compares slots [i] and [j] with exactly
     {!Value.compare}'s same-type semantics ([Float.compare] on floats,
     so NaN sorts deterministically). Null slots sort before values.

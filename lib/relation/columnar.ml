@@ -3,13 +3,17 @@
    [None] and the caller runs the row path. See columnar.mli for the
    fallback catalogue and docs/columnar.md for the design. *)
 
-let par_threshold = 512
-
 let mark name = Obs.Metrics.incr Obs.Metrics.default ("kernel.columnar." ^ name)
+
+(* a refusal: the caller runs the row path, which counts
+   [kernel.row.<kernel>] beside this *)
+let fallback reason =
+  Obs.Metrics.incr Obs.Metrics.default ("kernel.fallback." ^ reason);
+  None
 
 (* ---- SELECT ---- *)
 
-let mask_to_indices ~start mask =
+let mask_to_indices mask =
   let n = Array.length mask in
   let count = ref 0 in
   for i = 0 to n - 1 do
@@ -19,7 +23,7 @@ let mask_to_indices ~start mask =
   let k = ref 0 in
   for i = 0 to n - 1 do
     if mask.(i) then begin
-      out.(!k) <- start + i;
+      out.(!k) <- i;
       incr k
     end
   done;
@@ -29,7 +33,7 @@ let mask_to_indices ~start mask =
    [col ⊕ const] over an int column: no boolean mask, no intermediate
    vectors — one loop collecting surviving row indices. Semantics are
    [Int.compare], which primitive int comparison matches. *)
-let fast_int_filter (a : int array) op k ~start ~len =
+let fast_int_filter (a : int array) op k =
   let keep : int -> bool =
     match (op : Expr.cmpop) with
     | Expr.Eq -> fun x -> x = k
@@ -39,8 +43,9 @@ let fast_int_filter (a : int array) op k ~start ~len =
     | Expr.Gt -> fun x -> x > k
     | Expr.Ge -> fun x -> x >= k
   in
-  let out = Array.make len 0 and kept = ref 0 in
-  for i = start to start + len - 1 do
+  let n = Array.length a in
+  let out = Array.make n 0 and kept = ref 0 in
+  for i = 0 to n - 1 do
     if keep a.(i) then begin
       out.(!kept) <- i;
       incr kept
@@ -50,71 +55,49 @@ let fast_int_filter (a : int array) op k ~start ~len =
 
 (* ---- reading through a view ---- *)
 
-(* Evaluates [e] over rows [start, start + len) of a view of [n] rows:
-   each column reads through its group's index, whose slice is cut
-   once per group and only if some column of the group is read. *)
-let eval_range schema (v : Table.view) ~n ~start ~len e =
-  let slices =
-    Array.map
-      (fun ix ->
-         lazy
-           (Vector.Sparse
-              (if start = 0 && len = n then ix else Array.sub ix start len)))
-      v.idx
-  in
-  Vector.eval schema (Array.map fst v.vcols) ~len
+(* Evaluates [e] over the [n] rows of a view: each column reads
+   through its group's index. *)
+let eval_view schema (v : Table.view) ~n e =
+  Vector.eval schema (Array.map fst v.vcols) ~len:n
     ~sel:(fun i ->
         match v.vcols.(i) with
-        | _, -1 -> Vector.Dense (start, len)
-        | _, g -> Lazy.force slices.(g))
+        | _, -1 -> Vector.Dense
+        | _, g -> Vector.Sparse v.idx.(g))
     e
 
-(* [f ~start ~len] over [0, n), chunked on the pool when that pays *)
-let chunked n f =
-  let jobs = Pool.effective_jobs () in
-  if jobs > 1 && n >= par_threshold then
-    Array.to_list
-      (Pool.run
-         (Array.map
-            (fun (start, len) () -> f ~start ~len)
-            (Pool.chunks ~jobs n)))
-  else [ f ~start:0 ~len:n ]
-
-(* [col ⊕ const] over a row-aligned int column filters it in place; the
-   predicate has type-checked, so its column exists *)
-let select_range schema (v : Table.view) ~n pred ~start ~len =
+(* the rows of [v] that [pred] keeps. [col ⊕ const] over a row-aligned
+   int column filters it in place; the predicate has type-checked, so
+   its column exists *)
+let select_indices schema (v : Table.view) ~n pred =
   let in_place =
     match (pred : Expr.t) with
     | Expr.Cmp (op, Expr.Col c, Expr.Const (Value.Int k)) -> (
       match v.vcols.(Schema.index_of schema c) with
-      | { Column.data = Column.Ints a; _ }, -1 ->
-        Some (fast_int_filter a op k ~start ~len)
+      | { Column.data = Column.Ints a; _ }, -1 -> Some (fast_int_filter a op k)
       | _ -> None)
     | _ -> None
   in
   match in_place with
   | Some idx -> idx
   | None ->
-    mask_to_indices ~start
-      (Vector.to_mask ~length:len (eval_range schema v ~n ~start ~len pred))
+    mask_to_indices
+      (Vector.to_mask ~length:n (eval_view schema v ~n pred))
 
 let try_select t pred =
-  if not (Column.enabled ()) then None
+  if not (Column.enabled ()) then fallback "disabled"
   else begin
     let schema = Table.schema t in
-    if not (Vector.vectorizable schema pred) then None
+    if not (Vector.vectorizable schema pred) then fallback "not_vectorizable"
     else if Expr.infer schema pred <> Value.Tbool then
       (* row path raises per live row; let it *)
-      None
+      fallback "non_bool_predicate"
     else begin
       mark "select";
       let n = Table.row_count t in
       if n = 0 then Some t
       else begin
         let v = Table.parts t in
-        let keep =
-          Array.concat (chunked n (select_range schema v ~n pred))
-        in
+        let keep = select_indices schema v ~n pred in
         let kept = Array.length keep in
         (* nothing filtered: the view is shared as it is *)
         Some
@@ -127,7 +110,7 @@ let try_select t pred =
 (* ---- PROJECT ---- *)
 
 let try_project t names =
-  if not (Column.enabled ()) then None
+  if not (Column.enabled ()) then fallback "disabled"
   else begin
     let schema = Table.schema t in
     (* same Not_found as the row path on unknown columns *)
@@ -146,10 +129,10 @@ let try_project t names =
 let empty_column ty = Column.Builder.to_column (Column.Builder.create ty)
 
 let try_map_column t ~target ~expr =
-  if not (Column.enabled ()) then None
+  if not (Column.enabled ()) then fallback "disabled"
   else begin
     let schema = Table.schema t in
-    if not (Vector.vectorizable schema expr) then None
+    if not (Vector.vectorizable schema expr) then fallback "not_vectorizable"
     else begin
       mark "map";
       let ty = Expr.infer schema expr in
@@ -160,11 +143,7 @@ let try_map_column t ~target ~expr =
       let v = Table.parts (Table.settle t) in
       let new_col =
         if n = 0 then empty_column ty
-        else
-          Column.concat
-            (chunked n (fun ~start ~len ->
-                 Vector.to_column ~length:len
-                   (eval_range schema v ~n ~start ~len expr)))
+        else Vector.to_column ~length:n (eval_view schema v ~n expr)
       in
       let vcols =
         if Schema.mem schema target then begin
@@ -295,7 +274,7 @@ let int_keys (col : Column.t) =
 (* ---- JOIN ---- *)
 
 let try_join left right ~left_key ~right_key =
-  if not (Column.enabled ()) then None
+  if not (Column.enabled ()) then fallback "disabled"
   else begin
     let ls = Table.schema left and rs = Table.schema right in
     (* same Not_found as the row path on unknown keys *)
@@ -303,7 +282,8 @@ let try_join left right ~left_key ~right_key =
     and ri = Schema.index_of rs right_key in
     let lty = Schema.column_type ls left_key
     and rty = Schema.column_type rs right_key in
-    if lty <> rty || lty = Value.Tfloat then None
+    if lty <> rty then fallback "key_type_mismatch"
+    else if lty = Value.Tfloat then fallback "float_key"
     else begin
       mark "join";
       (* only the key columns are read, each coded off its base column
@@ -399,7 +379,7 @@ let try_join left right ~left_key ~right_key =
 (* ---- CROSS ---- *)
 
 let try_cross left right =
-  if not (Column.enabled ()) then None
+  if not (Column.enabled ()) then fallback "disabled"
   else begin
     (* same schema (and same clash error) as the row path *)
     let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
@@ -554,7 +534,7 @@ let aggregate ~gid ~reps ~counts (fn : Aggregate.fn) (src : Column.t option) =
   | _ -> invalid_arg "Columnar.aggregate: input does not fit the function"
 
 let try_group_by t ~keys ~aggs =
-  if not (Column.enabled ()) then None
+  if not (Column.enabled ()) then fallback "disabled"
   else begin
     let schema = Table.schema t in
     (* same Not_found as the row path on unknown keys or inputs *)
@@ -585,12 +565,13 @@ let try_group_by t ~keys ~aggs =
     (* keyless GROUP BY (one row even when empty), float keys (row-path
        NaN semantics), repeated keys (a duplicate output column) and
        SUM/AVG over non-numeric inputs (a schema error) stay on rows *)
-    if
-      keys = []
-      || List.length key_cols <> List.length kis
-      || List.length (List.sort_uniq Int.compare kis) <> List.length kis
-      || not (List.for_all2 (fun (a : Aggregate.t) -> summable a.fn) aggs srcs)
-    then None
+    if keys = [] then fallback "keyless_group_by"
+    else if List.length key_cols <> List.length kis then fallback "float_key"
+    else if List.length (List.sort_uniq Int.compare kis) <> List.length kis
+    then fallback "repeated_key"
+    else if
+      not (List.for_all2 (fun (a : Aggregate.t) -> summable a.fn) aggs srcs)
+    then fallback "non_numeric_agg"
     else begin
       mark "group_by";
       let n = Table.row_count t in

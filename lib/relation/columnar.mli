@@ -4,15 +4,24 @@
     the same name in {!Kernel}. It returns [Some table] — byte-identical
     to the row kernel's output: same schema, same rows, same order —
     when the columnar path applies, and [None] when the caller must fall
-    back to the row path. Fallback triggers are: the gate
-    ({!Column.enabled}) is off, the expression is not
-    {!Vector.vectorizable}, or the operator shape has row-path semantics
-    that column-at-a-time evaluation cannot reproduce exactly (float
-    join/group keys, whose NaN behavior under structural equality is
-    row-specific; keyless GROUP BY, which yields one row even over an
-    empty input; SUM/AVG over non-numeric inputs). Every fallback
-    counts [kernel.row.<kernel>] in {!Kernel}; every columnar run counts
-    [kernel.columnar.<kernel>].
+    back to the serial row path. Each refusal counts
+    [kernel.fallback.<reason>], one reason per refusal:
+    - [disabled]: the gate ({!Column.enabled}) is off;
+    - [not_vectorizable]: the expression is not {!Vector.vectorizable};
+    - [non_bool_predicate]: a SELECT predicate that is not boolean (the
+      row path raises on the first live row);
+    - [key_type_mismatch], [float_key]: join keys of two types, or a
+      float join/group key, whose NaN behavior under structural
+      equality is row-specific;
+    - [keyless_group_by]: GROUP BY with no keys, which yields one row
+      even over an empty input;
+    - [repeated_key]: a GROUP BY naming one key twice;
+    - [non_numeric_agg]: SUM/AVG over a non-numeric input.
+
+    {!Kernel} counts [kernel.row.<kernel>] for every fallback it runs,
+    so over a run the [kernel.fallback.*] counters sum to the
+    [kernel.row.*] ones; every columnar run counts
+    [kernel.columnar.<kernel>]. All of it is serial.
 
     Output is late-materialized ({!Table.view}): JOIN and CROSS return
     their inputs' column groups composed with the pair indices, SELECT
@@ -29,11 +38,6 @@
     predicates evaluated on live rows, [Division_by_zero]) propagate
     from here with identical payloads — never swallowed into [None]. *)
 
-(** Row count at or above which chunkable columnar kernels (select,
-    map_column) split across the {!Pool} domains. Re-exported by
-    {!Kernel.par_threshold}. *)
-val par_threshold : int
-
 val try_select : Table.t -> Expr.t -> Table.t option
 
 val try_project : Table.t -> string list -> Table.t option
@@ -46,9 +50,7 @@ val try_map_column :
     one bucket per key (a CSR layout), newest row first — the serial
     kernel's [Hashtbl.find_all] order — so probing in right-row order
     reproduces its output order. String keys map each distinct right
-    dictionary entry to a left code once, not per row. Runs serially at
-    every jobs setting, so jobs = 1 and jobs = 4 are trivially
-    identical. *)
+    dictionary entry to a left code once, not per row. *)
 val try_join :
   Table.t -> Table.t -> left_key:string -> right_key:string ->
   Table.t option

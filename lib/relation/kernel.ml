@@ -1,12 +1,3 @@
-(* ---- serial/parallel dispatch ----
-
-   Kernels run serially unless the domain pool is enabled (jobs > 1)
-   AND the input is large enough that chunking pays for itself. The
-   parallel variants in {!Par} are byte-identical to the serial paths,
-   so dispatch never changes an answer — only the wall clock. *)
-
-let par_threshold = Columnar.par_threshold
-
 (* single-pass filter: fill a scratch array, trim once at the end — the
    old [Array.of_seq (Seq.filter ...)] walked the rows twice and consed
    a closure chain per element *)
@@ -23,28 +14,10 @@ let filter_rows keep rows =
     rows;
   if !count = n then buf else Array.sub buf 0 !count
 
-let dispatch name ~rows serial parallel =
-  let jobs = Pool.effective_jobs () in
-  if jobs > 1 && rows >= par_threshold then begin
-    Obs.Trace.with_span
-      ~attrs:[ ("kernel", Obs.Trace.String name);
-               ("jobs", Obs.Trace.Int jobs);
-               ("rows", Obs.Trace.Int rows);
-               ("chunks",
-                Obs.Trace.Int (Array.length (Pool.chunks ~jobs rows))) ]
-      "kernel.par"
-    @@ fun () ->
-    Obs.Metrics.incr Obs.Metrics.default ("kernel.par." ^ name);
-    Obs.Metrics.observe Obs.Metrics.default "kernel.par.chunks"
-      (float_of_int (Array.length (Pool.chunks ~jobs rows)));
-    parallel ~jobs
-  end
-  else serial ()
-
 (* The hot kernels try the vectorized columnar path first; [None] means
-   "not expressible byte-identically in columns", and the row path —
-   serial or domain-pool chunked — runs instead, counted as
-   [kernel.row.<kernel>] (the columnar side counts
+   "not expressible byte-identically in columns" (the refusal counted
+   as [kernel.fallback.<reason>]), and the serial row path runs
+   instead, counted as [kernel.row.<kernel>] (the columnar side counts
    [kernel.columnar.<kernel>]). *)
 
 let row_path name = Obs.Metrics.incr Obs.Metrics.default ("kernel.row." ^ name)
@@ -53,67 +26,52 @@ let select t pred =
   match Columnar.try_select t pred with
   | Some r -> Table.settle r
   | None ->
-  row_path "select";
-  dispatch "select" ~rows:(Table.row_count t)
-    (fun () ->
-       let schema = Table.schema t in
-       let f = Expr.compile schema pred in
-       let keep row =
-         match f row with
-         | Value.Bool b -> b
-         | v ->
-           raise
-             (Expr.Type_error
-                (Printf.sprintf "SELECT predicate returned %s"
-                   (Value.to_string v)))
-       in
-       Table.create_unchecked schema (filter_rows keep (Table.rows t)))
-    (fun ~jobs -> Par.select ~jobs t pred)
+    row_path "select";
+    let schema = Table.schema t in
+    let f = Expr.compile schema pred in
+    let keep row =
+      match f row with
+      | Value.Bool b -> b
+      | v ->
+        raise
+          (Expr.Type_error
+             (Printf.sprintf "SELECT predicate returned %s"
+                (Value.to_string v)))
+    in
+    Table.create_unchecked schema (filter_rows keep (Table.rows t))
 
 let project t cols =
   match Columnar.try_project t cols with
   | Some r -> r
   | None ->
-  row_path "project";
-  dispatch "project" ~rows:(Table.row_count t)
-    (fun () ->
-       let schema = Table.schema t in
-       let idxs = Array.of_list (List.map (Schema.index_of schema) cols) in
-       let out_schema = Schema.restrict schema cols in
-       let rows =
-         Array.map (fun row -> Array.map (fun i -> row.(i)) idxs)
-           (Table.rows t)
-       in
-       Table.create_unchecked out_schema rows)
-    (fun ~jobs -> Par.project ~jobs t cols)
+    row_path "project";
+    let schema = Table.schema t in
+    let idxs = Array.of_list (List.map (Schema.index_of schema) cols) in
+    let out_schema = Schema.restrict schema cols in
+    Table.create_unchecked out_schema
+      (Array.map (fun row -> Array.map (fun i -> row.(i)) idxs) (Table.rows t))
 
 let map_column t ~target ~expr =
   match Columnar.try_map_column t ~target ~expr with
   | Some r -> r
   | None ->
-  row_path "map";
-  dispatch "map" ~rows:(Table.row_count t)
-    (fun () ->
-       let schema = Table.schema t in
-       let ty = Expr.infer schema expr in
-       let f = Expr.compile schema expr in
-       let out_schema =
-         Schema.with_column schema { Schema.name = target; ty }
-       in
-       let replace = Schema.mem schema target in
-       let idx = if replace then Schema.index_of schema target else -1 in
-       let transform row =
-         let v = f row in
-         if replace then begin
-           let row' = Array.copy row in
-           row'.(idx) <- v;
-           row'
-         end
-         else Array.append row [| v |]
-       in
-       Table.create_unchecked out_schema
-         (Array.map transform (Table.rows t)))
-    (fun ~jobs -> Par.map_column ~jobs t ~target ~expr)
+    row_path "map";
+    let schema = Table.schema t in
+    let ty = Expr.infer schema expr in
+    let f = Expr.compile schema expr in
+    let out_schema = Schema.with_column schema { Schema.name = target; ty } in
+    let replace = Schema.mem schema target in
+    let idx = if replace then Schema.index_of schema target else -1 in
+    let transform row =
+      let v = f row in
+      if replace then begin
+        let row' = Array.copy row in
+        row'.(idx) <- v;
+        row'
+      end
+      else Array.append row [| v |]
+    in
+    Table.create_unchecked out_schema (Array.map transform (Table.rows t))
 
 let rename_column t ~from_ ~to_ =
   let schema = Table.schema t in
@@ -163,10 +121,8 @@ let join left right ~left_key ~right_key =
   match Columnar.try_join left right ~left_key ~right_key with
   | Some r -> Table.settle r
   | None ->
-  row_path "join";
-  dispatch "join" ~rows:(Table.row_count left + Table.row_count right)
-    (fun () -> serial_join left right ~left_key ~right_key)
-    (fun ~jobs -> Par.join ~jobs left right ~left_key ~right_key)
+    row_path "join";
+    serial_join left right ~left_key ~right_key
 
 let right_keep_info right ~right_key =
   let rs = Table.schema right in
@@ -245,16 +201,16 @@ let cross_join left right =
   match Columnar.try_cross left right with
   | Some r -> Table.settle r
   | None ->
-  row_path "cross";
-  let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
-  let out = ref [] in
-  Array.iter
-    (fun lrow ->
-       Array.iter
-         (fun rrow -> out := Array.append lrow rrow :: !out)
-         (Table.rows right))
-    (Table.rows left);
-  Table.create_unchecked out_schema (Array.of_list (List.rev !out))
+    row_path "cross";
+    let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
+    let out = ref [] in
+    Array.iter
+      (fun lrow ->
+         Array.iter
+           (fun rrow -> out := Array.append lrow rrow :: !out)
+           (Table.rows right))
+      (Table.rows left);
+    Table.create_unchecked out_schema (Array.of_list (List.rev !out))
 
 let check_union_compatible a b =
   if not (Schema.equal (Table.schema a) (Table.schema b)) then
@@ -385,15 +341,8 @@ let group_by t ~keys ~aggs =
   match Columnar.try_group_by t ~keys ~aggs with
   | Some r -> r
   | None ->
-  row_path "group_by";
-  let mergeable =
-    List.for_all (Par.exactly_mergeable (Table.schema t)) aggs
-  in
-  if not mergeable then serial_group_by t ~keys ~aggs
-  else
-    dispatch "group_by" ~rows:(Table.row_count t)
-      (fun () -> serial_group_by t ~keys ~aggs)
-      (fun ~jobs -> Par.group_by ~jobs t ~keys ~aggs)
+    row_path "group_by";
+    serial_group_by t ~keys ~aggs
 
 let top_k t ~by ~descending ~k =
   (* one sort with the final comparator, then a prefix slice — the old

@@ -8,18 +8,12 @@
 
     The hot kernels (select, project, map_column, join, cross_join,
     group_by) try the vectorized {!Columnar} path first. When it does
-    not apply they run the row path and count [kernel.row.<kernel>]
-    (with [map] for map_column and [cross] for cross_join). The row
-    paths of all but cross_join dispatch to the {!Par} domain-pool
-    variants when [Pool.effective_jobs () > 1] and the input is large
-    enough; the parallel paths are byte-identical to the serial ones (see
-    docs/parallelism.md), so dispatch never changes an answer. GROUP BY
-    only parallelizes when every aggregation is
-    {!Par.exactly_mergeable} — float SUM/AVG always runs serially. *)
-
-(** Row count at or above which the hot kernels go parallel when the
-    pool has more than one domain. *)
-val par_threshold : int
+    not apply they run the serial row path and count
+    [kernel.row.<kernel>] (with [map] for map_column and [cross] for
+    cross_join), next to the [kernel.fallback.<reason>] that
+    {!Columnar} counted for the refusal. Every kernel is serial: the
+    row path is the one reference the columnar path is checked
+    against, and the last-resort fallback. *)
 
 val select : Table.t -> Expr.t -> Table.t
 

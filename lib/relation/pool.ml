@@ -1,158 +1,7 @@
-(* A lazily-spawned pool of worker domains shared by every parallel
-   kernel. Workers are spawned on first use, grow on demand up to the
-   requested parallelism, and live for the rest of the process (they
-   block on the task queue between batches).
+(* Kernels are serial; see pool.mli for why these names remain. *)
 
-   Only the main domain submits batches; workers never re-enter [run],
-   so nested parallelism degrades to serial execution instead of
-   deadlocking. *)
+type stats = { batches : int; tasks : int }
 
-let parse_jobs s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
+let with_jobs _ f = f ()
 
-let env_jobs () = Option.bind (Sys.getenv_opt "MUSKETEER_JOBS") parse_jobs
-
-(* one domain stays reserved for the orchestrating main domain *)
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
-
-let override : int option ref = ref None (* --jobs *)
-let scoped : int option ref = ref None (* with_jobs *)
-let cap = ref max_int (* with_cap *)
-
-let set_jobs n = override := Option.map (max 1) n
-
-let configured_jobs () =
-  match !scoped with
-  | Some n -> n
-  | None -> (
-    match !override with
-    | Some n -> n
-    | None -> (
-      match env_jobs () with Some n -> n | None -> default_jobs ()))
-
-let effective_jobs () = max 1 (min (configured_jobs ()) !cap)
-
-let with_jobs n f =
-  let old = !scoped in
-  scoped := Some (max 1 n);
-  Fun.protect ~finally:(fun () -> scoped := old) f
-
-let with_cap n f =
-  let old = !cap in
-  cap := max 1 (min old n);
-  Fun.protect ~finally:(fun () -> cap := old) f
-
-(* ---- the worker pool ---- *)
-
-let queue : (unit -> unit) Queue.t = Queue.create ()
-let qm = Mutex.create ()
-let qc = Condition.create ()
-let spawned = ref 0 (* worker domains alive; written under [qm] *)
-let main_domain = Domain.self ()
-
-(* OCaml caps the live domain count at 128; stay well below it *)
-let max_workers = 64
-
-type stats = {
-  domains : int;   (** worker domains spawned so far *)
-  batches : int;   (** parallel batches submitted *)
-  tasks : int;     (** tasks executed across all batches *)
-}
-
-let batches = Atomic.make 0
-let tasks_run = Atomic.make 0
-
-let stats () =
-  { domains = !spawned; batches = Atomic.get batches;
-    tasks = Atomic.get tasks_run }
-
-let rec worker_loop () =
-  Mutex.lock qm;
-  while Queue.is_empty queue do
-    Condition.wait qc qm
-  done;
-  let task = Queue.pop queue in
-  Mutex.unlock qm;
-  task ();
-  worker_loop ()
-
-let ensure_workers wanted =
-  let wanted = min wanted max_workers in
-  if !spawned < wanted then begin
-    Mutex.lock qm;
-    while !spawned < wanted do
-      incr spawned;
-      ignore (Domain.spawn worker_loop)
-    done;
-    Mutex.unlock qm
-  end
-
-let run (tasks : (unit -> 'a) array) : 'a array =
-  let n = Array.length tasks in
-  if n <= 1 || not (Domain.self () = main_domain) then
-    Array.map (fun f -> f ()) tasks
-  else begin
-    Atomic.incr batches;
-    ignore (Atomic.fetch_and_add tasks_run n);
-    ensure_workers (n - 1);
-    let results : 'a option array = Array.make n None in
-    let failed : exn option ref = ref None in
-    let remaining = ref (n - 1) in
-    let bm = Mutex.create () and bc = Condition.create () in
-    let run_task i =
-      match tasks.(i) () with
-      | v -> results.(i) <- Some v
-      | exception e ->
-        Mutex.lock bm;
-        (match !failed with None -> failed := Some e | Some _ -> ());
-        Mutex.unlock bm
-    in
-    Mutex.lock qm;
-    for i = 1 to n - 1 do
-      Queue.push
-        (fun () ->
-           run_task i;
-           Mutex.lock bm;
-           decr remaining;
-           if !remaining = 0 then Condition.broadcast bc;
-           Mutex.unlock bm)
-        queue
-    done;
-    Condition.broadcast qc;
-    Mutex.unlock qm;
-    run_task 0;
-    (* help drain the queue instead of idling until the workers finish;
-       only the main domain enqueues, so every queued task is ours *)
-    let rec steal () =
-      Mutex.lock qm;
-      match Queue.take_opt queue with
-      | Some task ->
-        Mutex.unlock qm;
-        task ();
-        steal ()
-      | None -> Mutex.unlock qm
-    in
-    steal ();
-    Mutex.lock bm;
-    while !remaining > 0 do
-      Condition.wait bc bm
-    done;
-    Mutex.unlock bm;
-    (match !failed with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* ---- chunking ---- *)
-
-let chunks ~jobs n =
-  if n <= 0 then [||]
-  else begin
-    let jobs = max 1 (min jobs n) in
-    let base = n / jobs and extra = n mod jobs in
-    Array.init jobs (fun i ->
-        let start = (i * base) + min i extra in
-        let len = base + if i < extra then 1 else 0 in
-        (start, len))
-  end
+let stats () = { batches = 0; tasks = 0 }

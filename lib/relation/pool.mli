@@ -1,62 +1,17 @@
-(** A reusable, lazily-spawned domain pool for the parallel kernels.
+(** Two names the repository benchmark ([perfbench/bench.ml]) calls.
 
-    The pool's size (the {e jobs} count) is the number of domains that
-    cooperate on a parallel kernel, including the calling domain.
-    It resolves, in order of precedence, from: a {!with_jobs} scope, the
-    {!set_jobs} override (the CLI's [--jobs]), the [MUSKETEER_JOBS]
-    environment variable, and finally
-    [Domain.recommended_domain_count () - 1] (one domain stays reserved
-    for the orchestrator). A {!with_cap} scope bounds the result from
-    above — engines use it so a kernel never exceeds the simulated
-    worker count of the back-end it models.
-
-    [jobs = 1] means strictly serial execution: no domain is ever
-    spawned and kernels take their exact sequential code path, so a
-    serial run is bit-for-bit the pre-parallelism behavior.
-
-    Worker domains are spawned on first parallel use, grow on demand,
-    and then idle on the task queue between batches; they are never
-    joined. Only the main domain may submit work — {!run} called from a
-    worker (nested parallelism) degrades to in-place serial execution
-    rather than deadlocking. *)
-
-(** [set_jobs (Some n)] overrides the environment/default jobs count
-    (clamped to [>= 1]); [set_jobs None] restores it. *)
-val set_jobs : int option -> unit
-
-(** The jobs count before capping: scope override, [set_jobs] value,
-    [MUSKETEER_JOBS], or the machine default, in that order. *)
-val configured_jobs : unit -> int
-
-(** The parallelism kernels should actually use:
-    [max 1 (min (configured_jobs ()) cap)]. *)
-val effective_jobs : unit -> int
-
-(** [with_jobs n f] runs [f] with the jobs count forced to [n] (still
-    subject to {!with_cap}). Restores the previous value on exit. *)
-val with_jobs : int -> (unit -> 'a) -> 'a
-
-(** [with_cap n f] runs [f] with parallelism bounded above by [n]; caps
-    nest by taking the minimum. *)
-val with_cap : int -> (unit -> 'a) -> 'a
-
-(** [run tasks] executes every task, in parallel when the pool has
-    workers available, and returns their results in task order. The
-    calling domain participates (it runs task 0 first, then steals
-    queued tasks). If any task raises, the first recorded exception is
-    re-raised after all tasks finish. *)
-val run : (unit -> 'a) array -> 'a array
-
-(** [chunks ~jobs n] splits [0..n-1] into at most [jobs] contiguous
-    [(start, length)] ranges whose concatenation, in order, is exactly
-    [0..n-1]; [[||]] when [n = 0]. Chunk sizes differ by at most one. *)
-val chunks : jobs:int -> int -> (int * int) array
+    Every relational kernel runs serially, so there is no domain pool
+    behind them: {!with_jobs} only runs its function and {!stats}
+    counts nothing. Nothing outside [perfbench/] may call them; they
+    go at the next change to that benchmark. *)
 
 type stats = {
-  domains : int;   (** worker domains spawned so far *)
-  batches : int;   (** parallel batches submitted *)
-  tasks : int;     (** tasks executed across all batches *)
+  batches : int;  (** always 0 *)
+  tasks : int;    (** always 0 *)
 }
 
-(** Process-lifetime pool telemetry (for the observability gauges). *)
+(** [with_jobs n f] is [f ()]; [n] is ignored. *)
+val with_jobs : int -> (unit -> 'a) -> 'a
+
+(** Zero counts. *)
 val stats : unit -> stats

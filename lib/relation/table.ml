@@ -328,54 +328,12 @@ let compare_rows a b =
   in
   go 0
 
-(* Rows below this count sort serially even when the pool has workers:
-   chunking tiny arrays costs more than it saves. *)
-let par_sort_threshold = 2048
-
-(* Stable k-way merge of sorted chunks; on ties the lowest chunk index
-   wins, so merging index-ordered chunks reproduces a global stable
-   sort exactly. Chunk counts are small (= jobs), so the linear scan
-   over heads beats a heap. *)
-let merge_sorted cmp (chunks : Value.t array array array) =
-  let k = Array.length chunks in
-  let idx = Array.make k 0 in
-  let total = Array.fold_left (fun s c -> s + Array.length c) 0 chunks in
-  let out = Array.make total [||] in
-  for o = 0 to total - 1 do
-    let best = ref (-1) in
-    for c = 0 to k - 1 do
-      if
-        idx.(c) < Array.length chunks.(c)
-        && (!best < 0
-            || cmp chunks.(c).(idx.(c)) chunks.(!best).(idx.(!best)) < 0)
-      then best := c
-    done;
-    out.(o) <- chunks.(!best).(idx.(!best));
-    idx.(!best) <- idx.(!best) + 1
-  done;
-  out
-
-(* Stable sort of [rows] under [cmp]; parallel (per-chunk stable sort +
-   stable k-way merge) when the pool allows it. Both paths realize the
-   same total order — keys first, original row position on ties — so
-   serial and parallel output are byte-identical. *)
+(* Stable sort of [rows] under [cmp]: keys first, original row
+   position on ties. *)
 let sort_rows_with cmp rows =
-  let n = Array.length rows in
-  let jobs = Pool.effective_jobs () in
-  if jobs <= 1 || n < par_sort_threshold then begin
-    let copy = Array.copy rows in
-    Array.stable_sort cmp copy;
-    copy
-  end
-  else
-    merge_sorted cmp
-      (Pool.run
-         (Array.map
-            (fun (start, len) () ->
-               let chunk = Array.sub rows start len in
-               Array.stable_sort cmp chunk;
-               chunk)
-            (Pool.chunks ~jobs n)))
+  let copy = Array.copy rows in
+  Array.stable_sort cmp copy;
+  copy
 
 let sorted_rows t = sort_rows_with compare_rows (rows t)
 

@@ -133,12 +133,11 @@ val of_csv : Schema.t -> string -> t
 (** [sort_by t names] sorts rows lexicographically by the given columns
     (descending on every column with [~descending:true]). The sort is
     stable — rows equal on the key columns keep their original relative
-    order — which makes the output unique, so the serial and parallel
-    (chunk sort + k-way merge) paths are byte-identical. *)
+    order — which makes the output unique, so the columnar and row
+    paths are byte-identical. *)
 val sort_by : ?descending:bool -> t -> string list -> t
 
-(** [sort_with t cmp] stable-sorts rows under an arbitrary comparator
-    (parallel when the {!Pool} allows it). *)
+(** [sort_with t cmp] stable-sorts rows under an arbitrary comparator. *)
 val sort_with : t -> (Value.t array -> Value.t array -> int) -> t
 
 val pp : Format.formatter -> t -> unit

@@ -6,7 +6,7 @@ type vec =
   | VConst of Value.t
 
 type sel =
-  | Dense of int * int
+  | Dense
   | Sparse of int array
 
 (* ---- vectorizability ----
@@ -256,8 +256,7 @@ let bool_binop ~len ~conj a b =
 let read_column (col : Column.t) sel =
   let col =
     match sel with
-    | Dense (0, len) when len = Column.length col -> col
-    | Dense (start, len) -> Column.gather col (Array.init len (( + ) start))
+    | Dense -> col
     | Sparse idx -> Column.gather col idx
   in
   match col.Column.data with

@@ -24,11 +24,11 @@ type vec =
   | VStr of string array
   | VConst of Value.t  (** same scalar in every slot *)
 
-(** Which slots of a backing column an evaluation reads:
-    [Dense (start, len)] is the contiguous range (chunked kernels),
-    [Sparse idx] a row-index vector (a view's group index). *)
+(** Which slots of a backing column an evaluation reads: [Dense] is
+    the whole column, already row-aligned; [Sparse idx] a row-index
+    vector (a view's group index). *)
 type sel =
-  | Dense of int * int
+  | Dense
   | Sparse of int array
 
 (** [vectorizable schema e] — can [e] be evaluated column-at-a-time

@@ -146,9 +146,9 @@ let gen_rows rng =
 
 let print_row (k, v) = Printf.sprintf "(%d,%d)" k v
 
-(* kv row lists biased toward the parallel kernels' edge cases: empty
-   tables, single rows, all-equal keys (one partition gets everything),
-   and tables wide enough to span several chunks at jobs=4 *)
+(* kv row lists biased toward the kernels' edge cases: empty tables,
+   single rows, all-equal keys (one group gets everything), and tables
+   of a few hundred rows *)
 let gen_edge_rows rng =
   match Rng.int rng 5 with
   | 0 -> []
@@ -395,9 +395,9 @@ let straggler_plan_arbitrary =
    value type. Cardinalities are drawn from {1, 10, 10_000}: 1 forces
    all-equal dictionary keys, 10 forces heavy dictionary sharing, 10k
    approaches all-distinct. Row counts are biased toward the kernels'
-   edge cases (empty, single row) and include tables past the 512-row
-   parallel threshold so jobs=2/4 actually chunk. Float cells include
-   NaN, +/-inf and -0. so byte-identity covers the non-total orders. *)
+   edge cases (empty, single row) and include tables of 600-1600 rows.
+   Float cells include NaN, +/-inf and -0. so byte-identity covers the
+   non-total orders. *)
 
 type table_shape = {
   sh_rows : int;
@@ -459,7 +459,7 @@ let gen_shape rng =
     | 1 -> 1
     | 2 -> 2 + Rng.int rng 60
     | 3 -> 100 + Rng.int rng 300
-    | _ -> 600 + Rng.int rng 1000 (* past par_threshold: chunked at jobs>1 *)
+    | _ -> 600 + Rng.int rng 1000
   in
   let extra =
     List.init (Rng.int rng 12) (fun _ ->

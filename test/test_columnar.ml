@@ -9,12 +9,11 @@
      Qcheck_lite.shape_arbitrary table shapes);
    - differential: every vectorized kernel (select / project / map /
      join / group_by / sort, plus fused chains) produces byte-identical
-     CSV to the row engine with the columnar gate off, at jobs 1, 2
-     and 4;
+     CSV to the row engine with the columnar gate off;
    - regression: the three kernels that regressed during the columnar
      bring-up (group_by, project, join) are pinned on a checked-in
-     4096-row fixture at jobs=4, with a Gc.allocated_bytes bound that
-     fails if any of them silently falls back to per-row boxing. *)
+     4096-row fixture, with a Gc.allocated_bytes bound that fails if
+     any of them silently falls back to per-row boxing. *)
 
 open Relation
 
@@ -173,31 +172,6 @@ let test_gather_reencodes_dict () =
   check "idx order" true
     (Column.to_values g2 = [| Value.Str "c"; Value.Str "a"; Value.Str "c" |])
 
-let test_concat_merges_dicts () =
-  let a =
-    Column.of_values Value.Tstring [| Value.Str "x"; Value.Str "y" |]
-  in
-  let b =
-    Column.of_values Value.Tstring
-      [| Value.Str "y"; Value.Str "z"; Value.Str "x" |]
-  in
-  let c = Column.concat [ a; b ] in
-  check "length" true (Column.length c = 5);
-  check "first-appearance merge" true (Column.dictionary_size c = Some 3);
-  check "values" true
-    (Column.to_values c
-     = [| Value.Str "x"; Value.Str "y"; Value.Str "y"; Value.Str "z";
-          Value.Str "x" |]);
-  (* append with validity: null positions survive the merge *)
-  let n =
-    Column.of_options Value.Tint [| Some (Value.Int 1); None |]
-  in
-  let m = Column.append n n in
-  check "validity appended" true
-    (Column.valid_at m 0 && (not (Column.valid_at m 1))
-     && Column.valid_at m 2
-     && not (Column.valid_at m 3))
-
 let test_builder_growth () =
   let b = Column.Builder.create ~capacity:1 Value.Tint in
   for i = 0 to 999 do
@@ -275,25 +249,16 @@ let test_prop_column_roundtrip_nulls () =
 
 (* ---- satellite: kernel differential property ----
 
-   Reference = the row engine (columnar gate off) at jobs=1. The
-   columnar path must match its CSV byte-for-byte at jobs 1, 2 and 4 —
-   including the kernels' deliberate fallbacks (float keys, keyless
-   GROUP BY, SUM/AVG over non-numeric inputs), which take the row path
-   and are identical by construction. *)
+   Reference = the row engine (columnar gate off). The columnar path
+   must match its CSV byte-for-byte — including the kernels' deliberate
+   fallbacks (float keys, keyless GROUP BY, SUM/AVG over non-numeric
+   inputs), which take the row path and are identical by
+   construction. *)
 
-let jobs_matrix = [ 1; 2; 4 ]
-
-let row_reference f = Column.with_enabled false (fun () -> Pool.with_jobs 1 f)
+let row_reference f = Column.with_enabled false f
 
 let columnar_matches f =
-  let expect = Table.to_csv (row_reference f) in
-  List.for_all
-    (fun jobs ->
-       let got =
-         Column.with_enabled true (fun () -> Pool.with_jobs jobs f)
-       in
-       Table.to_csv got = expect)
-    jobs_matrix
+  Table.to_csv (Column.with_enabled true f) = Table.to_csv (row_reference f)
 
 let first_col_of_ty t ty =
   List.find_map
@@ -390,7 +355,31 @@ let test_prop_kernel_differential () =
                    ~aggs:[ Aggregate.make Aggregate.Count ~as_name:"n" ]) ]
           | None -> []
         in
-        List.for_all columnar_matches (kernels @ typed @ multi_keyed))
+        List.for_all columnar_matches (kernels @ typed @ multi_keyed));
+    (* the (k, v) edge tables: empty, one row, all-equal keys *)
+    Qcheck_lite.check ~count:40 ~seed ~name:"columnar == row engine, edges"
+      Qcheck_lite.edge_rows_pair_arbitrary (fun (rows_l, rows_r) ->
+        let t = Qcheck_lite.table_of_rows rows_l
+        and right = Qcheck_lite.table_of_rows rows_r in
+        List.for_all columnar_matches
+          [ (fun () -> Kernel.select t Expr.(col "v" > int 50));
+            (fun () -> Kernel.project t [ "v" ]);
+            (fun () ->
+               Kernel.map_column t ~target:"v" ~expr:Expr.(col "v" + int 1));
+            (fun () -> Kernel.join t right ~left_key:"k" ~right_key:"k");
+            (* a key-only right side: the output schema is the left one *)
+            (fun () ->
+               Kernel.join t (Kernel.project right [ "k" ]) ~left_key:"k"
+                 ~right_key:"k");
+            (fun () ->
+               Kernel.group_by t ~keys:[ "k" ]
+                 ~aggs:
+                   Aggregate.
+                     [ make (Sum "v") ~as_name:"s"; make Count ~as_name:"n";
+                       make (Min "v") ~as_name:"lo";
+                       make (Max "v") ~as_name:"hi";
+                       make (Avg "v") ~as_name:"m";
+                       make (First "v") ~as_name:"f" ]) ])
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* shapes for kernels whose output grows with rows x rows *)
@@ -485,7 +474,7 @@ let test_extreme_and_missing_keys () =
   in
   List.iter
     (fun (name, f) ->
-       Alcotest.(check bool) (name ^ " byte-identical, jobs 1/2/4") true
+       Alcotest.(check bool) (name ^ " byte-identical") true
          (columnar_matches f))
     cases;
   (* a repeated key is a duplicate output column: both paths reject it *)
@@ -502,10 +491,8 @@ let test_extreme_and_missing_keys () =
 let test_zoo_kernels_columnar () =
   let run graph bindings =
     Column.with_enabled true (fun () ->
-        Pool.with_jobs 1 (fun () ->
-            ignore
-              (Ir.Interp.outputs ~store:(Ir.Interp.store_of_list bindings)
-                 graph)))
+        ignore
+          (Ir.Interp.outputs ~store:(Ir.Interp.store_of_list bindings) graph))
   in
   let counter name = Obs.Metrics.counter Obs.Metrics.default name in
   let kernels = [ "group_by"; "join"; "cross" ] in
@@ -529,6 +516,39 @@ let test_zoo_kernels_columnar () =
          (counter ("kernel.columnar." ^ k) - List.nth col0 i > 0))
     kernels
 
+(* Every row-path run of a hot kernel has one counted refusal: over
+   planned runs of the NetFlix, k-means, TPC-H and PageRank workflows
+   (fused chains included), the [kernel.fallback.<reason>] counters sum
+   to the [kernel.row.<kernel>] ones. *)
+let test_fallbacks_account_for_row_runs () =
+  let sum prefix =
+    List.fold_left
+      (fun s (name, n) -> if String.starts_with ~prefix name then s + n else s)
+      0
+      (Obs.Metrics.counters Obs.Metrics.default)
+  in
+  let fallback0 = sum "kernel.fallback." and row0 = sum "kernel.row." in
+  let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
+  List.iter
+    (fun (name, hdfs, graph) ->
+       match Musketeer.execute m ~workflow:name ~hdfs graph with
+       | Ok _ -> ()
+       | Error e ->
+         Alcotest.fail (name ^ ": " ^ Engines.Report.error_to_string e))
+    [ ("netflix", Experiments.Common.load_netflix ~movies:8000,
+       Workloads.Workflows.netflix ());
+      ("kmeans", Experiments.Common.load_kmeans ~points:100_000_000 ~k:100,
+       Workloads.Workflows.kmeans ());
+      ("tpch", Experiments.Common.load_tpch ~scale_factor:10,
+       Workloads.Workflows.tpch_q17 ());
+      ("pagerank", Experiments.Common.load_graph Workloads.Datagen.orkut,
+       Workloads.Workflows.pagerank_gas ()) ];
+  let rows = sum "kernel.row." - row0 in
+  (* TPC-H's keyless AGG always refuses, so the sums are never 0 = 0 *)
+  Alcotest.(check bool) "some row runs" true (rows > 0);
+  Alcotest.(check int) "fallbacks = row runs" rows
+    (sum "kernel.fallback." - fallback0)
+
 (* fused chains are SELECT/MAP/SELECT/PROJECT kernels over one view:
    run over a plain table and over a filtered view, with the columnar
    path on and off, they are byte-identical to the row engine *)
@@ -549,16 +569,10 @@ let test_prop_fused_differential () =
           (fun src ->
              let expect = Table.to_csv (row_reference (chain src)) in
              List.for_all
-               (fun jobs ->
-                  List.for_all
-                    (fun columnar ->
-                       let got =
-                         Column.with_enabled columnar (fun () ->
-                             Pool.with_jobs jobs (chain src))
-                       in
-                       Table.to_csv got = expect)
-                    [ true; false ])
-               jobs_matrix)
+               (fun columnar ->
+                  let got = Column.with_enabled columnar (chain src) in
+                  Table.to_csv got = expect)
+               [ true; false ])
           [ (fun () -> t); (fun () -> Kernel.select t Expr.(col "k" < int 9)) ])
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
@@ -567,7 +581,7 @@ let test_prop_fused_differential () =
    JOIN and CROSS return views over their inputs' columns; SELECT,
    PROJECT, MAP, GROUP BY and JOIN then read through the views. Every
    chain below starts at a view and must match the row engine byte for
-   byte at jobs 1, 2 and 4. *)
+   byte. *)
 
 let first_cols_of_ty t ty =
   List.filter_map
@@ -771,7 +785,6 @@ let test_zoo_views_stay_lazy () =
   List.iter
     (fun (name, graph, bindings) ->
        Column.with_enabled true @@ fun () ->
-       Pool.with_jobs 1 @@ fun () ->
        let before = materialized () in
        let outputs =
          Ir.Interp.outputs ~store:(Ir.Interp.store_of_list bindings) graph
@@ -831,8 +844,8 @@ let test_stores_hold_no_view () =
 
    group_by, project and join regressed during the columnar bring-up
    (closure-per-element inner loops, boxed gathers); this pins them on
-   a checked-in fixture at jobs=4, plus an allocation bound that fails
-   if a kernel starts boxing per row again. *)
+   a checked-in fixture, plus an allocation bound that fails if a
+   kernel starts boxing per row again. *)
 
 let fixture_schema =
   Schema.make
@@ -879,18 +892,13 @@ let fixture_kernels t =
         Kernel.join t (Lazy.force fixture_dims) ~left_key:"k"
           ~right_key:"k") ]
 
-let test_fixture_identity_jobs4 () =
+let test_fixture_identity () =
   let t = load_fixture () in
   Alcotest.(check int) "fixture rows" 4096 (Table.row_count t);
   List.iter
     (fun (name, f) ->
-       let expect = Table.to_csv (row_reference f) in
-       let got =
-         Column.with_enabled true (fun () -> Pool.with_jobs 4 f)
-       in
-       Alcotest.(check bool)
-         (name ^ " columnar jobs=4 byte-identical") true
-         (Table.to_csv got = expect))
+       Alcotest.(check bool) (name ^ " columnar byte-identical") true
+         (columnar_matches f))
     (fixture_kernels t)
 
 (* Per-row allocation budgets, in bytes per input row. The columnar
@@ -911,23 +919,21 @@ let test_fixture_alloc_bound () =
     (fun (name, f) ->
        let budget = List.assoc name alloc_budgets in
        Column.with_enabled true (fun () ->
-           Pool.with_jobs 4 (fun () ->
-               ignore (f ()); (* warm up: one-time lazies out of the way *)
-               (* min over repetitions: a single run is noisy (one-off
-                  hashtable resizes, pool scheduling) and flakes *)
-               let min_delta = ref infinity in
-               for _ = 1 to 5 do
-                 let before = Gc.allocated_bytes () in
-                 ignore (Sys.opaque_identity (f ()));
-                 let delta = Gc.allocated_bytes () -. before in
-                 if delta < !min_delta then min_delta := delta
-               done;
-               let per_row = !min_delta /. n in
-               Alcotest.(check bool)
-                 (Printf.sprintf
-                    "%s allocates %.1f B/row (budget %.0f)" name per_row
-                    budget)
-                 true (per_row <= budget))))
+           ignore (f ()); (* warm up: one-time lazies out of the way *)
+           (* min over repetitions: a single run is noisy (one-off
+              hashtable resizes) and flakes *)
+           let min_delta = ref infinity in
+           for _ = 1 to 5 do
+             let before = Gc.allocated_bytes () in
+             ignore (Sys.opaque_identity (f ()));
+             let delta = Gc.allocated_bytes () -. before in
+             if delta < !min_delta then min_delta := delta
+           done;
+           let per_row = !min_delta /. n in
+           Alcotest.(check bool)
+             (Printf.sprintf "%s allocates %.1f B/row (budget %.0f)" name
+                per_row budget)
+             true (per_row <= budget)))
     (fixture_kernels t)
 
 (* ---- satellite: dictionary-aware sizing ---- *)
@@ -1002,8 +1008,6 @@ let () =
           Alcotest.test_case "NaN and infinities" `Quick test_nan_inf_floats;
           Alcotest.test_case "gather re-encodes dict" `Quick
             test_gather_reencodes_dict;
-          Alcotest.test_case "concat merges dicts" `Quick
-            test_concat_merges_dicts;
           Alcotest.test_case "builder growth" `Quick test_builder_growth;
           Alcotest.test_case "compare_at semantics" `Quick
             test_compare_at_matches_value_compare;
@@ -1022,6 +1026,8 @@ let () =
             test_extreme_and_missing_keys;
           Alcotest.test_case "netflix and k-means stay columnar" `Quick
             test_zoo_kernels_columnar;
+          Alcotest.test_case "fallbacks account for row runs" `Quick
+            test_fallbacks_account_for_row_runs;
           Alcotest.test_case "view chains, jobs 1/2/4" `Quick
             test_prop_view_chains;
           Alcotest.test_case "view bytes = materialized bytes" `Quick
@@ -1036,7 +1042,7 @@ let () =
             test_prop_fused_differential ] );
       ( "regression",
         [ Alcotest.test_case "4k fixture byte-identity at jobs=4" `Quick
-            test_fixture_identity_jobs4;
+            test_fixture_identity;
           Alcotest.test_case "4k fixture allocation bound" `Quick
             test_fixture_alloc_bound ] );
       ( "sizing",

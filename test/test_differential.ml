@@ -91,97 +91,12 @@ let test_all_engines_admit_simple () =
       Engines.Backend.Naiad; Engines.Backend.Metis;
       Engines.Backend.Serial_c ]
 
-(* ---- parallel kernels are byte-identical to serial ----
-
-   The serial reference runs under [Pool.with_jobs 1] (the exact
-   pre-parallelism code path); each Par kernel is then pinned to
-   jobs ∈ {1, 2, 4} and its raw CSV — order-sensitive, not sorted —
-   must match byte for byte. Generated inputs include empty tables,
-   single rows and all-equal keys. *)
-
-let par_jobs_levels = [ 1; 2; 4 ]
-
-let par_pred = Relation.Expr.(col "v" > int 50)
-
-let par_aggs =
-  Relation.Aggregate.
-    [ make (Sum "v") ~as_name:"s"; make Count ~as_name:"n";
-      make (Min "v") ~as_name:"lo"; make (Max "v") ~as_name:"hi";
-      make (Avg "v") ~as_name:"m" ]
-
-let par_kernels_agree (rows_l, rows_r) =
-  let open Relation in
-  let left = Qcheck_lite.table_of_rows rows_l in
-  let right = Qcheck_lite.table_of_rows rows_r in
-  let expect name reference jobs actual =
-    if Table.to_csv reference <> Table.to_csv actual then
-      failwith
-        (Printf.sprintf "%s: jobs=%d output differs from serial" name jobs)
-  in
-  let serial f = Pool.with_jobs 1 f in
-  let s_select = serial (fun () -> Kernel.select left par_pred) in
-  let s_project = serial (fun () -> Kernel.project left [ "v" ]) in
-  let s_map =
-    serial (fun () ->
-        Kernel.map_column left ~target:"v" ~expr:Expr.(col "v" + int 1))
-  in
-  let s_join =
-    serial (fun () -> Kernel.join left right ~left_key:"k" ~right_key:"k")
-  in
-  let s_group =
-    serial (fun () -> Kernel.group_by left ~keys:[ "k" ] ~aggs:par_aggs)
-  in
-  List.iter
-    (fun jobs ->
-       expect "select" s_select jobs (Par.select ~jobs left par_pred);
-       expect "project" s_project jobs (Par.project ~jobs left [ "v" ]);
-       expect "map" s_map jobs
-         (Par.map_column ~jobs left ~target:"v"
-            ~expr:Expr.(col "v" + int 1));
-       expect "join" s_join jobs
-         (Par.join ~jobs left right ~left_key:"k" ~right_key:"k");
-       expect "group_by" s_group jobs
-         (Par.group_by ~jobs left ~keys:[ "k" ] ~aggs:par_aggs))
-    par_jobs_levels;
-  true
-
-let test_par_kernels_agree () =
-  try
-    Qcheck_lite.check ~count:40 ~seed ~name:"parallel = serial"
-      Qcheck_lite.edge_rows_pair_arbitrary par_kernels_agree
-  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
-
-(* whole pipelines (plan + engine execution) must also be jobs-invariant:
-   the same workflow run at jobs ∈ {1, 2, 4} yields byte-identical
-   output relations *)
-let test_pipeline_jobs_invariant () =
-  let spec =
-    { Qcheck_lite.rows =
-        List.init 600 (fun i -> (i mod 13, (i * 37) mod 100));
-      ops =
-        [ Qcheck_lite.Map_add 5; Qcheck_lite.Select_gt 20;
-          Qcheck_lite.Group_sum ] }
-  in
-  let at_jobs jobs =
-    Relation.Pool.with_jobs jobs (fun () ->
-        match run_on Engines.Backend.Spark spec with
-        | Some t -> Relation.Table.to_csv t
-        | None -> Alcotest.fail "Spark rejected the pipeline")
-  in
-  let reference = at_jobs 1 in
-  List.iter
-    (fun jobs ->
-       Alcotest.(check string)
-         (Printf.sprintf "jobs=%d matches jobs=1" jobs)
-         reference (at_jobs jobs))
-    [ 2; 4 ]
-
 (* ---- late-materialized views across engines ----
 
    The generated pipelines again, behind a self-JOIN whose output stays a
    view until a kernel needs its columns: a MAP reads both sides through
    their indexes and a PROJECT drops the rest. Every admissible engine
-   agrees, at jobs 1 and at jobs 4. *)
+   agrees. *)
 let joined_graph (spec : Qcheck_lite.workflow_spec) =
   let b = Ir.Builder.create () in
   let r = Ir.Builder.input b "r" in
@@ -202,12 +117,7 @@ let joined_graph (spec : Qcheck_lite.workflow_spec) =
 let test_views_agree () =
   try
     Qcheck_lite.check ~count:15 ~seed ~name:"view pipelines, one for all"
-      Qcheck_lite.spec_arbitrary (fun spec ->
-        List.for_all
-          (fun jobs ->
-             Relation.Pool.with_jobs jobs (fun () ->
-                 agree ~graph_of:joined_graph spec))
-          [ 1; 4 ])
+      Qcheck_lite.spec_arbitrary (agree ~graph_of:joined_graph)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 let () =
@@ -218,9 +128,4 @@ let () =
          Alcotest.test_case "every engine admits a simple select" `Quick
            test_all_engines_admit_simple;
          Alcotest.test_case "view pipelines agree, jobs 1 and 4" `Slow
-           test_views_agree ]);
-      ("parallel",
-       [ Alcotest.test_case "parallel kernels byte-identical to serial"
-           `Quick test_par_kernels_agree;
-         Alcotest.test_case "pipelines are jobs-invariant" `Quick
-           test_pipeline_jobs_invariant ]) ]
+           test_views_agree ]) ]

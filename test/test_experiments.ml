@@ -104,22 +104,23 @@ let test_fig10_overhead_bounds () =
 
 (* ---------------- Figure 13 ---------------- *)
 
+(* counted, not timed: the sets each search prices *)
 let test_fig13_exponential_vs_linear () =
-  let rows =
-    Experiments.Fig13_partitioning.measurements ~max_ops:14 ~budget_s:10. ()
-  in
+  let rows = Experiments.Fig13_partitioning.sets_scored [ 8; 14; 18 ] in
   let exh x =
-    match List.find (fun (ops, _, _, _) -> ops = x) rows with
-    | _, Some s, _, _ -> s
+    match List.find (fun (ops, _, _) -> ops = x) rows with
+    | _, Some n, _ -> n
     | _ -> Alcotest.fail "exhaustive skipped"
   and dyn x =
-    match List.find (fun (ops, _, _, _) -> ops = x) rows with
-    | _, _, _, s -> s
+    match List.find (fun (ops, _, _) -> ops = x) rows with _, _, n -> n
   in
-  Alcotest.(check bool) "exhaustive blows up" true
-    (exh 14 > 20. *. exh 8);
-  Alcotest.(check bool) "dynamic stays fast at 14 ops" true
-    (dyn 14 < 0.25);
+  Alcotest.(check bool) "exhaustive blows up" true (exh 14 > 20 * exh 8);
+  List.iter
+    (fun x ->
+       Alcotest.(check int)
+         (Printf.sprintf "dynamic scores n(n+1)/2 sets at %d ops" x)
+         (x * (x + 1) / 2) (dyn x))
+    [ 8; 14; 18 ];
   Alcotest.(check bool) "dynamic beats exhaustive at size" true
     (dyn 14 < exh 14)
 

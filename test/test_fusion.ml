@@ -1,7 +1,7 @@
 (* Operator fusion: the planner's chain/barrier rules, and the promise
    that fused execution is invisible except in cost — every output
-   relation byte-identical to the unfused path, serial or chunked on the
-   domain pool, with shared scans charging each HDFS relation once. *)
+   relation byte-identical to the unfused path, with shared scans
+   charging each HDFS relation once. *)
 
 let with_fusion enabled f =
   Ir.Fusion.set_enabled (Some enabled);
@@ -135,9 +135,8 @@ let outputs_csv (r : Engines.Exec_helper.result) =
        (fun (name, t, _) -> name ^ ":\n" ^ Relation.Table.to_csv t)
        r.Engines.Exec_helper.outputs)
 
-let exec_csv ~fusion ~jobs hdfs g =
+let exec_csv ~fusion hdfs g =
   with_fusion fusion @@ fun () ->
-  Relation.Pool.with_jobs jobs @@ fun () ->
   outputs_csv (Engines.Exec_helper.execute ~hdfs g)
 
 let hdfs_with rows =
@@ -150,23 +149,19 @@ let test_empty_table () =
   let g = chain_graph () in
   Alcotest.(check string)
     "empty input: fused = unfused"
-    (exec_csv ~fusion:false ~jobs:1 hdfs g)
-    (exec_csv ~fusion:true ~jobs:1 hdfs g)
+    (exec_csv ~fusion:false hdfs g)
+    (exec_csv ~fusion:true hdfs g)
 
-let test_large_chain_chunked () =
-  (* 2000 rows is above Kernel.par_threshold, so at jobs=4 the fused
-     pass runs chunked on the pool — output must not notice *)
+let test_large_chain () =
+  (* a 2000-row chain: the fused pass over a large input matches the
+     unfused one *)
   let rows = List.init 2000 (fun i -> (i mod 17, (i * 13) mod 200)) in
   let hdfs = hdfs_with rows in
   let g = chain_graph () in
-  let reference = exec_csv ~fusion:false ~jobs:1 hdfs g in
-  List.iter
-    (fun jobs ->
-       Alcotest.(check string)
-         (Printf.sprintf "jobs=%d fused matches serial unfused" jobs)
-         reference
-         (exec_csv ~fusion:true ~jobs hdfs g))
-    [ 1; 4 ]
+  Alcotest.(check string)
+    "fused matches unfused"
+    (exec_csv ~fusion:false hdfs g)
+    (exec_csv ~fusion:true hdfs g)
 
 let test_while_fused () =
   let b = Ir.Builder.create () in
@@ -191,8 +186,8 @@ let test_while_fused () =
   let hdfs = hdfs_with [ (1, 10); (2, 20); (3, 30) ] in
   Alcotest.(check string)
     "WHILE with fused body = unfused"
-    (exec_csv ~fusion:false ~jobs:1 hdfs g)
-    (exec_csv ~fusion:true ~jobs:1 hdfs g)
+    (exec_csv ~fusion:false hdfs g)
+    (exec_csv ~fusion:true hdfs g)
 
 (* ---- shared scans ---- *)
 
@@ -293,16 +288,15 @@ let test_fusion_metrics () =
 
    The full planning + engine execution path: a random kv pipeline is
    planned and executed with fusion off (reference), then with fusion
-   on at jobs ∈ {1, 4}. The "out" relation must be byte-identical —
-   same rows, same order — in every configuration. *)
+   on. The "out" relation must be byte-identical — same rows, same
+   order. *)
 
 let cluster = Engines.Cluster.local_seven
 
 let m = Musketeer.create ~cluster ()
 
-let run_spec ~fusion ~jobs spec =
+let run_spec ~fusion spec =
   with_fusion fusion @@ fun () ->
-  Relation.Pool.with_jobs jobs @@ fun () ->
   let hdfs = Qcheck_lite.hdfs_of_spec spec in
   let graph = Qcheck_lite.graph_of_spec spec in
   match
@@ -326,10 +320,8 @@ let run_spec ~fusion ~jobs spec =
       | None -> failwith "no \"out\" relation"))
 
 let fused_invariant spec =
-  let reference = run_spec ~fusion:false ~jobs:1 spec in
-  List.for_all
-    (fun jobs -> run_spec ~fusion:true ~jobs spec = reference)
-    [ 1; 4 ]
+  let reference = run_spec ~fusion:false spec in
+  run_spec ~fusion:true spec = reference
 
 let seed =
   match Option.bind (Sys.getenv_opt "MUSKETEER_TEST_SEED") int_of_string_opt with
@@ -358,7 +350,7 @@ let () =
       ("execution",
        [ Alcotest.test_case "empty table" `Quick test_empty_table;
          Alcotest.test_case "chunked fused pass at jobs=4" `Quick
-           test_large_chain_chunked;
+           test_large_chain;
          Alcotest.test_case "WHILE with fused body" `Quick test_while_fused;
          Alcotest.test_case "shared scan halves input volume" `Quick
            test_shared_scan_volumes;

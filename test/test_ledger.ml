@@ -407,26 +407,22 @@ let run_spec spec =
       | Some t -> Relation.Table.to_csv (Relation.Table.sort_by t [ "k"; "v" ])))
 
 let calibration_is_output_invariant spec =
-  List.for_all
-    (fun jobs ->
-       Relation.Pool.with_jobs jobs @@ fun () ->
-       Musketeer.Calibrate.reset ();
-       Fun.protect ~finally:Musketeer.Calibrate.reset @@ fun () ->
-       let uncalibrated = run_spec spec in
-       Musketeer.Calibrate.install
-         (List.map
-            (fun b -> (Engines.Backend.name b, 1.9))
-            Engines.Backend.all);
-       let skewed_up = run_spec spec in
-       Musketeer.Calibrate.install
-         [ ("Hadoop", 0.3); ("Naiad", 2.8); ("Metis", 1.1) ];
-       let skewed_mixed = run_spec spec in
-       if skewed_up <> uncalibrated then
-         failwith "uniform x1.9 factors changed the output";
-       if skewed_mixed <> uncalibrated then
-         failwith "mixed per-engine factors changed the output";
-       true)
-    [ 1; 4 ]
+  Musketeer.Calibrate.reset ();
+  Fun.protect ~finally:Musketeer.Calibrate.reset @@ fun () ->
+  let uncalibrated = run_spec spec in
+  Musketeer.Calibrate.install
+    (List.map
+       (fun b -> (Engines.Backend.name b, 1.9))
+       Engines.Backend.all);
+  let skewed_up = run_spec spec in
+  Musketeer.Calibrate.install
+    [ ("Hadoop", 0.3); ("Naiad", 2.8); ("Metis", 1.1) ];
+  let skewed_mixed = run_spec spec in
+  if skewed_up <> uncalibrated then
+    failwith "uniform x1.9 factors changed the output";
+  if skewed_mixed <> uncalibrated then
+    failwith "mixed per-engine factors changed the output";
+  true
 
 let seed =
   match Option.bind (Sys.getenv_opt "MUSKETEER_TEST_SEED") int_of_string_opt with

@@ -134,7 +134,30 @@ let test_table_sort () =
   let t = table_ab [ (3, "c"); (1, "a"); (2, "b") ] in
   let sorted = Table.sort_by t [ "a" ] in
   Alcotest.(check string) "first row" "a"
-    (Value.to_string (Table.get sorted 0 "b"))
+    (Value.to_string (Table.get sorted 0 "b"));
+  (* duplicate keys with b increasing in row order, so stability is
+     visible; the columnar and row sorts agree byte for byte *)
+  let n = 5000 in
+  let t =
+    table_ab (List.init n (fun i -> (i mod 7, Printf.sprintf "%05d" i)))
+  in
+  List.iter
+    (fun descending ->
+       let sorted columnar =
+         Column.with_enabled columnar (fun () ->
+             Table.sort_by ~descending t [ "a" ])
+       in
+       let rows = Table.rows (sorted true) in
+       for i = 1 to Array.length rows - 1 do
+         if Value.compare rows.(i - 1).(0) rows.(i).(0) = 0 then
+           Alcotest.(check bool)
+             "stable: original order within equal keys" true
+             (Value.compare rows.(i - 1).(1) rows.(i).(1) < 0)
+       done;
+       Alcotest.(check string)
+         "columnar sort = row sort"
+         (Table.to_csv (sorted false)) (Table.to_csv (sorted true)))
+    [ false; true ]
 
 (* ---------------- Kernel ---------------- *)
 
@@ -486,85 +509,7 @@ let qcheck_cases =
       prop_outer_join_covers_left; prop_group_by_count_total;
       prop_csv_roundtrip; prop_value_compare_antisymmetric ]
 
-(* ---------------- Pool and parallel kernels ---------------- *)
-
-let test_pool_chunks () =
-  Alcotest.(check (list (pair int int)))
-    "empty" []
-    (Array.to_list (Pool.chunks ~jobs:4 0));
-  Alcotest.(check (list (pair int int)))
-    "fewer rows than jobs"
-    [ (0, 1); (1, 1); (2, 1) ]
-    (Array.to_list (Pool.chunks ~jobs:8 3));
-  List.iter
-    (fun (jobs, n) ->
-       let cs = Array.to_list (Pool.chunks ~jobs n) in
-       let total = List.fold_left (fun s (_, len) -> s + len) 0 cs in
-       Alcotest.(check int) "covers all rows" n total;
-       ignore
-         (List.fold_left
-            (fun expect (start, len) ->
-               Alcotest.(check int) "contiguous" expect start;
-               start + len)
-            0 cs);
-       let lens = List.map snd cs in
-       Alcotest.(check bool) "balanced" true
-         (List.fold_left max 0 lens - List.fold_left min max_int lens <= 1))
-    [ (1, 10); (4, 10); (4, 1000); (3, 7); (7, 7) ]
-
-let test_pool_scoping () =
-  Pool.with_jobs 6 (fun () ->
-      Alcotest.(check int) "with_jobs" 6 (Pool.effective_jobs ());
-      Pool.with_cap 2 (fun () ->
-          Alcotest.(check int) "cap bounds" 2 (Pool.effective_jobs ());
-          Pool.with_cap 4 (fun () ->
-              Alcotest.(check int) "caps nest via min" 2
-                (Pool.effective_jobs ()));
-          Pool.with_jobs 1 (fun () ->
-              Alcotest.(check int) "serial scope" 1 (Pool.effective_jobs ())));
-      Alcotest.(check int) "cap restored" 6 (Pool.effective_jobs ()))
-
-let test_pool_run () =
-  let results =
-    Pool.with_jobs 4 (fun () -> Pool.run (Array.init 10 (fun i () -> i * i)))
-  in
-  Alcotest.(check (list int))
-    "results in task order"
-    (List.init 10 (fun i -> i * i))
-    (Array.to_list results);
-  Alcotest.check_raises "task exception propagates" Exit (fun () ->
-      ignore
-        (Pool.with_jobs 4 (fun () ->
-             Pool.run
-               (Array.init 8 (fun i () -> if i = 5 then raise Exit else i)))))
-
-let test_aggregate_merge () =
-  let vals = [ 5; 1; 9; 3; 7; 7; 2 ] in
-  List.iter
-    (fun fn ->
-       let arg v =
-         match Aggregate.input_column fn with
-         | None -> None
-         | Some _ -> Some (v_int v)
-       in
-       let part vs =
-         List.fold_left
-           (fun st v -> Aggregate.step fn st (arg v))
-           (Aggregate.init fn) vs
-       in
-       let expect = Aggregate.finish fn (part vals) in
-       (* merging any prefix/suffix split must equal the serial fold *)
-       for k = 0 to List.length vals do
-         let l = List.filteri (fun i _ -> i < k) vals
-         and r = List.filteri (fun i _ -> i >= k) vals in
-         let got = Aggregate.finish fn (Aggregate.merge fn (part l) (part r)) in
-         Alcotest.(check bool)
-           (Printf.sprintf "%s split at %d" (Aggregate.fn_to_string fn) k)
-           true
-           (Value.compare expect got = 0)
-       done)
-    [ Aggregate.Count; Aggregate.Sum "v"; Aggregate.Min "v";
-      Aggregate.Max "v"; Aggregate.Avg "v"; Aggregate.First "v" ]
+(* ---------------- top k ---------------- *)
 
 let kv_schema =
   Schema.make [ { Schema.name = "k"; ty = Value.Tint };
@@ -573,84 +518,6 @@ let kv_schema =
 let kv rows =
   Table.create kv_schema
     (List.map (fun (k, v) -> [| v_int k; v_int v |]) rows)
-
-let test_par_kernels_edge_tables () =
-  let tables =
-    [ ("empty", kv []); ("single", kv [ (1, 10) ]);
-      ("all-equal keys", kv (List.init 20 (fun i -> (7, i))));
-      ("mixed", kv (List.init 50 (fun i -> (i mod 5, i)))) ]
-  in
-  let right = kv [ (7, 100); (1, 50); (3, 1) ] in
-  let aggs =
-    Aggregate.
-      [ make (Sum "v") ~as_name:"s"; make Count ~as_name:"n";
-        make (Avg "v") ~as_name:"m"; make (First "v") ~as_name:"f" ]
-  in
-  let pred = Expr.(col "v" > int 5) in
-  List.iter
-    (fun (name, t) ->
-       let serial f = Pool.with_jobs 1 f in
-       let same what reference actual =
-         Alcotest.(check string)
-           (Printf.sprintf "%s on %s" what name)
-           (Table.to_csv reference) (Table.to_csv actual)
-       in
-       List.iter
-         (fun jobs ->
-            same "select"
-              (serial (fun () -> Kernel.select t pred))
-              (Par.select ~jobs t pred);
-            same "project"
-              (serial (fun () -> Kernel.project t [ "v" ]))
-              (Par.project ~jobs t [ "v" ]);
-            same "join"
-              (serial (fun () ->
-                   Kernel.join t right ~left_key:"k" ~right_key:"k"))
-              (Par.join ~jobs t right ~left_key:"k" ~right_key:"k");
-            same "group_by"
-              (serial (fun () -> Kernel.group_by t ~keys:[ "k" ] ~aggs))
-              (Par.group_by ~jobs t ~keys:[ "k" ] ~aggs))
-         [ 1; 2; 4 ])
-    tables;
-  (* a key-only right side degenerates to a semi-join shape: the output
-     schema is exactly the left schema *)
-  let key_only =
-    Table.create
-      (Schema.make [ { Schema.name = "k"; ty = Value.Tint } ])
-      [ [| v_int 7 |]; [| v_int 1 |] ]
-  in
-  let left = kv (List.init 30 (fun i -> (i mod 10, i))) in
-  Alcotest.(check string)
-    "key-only right join"
-    (Table.to_csv
-       (Pool.with_jobs 1 (fun () ->
-            Kernel.join left key_only ~left_key:"k" ~right_key:"k")))
-    (Table.to_csv (Par.join ~jobs:4 left key_only ~left_key:"k" ~right_key:"k"))
-
-let test_parallel_sort () =
-  let n = 5000 in
-  (* duplicate keys with v strictly decreasing, so stability is visible *)
-  let t = kv (List.init n (fun i -> (i mod 7, n - i))) in
-  let serial = Pool.with_jobs 1 (fun () -> Table.sort_by t [ "k" ]) in
-  let par = Pool.with_jobs 4 (fun () -> Table.sort_by t [ "k" ]) in
-  Alcotest.(check string)
-    "parallel sort byte-identical" (Table.to_csv serial) (Table.to_csv par);
-  let rows = Table.rows serial in
-  for i = 1 to Array.length rows - 1 do
-    if Value.compare rows.(i - 1).(0) rows.(i).(0) = 0 then
-      Alcotest.(check bool)
-        "stable: original order within equal keys" true
-        (Value.compare rows.(i - 1).(1) rows.(i).(1) > 0)
-  done;
-  let ser_d =
-    Pool.with_jobs 1 (fun () -> Table.sort_by ~descending:true t [ "k" ])
-  in
-  let par_d =
-    Pool.with_jobs 4 (fun () -> Table.sort_by ~descending:true t [ "k" ])
-  in
-  Alcotest.(check string)
-    "descending parallel sort byte-identical"
-    (Table.to_csv ser_d) (Table.to_csv par_d)
 
 let test_top_k_descending () =
   let t = kv [ (5, 50); (1, 10); (9, 90); (3, 30) ] in
@@ -715,16 +582,8 @@ let () =
             test_kernel_sample_rename ] );
       ( "aggregate",
         [ Alcotest.test_case "associativity" `Quick
-            test_aggregate_associativity_flags;
-          Alcotest.test_case "merge = serial fold" `Quick
-            test_aggregate_merge ] );
+            test_aggregate_associativity_flags ] );
       ( "parallel",
-        [ Alcotest.test_case "pool chunks" `Quick test_pool_chunks;
-          Alcotest.test_case "jobs/cap scoping" `Quick test_pool_scoping;
-          Alcotest.test_case "run order and exceptions" `Quick test_pool_run;
-          Alcotest.test_case "kernels on edge tables" `Quick
-            test_par_kernels_edge_tables;
-          Alcotest.test_case "parallel sort" `Quick test_parallel_sort;
-          Alcotest.test_case "top k descending" `Quick
+        [ Alcotest.test_case "top k descending" `Quick
             test_top_k_descending ] );
       ("properties", qcheck_cases) ]

@@ -5,7 +5,7 @@
    ([Engines.Subplan_share]), the bounded LRU sub-result cache
    ([Serve.Subresult_cache]) and the served end-to-end behaviour:
    repeat traffic pays a shared prefix once per input epoch and stays
-   byte-identical to one-shot runs under jobs x fusion x columnar. *)
+   byte-identical to one-shot runs under fusion x columnar. *)
 
 let lite_seed =
   match Sys.getenv_opt "MUSKETEER_TEST_SEED" with
@@ -544,7 +544,7 @@ let test_serve_sharing_off_by_default () =
 (* ---- properties ---- *)
 
 (* With sharing on, served outputs stay byte-identical to one-shot
-   runs for generated workflows under jobs {1,4} x fusion x columnar —
+   runs for generated workflows under fusion x columnar —
    the same gate the serve bench enforces fatally. *)
 let test_sharing_identity_differential () =
   Qcheck_lite.check ~count:6 ~seed:lite_seed
@@ -553,50 +553,46 @@ let test_sharing_identity_differential () =
     (fun spec ->
       let g = Qcheck_lite.graph_of_spec spec in
       List.for_all
-        (fun jobs ->
+        (fun fusion ->
           List.for_all
-            (fun fusion ->
+            (fun columnar ->
+              Relation.Column.with_enabled columnar @@ fun () ->
+              Ir.Fusion.set_enabled (Some fusion);
+              Fun.protect
+                ~finally:(fun () -> Ir.Fusion.set_enabled None)
+              @@ fun () ->
+              let hdfs = Qcheck_lite.hdfs_of_spec spec in
+              let base = Engines.Hdfs.snapshot hdfs in
+              let reference =
+                let m = Experiments.Common.musketeer_for cluster in
+                match
+                  Musketeer.plan m ~workflow:"spec" ~hdfs:base g
+                with
+                | None -> Alcotest.fail "spec should plan"
+                | Some (plan, g') -> (
+                  match
+                    Musketeer.execute_plan ~record_history:false m
+                      ~workflow:"spec" ~hdfs:base ~graph:g' plan
+                  with
+                  | Error e ->
+                    Alcotest.fail (Engines.Report.error_to_string e)
+                  | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
+              in
+              let m = Experiments.Common.musketeer_for cluster in
+              let outcomes, _ =
+                Serve.Service.run
+                  ~config:(config ~subresult_cache_mb:256. ())
+                  m ~hdfs
+                  [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
+                    sub ~tenant:"b" ~workflow:"spec" ~at:0. g;
+                    sub ~tenant:"a" ~workflow:"spec" ~at:9000. g ]
+              in
               List.for_all
-                (fun columnar ->
-                  Relation.Pool.with_jobs jobs @@ fun () ->
-                  Relation.Column.with_enabled columnar @@ fun () ->
-                  Ir.Fusion.set_enabled (Some fusion);
-                  Fun.protect
-                    ~finally:(fun () -> Ir.Fusion.set_enabled None)
-                  @@ fun () ->
-                  let hdfs = Qcheck_lite.hdfs_of_spec spec in
-                  let base = Engines.Hdfs.snapshot hdfs in
-                  let reference =
-                    let m = Experiments.Common.musketeer_for cluster in
-                    match
-                      Musketeer.plan m ~workflow:"spec" ~hdfs:base g
-                    with
-                    | None -> Alcotest.fail "spec should plan"
-                    | Some (plan, g') -> (
-                      match
-                        Musketeer.execute_plan ~record_history:false m
-                          ~workflow:"spec" ~hdfs:base ~graph:g' plan
-                      with
-                      | Error e ->
-                        Alcotest.fail (Engines.Report.error_to_string e)
-                      | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
-                  in
-                  let m = Experiments.Common.musketeer_for cluster in
-                  let outcomes, _ =
-                    Serve.Service.run
-                      ~config:(config ~subresult_cache_mb:256. ())
-                      m ~hdfs
-                      [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
-                        sub ~tenant:"b" ~workflow:"spec" ~at:0. g;
-                        sub ~tenant:"a" ~workflow:"spec" ~at:9000. g ]
-                  in
-                  List.for_all
-                    (fun (o : Serve.Service.outcome) ->
-                      o.error = None && sorted_csv o.outputs = reference)
-                    outcomes)
-                [ true; false ])
+                (fun (o : Serve.Service.outcome) ->
+                  o.error = None && sorted_csv o.outputs = reference)
+                outcomes)
             [ true; false ])
-        [ 1; 4 ])
+        [ true; false ])
 
 let () =
   Alcotest.run "subplan"
