@@ -118,38 +118,46 @@ let rate volume seconds = if seconds <= 0. then None else Some (volume /. second
 
 let or_default opt default = Option.value opt ~default
 
-let probe_general ~cluster ~hdfs backend ~probe_mb =
-  let run graph label =
-    let job =
-      Engines.Job.make ~options:Engines.Job.baseline_options ~label ~backend graph
-    in
-    let volumes = (Engines.Exec_helper.execute ~hdfs:(Engines.Hdfs.snapshot hdfs) graph).volumes in
-    match Engines.Registry.run backend ~cluster ~hdfs:(Engines.Hdfs.snapshot hdfs) job with
-    | Ok report -> Some (report, volumes)
-    | Error _ -> None
-  in
-  let scan = run (scan_graph ()) "cal_scan" in
-  let join = run (join_graph ()) "cal_join" in
-  match scan with
-  | None -> None
-  | Some (scan_report, scan_volumes) ->
+(* A probe graph, executed once: its rows and volumes do not depend on
+   the engine, so every backend prices this one result. *)
+type probe = {
+  label : string;
+  graph : Ir.Operator.graph;
+  exec : Engines.Exec_helper.result;
+}
+
+let job backend probe =
+  Engines.Job.make ~options:Engines.Job.baseline_options ~label:probe.label
+    ~backend probe.graph
+
+let price ~cluster backend probe =
+  Engines.Registry.price backend ~cluster (job backend probe) probe.exec
+
+type probes = { scan : probe; join : probe; pr_1 : probe; pr_4 : probe }
+
+let probe_general ~cluster backend probes =
+  match price ~cluster backend probes.scan with
+  | Error _ -> None
+  | Ok scan_report ->
     let b = scan_report.Engines.Report.breakdown in
     let pull = or_default (rate scan_report.Engines.Report.input_mb b.Engines.Report.pull_s) 100. in
     let push = or_default (rate scan_report.Engines.Report.output_mb b.Engines.Report.push_s) 100. in
     let process =
-      or_default (rate scan_volumes.Engines.Perf.process_mb b.Engines.Report.process_s) 500.
+      or_default
+        (rate probes.scan.exec.volumes.Engines.Perf.process_mb
+           b.Engines.Report.process_s)
+        500.
     in
     let load = rate scan_report.Engines.Report.input_mb b.Engines.Report.load_s in
     let comm =
-      match join with
-      | Some (join_report, join_volumes) ->
+      match price ~cluster backend probes.join with
+      | Ok join_report ->
         or_default
-          (rate join_volumes.Engines.Perf.comm_mb
+          (rate probes.join.exec.volumes.Engines.Perf.comm_mb
              join_report.Engines.Report.breakdown.Engines.Report.comm_s)
           500.
-      | None -> 500.
+      | Error _ -> 500.
     in
-    ignore probe_mb;
     Some
       { Engines.Perf.overhead_s = b.Engines.Report.overhead_s; pull_mb_s = pull;
         load_mb_s = load; process_mb_s = process; comm_mb_s = comm;
@@ -157,27 +165,13 @@ let probe_general ~cluster ~hdfs backend ~probe_mb =
         (* refined below for engines that iterate natively *)
         iter_overhead_s = b.Engines.Report.overhead_s }
 
-let probe_iteration ~cluster ~hdfs backend base =
-  let run iterations =
-    let job =
-      Engines.Job.make ~options:Engines.Job.baseline_options
-        ~label:(Printf.sprintf "cal_pr_%d" iterations)
-        ~backend
-        (pagerank_graph ~iterations)
-    in
-    Engines.Registry.run backend ~cluster ~hdfs:(Engines.Hdfs.snapshot hdfs) job
-  in
-  match run 1, run 4 with
+let probe_iteration ~cluster backend probes base =
+  match price ~cluster backend probes.pr_1, price ~cluster backend probes.pr_4 with
   | Ok r1, Ok r4 ->
     (* per-iteration volume costs are inside both makespans; the probe
        isolates the fixed synchronization cost by predicting the volume
        delta with the already-derived rates *)
-    let volumes k =
-      (Engines.Exec_helper.execute ~hdfs:(Engines.Hdfs.snapshot hdfs)
-         (pagerank_graph ~iterations:k))
-        .Engines.Exec_helper.volumes
-    in
-    let v1 = volumes 1 and v4 = volumes 4 in
+    let v1 = probes.pr_1.exec.volumes and v4 = probes.pr_4.exec.volumes in
     let delta_process =
       (v4.Engines.Perf.process_mb -. v1.Engines.Perf.process_mb) /. base.Engines.Perf.process_mb_s
     and delta_comm =
@@ -190,32 +184,18 @@ let probe_iteration ~cluster ~hdfs backend base =
     { base with Engines.Perf.iter_overhead_s = iter_overhead }
   | _ -> base
 
-let probe_gas ~cluster ~hdfs backend =
-  let run iterations options_label =
-    let job =
-      Engines.Job.make ~options:Engines.Job.baseline_options ~label:options_label ~backend
-        (pagerank_graph ~iterations)
+let probe_gas ~cluster backend probes =
+  let probe = { probes.pr_4 with label = "cal_gas" } in
+  match price ~cluster backend probe with
+  | Error _ -> None
+  | Ok r ->
+    (* a GAS runtime only ships the gathered messages; derive the rates
+       from the volumes the engine actually moves, or the calibration
+       would overstate its bandwidth *)
+    let v =
+      Engines.Engine.gas_message_volumes ~job:(job backend probe)
+        ~stats:probe.exec.op_stats probe.exec.volumes
     in
-    match Engines.Registry.run backend ~cluster ~hdfs:(Engines.Hdfs.snapshot hdfs) job with
-    | Ok r ->
-      (* a GAS runtime only ships the gathered messages; derive the rates
-         from the volumes the engine actually moves, or the calibration
-         would overstate its bandwidth *)
-      let exec =
-        Engines.Exec_helper.execute ~hdfs:(Engines.Hdfs.snapshot hdfs)
-          (pagerank_graph ~iterations)
-      in
-      let volumes =
-        Engines.Engine.gas_message_volumes ~job
-          ~stats:exec.Engines.Exec_helper.op_stats
-          exec.Engines.Exec_helper.volumes
-      in
-      Some (r, volumes)
-    | Error _ -> None
-  in
-  match run 4 "cal_gas" with
-  | None -> None
-  | Some (r, v) ->
     let b = r.Engines.Report.breakdown in
     let pull = or_default (rate r.Engines.Report.input_mb b.Engines.Report.pull_s) 100. in
     let push = or_default (rate r.Engines.Report.output_mb b.Engines.Report.push_s) 100. in
@@ -227,9 +207,13 @@ let probe_gas ~cluster ~hdfs backend =
         load_mb_s = load; process_mb_s = process; comm_mb_s = comm;
         push_mb_s = push; iter_overhead_s = 1. }
     in
-    Some (probe_iteration ~cluster ~hdfs backend base)
+    Some (probe_iteration ~cluster backend probes base)
 
 let calibrate ?(probe_mb = 1024.) ~cluster () =
+  Obs.Trace.with_span
+    ~attrs:[ ("nodes", Obs.Trace.Int cluster.Engines.Cluster.nodes) ]
+    "calibrate"
+  @@ fun () ->
   let hdfs = Engines.Hdfs.create () in
   Engines.Hdfs.put hdfs "cal_scan" ~modeled_mb:probe_mb (pair_table 4096 1);
   Engines.Hdfs.put hdfs "cal_l" ~modeled_mb:(probe_mb /. 2.) (pair_table 2048 2);
@@ -237,13 +221,35 @@ let calibrate ?(probe_mb = 1024.) ~cluster () =
   let ranks, edges = probe_graph 512 in
   Engines.Hdfs.put hdfs "cal_ranks" ~modeled_mb:(probe_mb /. 8.) ranks;
   Engines.Hdfs.put hdfs "cal_edges" ~modeled_mb:probe_mb edges;
+  let execute name graph =
+    Obs.Trace.with_span ~attrs:[ ("probe", Obs.Trace.String name) ]
+      "calibrate.execute"
+    @@ fun () ->
+    let exec = Engines.Exec_helper.execute ~hdfs graph in
+    Obs.Trace.add_attr "rows_in"
+      (Obs.Trace.Int
+         (List.fold_left
+            (fun s (relation, _) ->
+               s + Table.row_count (Engines.Hdfs.table hdfs relation))
+            0 exec.Engines.Exec_helper.scans));
+    { label = "cal_" ^ name; graph; exec }
+  in
+  let scan = execute "scan" (scan_graph ()) in
+  let join = execute "join" (join_graph ()) in
+  let pr_1 = execute "pr_1" (pagerank_graph ~iterations:1) in
+  let pr_4 = execute "pr_4" (pagerank_graph ~iterations:4) in
+  let probes = { scan; join; pr_1; pr_4 } in
   let probe backend =
+    Obs.Trace.with_span
+      ~attrs:[ ("backend", Obs.Trace.String (Engines.Backend.name backend)) ]
+      "calibrate.price"
+    @@ fun () ->
     let result =
-      if Engines.Backend.gas_only backend then probe_gas ~cluster ~hdfs backend
+      if Engines.Backend.gas_only backend then probe_gas ~cluster backend probes
       else
-        match probe_general ~cluster ~hdfs backend ~probe_mb with
+        match probe_general ~cluster backend probes with
         | Some base when Engines.Backend.general_purpose backend ->
-          Some (probe_iteration ~cluster ~hdfs backend base)
+          Some (probe_iteration ~cluster backend probes base)
         | other -> other
     in
     Option.map (fun r -> (backend, r)) result

@@ -9,7 +9,11 @@
 
     Probes: a no-op scan (PULL/PROCESS/PUSH/LOAD), an equi-join (shuffle
     bandwidth) and, for engines that iterate natively, a 1- vs 4-
-    iteration GAS job (per-iteration overhead). *)
+    iteration GAS job (per-iteration overhead). A probe's rows and
+    volumes do not depend on the engine, so each probe graph executes
+    once and every backend prices that one execution
+    ({!Engines.Registry.price}): calibration draws no injected fault and
+    publishes nothing. *)
 
 type t
 

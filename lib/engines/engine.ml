@@ -1,6 +1,9 @@
 type t = {
   backend : Backend.t;
   supports : Ir.Operator.graph -> (unit, string) result;
+  price :
+    cluster:Cluster.t -> Job.t -> Exec_helper.result ->
+    (Report.t, Report.error) result;
   run :
     cluster:Cluster.t -> hdfs:Hdfs.t -> Job.t ->
     (Report.t, Report.error) result;
@@ -52,7 +55,128 @@ let gas_message_volumes ~(job : Job.t) ~stats volumes =
     Perf.comm_mb = !message_mb *. job.options.Job.shuffle_multiplier;
     process_mb = !process_mb *. job.options.Job.process_multiplier }
 
+(* Prices an executed job whose graph the engine supports: code-quality
+   volume adjustments, the engine's own reshaping, admission, rates,
+   makespan and the comm penalty. Pure: no fault draw, no HDFS write,
+   no metric. *)
+let price_supported spec ~cluster (job : Job.t) (exec : Exec_helper.result) =
+  let opts = job.options in
+  let volumes =
+    { exec.volumes with
+      Perf.scan_extra_mb =
+        float_of_int (max 0 (opts.Job.scan_passes - 1))
+        *. exec.volumes.Perf.input_mb;
+      process_mb = exec.volumes.Perf.process_mb *. opts.Job.process_multiplier;
+      comm_mb = exec.volumes.Perf.comm_mb *. opts.Job.shuffle_multiplier }
+  in
+  let volumes = spec.spec_adjust_volumes ~job ~stats:exec.op_stats volumes in
+  match spec.spec_admit ~cluster ~job ~volumes ~stats:exec.op_stats with
+  | Error e -> Error e
+  | Ok () ->
+    let rates = spec.spec_rates ~cluster ~job ~volumes in
+    let breakdown, makespan = Perf.makespan rates volumes in
+    let penalty = spec.spec_comm_penalty_s ~cluster ~job ~stats:exec.op_stats in
+    Ok
+      { Report.job_label = job.label; backend = spec.spec_backend;
+        makespan_s = makespan +. penalty;
+        breakdown =
+          { breakdown with Report.comm_s = breakdown.Report.comm_s +. penalty };
+        input_mb = volumes.Perf.input_mb;
+        output_mb = volumes.Perf.output_mb;
+        iterations = volumes.Perf.iterations;
+        op_output_mb =
+          List.map
+            (fun (s : Exec_helper.op_stat) -> (s.node_id, s.out_mb))
+            exec.op_stats }
+
+(* A service-scoped share may have a co-admitted workflow already paying
+   for some of the job's scans: the bytes came from HDFS either way, only
+   the charge is waived. Claims run in fetch order, and the unwaived
+   fetches are summed in that order, as the fetches were. *)
+let claim_scans (exec : Exec_helper.result) =
+  match Scan_share.active () with
+  | None -> exec
+  | Some share ->
+    let input_mb =
+      List.fold_left
+        (fun s (relation, mb) ->
+           if Scan_share.claim share ~relation ~mb then s else s +. mb)
+        0. exec.scans
+    in
+    { exec with
+      volumes = { exec.volumes with Perf.input_mb; load_mb = input_mb } }
+
+(* Injected faults strike after pricing, before anything materializes:
+   a faulted job never leaves partial state. *)
+let draw_fault backend (report : Report.t) =
+  match Injector.draw ~label:report.job_label ~backend with
+  | None -> Ok report
+  | Some fault ->
+    Obs.Trace.add_attr "fault"
+      (Obs.Trace.String (Faults.fault_to_string fault));
+    Obs.Metrics.incr Obs.Metrics.default
+      ("faults.injected." ^ Backend.name backend);
+    (match fault with
+     | Faults.Engine_rejection msg ->
+       Error (Report.Out_of_memory ("injected: " ^ msg))
+     | Faults.Straggler { slowdown } ->
+       (* absorbed in place: the job still succeeds, just slower — the
+          supervisor detects this via the counter delta / deadline and
+          may speculate *)
+       let extra = (slowdown -. 1.) *. report.makespan_s in
+       Obs.Metrics.incr Obs.Metrics.default "faults.straggler";
+       Obs.Metrics.incr Obs.Metrics.default
+         ("faults.straggler." ^ Backend.name backend);
+       Obs.Metrics.observe Obs.Metrics.default "faults.straggler.slowdown"
+         slowdown;
+       Obs.Trace.add_attr "straggler_slowdown" (Obs.Trace.Float slowdown);
+       Ok
+         { report with
+           makespan_s = slowdown *. report.makespan_s;
+           breakdown =
+             { report.breakdown with
+               Report.process_s = report.breakdown.Report.process_s +. extra } }
+     | Faults.Worker_failure { at_fraction } -> (
+       match Faults.recovery_of backend with
+       | Faults.Restart ->
+         (* no fault tolerance (Table 3): the job aborts and the executor
+            must recover *)
+         Error (Report.Worker_lost { at_fraction })
+       | Faults.Reexecute_tasks _ ->
+         (* the engine re-executes the lost tasks itself at the Table 3
+            price; the job still succeeds *)
+         let makespan' =
+           Faults.makespan_with_failure backend report ~at_fraction
+         in
+         let extra = makespan' -. report.makespan_s in
+         Obs.Trace.add_attr "recovered_s" (Obs.Trace.Float extra);
+         Ok
+           { report with
+             makespan_s = makespan';
+             breakdown =
+               { report.breakdown with
+                 Report.overhead_s =
+                   report.breakdown.Report.overhead_s +. extra } }))
+
+let publish ~hdfs (exec : Exec_helper.result) (report : Report.t) =
+  List.iter
+    (fun (name, table, mb) ->
+       Hdfs.put hdfs name ~modeled_mb:mb table;
+       Hdfs.note_write hdfs ~mb;
+       (* an overwritten relation invalidates any shared-scan entry other
+          in-flight workflows paid for *)
+       match Scan_share.active () with
+       | Some share -> Scan_share.note_write share name
+       | None -> ())
+    exec.outputs;
+  Hdfs.note_read hdfs ~mb:report.input_mb
+
 let of_spec spec =
+  let price ~cluster (job : Job.t) exec =
+    match spec.spec_supports job.graph with
+    | Error reason -> Error (Report.Unsupported reason)
+    | Ok () -> price_supported spec ~cluster job exec
+  in
   let run ~cluster ~hdfs (job : Job.t) =
     Obs.Trace.with_span
       ~attrs:[ ("backend", Obs.Trace.String (Backend.name spec.spec_backend));
@@ -62,119 +186,11 @@ let of_spec spec =
     match spec.spec_supports job.graph with
     | Error reason -> Error (Report.Unsupported reason)
     | Ok () ->
-      let exec = Exec_helper.execute ~hdfs job.graph in
-      let opts = job.options in
-      let volumes =
-        { exec.volumes with
-          Perf.scan_extra_mb =
-            float_of_int (max 0 (opts.Job.scan_passes - 1))
-            *. exec.volumes.Perf.input_mb;
-          process_mb =
-            exec.volumes.Perf.process_mb *. opts.Job.process_multiplier;
-          comm_mb =
-            exec.volumes.Perf.comm_mb *. opts.Job.shuffle_multiplier }
-      in
-      let volumes =
-        spec.spec_adjust_volumes ~job ~stats:exec.op_stats volumes
-      in
-      (match
-         spec.spec_admit ~cluster ~job ~volumes ~stats:exec.op_stats
-       with
-       | Error e -> Error e
-       | Ok () ->
-         let rates = spec.spec_rates ~cluster ~job ~volumes in
-         let breakdown, makespan = Perf.makespan rates volumes in
-         let penalty =
-           spec.spec_comm_penalty_s ~cluster ~job ~stats:exec.op_stats
-         in
-         let breakdown =
-           { breakdown with Report.comm_s = breakdown.Report.comm_s +. penalty }
-         in
-         let makespan = makespan +. penalty in
-         let report =
-           { Report.job_label = job.label; backend = spec.spec_backend;
-             makespan_s = makespan; breakdown;
-             input_mb = volumes.Perf.input_mb;
-             output_mb = volumes.Perf.output_mb;
-             iterations = volumes.Perf.iterations;
-             op_output_mb =
-               List.map
-                 (fun (s : Exec_helper.op_stat) -> (s.node_id, s.out_mb))
-                 exec.op_stats }
-         in
-         (* injected faults strike after admission, before anything
-            materializes — a faulted job never leaves partial state *)
-         let faulted =
-           match
-             Injector.draw ~label:job.label ~backend:spec.spec_backend
-           with
-           | None -> Ok report
-           | Some fault ->
-             Obs.Trace.add_attr "fault"
-               (Obs.Trace.String (Faults.fault_to_string fault));
-             Obs.Metrics.incr Obs.Metrics.default
-               ("faults.injected."
-                ^ Backend.name spec.spec_backend);
-             (match fault with
-              | Faults.Engine_rejection msg ->
-                Error (Report.Out_of_memory ("injected: " ^ msg))
-              | Faults.Straggler { slowdown } ->
-                (* absorbed in place: the job still succeeds, just
-                   slower — the supervisor detects this via the
-                   counter delta / deadline and may speculate *)
-                let extra = (slowdown -. 1.) *. report.makespan_s in
-                Obs.Metrics.incr Obs.Metrics.default "faults.straggler";
-                Obs.Metrics.incr Obs.Metrics.default
-                  ("faults.straggler." ^ Backend.name spec.spec_backend);
-                Obs.Metrics.observe Obs.Metrics.default
-                  "faults.straggler.slowdown" slowdown;
-                Obs.Trace.add_attr "straggler_slowdown"
-                  (Obs.Trace.Float slowdown);
-                Ok
-                  { report with
-                    makespan_s = slowdown *. report.makespan_s;
-                    breakdown =
-                      { report.breakdown with
-                        Report.process_s =
-                          report.breakdown.Report.process_s +. extra } }
-              | Faults.Worker_failure { at_fraction } -> (
-                match Faults.recovery_of spec.spec_backend with
-                | Faults.Restart ->
-                  (* no fault tolerance (Table 3): the job aborts and
-                     the executor must recover *)
-                  Error (Report.Worker_lost { at_fraction })
-                | Faults.Reexecute_tasks _ ->
-                  (* the engine re-executes the lost tasks itself at
-                     the Table 3 price; the job still succeeds *)
-                  let makespan' =
-                    Faults.makespan_with_failure spec.spec_backend report
-                      ~at_fraction
-                  in
-                  let extra = makespan' -. report.makespan_s in
-                  Obs.Trace.add_attr "recovered_s" (Obs.Trace.Float extra);
-                  Ok
-                    { report with
-                      makespan_s = makespan';
-                      breakdown =
-                        { report.breakdown with
-                          Report.overhead_s =
-                            report.breakdown.Report.overhead_s +. extra } }))
-         in
-         (match faulted with
-          | Error e -> Error e
-          | Ok report ->
-            (* materialize outputs to HDFS *)
-            List.iter
-              (fun (name, table, mb) ->
-                 Hdfs.put hdfs name ~modeled_mb:mb table;
-                 Hdfs.note_write hdfs ~mb;
-                 (* an overwritten relation invalidates any shared-scan
-                    entry other in-flight workflows paid for *)
-                 match Scan_share.active () with
-                 | Some share -> Scan_share.note_write share name
-                 | None -> ())
-              exec.outputs;
-            Hdfs.note_read hdfs ~mb:volumes.Perf.input_mb;
-            Ok report))
+      let ( let* ) = Result.bind in
+      let exec = claim_scans (Exec_helper.execute ~hdfs job.graph) in
+      let* report = price_supported spec ~cluster job exec in
+      let* report = draw_fault spec.spec_backend report in
+      publish ~hdfs exec report;
+      Ok report
   in
-  { backend = spec.spec_backend; supports = spec.spec_supports; run }
+  { backend = spec.spec_backend; supports = spec.spec_supports; price; run }

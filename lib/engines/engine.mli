@@ -1,18 +1,35 @@
 (** Uniform interface over the seven engine simulators, plus the shared
     run skeleton they are built from.
 
-    Every engine: (1) admission-checks the job against its paradigm
-    (expressivity, §4.3.2), (2) executes the graph for real via
-    {!Exec_helper}, (3) prices the measured data volumes with its own
-    {!Perf.rates} — this is where Hadoop's per-job overhead, Naiad's
-    single-reader Lindi I/O, PowerGraph's partitioning cost etc. live —
-    and (4) materializes the job's outputs to HDFS. *)
+    The engines are cost models over measured volumes (DESIGN.md §2),
+    so a job's data plane is kept apart from its pricing. A run goes:
+
+    + {b execute} — admission-check the graph against the engine's
+      paradigm (expressivity, §4.3.2), then run it for real via
+      {!Exec_helper}. The rows and volumes do not depend on the engine,
+      and claims on a service-scoped {!Scan_share} waive the charge
+      for scans another in-flight workflow already paid;
+    + {b price} — turn the measured volumes into time with the engine's
+      own {!Perf.rates}: Hadoop's per-job overhead, Naiad's
+      single-reader Lindi I/O, PowerGraph's partitioning cost etc. live
+      here, as do the post-execution admission checks (Spark's OOM);
+    + {b draw} — take the job's injected fault, if any ({!Injector});
+    + {b publish} — materialize the job's outputs to HDFS. *)
 
 type t = {
   backend : Backend.t;
   (** Can this engine express the job's graph as one job? Returns a
       human-readable reason when not. *)
   supports : Ir.Operator.graph -> (unit, string) result;
+  (** [price ~cluster job exec] — the report [run] would give for [job]
+      had its execution produced [exec], before any fault. Runs
+      [supports] first. Pure: it draws no fault, writes no HDFS entry
+      and emits no metric, so one execution can be priced on every
+      engine (calibration does). *)
+  price :
+    cluster:Cluster.t -> Job.t -> Exec_helper.result ->
+    (Report.t, Report.error) result;
+  (** execute → price → draw → publish *)
   run :
     cluster:Cluster.t -> hdfs:Hdfs.t -> Job.t ->
     (Report.t, Report.error) result;
@@ -57,8 +74,10 @@ val gas_message_volumes :
   job:Job.t -> stats:Exec_helper.op_stat list -> Perf.volumes ->
   Perf.volumes
 
-(** Build an engine from a spec: executes the job graph, applies the
-    job's code-generation options ([scan_passes] becomes extra process
-    volume; [process_multiplier] scales process volume), prices with
-    [spec_rates], writes outputs to HDFS. *)
+(** Build an engine from a spec. Its [price] applies the job's
+    code-generation options ([scan_passes] becomes extra scan volume;
+    [process_multiplier] and [shuffle_multiplier] scale process and
+    comm volume), then [spec_adjust_volumes], [spec_admit],
+    [spec_rates] and [spec_comm_penalty_s]; its [run] wraps that price
+    between execution and the fault draw and output publish. *)
 val of_spec : spec -> t

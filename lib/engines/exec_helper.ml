@@ -12,6 +12,7 @@ type result = {
   volumes : Perf.volumes;
   outputs : (string * Table.t * float) list;
   op_stats : op_stat list;
+  scans : (string * float) list;
 }
 
 exception Execution_error of string
@@ -24,7 +25,7 @@ let propagate kind ~in_modeled ~in_bytes ~out_bytes =
   else in_modeled *. (float_of_int out_bytes /. float_of_int in_bytes)
 
 type accum = {
-  mutable input_mb : float;
+  mutable scans : (string * float) list;  (* newest first *)
   mutable process_mb : float;
   mutable comm_mb : float;
   mutable iterations : int;
@@ -82,12 +83,12 @@ let rec eval_graph ?(protect = []) ~hdfs
   let by_name : (string, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
   (* one HDFS fetch per distinct relation per job: duplicate INPUT nodes
      (several consumers of one relation) share the scan *)
-  let scans : (string, Table.t * float) Hashtbl.t = Hashtbl.create 4 in
+  let fetched : (string, Table.t * float) Hashtbl.t = Hashtbl.create 4 in
   let eval_input relation =
     match Hashtbl.find_opt bound relation with
     | Some v -> v
     | None -> (
-      match Hashtbl.find_opt scans relation with
+      match Hashtbl.find_opt fetched relation with
       | Some (t, mb) when fused ->
         Obs.Metrics.incr Obs.Metrics.default "scan.shared";
         Obs.Metrics.add_gauge Obs.Metrics.default "scan.shared_mb_saved" mb;
@@ -95,17 +96,8 @@ let rec eval_graph ?(protect = []) ~hdfs
       | Some _ | None -> (
         try
           let e = Hdfs.get hdfs relation in
-          (* a service-scoped share may have a co-admitted workflow
-             already paying for this scan; the bytes still come from
-             HDFS either way, only the charge is waived *)
-          let free =
-            match Scan_share.active () with
-            | Some share ->
-              Scan_share.claim share ~relation ~mb:e.Hdfs.modeled_mb
-            | None -> false
-          in
-          if not free then acc.input_mb <- acc.input_mb +. e.Hdfs.modeled_mb;
-          Hashtbl.replace scans relation (e.Hdfs.table, e.Hdfs.modeled_mb);
+          acc.scans <- (relation, e.Hdfs.modeled_mb) :: acc.scans;
+          Hashtbl.replace fetched relation (e.Hdfs.table, e.Hdfs.modeled_mb);
           (e.Hdfs.table, e.Hdfs.modeled_mb)
         with Hdfs.No_such_relation r ->
           exec_error "missing input relation %S" r))
@@ -305,7 +297,7 @@ and eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins =
 
 let execute ~hdfs (g : Ir.Operator.graph) =
   let acc =
-    { input_mb = 0.; process_mb = 0.; comm_mb = 0.; iterations = 1;
+    { scans = []; process_mb = 0.; comm_mb = 0.; iterations = 1;
       stats = [] }
   in
   let bound = Hashtbl.create 1 in
@@ -323,12 +315,15 @@ let execute ~hdfs (g : Ir.Operator.graph) =
       out_nodes
   in
   let output_mb = List.fold_left (fun s (_, _, mb) -> s +. mb) 0. outputs in
+  let scans = List.rev acc.scans in
+  let input_mb = List.fold_left (fun s (_, mb) -> s +. mb) 0. scans in
   { volumes =
-      { Perf.input_mb = acc.input_mb; output_mb; load_mb = acc.input_mb;
+      { Perf.input_mb; output_mb; load_mb = input_mb;
         process_mb = acc.process_mb; scan_extra_mb = 0.;
         comm_mb = acc.comm_mb; iterations = acc.iterations };
     outputs;
-    op_stats = List.rev acc.stats }
+    op_stats = List.rev acc.stats;
+    scans }
 
 let is_graph_idiom (g : Ir.Operator.graph) = Ir.Gas_check.graph_is_gas g
 

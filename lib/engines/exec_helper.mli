@@ -20,10 +20,14 @@ type op_stat = {
 
 type result = {
   volumes : Perf.volumes;
-      (** [scan_extra_mb] is 0 here; engines add it from job options *)
+      (** [scan_extra_mb] is 0 here; engines add it from job options.
+          [input_mb] and [load_mb] charge every fetch in [scans]: a
+          shared-scan waiver is the engine's to decide at run time *)
   outputs : (string * Relation.Table.t * float) list;
       (** external outputs: relation name, rows, modeled MB *)
   op_stats : op_stat list;
+  scans : (string * float) list;
+      (** every HDFS fetch, as relation and modeled MB, in fetch order *)
 }
 
 exception Execution_error of string
@@ -32,8 +36,10 @@ exception Execution_error of string
     [hdfs]; WHILE nodes iterate in-engine (engines whose paradigm cannot
     iterate must reject such graphs before calling this). Raises
     {!Execution_error} on missing relations and propagates kernel
-    errors. Does {b not} write outputs back to HDFS — the engine does,
-    so it can account for the push. *)
+    errors. The result depends only on [graph], the HDFS contents and
+    the fusion and columnar gates: it does {b not} write outputs back
+    to HDFS and does not consult {!Scan_share} — the engine does both
+    — so one result can be priced on every engine. *)
 val execute : hdfs:Hdfs.t -> Ir.Operator.graph -> result
 
 (** [is_graph_idiom g] — true when the graph is a single WHILE

@@ -14,4 +14,7 @@ let all = List.map find Backend.extended
 let run backend ~cluster ~hdfs job =
   (find backend).Engine.run ~cluster ~hdfs job
 
+let price backend ~cluster job exec =
+  (find backend).Engine.price ~cluster job exec
+
 let supports backend graph = (find backend).Engine.supports graph

@@ -9,5 +9,11 @@ val run :
   Backend.t -> cluster:Cluster.t -> hdfs:Hdfs.t -> Job.t ->
   (Report.t, Report.error) result
 
+(** [price backend ~cluster job exec] — {!Engine.t.price} of [backend]:
+    the report of [job] for an execution already done. *)
+val price :
+  Backend.t -> cluster:Cluster.t -> Job.t -> Exec_helper.result ->
+  (Report.t, Report.error) result
+
 (** [supports backend graph] — can one job of [backend] express it? *)
 val supports : Backend.t -> Ir.Operator.graph -> (unit, string) result

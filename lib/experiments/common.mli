@@ -34,15 +34,22 @@ val load_kmeans : points:int -> k:int -> Engines.Hdfs.t
 
 (* ---- execution helpers ---- *)
 
+(** [steady_state m ~workflow ~hdfs graph] — [m] with a private history
+    filled by one operator-by-operator profiling run of [graph] on a
+    snapshot of [hdfs]: a deployed workflow in steady state (full merge
+    opportunities, §5.2). *)
+val steady_state :
+  Musketeer.t -> workflow:string -> hdfs:Engines.Hdfs.t ->
+  Ir.Operator.graph -> Musketeer.t
+
 (** [run_forced m ~mode ~workflow ~hdfs ~backend graph] — plan the whole
     workflow onto one backend and execute on a snapshot of [hdfs].
     Returns the makespan, or [Error] when the backend cannot run it.
 
-    By default ([profiled] = true) an operator-by-operator profiling run
-    populates a private history first, so the measurement reflects a
-    deployed workflow in steady state (full merge opportunities, §5.2);
-    pass [~profiled:false] to measure a cold first run, as Figure 14's
-    no-history condition does. *)
+    By default ([profiled] = true) the run starts from {!steady_state};
+    pass [~profiled:false] to plan with [m] as given: a cold first run,
+    as Figure 14's no-history condition does, or an [m] already brought
+    to steady state. *)
 val run_forced :
   ?mode:Musketeer.Executor.mode -> ?profiled:bool -> Musketeer.t ->
   workflow:string -> hdfs:Engines.Hdfs.t -> backend:Engines.Backend.t ->

@@ -14,16 +14,20 @@ let backends =
     ("Naiad", Engines.Backend.Naiad) ]
 
 let overhead ~movies ~backend =
-  let m = Common.musketeer_for (Common.ec2 100) in
   let hdfs = Common.load_netflix ~movies in
   let graph = Workloads.Workflows.netflix () in
-  let generated =
-    Common.run_forced ~mode:Musketeer.Executor.Generated m ~workflow:"netflix"
-      ~hdfs ~backend graph
-  and baseline =
-    Common.run_forced ~mode:Musketeer.Executor.Baseline m ~workflow:"netflix"
-      ~hdfs ~backend graph
+  (* one profiling run serves both measurements: neither records
+     history, so each sees the same steady state *)
+  let m =
+    Common.steady_state (Common.musketeer_for (Common.ec2 100))
+      ~workflow:"netflix" ~hdfs graph
   in
+  let run mode =
+    Common.run_forced ~mode ~profiled:false m ~workflow:"netflix" ~hdfs
+      ~backend graph
+  in
+  let generated = run Musketeer.Executor.Generated in
+  let baseline = run Musketeer.Executor.Baseline in
   match generated, baseline with
   | Ok g, Ok b -> Ok (g, b, 100. *. ((g -. b) /. b))
   | Error e, _ | _, Error e -> Error e

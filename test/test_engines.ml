@@ -588,6 +588,136 @@ let test_extension_engines_reject_relational () =
          false (supports backend scan))
     [ Engines.Backend.Giraph; Engines.Backend.X_stream ]
 
+(* ---------------- execute once, price per engine ---------------- *)
+
+(* every bit of a report, or the error it became *)
+let report_bits = function
+  | Error e -> "error: " ^ Engines.Report.error_to_string e
+  | Ok (r : Engines.Report.t) ->
+    let b = r.Engines.Report.breakdown in
+    String.concat " "
+      ([ r.Engines.Report.job_label; Engines.Backend.name r.Engines.Report.backend;
+         Printf.sprintf "%h" r.Engines.Report.makespan_s ]
+       @ List.map
+           (fun (name, v) -> Printf.sprintf "%s=%h" name v)
+           (Engines.Report.breakdown_fields b)
+       @ [ Printf.sprintf "in=%h out=%h it=%d" r.Engines.Report.input_mb
+             r.Engines.Report.output_mb r.Engines.Report.iterations ]
+       @ List.map
+           (fun (id, mb) -> Printf.sprintf "%d:%h" id mb)
+           r.Engines.Report.op_output_mb)
+
+(* the zoo workflows on small samples of their CLI inputs *)
+let zoo () =
+  let module D = Workloads.Datagen in
+  let module W = Workloads.Workflows in
+  let pair (a, b) na nb = [ (na, a); (nb, b) ] in
+  let graph () = D.graph_tables ~sample_vertices:60 D.orkut ~edges:() in
+  [ ("tpch", W.tpch_q17 (),
+     pair (D.tpch ~sample_rows:200 ~scale_factor:10 ()) "lineitem" "part");
+    ("top-shopper", W.top_shopper (),
+     [ ("purchases", D.purchases ~sample_rows:200 ~users:10_000_000 ()) ]);
+    ("netflix", W.netflix (),
+     pair (D.netflix ~sample_rows:200 ~movies:8000 ()) "ratings" "movies");
+    ("pagerank", W.pagerank_gas (), pair (graph ()) "edges" "vertices");
+    ("components", W.connected_components ~iterations:3 (),
+     pair (graph ()) "edges" "vertices");
+    ("cross-community", W.cross_community_pagerank (),
+     pair (D.community_pair ~sample_vertices:60 ()) "edges_a" "edges_b");
+    ("sssp", W.sssp ~max_rounds:3 (),
+     pair (D.sssp_tables ~sample_vertices:60 D.twitter ()) "sssp_edges"
+       "sssp_seeds");
+    ("kmeans", W.kmeans ~iterations:2 (),
+     pair (D.kmeans_points ~sample_rows:200 ~points:100_000_000 ~k:5 ())
+       "points" "centroids");
+    ("join", W.simple_join (),
+     pair (D.asymmetric_join_tables ()) "left" "right");
+    ("project", W.project_only (),
+     [ ("lines", D.two_column_ascii ~sample_rows:200 ~modeled_mb:2048. ()) ])
+  ]
+
+(* For every job graph of the zoo's merged and unmerged plans, and every
+   engine that can express it, [run] gives bit for bit the report of
+   [execute] followed by [price]. Each chain of jobs advances on the
+   engine it was planned for. *)
+let test_run_is_execute_then_price () =
+  let m = Musketeer.create ~cluster () in
+  let compared = ref 0 in
+  List.iter
+    (fun (workflow, graph, inputs) ->
+       List.iter
+         (fun merging ->
+            let hdfs = Engines.Hdfs.create () in
+            List.iter (fun (r, s) -> Workloads.Datagen.put hdfs r s) inputs;
+            match Musketeer.plan m ~merging ~workflow ~hdfs graph with
+            | None -> Alcotest.failf "%s: no plan" workflow
+            | Some (plan, g') ->
+              List.iteri
+                (fun i (planned, ids) ->
+                   let jg = Musketeer.Jobgraph.extract g' ids in
+                   let job backend =
+                     (Musketeer.Codegen.generate
+                        ~label:(Printf.sprintf "%s/job%d" workflow i)
+                        ~backend jg)
+                       .Musketeer.Codegen.job
+                   in
+                   if Engines.Registry.supports planned jg = Ok () then begin
+                     let exec = Engines.Exec_helper.execute ~hdfs jg in
+                     List.iter
+                       (fun backend ->
+                          if Engines.Registry.supports backend jg = Ok () then begin
+                            incr compared;
+                            let job = job backend in
+                            Alcotest.(check string)
+                              (Printf.sprintf "%s job %d on %s" workflow i
+                                 (Engines.Backend.name backend))
+                              (report_bits
+                                 (Engines.Registry.price backend ~cluster job
+                                    exec))
+                              (report_bits
+                                 (Engines.Registry.run backend ~cluster
+                                    ~hdfs:(Engines.Hdfs.snapshot hdfs) job))
+                          end)
+                       Engines.Backend.extended;
+                     ignore
+                       (Engines.Registry.run planned ~cluster ~hdfs
+                          (job planned))
+                   end)
+                plan.Musketeer.Partitioner.jobs)
+         [ true; false ])
+    (zoo ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d (job, engine) pairs compared" !compared)
+    true (!compared >= 200)
+
+(* The shared-scan waiver is decided when the job runs, not when it
+   executes: under one active share, two runs reading one relation
+   charge its modeled MB once, while both executions report the full
+   fetch. *)
+let test_scan_waiver_at_run () =
+  let hdfs = hdfs_with [ ("r", kv_table sample_rows, 64.) ] in
+  let g = scan_graph "r" in
+  let job = Engines.Job.make ~label:"scan" ~backend:Engines.Backend.Spark g in
+  let share = Engines.Scan_share.create () in
+  Engines.Scan_share.with_scope share (fun () ->
+      let run () =
+        let exec = Engines.Exec_helper.execute ~hdfs g in
+        Alcotest.(check (list (pair string (float 0.)))) "fetches"
+          [ ("r", 64.) ] exec.Engines.Exec_helper.scans;
+        Alcotest.(check (float 0.)) "execution charges the fetch" 64.
+          exec.Engines.Exec_helper.volumes.Engines.Perf.input_mb;
+        match
+          Engines.Registry.run Engines.Backend.Spark ~cluster
+            ~hdfs:(Engines.Hdfs.snapshot hdfs) job
+        with
+        | Ok r -> r.Engines.Report.input_mb
+        | Error e -> Alcotest.fail (Engines.Report.error_to_string e)
+      in
+      Alcotest.(check (float 0.)) "first run pays" 64. (run ());
+      Alcotest.(check (float 0.)) "second run rides free" 0. (run ()));
+  Alcotest.(check int) "one paid read" 1
+    (Engines.Scan_share.paid_reads share "r")
+
 (* ---------------- properties ---------------- *)
 
 let prop_makespan_monotone_in_input =
@@ -678,4 +808,9 @@ let () =
             test_giraph_trails_powergraph;
           Alcotest.test_case "reject relational" `Quick
             test_extension_engines_reject_relational ] );
+      ( "price",
+        [ Alcotest.test_case "run = execute + price (zoo)" `Quick
+            test_run_is_execute_then_price;
+          Alcotest.test_case "scan waiver at run" `Quick
+            test_scan_waiver_at_run ] );
       ("properties", qcheck_cases) ]

@@ -345,6 +345,40 @@ let hdfs_with bindings =
 
 let has_span trace name = Obs.Trace.find trace ~name <> []
 
+(* calibration is one span tree: the probe graphs are built and executed
+   once each under the [calibrate] root and priced per backend, never
+   run through an engine *)
+let test_calibrate_trace () =
+  let trace, _ = Obs.Trace.collecting (fun () -> Musketeer.create ~cluster ()) in
+  let roots =
+    List.filter
+      (fun (s : Obs.Trace.span) -> s.Obs.Trace.parent = None)
+      (Obs.Trace.spans trace)
+  in
+  Alcotest.(check (list string)) "one root" [ "calibrate" ]
+    (List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name) roots);
+  let executes = Obs.Trace.find trace ~name:"calibrate.execute" in
+  Alcotest.(check (list string)) "one execution per probe graph"
+    [ "scan"; "join"; "pr_1"; "pr_4" ]
+    (List.map
+       (fun (s : Obs.Trace.span) ->
+          match List.assoc_opt "probe" s.Obs.Trace.attrs with
+          | Some (Obs.Trace.String p) -> p
+          | _ -> "?")
+       executes);
+  List.iter
+    (fun (s : Obs.Trace.span) ->
+       Alcotest.(check bool) "rows_in" true
+         (match List.assoc_opt "rows_in" s.Obs.Trace.attrs with
+          | Some (Obs.Trace.Int n) -> n > 0
+          | _ -> false))
+    executes;
+  Alcotest.(check int) "priced on every backend"
+    (List.length Engines.Backend.extended)
+    (List.length (Obs.Trace.find trace ~name:"calibrate.price"));
+  Alcotest.(check int) "no engine runs" 0
+    (List.length (Obs.Trace.find trace ~name:"engine.run"))
+
 (* run --trace equivalent on a small BEER workflow: every pipeline
    stage must appear as a span and the Chrome export must be JSON *)
 let test_pipeline_trace_golden () =
@@ -466,4 +500,6 @@ let () =
         [ Alcotest.test_case "BEER workflow trace (golden stages)" `Quick
             test_pipeline_trace_golden;
           Alcotest.test_case "WHILE expansion trace" `Quick
-            test_while_expansion_trace ] ) ]
+            test_while_expansion_trace;
+          Alcotest.test_case "calibration span tree" `Quick
+            test_calibrate_trace ] ) ]
