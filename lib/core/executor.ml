@@ -376,7 +376,9 @@ let run_plan ?(mode = Generated) ?(record_history = true)
       List.filter_map
         (fun rel ->
            if Engines.Hdfs.mem hdfs rel then
-             Some (rel, Engines.Hdfs.table hdfs rel)
+             (* a stored output may be a view; callers get columns *)
+             Some
+               (rel, Relation.Table.materialize (Engines.Hdfs.table hdfs rel))
            else None)
         (Ir.Dag.output_relations graph)
     in

@@ -22,6 +22,8 @@ type result = {
   reports : Engines.Report.t list;   (** per engine job, in run order *)
   makespan_s : float;                (** workflow makespan (§6.1) *)
   outputs : (string * Relation.Table.t) list;
+      (** the declared workflow outputs, as columns or rows, never
+          views ({!Relation.Table.materialize}) *)
 }
 
 exception Execution_failed of Engines.Report.error

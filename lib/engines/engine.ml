@@ -159,9 +159,12 @@ let draw_fault backend (report : Report.t) =
                    report.breakdown.Report.overhead_s +. extra } }))
 
 let publish ~hdfs (exec : Exec_helper.result) (report : Report.t) =
+  Obs.Trace.with_span "engine.publish" @@ fun () ->
+  let kept = ref 0 in
   List.iter
     (fun (name, table, mb) ->
        Hdfs.put hdfs name ~modeled_mb:mb table;
+       if Relation.Table.is_view (Hdfs.table hdfs name) then incr kept;
        Hdfs.note_write hdfs ~mb;
        (* an overwritten relation invalidates any shared-scan entry other
           in-flight workflows paid for *)
@@ -169,6 +172,7 @@ let publish ~hdfs (exec : Exec_helper.result) (report : Report.t) =
        | Some share -> Scan_share.note_write share name
        | None -> ())
     exec.outputs;
+  Obs.Trace.add_attr "views_kept" (Obs.Trace.Int !kept);
   Hdfs.note_read hdfs ~mb:report.input_mb
 
 let of_spec spec =

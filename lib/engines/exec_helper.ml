@@ -311,7 +311,7 @@ let execute ~hdfs (g : Ir.Operator.graph) =
     List.map
       (fun (n : Ir.Operator.node) ->
          let t, mb = Hashtbl.find values n.id in
-         (n.output, Table.materialize t, mb))
+         (n.output, t, mb))
       out_nodes
   in
   let output_mb = List.fold_left (fun s (_, _, mb) -> s +. mb) 0. outputs in

@@ -24,7 +24,9 @@ type result = {
           [input_mb] and [load_mb] charge every fetch in [scans]: a
           shared-scan waiver is the engine's to decide at run time *)
   outputs : (string * Relation.Table.t * float) list;
-      (** external outputs: relation name, rows, modeled MB *)
+      (** external outputs: relation name, rows, modeled MB. An output
+          may be a view: the store it goes to decides its form
+          ({!Relation.Table.for_store}) *)
   op_stats : op_stat list;
   scans : (string * float) list;
       (** every HDFS fetch, as relation and modeled MB, in fetch order *)

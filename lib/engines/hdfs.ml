@@ -17,9 +17,10 @@ let put t name ?modeled_mb table =
     | Some mb -> mb
     | None -> Relation.Table.encoded_mb table
   in
-  (* a stored table holds no view: it must not pin its inputs' columns *)
+  (* a stored table keeps whichever of its view and its gathered columns
+     is smaller, so an entry never pins more than its columns would hold *)
   Hashtbl.replace t.entries name
-    { table = Relation.Table.materialize table; modeled_mb }
+    { table = Relation.Table.for_store table; modeled_mb }
 
 exception No_such_relation of string
 

@@ -17,8 +17,10 @@ type t
 
 val create : unit -> t
 
-(** [put t name table ~modeled_mb] stores or replaces a relation.
-    When [modeled_mb] is [None], the actual encoded size is used. *)
+(** [put t name table ~modeled_mb] stores or replaces a relation, in
+    the form {!Relation.Table.for_store} picks: a view when that holds
+    fewer words than its gathered columns. When [modeled_mb] is [None],
+    the actual encoded size is used. *)
 val put : t -> string -> ?modeled_mb:float -> Relation.Table.t -> unit
 
 exception No_such_relation of string

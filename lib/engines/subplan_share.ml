@@ -97,7 +97,7 @@ let publish t ~key ~inputs ~mb table =
       e_epochs = List.map (fun rel -> (rel, epoch t rel)) inputs;
       e_payer = t.current_flight;
       e_mb = mb;
-      e_table = Relation.Table.materialize table;
+      e_table = Relation.Table.for_store table;
     };
   Hashtbl.replace t.paid key
     (1 + Option.value (Hashtbl.find_opt t.paid key) ~default:0);

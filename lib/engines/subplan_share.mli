@@ -47,8 +47,9 @@ val with_flight : t -> int -> (unit -> 'a) -> 'a
 val claim : t -> key:string -> (Relation.Table.t * float) option
 
 (** [publish t ~key ~inputs ~mb table] — record a materialized subplan
-    paid by the current flight. [inputs] are the INPUT relations the
-    prefix transitively read (their current epochs are captured). *)
+    paid by the current flight, stored in the form
+    {!Relation.Table.for_store} picks. [inputs] are the INPUT relations
+    the prefix transitively read (their current epochs are captured). *)
 val publish :
   t -> key:string -> inputs:string list -> mb:float ->
   Relation.Table.t -> unit

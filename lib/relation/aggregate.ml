@@ -52,10 +52,17 @@ let init = function
   | Avg _ -> S_avg (0., 0)
   | First _ -> S_first None
 
+(* Machine addition of two NaNs keeps one operand's sign and payload,
+   and which one depends on the operand order the compiler emits, so
+   two loops summing the same floats could print "nan" and "-nan". A
+   NaN running sum stays that NaN instead; an addition with at most
+   one NaN operand is order-free. *)
+let add_float acc x = if Float.is_nan acc then acc else acc +. x
+
 let add_values a b =
   match a, b with
   | Value.Int x, Value.Int y -> Value.Int (x + y)
-  | _ -> Value.Float (Value.to_float a +. Value.to_float b)
+  | _ -> Value.Float (add_float (Value.to_float a) (Value.to_float b))
 
 let step fn state v =
   match fn, state, v with
@@ -68,7 +75,8 @@ let step fn state v =
   | Max _, S_minmax None, Some v -> S_minmax (Some v)
   | Max _, S_minmax (Some acc), Some v ->
     S_minmax (Some (if Value.compare v acc > 0 then v else acc))
-  | Avg _, S_avg (sum, n), Some v -> S_avg (sum +. Value.to_float v, n + 1)
+  | Avg _, S_avg (sum, n), Some v ->
+    S_avg (add_float sum (Value.to_float v), n + 1)
   | First _, S_first None, Some v -> S_first (Some v)
   | First _, (S_first (Some _) as s), Some _ -> s
   | _, _, None -> invalid_arg "Aggregate.step: missing input value"

@@ -33,6 +33,12 @@ val associative : fn -> bool
     Raises [Invalid_argument] for non-numeric Sum/Avg. *)
 val result_type : fn -> input:Value.ty option -> Value.ty
 
+(** [add_float acc x] adds [x] to a running float sum; a NaN sum stays
+    that NaN, so the sign and payload of a sum over several NaNs do not
+    depend on the operand order the compiler emits. The row and the
+    columnar SUM/AVG both add through it. *)
+val add_float : float -> float -> float
+
 (** Streaming state: [init], [step], [finish]. *)
 type state
 

@@ -415,7 +415,7 @@ let try_cross left right =
 let group_ids n keys =
   let limit = max 4096 (2 * n) in
   match keys with
-  | [] -> invalid_arg "Columnar.group_ids: no keys"
+  | [] -> (Array.make n 0, min n 1)  (* keyless: one group of every row *)
   | [ (base, None) ] ->
     let codes, count, _ = dense_codes base in
     (codes, count)
@@ -490,7 +490,8 @@ let aggregate ~gid ~reps ~counts (fn : Aggregate.fn) (src : Column.t option) =
     let sums = Array.make groups 0. in
     for r = 0 to n - 1 do
       let g = gid.(r) in
-      sums.(g) <- (if reps.(g) = r then a.(r) else sums.(g) +. a.(r))
+      sums.(g) <-
+        (if reps.(g) = r then a.(r) else Aggregate.add_float sums.(g) a.(r))
     done;
     Column.make (Column.Floats sums)
   (* AVG starts from 0. and adds every value, like [Aggregate.S_avg] *)
@@ -505,7 +506,7 @@ let aggregate ~gid ~reps ~counts (fn : Aggregate.fn) (src : Column.t option) =
     let sums = Array.make groups 0. in
     for r = 0 to n - 1 do
       let g = gid.(r) in
-      sums.(g) <- sums.(g) +. a.(r)
+      sums.(g) <- Aggregate.add_float sums.(g) a.(r)
     done;
     avg sums
   | (Aggregate.Min _ | Aggregate.Max _), Some c ->
@@ -562,11 +563,10 @@ let try_group_by t ~keys ~aggs =
            Option.map (fun keys -> (keys, ix)) (int_keys c))
         kis
     in
-    (* keyless GROUP BY (one row even when empty), float keys (row-path
-       NaN semantics), repeated keys (a duplicate output column) and
-       SUM/AVG over non-numeric inputs (a schema error) stay on rows *)
-    if keys = [] then fallback "keyless_group_by"
-    else if List.length key_cols <> List.length kis then fallback "float_key"
+    (* float keys (row-path NaN semantics), repeated keys (a duplicate
+       output column) and SUM/AVG over non-numeric inputs (a schema
+       error) stay on rows *)
+    if List.length key_cols <> List.length kis then fallback "float_key"
     else if List.length (List.sort_uniq Int.compare kis) <> List.length kis
     then fallback "repeated_key"
     else if
@@ -609,6 +609,18 @@ let try_group_by t ~keys ~aggs =
           (fun (a : Aggregate.t) src -> aggregate ~gid ~reps ~counts a.fn src)
           aggs srcs
       in
-      Some (Table.of_columns out_schema (Array.of_list (out_keys @ out_aggs)))
+      if keys <> [] || (n > 0 && aggs <> []) then
+        Some
+          (Table.of_columns out_schema (Array.of_list (out_keys @ out_aggs)))
+      else
+        (* a keyless GROUP BY yields one row even with no aggregate, and
+           over an empty input the row kernel's initial states *)
+        Some
+          (Table.create_unchecked out_schema
+             [| Array.of_list
+                  (List.map
+                     (fun (a : Aggregate.t) ->
+                        Aggregate.finish a.fn (Aggregate.init a.fn))
+                     aggs) |])
     end
   end

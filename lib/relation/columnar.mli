@@ -13,8 +13,6 @@
     - [key_type_mismatch], [float_key]: join keys of two types, or a
       float join/group key, whose NaN behavior under structural
       equality is row-specific;
-    - [keyless_group_by]: GROUP BY with no keys, which yields one row
-      even over an empty input;
     - [repeated_key]: a GROUP BY naming one key twice;
     - [non_numeric_agg]: SUM/AVG over a non-numeric input.
 
@@ -60,12 +58,14 @@ val try_join :
     groups. Either side may be empty. *)
 val try_cross : Table.t -> Table.t -> Table.t option
 
-(** Grouping on one or more int/string/bool keys. Each key column is
+(** Grouping on zero or more int/string/bool keys. Each key column is
     dense-coded in first-appearance order (dictionary codes stand in
     for strings) and folded into one group id per row, re-densified
     after every key; aggregations then run column-at-a-time into
     arrays sized to the group count. Group order is first appearance
-    of the whole key tuple, as in the serial kernel. A float key, a
-    repeated key or an empty key list returns [None]. *)
+    of the whole key tuple, as in the serial kernel. With no keys every
+    row is in one group, and an empty input gives the serial kernel's
+    one row of initial states. A float key or a repeated key returns
+    [None]. *)
 val try_group_by :
   Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t option

@@ -72,6 +72,11 @@ val distinct : Table.t -> Table.t
     is the first-appearance order of keys, so output is deterministic. *)
 val group_by : Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t
 
+(** The serial row kernel behind {!group_by}: the reference its
+    columnar path is checked against. *)
+val serial_group_by :
+  Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t
+
 (** [top_k t ~by ~descending ~k] stable-sorts once with the requested
     direction and keeps the first [k] rows. *)
 val top_k : Table.t -> by:string -> descending:bool -> k:int -> Table.t

@@ -244,6 +244,39 @@ let settle t =
             v.vcols }
   | _ -> t
 
+(* A stored table outlives the job that made it, so a store keeps
+   whichever form holds fewer words: each column entry, index entry and
+   dictionary code is one word. The view holds one index per group plus
+   every distinct base column it reads through one; its gathered form
+   holds one column per indexed column. Row-aligned columns and
+   dictionaries are shared by both forms and not counted. *)
+let view_stored = "kernel.view.stored"
+
+let for_store t =
+  let t = settle t in
+  match t.view_v with
+  | None -> t
+  | Some v ->
+    let indexed =
+      List.filter_map
+        (fun (c, g) -> if g >= 0 then Some c else None)
+        (Array.to_list v.vcols)
+    in
+    let bases =
+      List.fold_left
+        (fun acc c -> if List.memq c acc then acc else c :: acc)
+        [] indexed
+    in
+    let view_words =
+      (Array.length v.idx * t.nrows)
+      + List.fold_left (fun s c -> s + Column.length c) 0 bases
+    in
+    if view_words <= List.length indexed * t.nrows then begin
+      Obs.Metrics.incr Obs.Metrics.default view_stored;
+      t
+    end
+    else materialize t
+
 let column t name =
   let i = Schema.index_of t.schema name in
   match cols_opt t with

@@ -67,9 +67,21 @@ val is_view : t -> bool
 
 (** Forces a view into columns (counted as [kernel.view.materialized])
     and drops it, so the table no longer holds its inputs' columns.
-    Tables that leave a job pass through here. Other tables are
-    returned as they are. *)
+    The unconditional force: the workflow outputs the executor returns
+    pass through here. Other tables are returned as they are. *)
 val materialize : t -> t
+
+(** The form a store keeps: [t] {!settle}d, then kept as a view
+    (counted as [kernel.view.stored]) when its index words (groups ×
+    rows) plus the words of every distinct base column it reads through
+    an index are no more than the words of the columns it would gather,
+    and {!materialize}d otherwise. A word is one column entry, index
+    entry or dictionary code; row-aligned columns and dictionaries are
+    shared by both forms and not counted. So a stored entry never holds
+    more words than its materialized form, and its {!encoded_bytes}
+    and {!to_csv} are those of its materialization either way. HDFS,
+    the subplan share and the sub-result cache store through here. *)
+val for_store : t -> t
 
 (** The same table with the dictionary compaction {!Column.gather}
     would apply at this row count applied now to the view's indexed

@@ -28,9 +28,10 @@ val find :
   t -> key:string -> epoch:(string -> int) ->
   (Relation.Table.t * float) option
 
-(** [insert t ~key ~inputs ~mb table] — cache a materialization,
-    evicting least-recently-used entries until it fits. A table larger
-    than the whole capacity is not cached. *)
+(** [insert t ~key ~inputs ~mb table] — cache a materialization in the
+    form {!Relation.Table.for_store} picks, evicting least-recently-used
+    entries until it fits. A table larger than the whole capacity is
+    not cached. *)
 val insert :
   t -> key:string -> inputs:(string * int) list -> mb:float ->
   Relation.Table.t -> unit

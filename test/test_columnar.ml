@@ -516,10 +516,73 @@ let test_zoo_kernels_columnar () =
          (counter ("kernel.columnar." ^ k) - List.nth col0 i > 0))
     kernels
 
+(* A keyless GROUP BY runs columnar as one group over every row. Over
+   empty, one-row and many-row inputs, for every aggregate function
+   over every column type it takes, alone and all together, it matches
+   the serial row kernel byte for byte, and raises what the row kernel
+   raises (MIN, MAX and FIRST of an empty input). *)
+let test_keyless_group_by () =
+  let outcome f =
+    match f () with
+    | t -> Ok (Schema.to_string (Table.schema t), Table.to_csv t)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  List.iter
+    (fun rows ->
+       let t =
+         Qcheck_lite.table_of_shape
+           { Qcheck_lite.sh_rows = rows;
+             sh_extra =
+               [ (Value.Tfloat, 50); (Value.Tstring, 10); (Value.Tbool, 2) ];
+             sh_null = 0.; sh_seed = seed }
+       in
+       let fns =
+         Aggregate.Count
+         :: List.concat_map
+              (fun (c : Schema.column) ->
+                 (match c.ty with
+                  | Value.Tint | Value.Tfloat ->
+                    [ Aggregate.Sum c.name; Aggregate.Avg c.name ]
+                  | Value.Tstring | Value.Tbool -> [])
+                 @ [ Aggregate.Min c.name; Aggregate.Max c.name;
+                     Aggregate.First c.name ])
+              (Schema.columns (Table.schema t))
+       in
+       let one fn = [ Aggregate.make fn ~as_name:"a" ] in
+       let all =
+         List.mapi
+           (fun i fn -> Aggregate.make fn ~as_name:(Printf.sprintf "a%d" i))
+           fns
+       in
+       List.iter
+         (fun aggs ->
+            let what =
+              Printf.sprintf "%d rows, %s" rows
+                (String.concat ","
+                   (List.map
+                      (fun (a : Aggregate.t) -> Aggregate.fn_to_string a.fn)
+                      aggs))
+            in
+            let columnar () =
+              match
+                Column.with_enabled true (fun () ->
+                    Columnar.try_group_by t ~keys:[] ~aggs)
+              with
+              | Some r -> r
+              | None -> Alcotest.fail (what ^ ": columnar path refused")
+            in
+            Alcotest.(check (result (pair string string) string))
+              what
+              (outcome (fun () -> Kernel.serial_group_by t ~keys:[] ~aggs))
+              (outcome columnar))
+         (([] :: List.map one fns) @ [ all ]))
+    [ 0; 1; 700 ]
+
 (* Every row-path run of a hot kernel has one counted refusal: over
    planned runs of the NetFlix, k-means, TPC-H and PageRank workflows
-   (fused chains included), the [kernel.fallback.<reason>] counters sum
-   to the [kernel.row.<kernel>] ones. *)
+   (fused chains included) and a GROUP BY on TPC-H's float price, the
+   [kernel.fallback.<reason>] counters sum to the [kernel.row.<kernel>]
+   ones. *)
 let test_fallbacks_account_for_row_runs () =
   let sum prefix =
     List.fold_left
@@ -542,9 +605,13 @@ let test_fallbacks_account_for_row_runs () =
       ("tpch", Experiments.Common.load_tpch ~scale_factor:10,
        Workloads.Workflows.tpch_q17 ());
       ("pagerank", Experiments.Common.load_graph Workloads.Datagen.orkut,
-       Workloads.Workflows.pagerank_gas ()) ];
+       Workloads.Workflows.pagerank_gas ());
+      ("by-price", Experiments.Common.load_tpch ~scale_factor:10,
+       Frontends.Hive.parse
+         "SELECT l_extendedprice, SUM(l_quantity) AS qty FROM lineitem \
+          GROUP BY l_extendedprice AS by_price;\n") ];
   let rows = sum "kernel.row." - row0 in
-  (* TPC-H's keyless AGG always refuses, so the sums are never 0 = 0 *)
+  (* a float GROUP BY key always refuses, so the sums are never 0 = 0 *)
   Alcotest.(check bool) "some row runs" true (rows > 0);
   Alcotest.(check int) "fallbacks = row runs" rows
     (sum "kernel.fallback." - fallback0)
@@ -773,9 +840,31 @@ let test_prop_lazy_sizes_are_eager () =
               chains))
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
+(* The words a table holds beyond its dictionaries, read off
+   [Table.parts] (which never gathers): one per row-aligned column
+   entry and index entry, and one per entry of each distinct base
+   column it reads through an index. Its materialized form holds
+   arity x rows. *)
+let words t =
+  let v = Table.parts t and n = Table.row_count t in
+  let bases, aligned =
+    Array.fold_left
+      (fun (bases, aligned) (c, g) ->
+         if g < 0 then (bases, aligned + n)
+         else if List.memq c bases then (bases, aligned)
+         else (c :: bases, aligned))
+      ([], 0) v.Table.vcols
+  in
+  (Array.length v.Table.idx * n)
+  + aligned
+  + List.fold_left (fun s c -> s + Column.length c) 0 bases
+
+let materialized_words t = Schema.arity (Table.schema t) * Table.row_count t
+
 (* NetFlix and k-means read every JOIN/CROSS view through SELECT, MAP,
-   GROUP BY or JOIN: nothing inside the workflow materializes one. Only
-   a workflow output is forced, when it leaves the job. *)
+   GROUP BY or JOIN: nothing inside the workflow materializes one. An
+   output leaves its job as the kernel made it, and the store keeps
+   whichever of its view and its columns is smaller. *)
 let test_zoo_views_stay_lazy () =
   let materialized () =
     Obs.Metrics.counter Obs.Metrics.default "kernel.view.materialized"
@@ -795,14 +884,18 @@ let test_zoo_views_stay_lazy () =
        List.iter (fun (_, t) -> ignore (Table.materialize t)) outputs;
        Alcotest.(check int) (name ^ ": each view output forced once")
          (List.length views) (materialized () - before);
-       (* the engine path forces its outputs as they leave the job *)
+       (* the engine path hands its outputs to HDFS, which stores each
+          in its smaller form *)
        let hdfs = Engines.Hdfs.create () in
        List.iter (fun (r, t) -> Engines.Hdfs.put hdfs r t) bindings;
        let r = Engines.Exec_helper.execute ~hdfs graph in
        List.iter
          (fun (out, t, _) ->
-            Alcotest.(check bool) (name ^ ": " ^ out ^ " leaves as columns")
-              false (Table.is_view t))
+            Engines.Hdfs.put hdfs out t;
+            let stored = Engines.Hdfs.table hdfs out in
+            Alcotest.(check bool)
+              (name ^ ": " ^ out ^ " leaves in the smaller form") true
+              (words stored <= materialized_words stored))
          r.Engines.Exec_helper.outputs)
     [ ("netflix", Workloads.Workflows.netflix (),
        [ ("ratings", ratings.Workloads.Datagen.table);
@@ -811,34 +904,165 @@ let test_zoo_views_stay_lazy () =
        [ ("points", pts.Workloads.Datagen.table);
          ("centroids", cents.Workloads.Datagen.table) ]) ]
 
-(* the stores that outlive a job hold no view: a view would pin its
-   inputs' columns for as long as the entry lives *)
-let test_stores_hold_no_view () =
+(* a fresh [t ()] stored in HDFS, the subplan share and the sub-result
+   cache, and what each store reads back *)
+let stored_forms t =
+  let hdfs = Engines.Hdfs.create () in
+  Engines.Hdfs.put hdfs "x" (t ());
+  let share = Engines.Subplan_share.create () in
+  Engines.Subplan_share.publish share ~key:"p" ~inputs:[] ~mb:1. (t ());
+  let cache = Serve.Subresult_cache.create ~capacity_mb:64. in
+  Serve.Subresult_cache.insert cache ~key:"p" ~inputs:[] ~mb:1. (t ());
+  [ ("HDFS entry", Engines.Hdfs.table hdfs "x");
+    ("subplan share entry",
+     match Engines.Subplan_share.claim share ~key:"p" with
+     | Some (s, _) -> s
+     | None -> Alcotest.fail "published subplan not claimable");
+    ("sub-result cache entry",
+     match Serve.Subresult_cache.find cache ~key:"p" ~epoch:(fun _ -> 0) with
+     | Some (c, _) -> c
+     | None -> Alcotest.fail "inserted sub-result not found") ]
+
+(* The stores that outlive a job keep the smaller form: a CROSS or JOIN
+   view over small bases indexes fewer words than it would gather, so
+   it stays a view, reading back as its materialization does; a SELECT
+   that keeps a few rows of a large base would pin the whole base, so
+   it is gathered. *)
+let test_stores_keep_smaller_form () =
   Column.with_enabled true @@ fun () ->
   let t =
     Qcheck_lite.table_of_shape
-      { Qcheck_lite.sh_rows = 30; sh_extra = [ (Value.Tstring, 10) ];
+      { Qcheck_lite.sh_rows = 30;
+        sh_extra = [ (Value.Tstring, 10); (Value.Tint, 2) ];
         sh_null = 0.; sh_seed = 7 }
   in
-  let view () = Kernel.cross_join t (Kernel.project t [ "c0" ]) in
-  Alcotest.(check bool) "kernel output is a view" true
-    (Table.is_view (view ()));
-  let hdfs = Engines.Hdfs.create () in
-  Engines.Hdfs.put hdfs "x" (view ());
-  Alcotest.(check bool) "HDFS entry" false
-    (Table.is_view (Engines.Hdfs.table hdfs "x"));
-  let share = Engines.Subplan_share.create () in
-  Engines.Subplan_share.publish share ~key:"p" ~inputs:[] ~mb:1. (view ());
-  (match Engines.Subplan_share.claim share ~key:"p" with
-   | Some (s, _) ->
-     Alcotest.(check bool) "subplan share entry" false (Table.is_view s)
-   | None -> Alcotest.fail "published subplan not claimable");
-  let cache = Serve.Subresult_cache.create ~capacity_mb:64. in
-  Serve.Subresult_cache.insert cache ~key:"p" ~inputs:[] ~mb:1. (view ());
-  match Serve.Subresult_cache.find cache ~key:"p" ~epoch:(fun _ -> 0) with
-  | Some (c, _) ->
-    Alcotest.(check bool) "sub-result cache entry" false (Table.is_view c)
-  | None -> Alcotest.fail "inserted sub-result not found"
+  let force v = Table.of_columns (Table.schema v) (Table.columns v) in
+  List.iter
+    (fun (what, view) ->
+       Alcotest.(check bool) (what ^ " is a view") true
+         (Table.is_view (view ()));
+       let expect = force (view ()) in
+       List.iter
+         (fun (store, s) ->
+            Alcotest.(check bool) (what ^ ": " ^ store ^ " keeps the view")
+              true (Table.is_view s);
+            Alcotest.(check int) (what ^ ": " ^ store ^ " encoded bytes")
+              (Table.encoded_bytes expect) (Table.encoded_bytes s);
+            Alcotest.(check string) (what ^ ": " ^ store ^ " reads back")
+              (Table.to_csv expect) (Table.to_csv s))
+         (stored_forms view))
+    [ ("CROSS", fun () -> Kernel.cross_join t (Kernel.project t [ "c0" ]));
+      ("self-JOIN", fun () -> Kernel.join t t ~left_key:"c1" ~right_key:"c1")
+    ];
+  let big =
+    Qcheck_lite.table_of_shape
+      { Qcheck_lite.sh_rows = 1000;
+        sh_extra = [ (Value.Tint, 100); (Value.Tstring, 10) ];
+        sh_null = 0.; sh_seed = 7 }
+  in
+  let few () = Kernel.select big Expr.(col "k" = int 3) in
+  Alcotest.(check bool) "selective SELECT is a view" true
+    (Table.is_view (few ()));
+  List.iter
+    (fun (store, s) ->
+       Alcotest.(check bool) ("selective SELECT: " ^ store ^ " gathers") false
+         (Table.is_view s);
+       Alcotest.(check string) ("selective SELECT: " ^ store ^ " reads back")
+         (Table.to_csv (few ())) (Table.to_csv s))
+    (stored_forms few)
+
+(* Over generated pipelines behind a self-JOIN (every stage a declared
+   output, so each leaves its job as the kernel made it), HDFS never
+   stores more words than the materialized form holds, and the stored
+   form reads back with the materialization's bytes and CSV. *)
+let stored_pipeline (spec : Qcheck_lite.workflow_spec) =
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let j = Ir.Builder.join b ~name:"j" ~left_key:"k" ~right_key:"k" r r in
+  let m =
+    Ir.Builder.map b ~name:"m" ~target:"v"
+      ~expr:Relation.Expr.(col "v" - col "r_v") j
+  in
+  let p = Ir.Builder.project b ~name:"p" ~columns:[ "k"; "v" ] m in
+  let last, stages =
+    List.fold_left
+      (fun (h, acc) op ->
+         let name = Printf.sprintf "s%d" (List.length acc) in
+         let h = Qcheck_lite.apply_op ~name b h op in
+         (h, h :: acc))
+      (p, []) spec.Qcheck_lite.ops
+  in
+  let out =
+    Ir.Builder.select b ~name:"out" ~pred:Relation.Expr.(col "k" > int 1) last
+  in
+  Ir.Builder.finish b ~outputs:([ j; m; p; out ] @ stages)
+
+let test_prop_stored_words () =
+  try
+    Qcheck_lite.check ~count:30 ~seed
+      ~name:"stored words <= materialized words" Qcheck_lite.spec_arbitrary
+      (fun spec ->
+        Column.with_enabled true @@ fun () ->
+        let g = stored_pipeline spec in
+        let run () =
+          (Engines.Exec_helper.execute ~hdfs:(Qcheck_lite.hdfs_of_spec spec) g)
+            .Engines.Exec_helper.outputs
+        in
+        let hdfs = Engines.Hdfs.create () in
+        List.for_all2
+          (fun (name, t, _) (_, m, _) ->
+             Engines.Hdfs.put hdfs name t;
+             let s = Engines.Hdfs.table hdfs name and m = Table.materialize m in
+             words s <= materialized_words s
+             && Table.encoded_bytes s = Table.encoded_bytes m
+             && Table.to_csv s = Table.to_csv m)
+          (run ()) (run ()))
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* The outputs a workflow run returns are plain tables, one-shot or
+   served, even when HDFS stored the output as a view: a self-JOIN over
+   a low-cardinality key indexes fewer words than it gathers. *)
+let test_executor_outputs_not_views () =
+  Column.with_enabled true @@ fun () ->
+  let stored () =
+    Obs.Metrics.counter Obs.Metrics.default "kernel.view.stored"
+  in
+  let graph () =
+    let b = Ir.Builder.create () in
+    let r = Ir.Builder.input b "r" in
+    let j = Ir.Builder.join b ~name:"out" ~left_key:"k" ~right_key:"k" r r in
+    Ir.Builder.finish b ~outputs:[ j ]
+  in
+  let hdfs () =
+    Qcheck_lite.hdfs_of_spec
+      { Qcheck_lite.rows = List.init 120 (fun i -> (i mod 7, i)); ops = [] }
+  in
+  let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
+  let check_outputs what outputs =
+    Alcotest.(check bool) (what ^ ": outputs returned") true (outputs <> []);
+    List.iter
+      (fun (rel, t) ->
+         Alcotest.(check bool) (what ^ ": " ^ rel ^ " is no view") false
+           (Table.is_view t))
+      outputs
+  in
+  let before = stored () in
+  (match Musketeer.execute m ~workflow:"selfjoin" ~hdfs:(hdfs ()) (graph ()) with
+   | Ok (r, _) -> check_outputs "one-shot" r.Musketeer.Executor.outputs
+   | Error e -> Alcotest.fail (Engines.Report.error_to_string e));
+  Alcotest.(check bool) "one-shot: HDFS stored the output as a view" true
+    (stored () > before);
+  let before = stored () in
+  let outcomes, _ =
+    Serve.Service.run m ~hdfs:(hdfs ())
+      [ { Serve.Service.tenant = "t"; workflow = "selfjoin"; graph = graph ();
+          arrival_s = 0.; slo_s = None } ]
+  in
+  List.iter
+    (fun (o : Serve.Service.outcome) -> check_outputs "served" o.outputs)
+    outcomes;
+  Alcotest.(check bool) "served: HDFS stored the output as a view" true
+    (stored () > before)
 
 (* ---- satellite: 4k-row fixture regression ----
 
@@ -1028,6 +1252,8 @@ let () =
             test_zoo_kernels_columnar;
           Alcotest.test_case "fallbacks account for row runs" `Quick
             test_fallbacks_account_for_row_runs;
+          Alcotest.test_case "keyless GROUP BY = serial kernel" `Quick
+            test_keyless_group_by;
           Alcotest.test_case "view chains, jobs 1/2/4" `Quick
             test_prop_view_chains;
           Alcotest.test_case "view bytes = materialized bytes" `Quick
@@ -1036,8 +1262,12 @@ let () =
             test_prop_lazy_sizes_are_eager;
           Alcotest.test_case "netflix and k-means views stay lazy" `Quick
             test_zoo_views_stay_lazy;
-          Alcotest.test_case "stores hold no view" `Quick
-            test_stores_hold_no_view;
+          Alcotest.test_case "stores keep the smaller form" `Quick
+            test_stores_keep_smaller_form;
+          Alcotest.test_case "stored words <= materialized words" `Quick
+            test_prop_stored_words;
+          Alcotest.test_case "executor outputs are never views" `Quick
+            test_executor_outputs_not_views;
           Alcotest.test_case "fused chains, fusion on/off" `Quick
             test_prop_fused_differential ] );
       ( "regression",
