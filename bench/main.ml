@@ -1181,7 +1181,7 @@ let serve_bench () =
          exit 1
        | None -> ())
     burst_outcomes;
-  let paid = Engines.Scan_share.paid_reads (Serve.Service.share svc3) "r1" in
+  let paid = Engines.Share.paid_reads (Serve.Service.store svc3) "r1" in
   Printf.printf
     "\nco-admission: %d concurrent workflows reading r1 paid %d modeled \
      fetch(es)\n%!"
@@ -1255,7 +1255,7 @@ let serve_bench () =
       Out_channel.output_string oc json);
   Printf.printf "wrote BENCH_serve.json\n"
 
-(* == target: subplan — common-subplan sharing + sub-result cache ==
+(* == target: subplan — common-subplan sharing through the shared store ==
 
    Three claims about the serving layer's multi-query optimization,
    all enforced fatally (virtual time makes them deterministic):
@@ -1458,11 +1458,9 @@ let subplan_bench () =
       (fun acc (o : Serve.Service.outcome) -> acc + o.subplan_paid)
       0 on_outcomes
   in
-  let attached_mb = Engines.Subplan_share.attached_mb
-                      (Serve.Service.subplan_share on_svc) in
-  let cache_stats =
-    Serve.Subresult_cache.stats (Serve.Service.subresult_cache on_svc)
-  in
+  let store = Serve.Service.store on_svc in
+  let attached_mb = Engines.Share.attached_mb store
+  and cache_stats = Engines.Share.stats store in
   Printf.printf
     "repeat traffic: %d submissions, modeled makespan %.1fs off -> %.1fs \
      on (%.2fx), %d prefixes attached / %d materialized\n%!"
@@ -1554,11 +1552,8 @@ let subplan_bench () =
       (Printf.sprintf
          "    \"subresult_cache\": {\"hits\": %d, \"misses\": %d, \
           \"evictions\": %d, \"entries\": %d, \"bytes_mb\": %.3f}\n"
-         cache_stats.Serve.Subresult_cache.hits
-         cache_stats.Serve.Subresult_cache.misses
-         cache_stats.Serve.Subresult_cache.evictions
-         cache_stats.Serve.Subresult_cache.entries
-         cache_stats.Serve.Subresult_cache.bytes_mb);
+         cache_stats.Engines.Share.hits cache_stats.misses
+         cache_stats.evictions cache_stats.entries cache_stats.bytes_mb);
     Buffer.add_string b "  },\n";
     Buffer.add_string b
       (Printf.sprintf
@@ -1581,8 +1576,7 @@ let subplan_bench () =
        unshed 2x run;
    (2) chaos identity: under fault injection + shedding + SLOs, every
        COMPLETED submission stays byte-identical to a one-shot run
-       across fusion x columnar, and no scan/subplan
-       flight is left open;
+       across fusion x columnar, and no store flight is left open;
    (3) crash-restart: a fresh service restored from the run ledger
        brings plan-cache hit rate and p99 latency back within 10% of
        steady state within 50 submissions;
@@ -1719,7 +1713,7 @@ let overload_bench () =
     exit 1
   end;
   if Serve.Service.open_flights svc_shed <> 0 then begin
-    Printf.eprintf "FATAL: shed run leaked scan/subplan flights\n";
+    Printf.eprintf "FATAL: shed run leaked store flights\n";
     exit 1
   end;
 
@@ -2001,7 +1995,7 @@ let () =
         "serve     multi-tenant serving: identity matrix, plan cache, \
          shared scans (BENCH_serve.json)";
       print_endline
-        "subplan   common-subplan sharing + sub-result cache \
+        "subplan   common-subplan sharing through the shared store \
          (BENCH_subplan.json)";
       print_endline
         "overload  shedding, SLOs, chaos identity, crash-restart \

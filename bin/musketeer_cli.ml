@@ -775,7 +775,7 @@ let check_identity_arg =
           "After serving, re-run each distinct workflow one-shot \
            against a snapshot of the initial HDFS and exit non-zero \
            unless every completed submission produced byte-identical \
-           outputs, and unless zero scan/subplan flights are left \
+           outputs, and unless zero store flights are left \
            open — the CI smoke gate for the serving layer. Shed, \
            SLO-expired and errored submissions are reported but never \
            compared (they completed nothing).")
@@ -855,7 +855,7 @@ let restart_after_arg =
         ~doc:
           "Crash-recovery drill (requires --ledger): serve the first \
            N submissions, tear the service down (plan cache, breaker \
-           states, scan/subplan epochs and calibration all lost), \
+           states, store epochs and calibration all lost), \
            then restore a fresh service from the ledger and serve the \
            remainder. The summary covers both halves.")
 
@@ -1077,7 +1077,7 @@ let serve_cmd =
       let leaked = Serve.Service.open_flights svc in
       if leaked > 0 then
         Format.eprintf
-          "@.flight leak: %d scan/subplan flights left open after the \
+          "@.flight leak: %d store flights left open after the \
            drive@."
           leaked;
       if !mismatches > 0 || leaked > 0 then begin

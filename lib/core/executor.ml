@@ -216,11 +216,11 @@ let run_plan ?(mode = Generated) ?(record_history = true)
     ?(recovery = Recovery.none) ?(candidates = Engines.Backend.all)
     ?(supervision = Supervisor.disabled) ?sharing ~profile ~history ~workflow
     ~hdfs ~graph ~plan () =
-  (* serving mode installs a cross-workflow scan share for the whole
-     run; engines consult it through its dynamic scope *)
+  (* serving mode installs the shared store for the whole run; engines
+     consult it through its dynamic scope *)
   (match sharing with
    | None -> fun f -> f ()
-   | Some share -> fun f -> Engines.Scan_share.with_scope share f)
+   | Some share -> fun f -> Engines.Share.with_scope share f)
   @@ fun () ->
   Obs.Trace.with_span
     ~attrs:[ ("workflow", Obs.Trace.String workflow);

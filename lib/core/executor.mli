@@ -48,15 +48,16 @@ exception Execution_failed of Engines.Report.error
            {!Supervisor.disabled}): per-job deadlines, speculative
            duplicates for detected stragglers, and adaptive
            re-planning of the remaining jobs on size mispredictions.
-    @param sharing cross-workflow scan share (serving mode): installed
-           around the whole run via {!Engines.Scan_share.with_scope},
-           so co-admitted workflows reading the same INPUT relation
-           pay one modeled HDFS read. Results are byte-identical with
-           or without it. *)
+    @param sharing the service's shared store (serving mode): installed
+           around the whole run via {!Engines.Share.with_scope}, so
+           co-admitted workflows reading the same INPUT relation pay
+           one modeled HDFS read, and every relation the run writes
+           drops the entries that read it. Results are byte-identical
+           with or without it. *)
 val run_plan :
   ?mode:mode -> ?record_history:bool -> ?recovery:Recovery.policy ->
   ?candidates:Engines.Backend.t list -> ?supervision:Supervisor.config ->
-  ?sharing:Engines.Scan_share.t ->
+  ?sharing:Engines.Share.t ->
   profile:Profile.t ->
   history:History.t -> workflow:string -> hdfs:Engines.Hdfs.t ->
   graph:Ir.Dag.t -> plan:Partitioner.plan -> unit ->

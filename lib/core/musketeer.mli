@@ -113,12 +113,12 @@ val execute :
   (Executor.result * Partitioner.plan, Engines.Report.error) result
 
 (** Run a pre-computed plan (used by experiments that compare plans,
-    and by the serving layer — [sharing] installs a cross-workflow
-    scan share around the run, see {!Engines.Scan_share}). *)
+    and by the serving layer — [sharing] installs the service's shared
+    store around the run, see {!Engines.Share}). *)
 val execute_plan :
   ?mode:Executor.mode -> ?record_history:bool ->
   ?recovery:Recovery.policy -> ?candidates:Engines.Backend.t list ->
-  ?supervision:Supervisor.config -> ?sharing:Engines.Scan_share.t ->
+  ?supervision:Supervisor.config -> ?sharing:Engines.Share.t ->
   t -> workflow:string -> hdfs:Engines.Hdfs.t -> graph:Ir.Dag.t ->
   Partitioner.plan ->
   (Executor.result, Engines.Report.error) result

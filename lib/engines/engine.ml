@@ -89,18 +89,18 @@ let price_supported spec ~cluster (job : Job.t) (exec : Exec_helper.result) =
             (fun (s : Exec_helper.op_stat) -> (s.node_id, s.out_mb))
             exec.op_stats }
 
-(* A service-scoped share may have a co-admitted workflow already paying
+(* A service-scoped store may have a co-admitted workflow already paying
    for some of the job's scans: the bytes came from HDFS either way, only
    the charge is waived. Claims run in fetch order, and the unwaived
    fetches are summed in that order, as the fetches were. *)
 let claim_scans (exec : Exec_helper.result) =
-  match Scan_share.active () with
+  match Share.active () with
   | None -> exec
   | Some share ->
     let input_mb =
       List.fold_left
         (fun s (relation, mb) ->
-           if Scan_share.claim share ~relation ~mb then s else s +. mb)
+           if Share.claim share ~relation ~mb then s else s +. mb)
         0. exec.scans
     in
     { exec with
@@ -166,10 +166,10 @@ let publish ~hdfs (exec : Exec_helper.result) (report : Report.t) =
        Hdfs.put hdfs name ~modeled_mb:mb table;
        if Relation.Table.is_view (Hdfs.table hdfs name) then incr kept;
        Hdfs.note_write hdfs ~mb;
-       (* an overwritten relation invalidates any shared-scan entry other
-          in-flight workflows paid for *)
-       match Scan_share.active () with
-       | Some share -> Scan_share.note_write share name
+       (* an overwritten relation invalidates every shared entry that
+          read it, scans and subplans alike *)
+       match Share.active () with
+       | Some share -> Share.note_write share name
        | None -> ())
     exec.outputs;
   Obs.Trace.add_attr "views_kept" (Obs.Trace.Int !kept);

@@ -7,7 +7,7 @@
     + {b execute} — admission-check the graph against the engine's
       paradigm (expressivity, §4.3.2), then run it for real via
       {!Exec_helper}. The rows and volumes do not depend on the engine,
-      and claims on a service-scoped {!Scan_share} waive the charge
+      and scan claims on a service-scoped {!Share} waive the charge
       for scans another in-flight workflow already paid;
     + {b price} — turn the measured volumes into time with the engine's
       own {!Perf.rates}: Hadoop's per-job overhead, Naiad's

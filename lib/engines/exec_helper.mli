@@ -40,7 +40,7 @@ exception Execution_error of string
     {!Execution_error} on missing relations and propagates kernel
     errors. The result depends only on [graph], the HDFS contents and
     the fusion and columnar gates: it does {b not} write outputs back
-    to HDFS and does not consult {!Scan_share} — the engine does both
+    to HDFS and does not consult {!Share} — the engine does both
     — so one result can be priced on every engine. *)
 val execute : hdfs:Hdfs.t -> Ir.Operator.graph -> result
 

@@ -450,7 +450,7 @@ let cone (g : t) id =
 (* A node is a sound subplan cut point when materializing its table and
    substituting an INPUT read cannot change any output or interact with
    name-addressed machinery:
-   - never an INPUT (that is just a scan — Scan_share's job) and never
+   - never an INPUT (that is just a scan, shared as one) and never
      a workflow output (cutting there would rename an output relation);
    - it must have consumers (cutting a dead sink shares nothing);
    - its cone must not contain WHILE (loop expansion writes

@@ -79,8 +79,8 @@ val materialize : t -> t
     entry or dictionary code; row-aligned columns and dictionaries are
     shared by both forms and not counted. So a stored entry never holds
     more words than its materialized form, and its {!encoded_bytes}
-    and {!to_csv} are those of its materialization either way. HDFS,
-    the subplan share and the sub-result cache store through here. *)
+    and {!to_csv} are those of its materialization either way. HDFS
+    and the serving layer's shared store store through here. *)
 val for_store : t -> t
 
 (** The same table with the dictionary compaction {!Column.gather}

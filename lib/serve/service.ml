@@ -2,7 +2,7 @@
 
    Everything below the admission queue is the existing one-shot
    pipeline — plan (now through the plan cache) and execute_plan (now
-   under a cross-workflow scan share and the tenant's breaker scope) —
+   under the service's shared store and the tenant's breaker scope) —
    so a served submission produces byte-identical outputs to a one-shot
    run of the same graph.
 
@@ -128,9 +128,7 @@ type t = {
   hdfs : Engines.Hdfs.t;
   config : config;
   cache : Musketeer.Plan_cache.t;
-  share : Engines.Scan_share.t;
-  subshare : Engines.Subplan_share.t;
-  subcache : Subresult_cache.t;
+  store : Engines.Share.t;
   tenants : (string, tenant_state) Hashtbl.t;
   mutable vwork : float;  (* WFQ virtual-work clock *)
   mutable now : float;    (* virtual wall clock, monotone across drives *)
@@ -147,9 +145,7 @@ let create ?(config = default_config) m ~hdfs =
     hdfs;
     config;
     cache = Musketeer.Plan_cache.create ~capacity:config.cache_capacity ();
-    share = Engines.Scan_share.create ();
-    subshare = Engines.Subplan_share.create ();
-    subcache = Subresult_cache.create ~capacity_mb:config.subresult_cache_mb;
+    store = Engines.Share.create ~capacity_mb:config.subresult_cache_mb ();
     tenants = Hashtbl.create 8;
     vwork = 0.;
     now = 0.;
@@ -160,11 +156,7 @@ let create ?(config = default_config) m ~hdfs =
 
 let cache t = t.cache
 
-let share t = t.share
-
-let subplan_share t = t.subshare
-
-let subresult_cache t = t.subcache
+let store t = t.store
 
 let tenant_state t name =
   match Hashtbl.find_opt t.tenants name with
@@ -183,22 +175,16 @@ let tenant_state t name =
     ts
 
 (* Overwrite an input relation out-of-band (a client re-uploading
-   data): bumps the scan- and subplan-share epochs, so entries
-   co-admitted workflows paid against the old bytes stop matching;
-   drops sub-result cache entries whose prefix read the relation; and
-   changes the input-size fingerprint the plan cache validates
-   against. *)
+   data): bumps the relation's epoch in the shared store, which drops
+   every scan and subplan entry that read the old bytes, and changes
+   the input-size fingerprint the plan cache validates against. *)
 let put_input t relation ?modeled_mb table =
   Engines.Hdfs.put t.hdfs relation ?modeled_mb table;
-  Engines.Scan_share.note_write t.share relation;
-  Engines.Subplan_share.note_write t.subshare relation;
-  Subresult_cache.invalidate t.subcache ~relation
+  Engines.Share.note_write t.store relation
 
 let cost_of sub = float_of_int (max 1 (Ir.Dag.operator_count sub.graph))
 
-let open_flights t =
-  Engines.Scan_share.open_flights t.share
-  + Engines.Subplan_share.open_flights t.subshare
+let open_flights t = Engines.Share.open_flights t.store
 
 let deadline_of t sub =
   match sub.slo_s, t.config.default_slo_s with
@@ -223,10 +209,10 @@ let slo_of t sub =
    sheds requests, and climbs back down on its own as the EWMA decays:
 
      P >= 1.0  rung 1: disable straggler speculation
-     P >= 1.5  rung 2: stop paying new subresult-cache materializations
+     P >= 1.5  rung 2: stop paying new subplan materializations
                (attaching to existing ones stays free, so stays on)
-     P >= 2.0  rung 3: bypass the scan/subplan co-admission window
-               entirely (no flights, no shared-scan accounting)
+     P >= 2.0  rung 3: bypass the co-admission window entirely (no
+               flight, no shared accounting)
      P >= 3.0  shed arriving requests per the shedding policy *)
 
 let pressure t =
@@ -312,18 +298,17 @@ let no_subplans =
 
 (* Multi-query optimization (docs/serving.md): before planning the
    submission, probe every eligible cut point of its DAG — topmost
-   first — against the co-admission share and the across-time
-   sub-result cache. An attached prefix is pre-put into this
-   submission's HDFS snapshot scope under its synthetic
+   first — against the shared store. An attached prefix is pre-put
+   into this submission's HDFS snapshot scope under its synthetic
    "__subplan:<hash>" relation and the DAG rewritten (Subplan.cut) so
    the ordinary estimator/partitioner price it at one HDFS read + zero
    compute. When nothing matches but the modeled recompute exceeds the
    modeled read (Cost.subplan_cut), this submission becomes the payer:
    the prefix cone runs as a stand-alone workflow (through the same
-   plan cache, under this submission's flights) and the
-   materialization is published to both sharing layers before the
-   rewritten suffix executes. Any payer failure falls back to leaving
-   the cone in place — sharing can only be skipped, never wrong.
+   plan cache, under this submission's flight) and the materialization
+   is published to the store before the rewritten suffix executes. Any
+   payer failure falls back to leaving the cone in place — sharing can
+   only be skipped, never wrong.
 
    Must run inside the submission's snapshot/flight scopes.
 
@@ -333,113 +318,83 @@ let no_subplans =
    disabled — attaching to already-materialized prefixes stays free and
    therefore allowed. *)
 let prepare_subplans t ~recovery sub =
-  if t.config.subresult_cache_mb <= 0. then (sub.graph, no_subplans)
-  else begin
-    let g = sub.graph in
-    match Musketeer.Subplan.candidates g with
-    | [] -> (g, no_subplans)
-    | cands ->
-      let est =
-        lazy (Musketeer.estimator t.m ~workflow:sub.workflow ~hdfs:t.hdfs g)
-      in
-      let covered = Hashtbl.create 8 in
-      let cuts = ref [] in
-      let prep = ref no_subplans in
-      let attach ~hit (c : Musketeer.Subplan.candidate) table mb =
-        let rel = Musketeer.Subplan.relation ~hash:c.Musketeer.Subplan.sc_hash in
-        Engines.Hdfs.put t.hdfs rel ~modeled_mb:mb table;
-        cuts := (c.Musketeer.Subplan.sc_id, rel) :: !cuts;
-        List.iter
-          (fun id -> Hashtbl.replace covered id ())
-          (Ir.Dag.cone g c.Musketeer.Subplan.sc_id);
-        let p = !prep in
-        prep :=
-          if hit then
-            { p with sp_hits = p.sp_hits + 1;
-                     sp_attached_mb = p.sp_attached_mb +. mb }
-          else { p with sp_paid = p.sp_paid + 1 }
-      in
-      let pay (c : Musketeer.Subplan.candidate) =
-        let prefix = Musketeer.Subplan.extract g c.Musketeer.Subplan.sc_id in
-        (* canonical workflow name: co-hashing submissions share one
-           plan-cache entry for the prefix regardless of tenant *)
-        let wf = "subplan:" ^ c.Musketeer.Subplan.sc_hash in
-        let t0 = Unix.gettimeofday () in
-        let planned =
-          Musketeer.plan ~cache:t.cache t.m ~workflow:wf ~hdfs:t.hdfs prefix
-        in
-        let p = !prep in
-        prep :=
-          { p with
-            sp_planning_s = p.sp_planning_s +. Unix.gettimeofday () -. t0 };
-        match planned with
-        | None -> ()
-        | Some (pplan, pg) -> (
-          match
-            Musketeer.execute_plan ~record_history:false ~recovery
-              ~sharing:t.share t.m ~workflow:wf ~hdfs:t.hdfs ~graph:pg pplan
-          with
-          | Error _ -> ()  (* suffix will recompute the cone in place *)
-          | Ok r ->
-            let out_rel =
-              (Ir.Dag.node g c.Musketeer.Subplan.sc_id).Ir.Operator.output
-            in
-            (match List.assoc_opt out_rel r.Musketeer.Executor.outputs with
-             | Some table when Engines.Hdfs.mem t.hdfs out_rel ->
-               (* the prefix run materialized its output to HDFS, so
-                  the modeled size the estimator propagated is there *)
-               let mb = Engines.Hdfs.modeled_mb t.hdfs out_rel in
-               Engines.Subplan_share.publish t.subshare
-                 ~key:c.Musketeer.Subplan.sc_key
-                 ~inputs:c.Musketeer.Subplan.sc_inputs ~mb table;
-               Subresult_cache.insert t.subcache
-                 ~key:c.Musketeer.Subplan.sc_key
-                 ~inputs:
-                   (List.map
-                      (fun rel ->
-                         (rel, Engines.Subplan_share.epoch t.subshare rel))
-                      c.Musketeer.Subplan.sc_inputs)
-                 ~mb table;
-               let p = !prep in
-               prep :=
-                 { p with
-                   sp_prefix_makespan_s =
-                     p.sp_prefix_makespan_s
-                     +. r.Musketeer.Executor.makespan_s };
-               attach ~hit:false c table mb
-             | Some _ | None -> ()))
-      in
-      List.iter
-        (fun (c : Musketeer.Subplan.candidate) ->
-           if not (Hashtbl.mem covered c.Musketeer.Subplan.sc_id) then
-             match
-               Engines.Subplan_share.claim t.subshare
-                 ~key:c.Musketeer.Subplan.sc_key
-             with
-             | Some (table, mb) -> attach ~hit:true c table mb
-             | None -> (
-               match
-                 Subresult_cache.find t.subcache
-                   ~key:c.Musketeer.Subplan.sc_key
-                   ~epoch:(Engines.Subplan_share.epoch t.subshare)
-               with
-               | Some (table, mb) -> attach ~hit:true c table mb
-               | None ->
-                 let read_mb, saved_mb =
-                   Musketeer.Cost.subplan_cut ~graph:g ~est:(Lazy.force est)
-                     c.Musketeer.Subplan.sc_id
-                 in
-                 if saved_mb > read_mb then
-                   if t.rung >= 2 then
-                     (* rung 2: materializing is optional work — shed
-                        it; the cone stays in place and the suffix
-                        recomputes it, byte-identically *)
-                     Obs.Metrics.incr Obs.Metrics.default
-                       "serve.degrade.no_materialize"
-                   else pay c))
-        cands;
-      ((if !cuts = [] then g else Musketeer.Subplan.cut g !cuts), !prep)
-  end
+  let g = sub.graph in
+  let cands =
+    if t.config.subresult_cache_mb <= 0. then []
+    else Musketeer.Subplan.candidates g
+  in
+  let est =
+    lazy (Musketeer.estimator t.m ~workflow:sub.workflow ~hdfs:t.hdfs g)
+  in
+  let covered = Hashtbl.create 8 and cuts = ref [] in
+  let prep = ref no_subplans in
+  let attach (c : Musketeer.Subplan.candidate) table mb p =
+    let rel = Musketeer.Subplan.relation ~hash:c.sc_hash in
+    Engines.Hdfs.put t.hdfs rel ~modeled_mb:mb table;
+    cuts := (c.sc_id, rel) :: !cuts;
+    List.iter (fun id -> Hashtbl.replace covered id ()) (Ir.Dag.cone g c.sc_id);
+    prep := p
+  in
+  (* the prefix's output table, its modeled MB and the prefix run's
+     makespan, or [None] when the payer could not produce it *)
+  let pay (c : Musketeer.Subplan.candidate) =
+    (* canonical workflow name: co-hashing submissions share one
+       plan-cache entry for the prefix regardless of tenant *)
+    let wf = "subplan:" ^ c.sc_hash in
+    let prefix = Musketeer.Subplan.extract g c.sc_id in
+    let t0 = Unix.gettimeofday () in
+    let planned =
+      Musketeer.plan ~cache:t.cache t.m ~workflow:wf ~hdfs:t.hdfs prefix
+    in
+    prep :=
+      { !prep with
+        sp_planning_s = !prep.sp_planning_s +. Unix.gettimeofday () -. t0 };
+    let out_rel = (Ir.Dag.node g c.sc_id).Ir.Operator.output in
+    Option.bind planned @@ fun (pplan, pg) ->
+    match
+      Musketeer.execute_plan ~record_history:false ~recovery
+        ~sharing:t.store t.m ~workflow:wf ~hdfs:t.hdfs ~graph:pg pplan
+    with
+    | Ok r when Engines.Hdfs.mem t.hdfs out_rel ->
+      (* the prefix run materialized its output to HDFS, so the
+         modeled size the estimator propagated is there *)
+      List.assoc_opt out_rel r.Musketeer.Executor.outputs
+      |> Option.map (fun table ->
+           (table, Engines.Hdfs.modeled_mb t.hdfs out_rel,
+            r.Musketeer.Executor.makespan_s))
+    | Ok _ | Error _ -> None  (* the suffix recomputes the cone in place *)
+  in
+  List.iter
+    (fun (c : Musketeer.Subplan.candidate) ->
+       if not (Hashtbl.mem covered c.sc_id) then
+         match Engines.Share.find t.store ~key:c.sc_key with
+         | Some (table, mb) ->
+           attach c table mb
+             { !prep with sp_hits = !prep.sp_hits + 1;
+                          sp_attached_mb = !prep.sp_attached_mb +. mb }
+         | None ->
+           let read_mb, saved_mb =
+             Musketeer.Cost.subplan_cut ~graph:g ~est:(Lazy.force est) c.sc_id
+           in
+           if saved_mb <= read_mb then ()
+           else if t.rung >= 2 then
+             (* rung 2: materializing is optional work — shed it; the
+                cone stays in place and the suffix recomputes it,
+                byte-identically *)
+             Obs.Metrics.incr Obs.Metrics.default "serve.degrade.no_materialize"
+           else
+             Option.iter
+               (fun (table, mb, makespan_s) ->
+                  Engines.Share.publish t.store ~key:c.sc_key
+                    ~inputs:c.sc_inputs ~mb table;
+                  attach c table mb
+                    { !prep with
+                      sp_paid = !prep.sp_paid + 1;
+                      sp_prefix_makespan_s =
+                        !prep.sp_prefix_makespan_s +. makespan_s })
+               (pay c))
+    cands;
+  ((if !cuts = [] then g else Musketeer.Subplan.cut g !cuts), !prep)
 
 let input_relations g =
   Ir.Dag.sources g
@@ -457,11 +412,10 @@ let open_breakers () =
        else None)
 
 (* one submission, executed at its (virtual) admission instant;
-   returns the outcome plus the expiry thunk ending its scan- and
-   subplan-share flights at its virtual finish. A failed execution
-   expires its flights immediately (and returns a no-op thunk):
-   co-admitted attachers must never ride on a payer whose
-   materialization never landed. *)
+   returns the outcome plus the expiry thunk ending its store flight at
+   its virtual finish. A failed execution expires its flight
+   immediately (and returns a no-op thunk): co-admitted attachers must
+   never ride on a payer whose materialization never landed. *)
 let execute t ts sub ~admit_s =
   Obs.Trace.with_span
     ~attrs:[ ("tenant", Obs.Trace.String sub.tenant);
@@ -490,30 +444,20 @@ let execute t ts sub ~admit_s =
   let retries0 =
     Obs.Metrics.counter Obs.Metrics.default "recovery.retries"
   in
-  (* sharing scopes open before planning: the subplan rewrite must see
+  (* the flight opens before planning: the subplan rewrite must see
      co-admitted materializations, and a payer executes its prefix
-     under this submission's flights. Each submission still runs
+     under this submission's flight. Each submission still runs
      against the service's base HDFS state — snapshot/restore isolates
      outputs, intermediates and attached prefixes alike. *)
   let pre = Engines.Hdfs.snapshot t.hdfs in
-  let scan_flight =
-    if coadmit then Some (Engines.Scan_share.begin_flight t.share)
-    else None
+  let flight =
+    if coadmit then Some (Engines.Share.begin_flight t.store) else None
   in
-  let sub_flight =
-    if coadmit then Some (Engines.Subplan_share.begin_flight t.subshare)
-    else None
-  in
-  let expire () =
-    Option.iter (Engines.Scan_share.end_flight t.share) scan_flight;
-    Option.iter (Engines.Subplan_share.end_flight t.subshare) sub_flight
-  in
-  let in_flights f =
-    match scan_flight, sub_flight with
-    | Some sf, Some pf ->
-      Engines.Scan_share.with_flight t.share sf @@ fun () ->
-      Engines.Subplan_share.with_flight t.subshare pf f
-    | _ -> f ()
+  let expire () = Option.iter (Engines.Share.end_flight t.store) flight in
+  let in_flight f =
+    match flight with
+    | Some id -> Engines.Share.with_flight t.store id f
+    | None -> f ()
   in
   (* chaos bracket around execution only (planning and the identity
      baseline stay clean); reseeding per submission keeps a fixed
@@ -533,7 +477,7 @@ let execute t ts sub ~admit_s =
       ~finally:(fun () -> Engines.Hdfs.restore t.hdfs ~from:pre)
       (fun () ->
          injected @@ fun () ->
-         in_flights @@ fun () ->
+         in_flight @@ fun () ->
          let graph, sp =
            if coadmit then prepare_subplans t ~recovery sub
            else (sub.graph, no_subplans)
@@ -591,7 +535,7 @@ let execute t ts sub ~admit_s =
                       epochs =
                         List.map
                           (fun rel ->
-                             (rel, Engines.Scan_share.epoch t.share rel))
+                             (rel, Engines.Share.epoch t.store rel))
                           (input_relations sub.graph) }
                   ~workflow:sub.workflow
                   ~ir_hash:(Ir.Dag.canonical_hash sub.graph) ~partition
@@ -614,7 +558,7 @@ let execute t ts sub ~admit_s =
                (fun (b, ids) -> (Engines.Backend.name b, ids))
                plan.Musketeer.Partitioner.jobs
            in
-           let sharing = if coadmit then Some t.share else None in
+           let sharing = if coadmit then Some t.store else None in
            match
              Musketeer.execute_plan ~record_history:false ~recovery
                ~supervision ?sharing t.m ~workflow:sub.workflow
@@ -630,10 +574,9 @@ let execute t ts sub ~admit_s =
   charge_retries ts
     (Obs.Metrics.counter Obs.Metrics.default "recovery.retries" - retries0);
   if out.error <> None then begin
-    (* flight-leak fix: a failed payer's scan entries / subplan
-       materializations must leave the window NOW, not at its virtual
-       finish — co-admitted attachers in the same burst would otherwise
-       claim a materialization that never landed *)
+    (* flight-leak fix: a failed payer's leases must end NOW, not at
+       its virtual finish — co-admitted attachers in the same burst
+       would otherwise claim a materialization that never landed *)
     expire ();
     (out, fun () -> ())
   end
@@ -758,7 +701,7 @@ let drop_outcome t sub ~status ~reason =
 (* Discrete-event loop: admit while slots are free, else advance the
    virtual clock to the next arrival or finish. Can be called
    repeatedly on one service; the virtual clock, WFQ tags, plan cache
-   and scan-share epochs persist across calls. *)
+   and the shared store persist across calls. *)
 let drive t subs =
   let pending =
     ref
@@ -883,14 +826,14 @@ let run ?(config = default_config) m ~hdfs subs =
 (* -------- crash-restart recovery --------
 
    The ledger and HDFS are the decoupled execution state; everything
-   else (plan cache, breaker states, scan/subplan epochs, calibration)
+   else (plan cache, breaker states, store epochs, calibration)
    is warm state a crash loses. [restore] replays it from the ledger a
    fresh service was pointed at:
 
      - calibration: re-fit cost-model factors from observed history
        (must run before warming — factors are part of the plan-cache
        environment fingerprint)
-     - scan/subplan epochs: raised to the per-relation maxima recorded
+     - store epochs: raised to the per-relation maxima recorded
        in serve records, so entries can never be paid against bytes
        the previous incarnation already invalidated
      - breakers: the latest record per tenant lists the engines open in
@@ -921,17 +864,16 @@ let restore t ~mix records =
     List.length (Musketeer.Calibrate.install_from records)
   in
   (* epochs before warming: input sizes enter the fingerprint via HDFS,
-     epochs via the share tables the next submissions will claim from *)
+     epochs via the store the next submissions will claim from *)
   let raised = Hashtbl.create 8 in
   List.iter
     (fun (_, (s : Obs.Ledger.serve_info)) ->
        List.iter
          (fun (rel, e) ->
-            if e > Engines.Scan_share.epoch t.share rel then begin
-              Engines.Scan_share.set_epoch t.share rel e;
+            if e > Engines.Share.epoch t.store rel then begin
+              Engines.Share.set_epoch t.store rel e;
               Hashtbl.replace raised rel ()
-            end;
-            Engines.Subplan_share.set_epoch t.subshare rel e)
+            end)
          s.Obs.Ledger.epochs)
     serves;
   (* breakers: the latest record per tenant wins *)
@@ -1021,7 +963,7 @@ type summary = {
   subplan_hits : int;               (** prefixes attached across the run *)
   subplan_paid : int;               (** prefixes materialized *)
   subplan_attached_mb : float;
-  subresult : Subresult_cache.stats;
+  subresult : Engines.Share.stats;
   tenants : tenant_summary list;
 }
 
@@ -1142,8 +1084,8 @@ let summarize (t : t) outcomes =
            (fun (o : outcome) ->
               if o.cache = "hit" then Some o.planning_s else None)
            served);
-    scan_saved_mb = Engines.Scan_share.saved_mb t.share;
-    scan_paid = Engines.Scan_share.paid_all t.share;
+    scan_saved_mb = Engines.Share.saved_mb t.store;
+    scan_paid = Engines.Share.paid_all t.store;
     subplan_hits =
       List.fold_left (fun acc (o : outcome) -> acc + o.subplan_hits) 0
         outcomes;
@@ -1154,7 +1096,7 @@ let summarize (t : t) outcomes =
       List.fold_left
         (fun acc (o : outcome) -> acc +. o.subplan_attached_mb)
         0. outcomes;
-    subresult = Subresult_cache.stats t.subcache;
+    subresult = Engines.Share.stats t.store;
     tenants;
   }
 
@@ -1191,8 +1133,8 @@ let pp_summary ppf s =
       "  subplans      %d attached (%.0f MB), %d materialized; cache %d \
        entries %.0f MB@."
       s.subplan_hits s.subplan_attached_mb s.subplan_paid
-      s.subresult.Subresult_cache.entries
-      s.subresult.Subresult_cache.bytes_mb;
+      s.subresult.Engines.Share.entries
+      s.subresult.Engines.Share.bytes_mb;
   List.iter
     (fun ts ->
        Format.fprintf ppf

@@ -15,17 +15,19 @@
       lookups (per-tenant [serve.queue_delay_s.<tenant>] histograms;
       circuit breakers become per-tenant via
       {!Engines.Breaker.with_tenant});
-    - {b cross-workflow shared scans} ({!Engines.Scan_share}):
-      co-admitted workflows naming the same INPUT relation pay one
-      modeled HDFS read, with epoch invalidation on overwrite;
-    - {b common-subplan sharing} ({!Engines.Subplan_share} +
-      {!Subresult_cache}, gated on [subresult_cache_mb > 0]): DAG
-      prefixes with equal subtree hashes execute once — co-admitted
-      workflows attach to the payer's materialized output, and a
-      bounded LRU-by-bytes sub-result cache carries materializations
-      across time; attached prefixes are rewritten to synthetic INPUTs
-      ({!Musketeer.Subplan.cut}) so the planner prices them at one
-      HDFS read + zero compute.
+    - one {b shared store} ({!Engines.Share}), epoch-versioned, with
+      one flight per admitted submission:
+      - {b shared scans}: co-admitted workflows naming the same INPUT
+        relation pay one modeled HDFS read;
+      - {b common subplans} (gated on [subresult_cache_mb > 0]): DAG
+        prefixes with equal subtree hashes execute once — co-admitted
+        workflows attach to the payer's materialized output while its
+        flight leases it, and an LRU-by-bytes budget keeps
+        materializations across time; attached prefixes are rewritten
+        to synthetic INPUTs ({!Musketeer.Subplan.cut}) so the planner
+        prices them at one HDFS read + zero compute.
+      A write to a relation, by a client or by an engine, drops every
+      entry that read it.
 
     Time is simulated (discrete-event over virtual seconds), matching
     the simulated cluster: service time = simulated makespan. The
@@ -96,8 +98,8 @@ type config = {
   concurrency : int;                (** admission slots (default 4) *)
   cache_capacity : int;             (** plan-cache entries (default 128) *)
   subresult_cache_mb : float;
-      (** sub-result cache budget in modeled MB; [0.] (the default)
-          disables subplan sharing entirely *)
+      (** the shared store's byte budget for subplans, in modeled MB;
+          [0.] (the default) disables subplan sharing entirely *)
   weights : (string * float) list;  (** tenant → WFQ weight (default 1) *)
   ledger : string option;           (** JSONL run ledger to append to *)
   tenant_queue_cap : int;           (** max queued per tenant; 0 = unbounded *)
@@ -133,21 +135,20 @@ val create : ?config:config -> Musketeer.t -> hdfs:Engines.Hdfs.t -> t
 
 val cache : t -> Musketeer.Plan_cache.t
 
-val share : t -> Engines.Scan_share.t
+(** The shared store: scan and subplan entries, their epochs and the
+    sub-result byte budget. *)
+val store : t -> Engines.Share.t
 
-val subplan_share : t -> Engines.Subplan_share.t
-
-val subresult_cache : t -> Subresult_cache.t
-
-(** Overwrite an input relation out-of-band: epoch-invalidates shared
-    scans and (via the size fingerprint) cached plans reading it. *)
+(** Overwrite an input relation out-of-band: bumps its epoch in the
+    store, dropping the scan and subplan entries that read it, and
+    (via the size fingerprint) invalidates cached plans reading it. *)
 val put_input :
   t -> string -> ?modeled_mb:float -> Relation.Table.t -> unit
 
 (** Run the discrete-event loop over a batch of submissions, returning
     their outcomes in admission order. May be called repeatedly: the
-    virtual clock, fair-queueing tags, plan cache and scan-share
-    epochs persist across calls. *)
+    virtual clock, fair-queueing tags, plan cache and the shared store
+    persist across calls. *)
 val drive : t -> submission list -> outcome list
 
 (** [create] + [drive], returning the service for inspection. *)
@@ -155,9 +156,10 @@ val run :
   ?config:config -> Musketeer.t -> hdfs:Engines.Hdfs.t ->
   submission list -> outcome list * t
 
-(** Scan- plus subplan-share flights currently open. Zero after every
-    [drive] returns — a leaked flight means a failed payer left entries
-    attachers could still claim (the CI chaos smoke gates on this). *)
+(** Store flights currently open, one per executing submission. Zero
+    after every [drive] returns — a leaked flight means a failed payer
+    left entries attachers could still claim (the CI chaos smoke gates
+    on this). *)
 val open_flights : t -> int
 
 (** {2 Crash-restart recovery} *)
@@ -172,7 +174,7 @@ type restore_stats = {
 
 (** [restore t ~mix records] replays warm state a crash lost from the
     run ledger into a freshly created service: re-fits calibration,
-    raises scan/subplan epochs to the recorded per-relation maxima,
+    raises store epochs to the recorded per-relation maxima,
     re-opens per-tenant breakers recorded open (when the breaker is
     enabled), and re-plans every distinct ledger workflow found in
     [mix] (name → graph) once, in first-appearance order. Call before
@@ -219,7 +221,7 @@ type summary = {
   subplan_hits : int;     (** prefixes attached across the run *)
   subplan_paid : int;     (** prefixes materialized *)
   subplan_attached_mb : float;
-  subresult : Subresult_cache.stats;
+  subresult : Engines.Share.stats;  (** the store's byte budget *)
   tenants : tenant_summary list;  (** sorted by tenant name *)
 }
 

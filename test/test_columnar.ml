@@ -904,24 +904,27 @@ let test_zoo_views_stay_lazy () =
        [ ("points", pts.Workloads.Datagen.table);
          ("centroids", cents.Workloads.Datagen.table) ]) ]
 
-(* a fresh [t ()] stored in HDFS, the subplan share and the sub-result
-   cache, and what each store reads back *)
+(* a fresh [t ()] stored in HDFS and in the serving layer's shared
+   store, and what each reads back. The store keeps one stored form:
+   the entry found while its flight leases it is the one the byte
+   budget serves after the lease ends. *)
 let stored_forms t =
   let hdfs = Engines.Hdfs.create () in
   Engines.Hdfs.put hdfs "x" (t ());
-  let share = Engines.Subplan_share.create () in
-  Engines.Subplan_share.publish share ~key:"p" ~inputs:[] ~mb:1. (t ());
-  let cache = Serve.Subresult_cache.create ~capacity_mb:64. in
-  Serve.Subresult_cache.insert cache ~key:"p" ~inputs:[] ~mb:1. (t ());
-  [ ("HDFS entry", Engines.Hdfs.table hdfs "x");
-    ("subplan share entry",
-     match Engines.Subplan_share.claim share ~key:"p" with
-     | Some (s, _) -> s
-     | None -> Alcotest.fail "published subplan not claimable");
-    ("sub-result cache entry",
-     match Serve.Subresult_cache.find cache ~key:"p" ~epoch:(fun _ -> 0) with
-     | Some (c, _) -> c
-     | None -> Alcotest.fail "inserted sub-result not found") ]
+  let store = Engines.Share.create ~capacity_mb:64. () in
+  let f = Engines.Share.begin_flight store in
+  Engines.Share.with_flight store f (fun () ->
+      Engines.Share.publish store ~key:"p" ~inputs:[] ~mb:1. (t ()));
+  let find what =
+    match Engines.Share.find store ~key:"p" with
+    | Some (s, _) -> s
+    | None -> Alcotest.fail ("published subplan not found " ^ what)
+  in
+  let leased = find "while leased" in
+  Engines.Share.end_flight store f;
+  Alcotest.(check bool) "the budget serves the leased entry's table" true
+    (find "in the budget" == leased);
+  [ ("HDFS entry", Engines.Hdfs.table hdfs "x"); ("store entry", leased) ]
 
 (* The stores that outlive a job keep the smaller form: a CROSS or JOIN
    view over small bases indexes fewer words than it would gather, so

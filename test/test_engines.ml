@@ -698,8 +698,8 @@ let test_scan_waiver_at_run () =
   let hdfs = hdfs_with [ ("r", kv_table sample_rows, 64.) ] in
   let g = scan_graph "r" in
   let job = Engines.Job.make ~label:"scan" ~backend:Engines.Backend.Spark g in
-  let share = Engines.Scan_share.create () in
-  Engines.Scan_share.with_scope share (fun () ->
+  let share = Engines.Share.create () in
+  Engines.Share.with_scope share (fun () ->
       let run () =
         let exec = Engines.Exec_helper.execute ~hdfs g in
         Alcotest.(check (list (pair string (float 0.)))) "fetches"
@@ -716,7 +716,7 @@ let test_scan_waiver_at_run () =
       Alcotest.(check (float 0.)) "first run pays" 64. (run ());
       Alcotest.(check (float 0.)) "second run rides free" 0. (run ()));
   Alcotest.(check int) "one paid read" 1
-    (Engines.Scan_share.paid_reads share "r")
+    (Engines.Share.paid_reads share "r")
 
 (* ---------------- properties ---------------- *)
 

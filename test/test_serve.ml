@@ -1,9 +1,9 @@
 (* The serving layer: plan-cache lifecycle (hit / miss / invalidated on
-   input size, calibration and breaker changes), cross-workflow shared
-   scans with epoch invalidation and flight expiry, start-time weighted
-   fair admission, per-tenant breaker isolation, and the byte-identity
-   promise — served outputs equal one-shot [run] outputs under every
-   fusion x columnar configuration. *)
+   input size, calibration and breaker changes), the shared store's
+   scan entries (pay-once, epochs, flight expiry, cross-workflow
+   counters), start-time weighted fair admission, per-tenant breaker
+   isolation, and the byte-identity promise — served outputs equal
+   one-shot [run] outputs under every fusion x columnar configuration. *)
 
 let lite_seed =
   match Sys.getenv_opt "MUSKETEER_TEST_SEED" with
@@ -160,85 +160,81 @@ let test_cache_invalidate_on_breaker () =
   check_stats "quarantine invalidates" (0, 0, 1)
     (plan_once ~cache m ~hdfs g)
 
-(* ---- cross-workflow scan share ---- *)
+(* ---- the shared store: scans ([Engines.Share]) ---- *)
 
-let test_scan_share_pays_once () =
-  let sh = Engines.Scan_share.create () in
+module Share = Engines.Share
+
+let metric name = Obs.Metrics.counter Obs.Metrics.default name
+
+let gauge name =
+  Option.value ~default:0. (Obs.Metrics.gauge Obs.Metrics.default name)
+
+let test_scan_pays_once () =
+  let sh = Share.create () in
   Alcotest.(check bool) "first claim pays" false
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+    (Share.claim sh ~relation:"r" ~mb:64.);
   Alcotest.(check bool) "second claim rides free" true
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
-  Alcotest.(check int) "one paid read" 1
-    (Engines.Scan_share.paid_reads sh "r");
-  Alcotest.(check (float 1e-9)) "64 MB saved" 64.
-    (Engines.Scan_share.saved_mb sh)
+    (Share.claim sh ~relation:"r" ~mb:64.);
+  Alcotest.(check int) "one paid read" 1 (Share.paid_reads sh "r");
+  Alcotest.(check (float 1e-9)) "64 MB saved" 64. (Share.saved_mb sh)
 
-let test_scan_share_epoch_invalidation () =
-  let sh = Engines.Scan_share.create () in
-  ignore (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
-  let e0 = Engines.Scan_share.epoch sh "r" in
-  Engines.Scan_share.note_write sh "r";
-  Alcotest.(check bool) "epoch bumped" true
-    (Engines.Scan_share.epoch sh "r" > e0);
+let test_scan_epoch_invalidation () =
+  let sh = Share.create () in
+  ignore (Share.claim sh ~relation:"r" ~mb:64.);
+  let e0 = Share.epoch sh "r" in
+  Share.note_write sh "r";
+  Alcotest.(check bool) "epoch bumped" true (Share.epoch sh "r" > e0);
   Alcotest.(check bool) "stale entry pays again" false
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
-  Alcotest.(check int) "two paid reads" 2
-    (Engines.Scan_share.paid_reads sh "r")
+    (Share.claim sh ~relation:"r" ~mb:64.);
+  Alcotest.(check int) "two paid reads" 2 (Share.paid_reads sh "r")
 
-let test_scan_share_flight_expiry () =
-  let sh = Engines.Scan_share.create () in
-  let f = Engines.Scan_share.begin_flight sh in
-  Engines.Scan_share.with_flight sh f (fun () ->
+let test_scan_flight_expiry () =
+  let sh = Share.create () in
+  let f = Share.begin_flight sh in
+  Share.with_flight sh f (fun () ->
       Alcotest.(check bool) "payer pays in flight" false
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+        (Share.claim sh ~relation:"r" ~mb:64.);
       Alcotest.(check bool) "co-flight rides free" true
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.));
-  Engines.Scan_share.end_flight sh f;
+        (Share.claim sh ~relation:"r" ~mb:64.));
+  Share.end_flight sh f;
   (* the payer landed, its entry expired: the next reader pays *)
   Alcotest.(check bool) "post-flight claim pays" false
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
-  Alcotest.(check int) "two paid reads" 2
-    (Engines.Scan_share.paid_reads sh "r")
+    (Share.claim sh ~relation:"r" ~mb:64.);
+  Alcotest.(check int) "two paid reads" 2 (Share.paid_reads sh "r")
 
 (* A flight re-claiming its own paid scan (several jobs of one
    submission, or a cached plan replaying its scans) rides free but
    must not inflate the cross-workflow counters — those measure
    sharing *between* co-admitted workflows only. *)
-let test_scan_share_intra_flight_counters () =
-  let metric name = Obs.Metrics.counter Obs.Metrics.default name in
+let test_scan_intra_flight_counters () =
   let cross0 = metric "scan.cross_workflow"
   and intra0 = metric "scan.intra_flight" in
-  let sh = Engines.Scan_share.create () in
-  let f = Engines.Scan_share.begin_flight sh in
-  Engines.Scan_share.with_flight sh f (fun () ->
+  let sh = Share.create () in
+  let f = Share.begin_flight sh in
+  Share.with_flight sh f (fun () ->
       Alcotest.(check bool) "payer pays" false
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+        (Share.claim sh ~relation:"r" ~mb:64.);
       Alcotest.(check bool) "same flight rides free" true
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.));
+        (Share.claim sh ~relation:"r" ~mb:64.));
   Alcotest.(check int) "intra-flight counted" (intra0 + 1)
     (metric "scan.intra_flight");
   Alcotest.(check int) "cross counter untouched" cross0
     (metric "scan.cross_workflow");
-  Alcotest.(check (float 1e-9)) "no phantom savings" 0.
-    (Engines.Scan_share.saved_mb sh);
+  Alcotest.(check (float 1e-9)) "no phantom savings" 0. (Share.saved_mb sh);
   (* a genuinely co-admitted flight still counts as cross-workflow *)
-  let f2 = Engines.Scan_share.begin_flight sh in
-  Engines.Scan_share.with_flight sh f2 (fun () ->
+  let f2 = Share.begin_flight sh in
+  Share.with_flight sh f2 (fun () ->
       Alcotest.(check bool) "co-admitted flight rides free" true
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.));
+        (Share.claim sh ~relation:"r" ~mb:64.));
   Alcotest.(check int) "cross counted exactly once" (cross0 + 1)
     (metric "scan.cross_workflow");
   Alcotest.(check (float 1e-9)) "cross savings recorded" 64.
-    (Engines.Scan_share.saved_mb sh)
+    (Share.saved_mb sh)
 
 (* Regression: sequential repeat traffic (no co-admission overlap)
    must pin the cross-workflow scan counters at zero — plan-cache hits
    replaying a cached plan's scans used to double-bump them. *)
 let test_scan_cross_counters_repeat_traffic () =
-  let metric name = Obs.Metrics.counter Obs.Metrics.default name in
-  let gauge name =
-    Option.value ~default:0. (Obs.Metrics.gauge Obs.Metrics.default name)
-  in
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
   let svc = Serve.Service.create ~config:(config ()) m ~hdfs in
@@ -514,10 +510,6 @@ let test_latencies_repeat_exactly () =
    back down on its own as the EWMA decays — without ever changing the
    bytes a submission completes with *)
 let test_degradation_ladder () =
-  let metric name = Obs.Metrics.counter Obs.Metrics.default name in
-  let gauge name =
-    Option.value ~default:0. (Obs.Metrics.gauge Obs.Metrics.default name)
-  in
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
   let cfg =
@@ -555,7 +547,7 @@ let test_degradation_ladder () =
   Alcotest.(check (float 1e-9)) "ladder fully reverted" 0.
     (gauge "serve.degrade.rung")
 
-(* regression: a failed payer must expire its scan/subplan flights
+(* regression: a failed payer must expire its store flight
    immediately — the next co-admitted submission in the same burst pays
    its own scan instead of riding on a materialization that never
    landed *)
@@ -581,12 +573,11 @@ let test_failed_payer_expires_flights () =
     (Serve.Service.open_flights svc);
   Alcotest.(check int)
     "each failed submission paid its own r1 scan" 2
-    (Engines.Scan_share.paid_reads (Serve.Service.share svc) "r1")
+    (Engines.Share.paid_reads (Serve.Service.store svc) "r1")
 
 (* an empty retry bucket degrades to fail-fast; an unlimited one
    retries through the injected rejection *)
 let test_retry_budget () =
-  let metric name = Obs.Metrics.counter Obs.Metrics.default name in
   let recovery =
     { Musketeer.Recovery.none with Musketeer.Recovery.max_retries = 2 }
   in
@@ -651,8 +642,8 @@ let test_restore_replays_ledger () =
   Alcotest.(check int) "agg re-warmed" 1 stats.Serve.Service.r_warmed;
   Alcotest.(check int) "Spark re-opened" 1 stats.Serve.Service.r_breakers;
   Alcotest.(check int) "one epoch raised" 1 stats.Serve.Service.r_epochs;
-  Alcotest.(check int) "scan epoch at the recorded maximum" 5
-    (Engines.Scan_share.epoch (Serve.Service.share svc) "r1");
+  Alcotest.(check int) "store epoch at the recorded maximum" 5
+    (Engines.Share.epoch (Serve.Service.store svc) "r1");
   Alcotest.(check bool) "Spark quarantined for gold" true
     (Engines.Breaker.with_tenant "gold" (fun () ->
          Engines.Breaker.quarantined Engines.Backend.Spark));
@@ -862,14 +853,13 @@ let () =
          Alcotest.test_case "breaker trip invalidates" `Quick
            test_cache_invalidate_on_breaker ]);
       ("scan_share",
-       [ Alcotest.test_case "co-readers pay once" `Quick
-           test_scan_share_pays_once;
+       [ Alcotest.test_case "co-readers pay once" `Quick test_scan_pays_once;
          Alcotest.test_case "write bumps epoch" `Quick
-           test_scan_share_epoch_invalidation;
+           test_scan_epoch_invalidation;
          Alcotest.test_case "entries expire with their flight" `Quick
-           test_scan_share_flight_expiry;
+           test_scan_flight_expiry;
          Alcotest.test_case "intra-flight claims don't count as cross"
-           `Quick test_scan_share_intra_flight_counters;
+           `Quick test_scan_intra_flight_counters;
          Alcotest.test_case "repeat traffic pins cross counters" `Quick
            test_scan_cross_counters_repeat_traffic ]);
       ("service",

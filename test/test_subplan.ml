@@ -1,10 +1,11 @@
 (* Common-subplan sharing: per-node subtree hashes (stability, rebuild
    invalidation), the shared-prefix matcher (frontier, diamonds, WHILE
    protection, fusion barriers), graph surgery ([Subplan.cut] /
-   [extract] byte identity), the co-admission flight table
-   ([Engines.Subplan_share]), the bounded LRU sub-result cache
-   ([Serve.Subresult_cache]) and the served end-to-end behaviour:
-   repeat traffic pays a shared prefix once per input epoch and stays
+   [extract] byte identity), the shared store's subplan entries
+   ([Engines.Share]: flight leases, the LRU byte budget, the one epoch
+   table, and a model-based property; its scan entries are tested in
+   the serve suite) and the served end-to-end behaviour: repeat
+   traffic pays a shared prefix once per input epoch and stays
    byte-identical to one-shot runs under fusion x columnar. *)
 
 let lite_seed =
@@ -350,100 +351,443 @@ let test_cut_byte_identity () =
     "cut suffix over materialized prefix = full run" reference
     (run_graph ~hdfs:hdfs2 suffix)
 
-(* ---- the co-admission flight table ---- *)
+(* ---- the shared store: subplans within a lease ---- *)
+
+module Share = Engines.Share
 
 let test_subplan_share_window () =
-  let t = Engines.Subplan_share.create () in
+  let t = Share.create () in
   let key = "fnv1a:abc|fusion=false|columnar=false" in
   let table = kv_table 1 in
   Alcotest.(check bool)
     "nothing to claim before publish" true
-    (Engines.Subplan_share.claim t ~key = None);
-  Engines.Subplan_share.with_flight t
-    (Engines.Subplan_share.begin_flight t)
-    (fun () ->
-      Engines.Subplan_share.publish t ~key ~inputs:[ "r1" ] ~mb:12. table);
+    (Share.find t ~key = None);
+  Share.with_flight t (Share.begin_flight t) (fun () ->
+      Share.publish t ~key ~inputs:[ "r1" ] ~mb:12. table);
   (* the payer's flight is still open: a co-admitted claim attaches *)
-  (match Engines.Subplan_share.claim t ~key with
+  (match Share.find t ~key with
   | Some (tbl, mb) ->
     Alcotest.(check bool) "same table" true (tbl == table);
     Alcotest.(check (float 1e-9)) "modeled MB" 12. mb
   | None -> Alcotest.fail "claim should attach while payer in flight");
-  Alcotest.(check int)
-    "paid once" 1
-    (Engines.Subplan_share.paid_count t ~key);
+  Alcotest.(check int) "paid once" 1 (Share.paid_count t ~key);
   (* hash-equal subtrees reading different INPUT epochs never match:
      a write to a transitively-read input drops the entry *)
-  Engines.Subplan_share.note_write t "r1";
+  Share.note_write t "r1";
   Alcotest.(check bool)
     "claim refused after input epoch bump" true
-    (Engines.Subplan_share.claim t ~key = None)
+    (Share.find t ~key = None)
 
 let test_subplan_share_payer_expiry () =
-  let t = Engines.Subplan_share.create () in
+  let t = Share.create () in
   let key = "fnv1a:def|fusion=false|columnar=false" in
-  let f = Engines.Subplan_share.begin_flight t in
-  Engines.Subplan_share.with_flight t f (fun () ->
-      Engines.Subplan_share.publish t ~key ~inputs:[ "r1" ] ~mb:5.
-        (kv_table 2));
-  Engines.Subplan_share.end_flight t f;
+  let f = Share.begin_flight t in
+  Share.with_flight t f (fun () ->
+      Share.publish t ~key ~inputs:[ "r1" ] ~mb:5. (kv_table 2));
+  Share.end_flight t f;
   Alcotest.(check bool)
     "entries expire with the payer's flight" true
-    (Engines.Subplan_share.claim t ~key = None)
+    (Share.find t ~key = None)
 
-(* ---- the bounded sub-result cache ---- *)
+(* ---- the shared store: the byte budget ---- *)
+
+(* publish [key] from a flight that then ends, so only the budget can
+   keep it *)
+let published t ~key ~inputs ~mb =
+  let f = Share.begin_flight t in
+  Share.with_flight t f (fun () ->
+      Share.publish t ~key ~inputs ~mb (kv_table 1));
+  Share.end_flight t f
 
 let test_subresult_cache_lru () =
-  let c = Serve.Subresult_cache.create ~capacity_mb:100. in
-  let epoch _ = 0 in
-  let t = kv_table 1 in
-  Serve.Subresult_cache.insert c ~key:"a" ~inputs:[ ("r1", 0) ] ~mb:40. t;
-  Serve.Subresult_cache.insert c ~key:"b" ~inputs:[ ("r1", 0) ] ~mb:40. t;
+  let c = Share.create ~capacity_mb:100. () in
+  published c ~key:"a" ~inputs:[ "r1" ] ~mb:40.;
+  published c ~key:"b" ~inputs:[ "r1" ] ~mb:40.;
   (* touch "a" so "b" is the LRU entry when "c" needs room *)
-  Alcotest.(check bool)
-    "a cached" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch <> None);
-  Serve.Subresult_cache.insert c ~key:"c" ~inputs:[ ("r1", 0) ] ~mb:40. t;
+  Alcotest.(check bool) "a cached" true (Share.find c ~key:"a" <> None);
+  published c ~key:"c" ~inputs:[ "r1" ] ~mb:40.;
   Alcotest.(check bool)
     "LRU entry b evicted" true
-    (Serve.Subresult_cache.find c ~key:"b" ~epoch = None);
-  Alcotest.(check bool)
-    "a survives" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch <> None);
-  Alcotest.(check bool)
-    "c cached" true
-    (Serve.Subresult_cache.find c ~key:"c" ~epoch <> None);
+    (Share.find c ~key:"b" = None);
+  Alcotest.(check bool) "a survives" true (Share.find c ~key:"a" <> None);
+  Alcotest.(check bool) "c cached" true (Share.find c ~key:"c" <> None);
   (* an entry bigger than the whole budget is refused *)
-  Serve.Subresult_cache.insert c ~key:"huge" ~inputs:[] ~mb:500. t;
+  published c ~key:"huge" ~inputs:[] ~mb:500.;
   Alcotest.(check bool)
     "over-capacity entry not cached" true
-    (Serve.Subresult_cache.find c ~key:"huge" ~epoch = None);
-  let s = Serve.Subresult_cache.stats c in
-  Alcotest.(check int) "one eviction" 1 s.Serve.Subresult_cache.evictions;
-  Alcotest.(check (float 1e-9))
-    "bytes within budget" 80. s.Serve.Subresult_cache.bytes_mb
+    (Share.find c ~key:"huge" = None);
+  let s = Share.stats c in
+  Alcotest.(check int) "one eviction" 1 s.Share.evictions;
+  Alcotest.(check (float 1e-9)) "bytes within budget" 80. s.Share.bytes_mb
 
 let test_subresult_cache_epochs () =
-  let c = Serve.Subresult_cache.create ~capacity_mb:100. in
-  let t = kv_table 1 in
-  Serve.Subresult_cache.insert c ~key:"a" ~inputs:[ ("r1", 3) ] ~mb:10. t;
-  Alcotest.(check bool)
-    "fresh epoch hits" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch:(fun _ -> 3) <> None);
+  let c = Share.create ~capacity_mb:100. () in
+  Share.set_epoch c "r1" 3;
+  published c ~key:"a" ~inputs:[ "r1" ] ~mb:10.;
+  Alcotest.(check bool) "fresh epoch hits" true (Share.find c ~key:"a" <> None);
+  Share.note_write c "r1";
   Alcotest.(check bool)
     "stale epoch dropped, never served" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch:(fun _ -> 4) = None);
-  Alcotest.(check bool)
-    "dropped for good" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch:(fun _ -> 3) = None);
-  Serve.Subresult_cache.insert c ~key:"b" ~inputs:[ ("r2", 0) ] ~mb:10. t;
-  Serve.Subresult_cache.invalidate c ~relation:"r2";
+    (Share.find c ~key:"a" = None);
+  Alcotest.(check bool) "dropped for good" true (Share.find c ~key:"a" = None);
+  published c ~key:"b" ~inputs:[ "r2" ] ~mb:10.;
+  Share.set_epoch c "r2" 5;
   Alcotest.(check bool)
     "invalidate by relation" true
-    (Serve.Subresult_cache.find c ~key:"b" ~epoch:(fun _ -> 0) = None);
-  let s = Serve.Subresult_cache.stats c in
-  Alcotest.(check int)
-    "two invalidations" 2 s.Serve.Subresult_cache.invalidations
+    (Share.find c ~key:"b" = None);
+  let s = Share.stats c in
+  Alcotest.(check int) "two invalidations" 2 s.Share.invalidations;
+  Alcotest.(check int) "budget emptied" 0 s.Share.entries
+
+(* ---- the shared store: one epoch table ---- *)
+
+(* input r1 -> map, written out as "r2" *)
+let write_r2_graph () =
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r1" in
+  let m =
+    Ir.Builder.map b ~name:"r2" ~target:"v"
+      ~expr:Relation.Expr.(col "v" + int 1)
+      r
+  in
+  Ir.Builder.finish b ~outputs:[ m ]
+
+(* An engine writing a relation under the store's scope bumps the one
+   epoch table: the published subplan and the scan entry that read
+   the relation both leave the store. *)
+let test_engine_write_invalidates () =
+  let store = Share.create ~capacity_mb:100. () in
+  let f = Share.begin_flight store in
+  Share.with_flight store f (fun () ->
+      Share.publish store ~key:"p" ~inputs:[ "r2" ] ~mb:10. (kv_table 2);
+      Alcotest.(check bool) "scan of r2 pays" false
+        (Share.claim store ~relation:"r2" ~mb:48.));
+  let e0 = Share.epoch store "r2" in
+  let hdfs = fresh_hdfs () in
+  let m = Experiments.Common.musketeer_for cluster in
+  (match Musketeer.plan m ~workflow:"w" ~hdfs (write_r2_graph ()) with
+   | None -> Alcotest.fail "graph should plan"
+   | Some (plan, g) -> (
+     match
+       Musketeer.execute_plan ~record_history:false ~sharing:store m
+         ~workflow:"w" ~hdfs ~graph:g plan
+     with
+     | Ok _ -> ()
+     | Error e -> Alcotest.fail (Engines.Report.error_to_string e)));
+  Alcotest.(check bool) "engine write bumps the epoch" true
+    (Share.epoch store "r2" > e0);
+  Alcotest.(check bool) "subplan that read r2 misses" true
+    (Share.find store ~key:"p" = None);
+  Share.with_flight store f (fun () ->
+      Alcotest.(check bool) "scan entry dropped: the payer pays again"
+        false
+        (Share.claim store ~relation:"r2" ~mb:48.));
+  Alcotest.(check int) "two paid reads" 2 (Share.paid_reads store "r2");
+  Share.end_flight store f
+
+(* Eviction takes an entry out of the budget only: while its flight
+   leases it, it still attaches; when the lease ends, it is gone. *)
+let test_eviction_keeps_leases () =
+  let store = Share.create ~capacity_mb:50. () in
+  let f = Share.begin_flight store in
+  Share.with_flight store f (fun () ->
+      Share.publish store ~key:"a" ~inputs:[ "r1" ] ~mb:40. (kv_table 1);
+      Share.publish store ~key:"b" ~inputs:[ "r1" ] ~mb:40. (kv_table 1));
+  Alcotest.(check int) "a evicted from the budget" 1
+    (Share.stats store).Share.evictions;
+  Alcotest.(check bool) "leased a still attaches" true
+    (Share.find store ~key:"a" <> None);
+  Alcotest.(check int) "as a share attach, not a cache hit" 0
+    (Share.stats store).Share.hits;
+  Share.end_flight store f;
+  Alcotest.(check bool) "a leaves with its lease" true
+    (Share.find store ~key:"a" = None);
+  Alcotest.(check bool) "b stays in the budget" true
+    (Share.find store ~key:"b" <> None);
+  Alcotest.(check int) "b a cache hit" 1 (Share.stats store).Share.hits
+
+(* ---- the shared store against a reference model ---- *)
+
+(* A list-based model of the store's contract: entries keyed by scan
+   relation or subplan key, each with the epochs it read, a lease and
+   a budget flag; budget bytes are recomputed from the entries. *)
+module Model = struct
+  type key = Scan of string | Sub of string
+
+  type entry = {
+    key : key;
+    reads : (string * int) list;
+    mb : float;
+    mutable lease : int option;
+    mutable budgeted : bool;
+    mutable last : int;
+  }
+
+  type t = {
+    cap : float;
+    mutable entries : entry list;
+    mutable epochs : (string * int) list;
+    mutable flights : int list;
+    mutable next : int;
+    mutable current : int;
+    mutable tick : int;
+    mutable paid : (key * int) list;
+    mutable saved : float;
+    mutable attached : float;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create cap =
+    { cap; entries = []; epochs = []; flights = []; next = 0; current = -1;
+      tick = 0; paid = []; saved = 0.; attached = 0.; hits = 0; misses = 0;
+      evictions = 0 }
+
+  let epoch m r = Option.value (List.assoc_opt r m.epochs) ~default:0
+  let find m k = List.find_opt (fun e -> e.key = k) m.entries
+  let remove m k = m.entries <- List.filter (fun e -> e.key <> k) m.entries
+  let paid m k = Option.value (List.assoc_opt k m.paid) ~default:0
+
+  let add m e =
+    remove m e.key;
+    m.entries <- e :: m.entries;
+    m.paid <- (e.key, paid m e.key + 1) :: List.remove_assoc e.key m.paid
+
+  let budget m = List.filter (fun e -> e.budgeted) m.entries
+  let bytes m = List.fold_left (fun a e -> a +. e.mb) 0. (budget m)
+
+  let begin_flight m =
+    let id = m.next in
+    m.next <- id + 1;
+    m.flights <- id :: m.flights;
+    id
+
+  let end_flight m id =
+    m.flights <- List.filter (( <> ) id) m.flights;
+    List.iter (fun e -> if e.lease = Some id then e.lease <- None) m.entries;
+    m.entries <- List.filter (fun e -> e.lease <> None || e.budgeted) m.entries
+
+  let with_flight m id f =
+    let prev = m.current in
+    m.current <- id;
+    Fun.protect ~finally:(fun () -> m.current <- prev) f
+
+  let drop_readers m r =
+    m.entries <-
+      List.filter (fun e -> not (List.mem_assoc r e.reads)) m.entries
+
+  let note_write m r =
+    m.epochs <- (r, epoch m r + 1) :: List.remove_assoc r m.epochs;
+    drop_readers m r
+
+  let set_epoch m r e =
+    if e > epoch m r then begin
+      m.epochs <- (r, e) :: List.remove_assoc r m.epochs;
+      drop_readers m r
+    end
+
+  let claim m r mb =
+    match find m (Scan r) with
+    | Some e when m.current >= 0 && e.lease = Some m.current -> true
+    | Some _ ->
+      m.saved <- m.saved +. mb;
+      true
+    | None ->
+      add m { key = Scan r; reads = [ (r, epoch m r) ]; mb;
+              lease = Some m.current; budgeted = false; last = 0 };
+      false
+
+  (* "share", "cache" or "miss" *)
+  let find_sub m k =
+    match find m (Sub k) with
+    | Some e when e.lease <> None ->
+      m.attached <- m.attached +. e.mb;
+      "share"
+    | Some e ->
+      m.tick <- m.tick + 1;
+      e.last <- m.tick;
+      m.hits <- m.hits + 1;
+      "cache"
+    | None ->
+      m.misses <- m.misses + 1;
+      "miss"
+
+  let publish m k inputs mb =
+    remove m (Sub k);
+    let budgeted = m.cap > 0. && mb <= m.cap in
+    while budgeted && bytes m +. mb > m.cap do
+      let lru =
+        List.fold_left
+          (fun a e -> if a.last <= e.last then a else e)
+          (List.hd (budget m)) (budget m)
+      in
+      lru.budgeted <- false;
+      if lru.lease = None then remove m lru.key;
+      m.evictions <- m.evictions + 1
+    done;
+    m.tick <- m.tick + 1;
+    add m { key = Sub k; reads = List.map (fun r -> (r, epoch m r)) inputs;
+            mb; lease = Some m.current; budgeted; last = m.tick }
+end
+
+type store_op =
+  | Begin
+  | End of int  (* the i-th open flight, modulo *)
+  | With of int * store_op list  (* under the i-th open flight, or a new one *)
+  | Claim of int * float
+  | Publish of int
+  | Find of int
+  | Write of int
+  | Set_epoch of int * int
+
+let relations = [| "r0"; "r1"; "r2" |]
+
+(* subplan keys: fixed inputs and modeled MB, as a subtree hash fixes
+   both *)
+let subplans =
+  [| ("k0", [ "r0" ], 10.); ("k1", [ "r1" ], 25.);
+     ("k2", [ "r0"; "r1" ], 40.); ("k3", [ "r2" ], 70.) |]
+
+let rec op_to_string = function
+  | Begin -> "begin"
+  | End i -> Printf.sprintf "end#%d" i
+  | With (i, ops) ->
+    Printf.sprintf "with#%d[%s]" i
+      (String.concat "; " (List.map op_to_string ops))
+  | Claim (r, mb) -> Printf.sprintf "claim %s %.0f" relations.(r) mb
+  | Publish k -> "publish " ^ (let n, _, _ = subplans.(k) in n)
+  | Find k -> "find " ^ (let n, _, _ = subplans.(k) in n)
+  | Write r -> "write " ^ relations.(r)
+  | Set_epoch (r, e) -> Printf.sprintf "set_epoch %s %d" relations.(r) e
+
+let rec gen_op ~depth rng =
+  let module R = Qcheck_lite.Rng in
+  match R.int rng 20 with
+  | 0 | 1 -> Begin
+  | 2 | 3 | 19 -> End (R.int rng 4)
+  | 4 | 5 | 6 when depth > 0 ->
+    With (R.int rng 4,
+          List.init (1 + R.int rng 4) (fun _ -> gen_op ~depth:(depth - 1) rng))
+  | 7 | 8 | 9 -> Claim (R.int rng 3, R.pick rng [ 8.; 16.; 64. ])
+  | 10 | 11 | 12 when depth > 0 && R.int rng 8 > 0 ->
+    (* mostly from a flight, as the service publishes *)
+    With (R.int rng 4, [ Publish (R.int rng 4) ])
+  | 10 | 11 | 12 -> Publish (R.int rng 4)
+  | 13 | 14 | 15 | 16 -> Find (R.int rng 4)
+  | 17 -> Write (R.int rng 3)
+  | _ -> Set_epoch (R.int rng 3, R.int rng 6)
+
+let store_case_arbitrary =
+  Qcheck_lite.make
+    ~shrink:(fun (cap, ops) ->
+        List.map (fun ops -> (cap, ops)) (Qcheck_lite.shrink_list ops))
+    ~print:(fun (cap, ops) ->
+        Printf.sprintf "capacity %.0f: %s" cap
+          (Qcheck_lite.print_list op_to_string ops))
+    (fun rng ->
+       ( Qcheck_lite.Rng.pick rng [ 0.; 50.; 100. ],
+         List.init (10 + Qcheck_lite.Rng.int rng 40) (fun _ ->
+             gen_op ~depth:1 rng) ))
+
+(* Everything observable after a step, printed alike for both sides *)
+let observe ~result ~paid ~saved ~attached ~hits ~misses ~evictions
+    ~entries ~bytes ~flights =
+  Printf.sprintf
+    "%s | paid %s | saved %.3f attached %.3f | hits %d misses %d \
+     evictions %d entries %d bytes %.3f | flights %d"
+    result (String.concat "," (List.map string_of_int paid)) saved attached
+    hits misses evictions entries bytes flights
+
+let run_store_case (cap, ops) =
+  let st = Share.create ~capacity_mb:cap () and m = Model.create cap in
+  let table = kv_table 1 in
+  let rels = Array.to_list relations in
+  let keys = Array.to_list (Array.map (fun (k, _, _) -> k) subplans) in
+  let store_obs result =
+    let s = Share.stats st in
+    observe ~result
+      ~paid:(List.map (Share.paid_reads st) rels
+             @ List.map (fun key -> Share.paid_count st ~key) keys)
+      ~saved:(Share.saved_mb st) ~attached:(Share.attached_mb st)
+      ~hits:s.Share.hits ~misses:s.Share.misses ~evictions:s.Share.evictions
+      ~entries:s.Share.entries ~bytes:s.Share.bytes_mb
+      ~flights:(Share.open_flights st)
+  and model_obs result =
+    observe ~result
+      ~paid:(List.map (fun r -> Model.paid m (Model.Scan r)) rels
+             @ List.map (fun k -> Model.paid m (Model.Sub k)) keys)
+      ~saved:m.Model.saved ~attached:m.Model.attached ~hits:m.Model.hits
+      ~misses:m.Model.misses ~evictions:m.Model.evictions
+      ~entries:(List.length (Model.budget m)) ~bytes:(Model.bytes m)
+      ~flights:(List.length m.Model.flights)
+  in
+  (* open flight ids, oldest first; the model's ids are the store's *)
+  let nth_open i =
+    match List.rev m.Model.flights with
+    | [] -> None
+    | open_ -> Some (List.nth open_ (i mod List.length open_))
+  in
+  let rec step op =
+    let got, want =
+      match op with
+      | Begin ->
+        let a = Share.begin_flight st and b = Model.begin_flight m in
+        (string_of_int a, string_of_int b)
+      | End i ->
+        Option.iter (fun id -> Share.end_flight st id; Model.end_flight m id)
+          (nth_open i);
+        ("", "")
+      | With (i, ops) ->
+        let id =
+          match nth_open i with
+          | Some id -> id
+          | None -> ignore (Share.begin_flight st); Model.begin_flight m
+        in
+        Share.with_flight st id (fun () ->
+            Model.with_flight m id (fun () -> List.iter step ops));
+        ("", "")
+      | Claim (r, mb) ->
+        let rel = relations.(r) in
+        (string_of_bool (Share.claim st ~relation:rel ~mb),
+         string_of_bool (Model.claim m rel mb))
+      | Publish k ->
+        let key, inputs, mb = subplans.(k) in
+        Share.publish st ~key ~inputs ~mb table;
+        Model.publish m key inputs mb;
+        ("", "")
+      | Find k ->
+        let key, _, _ = subplans.(k) in
+        let hits0 = (Share.stats st).Share.hits in
+        let got =
+          match Share.find st ~key with
+          | None -> "miss"
+          | Some _ when (Share.stats st).Share.hits > hits0 -> "cache"
+          | Some _ -> "share"
+        in
+        (got, Model.find_sub m key)
+      | Write r ->
+        Share.note_write st relations.(r);
+        Model.note_write m relations.(r);
+        ("", "")
+      | Set_epoch (r, e) ->
+        Share.set_epoch st relations.(r) e;
+        Model.set_epoch m relations.(r) e;
+        ("", "")
+    in
+    let got = store_obs got and want = model_obs want in
+    if got <> want then
+      failwith
+        (Printf.sprintf "after %s:\n  store %s\n  model %s" (op_to_string op)
+           got want)
+  in
+  List.iter step ops;
+  true
+
+let test_store_model () =
+  Qcheck_lite.check ~count:300 ~seed:lite_seed
+    ~name:"shared store = reference model" store_case_arbitrary
+    run_store_case
 
 (* ---- served end-to-end ---- *)
 
@@ -493,10 +837,10 @@ let test_serve_pays_once_per_epoch () =
       "pays again after the input epoch bump" (0, 1)
       (o4.Serve.Service.subplan_hits, o4.Serve.Service.subplan_paid)
   | l -> Alcotest.failf "expected 1 outcome, got %d" (List.length l));
-  let s = Serve.Subresult_cache.stats (Serve.Service.subresult_cache service) in
+  let s = Share.stats (Serve.Service.store service) in
   Alcotest.(check bool)
     "cache holds the rematerialized prefix" true
-    (s.Serve.Subresult_cache.entries >= 1)
+    (s.Share.entries >= 1)
 
 (* Co-admission: two overlapping submissions of hash-equal graphs
    share one materialization through the flight table. *)
@@ -624,6 +968,13 @@ let () =
        [ Alcotest.test_case "LRU by bytes" `Quick test_subresult_cache_lru;
          Alcotest.test_case "epoch revalidation" `Quick
            test_subresult_cache_epochs ]);
+      ("store",
+       [ Alcotest.test_case "an engine write drops what read it" `Quick
+           test_engine_write_invalidates;
+         Alcotest.test_case "eviction keeps leased entries" `Quick
+           test_eviction_keeps_leases;
+         Alcotest.test_case "matches the reference model" `Quick
+           test_store_model ]);
       ("service",
        [ Alcotest.test_case "pays once per input epoch" `Quick
            test_serve_pays_once_per_epoch;
