@@ -133,9 +133,10 @@ let bechamel () =
 (* ---- columnar vs row kernel benchmark ----
 
    Times each hot kernel on NetFlix-scale synthetic tables (CROSS on
-   k-means-shaped ones: 4 000 points x 100 centroids) two ways: the
-   row engine with the columnar gate off (the pre-columnar baseline)
-   and the columnar path. Both outputs must be byte-identical (CSV
+   k-means-shaped ones: 4 000 points x 100 centroids; JOIN → SELECT
+   on k-means' arg-min step) two ways: the row engine with the
+   columnar gate off (the pre-columnar baseline) and the columnar
+   path. Both outputs must be byte-identical (CSV
    compare; fatal otherwise). Ratios are row-baseline / columnar —
    ≥ 1.0 means the vectorized path is no slower than the engine it
    replaced. Writes BENCH_kernels.json; with MUSKETEER_BENCH_GATE=1
@@ -182,6 +183,44 @@ let kernels () =
     ( Table.create_unchecked (xy "pid") (rows 4_000),
       Table.create_unchecked (xy "cid") (rows 100) )
   in
+  (* k-means' arg-min: 1,200 points x 100 centroids, each pair's
+     distance, each point's nearest distance, then the JOIN back and
+     its SELECT. The gate off refuses the fused kernel, so the row
+     side is the serial JOIN followed by the serial SELECT. *)
+  let dists, nearest =
+    Column.with_enabled true (fun () ->
+        let pts, cents =
+          Workloads.Datagen.kmeans_points ~points:1200 ~k:100 ()
+        in
+        let dists =
+          Kernel.map_column
+            (Kernel.cross_join pts.Workloads.Datagen.table
+               cents.Workloads.Datagen.table)
+            ~target:"dist"
+            ~expr:
+              Expr.(
+                ((col "px" - col "cx") * (col "px" - col "cx"))
+                + ((col "py" - col "cy") * (col "py" - col "cy")))
+        in
+        let nearest =
+          Kernel.rename_column ~from_:"pid" ~to_:"pid2"
+            (Kernel.group_by dists ~keys:[ "pid" ]
+               ~aggs:[ Aggregate.make (Aggregate.Min "dist") ~as_name:"bd" ])
+        in
+        (dists, nearest))
+  in
+  let join_select () =
+    let pred = Expr.(col "dist" = col "bd") in
+    match
+      Columnar.try_join_select dists nearest ~left_key:"pid"
+        ~right_key:"pid2" ~pred
+    with
+    | Some js -> Table.settle js.table
+    | None ->
+      Kernel.select
+        (Kernel.join dists nearest ~left_key:"pid" ~right_key:"pid2")
+        pred
+  in
   let kernels =
     [ ("select", fun () -> Kernel.select ratings Expr.(col "rating" >= int 4));
       ("project", fun () -> Kernel.project ratings [ "user"; "rating" ]);
@@ -204,7 +243,8 @@ let kernels () =
               [ Aggregate.make (Aggregate.Sum "rating") ~as_name:"total";
                 Aggregate.make Aggregate.Count ~as_name:"n" ]);
       (* k-means' assignment step: every point against every centroid *)
-      ("cross", fun () -> Kernel.cross_join points centroids) ]
+      ("cross", fun () -> Kernel.cross_join points centroids);
+      ("join_select", join_select) ]
   in
   let reps = 5 in
   let best_of ~columnar f =

@@ -12,12 +12,14 @@ let seconds = function
 
 (* ---- volume estimation for a candidate job ---- *)
 
-(* Fused-chain roles among [ids]: when fusion is on, a chain entirely
-   inside the candidate job executes as one pass, so its head is
-   charged once at {!Engines.Perf.fused_weight} and the other members
-   charge nothing. A chain that crosses the job boundary is not fused
-   at execution either (the crossing node becomes a job output, a
-   fusion barrier), so it keeps per-node pricing. *)
+(* Fused-chain roles among [ids]: when fusion is on, the row-local
+   members of a chain entirely inside the candidate job execute as one
+   pass, so the first is charged once at {!Engines.Perf.fused_weight}
+   and the others charge nothing; a JOIN head is charged as the solo
+   JOIN, so a lone SELECT after it prices as a solo SELECT. A chain that
+   crosses the job boundary is not fused at execution either (the
+   crossing node becomes a job output, a fusion barrier), so it keeps
+   per-node pricing. *)
 let fused_roles ?protect ~graph ids =
   let tbl : (int, [ `Head of Ir.Operator.kind list | `Member ]) Hashtbl.t =
     Hashtbl.create 8
@@ -27,17 +29,18 @@ let fused_roles ?protect ~graph ids =
     List.iter (fun id -> Hashtbl.replace in_set id ()) ids;
     List.iter
       (fun (c : Ir.Fusion.chain) ->
-         if List.for_all (Hashtbl.mem in_set) c.members then
-           match c.members with
-           | head :: rest ->
+         let members = Ir.Fusion.row_local c in
+         if List.for_all (Hashtbl.mem in_set) members then
+           match members with
+           | head :: (_ :: _ as rest) ->
              let kinds =
                List.map
                  (fun id -> (Ir.Dag.node graph id).Ir.Operator.kind)
-                 c.members
+                 members
              in
              Hashtbl.replace tbl head (`Head kinds);
              List.iter (fun id -> Hashtbl.replace tbl id `Member) rest
-           | [] -> ())
+           | [] | [ _ ] -> ())
       (Ir.Fusion.chains (Ir.Fusion.plan ?protect graph))
   end;
   tbl

@@ -30,14 +30,16 @@ let key_of_hash hash = hash ^ "|" ^ env_fingerprint ()
 
 (* Cutting at a fusion-chain interior would materialize a relation
    fusion promises never to exist; tails and solos are materialized
-   anyway, so they are sound cut points. *)
+   anyway, so they are sound cut points. So is a JOIN head: it is priced
+   as the solo JOIN from the sizes its materialization would have, and
+   a cut there leaves the rest of its chain fused from the cut. *)
 let fusion_barrier g =
   if Ir.Fusion.enabled () then begin
     let plan = Ir.Fusion.plan g in
     fun id ->
       match Ir.Fusion.role plan id with
       | Ir.Fusion.Interior _ -> true
-      | Ir.Fusion.Solo | Ir.Fusion.Tail _ -> false
+      | Ir.Fusion.Solo | Ir.Fusion.Head _ | Ir.Fusion.Tail _ -> false
   end
   else fun _ -> false
 

@@ -62,18 +62,39 @@ let run_chain src kinds =
     Column.with_enabled false (fun () ->
         List.fold_left (fun t kind -> Ir.Interp.eval_kind kind [ t ]) src kinds)
 
+(* What pricing a chain reads off the table its row-local members start
+   from: the chain's source, or the output of a JOIN head, which never
+   exists as a table when the head runs fused. *)
+type chain_source = {
+  src_modeled : float;
+  src_bytes : int;
+  src_schema : Schema.t;
+  src_column_bytes : int array Lazy.t;
+}
+
+let source_of_table t modeled =
+  { src_modeled = modeled; src_bytes = Table.encoded_bytes t;
+    src_schema = Table.schema t;
+    src_column_bytes = lazy (Table.column_bytes t) }
+
 (* Evaluates a graph; [bound] overrides relation lookups (used for WHILE
    bodies); returns per-node (table, modeled_mb) plus output bindings in
    node order (later bindings shadow earlier ones on lookup).
 
    When fusion is on ({!Ir.Fusion.enabled}), chains planned by
-   {!Ir.Fusion.plan} execute in one {!run_chain} at the chain tail;
-   interior nodes are skipped entirely — never materialized, never
-   entered in [values]/[by_name] (the planner guarantees nothing reads
-   them). Their op_stats are still emitted, with modeled volumes from
-   {!Ir.Sizing}, so cost-model and Fig-14 telemetry stay populated.
-   [protect] names relations the caller will look up by name in the
-   returned [by_name] (the WHILE driver's condition relations). *)
+   {!Ir.Fusion.plan} execute in one {!run_chain} at the chain tail, or
+   at a JOIN head, which runs with its SELECT as one kernel
+   ({!Relation.Columnar.try_join_select}); interior nodes are skipped
+   entirely — never materialized, never entered in [values]/[by_name]
+   (the planner guarantees nothing reads them). Their op_stats are
+   still emitted, with modeled volumes from {!Ir.Sizing}, so cost-model
+   and Fig-14 telemetry stay populated. A JOIN head emits its solo
+   op_stat at its own position, from the sizes its output would have;
+   the row-local members are priced at the tail as a chain of them
+   alone would be, so every modeled number is the one unfused JOIN
+   execution gives. [protect] names relations the caller will look up
+   by name in the returned [by_name] (the WHILE driver's condition
+   relations). *)
 let rec eval_graph ?(protect = []) ~hdfs
     ~(bound : (string, Table.t * float) Hashtbl.t) ~acc
     (g : Ir.Operator.graph) =
@@ -81,6 +102,9 @@ let rec eval_graph ?(protect = []) ~hdfs
   let fplan = if fused then Ir.Fusion.plan ~protect g else Ir.Fusion.empty in
   let values : (int, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
   let by_name : (string, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
+  (* outputs of chains run at their JOIN head, by tail id, until the
+     tail prices them *)
+  let ran : (int, Table.t * chain_source) Hashtbl.t = Hashtbl.create 4 in
   (* one HDFS fetch per distinct relation per job: duplicate INPUT nodes
      (several consumers of one relation) share the scan *)
   let fetched : (string, Table.t * float) Hashtbl.t = Hashtbl.create 4 in
@@ -102,44 +126,124 @@ let rec eval_graph ?(protect = []) ~hdfs
         with Hdfs.No_such_relation r ->
           exec_error "missing input relation %S" r))
   in
-  let eval_chain (tail : Ir.Operator.node) (chain : Ir.Fusion.chain) =
-    let src_table, src_modeled =
-      match Hashtbl.find_opt values chain.Ir.Fusion.source with
-      | Some v -> v
-      | None ->
-        exec_error "fused chain at node %d evaluated before source %d"
-          tail.id chain.Ir.Fusion.source
+  let inputs_of (n : Ir.Operator.node) =
+    List.map
+      (fun i ->
+         match Hashtbl.find_opt values i with
+         | Some v -> v
+         | None -> exec_error "node %d evaluated before input %d" n.id i)
+      n.inputs
+  in
+  (* a solo operator's op_stat and volumes, from its inputs and the
+     encoded bytes of its output *)
+  let account (n : Ir.Operator.node) ins ~out_bytes =
+    let kind = n.kind in
+    let in_modeled = List.fold_left (fun s (_, mb) -> s +. mb) 0. ins in
+    let in_bytes =
+      List.fold_left (fun s (t, _) -> s + Table.encoded_bytes t) 0 ins
     in
-    let members =
-      List.map (Ir.Dag.node g) chain.Ir.Fusion.members
-    in
+    let mb = propagate kind ~in_modeled ~in_bytes ~out_bytes in
+    acc.process_mb <- acc.process_mb +. (in_modeled *. Perf.op_weight kind);
+    if Ir.Operator.needs_shuffle kind then
+      acc.comm_mb <- acc.comm_mb +. in_modeled;
+    acc.stats <-
+      { node_id = n.id; kind_name = Ir.Operator.kind_name kind;
+        in_mb = in_modeled; out_mb = mb;
+        shuffled = Ir.Operator.needs_shuffle kind }
+      :: acc.stats;
+    mb
+  in
+  let fused_span members rows_in f =
     let kinds = List.map (fun (m : Ir.Operator.node) -> m.kind) members in
-    let out =
-      span "kernel.fused"
-        (fun () ->
-           [ ("chain_len", Obs.Trace.Int (List.length members));
-             ("ops",
-              Obs.Trace.String
-                (String.concat "," (List.map Ir.Operator.kind_name kinds)));
-             ("rows_in", Obs.Trace.Int (Table.row_count src_table)) ])
-      @@ fun () -> run_chain src_table kinds
+    span "kernel.fused"
+      (fun () ->
+         [ ("chain_len", Obs.Trace.Int (List.length members));
+           ("ops",
+            Obs.Trace.String
+              (String.concat "," (List.map Ir.Operator.kind_name kinds)));
+           ("rows_in", Obs.Trace.Int rows_in) ])
+      f
+  in
+  (* the whole chain at its JOIN head: the JOIN and its SELECT as one
+     kernel, then the other row-local members over its output. A
+     refused fusion runs the plain JOIN and the chain from it. *)
+  let eval_join_head (head : Ir.Operator.node) (chain : Ir.Fusion.chain) =
+    let ins = inputs_of head in
+    let left, right =
+      match ins with
+      | [ (l, _); (r, _) ] -> (l, r)
+      | _ -> exec_error "JOIN node %d needs two inputs" head.id
+    in
+    let left_key, right_key =
+      match head.kind with
+      | Ir.Operator.Join { left_key; right_key } -> (left_key, right_key)
+      | k ->
+        exec_error "chain head %d is a %s" head.id (Ir.Operator.kind_name k)
+    in
+    let members = List.map (Ir.Dag.node g) chain.Ir.Fusion.members in
+    let local =
+      List.map (fun (m : Ir.Operator.node) -> m.kind) (List.tl members)
+    in
+    let out, src =
+      fused_span members (Table.row_count left + Table.row_count right)
+      @@ fun () ->
+      let fused =
+        match local with
+        | Ir.Operator.Select { pred } :: _ ->
+          Columnar.try_join_select left right ~left_key ~right_key ~pred
+        | _ -> None
+      in
+      match fused with
+      | Some js ->
+        let out_bytes = Array.fold_left ( + ) 0 js.join_bytes in
+        let mb = account head ins ~out_bytes in
+        (* the JOIN's table is one more intermediate never built *)
+        Obs.Metrics.add_gauge Obs.Metrics.default
+          "fusion.intermediate_mb_saved" mb;
+        ( run_chain js.table (List.tl local),
+          { src_modeled = mb; src_bytes = out_bytes;
+            src_schema = Table.schema js.table;
+            src_column_bytes = Lazy.from_val js.join_bytes } )
+      | None ->
+        let join = Kernel.join left right ~left_key ~right_key in
+        let mb = account head ins ~out_bytes:(Table.encoded_bytes join) in
+        (run_chain join local, source_of_table join mb)
+    in
+    Hashtbl.replace ran (List.hd (List.rev chain.members)) (out, src)
+  in
+  let eval_chain (tail : Ir.Operator.node) (chain : Ir.Fusion.chain) =
+    let members = List.map (Ir.Dag.node g) (Ir.Fusion.row_local chain) in
+    let kinds = List.map (fun (m : Ir.Operator.node) -> m.kind) members in
+    let out, src =
+      match Hashtbl.find_opt ran tail.id with
+      | Some r -> r
+      | None ->
+        let src_table, src_modeled =
+          match Hashtbl.find_opt values chain.Ir.Fusion.source with
+          | Some v -> v
+          | None ->
+            exec_error "fused chain at node %d evaluated before source %d"
+              tail.id chain.Ir.Fusion.source
+        in
+        ( fused_span members (Table.row_count src_table) (fun () ->
+              run_chain src_table kinds),
+          source_of_table src_table src_modeled )
     in
     (* modeled volumes: interiors estimated via Sizing (their tables
        never exist to measure); the tail uses end-to-end measured
        selectivity, which is exactly what per-node measured ratios
        telescope to on the unfused path *)
-    let src_bytes = Table.encoded_bytes src_table in
     let interior_mb = ref 0. in
     let rec model in_mb = function
       | [] -> ()
       | [ (m : Ir.Operator.node) ] ->
         let out_mb =
-          if src_bytes = 0 then
+          if src.src_bytes = 0 then
             (Ir.Sizing.of_kind m.kind ~inputs:[ in_mb ]).expected
           else
-            src_modeled
+            src.src_modeled
             *. (float_of_int (Table.encoded_bytes out)
-                /. float_of_int src_bytes)
+                /. float_of_int src.src_bytes)
         in
         acc.stats <-
           { node_id = m.id; kind_name = Ir.Operator.kind_name m.kind;
@@ -155,7 +259,10 @@ let rec eval_graph ?(protect = []) ~hdfs
         let out_mb =
           match m.kind with
           | Ir.Operator.Project { columns } -> (
-            match Ir.Sizing.project_mb src_table columns ~in_mb with
+            match
+              Ir.Sizing.project_mb src.src_schema src.src_column_bytes
+                columns ~in_mb
+            with
             | Some mb -> mb
             | None -> (Ir.Sizing.of_kind m.kind ~inputs:[ in_mb ]).expected)
           | kind -> (Ir.Sizing.of_kind kind ~inputs:[ in_mb ]).expected
@@ -167,12 +274,12 @@ let rec eval_graph ?(protect = []) ~hdfs
           :: acc.stats;
         model out_mb rest
     in
-    model src_modeled members;
+    model src.src_modeled members;
     acc.process_mb <-
-      acc.process_mb +. (src_modeled *. Perf.fused_weight kinds);
+      acc.process_mb +. (src.src_modeled *. Perf.fused_weight kinds);
     Obs.Metrics.incr Obs.Metrics.default "fusion.chains";
-    Obs.Metrics.incr Obs.Metrics.default ~by:(List.length members)
-      "fusion.ops_fused";
+    Obs.Metrics.incr Obs.Metrics.default
+      ~by:(List.length chain.Ir.Fusion.members) "fusion.ops_fused";
     Obs.Metrics.add_gauge Obs.Metrics.default "fusion.intermediate_mb_saved"
       !interior_mb
   in
@@ -180,28 +287,17 @@ let rec eval_graph ?(protect = []) ~hdfs
     (fun (n : Ir.Operator.node) ->
        match Ir.Fusion.role fplan n.id with
        | Ir.Fusion.Interior _ -> ()
+       | Ir.Fusion.Head chain -> eval_join_head n chain
        | Ir.Fusion.Tail chain -> eval_chain n chain
        | Ir.Fusion.Solo ->
-         let ins =
-           List.map
-             (fun i ->
-                match Hashtbl.find_opt values i with
-                | Some v -> v
-                | None ->
-                  exec_error "node %d evaluated before input %d" n.id i)
-             n.inputs
-         in
-         let in_tables = List.map fst ins in
-         let in_modeled = List.fold_left (fun s (_, mb) -> s +. mb) 0. ins in
-         let in_bytes =
-           List.fold_left (fun s t -> s + Table.encoded_bytes t) 0 in_tables
-         in
+         let ins = inputs_of n in
          let table, modeled =
            match n.kind with
            | Ir.Operator.Input { relation } -> eval_input relation
            | Ir.Operator.While { condition; max_iterations; body } ->
              eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins
            | kind ->
+             let in_tables = List.map fst ins in
              let out =
                span "kernel"
                  (fun () ->
@@ -221,20 +317,7 @@ let rec eval_graph ?(protect = []) ~hdfs
                        else "row"));
                out
              in
-             let mb =
-               propagate kind ~in_modeled ~in_bytes
-                 ~out_bytes:(Table.encoded_bytes out)
-             in
-             acc.process_mb <-
-               acc.process_mb +. (in_modeled *. Perf.op_weight kind);
-             if Ir.Operator.needs_shuffle kind then
-               acc.comm_mb <- acc.comm_mb +. in_modeled;
-             acc.stats <-
-               { node_id = n.id; kind_name = Ir.Operator.kind_name kind;
-                 in_mb = in_modeled; out_mb = mb;
-                 shuffled = Ir.Operator.needs_shuffle kind }
-               :: acc.stats;
-             (out, mb)
+             (out, account n ins ~out_bytes:(Table.encoded_bytes out))
          in
          Hashtbl.replace values n.id (table, modeled);
          Hashtbl.replace by_name n.output (table, modeled))

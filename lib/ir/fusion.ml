@@ -1,10 +1,12 @@
 type chain = {
   source : int;
   members : int list;
+  join_head : bool;
 }
 
 type role =
   | Solo
+  | Head of chain
   | Interior of chain
   | Tail of chain
 
@@ -21,6 +23,8 @@ let role p id =
   match Hashtbl.find_opt p.roles id with
   | Some r -> r
   | None -> Solo
+
+let row_local c = if c.join_head then List.tl c.members else c.members
 
 let fusable = function
   | Operator.Select _ | Operator.Project _ | Operator.Map _ -> true
@@ -39,27 +43,49 @@ let plan ?(protect = []) (g : Operator.graph) =
           would silently change which binding wins *)
        Hashtbl.replace protected (Dag.node g id).Operator.output ())
     g.outputs;
+  (* every node's consumers, in one pass: the cost model plans each
+     candidate job, and [Dag.consumers] would scan the graph per node *)
+  let consumers : (int, Operator.node list) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Operator.node) ->
+       List.iter
+         (fun i ->
+            let cs = Option.value (Hashtbl.find_opt consumers i) ~default:[] in
+            if not (List.memq n cs) then Hashtbl.replace consumers i (n :: cs))
+         n.inputs)
+    g.nodes;
   let taken : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* the node that may follow [t] in a chain: [t]'s single consumer,
+     when nobody else — job output collection or a by-name lookup —
+     can see [t]'s table *)
+  let next (t : Operator.node) =
+    if Hashtbl.mem is_output t.id || Hashtbl.mem protected t.output then None
+    else
+      match Hashtbl.find_opt consumers t.id with
+      | Some [ c ] when not (Hashtbl.mem taken c.id) -> Some c
+      | _ -> None
+  in
+  (* grow forward while the consumer is fusable *)
+  let rec grow acc (t : Operator.node) =
+    match next t with
+    | Some cn when fusable cn.kind -> grow (cn :: acc) cn
+    | _ -> acc
+  in
   let found = ref [] in
   List.iter
     (fun (n : Operator.node) ->
-       if fusable n.kind && not (Hashtbl.mem taken n.id) then begin
-         (* grow forward while the current tail may become interior:
-            single consumer, itself fusable, and nobody else — job
-            output collection or a by-name lookup — can see its table *)
-         let rec grow acc (t : Operator.node) =
-           if Hashtbl.mem is_output t.id || Hashtbl.mem protected t.output
-           then acc
-           else
-             match Dag.consumers g t.id with
-             | [ c ] ->
-               let cn = Dag.node g c in
-               if fusable cn.kind && not (Hashtbl.mem taken c) then
-                 grow (cn :: acc) cn
-               else acc
-             | _ -> acc
+       if not (Hashtbl.mem taken n.id) then begin
+         let members =
+           match n.kind with
+           | Operator.Join _ -> (
+             (* a JOIN heads a chain whose first member is its SELECT *)
+             match next n with
+             | Some ({ kind = Operator.Select _; _ } as s) ->
+               n :: List.rev (grow [ s ] s)
+             | _ -> [])
+           | kind when fusable kind -> List.rev (grow [ n ] n)
+           | _ -> []
          in
-         let members = List.rev (grow [ n ] n) in
          (* a 1-node "chain" is just the unfused operator; leave the
             node unmarked so it can still head a later attempt *)
          if List.length members >= 2 then begin
@@ -68,7 +94,8 @@ let plan ?(protect = []) (g : Operator.graph) =
              members;
            found :=
              { source = List.hd n.inputs;
-               members = List.map (fun (m : Operator.node) -> m.id) members }
+               members = List.map (fun (m : Operator.node) -> m.id) members;
+               join_head = not (fusable n.kind) }
              :: !found
          end
        end)
@@ -84,7 +111,8 @@ let plan ?(protect = []) (g : Operator.graph) =
            Hashtbl.replace roles id (Interior c);
            mark rest
        in
-       mark c.members)
+       mark c.members;
+       if c.join_head then Hashtbl.replace roles (List.hd c.members) (Head c))
     plan_chains;
   { plan_chains; roles }
 

@@ -9,9 +9,12 @@
     {!Relation.Table.view}, materializing nothing until the tail.
 
     A chain is a maximal run of row-local operators — SELECT, PROJECT,
-    MAP — linked head-to-tail by single-consumer edges. A node may sit
-    {e inside} a chain (and so skip materialization) only when nothing
-    else can observe its table:
+    MAP — linked head-to-tail by single-consumer edges, optionally
+    headed by the JOIN that feeds its first SELECT. A JOIN head runs
+    with that SELECT as one kernel ({!Relation.Columnar.try_join_select})
+    and is priced as the solo JOIN. A node may sit {e inside} a chain
+    (and so skip materialization), or head one as a JOIN, only when
+    nothing else can observe its table:
 
     - it has exactly one consumer, which is the next chain member;
     - it is not a workflow output ([g.outputs]);
@@ -25,14 +28,21 @@
     or [--no-fusion]) reproduces the unfused execution exactly. *)
 
 type chain = {
-  source : int;  (** node feeding the head (often an INPUT) *)
+  source : int;  (** node feeding the head (often an INPUT); a JOIN
+                     head's left input *)
   members : int list;  (** >= 2 node ids in dataflow order *)
+  join_head : bool;  (** the first member is a JOIN *)
 }
 
 type role =
   | Solo  (** not part of any chain: evaluate as before *)
+  | Head of chain
+      (** a JOIN head: the whole chain executes here, the JOIN and its
+          SELECT as one kernel; priced as the solo JOIN *)
   | Interior of chain  (** skipped — computed inside the fused pass *)
-  | Tail of chain  (** evaluate the whole chain here, in one pass *)
+  | Tail of chain
+      (** evaluate the whole chain here in one pass (after a JOIN
+          head: price it and bind its output) *)
 
 type plan
 
@@ -46,6 +56,12 @@ val empty : plan
 val plan : ?protect:string list -> Operator.graph -> plan
 
 val chains : plan -> chain list
+
+(** The row-local members: all of them, or those after a JOIN head.
+    They are priced as one fused pass ({!Engines.Perf.fused_weight}),
+    exactly as a chain of them alone would be; a JOIN head is priced
+    as the solo JOIN. *)
+val row_local : chain -> int list
 
 val role : plan -> int -> role
 

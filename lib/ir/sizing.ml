@@ -63,26 +63,17 @@ let of_kind (kind : Operator.kind) ~inputs =
 (* Dictionary-aware PROJECT estimate: the generic [of_kind] charges a
    flat 25% per retained column, which overstates narrow columns and —
    worse — misprices dictionary-encoded strings, whose per-row cost is a
-   4-byte code regardless of string length. When the input table is at
-   hand, weigh each retained column by its actual encoded bytes
+   4-byte code regardless of string length. When the input table's
+   column sizes are known, weigh each retained column by its encoded bytes
    ({!Relation.Column.encoded_bytes} charges a dictionary's distinct
    strings once, not per row). Returns [None] when some retained column
    is not in the table's schema (e.g. created upstream by a MAP inside a
    fused chain) — callers fall back to [of_kind]. *)
-let project_mb table columns ~in_mb =
+let project_mb schema bytes columns ~in_mb =
   let open Relation in
-  let schema = Table.schema table in
-  let known =
-    List.for_all
-      (fun name ->
-         List.exists
-           (fun (c : Schema.column) -> c.name = name)
-           (Schema.columns schema))
-      columns
-  in
-  if not known then None
+  if not (List.for_all (Schema.mem schema) columns) then None
   else begin
-    let bytes = Table.column_bytes table in
+    let bytes = Lazy.force bytes in
     let total = ref 0 and kept = ref 0 in
     List.iteri
       (fun i (c : Schema.column) ->

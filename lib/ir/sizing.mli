@@ -19,16 +19,19 @@ type estimate = {
     their single "input". *)
 val of_kind : Operator.kind -> inputs:float list -> estimate
 
-(** [project_mb table columns ~in_mb] — modeled output size of PROJECT
-    [columns] over [table], scaling [in_mb] by the retained fraction of
-    the table's encoded bytes. Dictionary-aware: a low-cardinality
-    string column costs its 4-byte codes per row plus the dictionary
-    once, so dropping or keeping it moves the estimate by its real
-    weight, not a flat per-column share. [None] when some retained
-    column is absent from the table's schema (caller falls back to
-    {!of_kind}). *)
+(** [project_mb schema bytes columns ~in_mb] — modeled output size of
+    PROJECT [columns] over a table of [schema] whose
+    {!Relation.Table.column_bytes} are [bytes], scaling [in_mb] by the
+    retained fraction of the encoded bytes. Dictionary-aware: a
+    low-cardinality string column costs its 4-byte codes per row plus
+    the dictionary once, so dropping or keeping it moves the estimate
+    by its real weight, not a flat per-column share. [bytes] is forced
+    only when every column is known, and may describe a table that is
+    never built (a fused JOIN's). [None] when some retained column is
+    absent from [schema] (caller falls back to {!of_kind}). *)
 val project_mb :
-  Relation.Table.t -> string list -> in_mb:float -> float option
+  Relation.Schema.t -> int array Lazy.t -> string list -> in_mb:float ->
+  float option
 
 (** The conservative first-run policy (§5.2): merge an operator eagerly
     only if its output is surely small — i.e. it is selective, or

@@ -247,18 +247,24 @@ let dense_codes ?range ?into (a : int array) =
 
 (* the code of every key of [a] under [index], -1 where absent *)
 let lookup_codes index (a : int array) =
-  match index with
-  | Slots { lo; hi; slot } ->
-    Array.map (fun k -> if k >= lo && k <= hi then slot.(k - lo) else -1) a
-  | Probe { keys; ids; mask } ->
-    Array.map
-      (fun k ->
-         let h = ref (mix k land mask) in
-         while ids.(!h) >= 0 && keys.(!h) <> k do
-           h := (!h + 1) land mask
-         done;
-         ids.(!h))
-      a
+  let n = Array.length a in
+  let out = Array.make n (-1) in
+  (match index with
+   | Slots { lo; hi; slot } ->
+     for i = 0 to n - 1 do
+       let k = a.(i) in
+       if k >= lo && k <= hi then out.(i) <- slot.(k - lo)
+     done
+   | Probe { keys; ids; mask } ->
+     for i = 0 to n - 1 do
+       let k = a.(i) in
+       let h = ref (mix k land mask) in
+       while ids.(!h) >= 0 && keys.(!h) <> k do
+         h := (!h + 1) land mask
+       done;
+       out.(i) <- ids.(!h)
+     done);
+  out
 
 (* int view of a join/group key column; [None] when the type cannot key
    byte-identically (floats: the row engine's structural equality makes
@@ -273,8 +279,36 @@ let int_keys (col : Column.t) =
 
 (* ---- JOIN ---- *)
 
-let try_join left right ~left_key ~right_key =
-  if not (Column.enabled ()) then fallback "disabled"
+(* An equi-join's matches, before any pair is emitted. One side is the
+   build side: its keys are dense-coded once and its rows bucketed by
+   code, newest first (a CSR layout:
+   [brows.(bstart.(c) .. bstart.(c+1) - 1)] are the build rows with
+   code c). The other side probes: row q probes the bucket of
+   [pcode.(via q)], -1 for none, where [via] is its key's view index
+   or the identity, so a probe side read through a view is coded once
+   per base row. *)
+type matches = {
+  out_schema : Schema.t;
+  lv : Table.view;
+  rv : Table.view;  (** the right side without its key column *)
+  build_left : bool;
+  nprobe : int;
+  pcode : int array;  (** per row of the probe key's base column *)
+  pvia : int array option;
+  bstart : int array;
+  brows : int array;
+  pairs : int;
+}
+
+let code_at via codes i =
+  match via with None -> codes.(i) | Some ix -> codes.(ix.(i))
+
+(* The matches of [left ⋈ right], built on the left side or the right
+   one, or the reason the columnar path refuses. [refuse] vetoes on the
+   output schema, before any key is coded. *)
+let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
+    ~right_key =
+  if not (Column.enabled ()) then Error "disabled"
   else begin
     let ls = Table.schema left and rs = Table.schema right in
     (* same Not_found as the row path on unknown keys *)
@@ -282,99 +316,269 @@ let try_join left right ~left_key ~right_key =
     and ri = Schema.index_of rs right_key in
     let lty = Schema.column_type ls left_key
     and rty = Schema.column_type rs right_key in
-    if lty <> rty then fallback "key_type_mismatch"
-    else if lty = Value.Tfloat then fallback "float_key"
-    else begin
-      mark "join";
-      (* only the key columns are read, each coded off its base column
-         and read through its view index: the buckets need any
-         injective code *)
-      let lv = Table.parts left and rv = Table.parts right in
-      let through (v : Table.view) g codes =
-        if g < 0 then codes else Table.compose codes v.idx.(g)
-      in
-      let lkey, lvia = lv.vcols.(li) and rkey, rvia = rv.vcols.(ri) in
-      let nl = Table.row_count left and nr = Table.row_count right in
-      let rkeys = Option.get (int_keys rkey) in
-      let bcode, groups, index = dense_codes (Option.get (int_keys lkey)) in
-      let lcode = through lv lvia bcode in
-      (* the left code each right row probes with, -1 for no match *)
-      let rcode =
-        through rv rvia @@
-        match (lkey.Column.data, rkey.Column.data) with
-        | Column.Dict { dict = ldict; _ }, Column.Dict { dict = rdict; _ } ->
-          (* two dictionaries: hash each distinct string once, not per
-             row. An entry no left row holds maps to -1 or to an empty
-             bucket. *)
-          let entry_code =
-            lookup_codes index (Array.init (Array.length ldict) Fun.id)
-          in
-          let by_string = Hashtbl.create (max 16 groups) in
-          Array.iteri
-            (fun e s ->
-               if entry_code.(e) >= 0 then
-                 Hashtbl.replace by_string s entry_code.(e))
-            ldict;
-          let rmap =
-            Array.map
-              (fun s ->
-                 Option.value (Hashtbl.find_opt by_string s) ~default:(-1))
-              rdict
-          in
-          Array.map (fun c -> rmap.(c)) rkeys
-        | _ -> lookup_codes index rkeys
-      in
-      (* CSR build: [rows.(start.(g) .. start.(g+1) - 1)] are the left
-         rows with code g, newest first — [Hashtbl.find_all]'s order,
-         so output order is the serial kernel's *)
-      let start = Array.make (groups + 1) 0 in
-      Array.iter (fun g -> start.(g + 1) <- start.(g + 1) + 1) lcode;
-      for g = 1 to groups do
-        start.(g) <- start.(g) + start.(g - 1)
-      done;
-      let fill = Array.sub start 0 groups in
-      let rows = Array.make nl 0 in
-      for i = nl - 1 downto 0 do
-        let g = lcode.(i) in
-        rows.(fill.(g)) <- i;
-        fill.(g) <- fill.(g) + 1
-      done;
-      (* emitted (left row, right row) pairs, right rows in order; the
-         index arrays are sized exactly up front *)
-      let total = ref 0 in
-      Array.iter
-        (fun g -> if g >= 0 then total := !total + start.(g + 1) - start.(g))
-        rcode;
-      let lidx = Array.make !total 0 and ridx = Array.make !total 0 in
-      let k = ref 0 in
-      for r = 0 to nr - 1 do
-        let g = rcode.(r) in
-        if g >= 0 then
-          for p = start.(g) to start.(g + 1) - 1 do
-            lidx.(!k) <- rows.(p);
-            ridx.(!k) <- r;
-            incr k
-          done
-      done;
-      let r_cols_keep = List.filteri (fun j _ -> j <> ri) (Schema.columns rs) in
-      let out_schema =
-        if r_cols_keep = [] then ls
-        else Schema.concat ls (Schema.make r_cols_keep)
-      in
-      (* a view: each input's groups composed with its pair index *)
-      let rv =
-        { rv with
-          vcols =
-            Array.of_list
-              (List.filteri (fun j _ -> j <> ri) (Array.to_list rv.vcols)) }
-      in
-      Some
-        (Table.of_view out_schema ~rows:!total
-           (Table.concat_views
-              (Table.reindex lv lidx)
-              (Table.reindex rv ridx)))
-    end
+    let r_cols_keep = List.filteri (fun j _ -> j <> ri) (Schema.columns rs) in
+    let out_schema =
+      if r_cols_keep = [] then ls
+      else Schema.concat ls (Schema.make r_cols_keep)
+    in
+    if lty <> rty then Error "key_type_mismatch"
+    else if lty = Value.Tfloat then Error "float_key"
+    else
+      match refuse out_schema with
+      | Some reason -> Error reason
+      | None ->
+        (* only the key columns are read, each coded off its base column
+           and read through its view index: the buckets need any
+           injective code *)
+        let lv = Table.parts left and rv = Table.parts right in
+        (* a key's base column, view index and row count *)
+        let side (v : Table.view) i n =
+          match v.vcols.(i) with
+          | c, -1 -> (c, None, n)
+          | c, g -> (c, Some v.idx.(g), n)
+        in
+        let (bkey, bvia, nb), (pkey, pvia, nprobe) =
+          let l = side lv li (Table.row_count left)
+          and r = side rv ri (Table.row_count right) in
+          if build_left then (l, r) else (r, l)
+        in
+        let bbase, groups, index = dense_codes (Option.get (int_keys bkey)) in
+        let bcode =
+          match bvia with None -> bbase | Some ix -> Table.compose bbase ix
+        in
+        (* the build code each probe base row looks up, -1 for none *)
+        let pcode =
+          let pkeys = Option.get (int_keys pkey) in
+          match (bkey.Column.data, pkey.Column.data) with
+          | Column.Dict { dict = bdict; _ }, Column.Dict { dict = pdict; _ } ->
+            (* two dictionaries: hash each distinct string once, not per
+               row. An entry no build row holds maps to -1 or to an
+               empty bucket. *)
+            let entry_code =
+              lookup_codes index (Array.init (Array.length bdict) Fun.id)
+            in
+            let by_string = Hashtbl.create (max 16 groups) in
+            Array.iteri
+              (fun e s ->
+                 if entry_code.(e) >= 0 then
+                   Hashtbl.replace by_string s entry_code.(e))
+              bdict;
+            let pmap =
+              Array.map
+                (fun s ->
+                   Option.value (Hashtbl.find_opt by_string s) ~default:(-1))
+                pdict
+            in
+            Array.map (fun c -> pmap.(c)) pkeys
+          | _ -> lookup_codes index pkeys
+        in
+        let bstart = Array.make (groups + 1) 0 in
+        for b = 0 to nb - 1 do
+          let c = bcode.(b) in
+          bstart.(c + 1) <- bstart.(c + 1) + 1
+        done;
+        for c = 1 to groups do
+          bstart.(c) <- bstart.(c) + bstart.(c - 1)
+        done;
+        let fill = Array.sub bstart 0 groups in
+        let brows = Array.make nb 0 in
+        for b = nb - 1 downto 0 do
+          let c = bcode.(b) in
+          brows.(fill.(c)) <- b;
+          fill.(c) <- fill.(c) + 1
+        done;
+        let pairs = ref 0 in
+        for q = 0 to nprobe - 1 do
+          let c = code_at pvia pcode q in
+          if c >= 0 then pairs := !pairs + bstart.(c + 1) - bstart.(c)
+        done;
+        let rv =
+          { rv with
+            vcols =
+              Array.of_list
+                (List.filteri (fun j _ -> j <> ri) (Array.to_list rv.vcols)) }
+        in
+        Ok
+          { out_schema; lv; rv; build_left; nprobe; pcode; pvia; bstart;
+            brows; pairs = !pairs }
   end
+
+(* The pairs of [m] handed to [flush lidx ridx n] in runs of [block]
+   pairs (the last may be shorter), through two buffers reused from run
+   to run. A left build side is probed by the right rows in order, so
+   the pairs come in the serial kernel's order — right rows ascending,
+   each right row's left rows newest first, its [Hashtbl.find_all]
+   order — and with [block = m.pairs] the two buffers are its output.
+   A right build side is probed by the left rows, newest first. *)
+let iter_pairs m ~block flush =
+  let lbuf = Array.make block 0 and rbuf = Array.make block 0 in
+  let k = ref 0 in
+  for s = 0 to m.nprobe - 1 do
+    let q = if m.build_left then s else m.nprobe - 1 - s in
+    let c = code_at m.pvia m.pcode q in
+    if c >= 0 then
+      for p = m.bstart.(c) to m.bstart.(c + 1) - 1 do
+        let b = m.brows.(p) in
+        if m.build_left then begin
+          lbuf.(!k) <- b;
+          rbuf.(!k) <- q
+        end
+        else begin
+          lbuf.(!k) <- q;
+          rbuf.(!k) <- b
+        end;
+        incr k;
+        if !k = block then begin
+          flush lbuf rbuf block;
+          k := 0
+        end
+      done
+  done;
+  if !k > 0 then flush lbuf rbuf !k
+
+(* a view: each input's groups composed with its pair index *)
+let pair_view m ~rows lidx ridx =
+  Table.of_view m.out_schema ~rows
+    (Table.concat_views (Table.reindex m.lv lidx) (Table.reindex m.rv ridx))
+
+(* A plain JOIN's output is every pair, so it is built on the left and
+   emitted in order into two exactly sized index arrays. *)
+let try_join left right ~left_key ~right_key =
+  match join_matches ~build_left:true left right ~left_key ~right_key with
+  | Error reason -> fallback reason
+  | Ok m ->
+    mark "join";
+    let out = ref ([||], [||]) in
+    iter_pairs m ~block:m.pairs (fun lidx ridx _ -> out := (lidx, ridx));
+    let lidx, ridx = !out in
+    Some (pair_view m ~rows:m.pairs lidx ridx)
+
+(* ---- JOIN → SELECT ---- *)
+
+type join_select = {
+  table : Table.t;
+  pairs : int;
+  join_bytes : int array;
+}
+
+(* a refusal of the fused kernel: the caller runs the plain JOIN, which
+   may still take the columnar path, so these stay out of
+   [kernel.fallback.*] *)
+let refused reason =
+  Obs.Metrics.incr Obs.Metrics.default ("kernel.join_select.refused." ^ reason);
+  None
+
+(* candidates per predicate evaluation: the kernel holds no index of the
+   pair count, only of the survivors, and a block's arrays stay small
+   enough for the minor heap *)
+let select_block = 256
+
+(* The survivors, given in chunks in [iter_pairs]'s order with
+   [counts.(r)] of them on right row r, each placed at its right row's
+   next slot: a counting sort by right row, stable in the order given,
+   so they come out in the serial kernel's order. *)
+let place_by_right counts chunks =
+  let nr = Array.length counts in
+  let next = Array.make nr 0 in
+  let total = ref 0 in
+  for r = 0 to nr - 1 do
+    next.(r) <- !total;
+    total := !total + counts.(r)
+  done;
+  let lidx = Array.make !total 0 and ridx = Array.make !total 0 in
+  List.iter
+    (fun (sl, sr) ->
+       for k = 0 to Array.length sl - 1 do
+         let r = sr.(k) in
+         let p = next.(r) in
+         lidx.(p) <- sl.(k);
+         ridx.(p) <- r;
+         next.(r) <- p + 1
+       done)
+    chunks;
+  (lidx, ridx)
+
+(* The smaller side is the build side, so no array is sized by the
+   larger input (k-means' 120,000-row [d] probes 1,200 buckets), and
+   only the survivors are placed. *)
+let try_join_select left right ~left_key ~right_key ~pred =
+  let refuse schema =
+    if not (Vector.vectorizable schema pred) then Some "not_vectorizable"
+    else if Expr.infer schema pred <> Value.Tbool then
+      Some "non_bool_predicate"
+    else None
+  in
+  let build_left = Table.row_count left <= Table.row_count right in
+  match join_matches ~refuse ~build_left left right ~left_key ~right_key with
+  | Error reason -> refused reason
+  | Ok m ->
+    let bases =
+      Array.append (Array.map fst m.lv.vcols) (Array.map fst m.rv.vcols)
+    in
+    (* [Table.settle] would compact a dictionary larger than the pair
+       count, and the JOIN's size would then depend on its rows *)
+    if
+      Array.exists
+        (fun c ->
+           match Column.dictionary_size c with
+           | Some d -> m.pairs < d
+           | None -> false)
+        bases
+    then refused "compacts"
+    else begin
+      mark "join_select";
+      let nleft = Array.length m.lv.vcols in
+      let counts = Array.make (Table.row_count right) 0 in
+      let kept = ref [] in
+      iter_pairs m ~block:select_block (fun lbuf rbuf n ->
+          let lb = if n = select_block then lbuf else Array.sub lbuf 0 n
+          and rb = if n = select_block then rbuf else Array.sub rbuf 0 n in
+          (* each output column reads its base through its group's index
+             composed with this block's pairs, composed once per group *)
+          let through (v : Table.view) buf =
+            let memo = Array.make (Array.length v.idx) None in
+            fun g ->
+              if g < 0 then Vector.Sparse buf
+              else
+                match memo.(g) with
+                | Some ix -> Vector.Sparse ix
+                | None ->
+                  let ix = Table.compose v.idx.(g) buf in
+                  memo.(g) <- Some ix;
+                  Vector.Sparse ix
+          in
+          let left_sel = through m.lv lb and right_sel = through m.rv rb in
+          let sel i =
+            if i < nleft then left_sel (snd m.lv.vcols.(i))
+            else right_sel (snd m.rv.vcols.(i - nleft))
+          in
+          let mask =
+            Vector.to_mask ~length:n
+              (Vector.eval m.out_schema bases ~len:n ~sel pred)
+          in
+          let hits = ref 0 in
+          for k = 0 to n - 1 do
+            if mask.(k) then incr hits
+          done;
+          let sl = Array.make !hits 0 and sr = Array.make !hits 0 in
+          let j = ref 0 in
+          for k = 0 to n - 1 do
+            if mask.(k) then begin
+              let r = rb.(k) in
+              sl.(!j) <- lb.(k);
+              sr.(!j) <- r;
+              counts.(r) <- counts.(r) + 1;
+              incr j
+            end
+          done;
+          kept := (sl, sr) :: !kept);
+      let lidx, ridx = place_by_right counts (List.rev !kept) in
+      Some
+        { table = pair_view m ~rows:(Array.length lidx) lidx ridx;
+          pairs = m.pairs;
+          join_bytes =
+            Array.map (fun c -> Column.gathered_bytes c ~rows:m.pairs) bases }
+    end
 
 (* ---- CROSS ---- *)
 

@@ -19,7 +19,10 @@
     {!Kernel} counts [kernel.row.<kernel>] for every fallback it runs,
     so over a run the [kernel.fallback.*] counters sum to the
     [kernel.row.*] ones; every columnar run counts
-    [kernel.columnar.<kernel>]. All of it is serial.
+    [kernel.columnar.<kernel>]. The fused JOIN → SELECT kernel
+    ({!try_join_select}) counts its refusals apart, as
+    [kernel.join_select.refused.<reason>]: after one the caller runs
+    the plain JOIN, which counts its own path. All of it is serial.
 
     Output is late-materialized ({!Table.view}): JOIN and CROSS return
     their inputs' column groups composed with the pair indices, SELECT
@@ -44,14 +47,47 @@ val try_map_column :
   Table.t -> target:string -> expr:Expr.t -> Table.t option
 
 (** Equi-join on int, bool or string keys, build side = left. The left
-    keys are dense-coded once and the left rows counting-sorted into
-    one bucket per key (a CSR layout), newest row first — the serial
-    kernel's [Hashtbl.find_all] order — so probing in right-row order
-    reproduces its output order. String keys map each distinct right
+    keys are dense-coded once and the left rows counting-sorted into one
+    bucket per key (a CSR layout), newest first — the serial kernel's
+    [Hashtbl.find_all] order — so probing in right-row order reproduces
+    its output order, written straight into two exactly sized index
+    arrays. Each side's keys are coded off its base column and read
+    through its view index. String keys map each distinct right
     dictionary entry to a left code once, not per row. *)
 val try_join :
   Table.t -> Table.t -> left_key:string -> right_key:string ->
   Table.t option
+
+(** A JOIN followed by a SELECT on its output, evaluated on the JOIN's
+    matches before any output is built: the output view is composed
+    from the survivors only. [table] is
+    [try_select (try_join left right ~left_key ~right_key) pred] —
+    same schema, rows and order, unsettled — [pairs] is the JOIN's row
+    count and [join_bytes] its {!Table.column_bytes}, as the settled
+    JOIN would report them. It is {!try_join}'s kernel — the same key
+    coding, buckets and pair enumeration — built on the smaller side,
+    so no array is sized by the larger input: the larger side probes
+    row by row. The predicate is evaluated on blocks of 256 candidate
+    pairs, and the survivors are counting-sorted by right row into the
+    serial order, so no array of the pair count is built. [None] when
+    the fusion is refused
+    and the caller must run the plain JOIN: each refusal counts
+    [kernel.join_select.refused.<reason>] ([disabled],
+    [key_type_mismatch], [float_key], [not_vectorizable],
+    [non_bool_predicate], or [compacts]: some output dictionary is
+    larger than the pair count, which {!Table.settle} would compact).
+    A plain JOIN run afterwards counts its own path, so these stay out
+    of [kernel.fallback.*]; a fused run counts
+    [kernel.columnar.join_select]. *)
+type join_select = {
+  table : Table.t;
+  pairs : int;
+  join_bytes : int array;
+}
+
+val try_join_select :
+  Table.t -> Table.t -> left_key:string -> right_key:string -> pred:Expr.t ->
+  join_select option
 
 (** Cartesian product as two index vectors (left-major, right-minor:
     the serial kernel's nested-loop order) composed with both sides'

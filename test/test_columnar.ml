@@ -578,18 +578,19 @@ let test_keyless_group_by () =
          (([] :: List.map one fns) @ [ all ]))
     [ 0; 1; 700 ]
 
+(* the sum of every counter whose name starts with [prefix] *)
+let sum prefix =
+  List.fold_left
+    (fun s (name, n) -> if String.starts_with ~prefix name then s + n else s)
+    0
+    (Obs.Metrics.counters Obs.Metrics.default)
+
 (* Every row-path run of a hot kernel has one counted refusal: over
    planned runs of the NetFlix, k-means, TPC-H and PageRank workflows
    (fused chains included) and a GROUP BY on TPC-H's float price, the
    [kernel.fallback.<reason>] counters sum to the [kernel.row.<kernel>]
    ones. *)
 let test_fallbacks_account_for_row_runs () =
-  let sum prefix =
-    List.fold_left
-      (fun s (name, n) -> if String.starts_with ~prefix name then s + n else s)
-      0
-      (Obs.Metrics.counters Obs.Metrics.default)
-  in
   let fallback0 = sum "kernel.fallback." and row0 = sum "kernel.row." in
   let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
   List.iter
@@ -642,6 +643,209 @@ let test_prop_fused_differential () =
                [ true; false ])
           [ (fun () -> t); (fun () -> Kernel.select t Expr.(col "k" < int 9)) ])
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* ---- JOIN → SELECT on the join's matches ----
+
+   [Columnar.try_join_select] against the row oracle: the SELECT of the
+   row JOIN, schema and CSV in order, or the same exception. Its pair
+   count and bytes are the settled columnar JOIN's. It refuses exactly
+   when the fusion cannot hold: a float key, a predicate the columnar
+   SELECT refuses, or a dictionary the JOIN's settle would compact. *)
+
+type join_case = {
+  key_ty : Value.ty;
+  nl : int;
+  nr : int;
+  card : int;  (* distinct keys per side *)
+  shift : int;  (* right keys offset: unmatched rows on both sides *)
+  filtered : bool;  (* the left side is a SELECT's view *)
+  cseed : int;
+}
+
+let join_case_to_string c =
+  Printf.sprintf
+    "{key=%s; nl=%d; nr=%d; card=%d; shift=%d; filtered=%b; seed=%d}"
+    (Value.ty_to_string c.key_ty) c.nl c.nr c.card c.shift c.filtered c.cseed
+
+let gen_join_case rng =
+  let open Qcheck_lite in
+  let rows () =
+    match Rng.int rng 4 with
+    | 0 -> 0
+    | 1 -> 1 + Rng.int rng 3
+    | _ -> 10 + Rng.int rng 140
+  in
+  { key_ty = Rng.pick rng Value.[ Tint; Tint; Tstring; Tbool; Tfloat ];
+    nl = rows (); nr = rows ();
+    card = Rng.pick rng [ 1; 3; 20 ];
+    shift = Rng.pick rng [ 0; 0; 2 ];
+    filtered = Rng.bool rng;
+    cseed = Rng.int rng 1_000_000 }
+
+let join_case_arbitrary =
+  Qcheck_lite.make
+    ~shrink:(fun c ->
+      (if c.nl > 0 then [ { c with nl = c.nl / 2 } ] else [])
+      @ if c.nr > 0 then [ { c with nr = c.nr / 2 } ] else [])
+    ~print:join_case_to_string gen_join_case
+
+(* left (lk, a, x, s, b) and right (rk, c, y, t, a): the right [a]
+   clashes and comes out as [r_a]; [c] holds zeros, the floats NaN,
+   ±inf and -0., and [s] and [t] are two dictionaries *)
+let join_case_tables c =
+  let rng = Qcheck_lite.Rng.create c.cseed in
+  let int lo hi = lo + Qcheck_lite.Rng.int rng (hi - lo + 1) in
+  let key shift =
+    let v = Qcheck_lite.Rng.int rng c.card + shift in
+    match c.key_ty with
+    | Value.Tint -> Value.Int v
+    | Value.Tstring -> Value.Str (Printf.sprintf "k%d" v)
+    | Value.Tbool -> Value.Bool (v mod 2 = 0)
+    | Value.Tfloat -> Value.Float (float_of_int v)
+  in
+  let float () =
+    Value.Float
+      (Qcheck_lite.Rng.pick rng
+         [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 1.5; -2. ])
+  in
+  let str n = Value.Str (Printf.sprintf "s%d" (Qcheck_lite.Rng.int rng n)) in
+  let table cols n row =
+    Table.create_unchecked
+      (Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) cols))
+      (Array.init n (fun _ -> row ()))
+  in
+  let l =
+    table
+      [ ("lk", c.key_ty); ("a", Value.Tint); ("x", Value.Tfloat);
+        ("s", Value.Tstring); ("b", Value.Tbool) ]
+      c.nl
+      (fun () ->
+         [| key 0; Value.Int (int (-3) 3); float (); str 4;
+            Value.Bool (Qcheck_lite.Rng.bool rng) |])
+  and r =
+    table
+      [ ("rk", c.key_ty); ("c", Value.Tint); ("y", Value.Tfloat);
+        ("t", Value.Tstring); ("a", Value.Tint) ]
+      c.nr
+      (fun () ->
+         [| key c.shift; Value.Int (int (-2) 2); float (); str 6;
+            Value.Int (int (-3) 3) |])
+  in
+  let l =
+    if c.filtered then
+      Column.with_enabled true (fun () ->
+          Kernel.select l Expr.(col "a" <> int 0))
+    else l
+  in
+  (l, r)
+
+(* left only, right only, both sides, floats, two dictionaries, bools,
+   a division by a zero-holding column, and one the columnar SELECT
+   refuses (a division under OR) *)
+let join_case_preds =
+  Expr.
+    [ col "a" > int 0;
+      col "c" <= int 1;
+      col "a" + col "c" > col "r_a";
+      col "x" < col "y";
+      col "x" = col "y";
+      col "s" = col "t";
+      col "s" <> str "s0" && col "b";
+      col "a" / col "c" > int 0;
+      col "a" > int 0 || col "c" / col "a" > int 0 ]
+
+let test_prop_join_select () =
+  let outcome f =
+    match f () with
+    | t -> Ok (Schema.to_string (Table.schema t), Table.to_csv t)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  try
+    Qcheck_lite.check ~count:30 ~seed ~name:"join_select == row select(join)"
+      join_case_arbitrary (fun c ->
+        let l, r = join_case_tables c in
+        let join () = Kernel.join l r ~left_key:"lk" ~right_key:"rk" in
+        let row_join = row_reference join in
+        let col_join = Column.with_enabled true join in
+        (* what settle would compact, off the unsettled columnar JOIN *)
+        let compacts =
+          match
+            Column.with_enabled true (fun () ->
+                Columnar.try_join l r ~left_key:"lk" ~right_key:"rk")
+          with
+          | Some v -> Table.settle v != v
+          | None -> true
+        in
+        List.for_all
+          (fun pred ->
+             let expect =
+               outcome (fun () ->
+                   row_reference (fun () -> Kernel.select row_join pred))
+             in
+             let refuse =
+               compacts
+               || not (Vector.vectorizable (Table.schema row_join) pred)
+             in
+             match
+               Column.with_enabled true (fun () ->
+                   Columnar.try_join_select l r ~left_key:"lk" ~right_key:"rk"
+                     ~pred)
+             with
+             | exception e ->
+               (not refuse) && expect = Error (Printexc.to_string e)
+             | None -> refuse
+             | Some js ->
+               (not refuse)
+               && outcome (fun () -> js.table) = expect
+               && js.pairs = Table.row_count col_join
+               && js.join_bytes = Table.column_bytes col_join
+               && Array.fold_left ( + ) 0 js.join_bytes
+                  = Table.encoded_bytes col_join)
+          join_case_preds)
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* every refusal counts [kernel.join_select.refused.<reason>] and no
+   [kernel.fallback.*]: the plain JOIN the caller runs next counts its
+   own path *)
+let test_join_select_refusals () =
+  let ints name n key =
+    Table.create_unchecked
+      (Schema.make
+         [ { Schema.name = name; ty = Value.Tint };
+           { Schema.name = name ^ "_s"; ty = Value.Tstring } ])
+      (Array.init n (fun i ->
+           [| Value.Int (key i); Value.Str (Printf.sprintf "s%d" i) |]))
+  in
+  let l = ints "a" 8 (fun i -> i mod 4) and r = ints "b" 4 Fun.id in
+  let fl =
+    Table.create_unchecked
+      (Schema.make [ { Schema.name = "f"; ty = Value.Tfloat } ])
+      [| [| Value.Float 1. |] |]
+  in
+  List.iter
+    (fun (reason, columnar, l, r, left_key, right_key, pred) ->
+       let name = "kernel.join_select.refused." ^ reason in
+       let before = Obs.Metrics.counter Obs.Metrics.default name
+       and fallbacks = sum "kernel.fallback." in
+       Alcotest.(check bool) (reason ^ ": refused") true
+         (Column.with_enabled columnar (fun () ->
+              Columnar.try_join_select l r ~left_key ~right_key ~pred)
+          = None);
+       Alcotest.(check int) (reason ^ ": counted") 1
+         (Obs.Metrics.counter Obs.Metrics.default name - before);
+       Alcotest.(check int) (reason ^ ": no kernel fallback") fallbacks
+         (sum "kernel.fallback."))
+    Expr.
+      [ ("disabled", false, l, r, "a", "b", col "a" > int 0);
+        ("float_key", true, fl, fl, "f", "f", bool true);
+        ("key_type_mismatch", true, l, fl, "a", "f", bool true);
+        ("not_vectorizable", true, l, r, "a", "b",
+         col "a" > int 0 || col "b" / col "a" > int 0);
+        ("non_bool_predicate", true, l, r, "a", "b", col "a" + int 1);
+        (* one right row matches: 2 pairs, and 8- and 12-entry
+           dictionaries the JOIN's settle would compact *)
+        ("compacts", true, l, ints "b" 12 (Int.mul 100), "a", "b",
+         bool true) ]
 
 (* ---- late-materialized views ----
 
@@ -1202,10 +1406,14 @@ let test_encoded_bytes_dictionary () =
 let test_project_estimate_within_10pct () =
   let t = Lazy.force sizing_table in
   let in_mb = Table.encoded_mb t in
+  let project_mb cols =
+    Ir.Sizing.project_mb (Table.schema t) (lazy (Table.column_bytes t)) cols
+      ~in_mb
+  in
   List.iter
     (fun cols ->
        let predicted =
-         match Ir.Sizing.project_mb t cols ~in_mb with
+         match project_mb cols with
          | Some mb -> mb
          | None -> Alcotest.fail "all columns are in the schema"
        in
@@ -1220,7 +1428,7 @@ let test_project_estimate_within_10pct () =
      falls back to the generic Sizing default *)
   Alcotest.(check bool)
     "unknown column yields None" true
-    (Ir.Sizing.project_mb t [ "k"; "made-by-map" ] ~in_mb = None)
+    (project_mb [ "k"; "made-by-map" ] = None)
 
 let () =
   Alcotest.run "columnar"
@@ -1272,7 +1480,11 @@ let () =
           Alcotest.test_case "executor outputs are never views" `Quick
             test_executor_outputs_not_views;
           Alcotest.test_case "fused chains, fusion on/off" `Quick
-            test_prop_fused_differential ] );
+            test_prop_fused_differential;
+          Alcotest.test_case "JOIN-SELECT kernel = row SELECT of JOIN"
+            `Quick test_prop_join_select;
+          Alcotest.test_case "JOIN-SELECT refusals are counted" `Quick
+            test_join_select_refusals ] );
       ( "regression",
         [ Alcotest.test_case "4k fixture byte-identity at jobs=4" `Quick
             test_fixture_identity;

@@ -105,6 +105,80 @@ let test_while_body_plan () =
   | cs ->
     Alcotest.failf "expected one chain in the body, got %d" (List.length cs)
 
+(* JOIN → SELECT (or MAP) → PROJECT; the JOIN may also be an output or
+   feed a second consumer. A JOIN whose table only its SELECT sees
+   heads the chain, and a lone SELECT after it makes a two-member
+   chain. *)
+let join_graph ?(join_is_output = false) ?(second_consumer = false)
+    ?(after = `Select) () =
+  let b = Ir.Builder.create () in
+  let l = Ir.Builder.input b "l" and r = Ir.Builder.input b "r" in
+  let j = Ir.Builder.join b ~name:"j" ~left_key:"k" ~right_key:"k2" l r in
+  let s =
+    match after with
+    | `Select -> Ir.Builder.select b ~pred:Relation.Expr.(col "v" > int 10) j
+    | `Map ->
+      Ir.Builder.map b ~target:"v" ~expr:Relation.Expr.(col "v" + int 1) j
+  in
+  let p = Ir.Builder.project b ~name:"out" ~columns:[ "k" ] s in
+  let outputs =
+    (if join_is_output then [ j ] else [])
+    @ (if second_consumer then [ Ir.Builder.project b ~columns:[ "k" ] j ]
+       else [])
+    @ [ p ]
+  in
+  (Ir.Builder.finish b ~outputs, Ir.Builder.id j, Ir.Builder.id s,
+   Ir.Builder.id p)
+
+let test_plan_join_head () =
+  let g, j, s, p = join_graph () in
+  let plan = Ir.Fusion.plan g in
+  (match Ir.Fusion.chains plan with
+   | [ c ] ->
+     Alcotest.(check bool) "JOIN-headed" true c.join_head;
+     Alcotest.(check (list int)) "members" [ j; s; p ] c.members;
+     Alcotest.(check (list int)) "row-local members" [ s; p ]
+       (Ir.Fusion.row_local c)
+   | cs -> Alcotest.failf "expected one chain, got %d" (List.length cs));
+  (match Ir.Fusion.role plan j with
+   | Ir.Fusion.Head _ -> ()
+   | _ -> Alcotest.fail "the JOIN should head the chain");
+  (match Ir.Fusion.role plan s with
+   | Ir.Fusion.Interior _ -> ()
+   | _ -> Alcotest.fail "the SELECT should be interior");
+  (* a lone SELECT after the JOIN *)
+  let b = Ir.Builder.create () in
+  let j =
+    Ir.Builder.join b ~left_key:"k" ~right_key:"k2" (Ir.Builder.input b "l")
+      (Ir.Builder.input b "r")
+  in
+  let s =
+    Ir.Builder.select b ~name:"out" ~pred:Relation.Expr.(col "v" > int 10) j
+  in
+  let g = Ir.Builder.finish b ~outputs:[ s ] in
+  match Ir.Fusion.chains (Ir.Fusion.plan g) with
+  | [ c ] ->
+    Alcotest.(check (list int)) "JOIN + lone SELECT"
+      [ Ir.Builder.id j; Ir.Builder.id s ] c.members
+  | cs -> Alcotest.failf "expected one chain, got %d" (List.length cs)
+
+let test_join_head_barriers () =
+  let join_heads ?protect g =
+    List.length
+      (List.filter
+         (fun (c : Ir.Fusion.chain) -> c.join_head)
+         (Ir.Fusion.chains (Ir.Fusion.plan ?protect g)))
+  in
+  let g, _, _, _ = join_graph ~join_is_output:true () in
+  Alcotest.(check int) "a JOIN that is an output" 0 (join_heads g);
+  let g, _, _, _ = join_graph ~second_consumer:true () in
+  Alcotest.(check int) "a JOIN with two consumers" 0 (join_heads g);
+  let g, _, _, _ = join_graph ~after:`Map () in
+  Alcotest.(check int) "a JOIN followed by a MAP" 0 (join_heads g);
+  let g, _, _, _ = join_graph () in
+  Alcotest.(check int) "a protected JOIN" 0 (join_heads ~protect:[ "j" ] g);
+  Alcotest.(check int) "an unprotected JOIN" 1 (join_heads g)
+
 (* ---- fused execution is byte-identical ---- *)
 
 let kv_schema =
@@ -284,6 +358,194 @@ let test_fusion_metrics () =
        (Obs.Metrics.gauge metrics "fusion.intermediate_mb_saved")
      > saved0)
 
+(* ---- JOIN-headed chains ----
+
+   A JOIN head runs with its SELECT as one kernel, but it is priced as
+   the solo JOIN and its row-local members as the chain they were
+   before: every op_stat and volume below was captured, as [%h]
+   strings, with the JOIN materialized. *)
+
+let stat_lines (r : Engines.Exec_helper.result) =
+  List.map
+    (fun (s : Engines.Exec_helper.op_stat) ->
+       Printf.sprintf "%d %s %h %h" s.node_id s.kind_name s.in_mb s.out_mb)
+    r.op_stats
+  @ [ Printf.sprintf "process %h comm %h output %h"
+        r.volumes.Engines.Perf.process_mb r.volumes.Engines.Perf.comm_mb
+        r.volumes.Engines.Perf.output_mb ]
+
+let join_select_graph () =
+  let open Relation in
+  let b = Ir.Builder.create () in
+  let l = Ir.Builder.input b "l" and r = Ir.Builder.input b "r" in
+  let j = Ir.Builder.join b ~left_key:"k" ~right_key:"k2" l r in
+  let s = Ir.Builder.select b ~pred:Expr.(col "a" > col "c") j in
+  let p = Ir.Builder.project b ~name:"out" ~columns:[ "k"; "s"; "c" ] s in
+  Ir.Builder.finish b ~outputs:[ p ]
+
+(* duplicate keys on both sides, unmatched rows on both, and a string
+   column whose dictionary is smaller than the pair count *)
+let join_select_hdfs () =
+  let open Relation in
+  let table cols n row =
+    Table.create_unchecked
+      (Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) cols))
+      (Array.init n row)
+  in
+  let l =
+    table [ ("k", Value.Tint); ("a", Value.Tint); ("s", Value.Tstring) ] 300
+      (fun i ->
+         [| Value.Int (i mod 37); Value.Int (i * 7 mod 50);
+            Value.Str (Printf.sprintf "s%d" (i mod 5)) |])
+  and r =
+    table [ ("k2", Value.Tint); ("c", Value.Tint); ("f", Value.Tfloat) ] 120
+      (fun i ->
+         [| Value.Int (i * 3 mod 41); Value.Int (i * 11 mod 50);
+            Value.Float (float_of_int i /. 4.) |])
+  in
+  let hdfs = Engines.Hdfs.create () in
+  Engines.Hdfs.put hdfs "l" ~modeled_mb:48. l;
+  Engines.Hdfs.put hdfs "r" ~modeled_mb:16. r;
+  hdfs
+
+let kmeans_hdfs () = Experiments.Common.load_kmeans ~points:100_000_000 ~k:100
+
+let kmeans_pins =
+  [ "2 CROSS 0x1.1e1a42cp+11 0x1.9ca5e04627627p+18";
+    "3 MAP 0x1.9ca5e04627627p+18 0x1.e16c3051d89d9p+18";
+    "4 GROUP BY 0x1.e16c3051d89d9p+18 0x1.6020522762763p+10";
+    "5 MAP 0x1.6020522762763p+10 0x1.94f1f813b13b1p+10";
+    "6 PROJECT 0x1.94f1f813b13b1p+10 0x1.6020522762763p+10";
+    "7 JOIN 0x1.e2cc50a4p+18 0x1.1319402ec4ec5p+19";
+    "8 SELECT 0x1.1319402ec4ec5p+19 0x1.1319402ec4ec5p+18";
+    "9 PROJECT 0x1.1319402ec4ec5p+18 0x1.6020522762763p+11";
+    "10 GROUP BY 0x1.6020522762763p+11 0x1.6020522762763p+10";
+    "11 JOIN 0x1.ce2a5913b13b2p+11 0x1.71bb7a7627628p+11";
+    "12 GROUP BY 0x1.71bb7a7627628p+11 0x1.71bb7a7627628p+7";
+    "2 CROSS 0x1.3535e7a762762p+11 0x1.bdfa0e1dba51cp+18";
+    "3 MAP 0x1.bdfa0e1dba51cp+18 0x1.042732e6acafbp+19";
+    "4 GROUP BY 0x1.042732e6acafbp+19 0x1.7c911d1cc7f3dp+10";
+    "5 MAP 0x1.7c911d1cc7f3dp+10 0x1.b5a6e17ab2becp+10";
+    "6 PROJECT 0x1.b5a6e17ab2becp+10 0x1.7c911d1cc7f3dp+10";
+    "7 JOIN 0x1.04e57b753b13bp+19 0x1.29515ebe7c369p+19";
+    "8 SELECT 0x1.29515ebe7c369p+19 0x1.29515ebe7c369p+18";
+    "9 PROJECT 0x1.29515ebe7c369p+18 0x1.7c911d1cc7f3fp+11";
+    "10 GROUP BY 0x1.7c911d1cc7f3fp+11 0x1.7c911d1cc7f3fp+10";
+    "11 JOIN 0x1.dc62be8e63fap+11 0x1.7d1bcba51cc8p+11";
+    "12 GROUP BY 0x1.7d1bcba51cc8p+11 0x1.7d1bcba51cc8p+7";
+    "2 CROSS 0x1.35ebecba51cc8p+11 0x1.bf00956f310e5p+18";
+    "3 MAP 0x1.bf00956f310e5p+18 0x1.04c0572b87486p+19";
+    "4 GROUP BY 0x1.04c0572b87486p+19 0x1.7d71235b785e3p+10";
+    "5 MAP 0x1.7d71235b785e3p+10 0x1.b6a88242ca6c4p+10";
+    "6 PROJECT 0x1.b6a88242ca6c4p+10 0x1.7d71235b785e3p+10";
+    "7 JOIN 0x1.057f0fbd35049p+19 0x1.2a00639f76099p+19";
+    "8 SELECT 0x1.2a00639f76099p+19 0x1.2a00639f76099p+18";
+    "9 PROJECT 0x1.2a00639f76099p+18 0x1.7d71235b785e3p+11";
+    "10 GROUP BY 0x1.7d71235b785e3p+11 0x1.7d71235b785e3p+10";
+    "11 JOIN 0x1.dcd2c1adbc2f2p+11 0x1.7d7567be3025cp+11";
+    "12 GROUP BY 0x1.7d7567be3025cp+11 0x1.7d7567be3025cp+7";
+    "2 CROSS 0x1.35f1867be3026p+11 0x1.bf08a95a11437p+18";
+    "3 MAP 0x1.bf08a95a11437p+18 0x1.04c50d748a12p+19";
+    "4 GROUP BY 0x1.04c50d748a12p+19 0x1.7d7807faf002fp+10";
+    "5 MAP 0x1.7d7807faf002fp+10 0x1.b6b06f93c7369p+10";
+    "6 PROJECT 0x1.b6b06f93c7369p+10 0x1.7d7807faf002fp+10";
+    "7 JOIN 0x1.0583c978878ap+19 0x1.2a05c63c0b825p+19";
+    "8 SELECT 0x1.2a05c63c0b825p+19 0x1.2a05c63c0b825p+18";
+    "9 PROJECT 0x1.2a05c63c0b825p+18 0x1.7d7807faf002fp+11";
+    "10 GROUP BY 0x1.7d7807faf002fp+11 0x1.7d7807faf002fp+10";
+    "11 JOIN 0x1.dcd633fd78018p+11 0x1.7d78299793347p+11";
+    "12 GROUP BY 0x1.7d78299793347p+11 0x1.7d78299793347p+7";
+    "2 CROSS 0x1.35f1b29979334p+11 0x1.bf08e8fae4f64p+18";
+    "3 MAP 0x1.bf08e8fae4f64p+18 0x1.04c532925ae5p+19";
+    "4 GROUP BY 0x1.04c532925ae5p+19 0x1.7d783e46bc8dep+10";
+    "5 MAP 0x1.7d783e46bc8dep+10 0x1.b6b0ae048c098p+10";
+    "6 PROJECT 0x1.b6b0ae048c098p+10 0x1.7d783e46bc8dep+10";
+    "7 JOIN 0x1.0583eeb17e434p+19 0x1.2a05f0a7434edp+19";
+    "8 SELECT 0x1.2a05f0a7434edp+19 0x1.2a05f0a7434edp+18";
+    "9 PROJECT 0x1.2a05f0a7434edp+18 0x1.7d783e46bc8dep+11";
+    "10 GROUP BY 0x1.7d783e46bc8dep+11 0x1.7d783e46bc8dep+10";
+    "11 JOIN 0x1.dcd64f235e46fp+11 0x1.7d783f4f7e9f3p+11";
+    "12 GROUP BY 0x1.7d783f4f7e9f3p+11 0x1.7d783f4f7e9f3p+7";
+    "process 0x1.b44f45427612ep+23 comm 0x1.44fd993198961p+22 \
+     output 0x1.7d783f4f7e9f3p+7" ]
+
+let join_select_pins =
+  [ "2 JOIN 0x1p+6 0x1.ca2aa6fb98bc9p+7";
+    "3 SELECT 0x1.ca2aa6fb98bc9p+7 0x1.ca2aa6fb98bc9p+6";
+    "4 PROJECT 0x1.ca2aa6fb98bc9p+6 0x1.11d7fed94a65ap+6";
+    "process 0x1.584886b0ff918p+8 comm 0x1p+6 output 0x1.11d7fed94a65ap+6" ]
+
+let test_join_head_pricing () =
+  let check name pins hdfs g =
+    let r =
+      with_fusion true (fun () -> Engines.Exec_helper.execute ~hdfs:(hdfs ()) g)
+    in
+    Alcotest.(check (list string)) (name ^ " op_stats") pins (stat_lines r);
+    Alcotest.(check string) (name ^ ": fused = unfused")
+      (exec_csv ~fusion:false (hdfs ()) g)
+      (exec_csv ~fusion:true (hdfs ()) g)
+  in
+  check "k-means" kmeans_pins kmeans_hdfs (Workloads.Workflows.kmeans ());
+  check "JOIN-SELECT-PROJECT" join_select_pins join_select_hdfs
+    (join_select_graph ())
+
+let counter name = Obs.Metrics.counter Obs.Metrics.default name
+
+let sum_counters prefix =
+  List.fold_left
+    (fun s (name, n) -> if String.starts_with ~prefix name then s + n else s)
+    0
+    (Obs.Metrics.counters Obs.Metrics.default)
+
+(* one planned zoo k-means run: five iterations, each one fused head,
+   and nothing on the row kernels *)
+let test_kmeans_fused_heads () =
+  let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
+  let heads0 = counter "kernel.columnar.join_select"
+  and rows0 = sum_counters "kernel.row." in
+  with_fusion true (fun () ->
+      Relation.Column.with_enabled true (fun () ->
+          match
+            Musketeer.execute m ~workflow:"kmeans" ~hdfs:(kmeans_hdfs ())
+              (Workloads.Workflows.kmeans ())
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Engines.Report.error_to_string e)));
+  Alcotest.(check int) "fused heads" 5
+    (counter "kernel.columnar.join_select" - heads0);
+  Alcotest.(check int) "row kernel runs" 0 (sum_counters "kernel.row." - rows0)
+
+(* the head runs under its chain's [kernel.fused] span, which reads both
+   JOIN inputs; the chain counts its JOIN among the fused ops *)
+let test_join_head_span () =
+  let chains0 = counter "fusion.chains" and ops0 = counter "fusion.ops_fused"
+  and heads0 = counter "kernel.columnar.join_select" in
+  let trace, _ =
+    Obs.Trace.collecting (fun () ->
+        with_fusion true (fun () ->
+            Relation.Column.with_enabled true (fun () ->
+                Engines.Exec_helper.execute ~hdfs:(join_select_hdfs ())
+                  (join_select_graph ()))))
+  in
+  (match Obs.Trace.find trace ~name:"kernel.fused" with
+   | [ sp ] ->
+     Alcotest.(check (option string)) "ops" (Some "JOIN,SELECT,PROJECT")
+       (match List.assoc_opt "ops" sp.Obs.Trace.attrs with
+        | Some (Obs.Trace.String s) -> Some s
+        | _ -> None);
+     Alcotest.(check (option int)) "rows_in: both JOIN inputs" (Some 420)
+       (match List.assoc_opt "rows_in" sp.Obs.Trace.attrs with
+        | Some (Obs.Trace.Int n) -> Some n
+        | _ -> None)
+   | sps -> Alcotest.failf "expected one kernel.fused span, got %d"
+              (List.length sps));
+  Alcotest.(check int) "no solo kernel span" 0
+    (List.length (Obs.Trace.find trace ~name:"kernel"));
+  Alcotest.(check int) "one fused head" 1
+    (counter "kernel.columnar.join_select" - heads0);
+  Alcotest.(check int) "one chain" 1 (counter "fusion.chains" - chains0);
+  Alcotest.(check int) "three ops fused" 3 (counter "fusion.ops_fused" - ops0)
+
 (* ---- differential property over generated pipelines ----
 
    The full planning + engine execution path: a random kv pipeline is
@@ -346,7 +608,11 @@ let () =
          Alcotest.test_case "protected names block fusion" `Quick
            test_protected_name_barrier;
          Alcotest.test_case "WHILE bodies plan their own chains" `Quick
-           test_while_body_plan ]);
+           test_while_body_plan;
+         Alcotest.test_case "a JOIN heads its SELECT's chain" `Quick
+           test_plan_join_head;
+         Alcotest.test_case "JOIN heads obey the barriers" `Quick
+           test_join_head_barriers ]);
       ("execution",
        [ Alcotest.test_case "empty table" `Quick test_empty_table;
          Alcotest.test_case "chunked fused pass at jobs=4" `Quick
@@ -356,7 +622,13 @@ let () =
            test_shared_scan_volumes;
          Alcotest.test_case "planned run reads HDFS once" `Quick
            test_one_hdfs_read;
-         Alcotest.test_case "fusion metrics" `Quick test_fusion_metrics ]);
+         Alcotest.test_case "fusion metrics" `Quick test_fusion_metrics;
+         Alcotest.test_case "JOIN heads price as the solo JOIN" `Quick
+           test_join_head_pricing;
+         Alcotest.test_case "k-means takes five fused heads" `Quick
+           test_kmeans_fused_heads;
+         Alcotest.test_case "JOIN head under kernel.fused" `Quick
+           test_join_head_span ]);
       ("differential",
        [ Alcotest.test_case "generated pipelines fused = unfused" `Slow
            test_fused_differential ]) ]
