@@ -215,7 +215,7 @@ let kernels () =
       Columnar.try_join_select dists nearest ~left_key:"pid"
         ~right_key:"pid2" ~pred
     with
-    | Some js -> Table.settle js.table
+    | Some js -> js.table
     | None ->
       Kernel.select
         (Kernel.join dists nearest ~left_key:"pid" ~right_key:"pid2")

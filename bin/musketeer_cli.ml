@@ -149,11 +149,11 @@ let inject_arg =
     & info [ "inject" ] ~docv:"SPEC"
         ~doc:
           "Inject faults into engine runs: a ';'-separated budget of \
-           $(b,worker\\@F) (worker failure after fraction F of a job), \
+           $(b,worker@F) (worker failure after fraction F of a job), \
            $(b,oom) / $(b,reject) (engine rejection) and \
            $(b,straggler*X) (slowdown by factor X), optionally followed \
            by $(b,:p=P) (per-job injection probability, default 1). \
-           E.g. --inject 'worker\\@0.5;straggler*2:p=0.8'. Deterministic \
+           E.g. --inject 'worker@0.5;straggler*2:p=0.8'. Deterministic \
            for a given --seed; see docs/fault-tolerance.md.")
 
 let no_fusion_arg =

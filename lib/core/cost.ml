@@ -19,8 +19,8 @@ let seconds = function
    JOIN, so a lone SELECT after it prices as a solo SELECT. A chain that
    crosses the job boundary is not fused at execution either (the
    crossing node becomes a job output, a fusion barrier), so it keeps
-   per-node pricing. *)
-let fused_roles ?protect ~graph ids =
+   per-node pricing. The chains are [est]'s, planned once per graph. *)
+let fused_roles ~est ~graph ids =
   let tbl : (int, [ `Head of Ir.Operator.kind list | `Member ]) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -41,7 +41,7 @@ let fused_roles ?protect ~graph ids =
              Hashtbl.replace tbl head (`Head kinds);
              List.iter (fun id -> Hashtbl.replace tbl id `Member) rest
            | [] | [ _ ] -> ())
-      (Ir.Fusion.chains (Ir.Fusion.plan ?protect graph))
+      (Ir.Fusion.chains (Estimator.fusion est))
   end;
   tbl
 
@@ -66,11 +66,6 @@ let rec body_pass_volumes ~est ~graph (n : Ir.Operator.node) body =
           | _ -> ())
        (Ir.Dag.sources body) ins
    with Invalid_argument _ -> ());
-  let inner_est =
-    Estimator.build
-      ~input_mb:(fun r -> Hashtbl.find_opt bound r)
-      ~history:(History.create ()) ~workflow:"body" body
-  in
   (* mirror the executor: the loop driver reads the condition relation
      by name, so its producer is a fusion barrier inside the body *)
   let protect =
@@ -80,8 +75,13 @@ let rec body_pass_volumes ~est ~graph (n : Ir.Operator.node) body =
       [ r ]
     | _ -> []
   in
+  let inner_est =
+    Estimator.build ~protect
+      ~input_mb:(fun r -> Hashtbl.find_opt bound r)
+      ~history:(History.create ()) ~workflow:"body" body
+  in
   let roles =
-    fused_roles ~protect ~graph:body
+    fused_roles ~est:inner_est ~graph:body
       (List.map (fun (bn : Ir.Operator.node) -> bn.id) body.Ir.Operator.nodes)
   in
   List.fold_left
@@ -149,7 +149,7 @@ let job_volumes ~graph ~est ids =
       0.
       (Ir.Dag.external_outputs graph ids)
   in
-  let roles = fused_roles ~graph ids in
+  let roles = fused_roles ~est ~graph ids in
   let process_mb, comm_mb, iterations =
     List.fold_left
       (fun (process, comm, iters) id ->

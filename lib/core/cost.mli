@@ -21,7 +21,9 @@ val seconds : verdict -> float
 (** [infinity] for [Infeasible]. *)
 
 (** [job_cost ~profile ~graph ~est backend ids] — cost of running the
-    operator set [ids] of [graph] as one job on [backend]. *)
+    operator set [ids] of [graph] as one job on [backend]. [est] is
+    built over [graph]: its fusion plan decides which chains price as
+    fused. *)
 val job_cost :
   profile:Profile.t -> graph:Ir.Dag.t -> est:Estimator.t ->
   Engines.Backend.t -> int list -> verdict

@@ -6,6 +6,7 @@ type entry = {
 
 type t = {
   entries : (int, entry) Hashtbl.t;
+  fusion : Ir.Fusion.plan;
 }
 
 let conservative_factor = 3.
@@ -18,7 +19,7 @@ let iterations (kind : Ir.Operator.kind) =
   | Ir.Operator.While { max_iterations; _ } -> min 10 max_iterations
   | _ -> 1
 
-let rec build ~input_mb ~history ~workflow (g : Ir.Dag.t) =
+let rec build ?protect ~input_mb ~history ~workflow (g : Ir.Dag.t) =
   let entries = Hashtbl.create 16 in
   let out_of id = (Hashtbl.find entries id).out_mb in
   List.iter
@@ -51,7 +52,7 @@ let rec build ~input_mb ~history ~workflow (g : Ir.Dag.t) =
        Hashtbl.replace entries n.id { out_mb; in_mb = in_total;
                                       historical })
     g.Ir.Operator.nodes;
-  { entries }
+  { entries; fusion = Ir.Fusion.plan ?protect g }
 
 and estimate_while ~history:_ ~workflow ~body ~ins =
   (* bind body inputs positionally, then fold the body estimates;
@@ -75,6 +76,8 @@ and estimate_while ~history:_ ~workflow ~body ~ins =
   match body.Ir.Operator.outputs with
   | id :: _ -> (Hashtbl.find inner.entries id).out_mb
   | [] -> 0.
+
+let fusion t = t.fusion
 
 let output_mb t id =
   match Hashtbl.find_opt t.entries id with

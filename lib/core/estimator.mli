@@ -14,13 +14,18 @@
 
 type t
 
-(** [build ~input_mb ~history ~workflow g] — [input_mb] resolves the
-    size of INPUT relations (missing relations are treated as produced
-    upstream and must have been estimated; unknown names default to
-    64 MB). *)
+(** [build ?protect ~input_mb ~history ~workflow g] — [input_mb]
+    resolves the size of INPUT relations (missing relations are treated
+    as produced upstream and must have been estimated; unknown names
+    default to 64 MB). [g]'s fusion plan is made here too, with
+    [protect] as {!Ir.Fusion.plan} takes it. *)
 val build :
-  input_mb:(string -> float option) -> history:History.t ->
-  workflow:string -> Ir.Dag.t -> t
+  ?protect:string list -> input_mb:(string -> float option) ->
+  history:History.t -> workflow:string -> Ir.Dag.t -> t
+
+(** The fusion plan of the graph the estimator was built for, made once
+    however many candidate jobs {!Cost} prices against it. *)
+val fusion : t -> Ir.Fusion.plan
 
 (** Predicted output size of a node. *)
 val output_mb : t -> int -> float

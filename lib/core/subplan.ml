@@ -16,15 +16,11 @@ let is_subplan_relation r =
   String.length r >= String.length relation_prefix
   && String.sub r 0 (String.length relation_prefix) = relation_prefix
 
-(* Execution gates that could change the materialized bytes key the
-   share/cache alongside the subtree hash. Byte-identity across these
-   gates is asserted by the differential suites, but the key stays
-   conservative: a fusion or columnar toggle starts a fresh entry
-   rather than leaning on that invariant. *)
-let env_fingerprint () =
-  Printf.sprintf "fusion=%b|columnar=%b"
-    (Ir.Fusion.enabled ())
-    (Relation.Column.enabled ())
+(* Execution gates that could change a materialized entry key the
+   share/cache alongside the subtree hash. The columnar gate is not one:
+   outputs and sizes are the same on both paths. Fusion stays in the
+   key: a fused chain still reports modeled volumes of its own. *)
+let env_fingerprint () = Printf.sprintf "fusion=%b" (Ir.Fusion.enabled ())
 
 let key_of_hash hash = hash ^ "|" ^ env_fingerprint ()
 

@@ -37,9 +37,8 @@ val relation : hash:string -> string
 
 val is_subplan_relation : string -> bool
 
-(** Share/cache key: subtree hash × environment fingerprint (fusion
-    and columnar gates — every knob that could change the materialized
-    bytes). *)
+(** Share/cache key: subtree hash × environment fingerprint (the
+    fusion gate; the columnar gate changes neither outputs nor sizes). *)
 val key_of_hash : string -> string
 
 val env_fingerprint : unit -> string

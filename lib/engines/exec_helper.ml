@@ -37,11 +37,9 @@ let span name attrs f =
   if Obs.Trace.enabled () then Obs.Trace.with_span ~attrs:(attrs ()) name f
   else f ()
 
-(* A fused chain runs as SELECT/PROJECT/MAP kernels over one view. The
-   view is settled only at each MAP and at the tail, where one-pass
-   fused evaluation gathered, so every size is the fused one. A chain
-   the columnar kernels cannot run end to end runs on rows from its
-   source as one unit, as the fused row pass did, counted as
+(* A fused chain runs as SELECT/PROJECT/MAP kernels over one view. A
+   chain the columnar kernels cannot run end to end runs on rows from
+   its source as one unit, as the fused row pass did, counted as
    [kernel.row.chain] beside the refusal's [kernel.fallback.<reason>]. *)
 let run_chain src kinds =
   let step t : Ir.Operator.kind -> Table.t option = function
@@ -56,7 +54,7 @@ let run_chain src kinds =
       (fun t k -> Option.bind t (fun t -> step t k))
       (Some src) kinds
   with
-  | Some out -> Table.settle out
+  | Some out -> out
   | None ->
     Obs.Metrics.incr Obs.Metrics.default "kernel.row.chain";
     Column.with_enabled false (fun () ->

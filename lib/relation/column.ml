@@ -237,35 +237,7 @@ let gather t idx =
     | Ints a -> Ints (gather_ints a idx)
     | Floats a -> Floats (gather_floats a idx)
     | Bools a -> Bools (gather_bools a idx)
-    | Dict { codes; dict } ->
-      let n = Array.length idx in
-      let d = Array.length dict in
-      if n >= d then Dict { codes = gather_ints codes idx; dict }
-      else begin
-        (* selective filter: compact the dictionary so dropped entries
-           stop counting toward encoded size *)
-        let remap = Array.make d (-1) in
-        let out_codes = Array.make n 0 in
-        let entries = ref [] in
-        let next = ref 0 in
-        for k = 0 to n - 1 do
-          let c = codes.(idx.(k)) in
-          let c' =
-            if remap.(c) >= 0 then remap.(c)
-            else begin
-              let c' = !next in
-              remap.(c) <- c';
-              entries := dict.(c) :: !entries;
-              incr next;
-              c'
-            end
-          in
-          out_codes.(k) <- c'
-        done;
-        let out_dict = Array.make !next "" in
-        List.iteri (fun k s -> out_dict.(!next - 1 - k) <- s) !entries;
-        Dict { codes = out_codes; dict = out_dict }
-      end
+    | Dict { codes; dict } -> Dict { codes = gather_ints codes idx; dict }
   in
   { data; valid = gather_valid t.valid idx }
 
@@ -288,34 +260,45 @@ let compare_at t i j =
 
 (* ---- modeled encoded size ---- *)
 
-let encoded_bytes t =
-  let n = length t in
-  let data_bytes =
-    match t.data with
-    | Ints _ | Floats _ -> 8 * n
-    | Bools _ -> n
-    | Dict { codes; dict } ->
-      Array.fold_left
-        (fun acc s -> acc + String.length s + 1)
-        (4 * Array.length codes)
-        dict
+(* Only the dictionary entries some valid slot reaches are charged: a
+   gathered column shares its base's dictionary whole, and a null slot
+   holds code 0 without holding its value. The scan stops once every
+   entry is reached. *)
+let encoded_bytes ?idx ?rows t =
+  let n =
+    match rows, idx with
+    | Some n, _ -> n
+    | None, Some ix -> Array.length ix
+    | None, None -> length t
   in
-  let valid_bytes = match t.valid with None -> 0 | Some bm -> Bytes.length bm in
-  data_bytes + valid_bytes
-
-let gathered_bytes t ~rows =
   match t.data with
-  | Ints _ | Floats _ -> 8 * rows
-  | Bools _ -> rows
-  | Dict { dict; _ } ->
-    if rows < Array.length dict then
-      invalid_arg "Column.gathered_bytes: the gather would compact";
-    Array.fold_left (fun acc s -> acc + String.length s + 1) (4 * rows) dict
-
-let dictionary_size t =
-  match t.data with
-  | Dict { dict; _ } -> Some (Array.length dict)
-  | _ -> None
+  | Ints _ | Floats _ -> 8 * n
+  | Bools _ -> n
+  | Dict { codes; dict } ->
+    let d = Array.length dict in
+    let seen = Bytes.make d '\000' in
+    let left = ref d and bytes = ref (4 * n) in
+    let visit i =
+      let c = codes.(i) in
+      if Bytes.unsafe_get seen c = '\000' && valid_at t i then begin
+        Bytes.unsafe_set seen c '\001';
+        decr left;
+        bytes := !bytes + String.length dict.(c) + 1
+      end
+    in
+    let k = ref 0 in
+    (match idx with
+     | None ->
+       while !left > 0 && !k < Array.length codes do
+         visit !k;
+         incr k
+       done
+     | Some ix ->
+       while !left > 0 && !k < Array.length ix do
+         visit ix.(!k);
+         incr k
+       done);
+    !bytes
 
 (* ---- builder ---- *)
 

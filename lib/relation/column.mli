@@ -3,11 +3,10 @@
     A column holds one attribute of a relation in an unboxed typed
     array: plain [int array] / [float array] / [bool array], or a
     dictionary-encoded string column (an [int array] of codes into a
-    deduplicated [string array] built in first-appearance order). An
-    optional validity bitmap marks null slots; columns produced from
-    {!Table} values are always fully valid — the bitmap exists for the
-    columnar API itself (round-trips over [Value.t option]) and for
-    future nullable frontends.
+    deduplicated [string array]). An optional validity bitmap marks
+    null slots; columns produced from {!Table} values are always fully
+    valid — the bitmap exists for the columnar API itself (round-trips
+    over [Value.t option]) and for future nullable frontends.
 
     Invariant throughout: converting rows to columns and back is the
     identity, bit-for-bit — floats keep their exact bits (including NaN
@@ -21,7 +20,7 @@ type data =
   | Bools of bool array
   | Dict of {
       codes : int array;      (** per-row index into [dict] *)
-      dict : string array;    (** distinct values, first-appearance order *)
+      dict : string array;    (** distinct values *)
     }
 
 type t = private {
@@ -68,9 +67,9 @@ val to_values : t -> Value.t array
 val to_options : t -> Value.t option array
 
 (** [gather t idx] is the column restricted to the slots in [idx], in
-    [idx] order (a selection-vector apply). Dictionary columns are
-    re-encoded when the selection is smaller than the dictionary, so
-    sizes stay honest after selective filters. *)
+    [idx] order (a selection-vector apply). A dictionary column shares
+    its dictionary whole: entries no gathered slot reaches stay in it
+    and are not charged by {!encoded_bytes}. *)
 val gather : t -> int array -> t
 
 (** [compare_at t i j] compares slots [i] and [j] with exactly
@@ -79,22 +78,15 @@ val gather : t -> int array -> t
     Basis of the columnar sort. *)
 val compare_at : t -> int -> int -> int
 
-(** Physical size of the column in the modeled on-disk encoding:
-    8 bytes per int/float, 1 per bool, and for dictionary columns
-    4 bytes per code plus [length + 1] bytes per distinct entry —
-    strings are charged once, not per row. Validity bitmaps add
-    [ceil(n/8)]. *)
-val encoded_bytes : t -> int
-
-(** [gathered_bytes t ~rows] is [encoded_bytes (gather t idx)] for any
-    [idx] of [rows] slots that keeps the dictionary whole
-    ([rows] >= {!dictionary_size}), on a fully valid column — the size
-    of a view's column without gathering it. Raises [Invalid_argument]
-    when the gather would compact the dictionary. *)
-val gathered_bytes : t -> rows:int -> int
-
-(** Distinct entries in a dictionary column; [None] for other types. *)
-val dictionary_size : t -> int option
+(** [encoded_bytes ?idx ?rows t] is the logical size, in the modeled
+    on-disk encoding, of a column of [rows] rows holding the values at
+    the slots [idx] of [t] (default: every slot; [rows] defaults to the
+    number of slots): 8 bytes per row for ints and floats, 1 for bools,
+    and for strings a 4-byte code per row plus [length + 1] bytes for
+    each distinct value some valid slot holds. Dictionary entries no
+    slot reaches and validity bitmaps are not charged, so the size
+    depends only on the values, as {!Table.encoded_bytes} requires. *)
+val encoded_bytes : ?idx:int array -> ?rows:int -> t -> int
 
 (** Growable builder used to assemble columns value-at-a-time
     (doubling growth; amortized O(1) pushes). *)

@@ -138,9 +138,7 @@ let try_map_column t ~target ~expr =
       let ty = Expr.infer schema expr in
       let out_schema = Schema.with_column schema { Schema.name = target; ty } in
       let n = Table.row_count t in
-      (* a fused chain gathered every column at a MAP: settle the view
-         there too (kernel outputs come settled, so solo MAPs skip it) *)
-      let v = Table.parts (Table.settle t) in
+      let v = Table.parts t in
       let new_col =
         if n = 0 then empty_column ty
         else Vector.to_column ~length:n (eval_view schema v ~n expr)
@@ -441,6 +439,60 @@ let pair_view m ~rows lidx ridx =
   Table.of_view m.out_schema ~rows
     (Table.concat_views (Table.reindex m.lv lidx) (Table.reindex m.rv ridx))
 
+(* The JOIN's {!Table.column_bytes} from counts, without its pairs: a
+   column of the JOIN's output has [m.pairs] rows, and its values are
+   those of the rows on its side whose key matches at least once. A
+   probe row matches when its bucket is not empty, and a build row when
+   some probe row reaches its bucket. *)
+let join_bytes m =
+  let groups = Array.length m.bstart - 1 in
+  let hit = Array.make groups false in
+  for q = 0 to m.nprobe - 1 do
+    let c = code_at m.pvia m.pcode q in
+    if c >= 0 && m.bstart.(c + 1) > m.bstart.(c) then hit.(c) <- true
+  done;
+  (* the matching rows are listed only for a side with a string column:
+     every other column costs a fixed width per pair, so k-means, whose
+     120,000-row probe side holds no string, lists none *)
+  let probed =
+    lazy
+      (let rows = Array.make m.nprobe 0 and n = ref 0 in
+       for q = 0 to m.nprobe - 1 do
+         let c = code_at m.pvia m.pcode q in
+         if c >= 0 && hit.(c) then begin
+           rows.(!n) <- q;
+           incr n
+         end
+       done;
+       Array.sub rows 0 !n)
+  and built =
+    lazy
+      (let rows = Array.make (Array.length m.brows) 0 and n = ref 0 in
+       for c = 0 to groups - 1 do
+         if hit.(c) then
+           for p = m.bstart.(c) to m.bstart.(c + 1) - 1 do
+             rows.(!n) <- m.brows.(p);
+             incr n
+           done
+       done;
+       Array.sub rows 0 !n)
+  in
+  let bytes (v : Table.view) rows =
+    Array.map
+      (fun (c, g) ->
+         if Column.ty c <> Value.Tstring then
+           Column.encoded_bytes ~rows:m.pairs c
+         else
+           let rows = Lazy.force rows in
+           let idx = if g < 0 then rows else Table.compose v.idx.(g) rows in
+           Column.encoded_bytes ~idx ~rows:m.pairs c)
+      v.vcols
+  in
+  let lrows, rrows =
+    if m.build_left then (built, probed) else (probed, built)
+  in
+  Array.append (bytes m.lv lrows) (bytes m.rv rrows)
+
 (* A plain JOIN's output is every pair, so it is built on the left and
    emitted in order into two exactly sized index arrays. *)
 let try_join left right ~left_key ~right_key =
@@ -515,70 +567,57 @@ let try_join_select left right ~left_key ~right_key ~pred =
     let bases =
       Array.append (Array.map fst m.lv.vcols) (Array.map fst m.rv.vcols)
     in
-    (* [Table.settle] would compact a dictionary larger than the pair
-       count, and the JOIN's size would then depend on its rows *)
-    if
-      Array.exists
-        (fun c ->
-           match Column.dictionary_size c with
-           | Some d -> m.pairs < d
-           | None -> false)
-        bases
-    then refused "compacts"
-    else begin
-      mark "join_select";
-      let nleft = Array.length m.lv.vcols in
-      let counts = Array.make (Table.row_count right) 0 in
-      let kept = ref [] in
-      iter_pairs m ~block:select_block (fun lbuf rbuf n ->
-          let lb = if n = select_block then lbuf else Array.sub lbuf 0 n
-          and rb = if n = select_block then rbuf else Array.sub rbuf 0 n in
-          (* each output column reads its base through its group's index
-             composed with this block's pairs, composed once per group *)
-          let through (v : Table.view) buf =
-            let memo = Array.make (Array.length v.idx) None in
-            fun g ->
-              if g < 0 then Vector.Sparse buf
-              else
-                match memo.(g) with
-                | Some ix -> Vector.Sparse ix
-                | None ->
-                  let ix = Table.compose v.idx.(g) buf in
-                  memo.(g) <- Some ix;
-                  Vector.Sparse ix
-          in
-          let left_sel = through m.lv lb and right_sel = through m.rv rb in
-          let sel i =
-            if i < nleft then left_sel (snd m.lv.vcols.(i))
-            else right_sel (snd m.rv.vcols.(i - nleft))
-          in
-          let mask =
-            Vector.to_mask ~length:n
-              (Vector.eval m.out_schema bases ~len:n ~sel pred)
-          in
-          let hits = ref 0 in
-          for k = 0 to n - 1 do
-            if mask.(k) then incr hits
-          done;
-          let sl = Array.make !hits 0 and sr = Array.make !hits 0 in
-          let j = ref 0 in
-          for k = 0 to n - 1 do
-            if mask.(k) then begin
-              let r = rb.(k) in
-              sl.(!j) <- lb.(k);
-              sr.(!j) <- r;
-              counts.(r) <- counts.(r) + 1;
-              incr j
-            end
-          done;
-          kept := (sl, sr) :: !kept);
-      let lidx, ridx = place_by_right counts (List.rev !kept) in
-      Some
-        { table = pair_view m ~rows:(Array.length lidx) lidx ridx;
-          pairs = m.pairs;
-          join_bytes =
-            Array.map (fun c -> Column.gathered_bytes c ~rows:m.pairs) bases }
-    end
+    mark "join_select";
+    let nleft = Array.length m.lv.vcols in
+    let counts = Array.make (Table.row_count right) 0 in
+    let kept = ref [] in
+    iter_pairs m ~block:select_block (fun lbuf rbuf n ->
+        let lb = if n = select_block then lbuf else Array.sub lbuf 0 n
+        and rb = if n = select_block then rbuf else Array.sub rbuf 0 n in
+        (* each output column reads its base through its group's index
+           composed with this block's pairs, composed once per group *)
+        let through (v : Table.view) buf =
+          let memo = Array.make (Array.length v.idx) None in
+          fun g ->
+            if g < 0 then Vector.Sparse buf
+            else
+              match memo.(g) with
+              | Some ix -> Vector.Sparse ix
+              | None ->
+                let ix = Table.compose v.idx.(g) buf in
+                memo.(g) <- Some ix;
+                Vector.Sparse ix
+        in
+        let left_sel = through m.lv lb and right_sel = through m.rv rb in
+        let sel i =
+          if i < nleft then left_sel (snd m.lv.vcols.(i))
+          else right_sel (snd m.rv.vcols.(i - nleft))
+        in
+        let mask =
+          Vector.to_mask ~length:n
+            (Vector.eval m.out_schema bases ~len:n ~sel pred)
+        in
+        let hits = ref 0 in
+        for k = 0 to n - 1 do
+          if mask.(k) then incr hits
+        done;
+        let sl = Array.make !hits 0 and sr = Array.make !hits 0 in
+        let j = ref 0 in
+        for k = 0 to n - 1 do
+          if mask.(k) then begin
+            let r = rb.(k) in
+            sl.(!j) <- lb.(k);
+            sr.(!j) <- r;
+            counts.(r) <- counts.(r) + 1;
+            incr j
+          end
+        done;
+        kept := (sl, sr) :: !kept);
+    let lidx, ridx = place_by_right counts (List.rev !kept) in
+    Some
+      { table = pair_view m ~rows:(Array.length lidx) lidx ridx;
+        pairs = m.pairs;
+        join_bytes = join_bytes m }
 
 (* ---- CROSS ---- *)
 
@@ -752,7 +791,6 @@ let try_group_by t ~keys ~aggs =
     in
     (* keys are coded off their base columns, read through the view's
        indexes; only aggregation inputs are gathered *)
-    let t = Table.settle t in
     let v = Table.parts t in
     let via i =
       match v.vcols.(i) with

@@ -29,11 +29,9 @@
     composes each group's index with the rows it keeps, PROJECT drops
     columns, and MAP, the SELECT predicate, GROUP BY and the JOIN keys
     read only the columns they name, each through its own group's
-    index. The views come back unsettled ({!Table.settle}): {!Kernel}
-    settles select, join and cross output, where the eager kernels
-    gathered, and a fused chain settles at each MAP (MAP settles its
-    input) and at its tail, where the one-pass fused kernel gathered.
-    Any other reader materializes the view.
+    index. Any other reader materializes the view. A view's size is
+    {!Table.encoded_bytes}'s logical one, which does not depend on
+    where or whether the view is gathered.
 
     Exceptions the row path would raise (unknown columns, ill-typed
     predicates evaluated on live rows, [Division_by_zero]) propagate
@@ -62,23 +60,22 @@ val try_join :
     matches before any output is built: the output view is composed
     from the survivors only. [table] is
     [try_select (try_join left right ~left_key ~right_key) pred] —
-    same schema, rows and order, unsettled — [pairs] is the JOIN's row
-    count and [join_bytes] its {!Table.column_bytes}, as the settled
-    JOIN would report them. It is {!try_join}'s kernel — the same key
-    coding, buckets and pair enumeration — built on the smaller side,
-    so no array is sized by the larger input: the larger side probes
-    row by row. The predicate is evaluated on blocks of 256 candidate
-    pairs, and the survivors are counting-sorted by right row into the
-    serial order, so no array of the pair count is built. [None] when
-    the fusion is refused
-    and the caller must run the plain JOIN: each refusal counts
-    [kernel.join_select.refused.<reason>] ([disabled],
-    [key_type_mismatch], [float_key], [not_vectorizable],
-    [non_bool_predicate], or [compacts]: some output dictionary is
-    larger than the pair count, which {!Table.settle} would compact).
-    A plain JOIN run afterwards counts its own path, so these stay out
-    of [kernel.fallback.*]; a fused run counts
-    [kernel.columnar.join_select]. *)
+    same schema, rows and order — [pairs] is the JOIN's row count and
+    [join_bytes] its {!Table.column_bytes}, both from counts: a string
+    column costs 4 bytes per pair plus the distinct values of the rows
+    on its side whose key matches at least once, found in one pass over
+    both sides and the dictionaries. It is {!try_join}'s kernel — the
+    same key coding, buckets and pair enumeration — built on the
+    smaller side, so no array is sized by the larger input: the larger
+    side probes row by row. The predicate is evaluated on blocks of 256
+    candidate pairs, and the survivors are counting-sorted by right row
+    into the serial order, so no array of the pair count is built.
+    [None] when the fusion is refused and the caller must run the plain
+    JOIN: each refusal counts [kernel.join_select.refused.<reason>]
+    ([disabled], [key_type_mismatch], [float_key], [not_vectorizable]
+    or [non_bool_predicate]). A plain JOIN run afterwards counts its
+    own path, so these stay out of [kernel.fallback.*]; a fused run
+    counts [kernel.columnar.join_select]. *)
 type join_select = {
   table : Table.t;
   pairs : int;

@@ -24,7 +24,7 @@ let row_path name = Obs.Metrics.incr Obs.Metrics.default ("kernel.row." ^ name)
 
 let select t pred =
   match Columnar.try_select t pred with
-  | Some r -> Table.settle r
+  | Some r -> r
   | None ->
     row_path "select";
     let schema = Table.schema t in
@@ -119,7 +119,7 @@ let serial_join left right ~left_key ~right_key =
 
 let join left right ~left_key ~right_key =
   match Columnar.try_join left right ~left_key ~right_key with
-  | Some r -> Table.settle r
+  | Some r -> r
   | None ->
     row_path "join";
     serial_join left right ~left_key ~right_key
@@ -199,7 +199,7 @@ let anti_join left right ~left_key ~right_key =
 
 let cross_join left right =
   match Columnar.try_cross left right with
-  | Some r -> Table.settle r
+  | Some r -> r
   | None ->
     row_path "cross";
     let out_schema = Schema.concat (Table.schema left) (Table.schema right) in

@@ -32,7 +32,7 @@ type t = {
   mutable rows_v : Value.t array array option;
   mutable cols_v : Column.t array option;
   mutable view_v : view option;
-  mutable encoded : int;  (* memoized [encoded_bytes]; -1 = not computed *)
+  mutable bytes : int array option;  (* memoized [column_bytes] *)
 }
 
 let check_row schema i row =
@@ -52,13 +52,13 @@ let check_row schema i row =
 
 let of_rows schema rows =
   { schema; nrows = Array.length rows; rows_v = Some rows; cols_v = None;
-    view_v = None; encoded = -1 }
+    view_v = None; bytes = None }
 
 (* a column-backed table from kernel output, correct by construction *)
 let of_columns_unchecked schema cols =
   let nrows = if Array.length cols = 0 then 0 else Column.length cols.(0) in
   { schema; nrows; rows_v = None; cols_v = Some cols; view_v = None;
-    encoded = -1 }
+    bytes = None }
 
 let create schema rows =
   List.iteri (check_row schema) rows;
@@ -216,33 +216,8 @@ let of_view schema ~rows v =
         vcols = Array.map (fun (c, g) -> (c, remap g)) v.vcols }
     in
     { schema; nrows = rows; rows_v = None; cols_v = None; view_v = Some v;
-      encoded = -1 }
+      bytes = None }
   end
-
-(* [Column.gather] compacts a dictionary when it selects fewer rows than
-   the dictionary has entries. A chain of eager gathers applies that
-   rule at every step, so each kernel whose eager form gathers settles
-   its view: indexed dictionary columns that the rule would compact at
-   this row count are gathered now, exactly as the eager gather would
-   have. Every other indexed column then gathers without compaction,
-   whatever it is read through later. *)
-let settle t =
-  let compacts (c, g) =
-    g >= 0
-    && match Column.dictionary_size c with
-       | Some d -> t.nrows < d
-       | None -> false
-  in
-  match t.view_v with
-  | Some v when Array.exists compacts v.vcols ->
-    of_view t.schema ~rows:t.nrows
-      { v with
-        vcols =
-          Array.map
-            (fun ((c, g) as e) ->
-               if compacts e then (Column.gather c v.idx.(g), -1) else e)
-            v.vcols }
-  | _ -> t
 
 (* A stored table outlives the job that made it, so a store keeps
    whichever form holds fewer words: each column entry, index entry and
@@ -253,7 +228,6 @@ let settle t =
 let view_stored = "kernel.view.stored"
 
 let for_store t =
-  let t = settle t in
   match t.view_v with
   | None -> t
   | Some v ->
@@ -289,64 +263,54 @@ let get t i name =
   | Some cols -> Column.get cols.(j) i
   | None -> (rows t).(i).(j)
 
-(* ---- modeled encoded size (dictionary-aware) ----
+(* ---- modeled encoded size ----
 
-   Strings are charged once per distinct value plus 4 bytes per row of
-   dictionary code — the columnar on-disk model — rather than the old
-   per-row [len+1], which overstated low-cardinality columns by orders
-   of magnitude. Computed from whichever representation the table
-   already has, so sizing never forces a conversion. *)
+   One logical size, per column: 8 bytes per int or float, 1 per bool,
+   and for strings a 4-byte dictionary code per row plus [length + 1]
+   bytes per distinct value. It is computed from whichever form the
+   table has — rows, columns, or a view, whose columns count only the
+   dictionary entries their index reaches — so it depends on the
+   contents alone: never on the kernel that made the table, nor on when
+   a view is gathered. Sizing never forces a conversion. *)
 
-let encoded_of_rows schema rows =
+let rows_column_bytes rows j (c : Schema.column) =
   let n = Array.length rows in
-  let total = ref 0 in
-  List.iteri
-    (fun j (c : Schema.column) ->
-       match c.ty with
-       | Value.Tint | Value.Tfloat -> total := !total + (8 * n)
-       | Value.Tbool -> total := !total + n
-       | Value.Tstring ->
-         let distinct : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-         let dict_bytes = ref 0 in
-         Array.iter
-           (fun row ->
-              match row.(j) with
-              | Value.Str s ->
-                if not (Hashtbl.mem distinct s) then begin
-                  Hashtbl.add distinct s ();
-                  dict_bytes := !dict_bytes + String.length s + 1
-                end
-              | _ -> ())
-           rows;
-         total := !total + (4 * n) + !dict_bytes)
-    (Schema.columns schema);
-  !total
+  match c.ty with
+  | Value.Tint | Value.Tfloat -> 8 * n
+  | Value.Tbool -> n
+  | Value.Tstring ->
+    let distinct : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    Array.fold_left
+      (fun bytes row ->
+         match row.(j) with
+         | Value.Str s when not (Hashtbl.mem distinct s) ->
+           Hashtbl.add distinct s ();
+           bytes + String.length s + 1
+         | _ -> bytes)
+      (4 * n) rows
 
-(* per-column bytes of the columns the table has or would materialize:
-   a settled indexed column gathers without compaction, so its size
-   follows from the row count and the base dictionary alone *)
 let column_bytes t =
-  let t = settle t in
-  match t.view_v with
-  | Some v ->
-    Array.map
-      (fun (c, g) ->
-         if g < 0 then Column.encoded_bytes c
-         else Column.gathered_bytes c ~rows:t.nrows)
-      v.vcols
-  | None -> Array.map Column.encoded_bytes (columns t)
-
-let encoded_bytes t =
-  if t.encoded >= 0 then t.encoded
-  else begin
-    let n =
-      match (t.cols_v, t.view_v, t.rows_v) with
-      | None, None, Some rows -> encoded_of_rows t.schema rows
-      | _ -> Array.fold_left ( + ) 0 (column_bytes t)
+  match t.bytes with
+  | Some b -> b
+  | None ->
+    let b =
+      match (t.view_v, t.cols_v) with
+      | Some v, _ ->
+        Array.map
+          (fun (c, g) ->
+             if g < 0 then Column.encoded_bytes c
+             else Column.encoded_bytes ~idx:v.idx.(g) c)
+          v.vcols
+      | None, Some cols -> Array.map (fun c -> Column.encoded_bytes c) cols
+      | None, None ->
+        let rows = Option.get t.rows_v in
+        Array.of_list
+          (List.mapi (rows_column_bytes rows) (Schema.columns t.schema))
     in
-    t.encoded <- n;
-    n
-  end
+    t.bytes <- Some b;
+    b
+
+let encoded_bytes t = Array.fold_left ( + ) 0 (column_bytes t)
 
 let encoded_mb t = float_of_int (encoded_bytes t) /. (1024. *. 1024.)
 
@@ -474,13 +438,13 @@ let columnar_sort_by ~descending t names =
 (* the byte cache survives sorting: encoding is permutation-invariant *)
 let sort_with t cmp =
   let sorted = of_rows t.schema (sort_rows_with cmp (rows t)) in
-  sorted.encoded <- t.encoded;
+  sorted.bytes <- t.bytes;
   sorted
 
 let sort_by ?(descending = false) t names =
   if Column.enabled () then begin
     let sorted = columnar_sort_by ~descending t names in
-    sorted.encoded <- t.encoded;
+    sorted.bytes <- t.bytes;
     sorted
   end
   else begin

@@ -9,7 +9,10 @@
     over other tables' columns. Rows and columns materialize lazily from
     whichever form the table has and are memoized, so both APIs are
     always available. The vectorized kernels ({!Columnar}) produce and
-    consume columns and views; everything else is oblivious. *)
+    consume columns and views; everything else is oblivious. Sizes too:
+    {!encoded_bytes} is one logical size computed from the contents, so
+    a table's rows, its columns and any view of them give the same
+    bytes. *)
 
 type t
 
@@ -44,7 +47,7 @@ val of_columns : Schema.t -> Column.t array -> t
 (** [of_view schema ~rows v] builds a view of [rows] rows (no checks:
     kernel output is correct by construction). Unused groups are
     dropped; a view whose columns are all row-aligned is a plain
-    column-backed table. The view is not {!settle}d. *)
+    column-backed table. *)
 val of_view : Schema.t -> rows:int -> view -> t
 
 (** The view form of any table: its view, or its columns (materialized
@@ -71,11 +74,11 @@ val is_view : t -> bool
     pass through here. Other tables are returned as they are. *)
 val materialize : t -> t
 
-(** The form a store keeps: [t] {!settle}d, then kept as a view
-    (counted as [kernel.view.stored]) when its index words (groups ×
-    rows) plus the words of every distinct base column it reads through
-    an index are no more than the words of the columns it would gather,
-    and {!materialize}d otherwise. A word is one column entry, index
+(** The form a store keeps: a view stays one (counted as
+    [kernel.view.stored]) when its index words (groups × rows) plus the
+    words of every distinct base column it reads through an index are
+    no more than the words of the columns it would gather, and is
+    {!materialize}d otherwise. A word is one column entry, index
     entry or dictionary code; row-aligned columns and dictionaries are
     shared by both forms and not counted. So a stored entry never holds
     more words than its materialized form, and its {!encoded_bytes}
@@ -83,19 +86,17 @@ val materialize : t -> t
     and the serving layer's shared store store through here. *)
 val for_store : t -> t
 
-(** The same table with the dictionary compaction {!Column.gather}
-    would apply at this row count applied now to the view's indexed
-    dictionary columns ([t] itself when none compacts). A kernel whose
-    eager form gathers settles its output, so every size stays the one
-    eager gathers give. *)
-val settle : t -> t
-
 (** [column_at t j] is column [j] row-aligned: gathered through its
     group's index when [t] is a view, which stays a view. *)
 val column_at : t -> int -> Column.t
 
-(** Encoded bytes of each column, as {!encoded_bytes} counts them,
-    without materializing a view. *)
+(** The logical encoded size of each column, in bytes: 8 per row for
+    ints and floats, 1 for bools, and for strings a 4-byte code per row
+    plus [length + 1] for each distinct value present (see
+    {!Column.encoded_bytes}). Computed from whichever form the table
+    has, without converting or gathering it, and memoized: a table's
+    rows form, its columns form and any view of the same rows give the
+    same ints. *)
 val column_bytes : t -> int array
 
 val schema : t -> Schema.t
@@ -122,11 +123,10 @@ val column : t -> string -> Value.t array
 (** [get t i name] is the cell at row [i], column [name]. *)
 val get : t -> int -> string -> Value.t
 
-(** Actual encoded size of the stored data, in bytes — the basis for
-    the simulated-HDFS modeled sizes. Dictionary-aware: string columns
-    are charged 4 bytes of code per row plus each distinct value once
-    (len+1), matching the columnar layout, instead of the pre-columnar
-    per-row string sizing that overstated low-cardinality columns. *)
+(** The sum of {!column_bytes}: the basis for the simulated-HDFS
+    modeled sizes. Strings are charged once per distinct value, not per
+    row, so low-cardinality columns are not overstated. It depends on
+    the table's contents alone, never on its physical form. *)
 val encoded_bytes : t -> int
 
 val encoded_mb : t -> float

@@ -118,12 +118,17 @@ let test_single_row () =
   check "bit-exact" true
     (Array.for_all2 value_bits_equal row (Table.rows back).(0))
 
+let dictionary_size (c : Column.t) =
+  match c.data with
+  | Column.Dict { dict; _ } -> Some (Array.length dict)
+  | _ -> None
+
 let test_all_equal_dict () =
   let c =
     Column.of_values Value.Tstring
       (Array.make 1000 (Value.Str "only-key"))
   in
-  check "dict collapses" true (Column.dictionary_size c = Some 1);
+  check "dict collapses" true (dictionary_size c = Some 1);
   check "decode" true
     (Array.for_all (fun v -> v = Value.Str "only-key") (Column.to_values c));
   (* encoded size charges the string once, not per row *)
@@ -154,20 +159,31 @@ let test_nan_inf_floats () =
      check "-0. sign" true (Int64.bits_of_float f = Int64.bits_of_float (-0.))
    | _ -> Alcotest.fail "expected a float")
 
-let test_gather_reencodes_dict () =
+let test_gather_shares_dict () =
   let c =
     Column.of_values Value.Tstring
       [| Value.Str "a"; Value.Str "b"; Value.Str "c"; Value.Str "b" |]
   in
-  check "full dict" true (Column.dictionary_size c = Some 3);
-  (* a selection smaller than the dictionary compacts it, so dropped
-     entries stop counting toward encoded size *)
+  check "full dict" true (dictionary_size c = Some 3);
+  (* a gather shares the dictionary whole, and only the entries its
+     slots reach are charged: two codes plus "b" once *)
   let g = Column.gather c [| 1; 3 |] in
-  check "compacted" true (Column.dictionary_size g = Some 1);
+  check "shared" true (dictionary_size g = Some 3);
   check "values" true
     (Column.to_values g = [| Value.Str "b"; Value.Str "b" |]);
-  (* duplicated + reordered indices gather in idx order (selection not
-     smaller than the dict: shares it, no re-encode) *)
+  check "reached entries charged" true
+    (Column.encoded_bytes g = (4 * 2) + 2
+     && Column.encoded_bytes ~idx:[| 1; 3 |] c = Column.encoded_bytes g);
+  (* a null slot holds code 0 but not its value, and the bitmap is not
+     charged *)
+  let nc =
+    Column.of_options Value.Tstring
+      [| Some (Value.Str "aaaa"); None; Some (Value.Str "bb") |]
+  in
+  check "nulls charge no value" true
+    (Column.encoded_bytes ~idx:[| 1; 2 |] nc = (4 * 2) + 3
+     && Column.encoded_bytes (Column.gather nc [| 1; 2 |]) = (4 * 2) + 3);
+  (* duplicated + reordered indices gather in idx order *)
   let g2 = Column.gather c [| 2; 0; 2 |] in
   check "idx order" true
     (Column.to_values g2 = [| Value.Str "c"; Value.Str "a"; Value.Str "c" |])
@@ -648,9 +664,9 @@ let test_prop_fused_differential () =
 
    [Columnar.try_join_select] against the row oracle: the SELECT of the
    row JOIN, schema and CSV in order, or the same exception. Its pair
-   count and bytes are the settled columnar JOIN's. It refuses exactly
-   when the fusion cannot hold: a float key, a predicate the columnar
-   SELECT refuses, or a dictionary the JOIN's settle would compact. *)
+   count and per-column bytes are the row JOIN's and the columnar
+   JOIN's. It refuses exactly when the fusion cannot hold: a float key
+   or a predicate the columnar SELECT refuses. *)
 
 type join_case = {
   key_ty : Value.ty;
@@ -767,15 +783,7 @@ let test_prop_join_select () =
         let join () = Kernel.join l r ~left_key:"lk" ~right_key:"rk" in
         let row_join = row_reference join in
         let col_join = Column.with_enabled true join in
-        (* what settle would compact, off the unsettled columnar JOIN *)
-        let compacts =
-          match
-            Column.with_enabled true (fun () ->
-                Columnar.try_join l r ~left_key:"lk" ~right_key:"rk")
-          with
-          | Some v -> Table.settle v != v
-          | None -> true
-        in
+        let float_key = c.key_ty = Value.Tfloat in
         List.for_all
           (fun pred ->
              let expect =
@@ -783,7 +791,7 @@ let test_prop_join_select () =
                    row_reference (fun () -> Kernel.select row_join pred))
              in
              let refuse =
-               compacts
+               float_key
                || not (Vector.vectorizable (Table.schema row_join) pred)
              in
              match
@@ -799,8 +807,7 @@ let test_prop_join_select () =
                && outcome (fun () -> js.table) = expect
                && js.pairs = Table.row_count col_join
                && js.join_bytes = Table.column_bytes col_join
-               && Array.fold_left ( + ) 0 js.join_bytes
-                  = Table.encoded_bytes col_join)
+               && js.join_bytes = Table.column_bytes row_join)
           join_case_preds)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
@@ -841,11 +848,7 @@ let test_join_select_refusals () =
         ("key_type_mismatch", true, l, fl, "a", "f", bool true);
         ("not_vectorizable", true, l, r, "a", "b",
          col "a" > int 0 || col "b" / col "a" > int 0);
-        ("non_bool_predicate", true, l, r, "a", "b", col "a" + int 1);
-        (* one right row matches: 2 pairs, and 8- and 12-entry
-           dictionaries the JOIN's settle would compact *)
-        ("compacts", true, l, ints "b" 12 (Int.mul 100), "a", "b",
-         bool true) ]
+        ("non_bool_predicate", true, l, r, "a", "b", col "a" + int 1) ]
 
 (* ---- late-materialized views ----
 
@@ -957,11 +960,15 @@ let test_prop_view_chains () =
           sources)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
-(* a view's size is counted without gathering it, and equals the size
-   of its materialization — settled or not, dictionaries included *)
+(* a view's size is counted without gathering it, and equals, column
+   by column, the size of its materialization and of the same relation
+   the row kernels compute — dictionary values a filter drops included.
+   A null-bearing string column read through an index charges the
+   values its valid slots hold, as its gathered form does. *)
 let test_prop_view_encoded_bytes () =
   try
-    Qcheck_lite.check ~count:25 ~seed ~name:"view bytes == materialized bytes"
+    Qcheck_lite.check ~count:25 ~seed
+      ~name:"view bytes == materialized bytes == row bytes"
       Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
         let a = Qcheck_lite.table_of_shape (cap_rows sa)
         and b = Qcheck_lite.table_of_shape (cap_rows sb) in
@@ -971,38 +978,68 @@ let test_prop_view_encoded_bytes () =
             (fun () ->
                Kernel.select (Kernel.cross_join a b) Expr.(col "k" = int 1));
             (fun () ->
-               (* unsettled: a chain interior, as a fused chain sees it *)
-               Option.get
-                 (Columnar.try_select (Kernel.cross_join a b)
-                    Expr.(col "r_k" > int 2))) ]
+               Kernel.select (Kernel.cross_join a b) Expr.(col "r_k" > int 2))
+          ]
           @ List.map
               (fun s () ->
-                 Option.get
-                   (Columnar.try_select
-                      (Kernel.join b a ~left_key:"k" ~right_key:"k")
-                      Expr.(col s = str "s2")))
+                 Kernel.select
+                   (Kernel.join b a ~left_key:"k" ~right_key:"k")
+                   Expr.(col s = str "s2"))
               (first_cols_of_ty b Value.Tstring)
         in
-        Column.with_enabled true (fun () ->
-            List.for_all
-              (fun v ->
-                 let t = v () in
-                 let viewed = Table.is_view t || Table.row_count t = 0 in
-                 let bytes = Table.encoded_bytes t in
-                 let still_view = Table.is_view t || Table.row_count t = 0 in
-                 let materialized =
-                   Table.of_columns (Table.schema t) (Table.columns t)
-                 in
-                 viewed && still_view
-                 && bytes = Table.encoded_bytes materialized)
-              views))
+        let nullable_ok =
+          let rng = Qcheck_lite.Rng.create sa.Qcheck_lite.sh_seed in
+          let n = Table.row_count a in
+          let vs =
+            Array.init n (fun _ ->
+                if Qcheck_lite.Rng.int rng 10 < int_of_float (10. *. sa.sh_null)
+                then None
+                else
+                  Some
+                    (Value.Str
+                       (Printf.sprintf "v%d" (Qcheck_lite.Rng.int rng 12))))
+          in
+          let c = Column.of_options Value.Tstring vs in
+          let idx =
+            Array.of_list
+              (List.filter (fun i -> i mod 3 <> 1) (List.init n Fun.id))
+          in
+          let present =
+            List.sort_uniq compare
+              (List.filter_map (fun i -> vs.(i)) (Array.to_list idx))
+          in
+          let expect =
+            List.fold_left
+              (fun acc v -> acc + String.length (Value.to_string v) + 1)
+              (4 * Array.length idx) present
+          in
+          Column.encoded_bytes ~idx c = expect
+          && Column.encoded_bytes (Column.gather c idx) = expect
+        in
+        nullable_ok
+        && List.for_all
+             (fun v ->
+                let t = Column.with_enabled true v in
+                let viewed = Table.is_view t || Table.row_count t = 0 in
+                let bytes = Table.column_bytes t in
+                let still_view = Table.is_view t || Table.row_count t = 0 in
+                let materialized =
+                  Table.of_columns (Table.schema t) (Table.columns t)
+                in
+                let rows = row_reference v in
+                viewed && still_view
+                && bytes = Table.column_bytes materialized
+                && bytes = Table.column_bytes rows
+                && Table.encoded_bytes t = Table.encoded_bytes rows)
+             views)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* Kernels over views give the sizes eager execution gives: a chain run
-   lazily has the encoded bytes of the same chain with every kernel's
-   output materialized before the next one runs — consecutive selective
-   filters over dictionary columns included, where the order of
-   dictionary compactions decides the size. *)
+   lazily has, column by column, the encoded bytes of the same chain
+   with every kernel's output materialized before the next one runs,
+   and of the chain run on the row kernels — consecutive selective
+   filters over dictionary columns included, each dropping some
+   dictionary values. *)
 let test_prop_lazy_sizes_are_eager () =
   let force t = Table.of_columns (Table.schema t) (Table.columns t) in
   try
@@ -1011,8 +1048,7 @@ let test_prop_lazy_sizes_are_eager () =
         let a = Qcheck_lite.table_of_shape (cap_rows sa)
         and b = Qcheck_lite.table_of_shape (cap_rows sb) in
         (* each filter drops a share of the rows and of the distinct
-           strings, so successive compactions can disagree with one
-           composed one *)
+           strings *)
         let filters =
           List.map
             (fun c t -> Kernel.select t Expr.(col "k" > int c))
@@ -1032,16 +1068,31 @@ let test_prop_lazy_sizes_are_eager () =
               (fun t -> Kernel.select t Expr.(col "r_k" > int 2)) ]
             @ filters
             @ [ (fun t -> Kernel.group_by t ~keys:[ "k" ]
-                    ~aggs:[ Aggregate.make Aggregate.Count ~as_name:"n" ]) ] ]
+                    ~aggs:[ Aggregate.make Aggregate.Count ~as_name:"n" ]) ];
+            (* the right side's strings thinned too, then projected *)
+            [ (fun t -> Kernel.join b t ~left_key:"k" ~right_key:"k") ]
+            @ List.map
+                (fun s t -> Kernel.select t Expr.(col s = str "s2"))
+                (first_cols_of_ty b Value.Tstring)
+            @ [ (fun t ->
+                  Kernel.project t
+                    (List.map
+                       (fun (c : Schema.column) -> c.name)
+                       (List.filteri
+                          (fun i _ -> i mod 2 = 0)
+                          (Schema.columns (Table.schema t))))) ] ]
         in
-        Column.with_enabled true (fun () ->
-            List.for_all
-              (fun chain ->
-                 let lazy_ = List.fold_left (fun t k -> k t) a chain
-                 and eager = List.fold_left (fun t k -> force (k t)) a chain in
-                 Table.encoded_bytes lazy_ = Table.encoded_bytes eager
-                 && Table.to_csv lazy_ = Table.to_csv eager)
-              chains))
+        List.for_all
+          (fun chain ->
+             let run f () = List.fold_left (fun t k -> f (k t)) a chain in
+             let lazy_ = Column.with_enabled true (run Fun.id)
+             and eager = Column.with_enabled true (run force)
+             and rows = row_reference (run Fun.id) in
+             Table.column_bytes lazy_ = Table.column_bytes eager
+             && Table.column_bytes lazy_ = Table.column_bytes rows
+             && Table.to_csv lazy_ = Table.to_csv eager
+             && Table.to_csv lazy_ = Table.to_csv rows)
+          chains)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* The words a table holds beyond its dictionaries, read off
@@ -1441,8 +1492,8 @@ let () =
           Alcotest.test_case "all-equal dict keys" `Quick test_all_equal_dict;
           Alcotest.test_case "mixed-sign ints" `Quick test_mixed_sign_ints;
           Alcotest.test_case "NaN and infinities" `Quick test_nan_inf_floats;
-          Alcotest.test_case "gather re-encodes dict" `Quick
-            test_gather_reencodes_dict;
+          Alcotest.test_case "gather shares the dictionary" `Quick
+            test_gather_shares_dict;
           Alcotest.test_case "builder growth" `Quick test_builder_growth;
           Alcotest.test_case "compare_at semantics" `Quick
             test_compare_at_matches_value_compare;

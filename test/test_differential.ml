@@ -120,6 +120,100 @@ let test_views_agree () =
       Qcheck_lite.spec_arbitrary (agree ~graph_of:joined_graph)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
+(* ---- report identity: modeled numbers do not depend on the kernels ----
+
+   Engines are cost models over measured volumes, so a modeled volume
+   is a function of a relation's contents. Every zoo workflow, at the
+   CLI's input sizes, planned and run with the columnar kernels on and
+   with them off (inputs loaded under the same gate, so rows and
+   columns both feed the kernels): the engine reports and every job's
+   per-operator stats are bit-identical. *)
+
+let zoo =
+  let module C = Experiments.Common in
+  let module W = Workloads.Workflows in
+  [ ("tpch", fun () -> (C.load_tpch ~scale_factor:10, W.tpch_q17 ()));
+    ("top-shopper",
+     fun () -> (C.load_purchases ~users:10_000_000, W.top_shopper ()));
+    ("netflix", fun () -> (C.load_netflix ~movies:8000, W.netflix ()));
+    ("pagerank",
+     fun () -> (C.load_graph Workloads.Datagen.orkut, W.pagerank_gas ()));
+    ("components",
+     fun () ->
+       ( C.load_graph Workloads.Datagen.orkut,
+         W.connected_components ~iterations:8 () ));
+    ("cross-community",
+     fun () -> (C.load_communities (), W.cross_community_pagerank ()));
+    ("sssp", fun () -> (C.load_sssp (), W.sssp ~max_rounds:8 ()));
+    ("kmeans",
+     fun () -> (C.load_kmeans ~points:100_000_000 ~k:100, W.kmeans ()));
+    ("join",
+     fun () ->
+       let l, r = Workloads.Datagen.asymmetric_join_tables () in
+       (C.hdfs_with [ ("left", l); ("right", r) ], W.simple_join ()));
+    ("project",
+     fun () ->
+       ( C.hdfs_with
+           [ ("lines",
+              Workloads.Datagen.two_column_ascii ~modeled_mb:2048. ()) ],
+         W.project_only () )) ]
+
+let report_bits (r : Engines.Report.t) =
+  String.concat " "
+    ([ r.job_label; Engines.Backend.name r.backend;
+       Printf.sprintf "%h in=%h out=%h it=%d" r.makespan_s r.input_mb
+         r.output_mb r.iterations ]
+     @ List.map
+         (fun (name, v) -> Printf.sprintf "%s=%h" name v)
+         (Engines.Report.breakdown_fields r.breakdown)
+     @ List.map (fun (id, mb) -> Printf.sprintf "%d:%h" id mb) r.op_output_mb)
+
+let stat_bits (s : Engines.Exec_helper.op_stat) =
+  Printf.sprintf "%d %s in=%h out=%h%s" s.node_id s.kind_name s.in_mb s.out_mb
+    (if s.shuffled then " shuffled" else "")
+
+(* the reports of one planned run, then the op_stats of each of its
+   jobs executed in plan order, each job's outputs written back *)
+let modeled_numbers ~columnar load =
+  Relation.Column.with_enabled columnar @@ fun () ->
+  let hdfs, graph = load () in
+  let m = Musketeer.create ~cluster () in
+  match Musketeer.plan m ~workflow:"zoo" ~hdfs graph with
+  | None -> Alcotest.fail "no plan"
+  | Some (plan, g') ->
+    let reports =
+      match
+        Musketeer.execute_plan ~record_history:false m ~workflow:"zoo"
+          ~hdfs:(Engines.Hdfs.snapshot hdfs) ~graph:g' plan
+      with
+      | Ok r -> List.map report_bits r.Musketeer.Executor.reports
+      | Error e -> Alcotest.fail (Engines.Report.error_to_string e)
+    in
+    let stats =
+      List.concat_map
+        (fun (_, ids) ->
+           let r =
+             Engines.Exec_helper.execute ~hdfs
+               (Musketeer.Jobgraph.extract g' ids)
+           in
+           List.iter
+             (fun (name, t, mb) -> Engines.Hdfs.put hdfs name ~modeled_mb:mb t)
+             r.Engines.Exec_helper.outputs;
+           List.map stat_bits r.Engines.Exec_helper.op_stats)
+        plan.Musketeer.Partitioner.jobs
+    in
+    (reports, stats)
+
+let test_zoo_report_identity () =
+  List.iter
+    (fun (name, load) ->
+       let on_reports, on_stats = modeled_numbers ~columnar:true load
+       and off_reports, off_stats = modeled_numbers ~columnar:false load in
+       Alcotest.(check (list string)) (name ^ ": reports") off_reports
+         on_reports;
+       Alcotest.(check (list string)) (name ^ ": op_stats") off_stats on_stats)
+    zoo
+
 let () =
   Alcotest.run "differential"
     [ ("one-for-all",
@@ -128,4 +222,7 @@ let () =
          Alcotest.test_case "every engine admits a simple select" `Quick
            test_all_engines_admit_simple;
          Alcotest.test_case "view pipelines agree, jobs 1 and 4" `Slow
-           test_views_agree ]) ]
+           test_views_agree ]);
+      ("reports",
+       [ Alcotest.test_case "zoo: columnar on = off" `Quick
+           test_zoo_report_identity ]) ]

@@ -357,7 +357,7 @@ module Share = Engines.Share
 
 let test_subplan_share_window () =
   let t = Share.create () in
-  let key = "fnv1a:abc|fusion=false|columnar=false" in
+  let key = "fnv1a:abc|fusion=false" in
   let table = kv_table 1 in
   Alcotest.(check bool)
     "nothing to claim before publish" true
@@ -380,7 +380,7 @@ let test_subplan_share_window () =
 
 let test_subplan_share_payer_expiry () =
   let t = Share.create () in
-  let key = "fnv1a:def|fusion=false|columnar=false" in
+  let key = "fnv1a:def|fusion=false" in
   let f = Share.begin_flight t in
   Share.with_flight t f (fun () ->
       Share.publish t ~key ~inputs:[ "r1" ] ~mb:5. (kv_table 2));
