@@ -328,142 +328,6 @@ let kernels () =
        (zero-copy kernels skipped)\n"
   end
 
-(* ---- fused vs unfused execution benchmark ----
-
-   Two workloads at NetFlix scale: a select→map→project chain (fusion
-   runs it as one pass with no intermediate tables) and a shared-scan
-   DAG (two branches over the same HDFS relation; fusion fetches and
-   charges it once). Each runs best-of-3 with fusion off and on;
-   outputs must be byte-identical. Writes BENCH_fusion.json. *)
-
-let fusion_bench () =
-  let open Relation in
-  let ratings_n = 400_000 in
-  let ratings =
-    let schema =
-      Schema.make
-        [ { Schema.name = "user"; ty = Value.Tint };
-          { Schema.name = "movie"; ty = Value.Tint };
-          { Schema.name = "rating"; ty = Value.Tint } ]
-    in
-    Table.create_unchecked schema
-      (Array.init ratings_n (fun i ->
-           [| Value.Int (i * 7919 mod 480_189);
-              Value.Int (i * 104_729 mod 17_000);
-              Value.Int (1 + (i * 31 mod 5)) |]))
-  in
-  let hdfs = Engines.Hdfs.create () in
-  Engines.Hdfs.put hdfs "ratings" ratings;
-  let chain_graph =
-    let b = Ir.Builder.create () in
-    let r = Ir.Builder.input b "ratings" in
-    let s = Ir.Builder.select b ~pred:Expr.(col "rating" >= int 2) r in
-    let m =
-      Ir.Builder.map b ~target:"centered"
-        ~expr:Expr.(col "rating" - int 3)
-        s
-    in
-    let p =
-      Ir.Builder.project b ~name:"out" ~columns:[ "user"; "centered" ] m
-    in
-    Ir.Builder.finish b ~outputs:[ p ]
-  in
-  let shared_graph =
-    let b = Ir.Builder.create () in
-    let lovers =
-      Ir.Builder.project b ~columns:[ "user" ]
-        (Ir.Builder.select b
-           ~pred:Expr.(col "rating" >= int 4)
-           (Ir.Builder.input b "ratings"))
-    in
-    let haters =
-      Ir.Builder.project b ~columns:[ "user" ]
-        (Ir.Builder.select b
-           ~pred:Expr.(col "rating" <= int 1)
-           (Ir.Builder.input b "ratings"))
-    in
-    let u = Ir.Builder.union b ~name:"out" lovers haters in
-    Ir.Builder.finish b ~outputs:[ u ]
-  in
-  let reps = 3 in
-  let out_csv (result : Engines.Exec_helper.result) =
-    match
-      List.find_opt (fun (n, _, _) -> n = "out")
-        result.Engines.Exec_helper.outputs
-    with
-    | Some (_, t, _) -> Table.to_csv t
-    | None ->
-      Printf.eprintf "FATAL: workload produced no \"out\" relation\n";
-      exit 1
-  in
-  let best_of enabled g =
-    Ir.Fusion.set_enabled (Some enabled);
-    Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
-    @@ fun () ->
-    let best = ref infinity and out = ref None in
-    for _ = 1 to reps do
-      let result, s =
-        Obs.Trace.time (fun () -> Engines.Exec_helper.execute ~hdfs g)
-      in
-      if s < !best then best := s;
-      out := Some result
-    done;
-    (Option.get !out, !best)
-  in
-  let saved_gauge () =
-    Option.value ~default:0.
-      (Obs.Metrics.gauge Obs.Metrics.default "fusion.intermediate_mb_saved")
-  in
-  Printf.printf "fused vs unfused execution (%d rows, best of %d)\n"
-    ratings_n reps;
-  Printf.printf "%-12s %12s %12s %9s %10s %10s  %s\n" "workload" "unfused"
-    "fused" "speedup" "saved MB" "input MB" "identical";
-  let results =
-    List.map
-      (fun (name, g) ->
-         let unfused_res, unfused_s = best_of false g in
-         let saved0 = saved_gauge () in
-         let fused_res, fused_s = best_of true g in
-         let saved_mb = (saved_gauge () -. saved0) /. float_of_int reps in
-         let identical = out_csv unfused_res = out_csv fused_res in
-         let speedup = unfused_s /. fused_s in
-         let input_mb =
-           fused_res.Engines.Exec_helper.volumes.Engines.Perf.input_mb
-         in
-         Printf.printf "%-12s %10.1fms %10.1fms %8.2fx %9.1f %9.1f  %b\n%!"
-           name (1000. *. unfused_s) (1000. *. fused_s) speedup saved_mb
-           input_mb identical;
-         if not identical then begin
-           Printf.eprintf "FATAL: %s fused output differs from unfused\n"
-             name;
-           exit 1
-         end;
-         (name, unfused_s, fused_s, speedup, saved_mb, input_mb))
-      [ ("chain", chain_graph); ("shared-scan", shared_graph) ]
-  in
-  let json =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b (Printf.sprintf "  \"rows\": %d,\n" ratings_n);
-    Buffer.add_string b (Printf.sprintf "  \"reps\": %d,\n" reps);
-    Buffer.add_string b "  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, unfused_s, fused_s, speedup, saved_mb, input_mb) ->
-         Buffer.add_string b
-           (Printf.sprintf
-              "    {\"workload\": %S, \"unfused_s\": %.6f, \"fused_s\": \
-               %.6f, \"speedup\": %.3f, \"intermediate_mb_saved\": %.3f, \
-               \"fused_input_mb\": %.3f}%s\n"
-              name unfused_s fused_s speedup saved_mb input_mb
-              (if i = List.length results - 1 then "" else ",")))
-      results;
-    Buffer.add_string b "  ]\n}\n";
-    Buffer.contents b
-  in
-  Out_channel.with_open_text "BENCH_fusion.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote BENCH_fusion.json\n"
-
 (* ---- runtime supervision benchmark ----
 
    Three scenarios exercising the supervisor end-to-end and checking
@@ -2023,9 +1887,6 @@ let () =
       print_endline
         "kernels   columnar vs row kernel ratios (BENCH_kernels.json)";
       print_endline
-        "fusion    fused vs unfused execution + shared scans \
-         (BENCH_fusion.json)";
-      print_endline
         "supervision  straggler speculation, breaker, re-planning \
          (BENCH_supervision.json)";
       print_endline
@@ -2042,7 +1903,6 @@ let () =
          (BENCH_overload.json)"
     | [ "bechamel" ] -> run_target "bechamel" bechamel
     | [ "kernels" ] -> run_target "kernels" kernels
-    | [ "fusion" ] -> run_target "fusion" fusion_bench
     | [ "supervision" ] -> run_target "supervision" supervision_bench
     | [ "calibration" ] -> run_target "calibration" calibration_bench
     | [ "serve" ] -> run_target "serve" serve_bench
@@ -2063,7 +1923,6 @@ let () =
            | None ->
              if raw = "bechamel" then run_target "bechamel" bechamel
              else if raw = "kernels" then run_target "kernels" kernels
-             else if raw = "fusion" then run_target "fusion" fusion_bench
              else if raw = "supervision" then
                run_target "supervision" supervision_bench
              else if raw = "calibration" then

@@ -12,44 +12,20 @@ let seconds = function
 
 (* ---- volume estimation for a candidate job ---- *)
 
-(* Fused-chain roles among [ids]: when fusion is on, the row-local
-   members of a chain entirely inside the candidate job execute as one
-   pass, so the first is charged once at {!Engines.Perf.fused_weight}
-   and the others charge nothing; a JOIN head is charged as the solo
-   JOIN, so a lone SELECT after it prices as a solo SELECT. A chain that
-   crosses the job boundary is not fused at execution either (the
-   crossing node becomes a job output, a fusion barrier), so it keeps
-   per-node pricing. The chains are [est]'s, planned once per graph. *)
-let fused_roles ~est ~graph ids =
-  let tbl : (int, [ `Head of Ir.Operator.kind list | `Member ]) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  if Ir.Fusion.enabled () then begin
-    let in_set = Hashtbl.create 8 in
-    List.iter (fun id -> Hashtbl.replace in_set id ()) ids;
-    List.iter
-      (fun (c : Ir.Fusion.chain) ->
-         let members = Ir.Fusion.row_local c in
-         if List.for_all (Hashtbl.mem in_set) members then
-           match members with
-           | head :: (_ :: _ as rest) ->
-             let kinds =
-               List.map
-                 (fun id -> (Ir.Dag.node graph id).Ir.Operator.kind)
-                 members
-             in
-             Hashtbl.replace tbl head (`Head kinds);
-             List.iter (fun id -> Hashtbl.replace tbl id `Member) rest
-           | [] | [ _ ] -> ())
-      (Ir.Fusion.chains (Estimator.fusion est))
-  end;
-  tbl
-
-let fused_process roles id ~in_mb kind =
-  match Hashtbl.find_opt roles id with
-  | Some `Member -> 0.
-  | Some (`Head kinds) -> in_mb *. Engines.Perf.fused_weight kinds
-  | None -> in_mb *. Engines.Perf.op_weight kind
+(* Process charges among [ids]: when fusion is on, the row-local
+   members of a chain entirely inside the candidate job price as merged
+   operators ({!Engines.Perf.charges}), exactly as the executor prices
+   them; a JOIN head is charged as the solo JOIN, so a lone SELECT after
+   it prices as a solo SELECT. A chain that crosses the job boundary is
+   not merged at execution either (the crossing node becomes a job
+   output, a fusion barrier), so it keeps per-node pricing. The chains
+   are [est]'s, planned once per graph. *)
+let charges ~est ~graph ids =
+  let in_set = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.replace in_set id ()) ids;
+  Engines.Perf.charges
+    (if Ir.Fusion.enabled () then Estimator.fusion est else Ir.Fusion.empty)
+    graph ~within:(Hashtbl.mem in_set)
 
 (* process/comm volumes of one WHILE body pass, with the loop inputs
    bound to the estimated sizes of the WHILE node's producers *)
@@ -80,8 +56,8 @@ let rec body_pass_volumes ~est ~graph (n : Ir.Operator.node) body =
       ~input_mb:(fun r -> Hashtbl.find_opt bound r)
       ~history:(History.create ()) ~workflow:"body" body
   in
-  let roles =
-    fused_roles ~est:inner_est ~graph:body
+  let charges =
+    charges ~est:inner_est ~graph:body
       (List.map (fun (bn : Ir.Operator.node) -> bn.id) body.Ir.Operator.nodes)
   in
   List.fold_left
@@ -98,7 +74,9 @@ let rec body_pass_volumes ~est ~graph (n : Ir.Operator.node) body =
          (process +. (iters *. p), comm +. (iters *. c), shuffles + s)
        | kind ->
          let in_mb = Estimator.input_mb inner_est bn.id in
-         let process = process +. fused_process roles bn.id ~in_mb kind in
+         let process =
+           process +. Engines.Perf.process_mb charges bn.id kind ~in_mb
+         in
          if Ir.Operator.needs_shuffle kind then
            (process, comm +. in_mb, shuffles + 1)
          else (process, comm, shuffles))
@@ -120,7 +98,7 @@ let job_volumes ~graph ~est ids =
               if not (Hashtbl.mem in_set i) then Hashtbl.replace pulled i ())
            n.inputs)
     ids;
-  (* with fusion on, the executor fetches each HDFS relation once per
+  (* with fusion on, the executor charges each HDFS relation once per
      job however many INPUT nodes name it — price the scan once too *)
   let input_mb =
     let seen_rel = Hashtbl.create 4 in
@@ -149,7 +127,7 @@ let job_volumes ~graph ~est ids =
       0.
       (Ir.Dag.external_outputs graph ids)
   in
-  let roles = fused_roles ~est ~graph ids in
+  let charges = charges ~est ~graph ids in
   let process_mb, comm_mb, iterations =
     List.fold_left
       (fun (process, comm, iters) id ->
@@ -163,7 +141,9 @@ let job_volumes ~graph ~est ids =
            (process +. (fi *. p), comm +. (fi *. c), max iters k_iters)
          | kind ->
            let in_mb = Estimator.input_mb est id in
-           let process = process +. fused_process roles id ~in_mb kind in
+           let process =
+             process +. Engines.Perf.process_mb charges id kind ~in_mb
+           in
            if Ir.Operator.needs_shuffle kind then
              (process, comm +. in_mb, iters)
            else (process, comm, iters))

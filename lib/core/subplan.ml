@@ -16,19 +16,22 @@ let is_subplan_relation r =
   String.length r >= String.length relation_prefix
   && String.sub r 0 (String.length relation_prefix) = relation_prefix
 
-(* Execution gates that could change a materialized entry key the
-   share/cache alongside the subtree hash. The columnar gate is not one:
-   outputs and sizes are the same on both paths. Fusion stays in the
-   key: a fused chain still reports modeled volumes of its own. *)
+(* Gates that could change a materialized entry key the share/cache
+   alongside the subtree hash. The columnar gate is not one: outputs
+   and sizes are the same on both paths. Fusion stays in the key: it
+   changes no output, but merged pricing gives a chain modeled volumes
+   of its own. *)
 let env_fingerprint () = Printf.sprintf "fusion=%b" (Ir.Fusion.enabled ())
 
 let key_of_hash hash = hash ^ "|" ^ env_fingerprint ()
 
-(* Cutting at a fusion-chain interior would materialize a relation
-   fusion promises never to exist; tails and solos are materialized
-   anyway, so they are sound cut points. So is a JOIN head: it is priced
-   as the solo JOIN from the sizes its materialization would have, and
-   a cut there leaves the rest of its chain fused from the cut. *)
+(* Pricing consistency: cutting at a fusion-chain interior would price
+   as a written relation a table that merged pricing charges from a
+   prior and never writes, so an attached run and a one-shot run would
+   disagree. Tails and solos are priced from their measured bytes
+   either way, so they are sound cut points. So is a JOIN head: it is
+   priced as the solo JOIN, and a cut there leaves the rest of its
+   chain merged from the cut. *)
 let fusion_barrier g =
   if Ir.Fusion.enabled () then begin
     let plan = Ir.Fusion.plan g in

@@ -37,85 +37,71 @@ let span name attrs f =
   if Obs.Trace.enabled () then Obs.Trace.with_span ~attrs:(attrs ()) name f
   else f ()
 
-(* A fused chain runs as SELECT/PROJECT/MAP kernels over one view. A
-   chain the columnar kernels cannot run end to end runs on rows from
-   its source as one unit, as the fused row pass did, counted as
-   [kernel.row.chain] beside the refusal's [kernel.fallback.<reason>]. *)
-let run_chain src kinds =
-  let step t : Ir.Operator.kind -> Table.t option = function
-    | Ir.Operator.Select { pred } -> Columnar.try_select t pred
-    | Ir.Operator.Project { columns } -> Columnar.try_project t columns
-    | Ir.Operator.Map { target; expr } ->
-      Columnar.try_map_column t ~target ~expr
-    | k -> invalid_arg ("Exec_helper.run_chain: " ^ Ir.Operator.kind_name k)
-  in
-  match
-    List.fold_left
-      (fun t k -> Option.bind t (fun t -> step t k))
-      (Some src) kinds
-  with
-  | Some out -> out
-  | None ->
-    Obs.Metrics.incr Obs.Metrics.default "kernel.row.chain";
-    Column.with_enabled false (fun () ->
-        List.fold_left (fun t kind -> Ir.Interp.eval_kind kind [ t ]) src kinds)
+(* What a node leaves for its consumers and for pricing: its table and
+   modeled size. A JOIN run with its SELECT leaves no table of its own:
+   the SELECT takes the pair kernel's output, and pricing reads the
+   JOIN's logical column sizes, computed from counts. *)
+type out =
+  | Table of Table.t
+  | Joined of Columnar.join_select
 
-(* What pricing a chain reads off the table its row-local members start
-   from: the chain's source, or the output of a JOIN head, which never
-   exists as a table when the head runs fused. *)
-type chain_source = {
-  src_modeled : float;
-  src_bytes : int;
-  src_schema : Schema.t;
-  src_column_bytes : int array Lazy.t;
-}
+type value = { out : out; mb : float }
 
-let source_of_table t modeled =
-  { src_modeled = modeled; src_bytes = Table.encoded_bytes t;
-    src_schema = Table.schema t;
-    src_column_bytes = lazy (Table.column_bytes t) }
+let column_bytes = function
+  | Table t -> Table.column_bytes t
+  | Joined js -> js.join_bytes
+
+let bytes out = Array.fold_left ( + ) 0 (column_bytes out)
+
+let table_of (n : Ir.Operator.node) v =
+  match v.out with
+  | Table t -> t
+  | Joined _ -> exec_error "node %d has no table: it ran with its SELECT" n.id
 
 (* Evaluates a graph; [bound] overrides relation lookups (used for WHILE
-   bodies); returns per-node (table, modeled_mb) plus output bindings in
-   node order (later bindings shadow earlier ones on lookup).
+   bodies); returns per-node values plus output bindings in node order
+   (later bindings shadow earlier ones on lookup).
 
-   When fusion is on ({!Ir.Fusion.enabled}), chains planned by
-   {!Ir.Fusion.plan} execute in one {!run_chain} at the chain tail, or
-   at a JOIN head, which runs with its SELECT as one kernel
-   ({!Relation.Columnar.try_join_select}); interior nodes are skipped
-   entirely — never materialized, never entered in [values]/[by_name]
-   (the planner guarantees nothing reads them). Their op_stats are
-   still emitted, with modeled volumes from {!Ir.Sizing}, so cost-model
-   and Fig-14 telemetry stay populated. A JOIN head emits its solo
-   op_stat at its own position, from the sizes its output would have;
-   the row-local members are priced at the tail as a chain of them
-   alone would be, so every modeled number is the one unfused JOIN
-   execution gives. [protect] names relations the caller will look up
-   by name in the returned [by_name] (the WHILE driver's condition
-   relations). *)
+   Every node runs on its own kernel, whatever the fusion gate, except
+   a JOIN heading a chain of {!Ir.Fusion.plan}: it runs with its SELECT
+   as one kernel ({!Relation.Columnar.try_join_select}), or as the
+   plain JOIN when that kernel refuses.
+
+   The gate ({!Ir.Fusion.enabled}) decides pricing only. Off, every
+   node is priced from its measured bytes. On, the plan's chains are
+   priced as merged operators (paper §5): interiors get {!Ir.Sizing}
+   priors, the tail the chain's end-to-end measured selectivity, and
+   the process volume is charged once ({!Perf.charges}); the row-local
+   members' op_stats are recorded at the tail. A JOIN head is priced as
+   the solo JOIN either way. [protect] names relations the caller will
+   look up by name in the returned [by_name] (the WHILE driver's
+   condition relations). *)
 let rec eval_graph ?(protect = []) ~hdfs
     ~(bound : (string, Table.t * float) Hashtbl.t) ~acc
     (g : Ir.Operator.graph) =
-  let fused = Ir.Fusion.enabled () in
-  let fplan = if fused then Ir.Fusion.plan ~protect g else Ir.Fusion.empty in
-  let values : (int, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
+  let fplan = Ir.Fusion.plan ~protect g in
+  let merged = Ir.Fusion.enabled () in
+  let pricing = if merged then fplan else Ir.Fusion.empty in
+  let charges = Perf.charges pricing g ~within:(fun _ -> true) in
+  let values : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let by_name : (string, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
-  (* outputs of chains run at their JOIN head, by tail id, until the
-     tail prices them *)
-  let ran : (int, Table.t * chain_source) Hashtbl.t = Hashtbl.create 4 in
   (* one HDFS fetch per distinct relation per job: duplicate INPUT nodes
-     (several consumers of one relation) share the scan *)
+     (several consumers of one relation) share the table; unmerged
+     pricing still charges each of them the scan *)
   let fetched : (string, Table.t * float) Hashtbl.t = Hashtbl.create 4 in
   let eval_input relation =
     match Hashtbl.find_opt bound relation with
     | Some v -> v
     | None -> (
       match Hashtbl.find_opt fetched relation with
-      | Some (t, mb) when fused ->
-        Obs.Metrics.incr Obs.Metrics.default "scan.shared";
-        Obs.Metrics.add_gauge Obs.Metrics.default "scan.shared_mb_saved" mb;
+      | Some (t, mb) ->
+        if merged then begin
+          Obs.Metrics.incr Obs.Metrics.default "scan.shared";
+          Obs.Metrics.add_gauge Obs.Metrics.default "scan.shared_mb_saved" mb
+        end
+        else acc.scans <- (relation, mb) :: acc.scans;
         (t, mb)
-      | Some _ | None -> (
+      | None -> (
         try
           let e = Hdfs.get hdfs relation in
           acc.scans <- (relation, e.Hdfs.modeled_mb) :: acc.scans;
@@ -124,201 +110,155 @@ let rec eval_graph ?(protect = []) ~hdfs
         with Hdfs.No_such_relation r ->
           exec_error "missing input relation %S" r))
   in
-  let inputs_of (n : Ir.Operator.node) =
-    List.map
-      (fun i ->
-         match Hashtbl.find_opt values i with
-         | Some v -> v
-         | None -> exec_error "node %d evaluated before input %d" n.id i)
-      n.inputs
+  let value id =
+    match Hashtbl.find_opt values id with
+    | Some v -> v
+    | None -> exec_error "node %d read before it was evaluated" id
   in
-  (* a solo operator's op_stat and volumes, from its inputs and the
-     encoded bytes of its output *)
-  let account (n : Ir.Operator.node) ins ~out_bytes =
-    let kind = n.kind in
-    let in_modeled = List.fold_left (fun s (_, mb) -> s +. mb) 0. ins in
-    let in_bytes =
-      List.fold_left (fun s (t, _) -> s + Table.encoded_bytes t) 0 ins
-    in
-    let mb = propagate kind ~in_modeled ~in_bytes ~out_bytes in
-    acc.process_mb <- acc.process_mb +. (in_modeled *. Perf.op_weight kind);
-    if Ir.Operator.needs_shuffle kind then
-      acc.comm_mb <- acc.comm_mb +. in_modeled;
-    acc.stats <-
-      { node_id = n.id; kind_name = Ir.Operator.kind_name kind;
-        in_mb = in_modeled; out_mb = mb;
-        shuffled = Ir.Operator.needs_shuffle kind }
-      :: acc.stats;
-    mb
-  in
-  let fused_span members rows_in f =
-    let kinds = List.map (fun (m : Ir.Operator.node) -> m.kind) members in
-    span "kernel.fused"
+  let inputs_of (n : Ir.Operator.node) = List.map value n.inputs in
+  let solo (n : Ir.Operator.node) tables =
+    span "kernel"
       (fun () ->
-         [ ("chain_len", Obs.Trace.Int (List.length members));
-           ("ops",
-            Obs.Trace.String
-              (String.concat "," (List.map Ir.Operator.kind_name kinds)));
-           ("rows_in", Obs.Trace.Int rows_in) ])
-      f
+         [ ("op", Obs.Trace.String (Ir.Operator.kind_name n.kind));
+           ("rows_in",
+            Obs.Trace.Int
+              (List.fold_left (fun s t -> s + Table.row_count t) 0 tables)) ])
+    @@ fun () ->
+    let out = Ir.Interp.eval_kind n.kind tables in
+    (* the path the kernel took, read off its output *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.add_attr "path"
+        (Obs.Trace.String
+           (if Table.is_view out then "view"
+            else if Table.is_columnar out then "columnar"
+            else "row"));
+    out
   in
-  (* the whole chain at its JOIN head: the JOIN and its SELECT as one
-     kernel, then the other row-local members over its output. A
-     refused fusion runs the plain JOIN and the chain from it. *)
-  let eval_join_head (head : Ir.Operator.node) (chain : Ir.Fusion.chain) =
-    let ins = inputs_of head in
-    let left, right =
-      match ins with
-      | [ (l, _); (r, _) ] -> (l, r)
-      | _ -> exec_error "JOIN node %d needs two inputs" head.id
-    in
-    let left_key, right_key =
-      match head.kind with
-      | Ir.Operator.Join { left_key; right_key } -> (left_key, right_key)
-      | k ->
-        exec_error "chain head %d is a %s" head.id (Ir.Operator.kind_name k)
-    in
-    let members = List.map (Ir.Dag.node g) chain.Ir.Fusion.members in
-    let local =
-      List.map (fun (m : Ir.Operator.node) -> m.kind) (List.tl members)
-    in
-    let out, src =
-      fused_span members (Table.row_count left + Table.row_count right)
-      @@ fun () ->
-      let fused =
-        match local with
-        | Ir.Operator.Select { pred } :: _ ->
-          Columnar.try_join_select left right ~left_key ~right_key ~pred
-        | _ -> None
-      in
-      match fused with
-      | Some js ->
-        let out_bytes = Array.fold_left ( + ) 0 js.join_bytes in
-        let mb = account head ins ~out_bytes in
-        (* the JOIN's table is one more intermediate never built *)
-        Obs.Metrics.add_gauge Obs.Metrics.default
-          "fusion.intermediate_mb_saved" mb;
-        ( run_chain js.table (List.tl local),
-          { src_modeled = mb; src_bytes = out_bytes;
-            src_schema = Table.schema js.table;
-            src_column_bytes = Lazy.from_val js.join_bytes } )
-      | None ->
-        let join = Kernel.join left right ~left_key ~right_key in
-        let mb = account head ins ~out_bytes:(Table.encoded_bytes join) in
-        (run_chain join local, source_of_table join mb)
-    in
-    Hashtbl.replace ran (List.hd (List.rev chain.members)) (out, src)
+  (* a JOIN head and its SELECT as one kernel *)
+  let join_select (head : Ir.Operator.node) (c : Ir.Fusion.chain) left right =
+    match (head.kind, (Ir.Dag.node g (List.nth c.members 1)).kind) with
+    | Ir.Operator.Join { left_key; right_key }, Ir.Operator.Select { pred } -> (
+      match
+        span "kernel.fused"
+          (fun () ->
+             [ ("ops", Obs.Trace.String "JOIN,SELECT");
+               ("rows_in",
+                Obs.Trace.Int (Table.row_count left + Table.row_count right))
+             ])
+          (fun () ->
+             Columnar.try_join_select left right ~left_key ~right_key ~pred)
+      with
+      | Some js -> Joined js
+      | None -> Table (solo head [ left; right ]))
+    | _ -> exec_error "chain head %d is not a JOIN feeding a SELECT" head.id
   in
-  let eval_chain (tail : Ir.Operator.node) (chain : Ir.Fusion.chain) =
-    let members = List.map (Ir.Dag.node g) (Ir.Fusion.row_local chain) in
-    let kinds = List.map (fun (m : Ir.Operator.node) -> m.kind) members in
-    let out, src =
-      match Hashtbl.find_opt ran tail.id with
-      | Some r -> r
-      | None ->
-        let src_table, src_modeled =
-          match Hashtbl.find_opt values chain.Ir.Fusion.source with
-          | Some v -> v
-          | None ->
-            exec_error "fused chain at node %d evaluated before source %d"
-              tail.id chain.Ir.Fusion.source
+  let run (n : Ir.Operator.node) ins =
+    match (Ir.Fusion.role fplan n.id, ins) with
+    | Ir.Fusion.Head c, [ { out = Table l; _ }; { out = Table r; _ } ] ->
+      join_select n c l r
+    | _, [ { out = Joined js; _ } ] -> Table js.table
+    | _ -> Table (solo n (List.map (table_of n) ins))
+  in
+  (* a chain's row-local members start from the one input of the first *)
+  let source (c : Ir.Fusion.chain) =
+    value (List.hd (Ir.Dag.node g (List.hd (Ir.Fusion.row_local c))).inputs)
+  in
+  let prior kind in_mb = (Ir.Sizing.of_kind kind ~inputs:[ in_mb ]).expected in
+  (* modeled output size by pricing role *)
+  let size (n : Ir.Operator.node) ins out =
+    match Ir.Fusion.role pricing n.id with
+    | Ir.Fusion.Solo | Ir.Fusion.Head _ ->
+      propagate n.kind
+        ~in_modeled:(List.fold_left (fun s v -> s +. v.mb) 0. ins)
+        ~in_bytes:(List.fold_left (fun s v -> s + bytes v.out) 0 ins)
+        ~out_bytes:(bytes out)
+    | Ir.Fusion.Interior c -> (
+      let in_mb = (List.hd ins).mb in
+      (* interior PROJECTs use per-column encoded widths off the chain
+         source (column widths are scale-free, so the source's are
+         valid after interior filters) *)
+      match n.kind with
+      | Ir.Operator.Project { columns } -> (
+        let src = source c in
+        let schema =
+          match src.out with
+          | Table t | Joined { table = t; _ } -> Table.schema t
         in
-        ( fused_span members (Table.row_count src_table) (fun () ->
-              run_chain src_table kinds),
-          source_of_table src_table src_modeled )
-    in
-    (* modeled volumes: interiors estimated via Sizing (their tables
-       never exist to measure); the tail uses end-to-end measured
-       selectivity, which is exactly what per-node measured ratios
-       telescope to on the unfused path *)
-    let interior_mb = ref 0. in
-    let rec model in_mb = function
-      | [] -> ()
-      | [ (m : Ir.Operator.node) ] ->
-        let out_mb =
-          if src.src_bytes = 0 then
-            (Ir.Sizing.of_kind m.kind ~inputs:[ in_mb ]).expected
-          else
-            src.src_modeled
-            *. (float_of_int (Table.encoded_bytes out)
-                /. float_of_int src.src_bytes)
-        in
-        acc.stats <-
-          { node_id = m.id; kind_name = Ir.Operator.kind_name m.kind;
-            in_mb; out_mb; shuffled = false }
-          :: acc.stats;
-        Hashtbl.replace values m.id (out, out_mb);
-        Hashtbl.replace by_name m.output (out, out_mb)
-      | (m : Ir.Operator.node) :: rest ->
-        (* interior PROJECTs use per-column encoded widths off the chain
-           source (column widths are scale-free, so the source's are
-           valid after interior filters); other interiors keep the
-           generic Sizing defaults *)
-        let out_mb =
-          match m.kind with
-          | Ir.Operator.Project { columns } -> (
-            match
-              Ir.Sizing.project_mb src.src_schema src.src_column_bytes
-                columns ~in_mb
-            with
-            | Some mb -> mb
-            | None -> (Ir.Sizing.of_kind m.kind ~inputs:[ in_mb ]).expected)
-          | kind -> (Ir.Sizing.of_kind kind ~inputs:[ in_mb ]).expected
-        in
-        interior_mb := !interior_mb +. out_mb;
-        acc.stats <-
-          { node_id = m.id; kind_name = Ir.Operator.kind_name m.kind;
-            in_mb; out_mb; shuffled = false }
-          :: acc.stats;
-        model out_mb rest
-    in
-    model src.src_modeled members;
+        match
+          Ir.Sizing.project_mb schema (lazy (column_bytes src.out)) columns
+            ~in_mb
+        with
+        | Some mb -> mb
+        | None -> prior n.kind in_mb)
+      | kind -> prior kind in_mb)
+    | Ir.Fusion.Tail c ->
+      (* end-to-end measured selectivity: what the per-node measured
+         ratios of unmerged pricing telescope to *)
+      let src = source c in
+      let src_bytes = bytes src.out in
+      if src_bytes = 0 then prior n.kind (List.hd ins).mb
+      else src.mb *. (float_of_int (bytes out) /. float_of_int src_bytes)
+  in
+  (* a sized node's op_stat and volumes *)
+  let record (n : Ir.Operator.node) =
+    let in_mb = List.fold_left (fun s v -> s +. v.mb) 0. (inputs_of n) in
     acc.process_mb <-
-      acc.process_mb +. (src.src_modeled *. Perf.fused_weight kinds);
-    Obs.Metrics.incr Obs.Metrics.default "fusion.chains";
-    Obs.Metrics.incr Obs.Metrics.default
-      ~by:(List.length chain.Ir.Fusion.members) "fusion.ops_fused";
-    Obs.Metrics.add_gauge Obs.Metrics.default "fusion.intermediate_mb_saved"
-      !interior_mb
+      acc.process_mb +. Perf.process_mb charges n.id n.kind ~in_mb;
+    let shuffled = Ir.Operator.needs_shuffle n.kind in
+    if shuffled then acc.comm_mb <- acc.comm_mb +. in_mb;
+    acc.stats <-
+      { node_id = n.id; kind_name = Ir.Operator.kind_name n.kind; in_mb;
+        out_mb = (value n.id).mb; shuffled }
+      :: acc.stats
+  in
+  let bind (n : Ir.Operator.node) v =
+    Hashtbl.replace values n.id v;
+    match v.out with
+    | Table t -> Hashtbl.replace by_name n.output (t, v.mb)
+    | Joined _ -> ()
   in
   List.iter
     (fun (n : Ir.Operator.node) ->
-       match Ir.Fusion.role fplan n.id with
-       | Ir.Fusion.Interior _ -> ()
-       | Ir.Fusion.Head chain -> eval_join_head n chain
-       | Ir.Fusion.Tail chain -> eval_chain n chain
-       | Ir.Fusion.Solo ->
-         let ins = inputs_of n in
-         let table, modeled =
-           match n.kind with
-           | Ir.Operator.Input { relation } -> eval_input relation
-           | Ir.Operator.While { condition; max_iterations; body } ->
-             eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins
-           | kind ->
-             let in_tables = List.map fst ins in
-             let out =
-               span "kernel"
-                 (fun () ->
-                    [ ("op", Obs.Trace.String (Ir.Operator.kind_name kind));
-                      ("rows_in",
-                       Obs.Trace.Int
-                         (List.fold_left
-                            (fun s t -> s + Table.row_count t) 0 in_tables)) ])
-               @@ fun () ->
-               let out = Ir.Interp.eval_kind kind in_tables in
-               (* the path the kernel took, read off its output *)
-               if Obs.Trace.enabled () then
-                 Obs.Trace.add_attr "path"
-                   (Obs.Trace.String
-                      (if Table.is_view out then "view"
-                       else if Table.is_columnar out then "columnar"
-                       else "row"));
-               out
-             in
-             (out, account n ins ~out_bytes:(Table.encoded_bytes out))
+       let ins = inputs_of n in
+       match n.kind with
+       | Ir.Operator.Input { relation } ->
+         let t, mb = eval_input relation in
+         bind n { out = Table t; mb }
+       | Ir.Operator.While { condition; max_iterations; body } ->
+         let t, mb =
+           eval_while ~hdfs ~acc ~condition ~max_iterations ~body
+             (List.map (fun v -> (table_of n v, v.mb)) ins)
          in
-         Hashtbl.replace values n.id (table, modeled);
-         Hashtbl.replace by_name n.output (table, modeled))
+         bind n { out = Table t; mb }
+       | _ -> (
+         let out = run n ins in
+         let v = { out; mb = size n ins out } in
+         bind n v;
+         match Ir.Fusion.role pricing n.id with
+         | Ir.Fusion.Solo -> record n
+         | Ir.Fusion.Head _ -> (
+           record n;
+           match out with
+           | Joined _ ->
+             (* the JOIN's table is one more intermediate never built *)
+             Obs.Metrics.add_gauge Obs.Metrics.default
+               "fusion.intermediate_mb_saved" v.mb
+           | Table _ -> ())
+         | Ir.Fusion.Interior _ -> ()
+         | Ir.Fusion.Tail c ->
+           let members = List.map (Ir.Dag.node g) (Ir.Fusion.row_local c) in
+           List.iter record members;
+           let interior_mb =
+             List.fold_left
+               (fun s (m : Ir.Operator.node) ->
+                  if m.id = n.id then s else s +. (value m.id).mb)
+               0. members
+           in
+           Obs.Metrics.incr Obs.Metrics.default "fusion.chains";
+           Obs.Metrics.incr Obs.Metrics.default
+             ~by:(List.length c.Ir.Fusion.members) "fusion.ops_fused";
+           Obs.Metrics.add_gauge Obs.Metrics.default
+             "fusion.intermediate_mb_saved" interior_mb))
     g.nodes;
   (values, by_name)
 
@@ -340,7 +280,8 @@ and eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins =
     | [] -> exec_error "WHILE: body has no outputs"
   in
   (* the loop driver reads the condition relation out of [by_name] each
-     iteration; the fusion planner must keep its producer materialized *)
+     iteration; the fusion planner must not make its producer a chain
+     interior, priced from a prior *)
   let protect =
     match condition with
     | Ir.Operator.Until_empty r | Ir.Operator.Until_fixpoint r -> [ r ]
@@ -391,8 +332,8 @@ let execute ~hdfs (g : Ir.Operator.graph) =
   let outputs =
     List.map
       (fun (n : Ir.Operator.node) ->
-         let t, mb = Hashtbl.find values n.id in
-         (n.output, t, mb))
+         let v = Hashtbl.find values n.id in
+         (n.output, table_of n v, v.mb))
       out_nodes
   in
   let output_mb = List.fold_left (fun s (_, _, mb) -> s +. mb) 0. outputs in

@@ -21,7 +21,7 @@ type op_stat = {
 type result = {
   volumes : Perf.volumes;
       (** [scan_extra_mb] is 0 here; engines add it from job options.
-          [input_mb] and [load_mb] charge every fetch in [scans]: a
+          [input_mb] and [load_mb] charge every scan in [scans]: a
           shared-scan waiver is the engine's to decide at run time *)
   outputs : (string * Relation.Table.t * float) list;
       (** external outputs: relation name, rows, modeled MB. An output
@@ -29,7 +29,9 @@ type result = {
           ({!Relation.Table.for_store}) *)
   op_stats : op_stat list;
   scans : (string * float) list;
-      (** every HDFS fetch, as relation and modeled MB, in fetch order *)
+      (** every scan charged, as relation and modeled MB, in order: a
+          relation is fetched once per graph, and its duplicate INPUT
+          nodes are charged again only with fusion off *)
 }
 
 exception Execution_error of string
@@ -39,9 +41,10 @@ exception Execution_error of string
     iterate must reject such graphs before calling this). Raises
     {!Execution_error} on missing relations and propagates kernel
     errors. The result depends only on [graph], the HDFS contents and
-    the fusion and columnar gates: it does {b not} write outputs back
-    to HDFS and does not consult {!Share} — the engine does both
-    — so one result can be priced on every engine. *)
+    the fusion gate, which changes the modeled volumes and op_stats but
+    never which kernels run or what they output. It does {b not} write
+    outputs back to HDFS and does not consult {!Share} — the engine
+    does both — so one result can be priced on every engine. *)
 val execute : hdfs:Hdfs.t -> Ir.Operator.graph -> result
 
 (** [is_graph_idiom g] — true when the graph is a single WHILE

@@ -77,5 +77,29 @@ let op_weight (kind : Ir.Operator.kind) =
 let fused_weight kinds =
   List.fold_left (fun w k -> Float.max w (op_weight k)) 1.0 kinds
 
+type charges = (int, [ `Chain of Ir.Operator.kind list | `Merged ]) Hashtbl.t
+
+let charges plan (g : Ir.Operator.graph) ~within =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun c ->
+       match Ir.Fusion.row_local c with
+       | first :: (_ :: _ as rest) as members
+         when List.for_all within members ->
+         Hashtbl.replace tbl first
+           (`Chain
+              (List.map (fun id -> (Ir.Dag.node g id).Ir.Operator.kind)
+                 members));
+         List.iter (fun id -> Hashtbl.replace tbl id `Merged) rest
+       | _ -> ())
+    (Ir.Fusion.chains plan);
+  tbl
+
+let process_mb charges id kind ~in_mb =
+  match Hashtbl.find_opt charges id with
+  | Some `Merged -> 0.
+  | Some (`Chain kinds) -> in_mb *. fused_weight kinds
+  | None -> in_mb *. op_weight kind
+
 let scaled ~base ~nodes ~alpha =
   base *. Float.pow (float_of_int (max 1 nodes)) alpha

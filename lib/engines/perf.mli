@@ -50,6 +50,25 @@ val op_weight : Ir.Operator.kind -> float
     instead of one full-input charge per member. *)
 val fused_weight : Ir.Operator.kind list -> float
 
+(** Process-volume charges under a fusion plan: merged operators
+    (paper §5) make one pass, so the row-local members of a chain of
+    the plan ({!Ir.Fusion.row_local}) that lie wholly [within] a job are
+    charged once, to the first member at {!fused_weight} over their
+    kinds, and the others nothing. Every other node is charged its own
+    {!op_weight}. The executor and the cost model both price with this
+    rule. *)
+type charges
+
+(** [charges plan g ~within] — the rule for [plan]'s chains over [g];
+    {!Ir.Fusion.empty} charges every node on its own. *)
+val charges :
+  Ir.Fusion.plan -> Ir.Operator.graph -> within:(int -> bool) -> charges
+
+(** [process_mb charges id kind ~in_mb] — node [id]'s process volume,
+    given its modeled input. *)
+val process_mb :
+  charges -> int -> Ir.Operator.kind -> in_mb:float -> float
+
 (** [scaled ~base ~nodes ~alpha] aggregate rate of [nodes] machines with
     parallel efficiency exponent [alpha] ([alpha]=1: perfect scaling). *)
 val scaled : base:float -> nodes:int -> alpha:float -> float

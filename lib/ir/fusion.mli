@@ -1,20 +1,20 @@
-(** Fusion planner: which operator chains execute as one pass.
+(** Fusion planner: which operator chains price as merged.
 
-    Mirrors the paper's §5 operator-merging optimisation on the
-    execution side: the code generators already {e render} merged
-    operators ([Render.render ~shared_scans]); this module decides which
-    chains the interpreter ([Engines.Exec_helper]) may {e run} merged,
-    with interior results never materialized: [Engines.Exec_helper]
-    runs a planned chain as SELECT/PROJECT/MAP kernels over one
-    {!Relation.Table.view}, materializing nothing until the tail.
+    Mirrors the paper's §5 operator-merging optimisation: the code
+    generators {e render} merged operators
+    ([Render.render ~shared_scans]); this module decides which chains
+    the interpreter ([Engines.Exec_helper]) {e prices} as merged, with
+    interior tables that a merged engine would never write. Every
+    operator still runs on its own kernel; the gate ({!enabled})
+    changes pricing only.
 
     A chain is a maximal run of row-local operators — SELECT, PROJECT,
     MAP — linked head-to-tail by single-consumer edges, optionally
     headed by the JOIN that feeds its first SELECT. A JOIN head runs
-    with that SELECT as one kernel ({!Relation.Columnar.try_join_select})
-    and is priced as the solo JOIN. A node may sit {e inside} a chain
-    (and so skip materialization), or head one as a JOIN, only when
-    nothing else can observe its table:
+    with that SELECT as one kernel ({!Relation.Columnar.try_join_select}),
+    whatever the gate, and is priced as the solo JOIN. A node may sit
+    {e inside} a chain (and so be priced as never written), or head one
+    as a JOIN, only when nothing else can observe its table:
 
     - it has exactly one consumer, which is the next chain member;
     - it is not a workflow output ([g.outputs]);
@@ -22,10 +22,9 @@
       (loop-carried relations, loop-condition relations, body outputs —
       see the [protect] argument).
 
-    The chain's tail is materialized normally, so downstream nodes and
-    output collection are unaffected. Planning is pure analysis: it
-    never rewrites the graph, so disabling fusion ([MUSKETEER_FUSION=0]
-    or [--no-fusion]) reproduces the unfused execution exactly. *)
+    Planning is pure analysis: it never rewrites the graph, so
+    disabling fusion ([MUSKETEER_FUSION=0] or [--no-fusion]) prices
+    every node from its own measured bytes, over the same execution. *)
 
 type chain = {
   source : int;  (** node feeding the head (often an INPUT); a JOIN
@@ -35,14 +34,15 @@ type chain = {
 }
 
 type role =
-  | Solo  (** not part of any chain: evaluate as before *)
+  | Solo  (** not part of any chain: priced from its measured bytes *)
   | Head of chain
-      (** a JOIN head: the whole chain executes here, the JOIN and its
-          SELECT as one kernel; priced as the solo JOIN *)
-  | Interior of chain  (** skipped — computed inside the fused pass *)
+      (** a JOIN head: runs with its SELECT as one kernel; priced as
+          the solo JOIN *)
+  | Interior of chain
+      (** runs on its own kernel; priced from an {!Sizing} prior *)
   | Tail of chain
-      (** evaluate the whole chain here in one pass (after a JOIN
-          head: price it and bind its output) *)
+      (** runs on its own kernel; the chain's row-local members are
+          priced here, the tail from end-to-end measured selectivity *)
 
 type plan
 
@@ -58,7 +58,7 @@ val plan : ?protect:string list -> Operator.graph -> plan
 val chains : plan -> chain list
 
 (** The row-local members: all of them, or those after a JOIN head.
-    They are priced as one fused pass ({!Engines.Perf.fused_weight}),
+    They are priced as one merged pass ({!Engines.Perf.charges}),
     exactly as a chain of them alone would be; a JOIN head is priced
     as the solo JOIN. *)
 val row_local : chain -> int list

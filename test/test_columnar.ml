@@ -1502,11 +1502,11 @@ let () =
           Alcotest.test_case "fuzzed nullable roundtrip" `Quick
             test_prop_column_roundtrip_nulls ] );
       ( "differential",
-        [ Alcotest.test_case "kernels, jobs 1/2/4" `Quick
+        [ Alcotest.test_case "kernels = row kernels" `Quick
             test_prop_kernel_differential;
-          Alcotest.test_case "joins, jobs 1/2/4" `Quick
+          Alcotest.test_case "joins = row joins" `Quick
             test_prop_join_differential;
-          Alcotest.test_case "cross joins, jobs 1/2/4" `Quick
+          Alcotest.test_case "cross joins = row cross joins" `Quick
             test_prop_cross_differential;
           Alcotest.test_case "extreme and one-sided keys" `Quick
             test_extreme_and_missing_keys;
@@ -1516,7 +1516,7 @@ let () =
             test_fallbacks_account_for_row_runs;
           Alcotest.test_case "keyless GROUP BY = serial kernel" `Quick
             test_keyless_group_by;
-          Alcotest.test_case "view chains, jobs 1/2/4" `Quick
+          Alcotest.test_case "view chains = row kernels" `Quick
             test_prop_view_chains;
           Alcotest.test_case "view bytes = materialized bytes" `Quick
             test_prop_view_encoded_bytes;
@@ -1537,7 +1537,7 @@ let () =
           Alcotest.test_case "JOIN-SELECT refusals are counted" `Quick
             test_join_select_refusals ] );
       ( "regression",
-        [ Alcotest.test_case "4k fixture byte-identity at jobs=4" `Quick
+        [ Alcotest.test_case "4k fixture byte-identity" `Quick
             test_fixture_identity;
           Alcotest.test_case "4k fixture allocation bound" `Quick
             test_fixture_alloc_bound ] );

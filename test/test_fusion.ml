@@ -7,6 +7,11 @@ let with_fusion enabled f =
   Ir.Fusion.set_enabled (Some enabled);
   Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None) f
 
+let seed =
+  match Option.bind (Sys.getenv_opt "MUSKETEER_TEST_SEED") int_of_string_opt with
+  | Some n -> n
+  | None -> 1717
+
 (* ---- planner unit tests ---- *)
 
 let test_plan_chain () =
@@ -227,8 +232,7 @@ let test_empty_table () =
     (exec_csv ~fusion:true hdfs g)
 
 let test_large_chain () =
-  (* a 2000-row chain: the fused pass over a large input matches the
-     unfused one *)
+  (* a 2000-row chain: merged pricing changes no output *)
   let rows = List.init 2000 (fun i -> (i mod 17, (i * 13) mod 200)) in
   let hdfs = hdfs_with rows in
   let g = chain_graph () in
@@ -335,6 +339,60 @@ let test_one_hdfs_read () =
       Alcotest.(check (float 0.001))
         "the 64 MB relation is read exactly once" 64.
         (Engines.Hdfs.total_read_mb hdfs))
+
+(* Fusion on = off at NetFlix scale: a select→map→project chain and a
+   two-branch shared scan over 400,000 ratings. The shared scan charges
+   the relation once. *)
+let test_ratings_identity () =
+  let open Relation in
+  let ratings =
+    let schema =
+      Schema.make
+        [ { Schema.name = "user"; ty = Value.Tint };
+          { Schema.name = "movie"; ty = Value.Tint };
+          { Schema.name = "rating"; ty = Value.Tint } ]
+    in
+    Table.create_unchecked schema
+      (Array.init 400_000 (fun i ->
+           [| Value.Int (i * 7919 mod 480_189);
+              Value.Int (i * 104_729 mod 17_000);
+              Value.Int (1 + (i * 31 mod 5)) |]))
+  in
+  let hdfs = Engines.Hdfs.create () in
+  Engines.Hdfs.put hdfs "ratings" ratings;
+  let chain =
+    let b = Ir.Builder.create () in
+    let r = Ir.Builder.input b "ratings" in
+    let s = Ir.Builder.select b ~pred:Expr.(col "rating" >= int 2) r in
+    let m =
+      Ir.Builder.map b ~target:"centered" ~expr:Expr.(col "rating" - int 3) s
+    in
+    let p =
+      Ir.Builder.project b ~name:"out" ~columns:[ "user"; "centered" ] m
+    in
+    Ir.Builder.finish b ~outputs:[ p ]
+  in
+  let shared =
+    let b = Ir.Builder.create () in
+    let branch pred =
+      Ir.Builder.project b ~columns:[ "user" ]
+        (Ir.Builder.select b ~pred (Ir.Builder.input b "ratings"))
+    in
+    let lovers = branch Expr.(col "rating" >= int 4) in
+    let haters = branch Expr.(col "rating" <= int 1) in
+    let u = Ir.Builder.union b ~name:"out" lovers haters in
+    Ir.Builder.finish b ~outputs:[ u ]
+  in
+  List.iter
+    (fun (name, g) ->
+       Alcotest.(check string) (name ^ ": fused = unfused")
+         (exec_csv ~fusion:false hdfs g)
+         (exec_csv ~fusion:true hdfs g))
+    [ ("chain", chain); ("shared-scan", shared) ];
+  let r = with_fusion true (fun () -> Engines.Exec_helper.execute ~hdfs shared) in
+  let input_mb = r.volumes.Engines.Perf.input_mb in
+  Alcotest.(check (float 0.)) "shared-scan input MB counted once"
+    (Engines.Hdfs.modeled_mb hdfs "ratings") input_mb
 
 (* ---- fusion metrics ---- *)
 
@@ -475,19 +533,92 @@ let join_select_pins =
     "4 PROJECT 0x1.ca2aa6fb98bc9p+6 0x1.11d7fed94a65ap+6";
     "process 0x1.584886b0ff918p+8 comm 0x1p+6 output 0x1.11d7fed94a65ap+6" ]
 
+(* the same two graphs priced with fusion off: every node on its own
+   measured bytes *)
+let kmeans_off_pins =
+  [ "2 CROSS 0x1.1e1a42cp+11 0x1.9ca5e04627627p+18";
+    "3 MAP 0x1.9ca5e04627627p+18 0x1.e16c3051d89d9p+18";
+    "4 GROUP BY 0x1.e16c3051d89d9p+18 0x1.6020522762763p+10";
+    "5 MAP 0x1.6020522762763p+10 0x1.08183d9d89d8ap+11";
+    "6 PROJECT 0x1.08183d9d89d8ap+11 0x1.6020522762762p+10";
+    "7 JOIN 0x1.e2cc50a4p+18 0x1.1319402ec4ec5p+19";
+    "8 SELECT 0x1.1319402ec4ec5p+19 0x1.6020522762763p+12";
+    "9 PROJECT 0x1.6020522762763p+12 0x1.6020522762763p+11";
+    "10 GROUP BY 0x1.6020522762763p+11 0x1.6020522762763p+10";
+    "11 JOIN 0x1.ce2a5913b13b2p+11 0x1.71bb7a7627628p+11";
+    "12 GROUP BY 0x1.71bb7a7627628p+11 0x1.71bb7a7627628p+7";
+    "2 CROSS 0x1.3535e7a762762p+11 0x1.bdfa0e1dba51cp+18";
+    "3 MAP 0x1.bdfa0e1dba51cp+18 0x1.042732e6acafbp+19";
+    "4 GROUP BY 0x1.042732e6acafbp+19 0x1.7c911d1cc7f3dp+10";
+    "5 MAP 0x1.7c911d1cc7f3dp+10 0x1.1d6cd5d595f6ep+11";
+    "6 PROJECT 0x1.1d6cd5d595f6ep+11 0x1.7c911d1cc7f3dp+10";
+    "7 JOIN 0x1.04e57b753b13bp+19 0x1.29515ebe7c369p+19";
+    "8 SELECT 0x1.29515ebe7c369p+19 0x1.7c911d1cc7f3fp+12";
+    "9 PROJECT 0x1.7c911d1cc7f3fp+12 0x1.7c911d1cc7f3fp+11";
+    "10 GROUP BY 0x1.7c911d1cc7f3fp+11 0x1.7c911d1cc7f3fp+10";
+    "11 JOIN 0x1.dc62be8e63fap+11 0x1.7d1bcba51cc8p+11";
+    "12 GROUP BY 0x1.7d1bcba51cc8p+11 0x1.7d1bcba51cc8p+7";
+    "2 CROSS 0x1.35ebecba51cc8p+11 0x1.bf00956f310e5p+18";
+    "3 MAP 0x1.bf00956f310e5p+18 0x1.04c0572b87486p+19";
+    "4 GROUP BY 0x1.04c0572b87486p+19 0x1.7d71235b785e3p+10";
+    "5 MAP 0x1.7d71235b785e3p+10 0x1.1e14da849a46ap+11";
+    "6 PROJECT 0x1.1e14da849a46ap+11 0x1.7d71235b785e2p+10";
+    "7 JOIN 0x1.057f0fbd35049p+19 0x1.2a00639f76099p+19";
+    "8 SELECT 0x1.2a00639f76099p+19 0x1.7d71235b785e3p+12";
+    "9 PROJECT 0x1.7d71235b785e3p+12 0x1.7d71235b785e3p+11";
+    "10 GROUP BY 0x1.7d71235b785e3p+11 0x1.7d71235b785e3p+10";
+    "11 JOIN 0x1.dcd2c1adbc2f2p+11 0x1.7d7567be3025cp+11";
+    "12 GROUP BY 0x1.7d7567be3025cp+11 0x1.7d7567be3025cp+7";
+    "2 CROSS 0x1.35f1867be3026p+11 0x1.bf08a95a11437p+18";
+    "3 MAP 0x1.bf08a95a11437p+18 0x1.04c50d748a12p+19";
+    "4 GROUP BY 0x1.04c50d748a12p+19 0x1.7d7807faf002fp+10";
+    "5 MAP 0x1.7d7807faf002fp+10 0x1.1e1a05fc34023p+11";
+    "6 PROJECT 0x1.1e1a05fc34023p+11 0x1.7d7807faf002ep+10";
+    "7 JOIN 0x1.0583c978878ap+19 0x1.2a05c63c0b825p+19";
+    "8 SELECT 0x1.2a05c63c0b825p+19 0x1.7d7807faf002fp+12";
+    "9 PROJECT 0x1.7d7807faf002fp+12 0x1.7d7807faf002fp+11";
+    "10 GROUP BY 0x1.7d7807faf002fp+11 0x1.7d7807faf002fp+10";
+    "11 JOIN 0x1.dcd633fd78018p+11 0x1.7d78299793347p+11";
+    "12 GROUP BY 0x1.7d78299793347p+11 0x1.7d78299793347p+7";
+    "2 CROSS 0x1.35f1b29979334p+11 0x1.bf08e8fae4f64p+18";
+    "3 MAP 0x1.bf08e8fae4f64p+18 0x1.04c532925ae5p+19";
+    "4 GROUP BY 0x1.04c532925ae5p+19 0x1.7d783e46bc8dep+10";
+    "5 MAP 0x1.7d783e46bc8dep+10 0x1.1e1a2eb50d6a6p+11";
+    "6 PROJECT 0x1.1e1a2eb50d6a6p+11 0x1.7d783e46bc8ddp+10";
+    "7 JOIN 0x1.0583eeb17e434p+19 0x1.2a05f0a7434edp+19";
+    "8 SELECT 0x1.2a05f0a7434edp+19 0x1.7d783e46bc8dep+12";
+    "9 PROJECT 0x1.7d783e46bc8dep+12 0x1.7d783e46bc8dep+11";
+    "10 GROUP BY 0x1.7d783e46bc8dep+11 0x1.7d783e46bc8dep+10";
+    "11 JOIN 0x1.dcd64f235e46fp+11 0x1.7d783f4f7e9f3p+11";
+    "12 GROUP BY 0x1.7d783f4f7e9f3p+11 0x1.7d783f4f7e9f3p+7";
+    "process 0x1.b591e47fbccc8p+23 comm 0x1.44fd993198961p+22 \
+     output 0x1.7d783f4f7e9f3p+7" ]
+
+let join_select_off_pins =
+  [ "2 JOIN 0x1p+6 0x1.ca2aa6fb98bc9p+7";
+    "3 SELECT 0x1.ca2aa6fb98bc9p+7 0x1.ec92c77266beep+6";
+    "4 PROJECT 0x1.ec92c77266beep+6 0x1.11d7fed94a65ap+6";
+    "process 0x1.d36d388d99414p+8 comm 0x1p+6 \
+     output 0x1.11d7fed94a65ap+6" ]
+
 let test_join_head_pricing () =
-  let check name pins hdfs g =
-    let r =
-      with_fusion true (fun () -> Engines.Exec_helper.execute ~hdfs:(hdfs ()) g)
+  let check name (pins, off_pins) hdfs g =
+    let stats fusion =
+      stat_lines
+        (with_fusion fusion (fun () ->
+             Engines.Exec_helper.execute ~hdfs:(hdfs ()) g))
     in
-    Alcotest.(check (list string)) (name ^ " op_stats") pins (stat_lines r);
+    Alcotest.(check (list string)) (name ^ " op_stats") pins (stats true);
+    Alcotest.(check (list string)) (name ^ " op_stats, fusion off") off_pins
+      (stats false);
     Alcotest.(check string) (name ^ ": fused = unfused")
       (exec_csv ~fusion:false (hdfs ()) g)
       (exec_csv ~fusion:true (hdfs ()) g)
   in
-  check "k-means" kmeans_pins kmeans_hdfs (Workloads.Workflows.kmeans ());
-  check "JOIN-SELECT-PROJECT" join_select_pins join_select_hdfs
-    (join_select_graph ())
+  check "k-means" (kmeans_pins, kmeans_off_pins) kmeans_hdfs
+    (Workloads.Workflows.kmeans ());
+  check "JOIN-SELECT-PROJECT" (join_select_pins, join_select_off_pins)
+    join_select_hdfs (join_select_graph ())
 
 let counter name = Obs.Metrics.counter Obs.Metrics.default name
 
@@ -515,8 +646,9 @@ let test_kmeans_fused_heads () =
     (counter "kernel.columnar.join_select" - heads0);
   Alcotest.(check int) "row kernel runs" 0 (sum_counters "kernel.row." - rows0)
 
-(* the head runs under its chain's [kernel.fused] span, which reads both
-   JOIN inputs; the chain counts its JOIN among the fused ops *)
+(* the head runs with its SELECT under one [kernel.fused] span, which
+   reads both JOIN inputs; the PROJECT after them runs on its own
+   kernel. The chain counts its JOIN among the fused ops *)
 let test_join_head_span () =
   let chains0 = counter "fusion.chains" and ops0 = counter "fusion.ops_fused"
   and heads0 = counter "kernel.columnar.join_select" in
@@ -529,7 +661,7 @@ let test_join_head_span () =
   in
   (match Obs.Trace.find trace ~name:"kernel.fused" with
    | [ sp ] ->
-     Alcotest.(check (option string)) "ops" (Some "JOIN,SELECT,PROJECT")
+     Alcotest.(check (option string)) "ops" (Some "JOIN,SELECT")
        (match List.assoc_opt "ops" sp.Obs.Trace.attrs with
         | Some (Obs.Trace.String s) -> Some s
         | _ -> None);
@@ -539,12 +671,62 @@ let test_join_head_span () =
         | _ -> None)
    | sps -> Alcotest.failf "expected one kernel.fused span, got %d"
               (List.length sps));
-  Alcotest.(check int) "no solo kernel span" 0
-    (List.length (Obs.Trace.find trace ~name:"kernel"));
+  Alcotest.(check (list (option string))) "one solo kernel span, the PROJECT"
+    [ Some "PROJECT" ]
+    (List.map
+       (fun (sp : Obs.Trace.span) ->
+          match List.assoc_opt "op" sp.attrs with
+          | Some (Obs.Trace.String s) -> Some s
+          | _ -> None)
+       (Obs.Trace.find trace ~name:"kernel"));
   Alcotest.(check int) "one fused head" 1
     (counter "kernel.columnar.join_select" - heads0);
   Alcotest.(check int) "one chain" 1 (counter "fusion.chains" - chains0);
   Alcotest.(check int) "three ops fused" 3 (counter "fusion.ops_fused" - ops0)
+
+(* ---- execution reads no gate ----
+
+   The gate changes pricing only: with fusion on and off, the same
+   kernels run (every [kernel.*] counter moves alike) and give the same
+   outputs. *)
+
+let kernel_counters () =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"kernel." name)
+    (Obs.Metrics.counters Obs.Metrics.default)
+
+(* the outputs of one direct execution, and the kernel counters it moved *)
+let run_counted ~fusion hdfs g =
+  let before = kernel_counters () in
+  let csv = exec_csv ~fusion (hdfs ()) g in
+  ( csv,
+    List.filter_map
+      (fun (name, n) ->
+         match n - Option.value ~default:0 (List.assoc_opt name before) with
+         | 0 -> None
+         | d -> Some (Printf.sprintf "%s %d" name d))
+      (kernel_counters ()) )
+
+let same_execution hdfs g =
+  run_counted ~fusion:true hdfs g = run_counted ~fusion:false hdfs g
+
+let test_execution_reads_no_gate () =
+  let check name hdfs g =
+    let on_csv, on_kernels = run_counted ~fusion:true hdfs g in
+    let off_csv, off_kernels = run_counted ~fusion:false hdfs g in
+    Alcotest.(check string) (name ^ " outputs") off_csv on_csv;
+    Alcotest.(check (list string)) (name ^ " kernel counters") off_kernels
+      on_kernels
+  in
+  check "k-means" kmeans_hdfs (Workloads.Workflows.kmeans ());
+  check "JOIN-SELECT-PROJECT" join_select_hdfs (join_select_graph ());
+  try
+    Qcheck_lite.check ~count:25 ~seed ~name:"execution reads no gate"
+      Qcheck_lite.spec_arbitrary (fun spec ->
+        same_execution
+          (fun () -> Qcheck_lite.hdfs_of_spec spec)
+          (Qcheck_lite.graph_of_spec spec))
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* ---- differential property over generated pipelines ----
 
@@ -585,11 +767,6 @@ let fused_invariant spec =
   let reference = run_spec ~fusion:false spec in
   run_spec ~fusion:true spec = reference
 
-let seed =
-  match Option.bind (Sys.getenv_opt "MUSKETEER_TEST_SEED") int_of_string_opt with
-  | Some n -> n
-  | None -> 1717
-
 let test_fused_differential () =
   try
     Qcheck_lite.check ~count:25 ~seed ~name:"fused = unfused"
@@ -615,7 +792,7 @@ let () =
            test_join_head_barriers ]);
       ("execution",
        [ Alcotest.test_case "empty table" `Quick test_empty_table;
-         Alcotest.test_case "chunked fused pass at jobs=4" `Quick
+         Alcotest.test_case "2000-row chain, fusion on = off" `Quick
            test_large_chain;
          Alcotest.test_case "WHILE with fused body" `Quick test_while_fused;
          Alcotest.test_case "shared scan halves input volume" `Quick
@@ -628,7 +805,11 @@ let () =
          Alcotest.test_case "k-means takes five fused heads" `Quick
            test_kmeans_fused_heads;
          Alcotest.test_case "JOIN head under kernel.fused" `Quick
-           test_join_head_span ]);
+           test_join_head_span;
+         Alcotest.test_case "execution reads no gate" `Quick
+           test_execution_reads_no_gate;
+         Alcotest.test_case "400k ratings, fusion on = off" `Quick
+           test_ratings_identity ]);
       ("differential",
        [ Alcotest.test_case "generated pipelines fused = unfused" `Slow
            test_fused_differential ]) ]
