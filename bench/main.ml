@@ -888,8 +888,7 @@ let calibration_bench () =
    load and gates the three serving mechanisms:
 
    (1) byte-identity: a small load is served under every combination of
-       fusion {on,off} x columnar {on,off}, and every
-       served submission's outputs must byte-match a one-shot run of
+       columnar {on,off}, and every served submission's outputs must byte-match a one-shot run of
        the same workflow on a snapshot of the initial HDFS (fatal
        otherwise) — caching, admission and scan sharing may only move
        accounting, never rows;
@@ -987,52 +986,46 @@ let serve_bench () =
   (* -- part 1: byte-identity matrix -- *)
   let identity_configs = ref 0 in
   List.iter
-    (fun fusion ->
+    (fun columnar ->
+       incr identity_configs;
+       Column.with_enabled columnar @@ fun () ->
+       let hdfs = fresh_hdfs () in
+       let base = Engines.Hdfs.snapshot hdfs in
+       let m = Experiments.Common.musketeer_for cluster in
+       let subs =
+         Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
+           ~tenants ~mix ()
+       in
+       let outcomes, _ = Serve.Service.run ~config m ~hdfs subs in
+       let reference =
+         List.map
+           (fun (e : Serve.Client.mix_entry) ->
+              (e.workflow, reference_outputs ~hdfs:base e))
+           mix
+       in
        List.iter
-         (fun columnar ->
-            incr identity_configs;
-            Column.with_enabled columnar @@ fun () ->
-            Ir.Fusion.set_enabled (Some fusion);
-            Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
-            @@ fun () ->
-            let hdfs = fresh_hdfs () in
-            let base = Engines.Hdfs.snapshot hdfs in
-            let m = Experiments.Common.musketeer_for cluster in
-            let subs =
-              Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
-                ~tenants ~mix ()
+         (fun (o : Serve.Service.outcome) ->
+            (match o.error with
+             | Some err ->
+               Printf.eprintf
+                 "FATAL: serve %s failed (columnar=%b): %s\n"
+                 o.sub.Serve.Service.workflow columnar err;
+               exit 1
+             | None -> ());
+            let want =
+              List.assoc o.sub.Serve.Service.workflow reference
             in
-            let outcomes, _ = Serve.Service.run ~config m ~hdfs subs in
-            let reference =
-              List.map
-                (fun (e : Serve.Client.mix_entry) ->
-                   (e.workflow, reference_outputs ~hdfs:base e))
-                mix
-            in
-            List.iter
-              (fun (o : Serve.Service.outcome) ->
-                 (match o.error with
-                  | Some err ->
-                    Printf.eprintf
-                      "FATAL: serve %s failed (fusion=%b columnar=%b): %s\n"
-                      o.sub.Serve.Service.workflow fusion columnar err;
-                    exit 1
-                  | None -> ());
-                 let want =
-                   List.assoc o.sub.Serve.Service.workflow reference
-                 in
-                 if sorted_csv o.outputs <> want then begin
-                   Printf.eprintf
-                     "FATAL: served %s output differs from one-shot \
-                      run (fusion=%b columnar=%b)\n"
-                     o.sub.Serve.Service.workflow fusion columnar;
-                   exit 1
-                 end)
-              outcomes)
-         [ true; false ])
+            if sorted_csv o.outputs <> want then begin
+              Printf.eprintf
+                "FATAL: served %s output differs from one-shot \
+                 run (columnar=%b)\n"
+                o.sub.Serve.Service.workflow columnar;
+              exit 1
+            end)
+         outcomes)
     [ true; false ];
   Printf.printf
-    "identity: 8 submissions x %d configs (fusion x columnar) \
+    "identity: 8 submissions x %d configs (columnar) \
      byte-identical to one-shot runs\n%!"
     !identity_configs;
 
@@ -1164,7 +1157,7 @@ let serve_bench () =
    Three claims about the serving layer's multi-query optimization,
    all enforced fatally (virtual time makes them deterministic):
    (1) byte identity: with sharing on, every served output equals a
-       one-shot run of the same workflow under fusion x columnar —
+       one-shot run of the same workflow, columnar on and off —
        sharing may only move accounting, never rows;
    (2) repeat traffic over a two-tenant common-prefix mix cuts the
        total modeled makespan by >= 1.3x versus sharing off;
@@ -1266,58 +1259,50 @@ let subplan_bench () =
   (* -- part 1: byte-identity matrix with sharing ON -- *)
   let identity_configs = ref 0 in
   List.iter
-    (fun fusion ->
+    (fun columnar ->
+       incr identity_configs;
+       Column.with_enabled columnar @@ fun () ->
+       let hdfs = fresh_hdfs () in
+       let base = Engines.Hdfs.snapshot hdfs in
+       let m = Experiments.Common.musketeer_for cluster in
+       let subs =
+         Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
+           ~tenants ~mix ()
+       in
+       let outcomes, _ =
+         Serve.Service.run ~config:(config ~cache_mb:256.) m
+           ~hdfs subs
+       in
+       let reference =
+         List.map
+           (fun (e : Serve.Client.mix_entry) ->
+              (e.workflow, reference_outputs ~hdfs:base e))
+           mix
+       in
        List.iter
-         (fun columnar ->
-            incr identity_configs;
-            Column.with_enabled columnar @@ fun () ->
-            Ir.Fusion.set_enabled (Some fusion);
-            Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
-            @@ fun () ->
-            let hdfs = fresh_hdfs () in
-            let base = Engines.Hdfs.snapshot hdfs in
-            let m = Experiments.Common.musketeer_for cluster in
-            let subs =
-              Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
-                ~tenants ~mix ()
+         (fun (o : Serve.Service.outcome) ->
+            (match o.error with
+             | Some err ->
+               Printf.eprintf
+                 "FATAL: shared serve %s failed (columnar=%b): %s\n"
+                 o.sub.Serve.Service.workflow columnar err;
+               exit 1
+             | None -> ());
+            let want =
+              List.assoc o.sub.Serve.Service.workflow reference
             in
-            let outcomes, _ =
-              Serve.Service.run ~config:(config ~cache_mb:256.) m
-                ~hdfs subs
-            in
-            let reference =
-              List.map
-                (fun (e : Serve.Client.mix_entry) ->
-                   (e.workflow, reference_outputs ~hdfs:base e))
-                mix
-            in
-            List.iter
-              (fun (o : Serve.Service.outcome) ->
-                 (match o.error with
-                  | Some err ->
-                    Printf.eprintf
-                      "FATAL: shared serve %s failed (\
-                       fusion=%b columnar=%b): %s\n"
-                      o.sub.Serve.Service.workflow fusion columnar
-                      err;
-                    exit 1
-                  | None -> ());
-                 let want =
-                   List.assoc o.sub.Serve.Service.workflow reference
-                 in
-                 if sorted_csv o.outputs <> want then begin
-                   Printf.eprintf
-                     "FATAL: shared-subplan %s output differs from \
-                      one-shot run (fusion=%b columnar=%b)\n"
-                     o.sub.Serve.Service.workflow fusion columnar;
-                   exit 1
-                 end)
-              outcomes)
-         [ true; false ])
+            if sorted_csv o.outputs <> want then begin
+              Printf.eprintf
+                "FATAL: shared-subplan %s output differs from \
+                 one-shot run (columnar=%b)\n"
+                o.sub.Serve.Service.workflow columnar;
+              exit 1
+            end)
+         outcomes)
     [ true; false ];
   Printf.printf
-    "identity: 8 shared-subplan submissions x %d configs (fusion x \
-     columnar) byte-identical to one-shot runs\n%!"
+    "identity: 8 shared-subplan submissions x %d configs (columnar) \
+     byte-identical to one-shot runs\n%!"
     !identity_configs;
 
   (* -- part 2: repeat-traffic modeled-makespan cut -- *)
@@ -1480,7 +1465,7 @@ let subplan_bench () =
        unshed 2x run;
    (2) chaos identity: under fault injection + shedding + SLOs, every
        COMPLETED submission stays byte-identical to a one-shot run
-       across fusion x columnar, and no store flight is left open;
+       with columnar on and off, and no store flight is left open;
    (3) crash-restart: a fresh service restored from the run ledger
        brings plan-cache hit rate and p99 latency back within 10% of
        steady state within 50 submissions;
@@ -1662,58 +1647,49 @@ let overload_bench () =
   let identity_completed = ref 0 in
   let identity_dropped = ref 0 in
   List.iter
-    (fun fusion ->
+    (fun columnar ->
+       incr identity_configs;
+       Column.with_enabled columnar @@ fun () ->
+       let hdfs = fresh_hdfs () in
+       let base = Engines.Hdfs.snapshot hdfs in
+       let m = Experiments.Common.musketeer_for cluster in
+       let subs =
+         Serve.Client.generate ~seed:4242 ~rate_per_s:over_rate
+           ~count:12 ~tenants ~mix ()
+       in
+       let outcomes, svc =
+         Serve.Service.run ~config:chaos_config m ~hdfs subs
+       in
+       let reference =
+         List.map
+           (fun (e : Serve.Client.mix_entry) ->
+              (e.workflow, reference_outputs ~hdfs:base e))
+           mix
+       in
        List.iter
-         (fun columnar ->
-            incr identity_configs;
-            Column.with_enabled columnar @@ fun () ->
-            Ir.Fusion.set_enabled (Some fusion);
-            Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
-            @@ fun () ->
-            let hdfs = fresh_hdfs () in
-            let base = Engines.Hdfs.snapshot hdfs in
-            let m = Experiments.Common.musketeer_for cluster in
-            let subs =
-              Serve.Client.generate ~seed:4242 ~rate_per_s:over_rate
-                ~count:12 ~tenants ~mix ()
-            in
-            let outcomes, svc =
-              Serve.Service.run ~config:chaos_config m ~hdfs subs
-            in
-            let reference =
-              List.map
-                (fun (e : Serve.Client.mix_entry) ->
-                   (e.workflow, reference_outputs ~hdfs:base e))
-                mix
-            in
-            List.iter
-              (fun (o : Serve.Service.outcome) ->
-                 match o.status, o.error with
-                 | Serve.Service.(Shed _ | Expired), _ | _, Some _ ->
-                   incr identity_dropped
-                 | Serve.Service.Served, None ->
-                   incr identity_completed;
-                   let want =
-                     List.assoc o.sub.Serve.Service.workflow reference
-                   in
-                   if sorted_csv o.outputs <> want then begin
-                     Printf.eprintf
-                       "FATAL: completed %s output differs from \
-                        one-shot run under chaos (fusion=%b \
-                        columnar=%b)\n"
-                       o.sub.Serve.Service.workflow fusion
-                       columnar;
-                     exit 1
-                   end)
-              outcomes;
-            if Serve.Service.open_flights svc <> 0 then begin
-              Printf.eprintf
-                "FATAL: chaos run leaked flights (fusion=%b \
-                 columnar=%b)\n"
-                fusion columnar;
-              exit 1
-            end)
-         [ true; false ])
+         (fun (o : Serve.Service.outcome) ->
+            match o.status, o.error with
+            | Serve.Service.(Shed _ | Expired), _ | _, Some _ ->
+              incr identity_dropped
+            | Serve.Service.Served, None ->
+              incr identity_completed;
+              let want =
+                List.assoc o.sub.Serve.Service.workflow reference
+              in
+              if sorted_csv o.outputs <> want then begin
+                Printf.eprintf
+                  "FATAL: completed %s output differs from \
+                   one-shot run under chaos (columnar=%b)\n"
+                  o.sub.Serve.Service.workflow columnar;
+                exit 1
+              end)
+         outcomes;
+       if Serve.Service.open_flights svc <> 0 then begin
+         Printf.eprintf
+           "FATAL: chaos run leaked flights (columnar=%b)\n"
+           columnar;
+         exit 1
+       end)
     [ true; false ];
   if !identity_completed = 0 then begin
     Printf.eprintf "FATAL: chaos matrix completed nothing\n";
@@ -1721,7 +1697,7 @@ let overload_bench () =
   end;
   Printf.printf
     "chaos identity: %d completed submissions byte-identical across %d \
-     configs (fusion x columnar; %d shed/expired/errored)\n%!"
+     configs (columnar; %d shed/expired/errored)\n%!"
     !identity_completed !identity_configs !identity_dropped;
 
   (* -- part 3: crash-restart recovery from the ledger -- *)

@@ -156,19 +156,6 @@ let inject_arg =
            E.g. --inject 'worker@0.5;straggler*2:p=0.8'. Deterministic \
            for a given --seed; see docs/fault-tolerance.md.")
 
-let no_fusion_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fusion" ]
-        ~doc:
-          "Disable operator fusion and shared input scans: every DAG \
-           node materializes its table, as before fusion existed \
-           (equivalent to MUSKETEER_FUSION=0). Output relations are \
-           byte-identical either way; only execution cost changes.")
-
-let set_fusion no_fusion =
-  if no_fusion then Ir.Fusion.set_enabled (Some false)
-
 let seed_arg =
   Arg.(
     value & opt int 42
@@ -402,8 +389,7 @@ let setup kind nodes =
   (m, hdfs, graph)
 
 let plan_cmd =
-  let run kind nodes backend dot trace no_fusion =
-    set_fusion no_fusion;
+  let run kind nodes backend dot trace =
     with_trace trace @@ fun () ->
     let m, hdfs, graph = setup kind nodes in
     let backends = Option.map (fun b -> [ b ]) backend in
@@ -423,13 +409,12 @@ let plan_cmd =
           Graphviz rendering colored per job).")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ dot_arg
-      $ trace_arg $ no_fusion_arg)
+      $ trace_arg)
 
 let run_cmd =
   let run kind nodes backend show_code trace inject seed retries
-      no_fusion deadline_factor deadline no_speculation replan_threshold
-      breaker ledger no_calibrate =
-    set_fusion no_fusion;
+      deadline_factor deadline no_speculation replan_threshold breaker
+      ledger no_calibrate =
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
     let supervision =
@@ -481,7 +466,7 @@ let run_cmd =
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ show_code_arg
       $ trace_arg $ inject_arg $ seed_arg $ retries_arg
-      $ no_fusion_arg $ deadline_factor_arg $ deadline_arg
+      $ deadline_factor_arg $ deadline_arg
       $ no_speculation_arg $ replan_threshold_arg $ breaker_arg
       $ ledger_arg $ no_calibrate_arg)
 
@@ -505,9 +490,8 @@ let parse_cmd =
 
 let run_file_cmd =
   let run frontend file tables nodes backend show_code history_file trace
-      inject seed retries no_fusion deadline_factor deadline
-      no_speculation replan_threshold breaker ledger no_calibrate =
-    set_fusion no_fusion;
+      inject seed retries deadline_factor deadline no_speculation
+      replan_threshold breaker ledger no_calibrate =
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
     let supervision =
@@ -578,21 +562,20 @@ let run_file_cmd =
     Term.(
       const
         (fun frontend file tables nodes backend show_code history trace inject
-          seed retries no_fusion deadline_factor deadline no_speculation
+          seed retries deadline_factor deadline no_speculation
           replan_threshold breaker ledger no_calibrate ->
           with_parse_errors (fun () ->
               run frontend file tables nodes backend show_code history trace
-                inject seed retries no_fusion deadline_factor deadline
+                inject seed retries deadline_factor deadline
                 no_speculation replan_threshold breaker ledger no_calibrate))
       $ frontend_arg $ file_arg $ tables_arg $ nodes_arg $ backend_arg
       $ show_code_arg $ history_arg $ trace_arg $ inject_arg $ seed_arg
-      $ retries_arg $ no_fusion_arg $ deadline_factor_arg
+      $ retries_arg $ deadline_factor_arg
       $ deadline_arg $ no_speculation_arg $ replan_threshold_arg
       $ breaker_arg $ ledger_arg $ no_calibrate_arg)
 
 let explain_cmd =
-  let run kind nodes backend trace no_fusion ledger no_calibrate =
-    set_fusion no_fusion;
+  let run kind nodes backend trace ledger no_calibrate =
     (* read-only: factors shape the explained costs, nothing is appended *)
     ignore (setup_calibration ledger no_calibrate);
     with_trace trace @@ fun () ->
@@ -609,7 +592,7 @@ let explain_cmd =
           costs are shown raw and calibrated).")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ trace_arg
-      $ no_fusion_arg $ ledger_arg $ no_calibrate_arg)
+      $ ledger_arg $ no_calibrate_arg)
 
 let json_arg =
   Arg.(
@@ -861,8 +844,8 @@ let restart_after_arg =
 
 let serve_cmd =
   let run mix_spec tenants_spec rate count seed nodes concurrency
-      cache_capacity subresult_cache_mb check_identity trace no_fusion
-      breaker ledger no_calibrate inject retries deadline_factor deadline
+      cache_capacity subresult_cache_mb check_identity trace breaker
+      ledger no_calibrate inject retries deadline_factor deadline
       no_speculation replan_threshold slo queue_cap global_queue_cap
       shed_policy_s pressure_threshold retry_budget restart_after =
     (* a workflow-level deadline budget cannot be distributed over an
@@ -912,7 +895,6 @@ let serve_cmd =
       Format.eprintf "--restart-after requires --ledger@.";
       exit 1
     end;
-    set_fusion no_fusion;
     set_breaker breaker;
     ignore (setup_calibration ledger no_calibrate);
     let tenants = parse_weighted ~what:"tenant" tenants_spec in
@@ -1115,7 +1097,7 @@ let serve_cmd =
       const run $ mix_arg $ tenants_arg $ rate_arg $ count_arg $ seed_arg
       $ nodes_arg $ concurrency_arg $ cache_capacity_arg
       $ subresult_cache_mb_arg $ check_identity_arg $ trace_arg
-      $ no_fusion_arg $ breaker_arg $ ledger_arg $ no_calibrate_arg
+      $ breaker_arg $ ledger_arg $ no_calibrate_arg
       $ inject_arg $ retries_arg $ deadline_factor_arg $ deadline_arg
       $ no_speculation_arg $ replan_threshold_arg $ slo_arg $ queue_cap_arg
       $ global_queue_cap_arg $ shed_policy_arg $ pressure_arg

@@ -12,20 +12,19 @@ let seconds = function
 
 (* ---- volume estimation for a candidate job ---- *)
 
-(* Process charges among [ids]: when fusion is on, the row-local
-   members of a chain entirely inside the candidate job price as merged
-   operators ({!Engines.Perf.charges}), exactly as the executor prices
-   them; a JOIN head is charged as the solo JOIN, so a lone SELECT after
-   it prices as a solo SELECT. A chain that crosses the job boundary is
+(* Process charges among [ids]: the row-local members of a chain
+   entirely inside the candidate job price as merged operators
+   ({!Engines.Perf.charges}), exactly as the executor prices them; a
+   JOIN head is charged as the solo JOIN, so a lone SELECT after it
+   prices as a solo SELECT. A chain that crosses the job boundary is
    not merged at execution either (the crossing node becomes a job
    output, a fusion barrier), so it keeps per-node pricing. The chains
    are [est]'s, planned once per graph. *)
 let charges ~est ~graph ids =
   let in_set = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.replace in_set id ()) ids;
-  Engines.Perf.charges
-    (if Ir.Fusion.enabled () then Estimator.fusion est else Ir.Fusion.empty)
-    graph ~within:(Hashtbl.mem in_set)
+  Engines.Perf.charges (Estimator.fusion est) graph
+    ~within:(Hashtbl.mem in_set)
 
 (* process/comm volumes of one WHILE body pass, with the loop inputs
    bound to the estimated sizes of the WHILE node's producers *)
@@ -98,16 +97,13 @@ let job_volumes ~graph ~est ids =
               if not (Hashtbl.mem in_set i) then Hashtbl.replace pulled i ())
            n.inputs)
     ids;
-  (* with fusion on, the executor charges each HDFS relation once per
-     job however many INPUT nodes name it — price the scan once too *)
+  (* the executor charges each HDFS relation once per job however many
+     INPUT nodes name it — price the scan once too *)
   let input_mb =
     let seen_rel = Hashtbl.create 4 in
-    let shared = Ir.Fusion.enabled () in
     Hashtbl.fold
       (fun id () acc ->
          let duplicate =
-           shared
-           &&
            match (Ir.Dag.node graph id).Ir.Operator.kind with
            | Ir.Operator.Input { relation } ->
              if Hashtbl.mem seen_rel relation then true

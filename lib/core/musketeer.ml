@@ -75,7 +75,7 @@ let plan ?(backends = Engines.Backend.all) ?(merging = true)
     (* keyed on the submitted graph; a hit skips optimize + estimate +
        partition entirely. The fingerprint pins the planning
        environment — breaker-filtered backends, calibration factors,
-       fusion gate, flags, input sizes — so environment drift
+       flags, input sizes — so environment drift
        invalidates rather than serves a stale plan. *)
     let hash = Ir.Dag.canonical_hash g in
     let fingerprint =

@@ -4,10 +4,9 @@ let log_src = Logs.Src.create "musketeer.optimizer" ~doc:"IR rewrites"
 
 module Log = (val Logs.src_log log_src)
 
-(* Atomic, so rewrites fired from any domain count correctly. *)
-let rewrite_count = Atomic.make 0
+let rewrite_count = ref 0
 
-let last_rewrite_count () = Atomic.get rewrite_count
+let last_rewrite_count () = !rewrite_count
 
 (* ---- generic single-node rewrite driver ---- *)
 
@@ -327,7 +326,7 @@ let rec optimize_graph ~catalog (g : Ir.Dag.t) =
   in
   match applied with
   | Some (rule, g') ->
-    Atomic.incr rewrite_count;
+    incr rewrite_count;
     Obs.Metrics.incr Obs.Metrics.default ("rewrite." ^ rule);
     Log.debug (fun m -> m "applied rewrite %s" rule);
     optimize_graph ~catalog g'
@@ -371,12 +370,12 @@ and optimize_bodies ~catalog ~schemas (g : Ir.Dag.t) =
 
 let optimize ~catalog g =
   Obs.Trace.with_span "optimize" @@ fun () ->
-  Atomic.set rewrite_count 0;
+  rewrite_count := 0;
   let result =
     try optimize_graph ~catalog g with
     | Ir.Typing.Type_error _ | Not_found ->
       (* workflows we cannot fully type (e.g. black boxes) run unoptimized *)
       g
   in
-  Obs.Trace.add_attr "rewrites" (Obs.Trace.Int (Atomic.get rewrite_count));
+  Obs.Trace.add_attr "rewrites" (Obs.Trace.Int !rewrite_count);
   result

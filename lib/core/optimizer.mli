@@ -25,6 +25,5 @@
 val optimize :
   catalog:(string -> Relation.Schema.t) -> Ir.Dag.t -> Ir.Dag.t
 
-(** Number of rewrites the last [optimize] call applied (diagnostics;
-    not thread-safe). *)
+(** Number of rewrites the last [optimize] call applied (diagnostics). *)
 val last_rewrite_count : unit -> int

@@ -19,13 +19,12 @@ let op_nodes (g : Ir.Dag.t) =
     g.Ir.Operator.nodes
 
 (* candidate operator sets priced since process start; the per-search
-   delta is attached to the "partition" span. Atomic, so a search run
-   from any domain counts correctly. *)
-let sets_scored = Atomic.make 0
+   delta is attached to the "partition" span *)
+let sets_scored = ref 0
 
 (* Cheapest feasible backend for a node set; memoized by the caller. *)
 let best_backend ~profile ~est ~backends g ids =
-  Atomic.incr sets_scored;
+  incr sets_scored;
   List.fold_left
     (fun best backend ->
        match Cost.job_cost ~profile ~graph:g ~est backend ids with
@@ -202,9 +201,9 @@ let instrumented ~strategy g f =
              ("operators", Obs.Trace.Int (Ir.Dag.operator_count g)) ]
     "partition"
   @@ fun () ->
-  let before = Atomic.get sets_scored in
+  let before = !sets_scored in
   let plan = f () in
-  let scored = Atomic.get sets_scored - before in
+  let scored = !sets_scored - before in
   Obs.Trace.add_attr "sets_scored" (Obs.Trace.Int scored);
   Obs.Metrics.incr Obs.Metrics.default ("partition." ^ strategy);
   Obs.Metrics.observe Obs.Metrics.default "partition.sets_scored"

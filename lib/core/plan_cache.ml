@@ -50,10 +50,10 @@ let size t = Hashtbl.length t.entries
 
 (* Everything [Musketeer.plan] reads besides the graph itself: the
    breaker-filtered candidate engines, the installed calibration
-   factors (they scale the cost model), the fusion gate (it changes
-   plan-time job volumes), the planning flags, the per-workflow history
-   key, and the modeled sizes of the graph's INPUT relations (the
-   estimator seeds from them — a grown input must re-plan). *)
+   factors (they scale the cost model), the planning flags, the
+   per-workflow history key, and the modeled sizes of the graph's INPUT
+   relations (the estimator seeds from them — a grown input must
+   re-plan). *)
 let fingerprint ~backends ~merging ~optimize ~workflow ~hdfs g =
   let buf = Buffer.create 128 in
   let add s =
@@ -66,7 +66,6 @@ let fingerprint ~backends ~merging ~optimize ~workflow ~hdfs g =
   List.iter
     (fun (name, f) -> add (Printf.sprintf "%s=%.6f" name f))
     (Calibrate.factors ());
-  add (Printf.sprintf "fusion=%b" (Ir.Fusion.enabled ()));
   add (Printf.sprintf "merging=%b;optimize=%b" merging optimize);
   add ("workflow=" ^ workflow);
   add "inputs";

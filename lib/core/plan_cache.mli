@@ -6,15 +6,14 @@
     [(plan, optimized graph)] pair keyed on
     {!Ir.Dag.canonical_hash} of the *submitted* (pre-optimization)
     graph, plus a {!fingerprint} of the environment: candidate engines
-    after circuit-breaker filtering, installed calibration factors, the
-    fusion gate, planning flags, workflow name, and the modeled sizes
+    after circuit-breaker filtering, installed calibration factors,
+    planning flags, workflow name, and the modeled sizes
     of the INPUT relations. A probe whose fingerprint disagrees with
     the stored entry drops it ({!Invalidated}) and the caller re-plans.
 
     Counters land in {!Obs.Metrics.default} as
     [plan_cache.{hits,misses,invalidations}]; callers put the outcome
-    on the ["plan"] span as the [plan.cache] attribute. Bounded LRU;
-    not thread-safe (planning runs on the main domain only). *)
+    on the ["plan"] span as the [plan.cache] attribute. Bounded LRU. *)
 
 type cached_plan = { plan : Partitioner.plan; graph : Ir.Dag.t }
 

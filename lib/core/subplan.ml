@@ -6,24 +6,14 @@
 
 let relation_prefix = "__subplan:"
 
-(* Synthetic INPUT relation a cut prefix is read from. The subtree
-   hash (not the full key) names it: within one submission there is
-   exactly one environment, and the table is put into the submission's
-   own HDFS snapshot scope. *)
+(* Synthetic INPUT relation a cut prefix is read from, named by the
+   subtree hash, which is also the prefix's share key. The table is put
+   into the submission's own HDFS snapshot scope. *)
 let relation ~hash = relation_prefix ^ hash
 
 let is_subplan_relation r =
   String.length r >= String.length relation_prefix
   && String.sub r 0 (String.length relation_prefix) = relation_prefix
-
-(* Gates that could change a materialized entry key the share/cache
-   alongside the subtree hash. The columnar gate is not one: outputs
-   and sizes are the same on both paths. Fusion stays in the key: it
-   changes no output, but merged pricing gives a chain modeled volumes
-   of its own. *)
-let env_fingerprint () = Printf.sprintf "fusion=%b" (Ir.Fusion.enabled ())
-
-let key_of_hash hash = hash ^ "|" ^ env_fingerprint ()
 
 (* Pricing consistency: cutting at a fusion-chain interior would price
    as a written relation a table that merged pricing charges from a
@@ -33,19 +23,15 @@ let key_of_hash hash = hash ^ "|" ^ env_fingerprint ()
    priced as the solo JOIN, and a cut there leaves the rest of its
    chain merged from the cut. *)
 let fusion_barrier g =
-  if Ir.Fusion.enabled () then begin
-    let plan = Ir.Fusion.plan g in
-    fun id ->
-      match Ir.Fusion.role plan id with
-      | Ir.Fusion.Interior _ -> true
-      | Ir.Fusion.Solo | Ir.Fusion.Head _ | Ir.Fusion.Tail _ -> false
-  end
-  else fun _ -> false
+  let plan = Ir.Fusion.plan g in
+  fun id ->
+    match Ir.Fusion.role plan id with
+    | Ir.Fusion.Interior _ -> true
+    | Ir.Fusion.Solo | Ir.Fusion.Head _ | Ir.Fusion.Tail _ -> false
 
 type candidate = {
   sc_id : int;
   sc_hash : string;  (* subtree hash of the cut node *)
-  sc_key : string;  (* hash × environment fingerprint *)
   sc_inputs : string list;  (* INPUT relations the cone reads *)
   sc_ops : int;  (* operators in the cone (INPUTs excluded) *)
 }
@@ -73,7 +59,6 @@ let candidates (g : Ir.Dag.t) =
            {
              sc_id = n.id;
              sc_hash = hash;
-             sc_key = key_of_hash hash;
              sc_inputs = Ir.Dag.external_inputs g cone;
              sc_ops = ops;
            }

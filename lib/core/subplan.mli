@@ -12,8 +12,9 @@
 
 type candidate = {
   sc_id : int;  (** cut node *)
-  sc_hash : string;  (** its subtree hash ({!Ir.Dag.node_hash}) *)
-  sc_key : string;  (** hash × environment fingerprint *)
+  sc_hash : string;
+      (** its subtree hash ({!Ir.Dag.node_hash}), also its share key:
+          no gate changes a prefix's output or modeled size *)
   sc_inputs : string list;  (** INPUT relations the cone reads *)
   sc_ops : int;  (** operator count of the cone (INPUTs excluded) *)
 }
@@ -37,13 +38,6 @@ val relation : hash:string -> string
 
 val is_subplan_relation : string -> bool
 
-(** Share/cache key: subtree hash × environment fingerprint (the
-    fusion gate; the columnar gate changes neither outputs nor sizes). *)
-val key_of_hash : string -> string
-
-val env_fingerprint : unit -> string
-
 (** The fusion-interior barrier for a graph, suitable for
-    {!Ir.Dag.sharable}/{!Ir.Dag.shared_prefixes}. Always false when
-    fusion is disabled. *)
+    {!Ir.Dag.sharable}/{!Ir.Dag.shared_prefixes}. *)
 val fusion_barrier : Ir.Dag.t -> int -> bool

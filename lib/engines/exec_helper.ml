@@ -62,32 +62,29 @@ let table_of (n : Ir.Operator.node) v =
    bodies); returns per-node values plus output bindings in node order
    (later bindings shadow earlier ones on lookup).
 
-   Every node runs on its own kernel, whatever the fusion gate, except
-   a JOIN heading a chain of {!Ir.Fusion.plan}: it runs with its SELECT
-   as one kernel ({!Relation.Columnar.try_join_select}), or as the
-   plain JOIN when that kernel refuses.
+   Every node runs on its own kernel, except a JOIN heading a chain of
+   {!Ir.Fusion.plan}: it runs with its SELECT as one kernel
+   ({!Relation.Columnar.try_join_select}), or as the plain JOIN when
+   that kernel refuses.
 
-   The gate ({!Ir.Fusion.enabled}) decides pricing only. Off, every
-   node is priced from its measured bytes. On, the plan's chains are
-   priced as merged operators (paper §5): interiors get {!Ir.Sizing}
-   priors, the tail the chain's end-to-end measured selectivity, and
-   the process volume is charged once ({!Perf.charges}); the row-local
-   members' op_stats are recorded at the tail. A JOIN head is priced as
-   the solo JOIN either way. [protect] names relations the caller will
-   look up by name in the returned [by_name] (the WHILE driver's
+   The plan's chains are priced as merged operators (paper §5):
+   interiors get {!Ir.Sizing} priors, the tail the chain's end-to-end
+   measured selectivity, and the process volume is charged once
+   ({!Perf.charges}); the row-local members' op_stats are recorded at
+   the tail. A JOIN head is priced as the solo JOIN, and every other
+   node from its measured bytes. [protect] names relations the caller
+   will look up by name in the returned [by_name] (the WHILE driver's
    condition relations). *)
 let rec eval_graph ?(protect = []) ~hdfs
     ~(bound : (string, Table.t * float) Hashtbl.t) ~acc
     (g : Ir.Operator.graph) =
   let fplan = Ir.Fusion.plan ~protect g in
-  let merged = Ir.Fusion.enabled () in
-  let pricing = if merged then fplan else Ir.Fusion.empty in
-  let charges = Perf.charges pricing g ~within:(fun _ -> true) in
+  let charges = Perf.charges fplan g ~within:(fun _ -> true) in
   let values : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let by_name : (string, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
-  (* one HDFS fetch per distinct relation per job: duplicate INPUT nodes
-     (several consumers of one relation) share the table; unmerged
-     pricing still charges each of them the scan *)
+  (* one HDFS fetch and one scan charge per distinct relation per job:
+     duplicate INPUT nodes (several consumers of one relation) share
+     the scan *)
   let fetched : (string, Table.t * float) Hashtbl.t = Hashtbl.create 4 in
   let eval_input relation =
     match Hashtbl.find_opt bound relation with
@@ -95,11 +92,8 @@ let rec eval_graph ?(protect = []) ~hdfs
     | None -> (
       match Hashtbl.find_opt fetched relation with
       | Some (t, mb) ->
-        if merged then begin
-          Obs.Metrics.incr Obs.Metrics.default "scan.shared";
-          Obs.Metrics.add_gauge Obs.Metrics.default "scan.shared_mb_saved" mb
-        end
-        else acc.scans <- (relation, mb) :: acc.scans;
+        Obs.Metrics.incr Obs.Metrics.default "scan.shared";
+        Obs.Metrics.add_gauge Obs.Metrics.default "scan.shared_mb_saved" mb;
         (t, mb)
       | None -> (
         try
@@ -166,7 +160,7 @@ let rec eval_graph ?(protect = []) ~hdfs
   let prior kind in_mb = (Ir.Sizing.of_kind kind ~inputs:[ in_mb ]).expected in
   (* modeled output size by pricing role *)
   let size (n : Ir.Operator.node) ins out =
-    match Ir.Fusion.role pricing n.id with
+    match Ir.Fusion.role fplan n.id with
     | Ir.Fusion.Solo | Ir.Fusion.Head _ ->
       propagate n.kind
         ~in_modeled:(List.fold_left (fun s v -> s +. v.mb) 0. ins)
@@ -192,8 +186,8 @@ let rec eval_graph ?(protect = []) ~hdfs
         | None -> prior n.kind in_mb)
       | kind -> prior kind in_mb)
     | Ir.Fusion.Tail c ->
-      (* end-to-end measured selectivity: what the per-node measured
-         ratios of unmerged pricing telescope to *)
+      (* end-to-end measured selectivity: what per-node measured
+         ratios would telescope to *)
       let src = source c in
       let src_bytes = bytes src.out in
       if src_bytes = 0 then prior n.kind (List.hd ins).mb
@@ -234,7 +228,7 @@ let rec eval_graph ?(protect = []) ~hdfs
          let out = run n ins in
          let v = { out; mb = size n ins out } in
          bind n v;
-         match Ir.Fusion.role pricing n.id with
+         match Ir.Fusion.role fplan n.id with
          | Ir.Fusion.Solo -> record n
          | Ir.Fusion.Head _ -> (
            record n;

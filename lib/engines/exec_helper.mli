@@ -30,8 +30,8 @@ type result = {
   op_stats : op_stat list;
   scans : (string * float) list;
       (** every scan charged, as relation and modeled MB, in order: a
-          relation is fetched once per graph, and its duplicate INPUT
-          nodes are charged again only with fusion off *)
+          relation is fetched and charged once per graph, however many
+          INPUT nodes name it *)
 }
 
 exception Execution_error of string
@@ -40,11 +40,12 @@ exception Execution_error of string
     [hdfs]; WHILE nodes iterate in-engine (engines whose paradigm cannot
     iterate must reject such graphs before calling this). Raises
     {!Execution_error} on missing relations and propagates kernel
-    errors. The result depends only on [graph], the HDFS contents and
-    the fusion gate, which changes the modeled volumes and op_stats but
-    never which kernels run or what they output. It does {b not} write
-    outputs back to HDFS and does not consult {!Share} — the engine
-    does both — so one result can be priced on every engine. *)
+    errors. The result depends only on [graph] and the HDFS contents.
+    Fusion chains ({!Ir.Fusion.plan}) are priced as merged operators;
+    they change the modeled volumes and op_stats, never what the
+    kernels output. It does {b not} write outputs back to HDFS and
+    does not consult {!Share} — the engine does both — so one result
+    can be priced on every engine. *)
 val execute : hdfs:Hdfs.t -> Ir.Operator.graph -> result
 
 (** [is_graph_idiom g] — true when the graph is a single WHILE

@@ -59,8 +59,7 @@ val fused_weight : Ir.Operator.kind list -> float
     rule. *)
 type charges
 
-(** [charges plan g ~within] — the rule for [plan]'s chains over [g];
-    {!Ir.Fusion.empty} charges every node on its own. *)
+(** [charges plan g ~within] — the rule for [plan]'s chains over [g]. *)
 val charges :
   Ir.Fusion.plan -> Ir.Operator.graph -> within:(int -> bool) -> charges
 

@@ -402,26 +402,20 @@ type hash_entry = {
 
 let hash_memo : (t * hash_entry) list ref = ref []
 let hash_memo_capacity = 64
-let hash_memo_lock = Mutex.create ()
 
 let hash_entry (g : t) =
-  Mutex.lock hash_memo_lock;
-  let cached = List.find_opt (fun (k, _) -> k == g) !hash_memo in
-  Mutex.unlock hash_memo_lock;
-  match cached with
+  match List.find_opt (fun (k, _) -> k == g) !hash_memo with
   | Some (_, e) -> e
   | None ->
     let nodes = subtree_hashes g in
     let e = { he_graph = structural_hash g; he_nodes = nodes } in
     Obs.Metrics.incr Obs.Metrics.default "ir.canonical_hash.computed";
-    Mutex.lock hash_memo_lock;
     let kept =
       if List.length !hash_memo >= hash_memo_capacity then
         List.filteri (fun i _ -> i < hash_memo_capacity - 1) !hash_memo
       else !hash_memo
     in
     hash_memo := (g, e) :: kept;
-    Mutex.unlock hash_memo_lock;
     e
 
 let canonical_hash (g : t) = "fnv1a:" ^ (hash_entry g).he_graph

@@ -15,8 +15,6 @@ type plan = {
   roles : (int, role) Hashtbl.t;
 }
 
-let empty = { plan_chains = []; roles = Hashtbl.create 1 }
-
 let chains p = p.plan_chains
 
 let role p id =
@@ -116,16 +114,4 @@ let plan ?(protect = []) (g : Operator.graph) =
     plan_chains;
   { plan_chains; roles }
 
-let override = ref None
-
-let set_enabled v = override := v
-
-let env_enabled () =
-  match Sys.getenv_opt "MUSKETEER_FUSION" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
-
-let enabled () =
-  match !override with
-  | Some b -> b
-  | None -> env_enabled ()
+let set_enabled (_ : bool option) = ()

@@ -5,16 +5,16 @@
     ([Render.render ~shared_scans]); this module decides which chains
     the interpreter ([Engines.Exec_helper]) {e prices} as merged, with
     interior tables that a merged engine would never write. Every
-    operator still runs on its own kernel; the gate ({!enabled})
-    changes pricing only.
+    operator still runs on its own kernel: merging changes pricing
+    only, and it is always on, as in the paper's code generators.
 
     A chain is a maximal run of row-local operators — SELECT, PROJECT,
     MAP — linked head-to-tail by single-consumer edges, optionally
     headed by the JOIN that feeds its first SELECT. A JOIN head runs
     with that SELECT as one kernel ({!Relation.Columnar.try_join_select}),
-    whatever the gate, and is priced as the solo JOIN. A node may sit
-    {e inside} a chain (and so be priced as never written), or head one
-    as a JOIN, only when nothing else can observe its table:
+    and is priced as the solo JOIN. A node may sit {e inside} a chain
+    (and so be priced as never written), or head one as a JOIN, only
+    when nothing else can observe its table:
 
     - it has exactly one consumer, which is the next chain member;
     - it is not a workflow output ([g.outputs]);
@@ -22,9 +22,7 @@
       (loop-carried relations, loop-condition relations, body outputs —
       see the [protect] argument).
 
-    Planning is pure analysis: it never rewrites the graph, so
-    disabling fusion ([MUSKETEER_FUSION=0] or [--no-fusion]) prices
-    every node from its own measured bytes, over the same execution. *)
+    Planning is pure analysis: it never rewrites the graph. *)
 
 type chain = {
   source : int;  (** node feeding the head (often an INPUT); a JOIN
@@ -46,9 +44,6 @@ type role =
 
 type plan
 
-(** The no-fusion plan: every node is [Solo]. *)
-val empty : plan
-
 (** [plan ?protect g] groups maximal fusable chains of [g]. [protect]
     adds relation names that must stay materialized under their own
     node (used for WHILE bodies, whose condition relations are looked
@@ -65,12 +60,8 @@ val row_local : chain -> int list
 
 val role : plan -> int -> role
 
-(** Is fusion on? [set_enabled] override first, else the
-    [MUSKETEER_FUSION] environment variable ("0" / "false" / "off" /
-    "no" disable), else on. *)
-val enabled : unit -> bool
-
-(** [set_enabled (Some false)] forces fusion off for this process (the
-    CLI's [--no-fusion]); [set_enabled None] returns to the
-    environment default. *)
+(** Does nothing. Kept only because the repository benchmark
+    ([perfbench/bench.ml]) calls it, as {!Relation.Pool} is; nothing
+    outside [perfbench/] may call it, and it goes at the next change
+    to that benchmark. *)
 val set_enabled : bool option -> unit

@@ -32,7 +32,6 @@ type recovery_event = {
 }
 
 type t = {
-  lock : Mutex.t;  (* guards every field *)
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   histos : (string, float list ref) Hashtbl.t;  (* reverse record order *)
@@ -40,20 +39,13 @@ type t = {
   mutable recs : recovery_event list;           (* reverse record order *)
 }
 
-(* Every public operation takes the registry lock exactly once (none of
-   them nest), so recording from several domains cannot corrupt the
-   hash tables or lose updates. *)
-let locked t f = Mutex.protect t.lock f
-
 let create () =
-  { lock = Mutex.create ();
-    counters = Hashtbl.create 16; gauges = Hashtbl.create 16;
+  { counters = Hashtbl.create 16; gauges = Hashtbl.create 16;
     histos = Hashtbl.create 16; preds = []; recs = [] }
 
 let default = create ()
 
 let reset t =
-  locked t @@ fun () ->
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.histos;
@@ -69,35 +61,29 @@ let cell tbl name init =
     r
 
 let incr t ?(by = 1) name =
-  locked t @@ fun () ->
   let r = cell t.counters name 0 in
   r := !r + by
 
 let counter t name =
-  locked t @@ fun () ->
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
   |> List.sort compare
 
-let counters t = locked t (fun () -> sorted_bindings t.counters)
+let counters t = sorted_bindings t.counters
 
-let set_gauge t name v =
-  locked t (fun () -> cell t.gauges name v := v)
+let set_gauge t name v = cell t.gauges name v := v
 
 let add_gauge t name v =
-  locked t @@ fun () ->
   let r = cell t.gauges name 0. in
   r := !r +. v
 
-let gauge t name =
-  locked t (fun () -> Option.map ( ! ) (Hashtbl.find_opt t.gauges name))
+let gauge t name = Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
 
-let gauges t = locked t (fun () -> sorted_bindings t.gauges)
+let gauges t = sorted_bindings t.gauges
 
 let observe t name v =
-  locked t @@ fun () ->
   let r = cell t.histos name [] in
   r := v :: !r
 
@@ -127,33 +113,23 @@ let stats_of_values values =
         mean = sum /. float_of_int n; p50 = q 0.5; p90 = q 0.9; p99 = q 0.99 }
 
 let quantile t name q =
-  let values =
-    locked t (fun () ->
-        Option.map ( ! ) (Hashtbl.find_opt t.histos name))
-  in
-  match values with
+  match Hashtbl.find_opt t.histos name with
   | None -> None
-  | Some vs ->
+  | Some { contents = vs } ->
     let a = Array.of_list vs in
     Array.sort compare a;
     quantile_of_sorted a q
 
 let histogram t name =
-  let values =
-    locked t (fun () ->
-        Option.map ( ! ) (Hashtbl.find_opt t.histos name))
-  in
-  Option.bind values stats_of_values
+  Option.bind (Hashtbl.find_opt t.histos name) (fun r -> stats_of_values !r)
 
 let histograms t =
-  let snapshot =
-    locked t (fun () ->
-        Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.histos [])
-  in
-  List.filter_map
-    (fun (name, vs) ->
-       Option.map (fun s -> (name, s)) (stats_of_values vs))
-    snapshot
+  Hashtbl.fold
+    (fun name r acc ->
+       match stats_of_values !r with
+       | Some s -> (name, s) :: acc
+       | None -> acc)
+    t.histos []
   |> List.sort compare
 
 let record_prediction t ?raw_predicted_s ~workflow ~job ~backend ~predicted_s
@@ -161,31 +137,28 @@ let record_prediction t ?raw_predicted_s ~workflow ~job ~backend ~predicted_s
   let raw_predicted_s =
     Option.value raw_predicted_s ~default:predicted_s
   in
-  locked t @@ fun () ->
   t.preds <-
     { workflow; job; backend; predicted_s; raw_predicted_s; observed_s }
     :: t.preds
 
-let predictions t = locked t (fun () -> List.rev t.preds)
+let predictions t = List.rev t.preds
 
 let prediction_error t =
-  let preds = locked t (fun () -> t.preds) in
   stats_of_values
     (List.filter_map
        (fun p ->
           let e = rel_error p in
           if Float.is_finite e then Some (Float.abs e) else None)
-       preds)
+       t.preds)
 
 let record_recovery t ~workflow ~job ~from_backend ~to_backend ~attempts
     ~first_error ~recovery_s =
-  locked t @@ fun () ->
   t.recs <-
     { rec_workflow = workflow; rec_job = job; from_backend; to_backend;
       attempts; first_error; recovery_s }
     :: t.recs
 
-let recoveries t = locked t (fun () -> List.rev t.recs)
+let recoveries t = List.rev t.recs
 
 let pp_recoveries ppf t =
   match recoveries t with

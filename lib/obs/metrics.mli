@@ -4,8 +4,7 @@
     The pipeline instrumentation records into {!default} (jobs per
     backend, rewrite hit counts, partitioner search sizes, per-job
     prediction error); experiments and tests can use private registries
-    via {!create}. Everything is process-local; each registry is guarded
-    by a mutex, so any domain may record into it.
+    via {!create}. Everything is process-local.
 
     The prediction records are the live Figure-14 signal: every
     executed job joins the cost model's estimate against the observed

@@ -430,18 +430,12 @@ let parse_flag s =
 let env_enabled () =
   Option.bind (Sys.getenv_opt "MUSKETEER_COLUMNAR") parse_flag
 
-let override : bool option ref = ref None
 let scoped : bool option ref = ref None
-
-let set_enabled v = override := v
 
 let enabled () =
   match !scoped with
   | Some v -> v
-  | None -> (
-    match !override with
-    | Some v -> v
-    | None -> ( match env_enabled () with Some v -> v | None -> true))
+  | None -> ( match env_enabled () with Some v -> v | None -> true)
 
 let with_enabled v f =
   let old = !scoped in

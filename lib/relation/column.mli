@@ -109,11 +109,10 @@ end
 (* ---- columnar execution gate ---- *)
 
 (** Whether kernels should take the columnar/vectorized path.
-    Resolution order: {!with_enabled} scope > {!set_enabled} override >
-    the [MUSKETEER_COLUMNAR] environment variable ([0]/[false] disables)
-    > enabled. *)
+    Resolution order: the innermost {!with_enabled} scope > the
+    [MUSKETEER_COLUMNAR] environment variable ([0]/[false] disables)
+    > enabled. Off selects the row reference kernels. *)
 val enabled : unit -> bool
 
-val set_enabled : bool option -> unit
-
+(** [with_enabled v f] runs [f] with the gate set to [v]. *)
 val with_enabled : bool -> (unit -> 'a) -> 'a

@@ -367,7 +367,7 @@ let prepare_subplans t ~recovery sub =
   List.iter
     (fun (c : Musketeer.Subplan.candidate) ->
        if not (Hashtbl.mem covered c.sc_id) then
-         match Engines.Share.find t.store ~key:c.sc_key with
+         match Engines.Share.find t.store ~key:c.sc_hash with
          | Some (table, mb) ->
            attach c table mb
              { !prep with sp_hits = !prep.sp_hits + 1;
@@ -385,7 +385,7 @@ let prepare_subplans t ~recovery sub =
            else
              Option.iter
                (fun (table, mb, makespan_s) ->
-                  Engines.Share.publish t.store ~key:c.sc_key
+                  Engines.Share.publish t.store ~key:c.sc_hash
                     ~inputs:c.sc_inputs ~mb table;
                   attach c table mb
                     { !prep with

@@ -1530,7 +1530,7 @@ let () =
             test_prop_stored_words;
           Alcotest.test_case "executor outputs are never views" `Quick
             test_executor_outputs_not_views;
-          Alcotest.test_case "fused chains, fusion on/off" `Quick
+          Alcotest.test_case "fused chains = row oracle" `Quick
             test_prop_fused_differential;
           Alcotest.test_case "JOIN-SELECT kernel = row SELECT of JOIN"
             `Quick test_prop_join_select;

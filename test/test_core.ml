@@ -77,11 +77,9 @@ let test_profile_naiad_iterates_cheaply () =
   Alcotest.(check bool) "Naiad iterates cheaper than Hadoop chains" true
     (iter Engines.Backend.Naiad < iter Engines.Backend.Hadoop)
 
-(* The whole rate table of three clusters, bit for bit (%h), with fusion
-   on and off (fusion changes the executed process volumes and so the
-   fitted iteration overheads). Captured while calibration still ran
-   every probe through [Registry.run]; pricing one execution per probe
-   graph must not move a single bit. *)
+(* The whole rate table of three clusters, bit for bit (%h). Captured
+   while calibration still ran every probe through [Registry.run];
+   pricing one execution per probe graph must not move a single bit. *)
 let profile_rows () =
   List.concat_map
     (fun (name, cluster) ->
@@ -102,7 +100,7 @@ let profile_rows () =
       ("ec2-100", Engines.Cluster.ec2 ~nodes:100);
       ("local-seven", Engines.Cluster.local_seven) ]
 
-let golden_rates_fused =
+let golden_rates =
   [
     "ec2-16 Hadoop 0x1.cp+4 0x1.b6c1ea7707199p+9 - 0x1.6bc5a03778377p+10 0x1.b486c0429042ap+8 0x1.3965f09e29a4ap+9 0x1.cp+4";
     "ec2-16 Spark 0x1.cp+3 0x1.b6c1ea7707199p+9 0x1.c6b7084556455p+8 0x1.6bc5a03778377p+11 0x1.fd47e04da84dbp+8 0x1.3965f09e29a4ap+9 0x1.37b8ba325ec05p+3";
@@ -132,48 +130,8 @@ let golden_rates_fused =
     "local-seven Giraph 0x1.4p+4 0x1.e4065290bd926p+8 0x1.1c98b9b46474ep+9 0x1.5848079454994p+10 0x1.4b5eedb1f7d39p+8 0x1.935a9a2348a4ap+8 0x1.999999999999ap-5";
     "local-seven X-Stream 0x1.8p+0 0x1.b8p+6 0x1.04p+8 0x1.7bfffffffffffp+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5" ]
 
-let golden_rates_unfused =
-  [
-    "ec2-16 Hadoop 0x1.cp+4 0x1.b6c1ea7707199p+9 - 0x1.6bc5a03778377p+10 0x1.b486c0429042ap+8 0x1.3965f09e29a4ap+9 0x1.cp+4";
-    "ec2-16 Spark 0x1.cp+3 0x1.b6c1ea7707199p+9 0x1.c6b7084556455p+8 0x1.6bc5a03778377p+11 0x1.fd47e04da84dbp+8 0x1.3965f09e29a4ap+9 0x1.3a1241f9ae755p+3";
-    "ec2-16 Naiad 0x1p+2 0x1.b6c1ea7707199p+9 - 0x1.607882d1a9961p+11 0x1.339c5f8d16546p+9 0x1.5f01885f38e15p+9 0x1.999999999999ap-5";
-    "ec2-16 PowerGraph 0x1.1cccccccccccdp+4 0x1.47651031ec31ep+9 0x1.91216236c131p+7 0x1.07e6ce168c92cp+11 0x1.49116fd945535p+9 0x1.10d438299a299p+9 0x1.a12eb4f5fbf2bp-3";
-    "ec2-16 GraphChi 0x1p+1 0x1.b8p+6 0x1.9p+6 0x1.ep+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5";
-    "ec2-16 Metis 0x1.8p+0 0x1.b8p+6 - 0x1.4p+9 0x1.77p+10 0x1.b8p+6 0x1.8p+0";
-    "ec2-16 SerialC 0x1.999999999999ap-3 0x1.18p+7 - 0x1.f4p+7 0x1.f4p+10 0x1.18p+7 0x1.4aadf6b39cfe8p-1";
-    "ec2-16 Giraph 0x1.4p+4 0x1.47651031ec31ep+9 0x1.13b006e4f380ep+10 0x1.4p+10 0x1.5p+8 0x1.10d438299a299p+9 0x1.999999999999ap-5";
-    "ec2-16 X-Stream 0x1.8p+0 0x1.b8p+6 0x1.04p+8 0x1.7bfffffffffffp+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5";
-    "ec2-100 Hadoop 0x1.cp+4 0x1.38c4493b3de42p+12 - 0x1.d937cf655913bp+12 0x1.1bee493ccf0bep+11 0x1.becf440b7cfcep+11 0x1.cp+4";
-    "ec2-100 Spark 0x1.cp+3 0x1.38c4493b3de42p+12 0x1.27c2e19f57ac6p+11 0x1.d937cf655913bp+13 0x1.4b40aac6f18ddp+11 0x1.becf440b7cfcep+11 0x1.f3a11b9e2b033p+1";
-    "ec2-100 Naiad 0x1p+2 0x1.38c4493b3de42p+12 - 0x1.dba24039c905bp+13 0x1.9f193cb4c20e4p+11 0x1.f46d41f86306cp+11 0x1.ae310db80f7f5p-4";
-    "ec2-100 PowerGraph 0x1.54p+6 0x1.a9e56ddb3691dp+11 0x1.2d21347319f7dp+9 0x1.8c392a10b661p+12 0x1.7751f17a4a452p+10 0x1.62e9db8c02cedp+11 0x1.7c380304ddbd5p+4";
-    "ec2-100 GraphChi 0x1p+1 0x1.b8p+6 0x1.9p+6 0x1.ep+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5";
-    "ec2-100 Metis 0x1.8p+0 0x1.b8p+6 - 0x1.4p+9 0x1.77p+10 0x1.b8p+6 0x1.8p+0";
-    "ec2-100 SerialC 0x1.999999999999ap-3 0x1.18p+7 - 0x1.f4p+7 0x1.f4p+10 0x1.18p+7 0x1.4aadf6b39cfe8p-1";
-    "ec2-100 Giraph 0x1.4p+4 0x1.a9e56ddb3691dp+11 0x1.2a9493a5a4c62p+12 0x1.3c3a4edfa9758p+12 0x1.4c0a060471ee9p+10 0x1.62e9db8c02cedp+11 0x1.37a47783b0f6bp+2";
-    "ec2-100 X-Stream 0x1.8p+0 0x1.b8p+6 0x1.04p+8 0x1.7bfffffffffffp+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5";
-    "local-seven Hadoop 0x1.cp+4 0x1.373321cfc3bd2p+9 - 0x1.59bb5f8bf51f6p+10 0x1.7c4e1c4d273c2p+8 0x1.bc92304d60c4fp+8 0x1.cp+4";
-    "local-seven Spark 0x1.cp+3 0x1.373321cfc3bd2p+9 0x1.b02a376ef2673p+7 0x1.59bb5f8bf51f6p+11 0x1.bbb0765a031b8p+8 0x1.bc92304d60c4fp+8 0x1.1cb4f72eb2c71p+4";
-    "local-seven Naiad 0x1p+2 0x1.373321cfc3bd2p+9 - 0x1.497f821295701p+11 0x1.079934dbaac01p+9 0x1.f1eb694c6c61dp+8 0x1.999999999999ap-5";
-    "local-seven PowerGraph 0x1.5333333333334p+3 0x1.e4065290bd926p+8 0x1.e88ae5cff06fdp+6 0x1.4168da8f89f8cp+11 0x1.9fe11d618cf5p+9 0x1.935a9a2348a4ap+8 0x1.999999999999ap-5";
-    "local-seven GraphChi 0x1p+1 0x1.b8p+6 0x1.9p+6 0x1.ep+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5";
-    "local-seven Metis 0x1.8p+0 0x1.b8p+6 - 0x1.4p+9 0x1.77p+10 0x1.b8p+6 0x1.8p+0";
-    "local-seven SerialC 0x1.999999999999ap-3 0x1.18p+7 - 0x1.f4p+7 0x1.f4p+10 0x1.18p+7 0x1.4aadf6b39cfe8p-1";
-    "local-seven Giraph 0x1.4p+4 0x1.e4065290bd926p+8 0x1.1c98b9b46474ep+9 0x1.5848079454994p+10 0x1.4b5eedb1f7d39p+8 0x1.935a9a2348a4ap+8 0x1.999999999999ap-5";
-    "local-seven X-Stream 0x1.8p+0 0x1.b8p+6 0x1.04p+8 0x1.7bfffffffffffp+9 0x1.f400000000001p+10 0x1.b800000000001p+6 0x1.999999999999ap-5" ]
-
 let test_profile_golden () =
-  List.iter
-    (fun (fusion, golden) ->
-       Ir.Fusion.set_enabled (Some fusion);
-       let rows =
-         Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None)
-           profile_rows
-       in
-       Alcotest.(check (list string))
-         (Printf.sprintf "rates, fusion %b" fusion)
-         golden rows)
-    [ (true, golden_rates_fused); (false, golden_rates_unfused) ]
+  Alcotest.(check (list string)) "rates" golden_rates (profile_rows ())
 
 (* probes are priced, never run: an installed injector keeps its whole
    budget through a calibration *)

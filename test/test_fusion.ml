@@ -1,11 +1,7 @@
 (* Operator fusion: the planner's chain/barrier rules, and the promise
-   that fused execution is invisible except in cost — every output
-   relation byte-identical to the unfused path, with shared scans
+   that merged pricing is invisible except in cost — every output
+   relation byte-identical to the row oracle, with shared scans
    charging each HDFS relation once. *)
-
-let with_fusion enabled f =
-  Ir.Fusion.set_enabled (Some enabled);
-  Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None) f
 
 let seed =
   match Option.bind (Sys.getenv_opt "MUSKETEER_TEST_SEED") int_of_string_opt with
@@ -208,15 +204,26 @@ let chain_graph () =
   let p = Ir.Builder.project b ~name:"out" ~columns:[ "v" ] m in
   Ir.Builder.finish b ~outputs:[ p ]
 
-let outputs_csv (r : Engines.Exec_helper.result) =
+let outputs_csv outputs =
   String.concat "----\n"
-    (List.map
-       (fun (name, t, _) -> name ^ ":\n" ^ Relation.Table.to_csv t)
-       r.Engines.Exec_helper.outputs)
+    (List.map (fun (name, t) -> name ^ ":\n" ^ Relation.Table.to_csv t) outputs)
 
-let exec_csv ~fusion hdfs g =
-  with_fusion fusion @@ fun () ->
-  outputs_csv (Engines.Exec_helper.execute ~hdfs g)
+let exec_csv hdfs g =
+  outputs_csv
+    (List.map
+       (fun (name, t, _) -> (name, t))
+       (Engines.Exec_helper.execute ~hdfs g).Engines.Exec_helper.outputs)
+
+(* the row oracle: the reference interpreter on the row kernels *)
+let oracle_csv hdfs g =
+  let store =
+    Ir.Interp.store_of_list
+      (List.map
+         (fun r -> (r, Engines.Hdfs.table hdfs r))
+         (Engines.Hdfs.list hdfs))
+  in
+  Relation.Column.with_enabled false @@ fun () ->
+  outputs_csv (Ir.Interp.outputs ~store g)
 
 let hdfs_with rows =
   let hdfs = Engines.Hdfs.create () in
@@ -227,9 +234,7 @@ let test_empty_table () =
   let hdfs = hdfs_with [] in
   let g = chain_graph () in
   Alcotest.(check string)
-    "empty input: fused = unfused"
-    (exec_csv ~fusion:false hdfs g)
-    (exec_csv ~fusion:true hdfs g)
+    "empty input: fused = row oracle" (oracle_csv hdfs g) (exec_csv hdfs g)
 
 let test_large_chain () =
   (* a 2000-row chain: merged pricing changes no output *)
@@ -237,9 +242,7 @@ let test_large_chain () =
   let hdfs = hdfs_with rows in
   let g = chain_graph () in
   Alcotest.(check string)
-    "fused matches unfused"
-    (exec_csv ~fusion:false hdfs g)
-    (exec_csv ~fusion:true hdfs g)
+    "fused matches the row oracle" (oracle_csv hdfs g) (exec_csv hdfs g)
 
 let test_while_fused () =
   let b = Ir.Builder.create () in
@@ -263,9 +266,8 @@ let test_while_fused () =
   let g = Ir.Builder.finish b ~outputs:[ loop ] in
   let hdfs = hdfs_with [ (1, 10); (2, 20); (3, 30) ] in
   Alcotest.(check string)
-    "WHILE with fused body = unfused"
-    (exec_csv ~fusion:false hdfs g)
-    (exec_csv ~fusion:true hdfs g)
+    "WHILE with fused body = row oracle" (oracle_csv hdfs g)
+    (exec_csv hdfs g)
 
 (* ---- shared scans ---- *)
 
@@ -288,31 +290,15 @@ let shared_scan_graph () =
 
 let test_shared_scan_volumes () =
   let g = shared_scan_graph () in
-  let rows = [ (1, 10); (2, 20); (3, 30); (4, 5) ] in
-  let input_mb fusion =
-    with_fusion fusion @@ fun () ->
-    let hdfs = hdfs_with rows in
-    let r = Engines.Exec_helper.execute ~hdfs g in
-    r.Engines.Exec_helper.volumes.Engines.Perf.input_mb
-  in
-  Alcotest.(check (float 0.001))
-    "unfused charges the relation per INPUT node" 128. (input_mb false);
-  Alcotest.(check (float 0.001))
-    "fused charges one shared scan" 64. (input_mb true);
+  let hdfs = hdfs_with [ (1, 10); (2, 20); (3, 30); (4, 5) ] in
   let shared_before =
     Obs.Metrics.counter Obs.Metrics.default "scan.shared"
   in
-  let hdfs = hdfs_with rows in
-  let fused_csv =
-    with_fusion true (fun () ->
-        outputs_csv (Engines.Exec_helper.execute ~hdfs g))
-  in
-  let unfused_csv =
-    with_fusion false (fun () ->
-        outputs_csv (Engines.Exec_helper.execute ~hdfs g))
-  in
-  Alcotest.(check string) "shared scan changes no bytes" unfused_csv
-    fused_csv;
+  let r = Engines.Exec_helper.execute ~hdfs g in
+  Alcotest.(check (float 0.001))
+    "one shared scan" 64. r.Engines.Exec_helper.volumes.Engines.Perf.input_mb;
+  Alcotest.(check string) "shared scan changes no bytes" (oracle_csv hdfs g)
+    (exec_csv hdfs g);
   Alcotest.(check bool) "scan.shared counter incremented" true
     (Obs.Metrics.counter Obs.Metrics.default "scan.shared" > shared_before)
 
@@ -320,7 +306,6 @@ let test_one_hdfs_read () =
   let g = shared_scan_graph () in
   let hdfs = hdfs_with [ (1, 10); (2, 20); (3, 30) ] in
   let m = Musketeer.create ~cluster:Engines.Cluster.local_seven () in
-  with_fusion true @@ fun () ->
   match
     Musketeer.plan m
       ~backends:[ Engines.Backend.Serial_c ]
@@ -340,9 +325,9 @@ let test_one_hdfs_read () =
         "the 64 MB relation is read exactly once" 64.
         (Engines.Hdfs.total_read_mb hdfs))
 
-(* Fusion on = off at NetFlix scale: a select→map→project chain and a
-   two-branch shared scan over 400,000 ratings. The shared scan charges
-   the relation once. *)
+(* Merged pricing = row oracle at NetFlix scale: a select→map→project
+   chain and a two-branch shared scan over 400,000 ratings. The shared
+   scan charges the relation once. *)
 let test_ratings_identity () =
   let open Relation in
   let ratings =
@@ -385,11 +370,10 @@ let test_ratings_identity () =
   in
   List.iter
     (fun (name, g) ->
-       Alcotest.(check string) (name ^ ": fused = unfused")
-         (exec_csv ~fusion:false hdfs g)
-         (exec_csv ~fusion:true hdfs g))
+       Alcotest.(check string) (name ^ ": fused = row oracle")
+         (oracle_csv hdfs g) (exec_csv hdfs g))
     [ ("chain", chain); ("shared-scan", shared) ];
-  let r = with_fusion true (fun () -> Engines.Exec_helper.execute ~hdfs shared) in
+  let r = Engines.Exec_helper.execute ~hdfs shared in
   let input_mb = r.volumes.Engines.Perf.input_mb in
   Alcotest.(check (float 0.)) "shared-scan input MB counted once"
     (Engines.Hdfs.modeled_mb hdfs "ratings") input_mb
@@ -406,7 +390,7 @@ let test_fusion_metrics () =
     Option.value ~default:0.
       (Obs.Metrics.gauge metrics "fusion.intermediate_mb_saved")
   in
-  ignore (with_fusion true (fun () -> Engines.Exec_helper.execute ~hdfs g));
+  ignore (Engines.Exec_helper.execute ~hdfs g);
   Alcotest.(check int) "one chain fused" 1
     (Obs.Metrics.counter metrics "fusion.chains" - chains0);
   Alcotest.(check int) "three ops fused" 3
@@ -533,92 +517,16 @@ let join_select_pins =
     "4 PROJECT 0x1.ca2aa6fb98bc9p+6 0x1.11d7fed94a65ap+6";
     "process 0x1.584886b0ff918p+8 comm 0x1p+6 output 0x1.11d7fed94a65ap+6" ]
 
-(* the same two graphs priced with fusion off: every node on its own
-   measured bytes *)
-let kmeans_off_pins =
-  [ "2 CROSS 0x1.1e1a42cp+11 0x1.9ca5e04627627p+18";
-    "3 MAP 0x1.9ca5e04627627p+18 0x1.e16c3051d89d9p+18";
-    "4 GROUP BY 0x1.e16c3051d89d9p+18 0x1.6020522762763p+10";
-    "5 MAP 0x1.6020522762763p+10 0x1.08183d9d89d8ap+11";
-    "6 PROJECT 0x1.08183d9d89d8ap+11 0x1.6020522762762p+10";
-    "7 JOIN 0x1.e2cc50a4p+18 0x1.1319402ec4ec5p+19";
-    "8 SELECT 0x1.1319402ec4ec5p+19 0x1.6020522762763p+12";
-    "9 PROJECT 0x1.6020522762763p+12 0x1.6020522762763p+11";
-    "10 GROUP BY 0x1.6020522762763p+11 0x1.6020522762763p+10";
-    "11 JOIN 0x1.ce2a5913b13b2p+11 0x1.71bb7a7627628p+11";
-    "12 GROUP BY 0x1.71bb7a7627628p+11 0x1.71bb7a7627628p+7";
-    "2 CROSS 0x1.3535e7a762762p+11 0x1.bdfa0e1dba51cp+18";
-    "3 MAP 0x1.bdfa0e1dba51cp+18 0x1.042732e6acafbp+19";
-    "4 GROUP BY 0x1.042732e6acafbp+19 0x1.7c911d1cc7f3dp+10";
-    "5 MAP 0x1.7c911d1cc7f3dp+10 0x1.1d6cd5d595f6ep+11";
-    "6 PROJECT 0x1.1d6cd5d595f6ep+11 0x1.7c911d1cc7f3dp+10";
-    "7 JOIN 0x1.04e57b753b13bp+19 0x1.29515ebe7c369p+19";
-    "8 SELECT 0x1.29515ebe7c369p+19 0x1.7c911d1cc7f3fp+12";
-    "9 PROJECT 0x1.7c911d1cc7f3fp+12 0x1.7c911d1cc7f3fp+11";
-    "10 GROUP BY 0x1.7c911d1cc7f3fp+11 0x1.7c911d1cc7f3fp+10";
-    "11 JOIN 0x1.dc62be8e63fap+11 0x1.7d1bcba51cc8p+11";
-    "12 GROUP BY 0x1.7d1bcba51cc8p+11 0x1.7d1bcba51cc8p+7";
-    "2 CROSS 0x1.35ebecba51cc8p+11 0x1.bf00956f310e5p+18";
-    "3 MAP 0x1.bf00956f310e5p+18 0x1.04c0572b87486p+19";
-    "4 GROUP BY 0x1.04c0572b87486p+19 0x1.7d71235b785e3p+10";
-    "5 MAP 0x1.7d71235b785e3p+10 0x1.1e14da849a46ap+11";
-    "6 PROJECT 0x1.1e14da849a46ap+11 0x1.7d71235b785e2p+10";
-    "7 JOIN 0x1.057f0fbd35049p+19 0x1.2a00639f76099p+19";
-    "8 SELECT 0x1.2a00639f76099p+19 0x1.7d71235b785e3p+12";
-    "9 PROJECT 0x1.7d71235b785e3p+12 0x1.7d71235b785e3p+11";
-    "10 GROUP BY 0x1.7d71235b785e3p+11 0x1.7d71235b785e3p+10";
-    "11 JOIN 0x1.dcd2c1adbc2f2p+11 0x1.7d7567be3025cp+11";
-    "12 GROUP BY 0x1.7d7567be3025cp+11 0x1.7d7567be3025cp+7";
-    "2 CROSS 0x1.35f1867be3026p+11 0x1.bf08a95a11437p+18";
-    "3 MAP 0x1.bf08a95a11437p+18 0x1.04c50d748a12p+19";
-    "4 GROUP BY 0x1.04c50d748a12p+19 0x1.7d7807faf002fp+10";
-    "5 MAP 0x1.7d7807faf002fp+10 0x1.1e1a05fc34023p+11";
-    "6 PROJECT 0x1.1e1a05fc34023p+11 0x1.7d7807faf002ep+10";
-    "7 JOIN 0x1.0583c978878ap+19 0x1.2a05c63c0b825p+19";
-    "8 SELECT 0x1.2a05c63c0b825p+19 0x1.7d7807faf002fp+12";
-    "9 PROJECT 0x1.7d7807faf002fp+12 0x1.7d7807faf002fp+11";
-    "10 GROUP BY 0x1.7d7807faf002fp+11 0x1.7d7807faf002fp+10";
-    "11 JOIN 0x1.dcd633fd78018p+11 0x1.7d78299793347p+11";
-    "12 GROUP BY 0x1.7d78299793347p+11 0x1.7d78299793347p+7";
-    "2 CROSS 0x1.35f1b29979334p+11 0x1.bf08e8fae4f64p+18";
-    "3 MAP 0x1.bf08e8fae4f64p+18 0x1.04c532925ae5p+19";
-    "4 GROUP BY 0x1.04c532925ae5p+19 0x1.7d783e46bc8dep+10";
-    "5 MAP 0x1.7d783e46bc8dep+10 0x1.1e1a2eb50d6a6p+11";
-    "6 PROJECT 0x1.1e1a2eb50d6a6p+11 0x1.7d783e46bc8ddp+10";
-    "7 JOIN 0x1.0583eeb17e434p+19 0x1.2a05f0a7434edp+19";
-    "8 SELECT 0x1.2a05f0a7434edp+19 0x1.7d783e46bc8dep+12";
-    "9 PROJECT 0x1.7d783e46bc8dep+12 0x1.7d783e46bc8dep+11";
-    "10 GROUP BY 0x1.7d783e46bc8dep+11 0x1.7d783e46bc8dep+10";
-    "11 JOIN 0x1.dcd64f235e46fp+11 0x1.7d783f4f7e9f3p+11";
-    "12 GROUP BY 0x1.7d783f4f7e9f3p+11 0x1.7d783f4f7e9f3p+7";
-    "process 0x1.b591e47fbccc8p+23 comm 0x1.44fd993198961p+22 \
-     output 0x1.7d783f4f7e9f3p+7" ]
-
-let join_select_off_pins =
-  [ "2 JOIN 0x1p+6 0x1.ca2aa6fb98bc9p+7";
-    "3 SELECT 0x1.ca2aa6fb98bc9p+7 0x1.ec92c77266beep+6";
-    "4 PROJECT 0x1.ec92c77266beep+6 0x1.11d7fed94a65ap+6";
-    "process 0x1.d36d388d99414p+8 comm 0x1p+6 \
-     output 0x1.11d7fed94a65ap+6" ]
-
 let test_join_head_pricing () =
-  let check name (pins, off_pins) hdfs g =
-    let stats fusion =
-      stat_lines
-        (with_fusion fusion (fun () ->
-             Engines.Exec_helper.execute ~hdfs:(hdfs ()) g))
-    in
-    Alcotest.(check (list string)) (name ^ " op_stats") pins (stats true);
-    Alcotest.(check (list string)) (name ^ " op_stats, fusion off") off_pins
-      (stats false);
-    Alcotest.(check string) (name ^ ": fused = unfused")
-      (exec_csv ~fusion:false (hdfs ()) g)
-      (exec_csv ~fusion:true (hdfs ()) g)
+  let check name pins hdfs g =
+    Alcotest.(check (list string)) (name ^ " op_stats") pins
+      (stat_lines (Engines.Exec_helper.execute ~hdfs:(hdfs ()) g));
+    Alcotest.(check string) (name ^ ": fused = row oracle")
+      (oracle_csv (hdfs ()) g) (exec_csv (hdfs ()) g)
   in
-  check "k-means" (kmeans_pins, kmeans_off_pins) kmeans_hdfs
-    (Workloads.Workflows.kmeans ());
-  check "JOIN-SELECT-PROJECT" (join_select_pins, join_select_off_pins)
-    join_select_hdfs (join_select_graph ())
+  check "k-means" kmeans_pins kmeans_hdfs (Workloads.Workflows.kmeans ());
+  check "JOIN-SELECT-PROJECT" join_select_pins join_select_hdfs
+    (join_select_graph ())
 
 let counter name = Obs.Metrics.counter Obs.Metrics.default name
 
@@ -634,14 +542,13 @@ let test_kmeans_fused_heads () =
   let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
   let heads0 = counter "kernel.columnar.join_select"
   and rows0 = sum_counters "kernel.row." in
-  with_fusion true (fun () ->
-      Relation.Column.with_enabled true (fun () ->
-          match
-            Musketeer.execute m ~workflow:"kmeans" ~hdfs:(kmeans_hdfs ())
-              (Workloads.Workflows.kmeans ())
-          with
-          | Ok _ -> ()
-          | Error e -> Alcotest.fail (Engines.Report.error_to_string e)));
+  Relation.Column.with_enabled true (fun () ->
+      match
+        Musketeer.execute m ~workflow:"kmeans" ~hdfs:(kmeans_hdfs ())
+          (Workloads.Workflows.kmeans ())
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Engines.Report.error_to_string e));
   Alcotest.(check int) "fused heads" 5
     (counter "kernel.columnar.join_select" - heads0);
   Alcotest.(check int) "row kernel runs" 0 (sum_counters "kernel.row." - rows0)
@@ -654,10 +561,9 @@ let test_join_head_span () =
   and heads0 = counter "kernel.columnar.join_select" in
   let trace, _ =
     Obs.Trace.collecting (fun () ->
-        with_fusion true (fun () ->
-            Relation.Column.with_enabled true (fun () ->
-                Engines.Exec_helper.execute ~hdfs:(join_select_hdfs ())
-                  (join_select_graph ()))))
+        Relation.Column.with_enabled true (fun () ->
+            Engines.Exec_helper.execute ~hdfs:(join_select_hdfs ())
+              (join_select_graph ())))
   in
   (match Obs.Trace.find trace ~name:"kernel.fused" with
    | [ sp ] ->
@@ -684,63 +590,17 @@ let test_join_head_span () =
   Alcotest.(check int) "one chain" 1 (counter "fusion.chains" - chains0);
   Alcotest.(check int) "three ops fused" 3 (counter "fusion.ops_fused" - ops0)
 
-(* ---- execution reads no gate ----
-
-   The gate changes pricing only: with fusion on and off, the same
-   kernels run (every [kernel.*] counter moves alike) and give the same
-   outputs. *)
-
-let kernel_counters () =
-  List.filter
-    (fun (name, _) -> String.starts_with ~prefix:"kernel." name)
-    (Obs.Metrics.counters Obs.Metrics.default)
-
-(* the outputs of one direct execution, and the kernel counters it moved *)
-let run_counted ~fusion hdfs g =
-  let before = kernel_counters () in
-  let csv = exec_csv ~fusion (hdfs ()) g in
-  ( csv,
-    List.filter_map
-      (fun (name, n) ->
-         match n - Option.value ~default:0 (List.assoc_opt name before) with
-         | 0 -> None
-         | d -> Some (Printf.sprintf "%s %d" name d))
-      (kernel_counters ()) )
-
-let same_execution hdfs g =
-  run_counted ~fusion:true hdfs g = run_counted ~fusion:false hdfs g
-
-let test_execution_reads_no_gate () =
-  let check name hdfs g =
-    let on_csv, on_kernels = run_counted ~fusion:true hdfs g in
-    let off_csv, off_kernels = run_counted ~fusion:false hdfs g in
-    Alcotest.(check string) (name ^ " outputs") off_csv on_csv;
-    Alcotest.(check (list string)) (name ^ " kernel counters") off_kernels
-      on_kernels
-  in
-  check "k-means" kmeans_hdfs (Workloads.Workflows.kmeans ());
-  check "JOIN-SELECT-PROJECT" join_select_hdfs (join_select_graph ());
-  try
-    Qcheck_lite.check ~count:25 ~seed ~name:"execution reads no gate"
-      Qcheck_lite.spec_arbitrary (fun spec ->
-        same_execution
-          (fun () -> Qcheck_lite.hdfs_of_spec spec)
-          (Qcheck_lite.graph_of_spec spec))
-  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
-
 (* ---- differential property over generated pipelines ----
 
    The full planning + engine execution path: a random kv pipeline is
-   planned and executed with fusion off (reference), then with fusion
-   on. The "out" relation must be byte-identical — same rows, same
-   order. *)
+   planned and executed, and its "out" relation must be byte-identical
+   to the row oracle's — same rows, same order. *)
 
 let cluster = Engines.Cluster.local_seven
 
 let m = Musketeer.create ~cluster ()
 
-let run_spec ~fusion spec =
-  with_fusion fusion @@ fun () ->
+let run_spec spec =
   let hdfs = Qcheck_lite.hdfs_of_spec spec in
   let graph = Qcheck_lite.graph_of_spec spec in
   match
@@ -760,12 +620,12 @@ let run_spec ~fusion spec =
            (Engines.Report.error_to_string e))
     | Ok result -> (
       match List.assoc_opt "out" result.Musketeer.Executor.outputs with
-      | Some t -> Relation.Table.to_csv t
+      | Some t -> outputs_csv [ ("out", t) ]
       | None -> failwith "no \"out\" relation"))
 
 let fused_invariant spec =
-  let reference = run_spec ~fusion:false spec in
-  run_spec ~fusion:true spec = reference
+  run_spec spec
+  = oracle_csv (Qcheck_lite.hdfs_of_spec spec) (Qcheck_lite.graph_of_spec spec)
 
 let test_fused_differential () =
   try
@@ -792,7 +652,7 @@ let () =
            test_join_head_barriers ]);
       ("execution",
        [ Alcotest.test_case "empty table" `Quick test_empty_table;
-         Alcotest.test_case "2000-row chain, fusion on = off" `Quick
+         Alcotest.test_case "2000-row chain = row oracle" `Quick
            test_large_chain;
          Alcotest.test_case "WHILE with fused body" `Quick test_while_fused;
          Alcotest.test_case "shared scan halves input volume" `Quick
@@ -806,9 +666,7 @@ let () =
            test_kmeans_fused_heads;
          Alcotest.test_case "JOIN head under kernel.fused" `Quick
            test_join_head_span;
-         Alcotest.test_case "execution reads no gate" `Quick
-           test_execution_reads_no_gate;
-         Alcotest.test_case "400k ratings, fusion on = off" `Quick
+         Alcotest.test_case "400k ratings = row oracle" `Quick
            test_ratings_identity ]);
       ("differential",
        [ Alcotest.test_case "generated pipelines fused = unfused" `Slow

@@ -3,7 +3,7 @@
    scan entries (pay-once, epochs, flight expiry, cross-workflow
    counters), start-time weighted fair admission, per-tenant breaker
    isolation, and the byte-identity promise — served outputs equal
-   one-shot [run] outputs under every fusion x columnar configuration. *)
+   one-shot [run] outputs with the columnar kernels on and off. *)
 
 let lite_seed =
   match Sys.getenv_opt "MUSKETEER_TEST_SEED" with
@@ -662,8 +662,7 @@ let test_restore_replays_ledger () =
 (* ---- properties ---- *)
 
 (* Served outputs are byte-identical to a one-shot [run] of the same
-   graph, for generated workflows under fusion on/off x columnar
-   on/off. *)
+   graph, for generated workflows, columnar on and off. *)
 let test_serve_identity_differential () =
   Qcheck_lite.check ~count:6 ~seed:lite_seed
     ~name:"served outputs = one-shot outputs"
@@ -671,43 +670,36 @@ let test_serve_identity_differential () =
     (fun spec ->
       let g = Qcheck_lite.graph_of_spec spec in
       List.for_all
-        (fun fusion ->
+        (fun columnar ->
+          Relation.Column.with_enabled columnar @@ fun () ->
+          let hdfs = Qcheck_lite.hdfs_of_spec spec in
+          let base = Engines.Hdfs.snapshot hdfs in
+          let reference =
+            let m = Experiments.Common.musketeer_for cluster in
+            match
+              Musketeer.plan m ~workflow:"spec" ~hdfs:base g
+            with
+            | None -> Alcotest.fail "spec should plan"
+            | Some (plan, g') -> (
+              match
+                Musketeer.execute_plan ~record_history:false m
+                  ~workflow:"spec" ~hdfs:base ~graph:g' plan
+              with
+              | Error e ->
+                Alcotest.fail (Engines.Report.error_to_string e)
+              | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
+          in
+          let m = Experiments.Common.musketeer_for cluster in
+          let outcomes, _ =
+            Serve.Service.run ~config:(config ()) m ~hdfs
+              [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
+                sub ~tenant:"b" ~workflow:"spec" ~at:0. g;
+                sub ~tenant:"a" ~workflow:"spec" ~at:3. g ]
+          in
           List.for_all
-            (fun columnar ->
-              Relation.Column.with_enabled columnar @@ fun () ->
-              Ir.Fusion.set_enabled (Some fusion);
-              Fun.protect
-                ~finally:(fun () -> Ir.Fusion.set_enabled None)
-              @@ fun () ->
-              let hdfs = Qcheck_lite.hdfs_of_spec spec in
-              let base = Engines.Hdfs.snapshot hdfs in
-              let reference =
-                let m = Experiments.Common.musketeer_for cluster in
-                match
-                  Musketeer.plan m ~workflow:"spec" ~hdfs:base g
-                with
-                | None -> Alcotest.fail "spec should plan"
-                | Some (plan, g') -> (
-                  match
-                    Musketeer.execute_plan ~record_history:false m
-                      ~workflow:"spec" ~hdfs:base ~graph:g' plan
-                  with
-                  | Error e ->
-                    Alcotest.fail (Engines.Report.error_to_string e)
-                  | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
-              in
-              let m = Experiments.Common.musketeer_for cluster in
-              let outcomes, _ =
-                Serve.Service.run ~config:(config ()) m ~hdfs
-                  [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
-                    sub ~tenant:"b" ~workflow:"spec" ~at:0. g;
-                    sub ~tenant:"a" ~workflow:"spec" ~at:3. g ]
-              in
-              List.for_all
-                (fun (o : Serve.Service.outcome) ->
-                  o.error = None && sorted_csv o.outputs = reference)
-                outcomes)
-            [ true; false ])
+            (fun (o : Serve.Service.outcome) ->
+              o.error = None && sorted_csv o.outputs = reference)
+            outcomes)
         [ true; false ])
 
 (* The overload machinery — shedding, SLOs, the degradation ladder,
@@ -893,8 +885,8 @@ let () =
          Alcotest.test_case "restore replays ledger state" `Quick
            test_restore_replays_ledger ]);
       ("properties",
-       [ Alcotest.test_case "served = one-shot (jobs x fusion x columnar)"
-           `Slow test_serve_identity_differential;
+       [ Alcotest.test_case "served = one-shot (columnar)" `Slow
+           test_serve_identity_differential;
          Alcotest.test_case "chaos never changes completed bytes" `Slow
            test_chaos_differential_property;
          Alcotest.test_case "light tenant p99 bounded in mix" `Slow

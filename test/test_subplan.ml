@@ -6,7 +6,7 @@
    table, and a model-based property; its scan entries are tested in
    the serve suite) and the served end-to-end behaviour: repeat
    traffic pays a shared prefix once per input epoch and stays
-   byte-identical to one-shot runs under fusion x columnar. *)
+   byte-identical to one-shot runs, columnar on and off. *)
 
 let lite_seed =
   match Sys.getenv_opt "MUSKETEER_TEST_SEED" with
@@ -278,26 +278,17 @@ let test_while_never_shared () =
 let test_fusion_interiors_are_barriers () =
   let g = agg_graph () in
   let sel = find_id g is_select and map = find_id g is_map in
-  let ids_off, ids_on =
-    Fun.protect ~finally:(fun () -> Ir.Fusion.set_enabled None) @@ fun () ->
-    Ir.Fusion.set_enabled (Some false);
-    let off =
-      List.map
-        (fun c -> c.Musketeer.Subplan.sc_id)
-        (Musketeer.Subplan.candidates g)
-    in
-    Ir.Fusion.set_enabled (Some true);
-    let on =
-      List.map
-        (fun c -> c.Musketeer.Subplan.sc_id)
-        (Musketeer.Subplan.candidates g)
-    in
-    (off, on)
+  let ids =
+    List.map
+      (fun c -> c.Musketeer.Subplan.sc_id)
+      (Musketeer.Subplan.candidates g)
   in
+  Alcotest.(check bool) "the select is a fusion-chain interior" true
+    (match Ir.Fusion.role (Ir.Fusion.plan g) sel with
+     | Ir.Fusion.Interior _ -> true
+     | _ -> false);
   Alcotest.(check (list int))
-    "fusion off: map then select, topmost first" [ map; sel ] ids_off;
-  Alcotest.(check (list int))
-    "fusion on: the chain interior select is a barrier" [ map ] ids_on;
+    "the chain interior select is a barrier" [ map ] ids;
   let c = List.hd (Musketeer.Subplan.candidates g) in
   Alcotest.(check (list string))
     "candidate reads r1" [ "r1" ] c.Musketeer.Subplan.sc_inputs;
@@ -357,7 +348,7 @@ module Share = Engines.Share
 
 let test_subplan_share_window () =
   let t = Share.create () in
-  let key = "fnv1a:abc|fusion=false" in
+  let key = "fnv1a:abc" in
   let table = kv_table 1 in
   Alcotest.(check bool)
     "nothing to claim before publish" true
@@ -380,7 +371,7 @@ let test_subplan_share_window () =
 
 let test_subplan_share_payer_expiry () =
   let t = Share.create () in
-  let key = "fnv1a:def|fusion=false" in
+  let key = "fnv1a:def" in
   let f = Share.begin_flight t in
   Share.with_flight t f (fun () ->
       Share.publish t ~key ~inputs:[ "r1" ] ~mb:5. (kv_table 2));
@@ -888,8 +879,8 @@ let test_serve_sharing_off_by_default () =
 (* ---- properties ---- *)
 
 (* With sharing on, served outputs stay byte-identical to one-shot
-   runs for generated workflows under fusion x columnar —
-   the same gate the serve bench enforces fatally. *)
+   runs for generated workflows, columnar on and off — the same gate
+   the serve bench enforces fatally. *)
 let test_sharing_identity_differential () =
   Qcheck_lite.check ~count:6 ~seed:lite_seed
     ~name:"shared-subplan outputs = one-shot outputs"
@@ -897,45 +888,38 @@ let test_sharing_identity_differential () =
     (fun spec ->
       let g = Qcheck_lite.graph_of_spec spec in
       List.for_all
-        (fun fusion ->
+        (fun columnar ->
+          Relation.Column.with_enabled columnar @@ fun () ->
+          let hdfs = Qcheck_lite.hdfs_of_spec spec in
+          let base = Engines.Hdfs.snapshot hdfs in
+          let reference =
+            let m = Experiments.Common.musketeer_for cluster in
+            match
+              Musketeer.plan m ~workflow:"spec" ~hdfs:base g
+            with
+            | None -> Alcotest.fail "spec should plan"
+            | Some (plan, g') -> (
+              match
+                Musketeer.execute_plan ~record_history:false m
+                  ~workflow:"spec" ~hdfs:base ~graph:g' plan
+              with
+              | Error e ->
+                Alcotest.fail (Engines.Report.error_to_string e)
+              | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
+          in
+          let m = Experiments.Common.musketeer_for cluster in
+          let outcomes, _ =
+            Serve.Service.run
+              ~config:(config ~subresult_cache_mb:256. ())
+              m ~hdfs
+              [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
+                sub ~tenant:"b" ~workflow:"spec" ~at:0. g;
+                sub ~tenant:"a" ~workflow:"spec" ~at:9000. g ]
+          in
           List.for_all
-            (fun columnar ->
-              Relation.Column.with_enabled columnar @@ fun () ->
-              Ir.Fusion.set_enabled (Some fusion);
-              Fun.protect
-                ~finally:(fun () -> Ir.Fusion.set_enabled None)
-              @@ fun () ->
-              let hdfs = Qcheck_lite.hdfs_of_spec spec in
-              let base = Engines.Hdfs.snapshot hdfs in
-              let reference =
-                let m = Experiments.Common.musketeer_for cluster in
-                match
-                  Musketeer.plan m ~workflow:"spec" ~hdfs:base g
-                with
-                | None -> Alcotest.fail "spec should plan"
-                | Some (plan, g') -> (
-                  match
-                    Musketeer.execute_plan ~record_history:false m
-                      ~workflow:"spec" ~hdfs:base ~graph:g' plan
-                  with
-                  | Error e ->
-                    Alcotest.fail (Engines.Report.error_to_string e)
-                  | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
-              in
-              let m = Experiments.Common.musketeer_for cluster in
-              let outcomes, _ =
-                Serve.Service.run
-                  ~config:(config ~subresult_cache_mb:256. ())
-                  m ~hdfs
-                  [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
-                    sub ~tenant:"b" ~workflow:"spec" ~at:0. g;
-                    sub ~tenant:"a" ~workflow:"spec" ~at:9000. g ]
-              in
-              List.for_all
-                (fun (o : Serve.Service.outcome) ->
-                  o.error = None && sorted_csv o.outputs = reference)
-                outcomes)
-            [ true; false ])
+            (fun (o : Serve.Service.outcome) ->
+              o.error = None && sorted_csv o.outputs = reference)
+            outcomes)
         [ true; false ])
 
 let () =
@@ -983,6 +967,5 @@ let () =
          Alcotest.test_case "off by default" `Quick
            test_serve_sharing_off_by_default ]);
       ("properties",
-       [ Alcotest.test_case
-           "shared = one-shot (jobs x fusion x columnar)" `Slow
+       [ Alcotest.test_case "shared = one-shot (columnar)" `Slow
            test_sharing_identity_differential ]) ]

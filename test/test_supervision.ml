@@ -503,8 +503,7 @@ let test_adaptive_replan_fires () =
 (* ---------------- differential property ---------------- *)
 
 (* full supervision (deadlines + speculation + replanning) under
-   straggler-heavy injection never changes byte-level outputs, with
-   fusion on and off *)
+   straggler-heavy injection never changes byte-level outputs *)
 let sup_case_arbitrary =
   Qcheck_lite.make
     ~shrink:(fun (s, p) ->
@@ -527,23 +526,14 @@ let supervision_preserves_outputs (spec, fault_plan) =
   let candidates = [ Engines.Backend.Hadoop; Engines.Backend.Metis ] in
   List.for_all
     (fun backend ->
-       List.for_all
-         (fun fusion ->
-            Ir.Fusion.set_enabled (Some fusion);
-            Fun.protect
-              ~finally:(fun () -> Ir.Fusion.set_enabled None)
-              (fun () ->
-                 match run_spec backend spec with
-                 | None -> true
-                 | Some fault_free -> (
-                   match
-                     run_spec ~faults:fault_plan ~supervision
-                       ~candidates backend spec
-                   with
-                   | None -> failwith "plan disappeared under injection"
-                   | Some supervised ->
-                     outputs_of supervised = outputs_of fault_free)))
-         [ true; false ])
+       match run_spec backend spec with
+       | None -> true
+       | Some fault_free -> (
+         match
+           run_spec ~faults:fault_plan ~supervision ~candidates backend spec
+         with
+         | None -> failwith "plan disappeared under injection"
+         | Some supervised -> outputs_of supervised = outputs_of fault_free))
     [ Engines.Backend.Hadoop; Engines.Backend.Metis ]
 
 let test_supervision_never_changes_outputs () =
