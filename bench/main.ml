@@ -400,16 +400,11 @@ let supervision_bench () =
         exit 1
     in
     let candidates = if candidates = [] then backends else candidates in
-    let exec () =
+    match
       Musketeer.execute_plan ~recovery:Musketeer.Recovery.none ~supervision
-        ~candidates ~record_history:false m ~workflow ~hdfs ~graph:g' plan
-    in
-    let result =
-      match faults with
-      | None -> exec ()
-      | Some fp -> Engines.Injector.with_plan fp exec
-    in
-    match result with
+        ?inject:(Option.map Engines.Injector.create faults) ~candidates
+        ~record_history:false m ~workflow ~hdfs ~graph:g' plan
+    with
     | Ok r -> (plan, g', hdfs, r)
     | Error e ->
       Printf.eprintf "FATAL: %s failed: %s\n" workflow
@@ -501,15 +496,16 @@ let supervision_bench () =
 
   (* -- scenario 2: circuit breaker -- *)
   Obs.Metrics.reset Obs.Metrics.default;
-  Engines.Breaker.enable ~threshold:2 ~window:4 ~cooldown:2 ();
   let breaker_result =
-    Fun.protect ~finally:Engines.Breaker.disable @@ fun () ->
+    let breaker =
+      Engines.Breaker.create ~threshold:2 ~window:4 ~cooldown:2 ()
+    in
     let metis = Engines.Backend.Metis and hadoop = Engines.Backend.Hadoop in
     let planned_on backend =
       let hdfs = hdfs_with rows in
       match
-        Musketeer.plan m ~backends:[ metis; hadoop ] ~workflow:"brk" ~hdfs
-          (one_shuffle_graph ())
+        Musketeer.plan m ~backends:[ metis; hadoop ] ~breaker ~workflow:"brk"
+          ~hdfs (one_shuffle_graph ())
       with
       | Some (p, _) ->
         List.exists
@@ -518,17 +514,21 @@ let supervision_bench () =
       | None -> false
     in
     let healthy = planned_on metis in
-    Engines.Breaker.record_failure metis;
-    Engines.Breaker.record_failure metis;
-    let quarantined = Engines.Breaker.quarantined metis in
+    Engines.Breaker.record_failure breaker metis;
+    Engines.Breaker.record_failure breaker metis;
+    let quarantined = Engines.Breaker.quarantined breaker metis in
     let avoided = not (planned_on metis) in
     (* outcomes elsewhere advance the logical clock past the cool-down *)
-    Engines.Breaker.record_success hadoop;
-    Engines.Breaker.record_success hadoop;
-    let half_open = Engines.Breaker.state metis = Engines.Breaker.Half_open in
+    Engines.Breaker.record_success breaker hadoop;
+    Engines.Breaker.record_success breaker hadoop;
+    let half_open =
+      Engines.Breaker.state breaker metis = Engines.Breaker.Half_open
+    in
     let readmitted = planned_on metis in
-    Engines.Breaker.record_success metis;
-    let reclosed = Engines.Breaker.state metis = Engines.Breaker.Closed in
+    Engines.Breaker.record_success breaker metis;
+    let reclosed =
+      Engines.Breaker.state breaker metis = Engines.Breaker.Closed
+    in
     Printf.printf
       "\ncircuit breaker (threshold 2, window 4, cool-down 2)\n\
       \  planned while healthy %b -> quarantined %b -> avoided by planner \
@@ -706,7 +706,7 @@ let calibration_bench () =
   in
   (* one pass over the suite: execute every engine's workflow, append a
      ledger record per workflow, return (p50, p90, outputs-csv) *)
-  let run_suite ~ledger =
+  let run_suite m ~ledger =
     Obs.Metrics.reset Obs.Metrics.default;
     let outputs = ref [] in
     List.iter
@@ -763,22 +763,22 @@ let calibration_bench () =
     in
     (percentile 0.5 errors, percentile 0.9 errors, List.rev !outputs)
   in
-  (* three runs against a fresh ledger; refit factors before each *)
+  (* three runs against a fresh ledger; refit factors before each
+     (none without calibration) *)
   let run_mode ~calibrate =
     let ledger = Filename.temp_file "bench_calibration" ".jsonl" in
-    Musketeer.Calibrate.reset ();
-    Musketeer.Calibrate.set_enabled calibrate;
     Fun.protect
-      ~finally:(fun () ->
-          Musketeer.Calibrate.reset ();
-          try Sys.remove ledger with Sys_error _ -> ())
+      ~finally:(fun () -> try Sys.remove ledger with Sys_error _ -> ())
     @@ fun () ->
     let results = ref [] in
     for _run = 1 to runs do
-      ignore
-        (Musketeer.Calibrate.install_from
-           (Obs.Ledger.load ~filename:ledger ()));
-      results := run_suite ~ledger :: !results
+      let factors =
+        if calibrate then
+          Musketeer.Calibrate.of_ledger (Obs.Ledger.load ~filename:ledger ())
+        else []
+      in
+      results :=
+        run_suite (Musketeer.with_calibration m factors) ~ledger :: !results
     done;
     let factors =
       Musketeer.Calibrate.fit (Obs.Ledger.load ~filename:ledger ())
@@ -1718,7 +1718,6 @@ let overload_bench () =
   let o1 = Serve.Service.drive svc1 (arrivals steady_count) in
   let s1 = Serve.Service.summarize svc1 o1 in
   (* simulated crash: warm state dies, the ledger file and HDFS survive *)
-  Engines.Breaker.reset ();
   let records =
     match Obs.Ledger.load ~filename:ledger_file () with
     | r -> r
@@ -1731,7 +1730,9 @@ let overload_bench () =
       (List.length records) steady_count;
     exit 1
   end;
-  let m2 = Experiments.Common.musketeer_for cluster in
+  (* the restarted service: a fresh history, no calibration until
+     [restore] re-fits it, fresh breakers *)
+  let m2 = Musketeer.with_history m1 (Musketeer.History.create ()) in
   let svc2 = Serve.Service.create ~config:steady_config m2 ~hdfs in
   let stats =
     Serve.Service.restore svc2

@@ -230,29 +230,32 @@ let supervision_of deadline_factor deadline no_speculation replan_threshold =
       speculate = not no_speculation;
       replan_rel_error = replan_threshold }
 
-let set_breaker = function
-  | None -> ()
-  | Some k -> Engines.Breaker.enable ~threshold:(max 1 k) ()
+let breaker_of =
+  Option.map (fun k -> Engines.Breaker.create ~threshold:(max 1 k) ())
 
-(* parse --inject; [f] receives the --retries-derived recovery policy
-   and an [injected] bracket to wrap around execution ONLY — installing
-   the injector for the whole command would let the calibration probe
-   jobs consume the fault budget before the real run *)
-let with_injection inject seed retries f =
+(* parse --inject into its fault plan (fatal when malformed) *)
+let fault_plan_of inject seed =
+  Option.map
+    (fun spec ->
+       match Engines.Faults.parse_plan ~seed spec with
+       | Error msg ->
+         Format.eprintf "bad --inject spec: %s@." msg;
+         exit 1
+       | Ok plan ->
+         Format.eprintf "injecting: %a@." Engines.Faults.pp_plan plan;
+         plan)
+    inject
+
+(* the --retries-derived recovery policy and a maker of fresh
+   injectors, one per execution: each run draws from the whole fault
+   budget, and nothing but the execution draws from it *)
+let injection inject seed retries =
   let recovery =
     { Musketeer.Recovery.default with
       Musketeer.Recovery.max_retries = max 0 retries }
   in
-  match inject with
-  | None -> f recovery (fun exec -> exec ())
-  | Some spec -> (
-    match Engines.Faults.parse_plan ~seed spec with
-    | Error msg ->
-      Format.eprintf "bad --inject spec: %s@." msg;
-      exit 1
-    | Ok plan ->
-      Format.eprintf "injecting: %a@." Engines.Faults.pp_plan plan;
-      f recovery (fun exec -> Engines.Injector.with_plan plan exec))
+  let plan = fault_plan_of inject seed in
+  (recovery, fun () -> Option.map Engines.Injector.create plan)
 
 let ledger_arg =
   Arg.(
@@ -274,10 +277,10 @@ let no_calibrate_arg =
            model; with --ledger, records are still appended (raw and \
            calibrated predictions then coincide).")
 
-(* load the ledger and install per-engine correction factors; fatal on
-   a newer-major schema or a corrupt (non-final) line *)
-let setup_calibration ledger no_calibrate =
-  Musketeer.Calibrate.set_enabled (not no_calibrate);
+(* load the ledger and fit per-engine correction factors (none with
+   --no-calibrate); fatal on a newer-major schema or a corrupt
+   (non-final) line *)
+let calibration_of ledger no_calibrate =
   match ledger with
   | None -> []
   | Some filename -> (
@@ -291,7 +294,7 @@ let setup_calibration ledger no_calibrate =
     | records ->
       if no_calibrate then []
       else begin
-        let factors = Musketeer.Calibrate.install_from records in
+        let factors = Musketeer.Calibrate.of_ledger records in
         (match factors with
          | [] -> ()
          | factors ->
@@ -382,9 +385,12 @@ let pp_run_telemetry ppf () =
 
 (* ---- commands ---- *)
 
-let setup kind nodes =
-  let cluster = Engines.Cluster.ec2 ~nodes in
-  let m = Experiments.Common.musketeer_for cluster in
+(* the cluster's manager, calibrated with [factors] *)
+let manager ~factors cluster =
+  Musketeer.with_calibration (Experiments.Common.musketeer_for cluster) factors
+
+let setup ?(factors = []) kind nodes =
+  let m = manager ~factors (Engines.Cluster.ec2 ~nodes) in
   let hdfs, graph = load_workflow kind in
   (m, hdfs, graph)
 
@@ -415,18 +421,18 @@ let run_cmd =
   let run kind nodes backend show_code trace inject seed retries
       deadline_factor deadline no_speculation replan_threshold breaker
       ledger no_calibrate =
-    set_breaker breaker;
-    ignore (setup_calibration ledger no_calibrate);
+    let breaker = breaker_of breaker in
+    let factors = calibration_of ledger no_calibrate in
     let supervision =
       supervision_of deadline_factor deadline no_speculation
         replan_threshold
     in
     with_trace trace @@ fun () ->
-    with_injection inject seed retries @@ fun recovery injected ->
-    let m, hdfs, graph = setup kind nodes in
+    let recovery, injector = injection inject seed retries in
+    let m, hdfs, graph = setup ~factors kind nodes in
     let backends = Option.map (fun b -> [ b ]) backend in
     let workflow = List.assoc kind (List.map (fun (n, k) -> (k, n)) zoo) in
-    match Musketeer.plan m ?backends ~workflow ~hdfs graph with
+    match Musketeer.plan m ?backends ?breaker ~workflow ~hdfs graph with
     | None -> Format.printf "no feasible plan@."
     | Some (plan, g') ->
       Format.printf "plan:@.%a@." Musketeer.Partitioner.pp_plan plan;
@@ -437,9 +443,9 @@ let run_cmd =
           (Musketeer.show_code ~graph:g' plan);
       let since = Obs.Ledger.mark Obs.Metrics.default in
       (match
-         injected (fun () ->
-             Musketeer.execute_plan ~recovery ~supervision
-               ?candidates:backends m ~workflow ~hdfs ~graph:g' plan)
+         Musketeer.execute_plan ~recovery ~supervision ?breaker
+           ?inject:(injector ()) ?candidates:backends m ~workflow ~hdfs
+           ~graph:g' plan
        with
        | Error e ->
          Format.printf "execution failed: %s@."
@@ -492,20 +498,19 @@ let run_file_cmd =
   let run frontend file tables nodes backend show_code history_file trace
       inject seed retries deadline_factor deadline no_speculation
       replan_threshold breaker ledger no_calibrate =
-    set_breaker breaker;
-    ignore (setup_calibration ledger no_calibrate);
+    let breaker = breaker_of breaker in
+    let factors = calibration_of ledger no_calibrate in
     let supervision =
       supervision_of deadline_factor deadline no_speculation
         replan_threshold
     in
     with_trace trace @@ fun () ->
-    with_injection inject seed retries @@ fun recovery injected ->
+    let recovery, injector = injection inject seed retries in
     let source = In_channel.with_open_text file In_channel.input_all in
     let graph = parse_frontend frontend source in
     let hdfs = Engines.Hdfs.create () in
     Workloads.Csv_loader.load_bindings hdfs tables;
-    let cluster = Engines.Cluster.ec2 ~nodes in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = manager ~factors (Engines.Cluster.ec2 ~nodes) in
     let m =
       match history_file with
       | Some f when Sys.file_exists f ->
@@ -515,7 +520,7 @@ let run_file_cmd =
     in
     let backends = Option.map (fun b -> [ b ]) backend in
     let workflow = Filename.remove_extension (Filename.basename file) in
-    match Musketeer.plan m ?backends ~workflow ~hdfs graph with
+    match Musketeer.plan m ?backends ?breaker ~workflow ~hdfs graph with
     | None -> Format.printf "no feasible plan@."
     | Some (plan, g') ->
       Format.printf "plan:@.%a@." Musketeer.Partitioner.pp_plan plan;
@@ -526,9 +531,9 @@ let run_file_cmd =
           (Musketeer.show_code ~graph:g' plan);
       let since = Obs.Ledger.mark Obs.Metrics.default in
       (match
-         injected (fun () ->
-             Musketeer.execute_plan ~recovery ~supervision
-               ?candidates:backends m ~workflow ~hdfs ~graph:g' plan)
+         Musketeer.execute_plan ~recovery ~supervision ?breaker
+           ?inject:(injector ()) ?candidates:backends m ~workflow ~hdfs
+           ~graph:g' plan
        with
        | Error e ->
          Format.printf "execution failed: %s@."
@@ -577,9 +582,9 @@ let run_file_cmd =
 let explain_cmd =
   let run kind nodes backend trace ledger no_calibrate =
     (* read-only: factors shape the explained costs, nothing is appended *)
-    ignore (setup_calibration ledger no_calibrate);
+    let factors = calibration_of ledger no_calibrate in
     with_trace trace @@ fun () ->
-    let m, hdfs, graph = setup kind nodes in
+    let m, hdfs, graph = setup ~factors kind nodes in
     let backends = Option.map (fun b -> [ b ]) backend in
     let report = Musketeer.explain ?backends m ~workflow:"cli" ~hdfs graph in
     Musketeer.Explain.pp Format.std_formatter report
@@ -607,16 +612,15 @@ let stats_cmd =
   let run kind nodes backend repeat trace inject seed retries
       deadline_factor deadline no_speculation replan_threshold breaker
       ledger no_calibrate json =
-    set_breaker breaker;
-    ignore (setup_calibration ledger no_calibrate);
+    let breaker = breaker_of breaker in
+    let factors = calibration_of ledger no_calibrate in
     let supervision =
       supervision_of deadline_factor deadline no_speculation
         replan_threshold
     in
     with_trace trace @@ fun () ->
-    with_injection inject seed retries @@ fun recovery injected ->
-    let cluster = Engines.Cluster.ec2 ~nodes in
-    let m = Experiments.Common.musketeer_for cluster in
+    let recovery, injector = injection inject seed retries in
+    let m = manager ~factors (Engines.Cluster.ec2 ~nodes) in
     let backends = Option.map (fun b -> [ b ]) backend in
     let workflow = List.assoc kind (List.map (fun (n, k) -> (k, n)) zoo) in
     for i = 1 to max 1 repeat do
@@ -627,9 +631,8 @@ let stats_cmd =
       (* with --json, stdout is reserved for the JSON document *)
       let progress = if json then Format.err_formatter else Format.std_formatter in
       match
-        injected (fun () ->
-            Musketeer.execute m ?backends ~recovery ~supervision ~workflow
-              ~hdfs graph)
+        Musketeer.execute m ?backends ~recovery ~supervision ?breaker
+          ?inject:(injector ()) ~workflow ~hdfs graph
       with
       | Error e ->
         Format.fprintf progress "run %d failed: %s@." i
@@ -645,8 +648,7 @@ let stats_cmd =
         (Obs.Json.to_string (Obs.Metrics.to_json Obs.Metrics.default))
     else begin
       Format.printf "@.%a" Musketeer.Obs.Metrics.pp Obs.Metrics.default;
-      if Engines.Breaker.enabled () then
-        Format.printf "@.%a" Engines.Breaker.pp ()
+      Option.iter (Format.printf "@.%a" Engines.Breaker.pp) breaker
     end
   in
   Cmd.v
@@ -867,18 +869,7 @@ let serve_cmd =
           shed_policy_s;
         exit 1
     in
-    let inject_plan =
-      match inject with
-      | None -> None
-      | Some spec -> (
-        match Engines.Faults.parse_plan ~seed spec with
-        | Error msg ->
-          Format.eprintf "bad --inject spec: %s@." msg;
-          exit 1
-        | Ok plan ->
-          Format.eprintf "injecting: %a@." Engines.Faults.pp_plan plan;
-          Some plan)
-    in
+    let inject_plan = fault_plan_of inject seed in
     (* recovery is armed only under injection: a fault-free serve run
        keeps the seed behavior (failures fail) and the identity
        baseline stays comparable *)
@@ -895,8 +886,7 @@ let serve_cmd =
       Format.eprintf "--restart-after requires --ledger@.";
       exit 1
     end;
-    set_breaker breaker;
-    ignore (setup_calibration ledger no_calibrate);
+    let factors = calibration_of ledger no_calibrate in
     let tenants = parse_weighted ~what:"tenant" tenants_spec in
     let hdfs = Engines.Hdfs.create () in
     (* merge every mix workflow's loader HDFS into one shared instance;
@@ -938,11 +928,12 @@ let serve_cmd =
         pressure_threshold_s = Float.max 0. pressure_threshold;
         default_slo_s = slo;
         retry_budget;
-        recovery; supervision; inject = inject_plan }
+        recovery; supervision; inject = inject_plan;
+        breaker = breaker_of breaker }
     in
     with_trace trace @@ fun () ->
     let cluster = Engines.Cluster.ec2 ~nodes in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = manager ~factors cluster in
     let outcomes, svc =
       match restart_after with
       | None -> Serve.Service.run ~config m ~hdfs submissions
@@ -958,9 +949,13 @@ let serve_cmd =
         let svc1 = Serve.Service.create ~config m ~hdfs in
         let outcomes1 = Serve.Service.drive svc1 before in
         (* simulated crash: every piece of warm state dies with the
-           process — only the ledger file and HDFS survive *)
-        Engines.Breaker.reset ();
-        let m' = Experiments.Common.musketeer_for cluster in
+           process — only the ledger file and HDFS survive. The new
+           service starts with a fresh history, no calibration and
+           fresh breakers *)
+        let m' =
+          Musketeer.with_history (Experiments.Common.musketeer_for cluster)
+            (Musketeer.History.create ())
+        in
         let svc2 = Serve.Service.create ~config m' ~hdfs in
         let records =
           match ledger with
@@ -973,7 +968,7 @@ let serve_cmd =
               exit 1)
         in
         let stats =
-          Serve.Service.restore svc2
+          Serve.Service.restore ~calibrate:(not no_calibrate) svc2
             ~mix:
               (List.map
                  (fun (e : Serve.Client.mix_entry) -> (e.workflow, e.graph))

@@ -4,8 +4,9 @@
    (Profile.calibrate); every executed job then records predicted vs.
    observed makespan. This module closes the loop: fit one
    multiplicative correction factor per engine from the ledger's
-   records and have Cost scale its estimates by it, so systematic
-   over/under-prediction shrinks run over run.
+   records; the caller puts them into its profile
+   (Profile.with_calibration) and Cost scales its estimates by them, so
+   systematic over/under-prediction shrinks run over run.
 
    Fitting is on observed / *raw* predicted (the estimate before any
    factor was applied) — factors therefore never compound across runs.
@@ -77,36 +78,8 @@ let fit ?(min_samples = default_min_samples) ?(alpha = default_alpha)
     acc []
   |> List.sort compare
 
-(* ---- installed state (pattern of Engines.Breaker / fusion toggles) ---- *)
-
-let installed : (string, float) Hashtbl.t = Hashtbl.create 8
-
-let enabled = ref true
-
-let set_enabled b = enabled := b
-
-let is_enabled () = !enabled
-
-let install factors =
-  Hashtbl.reset installed;
-  List.iter (fun (backend, f) -> Hashtbl.replace installed backend f) factors
-
-let reset () =
-  Hashtbl.reset installed;
-  enabled := true
-
-let factors () =
-  Hashtbl.fold (fun b f acc -> (b, f) :: acc) installed []
-  |> List.sort compare
-
-let factor_for backend =
-  if not !enabled then 1.0
-  else Option.value ~default:1.0 (Hashtbl.find_opt installed backend)
-
-(* fit + install in one step; the CLI calls this after loading a ledger *)
-let install_from ?min_samples ?alpha records =
+let of_ledger ?min_samples ?alpha records =
   let factors = fit ?min_samples ?alpha records in
-  install factors;
   List.iter
     (fun (backend, f) ->
        Obs.Metrics.set_gauge Obs.Metrics.default

@@ -3,23 +3,25 @@
     [Profile.calibrate] fixes the cost model's per-engine rates once,
     by probing; the run ledger then accumulates predicted-vs-observed
     makespans for every executed job. {!fit} turns those records into
-    one multiplicative correction factor per engine, and once
-    {!install}ed, {!Cost.job_cost} scales every estimate for that
-    engine by its factor — so the partitioner's choices, [explain]'s
-    tables and the supervisor's deadlines all see the corrected model.
+    one multiplicative correction factor per engine. A caller puts them
+    into its profile ({!Profile.with_calibration}, or
+    [Musketeer.with_calibration]), and {!Cost.job_cost} scales every
+    estimate for that engine by its factor — so the partitioner's
+    choices, [explain]'s tables and the supervisor's deadlines all see
+    the corrected model.
 
     Fitting is robust and compounding-free: ratios are taken against
     the {e raw} (uncalibrated) prediction stored alongside each record,
     per-record medians absorb stragglers, an EWMA smooths across
     records, engines with fewer than [min_samples] observations keep
-    factor 1.0, and factors are clamped to a sane range. The
-    [--no-calibrate] CLI flag maps to {!set_enabled}[ false]. *)
+    factor 1.0, and factors are clamped to a sane range. With the
+    [--no-calibrate] CLI flag nothing is fitted. *)
 
 val default_min_samples : int
 
 val default_alpha : float
 
-(** Installed factors are clamped into [\[clamp_lo, clamp_hi\]]. *)
+(** Fitted factors are clamped into [\[clamp_lo, clamp_hi\]]. *)
 val clamp_lo : float
 
 val clamp_hi : float
@@ -35,31 +37,8 @@ val fit :
   ?min_samples:int -> ?alpha:float -> Obs.Ledger.record list ->
   (string * float) list
 
-(** {2 Process-wide installed factors}
-
-    Global, like {!Engines.Breaker}'s quarantine state: the cost model
-    is consulted from deep inside the partitioner search, where
-    threading a context through every call is not worth it. *)
-
-(** Replace the installed factors. *)
-val install : (string * float) list -> unit
-
-(** [fit] + [install], also exporting each factor as a
-    ["calibration.factor.<engine>"] gauge. Returns the factors. *)
-val install_from :
+(** [fit], also exporting each factor as a
+    ["calibration.factor.<engine>"] gauge. *)
+val of_ledger :
   ?min_samples:int -> ?alpha:float -> Obs.Ledger.record list ->
   (string * float) list
-
-(** [factor_for backend_name] — 1.0 when unknown or disabled. *)
-val factor_for : string -> float
-
-(** Installed factors, sorted by backend name. *)
-val factors : unit -> (string * float) list
-
-(** When disabled, {!factor_for} is 1.0 everywhere ([--no-calibrate]). *)
-val set_enabled : bool -> unit
-
-val is_enabled : unit -> bool
-
-(** Clear factors and re-enable (tests). *)
-val reset : unit -> unit

@@ -218,8 +218,8 @@ let job_cost ~profile ~graph ~est backend ids =
         | _ -> None)
       | _ -> None
     in
-    (* ledger-fitted per-engine correction; 1.0 until installed *)
-    let factor = Calibrate.factor_for (Engines.Backend.name backend) in
+    (* ledger-fitted per-engine correction; 1.0 without calibration *)
+    let factor = Profile.factor profile (Engines.Backend.name backend) in
     (match expanded_while with
      | Some cost -> Finite (factor *. cost)
      | None ->

@@ -26,8 +26,8 @@ let job_for ~mode ~label ~backend g =
   | Native_frontend -> Codegen.native_frontend_job ~label ~backend g
 
 (* run one engine job, recording observed sizes into history *)
-let dispatch ~mode ~profile ~history ~workflow ~record_history ~hdfs ~label
-    ~backend g mapping =
+let dispatch ~mode ~profile ~history ~workflow ~record_history ~hdfs ~inject
+    ~share ~label ~backend g mapping =
   Obs.Trace.with_span
     ~attrs:[ ("backend", Obs.Trace.String (Engines.Backend.name backend));
              ("operators", Obs.Trace.Int (Ir.Dag.operator_count g)) ]
@@ -40,7 +40,7 @@ let dispatch ~mode ~profile ~history ~workflow ~record_history ~hdfs ~label
   (* resource probe around the dispatch: wall time, GC pressure and
      throughput land on this job's span and in the registry *)
   let probe = Obs.Probe.start () in
-  match Engines.Registry.run backend ~cluster ~hdfs job with
+  match Engines.Registry.run ?inject ?share backend ~cluster ~hdfs job with
   | Error e ->
     Obs.Trace.add_attr "error" (Obs.Trace.String
                                   (Engines.Report.error_to_string e));
@@ -89,7 +89,7 @@ let dispatch ~mode ~profile ~history ~workflow ~record_history ~hdfs ~label
 
 (* WHILE on a MapReduce engine: per-iteration job chains (§4.2) *)
 let expand_while ~mode ~profile ~history ~workflow ~record_history ~hdfs
-    ~graph ~recovery ~backend (n : Ir.Operator.node) =
+    ~inject ~share ~breaker ~graph ~recovery ~backend (n : Ir.Operator.node) =
   let condition, max_iterations, body =
     match n.kind with
     | Ir.Operator.While { condition; max_iterations; body } ->
@@ -170,12 +170,12 @@ let expand_while ~mode ~profile ~history ~workflow ~record_history ~hdfs
            let reset () = Engines.Hdfs.restore hdfs ~from:pre in
            let report =
              match
-               Recovery.with_retries ~reset ~policy:recovery ~workflow
-                 ~label ~backend:job_backend (fun () ->
+               Recovery.with_retries ?breaker ~reset ~policy:recovery
+                 ~workflow ~label ~backend:job_backend (fun () ->
                    try
                      Ok
                        (dispatch ~mode ~profile ~history ~workflow
-                          ~record_history:false ~hdfs ~label
+                          ~record_history:false ~hdfs ~inject ~share ~label
                           ~backend:job_backend job_graph mapping)
                    with Execution_failed e -> Error e)
              with
@@ -214,14 +214,8 @@ let is_expandable_while ~backend ~graph ids =
 
 let run_plan ?(mode = Generated) ?(record_history = true)
     ?(recovery = Recovery.none) ?(candidates = Engines.Backend.all)
-    ?(supervision = Supervisor.disabled) ?sharing ~profile ~history ~workflow
-    ~hdfs ~graph ~plan () =
-  (* serving mode installs the shared store for the whole run; engines
-     consult it through its dynamic scope *)
-  (match sharing with
-   | None -> fun f -> f ()
-   | Some share -> fun f -> Engines.Share.with_scope share f)
-  @@ fun () ->
+    ?(supervision = Supervisor.disabled) ?breaker ?inject ?sharing:share
+    ~profile ~history ~workflow ~hdfs ~graph ~plan () =
   Obs.Trace.with_span
     ~attrs:[ ("workflow", Obs.Trace.String workflow);
              ("jobs", Obs.Trace.Int (List.length plan.Partitioner.jobs)) ]
@@ -282,22 +276,25 @@ let run_plan ?(mode = Generated) ?(record_history = true)
           if is_expandable_while ~backend:b ~graph ids then
             Ok
               (expand_while ~mode ~profile ~history ~workflow
-                 ~record_history ~hdfs ~graph ~recovery ~backend:b
+                 ~record_history ~hdfs ~inject ~share ~breaker ~graph
+                 ~recovery ~backend:b
                  (Ir.Dag.node graph (List.hd ids)))
           else begin
             let job_graph, mapping = Jobgraph.extract_mapped graph ids in
             Ok
               [ dispatch ~mode ~profile ~history ~workflow ~record_history
-                  ~hdfs ~label ~backend:b job_graph mapping ]
+                  ~hdfs ~inject ~share ~label ~backend:b job_graph mapping ]
           end
         with Execution_failed e -> Error e
       in
-      let stragglers_before =
-        Obs.Metrics.counter Obs.Metrics.default "faults.straggler"
+      (* the run's own injector tells whether this job straggled *)
+      let stragglers () =
+        Option.fold ~none:0 ~some:Engines.Injector.stragglers inject
       in
+      let stragglers_before = stragglers () in
       let outcome =
         match
-          Recovery.run_job ~policy:recovery ~profile ~graph ~est
+          Recovery.run_job ?breaker ~policy:recovery ~profile ~graph ~est
             ~candidates ~workflow ~label ~ids ~reset
             ~dispatch:dispatch_on backend
         with
@@ -306,11 +303,8 @@ let run_plan ?(mode = Generated) ?(record_history = true)
       in
       let verdict =
         if supervising then
-          let straggler_injected =
-            Obs.Metrics.counter Obs.Metrics.default "faults.straggler"
-            > stragglers_before
-          in
-          Supervisor.supervise_job ~config:supervision ~profile ~graph
+          let straggler_injected = stragglers () > stragglers_before in
+          Supervisor.supervise_job ~breaker ~config:supervision ~profile ~graph
             ~est ~candidates ~hdfs ~label ~ids ~reset
             ~dispatch:dispatch_on ~predicted_s:prediction
             ~predicted_total_s ~straggler_injected
@@ -336,7 +330,7 @@ let run_plan ?(mode = Generated) ?(record_history = true)
          let backend_name = Engines.Backend.name backend in
          Obs.Metrics.record_prediction Obs.Metrics.default ~workflow
            ~job:label ~backend:backend_name
-           ~raw_predicted_s:(predicted_s /. Calibrate.factor_for backend_name)
+           ~raw_predicted_s:(predicted_s /. Profile.factor profile backend_name)
            ~predicted_s ~observed_s ()
        | _ -> ());
       (* size-misprediction telemetry: planner's estimate vs. the
@@ -356,7 +350,7 @@ let run_plan ?(mode = Generated) ?(record_history = true)
       acc := List.rev_append job_reports !acc;
       if supervising && !remaining <> [] then
         match
-          Supervisor.maybe_replan ~config:supervision ~profile ~history
+          Supervisor.maybe_replan ~breaker ~config:supervision ~profile ~history
             ~workflow ~hdfs ~graph ~est ~candidates ~completed:ids
             ~remaining:!remaining
         with

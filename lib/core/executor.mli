@@ -48,15 +48,22 @@ exception Execution_failed of Engines.Report.error
            {!Supervisor.disabled}): per-job deadlines, speculative
            duplicates for detected stragglers, and adaptive
            re-planning of the remaining jobs on size mispredictions.
-    @param sharing the service's shared store (serving mode): installed
-           around the whole run via {!Engines.Share.with_scope}, so
-           co-admitted workflows reading the same INPUT relation pay
-           one modeled HDFS read, and every relation the run writes
-           drops the entries that read it. Results are byte-identical
-           with or without it. *)
+    @param breaker circuit breaker (default none): planning
+           candidates of recovery and re-planning skip the engines it
+           quarantines, and every engine outcome is recorded on it.
+    @param inject fault injector (default none): every engine run of
+           the plan draws from it once ({!Engines.Injector}); the
+           supervisor reads its straggler count to detect a job's
+           injected straggler.
+    @param sharing the service's shared store (serving mode): passed
+           to every engine run, so co-admitted workflows reading the
+           same INPUT relation pay one modeled HDFS read, and every
+           relation the run writes drops the entries that read it.
+           Results are byte-identical with or without it. *)
 val run_plan :
   ?mode:mode -> ?record_history:bool -> ?recovery:Recovery.policy ->
   ?candidates:Engines.Backend.t list -> ?supervision:Supervisor.config ->
+  ?breaker:Engines.Breaker.t -> ?inject:Engines.Injector.t ->
   ?sharing:Engines.Share.t ->
   profile:Profile.t ->
   history:History.t -> workflow:string -> hdfs:Engines.Hdfs.t ->

@@ -15,8 +15,9 @@ let explain ?(backends = Engines.Backend.all) ~profile ~history ~workflow
     "explain"
   @@ fun () ->
   let catalog r = Relation.Table.schema (Engines.Hdfs.table hdfs r) in
-  let optimized = Optimizer.optimize ~catalog graph in
-  let rewrites_applied = Optimizer.last_rewrite_count () in
+  let optimized, rewrites_applied =
+    Optimizer.optimize_counted ~catalog graph
+  in
   let est =
     Estimator.build
       ~input_mb:(fun r ->
@@ -67,7 +68,7 @@ let explain ?(backends = Engines.Backend.all) ~profile ~history ~workflow
       backends
   in
   { rewrites_applied; optimized; estimates; plan; job_costs; alternatives;
-    calibration = (if Calibrate.is_enabled () then Calibrate.factors () else []) }
+    calibration = Profile.calibration profile }
 
 let pp ppf r =
   Format.fprintf ppf "optimized IR (%d rewrite%s applied):@."
@@ -99,7 +100,10 @@ let pp ppf r =
        (fun i (backend, ids, cost) ->
           (* cost already includes the engine's calibration factor;
              show the raw model estimate next to it when they differ *)
-          let factor = Calibrate.factor_for (Engines.Backend.name backend) in
+          let factor =
+            Option.value ~default:1.0
+              (List.assoc_opt (Engines.Backend.name backend) r.calibration)
+          in
           Format.fprintf ppf "  job %d on %-10s ops [%s]  ~%.1fs%s@." i
             (Engines.Backend.name backend)
             (String.concat "; " (List.map string_of_int ids))

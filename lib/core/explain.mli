@@ -18,8 +18,8 @@ type report = {
   job_costs : (Engines.Backend.t * int list * float) list;
   (* whole-workflow cost when forced onto one backend *)
   alternatives : (Engines.Backend.t * Cost.verdict) list;
-  (* installed Calibrate factors in effect ([] when disabled/none);
-     job_costs are calibrated, pp shows raw = cost / factor alongside *)
+  (* the profile's calibration factors ([] when none); job_costs are
+     calibrated, pp shows raw = cost / factor alongside *)
   calibration : (string * float) list;
 }
 

@@ -31,6 +31,9 @@ let create ?probe_mb ~cluster () =
 
 let with_history t history = { t with history }
 
+let with_calibration t factors =
+  { t with profile = Profile.with_calibration t.profile factors }
+
 let profile t = t.profile
 
 let history t = t.history
@@ -50,7 +53,7 @@ let estimator t ~workflow ~hdfs g =
 let optimize_ir ~hdfs g = Optimizer.optimize ~catalog:(catalog_of_hdfs hdfs) g
 
 let plan ?(backends = Engines.Backend.all) ?(merging = true)
-    ?(optimize = true) ?cache t ~workflow ~hdfs g =
+    ?(optimize = true) ?cache ?breaker t ~workflow ~hdfs g =
   Obs.Trace.with_span
     ~attrs:[ ("workflow", Obs.Trace.String workflow);
              ("backends", Obs.Trace.Int (List.length backends)) ]
@@ -58,7 +61,11 @@ let plan ?(backends = Engines.Backend.all) ?(merging = true)
   @@ fun () ->
   (* quarantined engines are not planning candidates — unless the
      quarantine would leave none at all *)
-  let backends = Engines.Breaker.filter_candidates backends in
+  let backends =
+    match breaker with
+    | Some b -> Engines.Breaker.filter_candidates b backends
+    | None -> backends
+  in
   let compute () =
     let g = if optimize then optimize_ir ~hdfs g else g in
     let est = estimator t ~workflow ~hdfs g in
@@ -79,7 +86,8 @@ let plan ?(backends = Engines.Backend.all) ?(merging = true)
        invalidates rather than serves a stale plan. *)
     let hash = Ir.Dag.canonical_hash g in
     let fingerprint =
-      Plan_cache.fingerprint ~backends ~merging ~optimize ~workflow ~hdfs g
+      Plan_cache.fingerprint ~profile:t.profile ~backends ~merging ~optimize
+        ~workflow ~hdfs g
     in
     let outcome = Plan_cache.find cache ~hash ~fingerprint in
     Obs.Trace.add_attr "plan.cache"
@@ -96,14 +104,14 @@ let plan ?(backends = Engines.Backend.all) ?(merging = true)
       result)
 
 let execute_plan ?mode ?record_history ?recovery ?candidates ?supervision
-    ?sharing t ~workflow ~hdfs ~graph p =
+    ?breaker ?inject ?sharing t ~workflow ~hdfs ~graph p =
   Executor.run_plan ?mode ?record_history ?recovery ?candidates ?supervision
-    ?sharing ~profile:t.profile ~history:t.history ~workflow ~hdfs ~graph
-    ~plan:p ()
+    ?breaker ?inject ?sharing ~profile:t.profile ~history:t.history ~workflow
+    ~hdfs ~graph ~plan:p ()
 
-let execute ?backends ?merging ?optimize ?mode ?recovery ?supervision t
-    ~workflow ~hdfs g =
-  match plan ?backends ?merging ?optimize t ~workflow ~hdfs g with
+let execute ?backends ?merging ?optimize ?mode ?recovery ?supervision
+    ?breaker ?inject t ~workflow ~hdfs g =
+  match plan ?backends ?merging ?optimize ?breaker t ~workflow ~hdfs g with
   | None ->
     Error
       (Engines.Report.Unsupported
@@ -113,8 +121,10 @@ let execute ?backends ?merging ?optimize ?mode ?recovery ?supervision t
     let candidates =
       Option.value backends ~default:Engines.Backend.all
     in
-    match execute_plan ?mode ?recovery ?supervision ~candidates t ~workflow
-            ~hdfs ~graph:g' p with
+    match
+      execute_plan ?mode ?recovery ?supervision ?breaker ?inject ~candidates
+        t ~workflow ~hdfs ~graph:g' p
+    with
     | Ok result -> Ok (result, p)
     | Error e -> Error e)
 

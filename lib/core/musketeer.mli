@@ -62,6 +62,12 @@ val create : ?probe_mb:float -> cluster:Engines.Cluster.t -> unit -> t
     (Figure 14) without re-calibrating. *)
 val with_history : t -> History.t -> t
 
+(** Same rates and history, with [factors] as the profile's
+    ledger-fitted calibration ({!Calibrate.fit}; [[]] for none).
+    Planning, pricing, [explain] and the plan-cache fingerprint all
+    read them from the profile. *)
+val with_calibration : t -> (string * float) list -> t
+
 val profile : t -> Profile.t
 
 val history : t -> History.t
@@ -82,8 +88,8 @@ val optimize_ir : hdfs:Engines.Hdfs.t -> Ir.Dag.t -> Ir.Dag.t
 
 (** [plan] = optimize + estimate + partition. [None] when no backend
     combination can express the workflow. Engines quarantined by
-    {!Engines.Breaker} are dropped from [backends] first (unless that
-    would leave none).
+    [breaker] are dropped from [backends] first (unless that would
+    leave none).
     @param backends candidate engines (default: all seven)
     @param merging operator merging on (default true; Figure 12's
            ablation passes false)
@@ -92,10 +98,12 @@ val optimize_ir : hdfs:Engines.Hdfs.t -> Ir.Dag.t -> Ir.Dag.t
            (plan, optimized graph) without re-running
            optimize/estimate/partition; misses and invalidations plan
            as usual and store the result. The lookup outcome rides the
-           ["plan"] span as the [plan.cache] attribute. *)
+           ["plan"] span as the [plan.cache] attribute.
+    @param breaker circuit breaker (default none: every engine is a
+           candidate) *)
 val plan :
   ?backends:Engines.Backend.t list -> ?merging:bool -> ?optimize:bool ->
-  ?cache:Plan_cache.t ->
+  ?cache:Plan_cache.t -> ?breaker:Engines.Breaker.t ->
   t -> workflow:string -> hdfs:Engines.Hdfs.t -> Ir.Dag.t ->
   (Partitioner.plan * Ir.Dag.t) option
 
@@ -104,21 +112,27 @@ val plan :
     {!Recovery.none}) governs retries and engine fallback on job
     failure; fallback candidates are confined to [backends].
     [supervision] (default {!Supervisor.disabled}) adds deadlines,
-    straggler speculation and adaptive re-planning. *)
+    straggler speculation and adaptive re-planning. [breaker] and
+    [inject] (default none) are the circuit breaker and the fault
+    injector of {!Executor.run_plan}; the breaker also filters the
+    planning candidates. *)
 val execute :
   ?backends:Engines.Backend.t list -> ?merging:bool -> ?optimize:bool ->
   ?mode:Executor.mode -> ?recovery:Recovery.policy ->
-  ?supervision:Supervisor.config -> t ->
+  ?supervision:Supervisor.config -> ?breaker:Engines.Breaker.t ->
+  ?inject:Engines.Injector.t -> t ->
   workflow:string -> hdfs:Engines.Hdfs.t -> Ir.Dag.t ->
   (Executor.result * Partitioner.plan, Engines.Report.error) result
 
 (** Run a pre-computed plan (used by experiments that compare plans,
-    and by the serving layer — [sharing] installs the service's shared
-    store around the run, see {!Engines.Share}). *)
+    and by the serving layer — [sharing] passes the service's shared
+    store to every engine run, see {!Engines.Share}). The options are
+    {!Executor.run_plan}'s. *)
 val execute_plan :
   ?mode:Executor.mode -> ?record_history:bool ->
   ?recovery:Recovery.policy -> ?candidates:Engines.Backend.t list ->
-  ?supervision:Supervisor.config -> ?sharing:Engines.Share.t ->
+  ?supervision:Supervisor.config -> ?breaker:Engines.Breaker.t ->
+  ?inject:Engines.Injector.t -> ?sharing:Engines.Share.t ->
   t -> workflow:string -> hdfs:Engines.Hdfs.t -> graph:Ir.Dag.t ->
   Partitioner.plan ->
   (Executor.result, Engines.Report.error) result

@@ -4,10 +4,6 @@ let log_src = Logs.Src.create "musketeer.optimizer" ~doc:"IR rewrites"
 
 module Log = (val Logs.src_log log_src)
 
-let rewrite_count = ref 0
-
-let last_rewrite_count () = !rewrite_count
-
 (* ---- generic single-node rewrite driver ---- *)
 
 type action =
@@ -304,7 +300,8 @@ let rewrites ~catalog =
     ("prune-input-columns",
      fun g _schemas -> Column_pruning.prune_inputs ~catalog g) ]
 
-let rec optimize_graph ~catalog (g : Ir.Dag.t) =
+(* [count] counts the rewrites fired, WHILE bodies included *)
+let rec optimize_graph ~count ~catalog (g : Ir.Dag.t) =
   let schemas, applied =
     (* one span per fixpoint pass: the type check plus the first rewrite
        that fires (or none, ending the loop) *)
@@ -326,14 +323,14 @@ let rec optimize_graph ~catalog (g : Ir.Dag.t) =
   in
   match applied with
   | Some (rule, g') ->
-    incr rewrite_count;
+    incr count;
     Obs.Metrics.incr Obs.Metrics.default ("rewrite." ^ rule);
     Log.debug (fun m -> m "applied rewrite %s" rule);
-    optimize_graph ~catalog g'
-  | None -> optimize_bodies ~catalog ~schemas g
+    optimize_graph ~count ~catalog g'
+  | None -> optimize_bodies ~count ~catalog ~schemas g
 
 (* recurse into WHILE bodies, binding loop-input schemas *)
-and optimize_bodies ~catalog ~schemas (g : Ir.Dag.t) =
+and optimize_bodies ~count ~catalog ~schemas (g : Ir.Dag.t) =
   let changed = ref false in
   let result =
     rebuild_with g ~decide:(fun (n : Ir.Operator.node) ->
@@ -355,7 +352,7 @@ and optimize_bodies ~catalog ~schemas (g : Ir.Dag.t) =
             | Some s -> s
             | None -> catalog r
           in
-          let body' = optimize_graph ~catalog:body_catalog body in
+          let body' = optimize_graph ~count ~catalog:body_catalog body in
           if body' != body then changed := true;
           Replace
             (fun b get ->
@@ -368,14 +365,16 @@ and optimize_bodies ~catalog ~schemas (g : Ir.Dag.t) =
   | Some g' when !changed -> g'
   | _ -> g
 
-let optimize ~catalog g =
+let optimize_counted ~catalog g =
   Obs.Trace.with_span "optimize" @@ fun () ->
-  rewrite_count := 0;
+  let count = ref 0 in
   let result =
-    try optimize_graph ~catalog g with
+    try optimize_graph ~count ~catalog g with
     | Ir.Typing.Type_error _ | Not_found ->
       (* workflows we cannot fully type (e.g. black boxes) run unoptimized *)
       g
   in
-  Obs.Trace.add_attr "rewrites" (Obs.Trace.Int !rewrite_count);
-  result
+  Obs.Trace.add_attr "rewrites" (Obs.Trace.Int !count);
+  (result, !count)
+
+let optimize ~catalog g = fst (optimize_counted ~catalog g)

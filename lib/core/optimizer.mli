@@ -25,5 +25,7 @@
 val optimize :
   catalog:(string -> Relation.Schema.t) -> Ir.Dag.t -> Ir.Dag.t
 
-(** Number of rewrites the last [optimize] call applied (diagnostics). *)
-val last_rewrite_count : unit -> int
+(** [optimize], also returning the number of rewrites it applied
+    (WHILE bodies included; [explain] reports it). *)
+val optimize_counted :
+  catalog:(string -> Relation.Schema.t) -> Ir.Dag.t -> Ir.Dag.t * int

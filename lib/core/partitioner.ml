@@ -18,13 +18,10 @@ let op_nodes (g : Ir.Dag.t) =
        match n.kind with Ir.Operator.Input _ -> false | _ -> true)
     g.Ir.Operator.nodes
 
-(* candidate operator sets priced since process start; the per-search
-   delta is attached to the "partition" span *)
-let sets_scored = ref 0
-
-(* Cheapest feasible backend for a node set; memoized by the caller. *)
-let best_backend ~profile ~est ~backends g ids =
-  incr sets_scored;
+(* Cheapest feasible backend for a node set; memoized by the caller.
+   [scored] counts the sets priced by one search (see [instrumented]). *)
+let best_backend ~scored ~profile ~est ~backends g ids =
+  incr scored;
   List.fold_left
     (fun best backend ->
        match Cost.job_cost ~profile ~graph:g ~est backend ids with
@@ -87,7 +84,7 @@ let op_adjacency (g : Ir.Dag.t) =
 
 let key_of_ids ids = String.concat "," (List.map string_of_int ids)
 
-let exhaustive_generic ~memoize ~profile ~est ~backends (g : Ir.Dag.t) =
+let exhaustive_generic ~scored ~memoize ~profile ~est ~backends (g : Ir.Dag.t) =
   let ops = op_nodes g in
   let adjacency = op_adjacency g in
   let set_cost_memo : (string, (Engines.Backend.t * float) option) Hashtbl.t =
@@ -98,7 +95,8 @@ let exhaustive_generic ~memoize ~profile ~est ~backends (g : Ir.Dag.t) =
      [memoize] enables the caching variant this reproduction adds *)
   let set_cost ids =
     if not memoize then
-      if Ir.Dag.convex g ids then best_backend ~profile ~est ~backends g ids
+      if Ir.Dag.convex g ids then
+        best_backend ~scored ~profile ~est ~backends g ids
       else None
     else begin
       let key = key_of_ids ids in
@@ -107,7 +105,7 @@ let exhaustive_generic ~memoize ~profile ~est ~backends (g : Ir.Dag.t) =
       | None ->
         let v =
           if Ir.Dag.convex g ids then
-            best_backend ~profile ~est ~backends g ids
+            best_backend ~scored ~profile ~est ~backends g ids
           else None
         in
         Hashtbl.add set_cost_memo key v;
@@ -201,9 +199,9 @@ let instrumented ~strategy g f =
              ("operators", Obs.Trace.Int (Ir.Dag.operator_count g)) ]
     "partition"
   @@ fun () ->
-  let before = !sets_scored in
-  let plan = f () in
-  let scored = !sets_scored - before in
+  let scored = ref 0 in
+  let plan = f scored in
+  let scored = !scored in
   Obs.Trace.add_attr "sets_scored" (Obs.Trace.Int scored);
   Obs.Metrics.incr Obs.Metrics.default ("partition." ^ strategy);
   Obs.Metrics.observe Obs.Metrics.default "partition.sets_scored"
@@ -216,16 +214,16 @@ let instrumented ~strategy g f =
   plan
 
 let exhaustive ~profile ~est ~backends g =
-  instrumented ~strategy:"exhaustive" g (fun () ->
-      exhaustive_generic ~memoize:false ~profile ~est ~backends g)
+  instrumented ~strategy:"exhaustive" g (fun scored ->
+      exhaustive_generic ~scored ~memoize:false ~profile ~est ~backends g)
 
 let exhaustive_memoized ~profile ~est ~backends g =
-  instrumented ~strategy:"exhaustive-memo" g (fun () ->
-      exhaustive_generic ~memoize:true ~profile ~est ~backends g)
+  instrumented ~strategy:"exhaustive-memo" g (fun scored ->
+      exhaustive_generic ~scored ~memoize:true ~profile ~est ~backends g)
 
 (* ------------------------- dynamic heuristic ------------------------- *)
 
-let dynamic_over_order ~profile ~est ~backends (g : Ir.Dag.t) order =
+let dynamic_over_order ~scored ~profile ~est ~backends (g : Ir.Dag.t) order =
   let ops = Array.of_list order in
   let n = Array.length ops in
   if n = 0 then Some { jobs = []; cost_s = 0. }
@@ -244,7 +242,7 @@ let dynamic_over_order ~profile ~est ~backends (g : Ir.Dag.t) order =
             Array.to_list (Array.sub ops k (i - k))
             |> List.map (fun (node : Ir.Operator.node) -> node.id)
           in
-          match best_backend ~profile ~est ~backends g segment with
+          match best_backend ~scored ~profile ~est ~backends g segment with
           | None -> ()
           | Some (backend, c) -> (
             let total = cost_k +. c in
@@ -259,21 +257,21 @@ let dynamic_over_order ~profile ~est ~backends (g : Ir.Dag.t) order =
       Some { jobs = order_jobs g (List.rev jobs); cost_s }
   end
 
-let dynamic_impl ~profile ~est ~backends (g : Ir.Dag.t) =
+let dynamic_impl ~scored ~profile ~est ~backends (g : Ir.Dag.t) =
   let order =
     List.filter
       (fun (n : Ir.Operator.node) ->
          match n.kind with Ir.Operator.Input _ -> false | _ -> true)
       (Ir.Dag.topological_order g)
   in
-  dynamic_over_order ~profile ~est ~backends g order
+  dynamic_over_order ~scored ~profile ~est ~backends g order
 
 let dynamic ~profile ~est ~backends (g : Ir.Dag.t) =
-  instrumented ~strategy:"dynamic" g (fun () ->
-      dynamic_impl ~profile ~est ~backends g)
+  instrumented ~strategy:"dynamic" g (fun scored ->
+      dynamic_impl ~scored ~profile ~est ~backends g)
 
 let dynamic_multi_order ?(orders = 8) ~profile ~est ~backends (g : Ir.Dag.t) =
-  instrumented ~strategy:"dynamic-multi-order" g @@ fun () ->
+  instrumented ~strategy:"dynamic-multi-order" g @@ fun scored ->
   let candidates = Ir.Dag.topological_orders ~limit:orders g in
   List.fold_left
     (fun best order ->
@@ -283,7 +281,7 @@ let dynamic_multi_order ?(orders = 8) ~profile ~est ~backends (g : Ir.Dag.t) =
               match n.kind with Ir.Operator.Input _ -> false | _ -> true)
            order
        in
-       match dynamic_over_order ~profile ~est ~backends g order with
+       match dynamic_over_order ~scored ~profile ~est ~backends g order with
        | None -> best
        | Some plan -> (
          match best with
@@ -292,12 +290,12 @@ let dynamic_multi_order ?(orders = 8) ~profile ~est ~backends (g : Ir.Dag.t) =
     None candidates
 
 let no_merging ~profile ~est ~backends (g : Ir.Dag.t) =
-  instrumented ~strategy:"no-merging" g @@ fun () ->
+  instrumented ~strategy:"no-merging" g @@ fun scored ->
   let ops = op_nodes g in
   let jobs =
     List.map
       (fun (n : Ir.Operator.node) ->
-         match best_backend ~profile ~est ~backends g [ n.id ] with
+         match best_backend ~scored ~profile ~est ~backends g [ n.id ] with
          | Some (backend, c) -> Some (backend, [ n.id ], c)
          | None -> None)
       ops
@@ -313,8 +311,8 @@ let partition ?(threshold = 13) ~profile ~est ~backends (g : Ir.Dag.t) =
   (* the memoized exhaustive search returns the same optimum as the
      paper's plain enumeration (a tested invariant), just faster *)
   if Ir.Dag.operator_count g <= threshold then
-    instrumented ~strategy:"auto/exhaustive-memo" g (fun () ->
-        exhaustive_generic ~memoize:true ~profile ~est ~backends g)
+    instrumented ~strategy:"auto/exhaustive-memo" g (fun scored ->
+        exhaustive_generic ~scored ~memoize:true ~profile ~est ~backends g)
   else
-    instrumented ~strategy:"auto/dynamic" g (fun () ->
-        dynamic_impl ~profile ~est ~backends g)
+    instrumented ~strategy:"auto/dynamic" g (fun scored ->
+        dynamic_impl ~scored ~profile ~est ~backends g)

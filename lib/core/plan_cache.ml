@@ -49,12 +49,12 @@ let hit_rate (t : t) =
 let size t = Hashtbl.length t.entries
 
 (* Everything [Musketeer.plan] reads besides the graph itself: the
-   breaker-filtered candidate engines, the installed calibration
+   breaker-filtered candidate engines, the profile's calibration
    factors (they scale the cost model), the planning flags, the
    per-workflow history key, and the modeled sizes of the graph's INPUT
    relations (the estimator seeds from them — a grown input must
    re-plan). *)
-let fingerprint ~backends ~merging ~optimize ~workflow ~hdfs g =
+let fingerprint ~profile ~backends ~merging ~optimize ~workflow ~hdfs g =
   let buf = Buffer.create 128 in
   let add s =
     Buffer.add_string buf s;
@@ -65,7 +65,7 @@ let fingerprint ~backends ~merging ~optimize ~workflow ~hdfs g =
   add "cal";
   List.iter
     (fun (name, f) -> add (Printf.sprintf "%s=%.6f" name f))
-    (Calibrate.factors ());
+    (Profile.calibration profile);
   add (Printf.sprintf "merging=%b;optimize=%b" merging optimize);
   add ("workflow=" ^ workflow);
   add "inputs";

@@ -6,10 +6,11 @@
     [(plan, optimized graph)] pair keyed on
     {!Ir.Dag.canonical_hash} of the *submitted* (pre-optimization)
     graph, plus a {!fingerprint} of the environment: candidate engines
-    after circuit-breaker filtering, installed calibration factors,
-    planning flags, workflow name, and the modeled sizes
-    of the INPUT relations. A probe whose fingerprint disagrees with
-    the stored entry drops it ({!Invalidated}) and the caller re-plans.
+    after circuit-breaker filtering, the profile's calibration factors
+    (the ones the cost model prices with), planning flags, workflow
+    name, and the modeled sizes of the INPUT relations. A probe whose
+    fingerprint disagrees with the stored entry drops it
+    ({!Invalidated}) and the caller re-plans.
 
     Counters land in {!Obs.Metrics.default} as
     [plan_cache.{hits,misses,invalidations}]; callers put the outcome
@@ -30,6 +31,7 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 128 distinct workflow structures. *)
 
 val fingerprint :
+  profile:Profile.t ->
   backends:Engines.Backend.t list ->
   merging:bool ->
   optimize:bool ->

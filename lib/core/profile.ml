@@ -3,9 +3,18 @@ open Relation
 type t = {
   cluster : Engines.Cluster.t;
   table : (Engines.Backend.t * Engines.Perf.rates) list;
+  factors : (string * float) list;  (* sorted by backend name *)
 }
 
 let cluster t = t.cluster
+
+let with_calibration t factors =
+  { t with factors = List.sort compare factors }
+
+let calibration t = t.factors
+
+let factor t backend =
+  Option.value ~default:1.0 (List.assoc_opt backend t.factors)
 
 let rates t backend =
   match List.assoc_opt backend t.table with
@@ -256,7 +265,8 @@ let calibrate ?(probe_mb = 1024.) ~cluster () =
   in
   (* the two extension engines are calibrated too, so planning with
      ~backends:Engines.Backend.extended works out of the box *)
-  { cluster; table = List.filter_map probe Engines.Backend.extended }
+  { cluster; table = List.filter_map probe Engines.Backend.extended;
+    factors = [] }
 
 let pp ppf t =
   Format.fprintf ppf

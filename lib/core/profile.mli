@@ -29,5 +29,24 @@ val cluster : t -> Engines.Cluster.t
 (** Calibrated rates for a backend. *)
 val rates : t -> Engines.Backend.t -> Engines.Perf.rates
 
+(** {2 Ledger-fitted calibration}
+
+    One multiplicative correction factor per engine ({!Calibrate.fit}),
+    keyed by {!Engines.Backend.name}. {!Cost.job_cost} scales every
+    estimate for an engine by its factor, so the partitioner, [explain]
+    and the supervisor's deadlines all see the corrected model, and
+    the plan-cache fingerprint pins the same factors. A freshly
+    probed profile has none (factor 1.0 everywhere). *)
+
+(** The same rates with [factors] as the calibration (replacing any
+    previous ones). *)
+val with_calibration : t -> (string * float) list -> t
+
+(** The calibration factors, sorted by backend name. *)
+val calibration : t -> (string * float) list
+
+(** [factor t backend_name] — 1.0 for an engine without a factor. *)
+val factor : t -> string -> float
+
 (** Render the Table-1-style rate matrix. *)
 val pp : Format.formatter -> t -> unit

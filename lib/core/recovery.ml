@@ -41,7 +41,15 @@ let expandable_while ~graph backend ids =
     | _ -> false)
   | _ -> false
 
-let alternatives ~profile ~graph ~est ~candidates ~exclude ids =
+(* outcomes land on the caller's breaker, if it passed one *)
+let record breaker ok backend =
+  Option.iter
+    (fun b ->
+       if ok then Engines.Breaker.record_success b backend
+       else Engines.Breaker.record_failure b backend)
+    breaker
+
+let alternatives ?breaker ~profile ~graph ~est ~candidates ~exclude ids =
   let excluded b = List.exists (Engines.Backend.equal b) exclude in
   let score b =
     match est with
@@ -59,8 +67,9 @@ let alternatives ~profile ~graph ~est ~candidates ~exclude ids =
       in
       if ok then Some 0. else None
   in
-  candidates
-  |> Engines.Breaker.filter
+  (match breaker with
+   | Some b -> Engines.Breaker.filter b candidates
+   | None -> candidates)
   |> List.filter (fun b -> not (excluded b))
   |> List.filter_map (fun b -> Option.map (fun s -> (s, b)) (score b))
   |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
@@ -127,13 +136,13 @@ let attempt_span ~label ~backend ~attempt f =
              ("attempt", Obs.Trace.Int attempt) ]
     "job.attempt" f
 
-let run_job ~policy ~profile ~graph ~est ~candidates ~workflow ~label ~ids
-    ~reset ~dispatch backend =
+let run_job ?breaker ~policy ~profile ~graph ~est ~candidates ~workflow ~label
+    ~ids ~reset ~dispatch backend =
   let planned = backend in
   let rec go backend ~retries_left ~tried ~failures ~attempt =
     match attempt_span ~label ~backend ~attempt (fun () -> dispatch backend) with
     | Ok reports ->
-      Engines.Breaker.record_success backend;
+      record breaker true backend;
       let total =
         List.fold_left
           (fun acc (r : Engines.Report.t) -> acc +. r.makespan_s)
@@ -159,7 +168,7 @@ let run_job ~policy ~profile ~graph ~est ~candidates ~workflow ~label ~ids
       let reports = charge_recovery recovery_s reports in
       Ok { reports; backend; attempts = attempt; replanned; recovery_s }
     | Error e ->
-      Engines.Breaker.record_failure backend;
+      record breaker false backend;
       Obs.Metrics.incr Obs.Metrics.default "recovery.failed_attempts";
       let failures = (backend, e) :: failures in
       if retries_left > 0 then begin
@@ -170,7 +179,10 @@ let run_job ~policy ~profile ~graph ~est ~candidates ~workflow ~label ~ids
       end
       else if policy.allow_replan then begin
         let tried = backend :: tried in
-        match alternatives ~profile ~graph ~est ~candidates ~exclude:tried ids with
+        match
+          alternatives ?breaker ~profile ~graph ~est ~candidates
+            ~exclude:tried ids
+        with
         | [] -> Error e
         | next :: _ ->
           Obs.Metrics.incr Obs.Metrics.default "recovery.fallbacks";
@@ -183,11 +195,12 @@ let run_job ~policy ~profile ~graph ~est ~candidates ~workflow ~label ~ids
   go backend ~retries_left:policy.max_retries ~tried:[] ~failures:[]
     ~attempt:1
 
-let with_retries ?(reset = fun () -> ()) ~policy ~workflow ~label ~backend f =
+let with_retries ?breaker ?(reset = fun () -> ()) ~policy ~workflow ~label
+    ~backend f =
   let rec go ~retries_left ~failures ~attempt =
     match attempt_span ~label ~backend ~attempt f with
     | Ok (report : Engines.Report.t) ->
-      Engines.Breaker.record_success backend;
+      record breaker true backend;
       let ordered = List.rev failures in
       (match ordered with
        | [] -> Ok report
@@ -210,7 +223,7 @@ let with_retries ?(reset = fun () -> ()) ~policy ~workflow ~label ~backend f =
          | [ charged ] -> Ok charged
          | _ -> Ok report)
     | Error e ->
-      Engines.Breaker.record_failure backend;
+      record breaker false backend;
       Obs.Metrics.incr Obs.Metrics.default "recovery.failed_attempts";
       if retries_left > 0 then begin
         Obs.Metrics.incr Obs.Metrics.default "recovery.retries";

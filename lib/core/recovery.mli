@@ -44,24 +44,31 @@ type outcome = {
   recovery_s : float;           (** seconds charged to recovery *)
 }
 
+(** [record breaker ok backend] — note one engine run outcome
+    ([ok] = success) on [breaker]; a no-op without one. *)
+val record : Engines.Breaker.t option -> bool -> Engines.Backend.t -> unit
+
 (** Feasible fallback engines for the job [ids] of [graph], cheapest
     first under the cost model ([candidates] order when [est] is
-    [None]), excluding [exclude] and any engine quarantined by
-    {!Engines.Breaker}. WHILE-only jobs count engines that can run
-    them as per-iteration chains. *)
+    [None]), excluding [exclude] and any engine [breaker] quarantines.
+    WHILE-only jobs count engines that can run them as per-iteration
+    chains. *)
 val alternatives :
-  profile:Profile.t -> graph:Ir.Dag.t -> est:Estimator.t option ->
+  ?breaker:Engines.Breaker.t -> profile:Profile.t -> graph:Ir.Dag.t ->
+  est:Estimator.t option ->
   candidates:Engines.Backend.t list -> exclude:Engines.Backend.t list ->
   int list -> Engines.Backend.t list
 
 (** [run_job ~policy ... ~reset ~dispatch backend] — run the job via
     [dispatch], retrying and re-planning per [policy]. [reset] is
     invoked before every re-attempt to restore pre-job state (the
-    executor passes an HDFS snapshot restore). Returns the last error
-    when the policy is exhausted. *)
+    executor passes an HDFS snapshot restore). Every attempt's outcome
+    is recorded on [breaker], when given. Returns the last error when
+    the policy is exhausted. *)
 val run_job :
-  policy:policy -> profile:Profile.t -> graph:Ir.Dag.t ->
-  est:Estimator.t option -> candidates:Engines.Backend.t list ->
+  ?breaker:Engines.Breaker.t -> policy:policy -> profile:Profile.t ->
+  graph:Ir.Dag.t -> est:Estimator.t option ->
+  candidates:Engines.Backend.t list ->
   workflow:string -> label:string -> ids:int list ->
   reset:(unit -> unit) ->
   dispatch:
@@ -84,7 +91,7 @@ val charge_recovery :
     the executor passes an HDFS snapshot restore so a half-written
     iteration cannot leak into the re-run. *)
 val with_retries :
-  ?reset:(unit -> unit) ->
+  ?breaker:Engines.Breaker.t -> ?reset:(unit -> unit) ->
   policy:policy -> workflow:string -> label:string ->
   backend:Engines.Backend.t ->
   (unit -> (Engines.Report.t, Engines.Report.error) result) ->

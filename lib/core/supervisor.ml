@@ -74,9 +74,9 @@ let charge_waste s (reports : Engines.Report.t list) =
             first.breakdown.Engines.Report.overhead_s +. s } }
     :: rest
 
-let supervise_job ~config ~profile ~graph ~est ~candidates ~hdfs ~label ~ids
-    ~reset ~dispatch ~predicted_s ~predicted_total_s ~straggler_injected
-    ~backend reports =
+let supervise_job ~breaker ~config ~profile ~graph ~est ~candidates ~hdfs
+    ~label ~ids ~reset ~dispatch ~predicted_s ~predicted_total_s
+    ~straggler_injected ~backend reports =
   let observed_s = total_makespan reports in
   let deadline =
     effective_deadline_s config ~predicted_s ~predicted_total_s
@@ -123,7 +123,7 @@ let supervise_job ~config ~profile ~graph ~est ~candidates ~hdfs ~label ~ids
       base
     | Some launch_s -> (
       match
-        Recovery.alternatives ~profile ~graph ~est ~candidates
+        Recovery.alternatives ?breaker ~profile ~graph ~est ~candidates
           ~exclude:[ backend ] ids
       with
       | [] -> base
@@ -147,7 +147,7 @@ let supervise_job ~config ~profile ~graph ~est ~candidates ~hdfs ~label ~ids
         | Error e ->
           (* the copy died; the straggler stands. The copy consumed
              from its launch until the straggler finished. *)
-          Engines.Breaker.record_failure alt;
+          Recovery.record breaker false alt;
           Engines.Hdfs.restore hdfs ~from:post;
           let wasted_s = observed_s -. launch_s in
           Obs.Metrics.add_gauge Obs.Metrics.default
@@ -160,7 +160,7 @@ let supervise_job ~config ~profile ~graph ~est ~candidates ~hdfs ~label ~ids
             reports = charge_waste wasted_s reports;
             speculated = true }
         | Ok alt_reports ->
-          Engines.Breaker.record_success alt;
+          Recovery.record breaker true alt;
           let alt_s = total_makespan alt_reports in
           let race =
             Engines.Faults.speculate ~straggler_s:observed_s
@@ -208,7 +208,7 @@ let supervise_job ~config ~profile ~graph ~est ~candidates ~hdfs ~label ~ids
               speculated = true }
           end)
 
-let maybe_replan ~config ~profile ~history ~workflow ~hdfs ~graph ~est
+let maybe_replan ~breaker ~config ~profile ~history ~workflow ~hdfs ~graph ~est
     ~candidates ~completed ~remaining =
   match config.replan_rel_error, est, remaining with
   | None, _, _ | _, None, _ | _, _, [] -> None
@@ -253,7 +253,11 @@ let maybe_replan ~config ~profile ~history ~workflow ~hdfs ~graph ~est
         match est' with
         | None -> None
         | Some est' -> (
-          let backends = Engines.Breaker.filter_candidates candidates in
+          let backends =
+            match breaker with
+            | Some b -> Engines.Breaker.filter_candidates b candidates
+            | None -> candidates
+          in
           match Partitioner.partition ~profile ~est:est' ~backends sub with
           | None -> None
           | Some new_plan -> (

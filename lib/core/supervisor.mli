@@ -14,8 +14,8 @@
       deadline is declared a straggler even without an injected fault.
     - {b speculation} — on straggler detection (injected or deadline
       breach), a duplicate is launched on the next-best feasible
-      engine ({!Recovery.alternatives}, which also respects
-      {!Engines.Breaker} quarantines) from the job's pre-run HDFS
+      engine ({!Recovery.alternatives}, which also respects the
+      run's {!Engines.Breaker} quarantines) from the job's pre-run HDFS
       snapshot. First finisher wins, the loser is cancelled, and both
       attempts' consumed work is charged honestly: the winner's wall
       clock becomes the job makespan, the loser's wasted seconds go
@@ -87,11 +87,13 @@ val no_action :
     straggler during this job; [reset] restores the job's pre-run HDFS
     snapshot (the supervisor snapshots the post-run state itself and
     restores it if the copy loses or fails). [dispatch] runs the job
-    on a given engine, exactly as the executor would. *)
+    on a given engine, exactly as the executor would; the copy's
+    outcome is recorded on [breaker], when given. *)
 val supervise_job :
-  config:config -> profile:Profile.t -> graph:Ir.Dag.t ->
-  est:Estimator.t option -> candidates:Engines.Backend.t list ->
-  hdfs:Engines.Hdfs.t -> label:string -> ids:int list ->
+  breaker:Engines.Breaker.t option -> config:config -> profile:Profile.t ->
+  graph:Ir.Dag.t -> est:Estimator.t option ->
+  candidates:Engines.Backend.t list -> hdfs:Engines.Hdfs.t ->
+  label:string -> ids:int list ->
   reset:(unit -> unit) ->
   dispatch:
     (Engines.Backend.t ->
@@ -105,15 +107,15 @@ val supervise_job :
     some completed node's materialized output size misses its
     {!Estimator} prediction by more than [replan_rel_error]; the
     remaining DAG suffix is re-estimated with observed sizes (inputs
-    resolved from HDFS) and re-partitioned over the non-quarantined
-    [candidates]. Returns the new remaining jobs (ids in the original
-    graph) when the re-plan is adopted — i.e. it is no more expensive
-    than the old remaining plan re-priced with the same observed
-    sizes — and [None] otherwise. *)
+    resolved from HDFS) and re-partitioned over the [candidates]
+    [breaker] does not quarantine. Returns the new remaining jobs (ids
+    in the original graph) when the re-plan is adopted — i.e. it is no
+    more expensive than the old remaining plan re-priced with the same
+    observed sizes — and [None] otherwise. *)
 val maybe_replan :
-  config:config -> profile:Profile.t -> history:History.t ->
-  workflow:string -> hdfs:Engines.Hdfs.t -> graph:Ir.Dag.t ->
-  est:Estimator.t option -> candidates:Engines.Backend.t list ->
-  completed:int list ->
+  breaker:Engines.Breaker.t option -> config:config -> profile:Profile.t ->
+  history:History.t -> workflow:string -> hdfs:Engines.Hdfs.t ->
+  graph:Ir.Dag.t -> est:Estimator.t option ->
+  candidates:Engines.Backend.t list -> completed:int list ->
   remaining:(Engines.Backend.t * int list) list ->
   (Engines.Backend.t * int list) list option

@@ -31,66 +31,17 @@ type t = {
   tenant : string option;  (** labels the [breaker.open.*] gauges *)
 }
 
-let installed : t option ref = ref None
+let create ?(threshold = 3) ?(window = 8) ?(cooldown = 8) () =
+  if threshold < 1 then invalid_arg "Breaker.create: threshold < 1";
+  if window < threshold then invalid_arg "Breaker.create: window < threshold";
+  if cooldown < 1 then invalid_arg "Breaker.create: cooldown < 1";
+  { config = { threshold; window; cooldown };
+    entries = Hashtbl.create 7;
+    clock = 0;
+    tenant = None }
 
-(* Per-tenant scopes (serving mode): each tenant gets its own breaker
-   states sharing the enabled configuration, so one tenant's failures
-   quarantine an engine for that tenant only. Scopes materialize lazily
-   inside [with_tenant]; outside any tenant scope the process-global
-   breaker applies, exactly as before. *)
-let tenants : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let current_tenant : string option ref = ref None
-
-let enable ?(threshold = 3) ?(window = 8) ?(cooldown = 8) () =
-  if threshold < 1 then invalid_arg "Breaker.enable: threshold < 1";
-  if window < threshold then invalid_arg "Breaker.enable: window < threshold";
-  if cooldown < 1 then invalid_arg "Breaker.enable: cooldown < 1";
-  Hashtbl.reset tenants;
-  installed :=
-    Some
-      { config = { threshold; window; cooldown };
-        entries = Hashtbl.create 7;
-        clock = 0;
-        tenant = None }
-
-let disable () =
-  Hashtbl.reset tenants;
-  installed := None
-
-let enabled () = Option.is_some !installed
-
-let active () =
-  match !installed with
-  | None -> None
-  | Some default -> (
-    match !current_tenant with
-    | None -> Some default
-    | Some name -> (
-      match Hashtbl.find_opt tenants name with
-      | Some t -> Some t
-      | None ->
-        let t =
-          { config = default.config;
-            entries = Hashtbl.create 7;
-            clock = 0;
-            tenant = Some name }
-        in
-        Hashtbl.replace tenants name t;
-        Some t))
-
-let with_tenant name f =
-  let prev = !current_tenant in
-  current_tenant := Some name;
-  Fun.protect ~finally:(fun () -> current_tenant := prev) f
-
-let reset () =
-  let clear t =
-    Hashtbl.reset t.entries;
-    t.clock <- 0
-  in
-  Option.iter clear !installed;
-  Hashtbl.iter (fun _ t -> clear t) tenants
+let fresh ?tenant t =
+  { config = t.config; entries = Hashtbl.create 7; clock = 0; tenant }
 
 let entry t backend =
   match Hashtbl.find_opt t.entries backend with
@@ -148,59 +99,50 @@ let trip t backend e =
    without counting a fresh trip. The cooldown restarts from now — the
    ledger does not record how far into the quarantine the crash fell,
    so the conservative choice is a full window. *)
-let force_open backend =
-  match active () with
-  | None -> ()
-  | Some t ->
-    let e = entry t backend in
-    e.st <- Open;
-    e.probing <- false;
-    e.open_until <- t.clock + e.cooldown_cur;
-    Obs.Metrics.incr Obs.Metrics.default "breaker.restored";
-    set_open_gauge t backend 1.
+let force_open t backend =
+  let e = entry t backend in
+  e.st <- Open;
+  e.probing <- false;
+  e.open_until <- t.clock + e.cooldown_cur;
+  Obs.Metrics.incr Obs.Metrics.default "breaker.restored";
+  set_open_gauge t backend 1.
 
-let record outcome backend =
-  match active () with
-  | None -> ()
-  | Some t ->
-    t.clock <- t.clock + 1;
-    let e = entry t backend in
-    refresh t backend e;
-    e.outcomes <- take t.config.window (outcome :: e.outcomes);
-    (match e.st, outcome with
-     | Half_open, true ->
-       (* probe succeeded: full pardon *)
-       e.st <- Closed;
-       e.probing <- false;
-       e.outcomes <- [ true ];
-       e.cooldown_cur <- t.config.cooldown;
-       Obs.Metrics.incr Obs.Metrics.default "breaker.reclosed"
-     | Half_open, false ->
-       (* probe failed: back to quarantine, twice as long *)
-       e.cooldown_cur <- e.cooldown_cur * 2;
-       trip t backend e
-     | Closed, false ->
-       let failures =
-         List.length (List.filter (fun ok -> not ok) e.outcomes)
-       in
-       if failures >= t.config.threshold then trip t backend e
-     | Closed, true | Open, _ -> ())
+let record outcome t backend =
+  t.clock <- t.clock + 1;
+  let e = entry t backend in
+  refresh t backend e;
+  e.outcomes <- take t.config.window (outcome :: e.outcomes);
+  match e.st, outcome with
+  | Half_open, true ->
+    (* probe succeeded: full pardon *)
+    e.st <- Closed;
+    e.probing <- false;
+    e.outcomes <- [ true ];
+    e.cooldown_cur <- t.config.cooldown;
+    Obs.Metrics.incr Obs.Metrics.default "breaker.reclosed"
+  | Half_open, false ->
+    (* probe failed: back to quarantine, twice as long *)
+    e.cooldown_cur <- e.cooldown_cur * 2;
+    trip t backend e
+  | Closed, false ->
+    let failures =
+      List.length (List.filter (fun ok -> not ok) e.outcomes)
+    in
+    if failures >= t.config.threshold then trip t backend e
+  | Closed, true | Open, _ -> ()
 
 let record_success = record true
 
 let record_failure = record false
 
-let state backend =
-  match active () with
+let state t backend =
+  match Hashtbl.find_opt t.entries backend with
   | None -> Closed
-  | Some t -> (
-    match Hashtbl.find_opt t.entries backend with
-    | None -> Closed
-    | Some e ->
-      refresh t backend e;
-      e.st)
+  | Some e ->
+    refresh t backend e;
+    e.st
 
-let quarantined backend = state backend = Open
+let quarantined t backend = state t backend = Open
 
 (* Admission decision for one backend. Closed admits; Open rejects;
    Half_open admits exactly ONE caller per window — the first claims
@@ -225,55 +167,46 @@ let probe_claim t backend e =
       true
     end
 
-let filter backends =
-  match active () with
-  | None -> backends
-  | Some t ->
-    List.filter
-      (fun b ->
-         match Hashtbl.find_opt t.entries b with
-         | None -> true
-         | Some e -> probe_claim t b e)
-      backends
+let filter t backends =
+  List.filter
+    (fun b ->
+       match Hashtbl.find_opt t.entries b with
+       | None -> true
+       | Some e -> probe_claim t b e)
+    backends
 
-let filter_candidates backends =
-  match filter backends with
+let filter_candidates t backends =
+  match filter t backends with
   | [] -> backends
   | kept -> kept
 
-let states () =
-  match active () with
-  | None -> []
-  | Some t ->
-    Hashtbl.fold (fun b e acc -> (b, e) :: acc) t.entries []
-    |> List.sort (fun (a, _) (b, _) -> Backend.compare a b)
-    |> List.map (fun (b, e) ->
-         refresh t b e;
-         (b, e.st))
+let states t =
+  Hashtbl.fold (fun b e acc -> (b, e) :: acc) t.entries []
+  |> List.sort (fun (a, _) (b, _) -> Backend.compare a b)
+  |> List.map (fun (b, e) ->
+       refresh t b e;
+       (b, e.st))
 
-let pp ppf () =
-  match active () with
-  | None -> Format.fprintf ppf "circuit breaker: disabled@."
-  | Some t ->
-    Format.fprintf ppf
-      "circuit breaker: threshold %d / window %d, cooldown %d ticks \
-       (clock %d)@."
-      t.config.threshold t.config.window t.config.cooldown t.clock;
-    let all = states () in
-    if all = [] then Format.fprintf ppf "  (no outcomes recorded)@."
-    else
-      List.iter
-        (fun (b, st) ->
-           let e = Hashtbl.find t.entries b in
-           let failures =
-             List.length (List.filter (fun ok -> not ok) e.outcomes)
-           in
-           Format.fprintf ppf
-             "  %-12s %-9s %d/%d recent failures, %d trip%s%s@."
-             (Backend.name b) (state_name st) failures
-             (List.length e.outcomes) e.trips
-             (if e.trips = 1 then "" else "s")
-             (if st = Open then
-                Printf.sprintf ", re-probe at tick %d" e.open_until
-              else ""))
-        all
+let pp ppf t =
+  Format.fprintf ppf
+    "circuit breaker: threshold %d / window %d, cooldown %d ticks \
+     (clock %d)@."
+    t.config.threshold t.config.window t.config.cooldown t.clock;
+  let all = states t in
+  if all = [] then Format.fprintf ppf "  (no outcomes recorded)@."
+  else
+    List.iter
+      (fun (b, st) ->
+         let e = Hashtbl.find t.entries b in
+         let failures =
+           List.length (List.filter (fun ok -> not ok) e.outcomes)
+         in
+         Format.fprintf ppf
+           "  %-12s %-9s %d/%d recent failures, %d trip%s%s@."
+           (Backend.name b) (state_name st) failures
+           (List.length e.outcomes) e.trips
+           (if e.trips = 1 then "" else "s")
+           (if st = Open then
+              Printf.sprintf ", re-probe at tick %d" e.open_until
+            else ""))
+      all

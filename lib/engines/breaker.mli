@@ -9,17 +9,19 @@
     breaker, another failure re-opens it with the cool-down doubled
     (exponential back-off).
 
-    Time is logical: the cool-down is counted in subsequent recorded
-    engine outcomes (anywhere in the process), not wall-clock seconds —
-    the runtime is simulated, so "try again later" means "after the
-    cluster has done some more work", which keeps every test and bench
+    Time is logical: the cool-down is counted in subsequent outcomes
+    recorded on the same breaker, not wall-clock seconds — the runtime
+    is simulated, so "try again later" means "after the cluster has
+    done some more work", which keeps every test and bench
     deterministic.
 
-    The breaker is {b disabled by default} and fully global (one set of
-    states per process, like {!Injector}); [enable]/[reset] scope it
-    explicitly. While disabled, [record_success]/[record_failure] are
-    no-ops and [filter] is the identity — zero effect on un-supervised
-    runs. State changes surface as [breaker.*] counters and
+    A breaker is a value its caller creates and passes along
+    ([?breaker] on {!Musketeer.plan}/[execute], and on recovery and
+    supervision); code given none admits every engine and records
+    nothing. The CLI's [--breaker K] builds one per command; the
+    serving layer keeps one per tenant, each a {!fresh} copy of the
+    configured one, so one tenant's failures quarantine an engine for
+    that tenant only. State changes surface as [breaker.*] counters and
     [breaker.open.<engine>] gauges in {!Obs.Metrics.default}. *)
 
 type state =
@@ -29,46 +31,34 @@ type state =
 
 val state_name : state -> string
 
-(** [enable ()] switches the breaker on with a clean slate.
-    [threshold] failures within the last [window] outcomes trip it
-    (defaults 3 and 8); [cooldown] is the quarantine length in logical
-    ticks (default 8), doubling on each failed probe. *)
-val enable : ?threshold:int -> ?window:int -> ?cooldown:int -> unit -> unit
+type t
 
-(** Switch off and drop all state. *)
-val disable : unit -> unit
+(** [create ()] — a breaker with a clean slate. [threshold] failures
+    within the last [window] outcomes trip it (defaults 3 and 8);
+    [cooldown] is the quarantine length in logical ticks (default 8),
+    doubling on each failed probe. *)
+val create : ?threshold:int -> ?window:int -> ?cooldown:int -> unit -> t
 
-val enabled : unit -> bool
-
-(** Drop all per-engine state (and the logical clocks) in every scope,
-    but keep the breaker enabled with its current configuration. *)
-val reset : unit -> unit
-
-(** [with_tenant name f] runs [f] under the tenant's private breaker
-    scope (serving mode): the tenant gets its own per-engine states and
-    logical clock, created lazily with the enabled configuration, so
-    one tenant's failures quarantine an engine for that tenant only.
-    Gauges gain the tenant label ([breaker.open.<tenant>.<engine>]).
-    No-op while disabled; scopes nest (innermost wins) and are dropped
-    by {!enable}/{!disable}. *)
-val with_tenant : string -> (unit -> 'a) -> 'a
+(** [fresh ?tenant t] — a breaker with [t]'s configuration and no
+    recorded outcomes; [tenant] labels its gauges
+    ([breaker.open.<tenant>.<engine>]). *)
+val fresh : ?tenant:string -> t -> t
 
 (** Record one engine run outcome. Each call advances the logical
-    clock by one tick. No-ops while disabled. *)
-val record_success : Backend.t -> unit
+    clock by one tick. *)
+val record_success : t -> Backend.t -> unit
 
-val record_failure : Backend.t -> unit
+val record_failure : t -> Backend.t -> unit
 
 (** Current state; reading may transition [Open] -> [Half_open] when
-    the cool-down has elapsed. [Closed] for engines never recorded
-    (and always while disabled). *)
-val state : Backend.t -> state
+    the cool-down has elapsed. [Closed] for engines never recorded. *)
+val state : t -> Backend.t -> state
 
 (** [true] iff {!state} is [Open]. *)
-val quarantined : Backend.t -> bool
+val quarantined : t -> Backend.t -> bool
 
-(** Drop backends the breaker will not admit. Identity while disabled.
-    May return the empty list when everything is quarantined.
+(** Drop backends the breaker will not admit. May return the empty
+    list when everything is quarantined.
 
     Half-open windows admit {e exactly one} caller: the first [filter]
     that sees a half-open engine claims its probe slot and is admitted;
@@ -76,23 +66,22 @@ val quarantined : Backend.t -> bool
     window) are excluded ([breaker.probe_contended]) until the probe's
     outcome is recorded — or, if the probe is lost, until one cooldown's
     worth of ticks elapses and the claim expires. *)
-val filter : Backend.t list -> Backend.t list
+val filter : t -> Backend.t list -> Backend.t list
 
 (** Like {!filter}, but falls back to the unfiltered input when the
     quarantine would leave no candidate at all — a plan built on a
     quarantined engine still beats no plan. *)
-val filter_candidates : Backend.t list -> Backend.t list
+val filter_candidates : t -> Backend.t list -> Backend.t list
 
 (** Engines with recorded state, with their (refreshed) states. *)
-val states : unit -> (Backend.t * state) list
+val states : t -> (Backend.t * state) list
 
-(** Restart replay: re-open an engine's breaker in the active scope
-    (state {!Open}, a full cooldown from now) without counting a trip —
-    [breaker.restored] is bumped instead. Used when a restarted service
-    replays breaker state recorded in the run ledger. No-op while
-    disabled. *)
-val force_open : Backend.t -> unit
+(** Restart replay: re-open an engine's breaker (state {!Open}, a full
+    cooldown from now) without counting a trip — [breaker.restored] is
+    bumped instead. Used when a restarted service replays breaker state
+    recorded in the run ledger. *)
+val force_open : t -> Backend.t -> unit
 
 (** Human-readable table of the breaker states (one line per engine
-    with outcomes on record); prints a disabled notice otherwise. *)
-val pp : Format.formatter -> unit -> unit
+    with outcomes on record). *)
+val pp : Format.formatter -> t -> unit

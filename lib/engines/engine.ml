@@ -5,8 +5,8 @@ type t = {
     cluster:Cluster.t -> Job.t -> Exec_helper.result ->
     (Report.t, Report.error) result;
   run :
-    cluster:Cluster.t -> hdfs:Hdfs.t -> Job.t ->
-    (Report.t, Report.error) result;
+    ?inject:Injector.t -> ?share:Share.t -> cluster:Cluster.t ->
+    hdfs:Hdfs.t -> Job.t -> (Report.t, Report.error) result;
 }
 
 type spec = {
@@ -89,12 +89,12 @@ let price_supported spec ~cluster (job : Job.t) (exec : Exec_helper.result) =
             (fun (s : Exec_helper.op_stat) -> (s.node_id, s.out_mb))
             exec.op_stats }
 
-(* A service-scoped store may have a co-admitted workflow already paying
-   for some of the job's scans: the bytes came from HDFS either way, only
-   the charge is waived. Claims run in fetch order, and the unwaived
-   fetches are summed in that order, as the fetches were. *)
-let claim_scans (exec : Exec_helper.result) =
-  match Share.active () with
+(* A service's shared store may have a co-admitted workflow already
+   paying for some of the job's scans: the bytes came from HDFS either
+   way, only the charge is waived. Claims run in fetch order, and the
+   unwaived fetches are summed in that order, as the fetches were. *)
+let claim_scans share (exec : Exec_helper.result) =
+  match share with
   | None -> exec
   | Some share ->
     let input_mb =
@@ -108,8 +108,8 @@ let claim_scans (exec : Exec_helper.result) =
 
 (* Injected faults strike after pricing, before anything materializes:
    a faulted job never leaves partial state. *)
-let draw_fault backend (report : Report.t) =
-  match Injector.draw ~label:report.job_label ~backend with
+let draw_fault inject backend (report : Report.t) =
+  match Option.bind inject Injector.draw with
   | None -> Ok report
   | Some fault ->
     Obs.Trace.add_attr "fault"
@@ -121,8 +121,8 @@ let draw_fault backend (report : Report.t) =
        Error (Report.Out_of_memory ("injected: " ^ msg))
      | Faults.Straggler { slowdown } ->
        (* absorbed in place: the job still succeeds, just slower — the
-          supervisor detects this via the counter delta / deadline and
-          may speculate *)
+          supervisor detects this via the injector's straggler count
+          or the deadline and may speculate *)
        let extra = (slowdown -. 1.) *. report.makespan_s in
        Obs.Metrics.incr Obs.Metrics.default "faults.straggler";
        Obs.Metrics.incr Obs.Metrics.default
@@ -158,7 +158,7 @@ let draw_fault backend (report : Report.t) =
                  Report.overhead_s =
                    report.breakdown.Report.overhead_s +. extra } }))
 
-let publish ~hdfs (exec : Exec_helper.result) (report : Report.t) =
+let publish ~hdfs share (exec : Exec_helper.result) (report : Report.t) =
   Obs.Trace.with_span "engine.publish" @@ fun () ->
   let kept = ref 0 in
   List.iter
@@ -168,9 +168,7 @@ let publish ~hdfs (exec : Exec_helper.result) (report : Report.t) =
        Hdfs.note_write hdfs ~mb;
        (* an overwritten relation invalidates every shared entry that
           read it, scans and subplans alike *)
-       match Share.active () with
-       | Some share -> Share.note_write share name
-       | None -> ())
+       Option.iter (fun share -> Share.note_write share name) share)
     exec.outputs;
   Obs.Trace.add_attr "views_kept" (Obs.Trace.Int !kept);
   Hdfs.note_read hdfs ~mb:report.input_mb
@@ -181,7 +179,7 @@ let of_spec spec =
     | Error reason -> Error (Report.Unsupported reason)
     | Ok () -> price_supported spec ~cluster job exec
   in
-  let run ~cluster ~hdfs (job : Job.t) =
+  let run ?inject ?share ~cluster ~hdfs (job : Job.t) =
     Obs.Trace.with_span
       ~attrs:[ ("backend", Obs.Trace.String (Backend.name spec.spec_backend));
                ("label", Obs.Trace.String job.Job.label) ]
@@ -191,10 +189,10 @@ let of_spec spec =
     | Error reason -> Error (Report.Unsupported reason)
     | Ok () ->
       let ( let* ) = Result.bind in
-      let exec = claim_scans (Exec_helper.execute ~hdfs job.graph) in
+      let exec = claim_scans share (Exec_helper.execute ~hdfs job.graph) in
       let* report = price_supported spec ~cluster job exec in
-      let* report = draw_fault spec.spec_backend report in
-      publish ~hdfs exec report;
+      let* report = draw_fault inject spec.spec_backend report in
+      publish ~hdfs share exec report;
       Ok report
   in
   { backend = spec.spec_backend; supports = spec.spec_supports; price; run }

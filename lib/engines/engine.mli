@@ -7,14 +7,17 @@
     + {b execute} — admission-check the graph against the engine's
       paradigm (expressivity, §4.3.2), then run it for real via
       {!Exec_helper}. The rows and volumes do not depend on the engine,
-      and scan claims on a service-scoped {!Share} waive the charge
-      for scans another in-flight workflow already paid;
+      and scan claims on the service's {!Share} store, when the run is
+      given one, waive the charge for scans another in-flight workflow
+      already paid;
     + {b price} — turn the measured volumes into time with the engine's
       own {!Perf.rates}: Hadoop's per-job overhead, Naiad's
       single-reader Lindi I/O, PowerGraph's partitioning cost etc. live
       here, as do the post-execution admission checks (Spark's OOM);
-    + {b draw} — take the job's injected fault, if any ({!Injector});
-    + {b publish} — materialize the job's outputs to HDFS. *)
+    + {b draw} — take the job's injected fault from the run's
+      {!Injector}, if it was given one;
+    + {b publish} — materialize the job's outputs to HDFS (a write
+      drops the store's entries that read the relation). *)
 
 type t = {
   backend : Backend.t;
@@ -29,10 +32,11 @@ type t = {
   price :
     cluster:Cluster.t -> Job.t -> Exec_helper.result ->
     (Report.t, Report.error) result;
-  (** execute → price → draw → publish *)
+  (** execute → price → draw → publish; [inject] and [share] default
+      to none *)
   run :
-    cluster:Cluster.t -> hdfs:Hdfs.t -> Job.t ->
-    (Report.t, Report.error) result;
+    ?inject:Injector.t -> ?share:Share.t -> cluster:Cluster.t ->
+    hdfs:Hdfs.t -> Job.t -> (Report.t, Report.error) result;
 }
 
 (** Engine-specific hooks for {!run_with}. *)

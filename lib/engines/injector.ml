@@ -6,8 +6,7 @@ type t = {
   plan : Faults.fault_plan;
   mutable rng : int64;
   mutable remaining : Faults.fault list;
-  mutable injected : int;
-  mutable draws : int;
+  mutable stragglers : int;
 }
 
 let mix64 z =
@@ -23,43 +22,22 @@ let next_float t =
 
 let create (plan : Faults.fault_plan) =
   { plan; rng = Int64.of_int plan.seed; remaining = plan.faults;
-    injected = 0; draws = 0 }
+    stragglers = 0 }
 
-let plan t = t.plan
+let stragglers t = t.stragglers
 
-let injected_count t = t.injected
-
-let remaining_count t = List.length t.remaining
-
-let installed : t option ref = ref None
-
-let install t = installed := Some t
-
-let uninstall () = installed := None
-
-let active () = !installed <> None
-
-let current () = !installed
-
-let with_plan plan f =
-  let previous = !installed in
-  installed := Some (create plan);
-  Fun.protect ~finally:(fun () -> installed := previous) f
-
-let draw ~label:_ ~backend:_ =
-  match !installed with
-  | None -> None
-  | Some t -> (
-    match t.remaining with
-    | [] -> None
-    | fault :: rest ->
-      t.draws <- t.draws + 1;
-      (* one RNG advance per draw, fired or not, so the sequence of
-         injections depends only on the seed and the dispatch order *)
-      let u = next_float t in
-      if u < t.plan.probability then begin
-        t.remaining <- rest;
-        t.injected <- t.injected + 1;
-        Some fault
-      end
-      else None)
+let draw t =
+  match t.remaining with
+  | [] -> None
+  | fault :: rest ->
+    (* one RNG advance per draw, fired or not, so the sequence of
+       injections depends only on the seed and the dispatch order *)
+    let u = next_float t in
+    if u < t.plan.probability then begin
+      t.remaining <- rest;
+      (match fault with
+       | Faults.Straggler _ -> t.stragglers <- t.stragglers + 1
+       | Faults.Engine_rejection _ | Faults.Worker_failure _ -> ());
+      Some fault
+    end
+    else None

@@ -1,10 +1,10 @@
 (** Deterministic fault injection into engine runs.
 
-    An injector is created from a {!Faults.fault_plan} and installed
-    process-wide (mirroring the [Obs.Trace] collector idiom); while
-    installed, every {!Engine} run draws from it once, just after
-    admission and before outputs materialize — so a faulted job never
-    leaves partial state in HDFS. The plan's fault list is a finite
+    An injector is created from a {!Faults.fault_plan} and passed to
+    the runs it should strike ([?inject] on the executor and on
+    {!Engine.t.run}); every run given it draws from it once, just
+    after pricing and before outputs materialize — so a faulted job
+    never leaves partial state in HDFS. The plan's fault list is a finite
     budget consumed front-to-back: with the same seed and the same
     dispatch order, the same jobs fault in the same way, which is what
     makes recovery testable ([--inject ... --seed 42] reproduces). *)
@@ -13,30 +13,11 @@ type t
 
 val create : Faults.fault_plan -> t
 
-val plan : t -> Faults.fault_plan
+(** Straggler faults fired so far: the executor compares this count
+    before and after a job to tell an injected straggler. *)
+val stragglers : t -> int
 
-(** Faults fired so far. *)
-val injected_count : t -> int
-
-(** Faults still in the budget. *)
-val remaining_count : t -> int
-
-(** Make [t] the process-wide injector ({!with_plan} is usually what
-    you want). *)
-val install : t -> unit
-
-val uninstall : unit -> unit
-
-val active : unit -> bool
-
-val current : unit -> t option
-
-(** [with_plan plan f] runs [f] with a fresh injector installed,
-    restoring the previous one afterwards (also on exceptions). *)
-val with_plan : Faults.fault_plan -> (unit -> 'a) -> 'a
-
-(** [draw ~label ~backend] — called by the engine skeleton once per
-    run: advances the RNG and returns the next fault with the plan's
-    probability ([None] when the coin fails, the budget is exhausted,
-    or no injector is installed). *)
-val draw : label:string -> backend:Backend.t -> Faults.fault option
+(** [draw t] — called by the engine skeleton once per run: advances
+    the RNG and returns the next fault with the plan's probability
+    ([None] when the coin fails or the budget is exhausted). *)
+val draw : t -> Faults.fault option

@@ -11,8 +11,8 @@ let find = function
 
 let all = List.map find Backend.extended
 
-let run backend ~cluster ~hdfs job =
-  (find backend).Engine.run ~cluster ~hdfs job
+let run ?inject ?share backend ~cluster ~hdfs job =
+  (find backend).Engine.run ?inject ?share ~cluster ~hdfs job
 
 let price backend ~cluster job exec =
   (find backend).Engine.price ~cluster job exec

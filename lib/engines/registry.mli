@@ -6,8 +6,8 @@ val all : Engine.t list
 
 (** [run backend ~cluster ~hdfs job] — convenience dispatch. *)
 val run :
-  Backend.t -> cluster:Cluster.t -> hdfs:Hdfs.t -> Job.t ->
-  (Report.t, Report.error) result
+  ?inject:Injector.t -> ?share:Share.t -> Backend.t -> cluster:Cluster.t ->
+  hdfs:Hdfs.t -> Job.t -> (Report.t, Report.error) result
 
 (** [price backend ~cluster job exec] — {!Engine.t.price} of [backend]:
     the report of [job] for an execution already done. *)

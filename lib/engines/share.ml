@@ -253,18 +253,3 @@ let stats t =
     entries =
       Hashtbl.fold (fun _ e n -> if e.budgeted then n + 1 else n) t.entries 0;
     bytes_mb = t.bytes_mb }
-
-(* ---- dynamic scope ----
-
-   Installing the store here lets the engines claim scans and note
-   writes without threading a parameter through every engine
-   signature. Main-domain only. *)
-
-let installed : t option ref = ref None
-
-let active () = !installed
-
-let with_scope store f =
-  let prev = !installed in
-  installed := Some store;
-  Fun.protect ~finally:(fun () -> installed := prev) f

@@ -14,7 +14,7 @@
 
     Every entry records the (relation, epoch) pairs it read. One epoch
     table serves both kinds: {!note_write} (a client upload, or an
-    engine writing a relation under {!with_scope}) bumps the epoch and
+    engine run given the store writing a relation) bumps the epoch and
     drops every entry that read the relation.
 
     An entry stays while the flight that made it leases it, or while it
@@ -121,9 +121,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** {2 Dynamic scope} *)
-
-val with_scope : t -> (unit -> 'a) -> 'a
-
-val active : unit -> t option

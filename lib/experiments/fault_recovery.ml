@@ -22,9 +22,9 @@ let run ppf =
   let m = Common.musketeer_for (Common.ec2 16) in
   let hdfs = Common.load_tpch ~scale_factor:10 in
   let graph = Workloads.Workflows.tpch_q17 () in
-  let execute ?recovery ~backend plan g' =
+  let execute ?recovery ?inject ~backend plan g' =
     match
-      Musketeer.execute_plan ?recovery ~candidates:[ backend ]
+      Musketeer.execute_plan ?recovery ?inject ~candidates:[ backend ]
         ~record_history:false m ~workflow:"q17"
         ~hdfs:(Engines.Hdfs.snapshot hdfs) ~graph:g' plan
     with
@@ -44,8 +44,8 @@ let run ppf =
          | Some (plan, g') ->
            let base = execute ~backend plan g' in
            let faulted =
-             Engines.Injector.with_plan fault_plan (fun () ->
-                 execute ~recovery:recovery_policy ~backend plan g')
+             execute ~recovery:recovery_policy
+               ~inject:(Engines.Injector.create fault_plan) ~backend plan g'
            in
            let predicted =
              match base with

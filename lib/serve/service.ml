@@ -89,6 +89,8 @@ type config = {
       (** chaos: per-submission fault injection around execution only
           (the plan's seed is re-derived per submission, so a fixed
           seed gives a deterministic fault schedule per trace) *)
+  breaker : Engines.Breaker.t option;
+      (** each tenant's circuit breaker is a fresh copy of this one *)
 }
 
 let default_config =
@@ -99,7 +101,7 @@ let default_config =
     default_slo_s = None; retry_budget = -1.; retry_refill_per_s = 1.;
     recovery = Musketeer.Recovery.none;
     supervision = Musketeer.Supervisor.disabled;
-    inject = None }
+    inject = None; breaker = None }
 
 (* -------- weighted fair queueing (start-time fair queueing) --------
 
@@ -124,12 +126,13 @@ type tenant_state = {
 }
 
 type t = {
-  m : Musketeer.t;
+  mutable m : Musketeer.t;  (* [restore] re-fits its calibration *)
   hdfs : Engines.Hdfs.t;
   config : config;
   cache : Musketeer.Plan_cache.t;
   store : Engines.Share.t;
   tenants : (string, tenant_state) Hashtbl.t;
+  breakers : (string, Engines.Breaker.t) Hashtbl.t;  (* per tenant *)
   mutable vwork : float;  (* WFQ virtual-work clock *)
   mutable now : float;    (* virtual wall clock, monotone across drives *)
   mutable ewma_delay_s : float;  (* queue-delay EWMA — the pressure signal *)
@@ -147,6 +150,7 @@ let create ?(config = default_config) m ~hdfs =
     cache = Musketeer.Plan_cache.create ~capacity:config.cache_capacity ();
     store = Engines.Share.create ~capacity_mb:config.subresult_cache_mb ();
     tenants = Hashtbl.create 8;
+    breakers = Hashtbl.create 8;
     vwork = 0.;
     now = 0.;
     ewma_delay_s = 0.;
@@ -157,6 +161,18 @@ let create ?(config = default_config) m ~hdfs =
 let cache t = t.cache
 
 let store t = t.store
+
+(* a tenant's own breaker, made on first use from the configured one *)
+let breaker t tenant =
+  Option.map
+    (fun template ->
+       match Hashtbl.find_opt t.breakers tenant with
+       | Some b -> b
+       | None ->
+         let b = Engines.Breaker.fresh ~tenant template in
+         Hashtbl.replace t.breakers tenant b;
+         b)
+    t.config.breaker
 
 let tenant_state t name =
   match Hashtbl.find_opt t.tenants name with
@@ -317,7 +333,7 @@ let no_subplans =
    retries on the same budget); at degradation rung >= 2 paying is
    disabled — attaching to already-materialized prefixes stays free and
    therefore allowed. *)
-let prepare_subplans t ~recovery sub =
+let prepare_subplans t ~recovery ~breaker ~inject sub =
   let g = sub.graph in
   let cands =
     if t.config.subresult_cache_mb <= 0. then []
@@ -344,7 +360,8 @@ let prepare_subplans t ~recovery sub =
     let prefix = Musketeer.Subplan.extract g c.sc_id in
     let t0 = Unix.gettimeofday () in
     let planned =
-      Musketeer.plan ~cache:t.cache t.m ~workflow:wf ~hdfs:t.hdfs prefix
+      Musketeer.plan ~cache:t.cache ?breaker t.m ~workflow:wf ~hdfs:t.hdfs
+        prefix
     in
     prep :=
       { !prep with
@@ -352,7 +369,7 @@ let prepare_subplans t ~recovery sub =
     let out_rel = (Ir.Dag.node g c.sc_id).Ir.Operator.output in
     Option.bind planned @@ fun (pplan, pg) ->
     match
-      Musketeer.execute_plan ~record_history:false ~recovery
+      Musketeer.execute_plan ~record_history:false ~recovery ?breaker ?inject
         ~sharing:t.store t.m ~workflow:wf ~hdfs:t.hdfs ~graph:pg pplan
     with
     | Ok r when Engines.Hdfs.mem t.hdfs out_rel ->
@@ -404,12 +421,14 @@ let input_relations g =
        | _ -> None)
   |> List.sort_uniq String.compare
 
-(* engines open in the *current* breaker scope (call under with_tenant) *)
-let open_breakers () =
-  Engines.Breaker.states ()
-  |> List.filter_map (fun (b, st) ->
-       if st = Engines.Breaker.Open then Some (Engines.Backend.name b)
-       else None)
+(* engines open in a tenant's breaker *)
+let open_breakers = function
+  | None -> []
+  | Some breaker ->
+    Engines.Breaker.states breaker
+    |> List.filter_map (fun (b, st) ->
+         if st = Engines.Breaker.Open then Some (Engines.Backend.name b)
+         else None)
 
 (* one submission, executed at its (virtual) admission instant;
    returns the outcome plus the expiry thunk ending its store flight at
@@ -422,7 +441,7 @@ let execute t ts sub ~admit_s =
              ("workflow", Obs.Trace.String sub.workflow) ]
     "serve.submit"
   @@ fun () ->
-  Engines.Breaker.with_tenant sub.tenant @@ fun () ->
+  let breaker = breaker t sub.tenant in
   let since = Obs.Ledger.mark Obs.Metrics.default in
   let recovery = effective_recovery t ts in
   let supervision =
@@ -459,33 +478,31 @@ let execute t ts sub ~admit_s =
     | Some id -> Engines.Share.with_flight t.store id f
     | None -> f ()
   in
-  (* chaos bracket around execution only (planning and the identity
+  (* chaos for the executions only (planning and the identity
      baseline stay clean); reseeding per submission keeps a fixed
      --seed deterministic for the whole trace while decorrelating the
      per-submission fault schedules *)
-  let injected f =
-    match t.config.inject with
-    | None -> f ()
-    | Some plan ->
-      t.seq <- t.seq + 1;
-      Engines.Injector.with_plan
-        { plan with Engines.Faults.seed = plan.Engines.Faults.seed + t.seq }
-        f
+  let inject =
+    Option.map
+      (fun plan ->
+         t.seq <- t.seq + 1;
+         Engines.Injector.create
+           { plan with Engines.Faults.seed = plan.Engines.Faults.seed + t.seq })
+      t.config.inject
   in
   let out =
     Fun.protect
       ~finally:(fun () -> Engines.Hdfs.restore t.hdfs ~from:pre)
       (fun () ->
-         injected @@ fun () ->
          in_flight @@ fun () ->
          let graph, sp =
-           if coadmit then prepare_subplans t ~recovery sub
+           if coadmit then prepare_subplans t ~recovery ~breaker ~inject sub
            else (sub.graph, no_subplans)
          in
          let s0 = Musketeer.Plan_cache.stats t.cache in
          let t0 = Unix.gettimeofday () in
          let planned =
-           Musketeer.plan ~cache:t.cache t.m ~workflow:sub.workflow
+           Musketeer.plan ~cache:t.cache ?breaker t.m ~workflow:sub.workflow
              ~hdfs:t.hdfs graph
          in
          let planning_s =
@@ -531,7 +548,7 @@ let execute t ts sub ~admit_s =
                       latency_s; cache; subplan_hits = sp.sp_hits;
                       subplan_attached_mb = sp.sp_attached_mb;
                       shed = None; slo_s; slo_met;
-                      breaker_open = open_breakers ();
+                      breaker_open = open_breakers breaker;
                       epochs =
                         List.map
                           (fun rel ->
@@ -561,7 +578,7 @@ let execute t ts sub ~admit_s =
            let sharing = if coadmit then Some t.store else None in
            match
              Musketeer.execute_plan ~record_history:false ~recovery
-               ~supervision ?sharing t.m ~workflow:sub.workflow
+               ~supervision ?breaker ?inject ?sharing t.m ~workflow:sub.workflow
                ~hdfs:t.hdfs ~graph plan
            with
            | Ok r ->
@@ -836,10 +853,11 @@ let run ?(config = default_config) m ~hdfs subs =
      - store epochs: raised to the per-relation maxima recorded
        in serve records, so entries can never be paid against bytes
        the previous incarnation already invalidated
-     - breakers: the latest record per tenant lists the engines open in
-       that tenant's scope at completion; they are re-opened for a full
-       cooldown ([Breaker.force_open]) — conservative, since the ledger
-       does not record how far into the quarantine the crash fell
+     - breakers (when the service has them): the latest record per
+       tenant lists the engines open in that tenant's breaker at
+       completion; they are re-opened for a full cooldown
+       ([Breaker.force_open]) — conservative, since the ledger does not
+       record how far into the quarantine the crash fell
      - plan cache: every distinct workflow in the ledger that the mix
        still knows is re-planned once, in first-appearance order
        (deterministic), so steady-state traffic resumes at hit rate
@@ -853,16 +871,17 @@ type restore_stats = {
   r_epochs : int;     (** relation epochs raised *)
 }
 
-let restore t ~mix records =
+let restore ?(calibrate = true) t ~mix records =
   let serves =
     List.filter_map
       (fun (r : Obs.Ledger.record) ->
          Option.map (fun s -> (r, s)) r.Obs.Ledger.serve)
       records
   in
-  let r_calibrated =
-    List.length (Musketeer.Calibrate.install_from records)
+  let factors =
+    if calibrate then Musketeer.Calibrate.of_ledger records else []
   in
+  t.m <- Musketeer.with_calibration t.m factors;
   (* epochs before warming: input sizes enter the fingerprint via HDFS,
      epochs via the store the next submissions will claim from *)
   let raised = Hashtbl.create 8 in
@@ -884,19 +903,20 @@ let restore t ~mix records =
          s.Obs.Ledger.breaker_open)
     serves;
   let r_breakers = ref 0 in
-  if Engines.Breaker.enabled () then
-    Hashtbl.iter
-      (fun tenant open_engines ->
-         Engines.Breaker.with_tenant tenant @@ fun () ->
-         List.iter
-           (fun name ->
-              match Engines.Backend.of_string name with
-              | Some b ->
-                Engines.Breaker.force_open b;
-                incr r_breakers
-              | None -> ())
-           open_engines)
-      latest;
+  Hashtbl.iter
+    (fun tenant open_engines ->
+       Option.iter
+         (fun breaker ->
+            List.iter
+              (fun name ->
+                 match Engines.Backend.of_string name with
+                 | Some b ->
+                   Engines.Breaker.force_open breaker b;
+                   incr r_breakers
+                 | None -> ())
+              open_engines)
+         (breaker t tenant))
+    latest;
   (* plan-cache warm: executed records only (a shed carries no plan) *)
   let warmed = Hashtbl.create 8 in
   let r_warmed = ref 0 in
@@ -917,7 +937,7 @@ let restore t ~mix records =
        end)
     serves;
   { r_records = List.length records;
-    r_calibrated;
+    r_calibrated = List.length factors;
     r_warmed = !r_warmed;
     r_breakers = !r_breakers;
     r_epochs = Hashtbl.length raised }

@@ -13,8 +13,7 @@
       per-tenant start-time fair queueing over operator-count cost, so
       a heavy tenant's 40-op DAGs cannot starve a light tenant's 3-op
       lookups (per-tenant [serve.queue_delay_s.<tenant>] histograms;
-      circuit breakers become per-tenant via
-      {!Engines.Breaker.with_tenant});
+      each tenant has its own circuit breaker, see [config.breaker]);
     - one {b shared store} ({!Engines.Share}), epoch-versioned, with
       one flight per admitted submission:
       - {b shared scans}: co-admitted workflows naming the same INPUT
@@ -121,10 +120,15 @@ type config = {
       (** deadlines/speculation/re-planning; default
           {!Musketeer.Supervisor.disabled} *)
   inject : Engines.Faults.fault_plan option;
-      (** chaos: install this fault plan around each submission's
-          execution (reseeded per submission, so a fixed seed gives a
-          deterministic per-trace fault schedule); planning and the
-          identity baseline stay clean *)
+      (** chaos: each submission's executions draw from a fresh
+          injector of this fault plan (reseeded per submission, so a
+          fixed seed gives a deterministic per-trace fault schedule);
+          planning and the identity baseline stay clean *)
+  breaker : Engines.Breaker.t option;
+      (** circuit breakers (default [None]: none): each tenant gets a
+          {!Engines.Breaker.fresh} copy of this one, so one tenant's
+          failures quarantine an engine for that tenant only, and two
+          services never share breaker state *)
 }
 
 val default_config : config
@@ -138,6 +142,9 @@ val cache : t -> Musketeer.Plan_cache.t
 (** The shared store: scan and subplan entries, their epochs and the
     sub-result byte budget. *)
 val store : t -> Engines.Share.t
+
+(** A tenant's circuit breaker ([None] without [config.breaker]). *)
+val breaker : t -> string -> Engines.Breaker.t option
 
 (** Overwrite an input relation out-of-band: bumps its epoch in the
     store, dropping the scan and subplan entries that read it, and
@@ -173,15 +180,16 @@ type restore_stats = {
 }
 
 (** [restore t ~mix records] replays warm state a crash lost from the
-    run ledger into a freshly created service: re-fits calibration,
-    raises store epochs to the recorded per-relation maxima,
-    re-opens per-tenant breakers recorded open (when the breaker is
-    enabled), and re-plans every distinct ledger workflow found in
-    [mix] (name → graph) once, in first-appearance order. Call before
-    the first [drive]. *)
+    run ledger into a freshly created service: re-fits the calibration
+    of the service's {!Musketeer.t} (none when [calibrate] is false,
+    the CLI's [--no-calibrate]), raises store epochs to the recorded
+    per-relation maxima, re-opens per-tenant breakers recorded open
+    (when [config.breaker] is set), and re-plans every distinct ledger
+    workflow found in [mix] (name → graph) once, in first-appearance
+    order. Call before the first [drive]. *)
 val restore :
-  t -> mix:(string * Ir.Dag.t) list -> Obs.Ledger.record list ->
-  restore_stats
+  ?calibrate:bool -> t -> mix:(string * Ir.Dag.t) list ->
+  Obs.Ledger.record list -> restore_stats
 
 val pp_restore_stats : Format.formatter -> restore_stats -> unit
 

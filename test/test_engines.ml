@@ -691,30 +691,28 @@ let test_run_is_execute_then_price () =
     true (!compared >= 200)
 
 (* The shared-scan waiver is decided when the job runs, not when it
-   executes: under one active share, two runs reading one relation
-   charge its modeled MB once, while both executions report the full
-   fetch. *)
+   executes: given one share, two runs reading one relation charge its
+   modeled MB once, while both executions report the full fetch. *)
 let test_scan_waiver_at_run () =
   let hdfs = hdfs_with [ ("r", kv_table sample_rows, 64.) ] in
   let g = scan_graph "r" in
   let job = Engines.Job.make ~label:"scan" ~backend:Engines.Backend.Spark g in
   let share = Engines.Share.create () in
-  Engines.Share.with_scope share (fun () ->
-      let run () =
-        let exec = Engines.Exec_helper.execute ~hdfs g in
-        Alcotest.(check (list (pair string (float 0.)))) "fetches"
-          [ ("r", 64.) ] exec.Engines.Exec_helper.scans;
-        Alcotest.(check (float 0.)) "execution charges the fetch" 64.
-          exec.Engines.Exec_helper.volumes.Engines.Perf.input_mb;
-        match
-          Engines.Registry.run Engines.Backend.Spark ~cluster
-            ~hdfs:(Engines.Hdfs.snapshot hdfs) job
-        with
-        | Ok r -> r.Engines.Report.input_mb
-        | Error e -> Alcotest.fail (Engines.Report.error_to_string e)
-      in
-      Alcotest.(check (float 0.)) "first run pays" 64. (run ());
-      Alcotest.(check (float 0.)) "second run rides free" 0. (run ()));
+  let run () =
+    let exec = Engines.Exec_helper.execute ~hdfs g in
+    Alcotest.(check (list (pair string (float 0.)))) "fetches"
+      [ ("r", 64.) ] exec.Engines.Exec_helper.scans;
+    Alcotest.(check (float 0.)) "execution charges the fetch" 64.
+      exec.Engines.Exec_helper.volumes.Engines.Perf.input_mb;
+    match
+      Engines.Registry.run ~share Engines.Backend.Spark ~cluster
+        ~hdfs:(Engines.Hdfs.snapshot hdfs) job
+    with
+    | Ok r -> r.Engines.Report.input_mb
+    | Error e -> Alcotest.fail (Engines.Report.error_to_string e)
+  in
+  Alcotest.(check (float 0.)) "first run pays" 64. (run ());
+  Alcotest.(check (float 0.)) "second run rides free" 0. (run ());
   Alcotest.(check int) "one paid read" 1
     (Engines.Share.paid_reads share "r")
 

@@ -368,29 +368,36 @@ let test_fit_rules () =
      Alcotest.(check (float 1e-9)) "clamped" Musketeer.Calibrate.clamp_hi f
    | _ -> Alcotest.fail "expected a Hadoop factor")
 
+let cluster = Engines.Cluster.local_seven
+
+let m = Musketeer.create ~cluster ()
+
+(* factors live in the profile they were given to; the escape hatch
+   ([--no-calibrate]) is a profile without any *)
 let test_factor_installation () =
-  Musketeer.Calibrate.reset ();
-  Fun.protect ~finally:Musketeer.Calibrate.reset @@ fun () ->
-  Musketeer.Calibrate.install [ ("Hadoop", 1.4) ];
+  let profile = Musketeer.profile m in
+  let calibrated =
+    Musketeer.Profile.with_calibration profile [ ("Hadoop", 1.4) ]
+  in
   Alcotest.(check (float 1e-9)) "installed" 1.4
-    (Musketeer.Calibrate.factor_for "Hadoop");
+    (Musketeer.Profile.factor calibrated "Hadoop");
   Alcotest.(check (float 1e-9)) "unknown engine is neutral" 1.0
-    (Musketeer.Calibrate.factor_for "Naiad");
-  Musketeer.Calibrate.set_enabled false;
-  Alcotest.(check (float 1e-9)) "disabled is neutral" 1.0
-    (Musketeer.Calibrate.factor_for "Hadoop")
+    (Musketeer.Profile.factor calibrated "Naiad");
+  Alcotest.(check (float 1e-9)) "the original profile is untouched" 1.0
+    (Musketeer.Profile.factor profile "Hadoop");
+  Alcotest.(check (float 1e-9)) "no factors is neutral" 1.0
+    (Musketeer.Profile.factor
+       (Musketeer.Profile.with_calibration calibrated [])
+       "Hadoop")
 
 (* ---- calibration never changes outputs (differential property) ----
 
    Correction factors scale cost estimates, which may legitimately
    move the partitioner to a different plan — but the rows that come
-   out must be byte-identical, at serial and parallel job counts. *)
+   out must be byte-identical. *)
 
-let cluster = Engines.Cluster.local_seven
-
-let m = Musketeer.create ~cluster ()
-
-let run_spec spec =
+let run_spec ?(factors = []) spec =
+  let m = Musketeer.with_calibration m factors in
   let hdfs = Qcheck_lite.hdfs_of_spec spec in
   let graph = Qcheck_lite.graph_of_spec spec in
   match Musketeer.plan m ~workflow:"cal-diff" ~hdfs graph with
@@ -407,17 +414,17 @@ let run_spec spec =
       | Some t -> Relation.Table.to_csv (Relation.Table.sort_by t [ "k"; "v" ])))
 
 let calibration_is_output_invariant spec =
-  Musketeer.Calibrate.reset ();
-  Fun.protect ~finally:Musketeer.Calibrate.reset @@ fun () ->
   let uncalibrated = run_spec spec in
-  Musketeer.Calibrate.install
-    (List.map
-       (fun b -> (Engines.Backend.name b, 1.9))
-       Engines.Backend.all);
-  let skewed_up = run_spec spec in
-  Musketeer.Calibrate.install
-    [ ("Hadoop", 0.3); ("Naiad", 2.8); ("Metis", 1.1) ];
-  let skewed_mixed = run_spec spec in
+  let skewed_up =
+    run_spec spec
+      ~factors:
+        (List.map
+           (fun b -> (Engines.Backend.name b, 1.9))
+           Engines.Backend.all)
+  in
+  let skewed_mixed =
+    run_spec spec ~factors:[ ("Hadoop", 0.3); ("Naiad", 2.8); ("Metis", 1.1) ]
+  in
   if skewed_up <> uncalibrated then
     failwith "uniform x1.9 factors changed the output";
   if skewed_mixed <> uncalibrated then

@@ -26,14 +26,10 @@ let run_spec ?faults ?(recovery = Musketeer.Recovery.none)
   | None -> None
   | Some (plan, g') ->
     let candidates = if candidates = [] then [ backend ] else candidates in
-    let exec () =
-      Musketeer.execute_plan ~recovery ~candidates ~record_history:false m
-        ~workflow:"rec" ~hdfs ~graph:g' plan
-    in
     Some
-      (match faults with
-       | None -> exec ()
-       | Some fp -> Engines.Injector.with_plan fp exec)
+      (Musketeer.execute_plan ~recovery
+         ?inject:(Option.map Engines.Injector.create faults) ~candidates
+         ~record_history:false m ~workflow:"rec" ~hdfs ~graph:g' plan)
 
 let outputs_of = function
   | Ok result ->

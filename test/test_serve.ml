@@ -100,9 +100,9 @@ let check_stats what (want_h, want_m, want_i)
 
 (* ---- plan cache via [Musketeer.plan ~cache] ---- *)
 
-let plan_once ~cache m ~hdfs g =
+let plan_once ?breaker ~cache m ~hdfs g =
   let before = Musketeer.Plan_cache.stats cache in
-  (match Musketeer.plan ~cache m ~workflow:"wf" ~hdfs g with
+  (match Musketeer.plan ~cache ?breaker m ~workflow:"wf" ~hdfs g with
    | Some _ -> ()
    | None -> Alcotest.fail "graph should plan");
   delta before (Musketeer.Plan_cache.stats cache)
@@ -131,34 +131,40 @@ let test_cache_invalidate_on_input_size () =
     (plan_once ~cache m ~hdfs g);
   check_stats "then caches again" (1, 0, 0) (plan_once ~cache m ~hdfs g)
 
+(* two managers that differ only in calibration share one cache: the
+   fingerprint reads the factors pricing reads, so neither is ever
+   served the other's plan *)
 let test_cache_invalidate_on_calibration () =
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
+  let calibrated =
+    Musketeer.with_calibration m
+      (List.map (fun b -> (Engines.Backend.name b, 3.0)) Engines.Backend.all)
+  in
   let cache = Musketeer.Plan_cache.create () in
   let g = agg_graph () in
-  Fun.protect ~finally:(fun () -> Musketeer.Calibrate.install []) @@ fun () ->
-  ignore (plan_once ~cache m ~hdfs g);
-  check_stats "warm before calibration" (1, 0, 0)
-    (plan_once ~cache m ~hdfs g);
-  Musketeer.Calibrate.install [ ("hadoop", 1.5) ];
+  ignore (plan_once ~cache calibrated ~hdfs g);
+  check_stats "warm with calibration" (1, 0, 0)
+    (plan_once ~cache calibrated ~hdfs g);
+  check_stats "no factors invalidate" (0, 0, 1) (plan_once ~cache m ~hdfs g);
   check_stats "new factors invalidate" (0, 0, 1)
-    (plan_once ~cache m ~hdfs g)
+    (plan_once ~cache calibrated ~hdfs g)
 
 let test_cache_invalidate_on_breaker () =
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
   let cache = Musketeer.Plan_cache.create () in
   let g = agg_graph () in
-  Engines.Breaker.enable ~threshold:1 ~window:4 ();
-  Fun.protect ~finally:(fun () -> Engines.Breaker.disable ()) @@ fun () ->
-  ignore (plan_once ~cache m ~hdfs g);
-  check_stats "warm before trip" (1, 0, 0) (plan_once ~cache m ~hdfs g);
-  Engines.Breaker.record_failure Engines.Backend.Spark;
+  let breaker = Engines.Breaker.create ~threshold:1 ~window:4 () in
+  ignore (plan_once ~breaker ~cache m ~hdfs g);
+  check_stats "warm before trip" (1, 0, 0)
+    (plan_once ~breaker ~cache m ~hdfs g);
+  Engines.Breaker.record_failure breaker Engines.Backend.Spark;
   Alcotest.(check bool)
     "spark quarantined" true
-    (Engines.Breaker.quarantined Engines.Backend.Spark);
+    (Engines.Breaker.quarantined breaker Engines.Backend.Spark);
   check_stats "quarantine invalidates" (0, 0, 1)
-    (plan_once ~cache m ~hdfs g)
+    (plan_once ~breaker ~cache m ~hdfs g)
 
 (* ---- the shared store: scans ([Engines.Share]) ---- *)
 
@@ -320,21 +326,30 @@ let test_wfq_weighted_order () =
     order
 
 let test_breaker_per_tenant () =
-  Engines.Breaker.enable ~threshold:1 ~window:4 ();
-  Fun.protect ~finally:(fun () -> Engines.Breaker.disable ()) @@ fun () ->
-  Engines.Breaker.with_tenant "a" (fun () ->
-      Engines.Breaker.record_failure Engines.Backend.Spark);
-  Alcotest.(check bool)
-    "quarantined for tenant a" true
-    (Engines.Breaker.with_tenant "a" (fun () ->
-         Engines.Breaker.quarantined Engines.Backend.Spark));
-  Alcotest.(check bool)
-    "healthy for tenant b" false
-    (Engines.Breaker.with_tenant "b" (fun () ->
-         Engines.Breaker.quarantined Engines.Backend.Spark));
-  Alcotest.(check bool)
-    "healthy globally" false
-    (Engines.Breaker.quarantined Engines.Backend.Spark)
+  let config =
+    { (config ()) with
+      Serve.Service.breaker =
+        Some (Engines.Breaker.create ~threshold:1 ~window:4 ()) }
+  in
+  let m = Experiments.Common.musketeer_for cluster in
+  let svc = Serve.Service.create ~config m ~hdfs:(fresh_hdfs ()) in
+  let other = Serve.Service.create ~config m ~hdfs:(fresh_hdfs ()) in
+  let quarantined svc tenant =
+    Engines.Breaker.quarantined
+      (Option.get (Serve.Service.breaker svc tenant))
+      Engines.Backend.Spark
+  in
+  Engines.Breaker.record_failure
+    (Option.get (Serve.Service.breaker svc "a"))
+    Engines.Backend.Spark;
+  Alcotest.(check bool) "quarantined for tenant a" true (quarantined svc "a");
+  Alcotest.(check bool) "healthy for tenant b" false (quarantined svc "b");
+  Alcotest.(check bool) "healthy in another service" false
+    (quarantined other "a");
+  Alcotest.(check bool) "the configured breaker is untouched" false
+    (Engines.Breaker.quarantined
+       (Option.get config.Serve.Service.breaker)
+       Engines.Backend.Spark)
 
 (* ---- overload hardening ---- *)
 
@@ -612,15 +627,14 @@ let test_retry_budget () =
 (* crash-restart: a fresh service replays calibration, epochs, open
    breakers and the plan cache from ledger records *)
 let test_restore_replays_ledger () =
-  Engines.Breaker.enable ~threshold:1 ~window:4 ~cooldown:4 ();
-  Fun.protect
-    ~finally:(fun () ->
-      Engines.Breaker.disable ();
-      Musketeer.Calibrate.install [])
-  @@ fun () ->
+  let config =
+    { (config ()) with
+      Serve.Service.breaker =
+        Some (Engines.Breaker.create ~threshold:1 ~window:4 ~cooldown:4 ()) }
+  in
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
-  let svc = Serve.Service.create ~config:(config ()) m ~hdfs in
+  let svc = Serve.Service.create ~config m ~hdfs in
   let serve_rec ~breaker_open ~epochs =
     Obs.Ledger.snapshot
       ~since:(Obs.Ledger.mark Obs.Metrics.default)
@@ -644,12 +658,15 @@ let test_restore_replays_ledger () =
   Alcotest.(check int) "one epoch raised" 1 stats.Serve.Service.r_epochs;
   Alcotest.(check int) "store epoch at the recorded maximum" 5
     (Engines.Share.epoch (Serve.Service.store svc) "r1");
+  let quarantined tenant =
+    Engines.Breaker.quarantined
+      (Option.get (Serve.Service.breaker svc tenant))
+      Engines.Backend.Spark
+  in
   Alcotest.(check bool) "Spark quarantined for gold" true
-    (Engines.Breaker.with_tenant "gold" (fun () ->
-         Engines.Breaker.quarantined Engines.Backend.Spark));
+    (quarantined "gold");
   Alcotest.(check bool) "Spark healthy for other tenants" false
-    (Engines.Breaker.with_tenant "silver" (fun () ->
-         Engines.Breaker.quarantined Engines.Backend.Spark));
+    (quarantined "silver");
   (* the re-warmed plan serves the next submission from cache *)
   match
     Serve.Service.drive svc [ sub ~tenant:"silver" ~at:0. (agg_graph ()) ]
@@ -766,6 +783,84 @@ let test_chaos_differential_property () =
               | _ -> o.outputs = [])
            outcomes)
 
+(* Two services in one process share no setting: each owns its
+   breakers, injector and calibration. Driven interleaved, batch by
+   batch, each gives exactly the outcomes and breaker states it gives
+   driven alone — with a different breaker threshold, fault plan and
+   calibration on either side. *)
+let test_services_isolated_property () =
+  let fault_plan ~seed spec =
+    match Engines.Faults.parse_plan ~seed spec with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "bad fault spec: %s" e
+  in
+  let service_config ~threshold ~faults =
+    { (config ()) with
+      Serve.Service.recovery = Musketeer.Recovery.default;
+      inject = Some faults;
+      breaker =
+        Some (Engines.Breaker.create ~threshold ~window:4 ~cooldown:3 ()) }
+  in
+  let a_config =
+    service_config ~threshold:1
+      ~faults:(fault_plan ~seed:lite_seed "reject;worker@0.5;reject:p=0.7")
+  and b_config =
+    service_config ~threshold:2
+      ~faults:
+        (fault_plan ~seed:(lite_seed + 1)
+           "reject;oom;reject;straggler*2:p=0.8")
+  in
+  let a_factors =
+    List.map (fun b -> (Engines.Backend.name b, 1.9)) Engines.Backend.all
+  and b_factors = [ ("Hadoop", 0.3); ("Naiad", 2.8); ("Metis", 1.1) ] in
+  Qcheck_lite.check ~count:3 ~seed:lite_seed
+    ~name:"interleaved services = each driven alone"
+    Qcheck_lite.spec_arbitrary
+    (fun spec ->
+      let g = Qcheck_lite.graph_of_spec spec in
+      let service config factors =
+        let m =
+          Musketeer.with_calibration
+            (Musketeer.with_history
+               (Experiments.Common.musketeer_for cluster)
+               (Musketeer.History.create ()))
+            factors
+        in
+        Serve.Service.create ~config m ~hdfs:(Qcheck_lite.hdfs_of_spec spec)
+      in
+      let batch i =
+        [ sub ~tenant:"a" ~workflow:"spec" ~at:(10. *. float_of_int i) g;
+          sub ~tenant:"b" ~workflow:"spec" ~at:(10. *. float_of_int i) g ]
+      in
+      let view (o : Serve.Service.outcome) =
+        ( (o.sub.Serve.Service.tenant, o.status, o.cache, o.error),
+          (o.admit_s, o.finish_s, o.makespan_s),
+          sorted_csv o.outputs )
+      in
+      let drive svc i = List.map view (Serve.Service.drive svc (batch i)) in
+      let breakers svc =
+        List.map
+          (fun tenant ->
+             Format.asprintf "%a" Engines.Breaker.pp
+               (Option.get (Serve.Service.breaker svc tenant)))
+          [ "a"; "b" ]
+      in
+      let alone config factors =
+        let svc = service config factors in
+        let outcomes = List.concat_map (drive svc) [ 0; 1; 2 ] in
+        (outcomes, breakers svc)
+      in
+      let a_alone = alone a_config a_factors in
+      let b_alone = alone b_config b_factors in
+      let a = service a_config a_factors and b = service b_config b_factors in
+      let a_out = ref [] and b_out = ref [] in
+      List.iter
+        (fun i ->
+           a_out := !a_out @ drive a i;
+           b_out := !b_out @ drive b i)
+        [ 0; 1; 2 ];
+      (!a_out, breakers a) = a_alone && (!b_out, breakers b) = b_alone)
+
 (* Admission fairness: a light tenant's p99 queue delay in a mix with a
    heavy tenant stays within a constant factor of its solo p99 (plus
    one largest service time — it can always be stuck behind a job that
@@ -844,7 +939,7 @@ let () =
            test_cache_invalidate_on_calibration;
          Alcotest.test_case "breaker trip invalidates" `Quick
            test_cache_invalidate_on_breaker ]);
-      ("scan_share",
+      ("scan_claim",
        [ Alcotest.test_case "co-readers pay once" `Quick test_scan_pays_once;
          Alcotest.test_case "write bumps epoch" `Quick
            test_scan_epoch_invalidation;
@@ -887,6 +982,8 @@ let () =
       ("properties",
        [ Alcotest.test_case "served = one-shot (columnar)" `Slow
            test_serve_identity_differential;
+         Alcotest.test_case "interleaved services = each alone" `Slow
+           test_services_isolated_property;
          Alcotest.test_case "chaos never changes completed bytes" `Slow
            test_chaos_differential_property;
          Alcotest.test_case "light tenant p99 bounded in mix" `Slow

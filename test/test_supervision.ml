@@ -17,7 +17,7 @@ let canonical table =
 
 (* plan forced onto [backend]; speculation / recovery / re-planning may
    use [candidates] (default: just the planned engine) *)
-let run_spec ?faults ?(recovery = Musketeer.Recovery.none)
+let run_spec ?faults ?breaker ?(recovery = Musketeer.Recovery.none)
     ?(supervision = Musketeer.Supervisor.disabled) ?(candidates = [])
     ?(workflow = "sup") backend spec =
   let hdfs = Qcheck_lite.hdfs_of_spec spec in
@@ -26,14 +26,10 @@ let run_spec ?faults ?(recovery = Musketeer.Recovery.none)
   | None -> None
   | Some (plan, g') ->
     let candidates = if candidates = [] then [ backend ] else candidates in
-    let exec () =
-      Musketeer.execute_plan ~recovery ~supervision ~candidates
-        ~record_history:false m ~workflow ~hdfs ~graph:g' plan
-    in
     Some
-      (match faults with
-       | None -> exec ()
-       | Some fp -> Engines.Injector.with_plan fp exec)
+      (Musketeer.execute_plan ~recovery ~supervision ?breaker
+         ?inject:(Option.map Engines.Injector.create faults) ~candidates
+         ~record_history:false m ~workflow ~hdfs ~graph:g' plan)
 
 let outputs_of = function
   | Ok result ->
@@ -286,113 +282,136 @@ let test_effective_deadline () =
 (* ---------------- circuit breaker (unit) ---------------- *)
 
 let with_breaker ?(threshold = 2) ?(window = 4) ?(cooldown = 2) f =
-  Engines.Breaker.enable ~threshold ~window ~cooldown ();
-  Fun.protect ~finally:Engines.Breaker.disable f
+  f (Engines.Breaker.create ~threshold ~window ~cooldown ())
 
 let test_breaker_trips_and_recovers () =
-  with_breaker @@ fun () ->
+  with_breaker @@ fun b ->
   Obs.Metrics.reset Obs.Metrics.default;
   let metis = Engines.Backend.Metis and hadoop = Engines.Backend.Hadoop in
   Alcotest.(check bool) "starts closed" true
-    (Engines.Breaker.state metis = Engines.Breaker.Closed);
-  Engines.Breaker.record_failure metis;
+    (Engines.Breaker.state b metis = Engines.Breaker.Closed);
+  Engines.Breaker.record_failure b metis;
   Alcotest.(check bool) "one failure stays closed" true
-    (Engines.Breaker.state metis = Engines.Breaker.Closed);
-  Engines.Breaker.record_failure metis;
+    (Engines.Breaker.state b metis = Engines.Breaker.Closed);
+  Engines.Breaker.record_failure b metis;
   (* clock=2: threshold reached → quarantined until tick 4 *)
   Alcotest.(check bool) "trips at threshold" true
-    (Engines.Breaker.quarantined metis);
+    (Engines.Breaker.quarantined b metis);
   Alcotest.(check int) "trip counted" 1 (counter "breaker.trips");
   Alcotest.(check (list string)) "filtered out" [ "Hadoop" ]
-    (List.map Engines.Backend.name (Engines.Breaker.filter [ metis; hadoop ]));
+    (List.map Engines.Backend.name
+       (Engines.Breaker.filter b [ metis; hadoop ]));
   Alcotest.(check (list string)) "candidates fall back when all quarantined"
     [ "Metis" ]
     (List.map Engines.Backend.name
-       (Engines.Breaker.filter_candidates [ metis ]));
+       (Engines.Breaker.filter_candidates b [ metis ]));
   (* outcomes elsewhere advance the logical clock past the cool-down *)
-  Engines.Breaker.record_success hadoop;
+  Engines.Breaker.record_success b hadoop;
   Alcotest.(check bool) "still open mid-cooldown" true
-    (Engines.Breaker.quarantined metis);
-  Engines.Breaker.record_success hadoop;
+    (Engines.Breaker.quarantined b metis);
+  Engines.Breaker.record_success b hadoop;
   Alcotest.(check bool) "half-open after cooldown" true
-    (Engines.Breaker.state metis = Engines.Breaker.Half_open);
+    (Engines.Breaker.state b metis = Engines.Breaker.Half_open);
   Alcotest.(check bool) "half-open is admitted" true
-    (List.mem metis (Engines.Breaker.filter [ metis; hadoop ]));
+    (List.mem metis (Engines.Breaker.filter b [ metis; hadoop ]));
   (* a successful probe re-closes *)
-  Engines.Breaker.record_success metis;
+  Engines.Breaker.record_success b metis;
   Alcotest.(check bool) "re-closed" true
-    (Engines.Breaker.state metis = Engines.Breaker.Closed);
+    (Engines.Breaker.state b metis = Engines.Breaker.Closed);
   Alcotest.(check int) "re-close counted" 1 (counter "breaker.reclosed")
 
 let test_breaker_exponential_cooldown () =
-  with_breaker @@ fun () ->
+  with_breaker @@ fun b ->
   let metis = Engines.Backend.Metis and hadoop = Engines.Backend.Hadoop in
-  Engines.Breaker.record_failure metis;
-  Engines.Breaker.record_failure metis;
+  Engines.Breaker.record_failure b metis;
+  Engines.Breaker.record_failure b metis;
   (* open until tick 4 *)
-  Engines.Breaker.record_success hadoop;
-  Engines.Breaker.record_success hadoop;
+  Engines.Breaker.record_success b hadoop;
+  Engines.Breaker.record_success b hadoop;
   Alcotest.(check bool) "first probe window" true
-    (Engines.Breaker.state metis = Engines.Breaker.Half_open);
+    (Engines.Breaker.state b metis = Engines.Breaker.Half_open);
   (* failed probe at clock 5: cooldown doubles to 4 → open until 9 *)
-  Engines.Breaker.record_failure metis;
-  Alcotest.(check bool) "re-opened" true (Engines.Breaker.quarantined metis);
-  for _ = 1 to 3 do Engines.Breaker.record_success hadoop done;
+  Engines.Breaker.record_failure b metis;
+  Alcotest.(check bool) "re-opened" true (Engines.Breaker.quarantined b metis);
+  for _ = 1 to 3 do Engines.Breaker.record_success b hadoop done;
   Alcotest.(check bool) "doubled cooldown still running" true
-    (Engines.Breaker.quarantined metis);
-  Engines.Breaker.record_success hadoop;
+    (Engines.Breaker.quarantined b metis);
+  Engines.Breaker.record_success b hadoop;
   (* clock 9 *)
   Alcotest.(check bool) "half-open after doubled cooldown" true
-    (Engines.Breaker.state metis = Engines.Breaker.Half_open)
+    (Engines.Breaker.state b metis = Engines.Breaker.Half_open)
 
 (* two co-admitted submissions race into the same half-open window:
    exactly one claims the probe, the other sees the engine held back
    until the probe resolves — a half-open breaker must never let a
    thundering herd re-storm a recovering engine *)
 let test_breaker_half_open_single_probe () =
-  with_breaker ~threshold:2 ~window:4 ~cooldown:2 @@ fun () ->
+  with_breaker ~threshold:2 ~window:4 ~cooldown:2 @@ fun b ->
   Obs.Metrics.reset Obs.Metrics.default;
   let metis = Engines.Backend.Metis and hadoop = Engines.Backend.Hadoop in
-  Engines.Breaker.record_failure metis;
-  Engines.Breaker.record_failure metis;
-  Engines.Breaker.record_success hadoop;
-  Engines.Breaker.record_success hadoop;
+  Engines.Breaker.record_failure b metis;
+  Engines.Breaker.record_failure b metis;
+  Engines.Breaker.record_success b hadoop;
+  Engines.Breaker.record_success b hadoop;
   Alcotest.(check bool) "half-open" true
-    (Engines.Breaker.state metis = Engines.Breaker.Half_open);
+    (Engines.Breaker.state b metis = Engines.Breaker.Half_open);
   (* first caller in the window claims the single probe *)
   Alcotest.(check bool) "first filter admits the probe" true
-    (List.mem metis (Engines.Breaker.filter [ metis; hadoop ]));
+    (List.mem metis (Engines.Breaker.filter b [ metis; hadoop ]));
   (* a second caller racing into the same window gets no second probe *)
   Alcotest.(check bool) "second filter holds the engine back" false
-    (List.mem metis (Engines.Breaker.filter [ metis; hadoop ]));
+    (List.mem metis (Engines.Breaker.filter b [ metis; hadoop ]));
   Alcotest.(check bool) "third caller also held back" false
-    (List.mem metis (Engines.Breaker.filter [ metis; hadoop ]));
+    (List.mem metis (Engines.Breaker.filter b [ metis; hadoop ]));
   Alcotest.(check int) "contended probes counted" 2
     (counter "breaker.probe_contended");
   (* the probe succeeding re-closes and re-admits every caller *)
-  Engines.Breaker.record_success metis;
+  Engines.Breaker.record_success b metis;
   Alcotest.(check bool) "re-closed after probe success" true
-    (Engines.Breaker.state metis = Engines.Breaker.Closed);
+    (Engines.Breaker.state b metis = Engines.Breaker.Closed);
   Alcotest.(check bool) "filter re-admits once closed" true
-    (List.mem metis (Engines.Breaker.filter [ metis; hadoop ]))
+    (List.mem metis (Engines.Breaker.filter b [ metis; hadoop ]))
 
+(* without a breaker nothing is quarantined: failures recorded nowhere
+   cannot leak into later planning or fallbacks *)
 let test_breaker_disabled_is_inert () =
-  Engines.Breaker.disable ();
-  let metis = Engines.Backend.Metis in
-  Engines.Breaker.record_failure metis;
-  Engines.Breaker.record_failure metis;
-  Engines.Breaker.record_failure metis;
-  Alcotest.(check bool) "never trips while disabled" false
-    (Engines.Breaker.quarantined metis);
-  Alcotest.(check int) "filter is the identity" 2
-    (List.length (Engines.Breaker.filter [ metis; Engines.Backend.Hadoop ]))
+  let metis = Engines.Backend.Metis and hadoop = Engines.Backend.Hadoop in
+  let faults =
+    { Engines.Faults.seed = 7; probability = 1.;
+      faults =
+        [ Engines.Faults.Engine_rejection "injected OOM";
+          Engines.Faults.Engine_rejection "injected OOM" ] }
+  in
+  let recovery =
+    { Musketeer.Recovery.max_retries = 1; allow_replan = true;
+      backoff_base_s = 0. }
+  in
+  ignore
+    (run_spec ~faults ~recovery ~candidates:[ metis; hadoop ] metis
+       acceptance_spec);
+  let hdfs = Qcheck_lite.hdfs_of_spec acceptance_spec in
+  let graph = Qcheck_lite.graph_of_spec acceptance_spec in
+  let plan, g' =
+    Option.get
+      (Musketeer.plan m ~backends:[ metis; hadoop ] ~workflow:"brk" ~hdfs
+         graph)
+  in
+  Alcotest.(check bool) "Metis still planned" true
+    (List.exists
+       (fun (b, _) -> Engines.Backend.equal b metis)
+       plan.Musketeer.Partitioner.jobs);
+  let _, ids = List.hd plan.Musketeer.Partitioner.jobs in
+  Alcotest.(check int) "every fallback admitted" 2
+    (List.length
+       (Musketeer.Recovery.alternatives ~profile:(Musketeer.profile m)
+          ~graph:g' ~est:None ~candidates:[ metis; hadoop ] ~exclude:[] ids))
 
 (* ---------------- breaker integration ---------------- *)
 
 (* a quarantined engine is excluded from planning and from recovery /
    speculation fallbacks, then re-admitted after the cool-down *)
 let test_breaker_excludes_engine_from_planning () =
-  with_breaker ~threshold:2 ~cooldown:2 @@ fun () ->
+  with_breaker ~threshold:2 ~cooldown:2 @@ fun b ->
   let metis = Engines.Backend.Metis and hadoop = Engines.Backend.Hadoop in
   let spec = acceptance_spec in
   let hdfs = Qcheck_lite.hdfs_of_spec spec in
@@ -400,19 +419,19 @@ let test_breaker_excludes_engine_from_planning () =
   (* baseline: Metis is the cheaper single-machine choice *)
   let plan0, g' =
     Option.get
-      (Musketeer.plan m ~backends:[ metis; hadoop ] ~workflow:"brk" ~hdfs
-         graph)
+      (Musketeer.plan m ~backends:[ metis; hadoop ] ~breaker:b ~workflow:"brk"
+         ~hdfs graph)
   in
   Alcotest.(check bool) "Metis planned while healthy" true
     (List.exists
        (fun (b, _) -> Engines.Backend.equal b metis)
        plan0.Musketeer.Partitioner.jobs);
-  Engines.Breaker.record_failure metis;
-  Engines.Breaker.record_failure metis;
+  Engines.Breaker.record_failure b metis;
+  Engines.Breaker.record_failure b metis;
   let plan1, _ =
     Option.get
-      (Musketeer.plan m ~backends:[ metis; hadoop ] ~workflow:"brk" ~hdfs
-         graph)
+      (Musketeer.plan m ~backends:[ metis; hadoop ] ~breaker:b ~workflow:"brk"
+         ~hdfs graph)
   in
   Alcotest.(check bool) "quarantined Metis not planned" false
     (List.exists
@@ -421,20 +440,20 @@ let test_breaker_excludes_engine_from_planning () =
   (* recovery fallbacks honor the quarantine too *)
   let _, ids = List.hd plan0.Musketeer.Partitioner.jobs in
   let alts =
-    Musketeer.Recovery.alternatives ~profile:(Musketeer.profile m)
+    Musketeer.Recovery.alternatives ~breaker:b ~profile:(Musketeer.profile m)
       ~graph:g' ~est:None ~candidates:[ metis; hadoop ] ~exclude:[] ids
   in
   Alcotest.(check bool) "no quarantined fallback" false
     (List.exists (Engines.Backend.equal metis) alts);
   (* cool-down elapses → half-open → planned again *)
-  Engines.Breaker.record_success hadoop;
-  Engines.Breaker.record_success hadoop;
+  Engines.Breaker.record_success b hadoop;
+  Engines.Breaker.record_success b hadoop;
   Alcotest.(check bool) "half-open" true
-    (Engines.Breaker.state metis = Engines.Breaker.Half_open);
+    (Engines.Breaker.state b metis = Engines.Breaker.Half_open);
   let plan2, _ =
     Option.get
-      (Musketeer.plan m ~backends:[ metis; hadoop ] ~workflow:"brk" ~hdfs
-         graph)
+      (Musketeer.plan m ~backends:[ metis; hadoop ] ~breaker:b ~workflow:"brk"
+         ~hdfs graph)
   in
   Alcotest.(check bool) "re-admitted after cool-down" true
     (List.exists
@@ -444,7 +463,7 @@ let test_breaker_excludes_engine_from_planning () =
 (* engine failures recorded through the recovery loop trip the breaker
    without any manual record calls *)
 let test_breaker_trips_from_recovery_loop () =
-  with_breaker ~threshold:2 ~cooldown:8 @@ fun () ->
+  with_breaker ~threshold:2 ~cooldown:8 @@ fun b ->
   Obs.Metrics.reset Obs.Metrics.default;
   let faults =
     { Engines.Faults.seed = 7; probability = 1.;
@@ -458,14 +477,14 @@ let test_breaker_trips_from_recovery_loop () =
   in
   let result =
     Option.get
-      (run_spec ~faults ~recovery
+      (run_spec ~faults ~recovery ~breaker:b
          ~candidates:[ Engines.Backend.Metis; Engines.Backend.Hadoop ]
          Engines.Backend.Metis acceptance_spec)
   in
   Alcotest.(check bool) "run still succeeds via fallback" true
     (Result.is_ok result);
   Alcotest.(check bool) "two failures quarantined the engine" true
-    (Engines.Breaker.quarantined Engines.Backend.Metis)
+    (Engines.Breaker.quarantined b Engines.Backend.Metis)
 
 (* ---------------- adaptive re-planning ---------------- *)
 
