@@ -134,7 +134,7 @@ let bechamel () =
 
    Times each hot kernel on NetFlix-scale synthetic tables (CROSS on
    k-means-shaped ones: 4 000 points x 100 centroids; JOIN → SELECT
-   on k-means' arg-min step) two ways: the row engine with the
+   on k-means' arg-min step, and the whole arg-min diamond) two ways: the row engine with the
    columnar gate off (the pre-columnar baseline) and the columnar
    path. Both outputs must be byte-identical (CSV
    compare; fatal otherwise). Ratios are row-baseline / columnar —
@@ -221,6 +221,37 @@ let kernels () =
         (Kernel.join dists nearest ~left_key:"pid" ~right_key:"pid2")
         pred
   in
+  (* the whole arg-min diamond over the same 1,200 x 100 pairs. The gate
+     off refuses the diamond's kernel, so the row side is the serial
+     CROSS, MAP, GROUP BY, JOIN and SELECT *)
+  let argmin () =
+    let pts, cents = Workloads.Datagen.kmeans_points ~points:1200 ~k:100 () in
+    let pts = pts.Workloads.Datagen.table
+    and cents = cents.Workloads.Datagen.table in
+    let expr =
+      Expr.(
+        ((col "px" - col "cx") * (col "px" - col "cx"))
+        + ((col "py" - col "cy") * (col "py" - col "cy")))
+    in
+    let best groups = Kernel.rename_column ~from_:"pid" ~to_:"pid2" groups in
+    fun () ->
+      match
+        Columnar.try_argmin pts cents ~target:"dist" ~expr ~key:"pid"
+          ~min_as:"bd" ~min_column:"bd"
+      with
+      | Some a -> (Columnar.argmin_join a (best a.groups) ~right_key:"pid2").table
+      | None ->
+        let d =
+          Kernel.map_column (Kernel.cross_join pts cents) ~target:"dist" ~expr
+        in
+        let groups =
+          Kernel.group_by d ~keys:[ "pid" ]
+            ~aggs:[ Aggregate.make (Aggregate.Min "dist") ~as_name:"bd" ]
+        in
+        Kernel.select
+          (Kernel.join d (best groups) ~left_key:"pid" ~right_key:"pid2")
+          Expr.(col "dist" = col "bd")
+  in
   let kernels =
     [ ("select", fun () -> Kernel.select ratings Expr.(col "rating" >= int 4));
       ("project", fun () -> Kernel.project ratings [ "user"; "rating" ]);
@@ -244,7 +275,8 @@ let kernels () =
                 Aggregate.make Aggregate.Count ~as_name:"n" ]);
       (* k-means' assignment step: every point against every centroid *)
       ("cross", fun () -> Kernel.cross_join points centroids);
-      ("join_select", join_select) ]
+      ("join_select", join_select);
+      ("argmin", argmin ()) ]
   in
   let reps = 5 in
   let best_of ~columnar f =

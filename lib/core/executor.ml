@@ -88,7 +88,7 @@ let dispatch ~mode ~profile ~history ~workflow ~record_history ~hdfs ~inject
     report
 
 (* WHILE on a MapReduce engine: per-iteration job chains (§4.2) *)
-let expand_while ~mode ~profile ~history ~workflow ~record_history ~hdfs
+let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
     ~inject ~share ~breaker ~graph ~recovery ~backend (n : Ir.Operator.node) =
   let condition, max_iterations, body =
     match n.kind with
@@ -169,7 +169,7 @@ let expand_while ~mode ~profile ~history ~workflow ~record_history ~hdfs
            let pre = Engines.Hdfs.snapshot hdfs in
            let reset () = Engines.Hdfs.restore hdfs ~from:pre in
            let report =
-             match
+             let run =
                Recovery.with_retries ?breaker ~reset ~policy:recovery
                  ~workflow ~label ~backend:job_backend (fun () ->
                    try
@@ -178,7 +178,9 @@ let expand_while ~mode ~profile ~history ~workflow ~record_history ~hdfs
                           ~record_history:false ~hdfs ~inject ~share ~label
                           ~backend:job_backend job_graph mapping)
                    with Execution_failed e -> Error e)
-             with
+             in
+             spend run.Recovery.retries;
+             match run.Recovery.result with
              | Ok report -> report
              | Error e -> raise (Execution_failed e)
            in
@@ -254,6 +256,9 @@ let run_plan ?(mode = Generated) ?(record_history = true)
       (Some 0.) plan.Partitioner.jobs
   in
   let supervising = Supervisor.active supervision in
+  let retries = ref 0 in
+  let spend n = retries := !retries + n in
+  let spent result = { Recovery.result; retries = !retries } in
   try
     (* jobs run off a mutable queue: adaptive re-planning may replace
        the remaining suffix mid-run *)
@@ -275,7 +280,7 @@ let run_plan ?(mode = Generated) ?(record_history = true)
         try
           if is_expandable_while ~backend:b ~graph ids then
             Ok
-              (expand_while ~mode ~profile ~history ~workflow
+              (expand_while ~spend ~mode ~profile ~history ~workflow
                  ~record_history ~hdfs ~inject ~share ~breaker ~graph
                  ~recovery ~backend:b
                  (Ir.Dag.node graph (List.hd ids)))
@@ -293,11 +298,13 @@ let run_plan ?(mode = Generated) ?(record_history = true)
       in
       let stragglers_before = stragglers () in
       let outcome =
-        match
+        let run =
           Recovery.run_job ?breaker ~policy:recovery ~profile ~graph ~est
             ~candidates ~workflow ~label ~ids ~reset
             ~dispatch:dispatch_on backend
-        with
+        in
+        spend run.Recovery.retries;
+        match run.Recovery.result with
         | Ok outcome -> outcome
         | Error e -> raise (Execution_failed e)
       in
@@ -376,5 +383,5 @@ let run_plan ?(mode = Generated) ?(record_history = true)
            else None)
         (Ir.Dag.output_relations graph)
     in
-    Ok { reports; makespan_s; outputs }
-  with Execution_failed e -> Error e
+    spent (Ok { reports; makespan_s; outputs })
+  with Execution_failed e -> spent (Error e)

@@ -31,7 +31,8 @@ exception Execution_failed of Engines.Report.error
 (** [run_plan ~profile ~history ~workflow ~hdfs ~graph ~plan ()] executes
     the plan and returns the aggregated result, or [Error _] when an
     engine rejects its job (e.g. Spark OOM) and the recovery policy is
-    exhausted.
+    exhausted — with, either way, the same-engine retries the run spent
+    (every job's, WHILE iterations included).
 
     @param mode code-generation mode (default {!Generated}).
     @param record_history update [history] on success (default true).
@@ -68,4 +69,4 @@ val run_plan :
   profile:Profile.t ->
   history:History.t -> workflow:string -> hdfs:Engines.Hdfs.t ->
   graph:Ir.Dag.t -> plan:Partitioner.plan -> unit ->
-  (result, Engines.Report.error) Stdlib.result
+  result Recovery.spent

@@ -103,11 +103,17 @@ let plan ?(backends = Engines.Backend.all) ?(merging = true)
         result;
       result)
 
-let execute_plan ?mode ?record_history ?recovery ?candidates ?supervision
-    ?breaker ?inject ?sharing t ~workflow ~hdfs ~graph p =
+let execute_plan_spent ?mode ?record_history ?recovery ?candidates
+    ?supervision ?breaker ?inject ?sharing t ~workflow ~hdfs ~graph p =
   Executor.run_plan ?mode ?record_history ?recovery ?candidates ?supervision
     ?breaker ?inject ?sharing ~profile:t.profile ~history:t.history ~workflow
     ~hdfs ~graph ~plan:p ()
+
+let execute_plan ?mode ?record_history ?recovery ?candidates ?supervision
+    ?breaker ?inject ?sharing t ~workflow ~hdfs ~graph p =
+  (execute_plan_spent ?mode ?record_history ?recovery ?candidates ?supervision
+     ?breaker ?inject ?sharing t ~workflow ~hdfs ~graph p)
+    .Recovery.result
 
 let execute ?backends ?merging ?optimize ?mode ?recovery ?supervision
     ?breaker ?inject t ~workflow ~hdfs g =

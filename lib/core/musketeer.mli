@@ -137,6 +137,18 @@ val execute_plan :
   Partitioner.plan ->
   (Executor.result, Engines.Report.error) result
 
+(** {!execute_plan}, with the same-engine retries the run spent, on
+    success and on failure: what the serving layer charges a tenant's
+    retry budget. *)
+val execute_plan_spent :
+  ?mode:Executor.mode -> ?record_history:bool ->
+  ?recovery:Recovery.policy -> ?candidates:Engines.Backend.t list ->
+  ?supervision:Supervisor.config -> ?breaker:Engines.Breaker.t ->
+  ?inject:Engines.Injector.t -> ?sharing:Engines.Share.t ->
+  t -> workflow:string -> hdfs:Engines.Hdfs.t -> graph:Ir.Dag.t ->
+  Partitioner.plan ->
+  Executor.result Recovery.spent
+
 (** Human-readable plan explanation (CLI [explain]). *)
 val explain :
   ?backends:Engines.Backend.t list -> t -> workflow:string ->

@@ -31,6 +31,11 @@ type outcome = {
   recovery_s : float;
 }
 
+type 'a spent = {
+  result : ('a, Engines.Report.error) result;
+  retries : int;
+}
+
 (* WHILE nodes on per-iteration engines are not one admissible job but
    the executor can still expand them — mirror its check *)
 let expandable_while ~graph backend ids =
@@ -139,6 +144,7 @@ let attempt_span ~label ~backend ~attempt f =
 let run_job ?breaker ~policy ~profile ~graph ~est ~candidates ~workflow ~label
     ~ids ~reset ~dispatch backend =
   let planned = backend in
+  let retries = ref 0 in
   let rec go backend ~retries_left ~tried ~failures ~attempt =
     match attempt_span ~label ~backend ~attempt (fun () -> dispatch backend) with
     | Ok reports ->
@@ -173,6 +179,7 @@ let run_job ?breaker ~policy ~profile ~graph ~est ~candidates ~workflow ~label
       let failures = (backend, e) :: failures in
       if retries_left > 0 then begin
         Obs.Metrics.incr Obs.Metrics.default "recovery.retries";
+        incr retries;
         reset ();
         go backend ~retries_left:(retries_left - 1) ~tried ~failures
           ~attempt:(attempt + 1)
@@ -192,11 +199,15 @@ let run_job ?breaker ~policy ~profile ~graph ~est ~candidates ~workflow ~label
       end
       else Error e
   in
-  go backend ~retries_left:policy.max_retries ~tried:[] ~failures:[]
-    ~attempt:1
+  let result =
+    go backend ~retries_left:policy.max_retries ~tried:[] ~failures:[]
+      ~attempt:1
+  in
+  { result; retries = !retries }
 
 let with_retries ?breaker ?(reset = fun () -> ()) ~policy ~workflow ~label
     ~backend f =
+  let retries = ref 0 in
   let rec go ~retries_left ~failures ~attempt =
     match attempt_span ~label ~backend ~attempt f with
     | Ok (report : Engines.Report.t) ->
@@ -227,6 +238,7 @@ let with_retries ?breaker ?(reset = fun () -> ()) ~policy ~workflow ~label
       Obs.Metrics.incr Obs.Metrics.default "recovery.failed_attempts";
       if retries_left > 0 then begin
         Obs.Metrics.incr Obs.Metrics.default "recovery.retries";
+        incr retries;
         (* restore pre-attempt state: a half-written iteration (e.g.
            a WHILE body that materialized some outputs before the
            fault) must not leak into the retry *)
@@ -236,4 +248,5 @@ let with_retries ?breaker ?(reset = fun () -> ()) ~policy ~workflow ~label
       end
       else Error e
   in
-  go ~retries_left:policy.max_retries ~failures:[] ~attempt:1
+  let result = go ~retries_left:policy.max_retries ~failures:[] ~attempt:1 in
+  { result; retries = !retries }

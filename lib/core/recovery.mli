@@ -44,6 +44,14 @@ type outcome = {
   recovery_s : float;           (** seconds charged to recovery *)
 }
 
+(** A recovery loop's result and the same-engine retries it spent on
+    the way, whether it succeeded or gave up: the number it added to
+    [recovery.retries]. Callers that budget retries charge this. *)
+type 'a spent = {
+  result : ('a, Engines.Report.error) result;
+  retries : int;
+}
+
 (** [record breaker ok backend] — note one engine run outcome
     ([ok] = success) on [breaker]; a no-op without one. *)
 val record : Engines.Breaker.t option -> bool -> Engines.Backend.t -> unit
@@ -75,7 +83,7 @@ val run_job :
     (Engines.Backend.t ->
      (Engines.Report.t list, Engines.Report.error) result) ->
   Engines.Backend.t ->
-  (outcome, Engines.Report.error) result
+  outcome spent
 
 (** [charge_recovery s reports] — add [s] seconds of recovery cost,
     distributed across [reports] proportionally to their makespan
@@ -95,4 +103,4 @@ val with_retries :
   policy:policy -> workflow:string -> label:string ->
   backend:Engines.Backend.t ->
   (unit -> (Engines.Report.t, Engines.Report.error) result) ->
-  (Engines.Report.t, Engines.Report.error) result
+  Engines.Report.t spent

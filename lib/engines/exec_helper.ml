@@ -40,16 +40,20 @@ let span name attrs f =
 (* What a node leaves for its consumers and for pricing: its table and
    modeled size. A JOIN run with its SELECT leaves no table of its own:
    the SELECT takes the pair kernel's output, and pricing reads the
-   JOIN's logical column sizes, computed from counts. *)
+   JOIN's logical column sizes, computed from counts. Neither do the
+   CROSS and the MAP of an arg-min diamond: their consumers take the
+   diamond kernel's output, and pricing reads their sizes from counts. *)
 type out =
   | Table of Table.t
   | Joined of Columnar.join_select
+  | Argmin of Columnar.argmin * int array  (* the CROSS's or MAP's bytes *)
 
 type value = { out : out; mb : float }
 
 let column_bytes = function
   | Table t -> Table.column_bytes t
   | Joined js -> js.join_bytes
+  | Argmin (_, bytes) -> bytes
 
 let bytes out = Array.fold_left ( + ) 0 (column_bytes out)
 
@@ -57,6 +61,8 @@ let table_of (n : Ir.Operator.node) v =
   match v.out with
   | Table t -> t
   | Joined _ -> exec_error "node %d has no table: it ran with its SELECT" n.id
+  | Argmin _ ->
+    exec_error "node %d has no table: it ran in an arg-min kernel" n.id
 
 (* Evaluates a graph; [bound] overrides relation lookups (used for WHILE
    bodies); returns per-node values plus output bindings in node order
@@ -146,11 +152,41 @@ let rec eval_graph ?(protect = []) ~hdfs
       | None -> Table (solo head [ left; right ]))
     | _ -> exec_error "chain head %d is not a JOIN feeding a SELECT" head.id
   in
+  (* an arg-min diamond's CROSS runs the diamond's kernel; its MAP,
+     GROUP BY and JOIN take their parts of the kernel's output *)
+  let argmin (a : Ir.Fusion.argmin) (cross : Ir.Operator.node) left right =
+    match
+      span "kernel.fused"
+        (fun () ->
+           [ ("ops", Obs.Trace.String "CROSS,MAP,GROUP BY,JOIN,SELECT");
+             ("rows_in",
+              Obs.Trace.Int (Table.row_count left + Table.row_count right)) ])
+        (fun () ->
+           Columnar.try_argmin left right ~target:a.target ~expr:a.expr
+             ~key:a.key ~min_as:a.min_as ~min_column:a.min_column)
+    with
+    | Some k -> Argmin (k, k.cross_bytes)
+    | None -> Table (solo cross [ left; right ])
+  in
+  let argmin_at id =
+    List.find_opt
+      (fun (a : Ir.Fusion.argmin) -> a.cross = id)
+      (Ir.Fusion.argmins fplan)
+  in
   let run (n : Ir.Operator.node) ins =
-    match (Ir.Fusion.role fplan n.id, ins) with
-    | Ir.Fusion.Head c, [ { out = Table l; _ }; { out = Table r; _ } ] ->
-      join_select n c l r
-    | _, [ { out = Joined js; _ } ] -> Table js.table
+    match (ins, n.kind) with
+    | [ { out = Table l; _ }; { out = Table r; _ } ], _ -> (
+      match (argmin_at n.id, Ir.Fusion.role fplan n.id) with
+      | Some a, _ -> argmin a n l r
+      | None, Ir.Fusion.Head c -> join_select n c l r
+      | None, _ -> Table (solo n [ l; r ]))
+    | [ { out = Argmin (k, _); _ } ], Ir.Operator.Map _ ->
+      Argmin (k, k.map_bytes)
+    | [ { out = Argmin (k, _); _ } ], Ir.Operator.Group_by _ -> Table k.groups
+    | [ { out = Argmin (k, _); _ }; { out = Table best; _ } ],
+      Ir.Operator.Join { right_key; _ } ->
+      Joined (Columnar.argmin_join k best ~right_key)
+    | [ { out = Joined js; _ } ], _ -> Table js.table
     | _ -> Table (solo n (List.map (table_of n) ins))
   in
   (* a chain's row-local members start from the one input of the first *)
@@ -177,6 +213,7 @@ let rec eval_graph ?(protect = []) ~hdfs
         let schema =
           match src.out with
           | Table t | Joined { table = t; _ } -> Table.schema t
+          | Argmin _ -> exec_error "chain %d reads an arg-min kernel" n.id
         in
         match
           Ir.Sizing.project_mb schema (lazy (column_bytes src.out)) columns
@@ -209,7 +246,7 @@ let rec eval_graph ?(protect = []) ~hdfs
     Hashtbl.replace values n.id v;
     match v.out with
     | Table t -> Hashtbl.replace by_name n.output (t, v.mb)
-    | Joined _ -> ()
+    | Joined _ | Argmin _ -> ()
   in
   List.iter
     (fun (n : Ir.Operator.node) ->
@@ -229,12 +266,12 @@ let rec eval_graph ?(protect = []) ~hdfs
          let v = { out; mb = size n ins out } in
          bind n v;
          match Ir.Fusion.role fplan n.id with
-         | Ir.Fusion.Solo -> record n
-         | Ir.Fusion.Head _ -> (
+         | Ir.Fusion.Solo | Ir.Fusion.Head _ -> (
            record n;
            match out with
-           | Joined _ ->
-             (* the JOIN's table is one more intermediate never built *)
+           | Joined _ | Argmin _ ->
+             (* the JOIN's, CROSS's or MAP's table is one more
+                intermediate never built *)
              Obs.Metrics.add_gauge Obs.Metrics.default
                "fusion.intermediate_mb_saved" v.mb
            | Table _ -> ())

@@ -49,6 +49,34 @@ let load_kmeans ~points ~k =
   let pts, cents = Workloads.Datagen.kmeans_points ~points ~k () in
   hdfs_with [ ("points", pts); ("centroids", cents) ]
 
+let zoo =
+  let module W = Workloads.Workflows in
+  [ ("tpch", fun () -> (load_tpch ~scale_factor:10, W.tpch_q17 ()));
+    ("top-shopper",
+     fun () -> (load_purchases ~users:10_000_000, W.top_shopper ()));
+    ("netflix", fun () -> (load_netflix ~movies:8000, W.netflix ()));
+    ("pagerank",
+     fun () -> (load_graph Workloads.Datagen.orkut, W.pagerank_gas ()));
+    ("components",
+     fun () ->
+       ( load_graph Workloads.Datagen.orkut,
+         W.connected_components ~iterations:8 () ));
+    ("cross-community",
+     fun () -> (load_communities (), W.cross_community_pagerank ()));
+    ("sssp", fun () -> (load_sssp (), W.sssp ~max_rounds:8 ()));
+    ("kmeans",
+     fun () -> (load_kmeans ~points:100_000_000 ~k:100, W.kmeans ()));
+    ("join",
+     fun () ->
+       let l, r = Workloads.Datagen.asymmetric_join_tables () in
+       (hdfs_with [ ("left", l); ("right", r) ], W.simple_join ()));
+    ("project",
+     fun () ->
+       ( hdfs_with
+           [ ("lines",
+              Workloads.Datagen.two_column_ascii ~modeled_mb:2048. ()) ],
+         W.project_only () )) ]
+
 (* ---- execution helpers ---- *)
 
 let describe_plan (p : Musketeer.Partitioner.plan) =
@@ -64,12 +92,18 @@ let describe_plan (p : Musketeer.Partitioner.plan) =
 let steady_state m ~workflow ~hdfs graph =
   let m' = Musketeer.with_history m (Musketeer.History.create ()) in
   (match Musketeer.plan m' ~merging:false ~workflow ~hdfs graph with
-   | Some (plan, g') ->
-     (match
-        Musketeer.execute_plan ~record_history:true m' ~workflow
-          ~hdfs:(Engines.Hdfs.snapshot hdfs) ~graph:g' plan
-      with
-      | Ok _ | Error _ -> ())
+   | Some (plan, g') -> (
+     match
+       Musketeer.execute_plan ~record_history:true m' ~workflow
+         ~hdfs:(Engines.Hdfs.snapshot hdfs) ~graph:g' plan
+     with
+     | Ok _ -> ()
+     | Error e ->
+       (* a history recorded from a failed run would skew every
+          measurement taken after it *)
+       failwith
+         (Printf.sprintf "%s: profiling run failed: %s" workflow
+            (Engines.Report.error_to_string e)))
    | None -> ());
   m'
 

@@ -32,12 +32,16 @@ val load_sssp : unit -> Engines.Hdfs.t
 
 val load_kmeans : points:int -> k:int -> Engines.Hdfs.t
 
+(** The CLI's workflow zoo at the CLI's input sizes, by name: each
+    entry builds a fresh HDFS and graph. *)
+val zoo : (string * (unit -> Engines.Hdfs.t * Ir.Operator.graph)) list
+
 (* ---- execution helpers ---- *)
 
 (** [steady_state m ~workflow ~hdfs graph] — [m] with a private history
     filled by one operator-by-operator profiling run of [graph] on a
     snapshot of [hdfs]: a deployed workflow in steady state (full merge
-    opportunities, §5.2). *)
+    opportunities, §5.2). Raises [Failure] when that run fails. *)
 val steady_state :
   Musketeer.t -> workflow:string -> hdfs:Engines.Hdfs.t ->
   Ir.Operator.graph -> Musketeer.t

@@ -146,17 +146,10 @@ let evaluate cfg =
     let fresh = Musketeer.with_history base (Musketeer.History.create ()) in
     let no_history = score fresh in
     (* build full history with an operator-by-operator profiling run *)
-    let full_hist = Musketeer.History.create () in
-    let profiled = Musketeer.with_history base full_hist in
-    (match
-       Musketeer.plan profiled ~merging:false ~workflow:cfg.workflow ~hdfs
-         graph
-     with
-     | Some (plan, g') ->
-       ignore
-         (Musketeer.execute_plan profiled ~workflow:cfg.workflow
-            ~hdfs:(Engines.Hdfs.snapshot hdfs) ~graph:g' plan)
-     | None -> ());
+    let profiled =
+      Common.steady_state base ~workflow:cfg.workflow ~hdfs graph
+    in
+    let full_hist = Musketeer.history profiled in
     let full_history = score profiled in
     (* partial history = the upstream half of the operators, as an
        incrementally-acquired (interrupted) profiling run would leave *)

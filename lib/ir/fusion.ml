@@ -10,12 +10,28 @@ type role =
   | Interior of chain
   | Tail of chain
 
+type argmin = {
+  cross : int;
+  map : int;
+  group : int;
+  join : int;
+  select : int;
+  target : string;
+  expr : Relation.Expr.t;
+  key : string;
+  min_as : string;
+  min_column : string;
+}
+
 type plan = {
   plan_chains : chain list;
   roles : (int, role) Hashtbl.t;
+  plan_argmins : argmin list;
 }
 
 let chains p = p.plan_chains
+
+let argmins p = p.plan_argmins
 
 let role p id =
   match Hashtbl.find_opt p.roles id with
@@ -27,6 +43,118 @@ let row_local c = if c.join_head then List.tl c.members else c.members
 let fusable = function
   | Operator.Select _ | Operator.Project _ | Operator.Map _ -> true
   | _ -> false
+
+(* Where each column of a GROUP BY's table comes from, carried through
+   the MAP and PROJECT nodes after it: a copy of its one key, a copy of
+   its one aggregate, or anything else. [None] when a node reads a
+   column the table does not have (it raises when run). *)
+let trace_columns (path : Operator.node list) ~key ~agg =
+  let step cols (n : Operator.node) =
+    match (cols, n.kind) with
+    | None, _ -> None
+    | Some cols, Operator.Map { target; expr } ->
+      let origin =
+        match expr with
+        | Relation.Expr.Col c -> List.assoc_opt c cols
+        | _ -> Some `Other
+      in
+      Option.map
+        (fun o ->
+           if List.mem_assoc target cols then
+             List.map (fun (c, o') -> (c, if c = target then o else o')) cols
+           else cols @ [ (target, o) ])
+        origin
+    | Some cols, Operator.Project { columns } ->
+      List.fold_right
+        (fun c acc ->
+           match (acc, List.assoc_opt c cols) with
+           | Some acc, Some o -> Some ((c, o) :: acc)
+           | _ -> None)
+        columns (Some [])
+    | Some _, _ -> None
+  in
+  List.fold_left step (Some [ (key, `Key); (agg, `Agg) ]) path
+
+(* The arg-min diamond a JOIN-headed chain closes, if any (see
+   fusion.mli): the JOIN's left input is a MAP over a CROSS, read by
+   nothing but the JOIN and a GROUP BY MIN over it, and the JOIN's right
+   input is that GROUP BY's table carried through MAPs and PROJECTs. *)
+let argmin_of g ~consumers ~hidden (c : chain) =
+  let ( let* ) = Option.bind in
+  let node = Dag.node g in
+  let consumer_ids id =
+    List.sort Int.compare
+      (List.map
+         (fun (n : Operator.node) -> n.id)
+         (Option.value (Hashtbl.find_opt consumers id) ~default:[]))
+  in
+  let* j, s =
+    match c.members with
+    | j :: s :: _ when c.join_head -> Some (node j, node s)
+    | _ -> None
+  in
+  let* left_key, right_key, mid, bid =
+    match (j.kind, j.inputs) with
+    | Operator.Join { left_key; right_key }, [ mid; bid ] ->
+      Some (left_key, right_key, mid, bid)
+    | _ -> None
+  in
+  let m = node mid in
+  let* target, expr, xid =
+    match (m.kind, m.inputs) with
+    | Operator.Map { target; expr }, [ xid ] -> Some (target, expr, xid)
+    | _ -> None
+  in
+  let x = node xid in
+  let* () =
+    match x.kind with
+    | Operator.Cross when hidden x && hidden m && consumer_ids xid = [ mid ] ->
+      Some ()
+    | _ -> None
+  in
+  let* gb =
+    match List.filter (( <> ) j.id) (consumer_ids mid) with
+    | [ gid ] when List.length (consumer_ids mid) = 2 -> Some (node gid)
+    | _ -> None
+  in
+  let* min_as =
+    match gb.kind with
+    | Operator.Group_by
+        { keys = [ key ];
+          aggs = [ { Relation.Aggregate.fn = Relation.Aggregate.Min t; as_name } ]
+        }
+      when t = target && key = left_key ->
+      Some as_name
+    | _ -> None
+  in
+  (* the nodes from the GROUP BY to the JOIN's right input *)
+  let rec path id acc =
+    if id = gb.id then Some acc
+    else
+      match node id with
+      | { kind = Operator.Map _ | Operator.Project _; inputs = [ i ]; _ } as n
+        ->
+        path i (n :: acc)
+      | _ -> None
+  in
+  let* path = path bid [] in
+  let* cols = trace_columns path ~key:left_key ~agg:min_as in
+  let* () =
+    if List.assoc_opt right_key cols = Some `Key then Some () else None
+  in
+  let* min_column =
+    match s.kind with
+    | Operator.Select
+        { pred = Relation.Expr.Cmp (Relation.Expr.Eq, Col a, Col b) } -> (
+      let is_min c = List.assoc_opt c cols = Some `Agg in
+      if a = target && is_min b then Some b
+      else if b = target && is_min a then Some a
+      else None)
+    | _ -> None
+  in
+  Some
+    { cross = x.id; map = m.id; group = gb.id; join = j.id; select = s.id;
+      target; expr; key = left_key; min_as; min_column }
 
 let plan ?(protect = []) (g : Operator.graph) =
   let protected : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -53,11 +181,15 @@ let plan ?(protect = []) (g : Operator.graph) =
          n.inputs)
     g.nodes;
   let taken : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* whether nobody but its consumers — not job output collection, not
+     a by-name lookup — can see [t]'s table *)
+  let hidden (t : Operator.node) =
+    not (Hashtbl.mem is_output t.id || Hashtbl.mem protected t.output)
+  in
   (* the node that may follow [t] in a chain: [t]'s single consumer,
-     when nobody else — job output collection or a by-name lookup —
-     can see [t]'s table *)
+     when [t] is hidden *)
   let next (t : Operator.node) =
-    if Hashtbl.mem is_output t.id || Hashtbl.mem protected t.output then None
+    if not (hidden t) then None
     else
       match Hashtbl.find_opt consumers t.id with
       | Some [ c ] when not (Hashtbl.mem taken c.id) -> Some c
@@ -112,6 +244,9 @@ let plan ?(protect = []) (g : Operator.graph) =
        mark c.members;
        if c.join_head then Hashtbl.replace roles (List.hd c.members) (Head c))
     plan_chains;
-  { plan_chains; roles }
+  let plan_argmins =
+    List.filter_map (argmin_of g ~consumers ~hidden) plan_chains
+  in
+  { plan_chains; roles; plan_argmins }
 
 let set_enabled (_ : bool option) = ()

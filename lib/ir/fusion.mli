@@ -22,7 +22,9 @@
       (loop-carried relations, loop-condition relations, body outputs —
       see the [protect] argument).
 
-    Planning is pure analysis: it never rewrites the graph. *)
+    One more shape closes over a JOIN head: the {e arg-min diamond}
+    ({!argmin}). Planning is pure analysis: it never rewrites the
+    graph. *)
 
 type chain = {
   source : int;  (** node feeding the head (often an INPUT); a JOIN
@@ -42,6 +44,35 @@ type role =
       (** runs on its own kernel; the chain's row-local members are
           priced here, the tail from end-to-end measured selectivity *)
 
+(** The arg-min diamond, k-means' assignment step:
+    {v
+    x = L CROSS R;  d = MAP x t := e;  g = GROUP BY d [k] MIN(t) AS b;
+    best = g, then any MAPs and PROJECTs;
+    j = d JOIN best ON k = k';  s = SELECT j WHERE t = b'
+    v}
+    where [k'] and [b'] are copies of [g]'s [k] and [b] under the names
+    [best] gives them, and [j] heads a chain. It runs as one kernel
+    ({!Relation.Columnar.try_argmin}): the CROSS, the MAP and the JOIN
+    leave no table, the GROUP BY's table and the SELECT's come from the
+    kernel, and the nodes from [g] to [best] run on their own. [d] has
+    two consumers, but both are members: like [x], it is neither a
+    workflow output nor a protected name, so nothing outside the shape
+    can ask for its table. Pricing is untouched: the CROSS, the MAP and
+    the GROUP BY stay {!Solo} and the JOIN a {!Head}, priced from the
+    sizes the kernel computes from counts. *)
+type argmin = {
+  cross : int;  (** [x] *)
+  map : int;  (** [d] *)
+  group : int;  (** [g] *)
+  join : int;  (** [j] *)
+  select : int;  (** [s] *)
+  target : string;  (** [t] *)
+  expr : Relation.Expr.t;  (** [e] *)
+  key : string;  (** [k] *)
+  min_as : string;  (** [b] *)
+  min_column : string;  (** [b']: the column of [best] the SELECT reads *)
+}
+
 type plan
 
 (** [plan ?protect g] groups maximal fusable chains of [g]. [protect]
@@ -59,6 +90,9 @@ val chains : plan -> chain list
 val row_local : chain -> int list
 
 val role : plan -> int -> role
+
+(** The plan's arg-min diamonds, in graph order. *)
+val argmins : plan -> argmin list
 
 (** Does nothing. Kept only because the repository benchmark
     ([perfbench/bench.ml]) calls it, as {!Relation.Pool} is; nothing

@@ -520,10 +520,10 @@ let refused reason =
   Obs.Metrics.incr Obs.Metrics.default ("kernel.join_select.refused." ^ reason);
   None
 
-(* candidates per predicate evaluation: the kernel holds no index of the
-   pair count, only of the survivors, and a block's arrays stay small
-   enough for the minor heap *)
-let select_block = 256
+(* pairs per expression evaluation in the pair kernels: they hold no
+   index of the pair count, and a block's arrays stay small enough for
+   the minor heap *)
+let pair_block = 256
 
 (* The survivors, given in chunks in [iter_pairs]'s order with
    [counts.(r)] of them on right row r, each placed at its right row's
@@ -550,6 +550,30 @@ let place_by_right counts chunks =
     chunks;
   (lidx, ridx)
 
+(* The selection of each column of [lv]'s columns then [rv]'s, over a
+   block of pairs: [lbuf.(k)] and [rbuf.(k)] are pair k's rows. Each
+   column reads its base through its group's index composed with the
+   block's rows, composed once per group and only for the columns an
+   expression names. *)
+let pair_sel (lv : Table.view) (rv : Table.view) lbuf rbuf =
+  let through (v : Table.view) buf =
+    let memo = Array.make (Array.length v.idx) None in
+    fun g ->
+      if g < 0 then Vector.Sparse buf
+      else
+        match memo.(g) with
+        | Some ix -> Vector.Sparse ix
+        | None ->
+          let ix = Table.compose v.idx.(g) buf in
+          memo.(g) <- Some ix;
+          Vector.Sparse ix
+  in
+  let left_sel = through lv lbuf and right_sel = through rv rbuf in
+  let nleft = Array.length lv.vcols in
+  fun i ->
+    if i < nleft then left_sel (snd lv.vcols.(i))
+    else right_sel (snd rv.vcols.(i - nleft))
+
 (* The smaller side is the build side, so no array is sized by the
    larger input (k-means' 120,000-row [d] probes 1,200 buckets), and
    only the survivors are placed. *)
@@ -568,34 +592,16 @@ let try_join_select left right ~left_key ~right_key ~pred =
       Array.append (Array.map fst m.lv.vcols) (Array.map fst m.rv.vcols)
     in
     mark "join_select";
-    let nleft = Array.length m.lv.vcols in
     let counts = Array.make (Table.row_count right) 0 in
     let kept = ref [] in
-    iter_pairs m ~block:select_block (fun lbuf rbuf n ->
-        let lb = if n = select_block then lbuf else Array.sub lbuf 0 n
-        and rb = if n = select_block then rbuf else Array.sub rbuf 0 n in
-        (* each output column reads its base through its group's index
-           composed with this block's pairs, composed once per group *)
-        let through (v : Table.view) buf =
-          let memo = Array.make (Array.length v.idx) None in
-          fun g ->
-            if g < 0 then Vector.Sparse buf
-            else
-              match memo.(g) with
-              | Some ix -> Vector.Sparse ix
-              | None ->
-                let ix = Table.compose v.idx.(g) buf in
-                memo.(g) <- Some ix;
-                Vector.Sparse ix
-        in
-        let left_sel = through m.lv lb and right_sel = through m.rv rb in
-        let sel i =
-          if i < nleft then left_sel (snd m.lv.vcols.(i))
-          else right_sel (snd m.rv.vcols.(i - nleft))
-        in
+    iter_pairs m ~block:pair_block (fun lbuf rbuf n ->
+        let lb = if n = pair_block then lbuf else Array.sub lbuf 0 n
+        and rb = if n = pair_block then rbuf else Array.sub rbuf 0 n in
         let mask =
           Vector.to_mask ~length:n
-            (Vector.eval m.out_schema bases ~len:n ~sel pred)
+            (Vector.eval m.out_schema bases ~len:n
+               ~sel:(pair_sel m.lv m.rv lb rb)
+               pred)
         in
         let hits = ref 0 in
         for k = 0 to n - 1 do
@@ -866,3 +872,311 @@ let try_group_by t ~keys ~aggs =
                      aggs) |])
     end
   end
+
+(* ---- the arg-min diamond ---- *)
+
+type argmin_selected = {
+  d_schema : Schema.t;
+  d_view : Table.view;  (** the survivors' CROSS and MAP columns *)
+  group_of : int array;  (** each survivor's group: its row of [best] *)
+  pairs : int;
+}
+
+type argmin = {
+  groups : Table.t;
+  cross_bytes : int array;
+  map_bytes : int array;
+  selected : argmin_selected;
+}
+
+let argmin_refused reason =
+  Obs.Metrics.incr Obs.Metrics.default ("kernel.argmin.refused." ^ reason);
+  None
+
+(* [f lbuf rbuf n] on the pairs of left rows [lo, hi) × [nr] right
+   rows in the CROSS's order — left-major, right-minor — in blocks of at
+   most [pair_block] pairs that start at a left row's first pair: as
+   many whole left rows as fit, or one left row's pairs in runs. *)
+let iter_cross ~lo ~hi nr f =
+  let span = min nr pair_block in
+  let rows = if nr = 0 then 0 else max 1 (pair_block / nr) in
+  let len = rows * span in
+  let lbuf = Array.make len 0 in
+  let rbuf = Array.init len (fun k -> k mod span) in
+  let i = ref (if nr = 0 then hi else lo) in
+  while !i < hi do
+    let take = min rows (hi - !i) in
+    for row = 0 to take - 1 do
+      Array.fill lbuf (row * span) span (!i + row)
+    done;
+    if span < nr then begin
+      (* one left row, wider than a block, in runs *)
+      let j = ref 0 in
+      while !j < nr do
+        let n = min span (nr - !j) in
+        f (Array.sub lbuf 0 n) (Array.init n (fun k -> !j + k)) n;
+        j := !j + n
+      done
+    end
+    else if take = rows then f lbuf rbuf len
+    else
+      f (Array.sub lbuf 0 (take * nr)) (Array.sub rbuf 0 (take * nr))
+        (take * nr);
+    i := !i + take
+  done
+
+(* The {!Table.column_bytes} of [pairs] rows that read, between them,
+   every row of [v]: what a CROSS's, MAP's or JOIN's table would give,
+   computed from counts. Nothing is read when there are no pairs. *)
+let spread_bytes (v : Table.view) ~pairs =
+  Array.map
+    (fun (c, g) ->
+       if pairs = 0 then 0
+       else if g < 0 then Column.encoded_bytes ~rows:pairs c
+       else Column.encoded_bytes ~idx:v.idx.(g) ~rows:pairs c)
+    v.vcols
+
+(* Each left row's pairs are a run of the CROSS's order, so one pass
+   over the pairs keeps, per left row, its MIN, the first right row
+   holding it and how many do. A group's MIN is then its rows' MIN, and
+   its survivors the pairs of the rows whose MIN equals it: the one
+   pair already found, or, for a row with ties, that row's pairs
+   evaluated again. MIN is in pair order with strict comparison, so the
+   first value seen is kept, as in [Aggregate.step]. *)
+let argmin_run left right ~cross_schema ~d_schema ~target ~ty ~expr ~key
+    ~min_as =
+  mark "argmin";
+  let nl = Table.row_count left and nr = Table.row_count right in
+  let pairs = nl * nr in
+  let lv = Table.parts left and rv = Table.parts right in
+  let ls = Table.schema left in
+  (* each left row's group: its key, dense-coded in first appearance *)
+  let kcol, kidx =
+    match lv.vcols.(Schema.index_of ls key) with
+    | c, -1 -> (c, None)
+    | c, g -> (c, Some lv.idx.(g))
+  in
+  let gcode, ngroups, _ =
+    let base = Option.get (int_keys kcol) in
+    dense_codes
+      (match kidx with None -> base | Some ix -> Table.compose base ix)
+  in
+  let ngroups = if nr = 0 then 0 else ngroups in
+  let bases = Array.append (Array.map fst lv.vcols) (Array.map fst rv.vcols) in
+  let eval lbuf rbuf n =
+    Vector.to_column ~length:n
+      (Vector.eval cross_schema bases ~len:n ~sel:(pair_sel lv rv lbuf rbuf)
+         expr)
+  in
+  let first = Array.make nl 0 and ties = Array.make nl 0 in
+  (* [segments lbuf rbuf n ~reset scan] calls [scan l ~r start stop] on
+     each left row [l]'s run of a block, where slot [q] holds the pair
+     of right row [r + q]. When the run holds the row's first pair,
+     [reset l k] first makes that pair's value the row's MIN, and the
+     scan starts after it. *)
+  let segments lbuf rbuf n ~reset scan =
+    let k = ref 0 in
+    while !k < n do
+      let l = lbuf.(!k) and r0 = rbuf.(!k) in
+      let stop = min n (!k + nr - r0) in
+      let start =
+        if r0 = 0 then begin
+          reset l !k;
+          first.(l) <- 0;
+          ties.(l) <- 1;
+          !k + 1
+        end
+        else !k
+      in
+      scan l ~r:(r0 - !k) start stop;
+      k := stop
+    done
+  in
+  let lmin =
+    match ty with
+    | Value.Tfloat ->
+      let m = Array.make nl 0. in
+      iter_cross ~lo:0 ~hi:nl nr (fun lbuf rbuf n ->
+          match (eval lbuf rbuf n).Column.data with
+          | Column.Floats a ->
+            segments lbuf rbuf n ~reset:(fun l k -> m.(l) <- a.(k))
+              (fun l ~r start stop ->
+                 let best = ref m.(l) and at = ref first.(l)
+                 and tied = ref ties.(l) in
+                 for q = start to stop - 1 do
+                   let x = a.(q) and y = !best in
+                   (* [Float.compare], with the ordered cases inline *)
+                   let c =
+                     if x < y then -1
+                     else if x > y then 1
+                     else if x = y then 0
+                     else Float.compare x y
+                   in
+                   if c < 0 then begin
+                     best := x;
+                     at := r + q;
+                     tied := 1
+                   end
+                   else if c = 0 then incr tied
+                 done;
+                 m.(l) <- !best;
+                 first.(l) <- !at;
+                 ties.(l) <- !tied)
+          | _ -> assert false);
+      Column.make (Column.Floats m)
+    | _ ->
+      let m = Array.make nl 0 in
+      iter_cross ~lo:0 ~hi:nl nr (fun lbuf rbuf n ->
+          match (eval lbuf rbuf n).Column.data with
+          | Column.Ints a ->
+            segments lbuf rbuf n ~reset:(fun l k -> m.(l) <- a.(k))
+              (fun l ~r start stop ->
+                 for q = start to stop - 1 do
+                   let c = Int.compare a.(q) m.(l) in
+                   if c < 0 then begin
+                     m.(l) <- a.(q);
+                     first.(l) <- r + q;
+                     ties.(l) <- 1
+                   end
+                   else if c = 0 then ties.(l) <- ties.(l) + 1
+                 done)
+          | _ -> assert false);
+      Column.make (Column.Ints m)
+  in
+  (* each group's first row, and the row holding its MIN *)
+  let reps = Array.make ngroups (-1) and winner = Array.make ngroups 0 in
+  if nr > 0 then
+    for l = 0 to nl - 1 do
+      let g = gcode.(l) in
+      if reps.(g) < 0 then begin
+        reps.(g) <- l;
+        winner.(g) <- l
+      end
+      else if Column.compare_at lmin l winner.(g) < 0 then winner.(g) <- l
+    done;
+  let groups =
+    let kc = List.nth (Schema.columns ls) (Schema.index_of ls key) in
+    Table.of_columns
+      (Schema.make [ kc; { Schema.name = min_as; ty } ])
+      [| Column.gather kcol
+           (match kidx with None -> reps | Some ix -> Table.compose ix reps);
+         Column.gather lmin winner |]
+  in
+  (* the survivors, newest first — the reverse of pair order — each
+     with its own value (-0.0 equals 0.0 but prints apart) *)
+  let kept = ref [] and counts = Array.make ngroups 0 in
+  let keep l r v =
+    kept := (l, r, v) :: !kept;
+    counts.(gcode.(l)) <- counts.(gcode.(l)) + 1
+  in
+  if nr > 0 then
+    for l = 0 to nl - 1 do
+      if Column.compare_at lmin l winner.(gcode.(l)) = 0 then
+        if ties.(l) = 1 then keep l first.(l) (Column.get lmin l)
+        else
+          let m = Column.get lmin l in
+          iter_cross ~lo:l ~hi:(l + 1) nr (fun lbuf rbuf n ->
+              let c = eval lbuf rbuf n in
+              for k = 0 to n - 1 do
+                let v = Column.get c k in
+                if Value.compare v m = 0 then keep l rbuf.(k) v
+              done)
+    done;
+  (* the JOIN's order: groups (the rows of [best]) in turn, each one's
+     pairs newest first — a stable counting sort by group *)
+  let next = Array.make ngroups 0 in
+  for g = 1 to ngroups - 1 do
+    next.(g) <- next.(g - 1) + counts.(g - 1)
+  done;
+  let placed = Array.make (List.length !kept) (0, 0, Value.Int 0) in
+  let group_of = Array.make (Array.length placed) 0 in
+  List.iter
+    (fun ((l, _, _) as s) ->
+       let g = gcode.(l) in
+       placed.(next.(g)) <- s;
+       group_of.(next.(g)) <- g;
+       next.(g) <- next.(g) + 1)
+    !kept;
+  let values = Column.of_values ty (Array.map (fun (_, _, v) -> v) placed) in
+  let d_view =
+    let v =
+      Table.concat_views
+        (Table.reindex lv (Array.map (fun (l, _, _) -> l) placed))
+        (Table.reindex rv (Array.map (fun (_, r, _) -> r) placed))
+    in
+    if Schema.mem cross_schema target then begin
+      let vcols = Array.copy v.vcols in
+      vcols.(Schema.index_of cross_schema target) <- (values, -1);
+      { v with vcols }
+    end
+    else { v with vcols = Array.append v.vcols [| (values, -1) |] }
+  in
+  (* every row of each side is in some pair, unless there are none *)
+  let cross_bytes =
+    Array.append (spread_bytes lv ~pairs) (spread_bytes rv ~pairs)
+  in
+  let map_bytes =
+    if Schema.mem cross_schema target then begin
+      let b = Array.copy cross_bytes in
+      b.(Schema.index_of cross_schema target) <- 8 * pairs;
+      b
+    end
+    else Array.append cross_bytes [| 8 * pairs |]
+  in
+  { groups; cross_bytes; map_bytes;
+    selected = { d_schema; d_view; group_of; pairs } }
+
+let try_argmin left right ~target ~expr ~key ~min_as ~min_column =
+  if not (Column.enabled ()) then argmin_refused "disabled"
+  else begin
+    let ls = Table.schema left in
+    (* same schema (and same clash error) as the CROSS *)
+    let cross_schema = Schema.concat ls (Table.schema right) in
+    if not (Vector.vectorizable cross_schema expr) then
+      argmin_refused "not_vectorizable"
+    else begin
+      let ty = Expr.infer cross_schema expr in
+      let d_schema =
+        Schema.with_column cross_schema { Schema.name = target; ty }
+      in
+      if ty <> Value.Tint && ty <> Value.Tfloat then
+        argmin_refused "non_numeric_min"
+      else if key = target || not (Schema.mem ls key) then
+        (* the groups are the left rows' keys *)
+        argmin_refused "key_not_left"
+      else if Schema.column_type ls key = Value.Tfloat then
+        argmin_refused "float_key"
+      else if Schema.mem d_schema min_column then
+        (* the SELECT would compare with a column of [d], not [best] *)
+        argmin_refused "shadowed_min"
+      else Some (argmin_run left right ~cross_schema ~d_schema ~target ~ty
+                   ~expr ~key ~min_as)
+    end
+  end
+
+(* [best] has one row per group, in group order: the plan's shape makes
+   it the GROUP BY's table carried through MAPs and PROJECTs *)
+let argmin_join a best ~right_key =
+  let sel = a.selected in
+  if Table.row_count best <> Table.row_count a.groups then
+    invalid_arg "Columnar.argmin_join: best is not one row per group";
+  let bs = Table.schema best in
+  let ri = Schema.index_of bs right_key in
+  let keep = List.filteri (fun j _ -> j <> ri) (Schema.columns bs) in
+  let out_schema =
+    if keep = [] then sel.d_schema
+    else Schema.concat sel.d_schema (Schema.make keep)
+  in
+  let bv = Table.parts best in
+  let bv =
+    { bv with
+      vcols =
+        Array.of_list
+          (List.filteri (fun j _ -> j <> ri) (Array.to_list bv.vcols)) }
+  in
+  { table =
+      Table.of_view out_schema ~rows:(Array.length sel.group_of)
+        (Table.concat_views sel.d_view (Table.reindex bv sel.group_of));
+    pairs = sel.pairs;
+    (* every pair matches its group's one row of [best] *)
+    join_bytes = Array.append a.map_bytes (spread_bytes bv ~pairs:sel.pairs) }

@@ -22,7 +22,9 @@
     [kernel.columnar.<kernel>]. The fused JOIN → SELECT kernel
     ({!try_join_select}) counts its refusals apart, as
     [kernel.join_select.refused.<reason>]: after one the caller runs
-    the plain JOIN, which counts its own path. All of it is serial.
+    the plain JOIN, which counts its own path. So does the arg-min
+    diamond's kernel ({!try_argmin}), as [kernel.argmin.refused.<reason>].
+    All of it is serial.
 
     Output is late-materialized ({!Table.view}): JOIN and CROSS return
     their inputs' column groups composed with the pair indices, SELECT
@@ -102,3 +104,54 @@ val try_cross : Table.t -> Table.t -> Table.t option
     [None]. *)
 val try_group_by :
   Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t option
+
+(** The arg-min diamond ({!Ir.Fusion.argmin}) in one kernel:
+    {v
+    d = MAP (left CROSS right) target := expr
+    groups = GROUP BY d [key] MIN(target) AS min_as
+    SELECT (d JOIN best ON key = key') WHERE target = min_column
+    v}
+    where [best] is [groups] carried through MAPs and PROJECTs. One
+    pass over the CROSS's pairs, in its order, evaluates [expr] over
+    blocks of at most 256 pairs and keeps each left row's MIN, the first
+    right row holding it and how many do. A key's MIN is its rows'
+    MIN, and the survivors are the pairs of the rows whose MIN equals
+    their key's, with their own values: the one pair found, or, for a
+    row with ties, that row's pairs evaluated again. No table, index or
+    column of the pair count is built.
+
+    [groups] is the GROUP BY's table, byte-identical to the row
+    kernel's: one row per key, in the order each key first appears.
+    [cross_bytes] and [map_bytes] are the CROSS's and the MAP's
+    {!Table.column_bytes}, from counts. MIN and [=] are
+    {!Value.compare}'s: NaN is below every float and equal to itself,
+    -0.0 equals 0.0, and the first value seen is kept.
+
+    [None] when the kernel refuses and the caller must run the
+    operators one by one. Each refusal counts
+    [kernel.argmin.refused.<reason>], never [kernel.fallback.*]:
+    [disabled] (the gate is off), [not_vectorizable] (the MAP
+    expression), [non_numeric_min] (the MAP is neither int nor float),
+    [key_not_left] (the key is not a column of [left], or is the MAP's
+    target), [float_key], or [shadowed_min] ([min_column] names a
+    column of [d], so the SELECT would not read [best]'s). A run counts
+    [kernel.columnar.argmin]. *)
+type argmin_selected
+
+type argmin = {
+  groups : Table.t;
+  cross_bytes : int array;
+  map_bytes : int array;
+  selected : argmin_selected;
+}
+
+val try_argmin :
+  Table.t -> Table.t -> target:string -> expr:Expr.t -> key:string ->
+  min_as:string -> min_column:string -> argmin option
+
+(** The SELECT's table from {!try_argmin}'s survivors and [best] (one
+    row per group, in group order): groups in turn, each group's pairs
+    in the JOIN's newest-first order, with [best]'s columns but its
+    [right_key]. [pairs] and [join_bytes] are the JOIN's, from counts:
+    every pair matches its group's row of [best]. *)
+val argmin_join : argmin -> Table.t -> right_key:string -> join_select

@@ -330,10 +330,10 @@ let no_subplans =
 
    [recovery] applies to payer prefix executions (they run under the
    same injection bracket as the main execution, so a faulted payer
-   retries on the same budget); at degradation rung >= 2 paying is
-   disabled — attaching to already-materialized prefixes stays free and
-   therefore allowed. *)
-let prepare_subplans t ~recovery ~breaker ~inject sub =
+   retries on the same budget, and [retries] counts what they spend);
+   at degradation rung >= 2 paying is disabled — attaching to
+   already-materialized prefixes stays free and therefore allowed. *)
+let prepare_subplans t ~recovery ~breaker ~inject ~retries sub =
   let g = sub.graph in
   let cands =
     if t.config.subresult_cache_mb <= 0. then []
@@ -368,10 +368,12 @@ let prepare_subplans t ~recovery ~breaker ~inject sub =
         sp_planning_s = !prep.sp_planning_s +. Unix.gettimeofday () -. t0 };
     let out_rel = (Ir.Dag.node g c.sc_id).Ir.Operator.output in
     Option.bind planned @@ fun (pplan, pg) ->
-    match
-      Musketeer.execute_plan ~record_history:false ~recovery ?breaker ?inject
-        ~sharing:t.store t.m ~workflow:wf ~hdfs:t.hdfs ~graph:pg pplan
-    with
+    let run =
+      Musketeer.execute_plan_spent ~record_history:false ~recovery ?breaker
+        ?inject ~sharing:t.store t.m ~workflow:wf ~hdfs:t.hdfs ~graph:pg pplan
+    in
+    retries := !retries + run.Musketeer.Recovery.retries;
+    match run.Musketeer.Recovery.result with
     | Ok r when Engines.Hdfs.mem t.hdfs out_rel ->
       (* the prefix run materialized its output to HDFS, so the
          modeled size the estimator propagated is there *)
@@ -460,9 +462,6 @@ let execute t ts sub ~admit_s =
   let coadmit = t.rung < 3 in
   if not coadmit then
     Obs.Metrics.incr Obs.Metrics.default "serve.degrade.no_coadmission";
-  let retries0 =
-    Obs.Metrics.counter Obs.Metrics.default "recovery.retries"
-  in
   (* the flight opens before planning: the subplan rewrite must see
      co-admitted materializations, and a payer executes its prefix
      under this submission's flight. Each submission still runs
@@ -490,13 +489,17 @@ let execute t ts sub ~admit_s =
            { plan with Engines.Faults.seed = plan.Engines.Faults.seed + t.seq })
       t.config.inject
   in
+  (* the retries this submission's executions spent, payer prefixes
+     included: what its tenant's bucket is charged *)
+  let retries = ref 0 in
   let out =
     Fun.protect
       ~finally:(fun () -> Engines.Hdfs.restore t.hdfs ~from:pre)
       (fun () ->
          in_flight @@ fun () ->
          let graph, sp =
-           if coadmit then prepare_subplans t ~recovery ~breaker ~inject sub
+           if coadmit then
+             prepare_subplans t ~recovery ~breaker ~inject ~retries sub
            else (sub.graph, no_subplans)
          in
          let s0 = Musketeer.Plan_cache.stats t.cache in
@@ -576,11 +579,13 @@ let execute t ts sub ~admit_s =
                plan.Musketeer.Partitioner.jobs
            in
            let sharing = if coadmit then Some t.store else None in
-           match
-             Musketeer.execute_plan ~record_history:false ~recovery
+           let run =
+             Musketeer.execute_plan_spent ~record_history:false ~recovery
                ~supervision ?breaker ?inject ?sharing t.m ~workflow:sub.workflow
                ~hdfs:t.hdfs ~graph plan
-           with
+           in
+           retries := !retries + run.Musketeer.Recovery.retries;
+           match run.Musketeer.Recovery.result with
            | Ok r ->
              finish ~makespan_s:r.Musketeer.Executor.makespan_s
                ~outputs:r.Musketeer.Executor.outputs ~partition ~error:None
@@ -588,8 +593,7 @@ let execute t ts sub ~admit_s =
              finish ~makespan_s:0. ~outputs:[] ~partition
                ~error:(Some (Engines.Report.error_to_string e)))
   in
-  charge_retries ts
-    (Obs.Metrics.counter Obs.Metrics.default "recovery.retries" - retries0);
+  charge_retries ts !retries;
   if out.error <> None then begin
     (* flight-leak fix: a failed payer's leases must end NOW, not at
        its virtual finish — co-admitted attachers in the same burst

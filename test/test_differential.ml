@@ -129,34 +129,7 @@ let test_views_agree () =
    columns both feed the kernels): the engine reports and every job's
    per-operator stats are bit-identical. *)
 
-let zoo =
-  let module C = Experiments.Common in
-  let module W = Workloads.Workflows in
-  [ ("tpch", fun () -> (C.load_tpch ~scale_factor:10, W.tpch_q17 ()));
-    ("top-shopper",
-     fun () -> (C.load_purchases ~users:10_000_000, W.top_shopper ()));
-    ("netflix", fun () -> (C.load_netflix ~movies:8000, W.netflix ()));
-    ("pagerank",
-     fun () -> (C.load_graph Workloads.Datagen.orkut, W.pagerank_gas ()));
-    ("components",
-     fun () ->
-       ( C.load_graph Workloads.Datagen.orkut,
-         W.connected_components ~iterations:8 () ));
-    ("cross-community",
-     fun () -> (C.load_communities (), W.cross_community_pagerank ()));
-    ("sssp", fun () -> (C.load_sssp (), W.sssp ~max_rounds:8 ()));
-    ("kmeans",
-     fun () -> (C.load_kmeans ~points:100_000_000 ~k:100, W.kmeans ()));
-    ("join",
-     fun () ->
-       let l, r = Workloads.Datagen.asymmetric_join_tables () in
-       (C.hdfs_with [ ("left", l); ("right", r) ], W.simple_join ()));
-    ("project",
-     fun () ->
-       ( C.hdfs_with
-           [ ("lines",
-              Workloads.Datagen.two_column_ascii ~modeled_mb:2048. ()) ],
-         W.project_only () )) ]
+let zoo = Experiments.Common.zoo
 
 let report_bits (r : Engines.Report.t) =
   String.concat " "

@@ -378,6 +378,47 @@ let test_ratings_identity () =
   Alcotest.(check (float 0.)) "shared-scan input MB counted once"
     (Engines.Hdfs.modeled_mb hdfs "ratings") input_mb
 
+(* k-means' loop body holds one arg-min diamond, nodes 2-8 of
+   [plan -w kmeans]; making [d] visible outside the shape, or comparing
+   [dist] with [bd] any other way than [=], leaves none *)
+let test_plan_argmin () =
+  let body =
+    match
+      List.find_map
+        (fun (n : Ir.Operator.node) ->
+           match n.kind with
+           | Ir.Operator.While { body; _ } -> Some body
+           | _ -> None)
+        (Workloads.Workflows.kmeans ()).nodes
+    with
+    | Some body -> body
+    | None -> Alcotest.fail "k-means has no WHILE"
+  in
+  let diamonds ?protect g = Ir.Fusion.argmins (Ir.Fusion.plan ?protect g) in
+  (match diamonds body with
+   | [ a ] ->
+     Alcotest.(check (list int)) "members" [ 2; 3; 4; 7; 8 ]
+       [ a.cross; a.map; a.group; a.join; a.select ];
+     Alcotest.(check (list string)) "target, key, MIN, MIN as best reads it"
+       [ "dist"; "pid"; "bd"; "bd" ]
+       [ a.target; a.key; a.min_as; a.min_column ]
+   | ds -> Alcotest.failf "expected one diamond, got %d" (List.length ds));
+  Alcotest.(check int) "d is an output" 0
+    (List.length (diamonds { body with outputs = 3 :: body.outputs }));
+  Alcotest.(check int) "d is protected" 0
+    (List.length (diamonds ~protect:[ "d" ] body));
+  let strict =
+    List.map
+      (fun (n : Ir.Operator.node) ->
+         if n.id = 8 then
+           { n with
+             kind = Ir.Operator.Select { pred = Relation.Expr.(col "dist" < col "bd") } }
+         else n)
+      body.nodes
+  in
+  Alcotest.(check int) "SELECT dist < bd" 0
+    (List.length (diamonds { body with nodes = strict }))
+
 (* ---- fusion metrics ---- *)
 
 let test_fusion_metrics () =
@@ -536,11 +577,12 @@ let sum_counters prefix =
     0
     (Obs.Metrics.counters Obs.Metrics.default)
 
-(* one planned zoo k-means run: five iterations, each one fused head,
-   and nothing on the row kernels *)
+(* one planned zoo k-means run: five iterations, each one arg-min
+   diamond kernel (which its JOIN head joins), and nothing on the row
+   kernels *)
 let test_kmeans_fused_heads () =
   let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
-  let heads0 = counter "kernel.columnar.join_select"
+  let heads0 = counter "kernel.columnar.argmin"
   and rows0 = sum_counters "kernel.row." in
   Relation.Column.with_enabled true (fun () ->
       match
@@ -549,8 +591,8 @@ let test_kmeans_fused_heads () =
       with
       | Ok _ -> ()
       | Error e -> Alcotest.fail (Engines.Report.error_to_string e));
-  Alcotest.(check int) "fused heads" 5
-    (counter "kernel.columnar.join_select" - heads0);
+  Alcotest.(check int) "diamond kernels" 5
+    (counter "kernel.columnar.argmin" - heads0);
   Alcotest.(check int) "row kernel runs" 0 (sum_counters "kernel.row." - rows0)
 
 (* the head runs with its SELECT under one [kernel.fused] span, which
@@ -589,6 +631,224 @@ let test_join_head_span () =
     (counter "kernel.columnar.join_select" - heads0);
   Alcotest.(check int) "one chain" 1 (counter "fusion.chains" - chains0);
   Alcotest.(check int) "three ops fused" 3 (counter "fusion.ops_fused" - ops0)
+
+(* ---- the arg-min diamond ----
+
+   Generated diamonds [CROSS → MAP → GROUP BY MIN → JOIN back →
+   SELECT]: their one kernel against the row oracle (outputs) and
+   against the operators run one by one with the columnar gate off
+   (every op_stat and volume, bit for bit). Values come from a small
+   pool, so ties, NaN, ±inf and -0.0 against 0.0 are common; keys from
+   a small domain, so they repeat across left rows; either side may be
+   empty, and the right side may have one row, or more than a block of
+   pairs holds. *)
+
+type argmin_case = {
+  string_keys : bool;
+  left : (int * float * int) list;  (** key, x, xi *)
+  right : (float * int) list;  (** c, ci *)
+  expr_kind : int;
+  shape : int;
+  overwrite : bool;  (** the MAP writes x, not a new column *)
+}
+
+let argmin_pool =
+  [| Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; 1.; -1.; 2.;
+     0.5 |]
+
+let gen_argmin_case rng =
+  let module R = Qcheck_lite.Rng in
+  let value () = argmin_pool.(R.int rng (Array.length argmin_pool)) in
+  let expr_kind = R.int rng 4 in
+  (* one case in ten has more right rows than a 256-pair block holds *)
+  let wide = R.int rng 10 = 0 in
+  { string_keys = R.bool rng;
+    left =
+      List.init (R.int rng (if wide then 4 else 9)) (fun _ ->
+          (R.int rng 4, value (), R.int rng 5 - 2));
+    right =
+      List.init
+        (if wide then 257 + R.int rng 300 else R.int rng 6)
+        (fun _ -> (value (), R.int rng 5 - 2));
+    expr_kind;
+    shape = R.int rng 3;
+    overwrite = expr_kind < 3 && R.int rng 4 = 0 }
+
+let print_argmin_case c =
+  Printf.sprintf "{strings=%b expr=%d shape=%d overwrite=%b left=[%s] right=[%s]}"
+    c.string_keys c.expr_kind c.shape c.overwrite
+    (String.concat ";"
+       (List.map (fun (k, x, xi) -> Printf.sprintf "(%d,%h,%d)" k x xi) c.left))
+    (String.concat ";"
+       (List.map (fun (x, xi) -> Printf.sprintf "(%h,%d)" x xi) c.right))
+
+let argmin_arbitrary =
+  Qcheck_lite.make ~print:print_argmin_case gen_argmin_case
+
+let argmin_target c = if c.overwrite then "x" else "dist"
+
+let argmin_graph c =
+  let open Relation in
+  let b = Ir.Builder.create () in
+  let l = Ir.Builder.input b "l" and r = Ir.Builder.input b "r" in
+  let asg = Ir.Builder.cross b l r in
+  let target = argmin_target c in
+  let expr =
+    Expr.(
+      match c.expr_kind with
+      | 0 -> (col "x" - col "c") * (col "x" - col "c")
+      | 1 -> col "x" * col "c"
+      | 2 -> col "x" - col "c"
+      | _ -> (col "xi" - col "ci") * (col "xi" - col "ci"))
+  in
+  let d = Ir.Builder.map b ~target ~expr asg in
+  let g =
+    Ir.Builder.group_by b ~keys:[ "k" ]
+      ~aggs:[ Aggregate.make (Aggregate.Min target) ~as_name:"bd" ]
+      d
+  in
+  let renamed () = Ir.Builder.map b ~target:"k2" ~expr:(Expr.col "k") g in
+  let best, right_key, pred =
+    match c.shape with
+    | 0 ->
+      ( Ir.Builder.project b ~columns:[ "k2"; "bd" ] (renamed ()),
+        "k2", Expr.(col target = col "bd") )
+    | 1 -> (g, "k", Expr.(col target = col "bd"))
+    | _ ->
+      ( Ir.Builder.map b ~target:"extra"
+          ~expr:Expr.(col "bd" + float 1.)
+          (Ir.Builder.project b ~columns:[ "bd"; "k2" ] (renamed ())),
+        "k2", Expr.(col "bd" = col target) )
+  in
+  let j = Ir.Builder.join b ~left_key:"k" ~right_key d best in
+  let s = Ir.Builder.select b ~pred j in
+  let p =
+    Ir.Builder.project b ~name:"out" ~columns:[ "k"; target; "cid"; "bd" ] s
+  in
+  Ir.Builder.finish b ~outputs:[ p ]
+
+let argmin_hdfs c =
+  let open Relation in
+  let table cols rows =
+    Table.create_unchecked
+      (Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) cols))
+      (Array.of_list rows)
+  in
+  let key k =
+    if c.string_keys then Value.Str (Printf.sprintf "key%d" k) else Value.Int k
+  in
+  let l =
+    table
+      [ ("k", if c.string_keys then Value.Tstring else Value.Tint);
+        ("x", Value.Tfloat); ("xi", Value.Tint) ]
+      (List.map
+         (fun (k, x, xi) -> [| key k; Value.Float x; Value.Int xi |])
+         c.left)
+  and r =
+    table
+      [ ("cid", Value.Tint); ("c", Value.Tfloat); ("ci", Value.Tint) ]
+      (List.mapi
+         (fun i (x, xi) -> [| Value.Int i; Value.Float x; Value.Int xi |])
+         c.right)
+  in
+  let hdfs = Engines.Hdfs.create () in
+  Engines.Hdfs.put hdfs "l" ~modeled_mb:32. l;
+  Engines.Hdfs.put hdfs "r" ~modeled_mb:4. r;
+  hdfs
+
+let argmin_invariant c =
+  let g = argmin_graph c in
+  let run columnar =
+    Relation.Column.with_enabled columnar (fun () ->
+        Engines.Exec_helper.execute ~hdfs:(argmin_hdfs c) g)
+  in
+  let kernels0 = counter "kernel.columnar.argmin" in
+  let fused = run true in
+  let ran = counter "kernel.columnar.argmin" - kernels0 in
+  let one_by_one = run false in
+  let csv (r : Engines.Exec_helper.result) =
+    outputs_csv (List.map (fun (name, t, _) -> (name, t)) r.outputs)
+  in
+  List.length (Ir.Fusion.argmins (Ir.Fusion.plan g)) = 1
+  && ran = 1
+  && csv fused = oracle_csv (argmin_hdfs c) g
+  && stat_lines fused = stat_lines one_by_one
+
+let test_argmin_differential () =
+  try
+    Qcheck_lite.check ~count:300 ~seed ~name:"arg-min kernel = row oracle"
+      argmin_arbitrary argmin_invariant
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* every refusal counts [kernel.argmin.refused.<reason>] and no
+   [kernel.fallback.*]; after one the operators run one by one, and
+   their row runs are each counted as a fallback *)
+let test_argmin_refusals () =
+  let c =
+    { string_keys = false; left = [ (0, 1., 1); (1, 2., 2); (0, -0., 0) ];
+      right = [ (0., 0); (2., 1) ]; expr_kind = 0; shape = 0;
+      overwrite = false }
+  in
+  let tables () =
+    let hdfs = argmin_hdfs c in
+    (Engines.Hdfs.table hdfs "l", Engines.Hdfs.table hdfs "r")
+  in
+  let dist = Relation.Expr.(col "x" - col "c") in
+  List.iter
+    (fun (reason, columnar, expr, key, min_column) ->
+       let name = "kernel.argmin.refused." ^ reason in
+       let before = counter name and fallbacks = sum_counters "kernel.fallback." in
+       let l, r = tables () in
+       Alcotest.(check bool) (reason ^ ": refused") true
+         (Relation.Column.with_enabled columnar (fun () ->
+              Relation.Columnar.try_argmin l r ~target:"dist" ~expr ~key
+                ~min_as:"bd" ~min_column)
+          = None);
+       Alcotest.(check int) (reason ^ ": counted") 1 (counter name - before);
+       Alcotest.(check int) (reason ^ ": no kernel fallback") fallbacks
+         (sum_counters "kernel.fallback."))
+    Relation.Expr.
+      [ ("disabled", false, dist, "k", "bd");
+        ("not_vectorizable", true, col "nope", "k", "bd");
+        ("non_numeric_min", true, col "x" > col "c", "k", "bd");
+        ("key_not_left", true, dist, "cid", "bd");
+        ("key_not_left", true, dist, "dist", "bd");
+        ("float_key", true, dist, "x", "bd");
+        ("shadowed_min", true, dist, "k", "xi") ];
+  (* a float key: the diamond, its GROUP BY and its JOIN refuse, and the
+     row kernels that run instead balance the fallback counters *)
+  let g =
+    let open Relation in
+    let b = Ir.Builder.create () in
+    let l = Ir.Builder.input b "l" and r = Ir.Builder.input b "r" in
+    let d = Ir.Builder.map b ~target:"dist" ~expr:dist (Ir.Builder.cross b l r) in
+    let best =
+      Ir.Builder.project b ~columns:[ "x2"; "bd" ]
+        (Ir.Builder.map b ~target:"x2" ~expr:(Expr.col "x")
+           (Ir.Builder.group_by b ~keys:[ "x" ]
+              ~aggs:[ Aggregate.make (Aggregate.Min "dist") ~as_name:"bd" ]
+              d))
+    in
+    let j = Ir.Builder.join b ~left_key:"x" ~right_key:"x2" d best in
+    Ir.Builder.finish b
+      ~outputs:[ Ir.Builder.select b ~name:"out" ~pred:Expr.(col "dist" = col "bd") j ]
+  in
+  Alcotest.(check int) "planned as a diamond" 1
+    (List.length (Ir.Fusion.argmins (Ir.Fusion.plan g)));
+  let refused0 = counter "kernel.argmin.refused.float_key"
+  and fallback0 = sum_counters "kernel.fallback."
+  and row0 = sum_counters "kernel.row." in
+  let out =
+    Relation.Column.with_enabled true (fun () -> exec_csv (argmin_hdfs c) g)
+  in
+  Alcotest.(check string) "refused diamond = row oracle"
+    (oracle_csv (argmin_hdfs c) g) out;
+  Alcotest.(check int) "refusal counted" 1
+    (counter "kernel.argmin.refused.float_key" - refused0);
+  let rows = sum_counters "kernel.row." - row0 in
+  Alcotest.(check bool) "some row runs" true (rows > 0);
+  Alcotest.(check int) "fallbacks = row runs" rows
+    (sum_counters "kernel.fallback." - fallback0)
 
 (* ---- differential property over generated pipelines ----
 
@@ -649,7 +909,9 @@ let () =
          Alcotest.test_case "a JOIN heads its SELECT's chain" `Quick
            test_plan_join_head;
          Alcotest.test_case "JOIN heads obey the barriers" `Quick
-           test_join_head_barriers ]);
+           test_join_head_barriers;
+         Alcotest.test_case "k-means' arg-min diamond" `Quick
+           test_plan_argmin ]);
       ("execution",
        [ Alcotest.test_case "empty table" `Quick test_empty_table;
          Alcotest.test_case "2000-row chain = row oracle" `Quick
@@ -668,6 +930,11 @@ let () =
            test_join_head_span;
          Alcotest.test_case "400k ratings = row oracle" `Quick
            test_ratings_identity ]);
+      ("argmin",
+       [ Alcotest.test_case "generated diamonds = row oracle" `Quick
+           test_argmin_differential;
+         Alcotest.test_case "refusals are counted" `Quick
+           test_argmin_refusals ]);
       ("differential",
        [ Alcotest.test_case "generated pipelines fused = unfused" `Slow
            test_fused_differential ]) ]

@@ -471,6 +471,118 @@ let test_while_expansion_trace () =
     (List.length (Obs.Trace.find_prefix trace ~prefix:"job:acc/iter") >= 3);
   check_valid_json "while chrome trace" (Obs.Export.chrome_trace trace)
 
+(* Every span of a traced run sits in one of the pipeline's stage
+   trees: calibration, the IR build (a frontend parse, or a builder's
+   graph), planning and execution. A run of every zoo workflow, as the
+   CLI's [run] does it, leaves no other root; k-means' arg-min diamonds
+   run as one [kernel.fused] span each, under [engine.run]. A short
+   served trace is one tree per submission, after calibration. *)
+let roots trace =
+  List.filter_map
+    (fun (s : Obs.Trace.span) ->
+       if s.parent = None then Some s.name else None)
+    (Obs.Trace.spans trace)
+
+let ancestors trace (s : Obs.Trace.span) =
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (sp : Obs.Trace.span) -> Hashtbl.replace by_id sp.id sp)
+    (Obs.Trace.spans trace);
+  let rec up acc (s : Obs.Trace.span) =
+    match Option.bind s.parent (Hashtbl.find_opt by_id) with
+    | Some p -> up (p.name :: acc) p
+    | None -> List.rev acc
+  in
+  up [] s
+
+let test_no_orphan_roots () =
+  let stages =
+    [ "calibrate"; "frontend.parse"; "ir.build"; "plan"; "execute" ]
+  in
+  let cluster = Engines.Cluster.ec2 ~nodes:16 in
+  List.iter
+    (fun (name, load) ->
+       let hdfs, graph = load () in
+       let trace, () =
+         (* the diamond's kernel is columnar *)
+         Relation.Column.with_enabled true @@ fun () ->
+         Obs.Trace.collecting (fun () ->
+             let m = Musketeer.create ~cluster () in
+             match Musketeer.plan m ~workflow:name ~hdfs graph with
+             | None -> Alcotest.fail (name ^ ": no plan")
+             | Some (plan, g') -> (
+               match
+                 Musketeer.execute_plan m ~workflow:name ~hdfs ~graph:g' plan
+               with
+               | Ok _ -> ()
+               | Error e ->
+                 Alcotest.fail (name ^ ": " ^ Engines.Report.error_to_string e)))
+       in
+       List.iter
+         (fun root ->
+            Alcotest.(check bool) (name ^ ": root " ^ root ^ " is a stage") true
+              (List.mem root stages))
+         (roots trace);
+       if name = "kmeans" then begin
+         let diamonds =
+           List.filter
+             (fun (s : Obs.Trace.span) ->
+                List.assoc_opt "ops" s.attrs
+                = Some (Obs.Trace.String "CROSS,MAP,GROUP BY,JOIN,SELECT"))
+             (Obs.Trace.find trace ~name:"kernel.fused")
+         in
+         Alcotest.(check int) "k-means: one diamond kernel per iteration" 5
+           (List.length diamonds);
+         List.iter
+           (fun (s : Obs.Trace.span) ->
+              Alcotest.(check bool) "k-means: diamond under engine.run" true
+                (List.mem "engine.run" (ancestors trace s));
+              Alcotest.(check bool) "k-means: rows_in counts both CROSS inputs"
+                true
+                (match List.assoc_opt "rows_in" s.attrs with
+                 | Some (Obs.Trace.Int n) ->
+                   n > Table.row_count (Engines.Hdfs.table hdfs "points")
+                 | _ -> false))
+           diamonds;
+         Alcotest.(check (list string)) "k-means: no CROSS kernel" []
+           (List.filter_map
+              (fun (s : Obs.Trace.span) ->
+                 match List.assoc_opt "op" s.attrs with
+                 | Some (Obs.Trace.String ("CROSS" as op)) -> Some op
+                 | _ -> None)
+              (Obs.Trace.find trace ~name:"kernel"))
+       end)
+    Experiments.Common.zoo;
+  (* the submissions are built before the trace starts, as the CLI's
+     [serve] builds its workload before serving it *)
+  let workflows = [ "kmeans"; "join" ] in
+  let hdfs = Engines.Hdfs.create () in
+  let subs =
+    List.mapi
+      (fun i name ->
+         let h, graph = (List.assoc name Experiments.Common.zoo) () in
+         List.iter
+           (fun r ->
+              Engines.Hdfs.put hdfs r ~modeled_mb:(Engines.Hdfs.modeled_mb h r)
+                (Engines.Hdfs.table h r))
+           (Engines.Hdfs.list h);
+         { Serve.Service.tenant = "t"; workflow = name; graph;
+           arrival_s = float_of_int i; slo_s = None })
+      (workflows @ workflows)
+  in
+  let trace, outcomes =
+    Obs.Trace.collecting (fun () ->
+        fst (Serve.Service.run (Musketeer.create ~cluster ()) ~hdfs subs))
+  in
+  List.iter
+    (fun (o : Serve.Service.outcome) ->
+       Alcotest.(check (option string)) "served" None o.error)
+    outcomes;
+  Alcotest.(check (list string))
+    "serve: calibration, then one tree per submission"
+    ("calibrate" :: List.map (fun _ -> "serve.submit") subs)
+    (roots trace)
+
 let () =
   Alcotest.run "obs"
     [ ( "trace",
@@ -502,4 +614,6 @@ let () =
           Alcotest.test_case "WHILE expansion trace" `Quick
             test_while_expansion_trace;
           Alcotest.test_case "calibration span tree" `Quick
-            test_calibrate_trace ] ) ]
+            test_calibrate_trace;
+          Alcotest.test_case "no orphan roots in run and serve traces" `Quick
+            test_no_orphan_roots ] ) ]

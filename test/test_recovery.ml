@@ -265,12 +265,14 @@ let test_with_retries_resets_state () =
     { Musketeer.Recovery.max_retries = 1; allow_replan = false;
       backoff_base_s = 0. }
   in
-  match
+  let run =
     Musketeer.Recovery.with_retries
       ~reset:(fun () -> Engines.Hdfs.restore hdfs ~from:pre)
       ~policy ~workflow:"reset-test" ~label:"job" ~backend:Engines.Backend.Metis
       f
-  with
+  in
+  Alcotest.(check int) "one retry spent" 1 run.Musketeer.Recovery.retries;
+  match run.Musketeer.Recovery.result with
   | Error e -> Alcotest.failf "retry failed: %s" (Engines.Report.error_to_string e)
   | Ok _ ->
     Alcotest.(check int) "two attempts ran" 2 !attempts;

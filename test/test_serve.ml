@@ -624,6 +624,34 @@ let test_retry_budget () =
   Alcotest.(check bool) "cap recorded" true
     (metric "serve.retry_budget.capped" > capped0)
 
+(* each service charges its tenants the retries its own executions
+   spent: two services whose submissions interleave, each tenant with a
+   one-token bucket that never refills and one injected rejection per
+   submission, each retry through their first submission and fail fast
+   on their second *)
+let test_retry_budgets_stay_apart () =
+  let cfg =
+    { (config ()) with
+      Serve.Service.inject = Some (fault_plan "reject");
+      recovery =
+        { Musketeer.Recovery.none with Musketeer.Recovery.max_retries = 2 };
+      retry_budget = 1.; retry_refill_per_s = 0. }
+  in
+  let m = Experiments.Common.musketeer_for cluster in
+  let a = Serve.Service.create ~config:cfg m ~hdfs:(fresh_hdfs ())
+  and b = Serve.Service.create ~config:cfg m ~hdfs:(fresh_hdfs ()) in
+  let served svc at =
+    match Serve.Service.drive svc [ sub ~at (agg_graph ()) ] with
+    | [ o ] -> o.Serve.Service.error = None
+    | _ -> Alcotest.fail "one outcome expected"
+  in
+  let a1 = served a 0. in
+  let b1 = served b 0. in
+  let a2 = served a 100. in
+  let b2 = served b 100. in
+  Alcotest.(check (list bool)) "a, b, a, b" [ true; true; false; false ]
+    [ a1; b1; a2; b2 ]
+
 (* crash-restart: a fresh service replays calibration, epochs, open
    breakers and the plan cache from ledger records *)
 let test_restore_replays_ledger () =
@@ -977,6 +1005,8 @@ let () =
            test_failed_payer_expires_flights;
          Alcotest.test_case "retry budget caps injected retries" `Quick
            test_retry_budget;
+         Alcotest.test_case "two services keep their retry budgets apart"
+           `Quick test_retry_budgets_stay_apart;
          Alcotest.test_case "restore replays ledger state" `Quick
            test_restore_replays_ledger ]);
       ("properties",
