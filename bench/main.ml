@@ -54,7 +54,7 @@ let resolve name = if name = "fig2b" then "fig2a" else name
 
 let bechamel () =
   let open Bechamel in
-  let m = Experiments.Common.musketeer_for (Experiments.Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Experiments.Common.ec2 16) () in
   let hdfs = Experiments.Common.load_netflix ~movies:17000 in
   let full = Workloads.Workflows.netflix_extended () in
   let prefix x = Experiments.Fig13_partitioning.prefix_graph full x in
@@ -419,7 +419,7 @@ let supervision_bench () =
     let d = Ir.Builder.distinct b ~name:"out" g in
     Ir.Builder.finish b ~outputs:[ d ]
   in
-  let m = Experiments.Common.musketeer_for (Experiments.Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Experiments.Common.ec2 16) () in
   let counter name = Obs.Metrics.counter Obs.Metrics.default name in
   let run ?faults ?(supervision = Musketeer.Supervisor.disabled)
       ?(candidates = []) ~backends ~workflow graph rows =
@@ -717,7 +717,7 @@ let calibration_bench () =
       Engines.Backend.Naiad; Engines.Backend.Metis ]
   in
   let runs = 3 in
-  let m = Experiments.Common.musketeer_for (Experiments.Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Experiments.Common.ec2 16) () in
   let percentile q xs =
     let a = Array.of_list (List.sort compare xs) in
     let n = Array.length a in
@@ -998,7 +998,7 @@ let serve_bench () =
   (* one-shot reference: fresh manager, no cache, no sharing *)
   let reference_outputs ~hdfs (e : Serve.Client.mix_entry) =
     let h = Engines.Hdfs.snapshot hdfs in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = Musketeer.create ~cluster () in
     match Musketeer.plan m ~workflow:e.workflow ~hdfs:h e.graph with
     | None ->
       Printf.eprintf "FATAL: %s does not plan\n" e.workflow;
@@ -1023,7 +1023,7 @@ let serve_bench () =
        Column.with_enabled columnar @@ fun () ->
        let hdfs = fresh_hdfs () in
        let base = Engines.Hdfs.snapshot hdfs in
-       let m = Experiments.Common.musketeer_for cluster in
+       let m = Musketeer.create ~cluster () in
        let subs =
          Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
            ~tenants ~mix ()
@@ -1065,7 +1065,7 @@ let serve_bench () =
   Obs.Metrics.reset Obs.Metrics.default;
   let load_count = 60 and load_rate = 2. in
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = Musketeer.create ~cluster () in
   let subs =
     Serve.Client.generate ~seed:4242 ~rate_per_s:load_rate ~count:load_count
       ~tenants ~mix ()
@@ -1094,7 +1094,7 @@ let serve_bench () =
   (* -- part 3: co-admitted same-input scans pay once -- *)
   let burst_n = 4 in
   let hdfs3 = fresh_hdfs () in
-  let m3 = Experiments.Common.musketeer_for cluster in
+  let m3 = Musketeer.create ~cluster () in
   let burst =
     List.init burst_n (fun i ->
         { Serve.Service.tenant = (if i mod 2 = 0 then "gold" else "bronze");
@@ -1271,7 +1271,7 @@ let subplan_bench () =
   let cluster = Experiments.Common.ec2 16 in
   let reference_outputs ~hdfs (e : Serve.Client.mix_entry) =
     let h = Engines.Hdfs.snapshot hdfs in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = Musketeer.create ~cluster () in
     match Musketeer.plan m ~workflow:e.workflow ~hdfs:h e.graph with
     | None ->
       Printf.eprintf "FATAL: %s does not plan\n" e.workflow;
@@ -1296,7 +1296,7 @@ let subplan_bench () =
        Column.with_enabled columnar @@ fun () ->
        let hdfs = fresh_hdfs () in
        let base = Engines.Hdfs.snapshot hdfs in
-       let m = Experiments.Common.musketeer_for cluster in
+       let m = Musketeer.create ~cluster () in
        let subs =
          Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:8
            ~tenants ~mix ()
@@ -1341,7 +1341,7 @@ let subplan_bench () =
   let load_count = 24 in
   let run_load cache_mb =
     let hdfs = fresh_hdfs () in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = Musketeer.create ~cluster () in
     let subs =
       Serve.Client.generate ~seed:4242 ~rate_per_s:1. ~count:load_count
         ~tenants ~mix ()
@@ -1399,7 +1399,7 @@ let subplan_bench () =
 
   (* -- part 3: the prefix executes once per input epoch -- *)
   let hdfs3 = fresh_hdfs () in
-  let m3 = Experiments.Common.musketeer_for cluster in
+  let m3 = Musketeer.create ~cluster () in
   let svc3 =
     Serve.Service.create ~config:(config ~cache_mb:256.) m3 ~hdfs:hdfs3
   in
@@ -1573,7 +1573,7 @@ let overload_bench () =
   in
   let run_load config ~rate ~count =
     let hdfs = fresh_hdfs () in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = Musketeer.create ~cluster () in
     let subs =
       Serve.Client.generate ~seed:4242 ~rate_per_s:rate ~count ~tenants
         ~mix ()
@@ -1659,7 +1659,7 @@ let overload_bench () =
   in
   let reference_outputs ~hdfs (e : Serve.Client.mix_entry) =
     let h = Engines.Hdfs.snapshot hdfs in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = Musketeer.create ~cluster () in
     match Musketeer.plan m ~workflow:e.workflow ~hdfs:h e.graph with
     | None ->
       Printf.eprintf "FATAL: %s does not plan\n" e.workflow;
@@ -1684,7 +1684,7 @@ let overload_bench () =
        Column.with_enabled columnar @@ fun () ->
        let hdfs = fresh_hdfs () in
        let base = Engines.Hdfs.snapshot hdfs in
-       let m = Experiments.Common.musketeer_for cluster in
+       let m = Musketeer.create ~cluster () in
        let subs =
          Serve.Client.generate ~seed:4242 ~rate_per_s:over_rate
            ~count:12 ~tenants ~mix ()
@@ -1740,7 +1740,7 @@ let overload_bench () =
     { base_config with Serve.Service.ledger = Some ledger_file }
   in
   let hdfs = fresh_hdfs () in
-  let m1 = Experiments.Common.musketeer_for cluster in
+  let m1 = Musketeer.create ~cluster () in
   let steady_count = 60 and restart_count = 50 in
   let arrivals count =
     Serve.Client.generate ~seed:4242 ~rate_per_s:base_rate ~count ~tenants

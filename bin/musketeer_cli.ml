@@ -25,51 +25,13 @@
 
 open Cmdliner
 
-let zoo =
-  [ ("tpch", `Tpch); ("top-shopper", `Top_shopper); ("netflix", `Netflix);
-    ("pagerank", `Pagerank); ("components", `Components);
-    ("cross-community", `Cross_community);
-    ("sssp", `Sssp); ("kmeans", `Kmeans); ("join", `Join);
-    ("project", `Project) ]
-
-let load_workflow kind =
-  match kind with
-  | `Tpch ->
-    (Experiments.Common.load_tpch ~scale_factor:10,
-     Workloads.Workflows.tpch_q17 ())
-  | `Top_shopper ->
-    (Experiments.Common.load_purchases ~users:10_000_000,
-     Workloads.Workflows.top_shopper ())
-  | `Netflix ->
-    (Experiments.Common.load_netflix ~movies:8000,
-     Workloads.Workflows.netflix ())
-  | `Pagerank ->
-    (Experiments.Common.load_graph Workloads.Datagen.orkut,
-     Workloads.Workflows.pagerank_gas ())
-  | `Components ->
-    (Experiments.Common.load_graph Workloads.Datagen.orkut,
-     Workloads.Workflows.connected_components ~iterations:8 ())
-  | `Cross_community ->
-    (Experiments.Common.load_communities (),
-     Workloads.Workflows.cross_community_pagerank ())
-  | `Sssp ->
-    (Experiments.Common.load_sssp (), Workloads.Workflows.sssp ~max_rounds:8 ())
-  | `Kmeans ->
-    (Experiments.Common.load_kmeans ~points:100_000_000 ~k:100,
-     Workloads.Workflows.kmeans ())
-  | `Join ->
-    let l, r = Workloads.Datagen.asymmetric_join_tables () in
-    (Experiments.Common.hdfs_with [ ("left", l); ("right", r) ],
-     Workloads.Workflows.simple_join ())
-  | `Project ->
-    (Experiments.Common.hdfs_with
-       [ ("lines", Workloads.Datagen.two_column_ascii ~modeled_mb:2048. ()) ],
-     Workloads.Workflows.project_only ())
+(* the workflow zoo by name; each entry loads fresh inputs and graph *)
+let zoo = Experiments.Common.zoo
 
 (* ---- arguments ---- *)
 
 let workflow_arg =
-  let workflow_conv = Arg.enum zoo in
+  let workflow_conv = Arg.enum (List.map (fun (n, _) -> (n, n)) zoo) in
   Arg.(
     required
     & opt (some workflow_conv) None
@@ -387,17 +349,17 @@ let pp_run_telemetry ppf () =
 
 (* the cluster's manager, calibrated with [factors] *)
 let manager ~factors cluster =
-  Musketeer.with_calibration (Experiments.Common.musketeer_for cluster) factors
+  Musketeer.with_calibration (Musketeer.create ~cluster ()) factors
 
-let setup ?(factors = []) kind nodes =
+let setup ?(factors = []) workflow nodes =
   let m = manager ~factors (Engines.Cluster.ec2 ~nodes) in
-  let hdfs, graph = load_workflow kind in
+  let hdfs, graph = List.assoc workflow zoo () in
   (m, hdfs, graph)
 
 let plan_cmd =
-  let run kind nodes backend dot trace =
+  let run workflow nodes backend dot trace =
     with_trace trace @@ fun () ->
-    let m, hdfs, graph = setup kind nodes in
+    let m, hdfs, graph = setup workflow nodes in
     let backends = Option.map (fun b -> [ b ]) backend in
     match Musketeer.plan m ?backends ~workflow:"cli" ~hdfs graph with
     | None -> Format.printf "no feasible plan@."
@@ -418,7 +380,7 @@ let plan_cmd =
       $ trace_arg)
 
 let run_cmd =
-  let run kind nodes backend show_code trace inject seed retries
+  let run workflow nodes backend show_code trace inject seed retries
       deadline_factor deadline no_speculation replan_threshold breaker
       ledger no_calibrate =
     let breaker = breaker_of breaker in
@@ -429,9 +391,8 @@ let run_cmd =
     in
     with_trace trace @@ fun () ->
     let recovery, injector = injection inject seed retries in
-    let m, hdfs, graph = setup ~factors kind nodes in
+    let m, hdfs, graph = setup ~factors workflow nodes in
     let backends = Option.map (fun b -> [ b ]) backend in
-    let workflow = List.assoc kind (List.map (fun (n, k) -> (k, n)) zoo) in
     match Musketeer.plan m ?backends ?breaker ~workflow ~hdfs graph with
     | None -> Format.printf "no feasible plan@."
     | Some (plan, g') ->
@@ -580,11 +541,11 @@ let run_file_cmd =
       $ breaker_arg $ ledger_arg $ no_calibrate_arg)
 
 let explain_cmd =
-  let run kind nodes backend trace ledger no_calibrate =
+  let run workflow nodes backend trace ledger no_calibrate =
     (* read-only: factors shape the explained costs, nothing is appended *)
     let factors = calibration_of ledger no_calibrate in
     with_trace trace @@ fun () ->
-    let m, hdfs, graph = setup ~factors kind nodes in
+    let m, hdfs, graph = setup ~factors workflow nodes in
     let backends = Option.map (fun b -> [ b ]) backend in
     let report = Musketeer.explain ?backends m ~workflow:"cli" ~hdfs graph in
     Musketeer.Explain.pp Format.std_formatter report
@@ -609,7 +570,7 @@ let json_arg =
            human-readable tables.")
 
 let stats_cmd =
-  let run kind nodes backend repeat trace inject seed retries
+  let run workflow nodes backend repeat trace inject seed retries
       deadline_factor deadline no_speculation replan_threshold breaker
       ledger no_calibrate json =
     let breaker = breaker_of breaker in
@@ -622,11 +583,10 @@ let stats_cmd =
     let recovery, injector = injection inject seed retries in
     let m = manager ~factors (Engines.Cluster.ec2 ~nodes) in
     let backends = Option.map (fun b -> [ b ]) backend in
-    let workflow = List.assoc kind (List.map (fun (n, k) -> (k, n)) zoo) in
     for i = 1 to max 1 repeat do
       (* fresh inputs per run; history persists in [m] between runs, so
          run 2+ shows the history-informed prediction accuracy *)
-      let hdfs, graph = load_workflow kind in
+      let hdfs, graph = List.assoc workflow zoo () in
       let since = Obs.Ledger.mark Obs.Metrics.default in
       (* with --json, stdout is reserved for the JSON document *)
       let progress = if json then Format.err_formatter else Format.std_formatter in
@@ -668,7 +628,7 @@ let stats_cmd =
 
 let calibrate_cmd =
   let run nodes =
-    let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes) in
+    let m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes) () in
     Format.printf "calibrated rates for %a:@.%a"
       Engines.Cluster.pp
       (Musketeer.cluster m)
@@ -901,8 +861,8 @@ let serve_cmd =
                name
                (String.concat ", " (List.map fst zoo));
              exit 1
-           | Some kind ->
-             let wf_hdfs, graph = load_workflow kind in
+           | Some load ->
+             let wf_hdfs, graph = load () in
              List.iter
                (fun rel ->
                   let e = Engines.Hdfs.get wf_hdfs rel in
@@ -952,10 +912,7 @@ let serve_cmd =
            process — only the ledger file and HDFS survive. The new
            service starts with a fresh history, no calibration and
            fresh breakers *)
-        let m' =
-          Musketeer.with_history (Experiments.Common.musketeer_for cluster)
-            (Musketeer.History.create ())
-        in
+        let m' = Musketeer.create ~cluster () in
         let svc2 = Serve.Service.create ~config m' ~hdfs in
         let records =
           match ledger with
@@ -1005,7 +962,7 @@ let serve_cmd =
         (fun (e : Serve.Client.mix_entry) ->
            if not (Hashtbl.mem reference e.workflow) then begin
              let h = Engines.Hdfs.snapshot base in
-             let m' = Experiments.Common.musketeer_for cluster in
+             let m' = Musketeer.create ~cluster () in
              match
                Musketeer.plan m' ~workflow:e.workflow ~hdfs:h e.graph
              with

@@ -96,6 +96,17 @@ let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
       (condition, max_iterations, body)
     | _ -> invalid_arg "Executor.expand_while: not a WHILE node"
   in
+  (* the body is a scope of its own: a relation it binds that exists
+     before the loop gets its entry back when the loop ends, so a later
+     reader sees what it would have seen without the loop *)
+  let shadowed =
+    List.filter_map
+      (fun (bn : Ir.Operator.node) ->
+         if Engines.Hdfs.mem hdfs bn.output then
+           Some (bn.output, Engines.Hdfs.get hdfs bn.output)
+         else None)
+      body.Ir.Operator.nodes
+  in
   (* bind the loop's inputs: alias producers' relations to the body's
      INPUT names *)
   let body_inputs = Ir.Dag.sources body in
@@ -196,11 +207,13 @@ let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
   in
   iterate 1;
   (* expose the loop's result under the WHILE node's output relation *)
-  if first_output <> n.Ir.Operator.output then begin
-    let e = Engines.Hdfs.get hdfs first_output in
-    Engines.Hdfs.put hdfs n.Ir.Operator.output
-      ~modeled_mb:e.Engines.Hdfs.modeled_mb e.Engines.Hdfs.table
-  end;
+  let result = Engines.Hdfs.get hdfs first_output in
+  List.iter
+    (fun (r, (e : Engines.Hdfs.entry)) ->
+       Engines.Hdfs.put hdfs r ~modeled_mb:e.modeled_mb e.table)
+    shadowed;
+  Engines.Hdfs.put hdfs n.Ir.Operator.output
+    ~modeled_mb:result.Engines.Hdfs.modeled_mb result.Engines.Hdfs.table;
   if record_history then
     History.record history ~workflow ~node_id:n.Ir.Operator.id
       ~output_mb:(Engines.Hdfs.modeled_mb hdfs n.Ir.Operator.output);

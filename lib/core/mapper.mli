@@ -13,7 +13,3 @@
 val decision_tree :
   cluster:Engines.Cluster.t -> input_mb:float -> Ir.Dag.t ->
   Engines.Backend.t
-
-(** Render the decision path taken (diagnostics / docs). *)
-val explain_decision :
-  cluster:Engines.Cluster.t -> input_mb:float -> Ir.Dag.t -> string

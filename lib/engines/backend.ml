@@ -43,10 +43,6 @@ let equal a b = compare a b = 0
 
 let pp ppf t = Format.pp_print_string ppf (name t)
 
-let single_machine = function
-  | Graph_chi | Metis | Serial_c | X_stream -> true
-  | Hadoop | Spark | Naiad | Power_graph | Giraph -> false
-
 let gas_only = function
   | Power_graph | Graph_chi | Giraph | X_stream -> true
   | Hadoop | Spark | Naiad | Metis | Serial_c -> false

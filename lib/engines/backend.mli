@@ -33,9 +33,6 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-(** Engines that run on a single machine (Table 3, "unit" column). *)
-val single_machine : t -> bool
-
 (** Engines restricted to the vertex-centric / GAS computation paradigm
     — they can only run graph-idiom jobs (§4.3.1). *)
 val gas_only : t -> bool

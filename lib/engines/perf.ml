@@ -12,15 +12,6 @@ let zero_volumes =
   { input_mb = 0.; output_mb = 0.; load_mb = 0.; process_mb = 0.;
     scan_extra_mb = 0.; comm_mb = 0.; iterations = 1 }
 
-let add_volumes a b =
-  { input_mb = a.input_mb +. b.input_mb;
-    output_mb = a.output_mb +. b.output_mb;
-    load_mb = a.load_mb +. b.load_mb;
-    process_mb = a.process_mb +. b.process_mb;
-    scan_extra_mb = a.scan_extra_mb +. b.scan_extra_mb;
-    comm_mb = a.comm_mb +. b.comm_mb;
-    iterations = max a.iterations b.iterations }
-
 type rates = {
   overhead_s : float;
   pull_mb_s : float;

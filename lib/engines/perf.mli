@@ -26,8 +26,6 @@ type volumes = {
 
 val zero_volumes : volumes
 
-val add_volumes : volumes -> volumes -> volumes
-
 type rates = {
   overhead_s : float;       (** per-job fixed cost *)
   pull_mb_s : float;        (** aggregate HDFS ingest rate *)

@@ -16,7 +16,7 @@ open Musketeer
 
 (* (a) codegen optimizations per backend on TPC-H Q17 *)
 let codegen_ablation ppf =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_tpch ~scale_factor:10 in
   let graph = Workloads.Workflows.tpch_q17 () in
   let rows =
@@ -38,7 +38,7 @@ let codegen_ablation ppf =
 
 (* (b) Naiad GROUP BY implementation, everything else optimized *)
 let group_by_ablation ppf =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_tpch ~scale_factor:10 in
   let graph = Workloads.Workflows.tpch_q17 () in
   let time vertex_group_by =
@@ -64,7 +64,7 @@ let group_by_ablation ppf =
 
 (* (c) conservative first-run plan vs full-history plan *)
 let history_ablation ppf =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_tpch ~scale_factor:10 in
   let graph = Workloads.Workflows.tpch_q17 () in
   let fresh = Musketeer.with_history m (Musketeer.History.create ()) in
@@ -93,7 +93,7 @@ let history_ablation ppf =
 
 (* (d) partitioning algorithm quality on a Figure-16-shaped DAG *)
 let fig16_ablation ppf =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let profile = Musketeer.profile m in
   (* the §8 example: a deep branch ordered before the JOIN+PROJECT that
      MapReduce could merge *)
@@ -149,7 +149,7 @@ let extension_engines_ablation ppf =
   let rows =
     List.map
       (fun (name, backend, nodes) ->
-         let m = Common.musketeer_for (Common.ec2 nodes) in
+         let m = Musketeer.create ~cluster:(Common.ec2 nodes) () in
          let hdfs = Common.load_graph Workloads.Datagen.twitter in
          [ name; string_of_int nodes;
            Common.cell
@@ -167,7 +167,7 @@ let extension_engines_ablation ppf =
 
 (* (f) failure recovery cost per engine (Table 3's FT column) *)
 let failure_ablation ppf =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_tpch ~scale_factor:10 in
   let graph = Workloads.Workflows.tpch_q17 () in
   let rows =

@@ -1,14 +1,3 @@
-let instances : (int * int, Musketeer.t) Hashtbl.t = Hashtbl.create 8
-
-let musketeer_for (cluster : Engines.Cluster.t) =
-  let key = (cluster.nodes, cluster.cores_per_node) in
-  match Hashtbl.find_opt instances key with
-  | Some m -> m
-  | None ->
-    let m = Musketeer.create ~cluster () in
-    Hashtbl.replace instances key m;
-    m
-
 let local7 = Engines.Cluster.local_seven
 
 let ec2 nodes = Engines.Cluster.ec2 ~nodes

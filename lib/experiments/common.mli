@@ -1,12 +1,6 @@
-(** Shared infrastructure for the paper-reproduction experiments:
-    calibrated Musketeer instances per cluster (memoized — calibration
-    is the one-off profiling of §5.2), HDFS loaders for the standard
-    workloads, forced-backend execution helpers and table printing. *)
-
-(** Calibrated Musketeer instance for a cluster (memoized on the node
-    count and hardware profile). Each call returns a {b fresh-history}
-    view unless [shared_history] is set. *)
-val musketeer_for : Engines.Cluster.t -> Musketeer.t
+(** Shared infrastructure for the paper-reproduction experiments: the
+    paper's testbeds, HDFS loaders for the standard workloads,
+    forced-backend execution helpers and table printing. *)
 
 (** The paper's two testbeds. *)
 val local7 : Engines.Cluster.t

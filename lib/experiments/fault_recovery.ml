@@ -19,7 +19,7 @@ let recovery_policy =
   { Musketeer.Recovery.default with Musketeer.Recovery.max_retries = 3 }
 
 let run ppf =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_tpch ~scale_factor:10 in
   let graph = Workloads.Workflows.tpch_q17 () in
   let execute ?recovery ?inject ~backend plan g' =

@@ -19,7 +19,7 @@ let overhead ~movies ~backend =
   (* one profiling run serves both measurements: neither records
      history, so each sees the same steady state *)
   let m =
-    Common.steady_state (Common.musketeer_for (Common.ec2 100))
+    Common.steady_state (Musketeer.create ~cluster:(Common.ec2 100) ())
       ~workflow:"netflix" ~hdfs graph
   in
   let run mode =

@@ -12,7 +12,7 @@ let backends =
 let overheads () =
   List.map
     (fun (name, backend, nodes) ->
-       let m = Common.musketeer_for (Common.ec2 nodes) in
+       let m = Musketeer.create ~cluster:(Common.ec2 nodes) () in
        let hdfs = Common.load_graph Workloads.Datagen.twitter in
        let graph = Workloads.Workflows.pagerank_gas () in
        let generated =

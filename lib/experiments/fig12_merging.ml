@@ -11,7 +11,7 @@ let user_counts = [ 10_000_000; 20_000_000; 30_000_000; 40_000_000;
                     50_000_000 ]
 
 let top_shopper_row users =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_purchases ~users in
   let graph = Workloads.Workflows.top_shopper () in
   let merged = Common.run_auto m ~workflow:"top-shopper" ~hdfs graph in
@@ -21,7 +21,7 @@ let top_shopper_row users =
   (users, merged, unmerged)
 
 let cross_community_row () =
-  let m = Common.musketeer_for Common.local7 in
+  let m = Musketeer.create ~cluster:Common.local7 () in
   let hdfs = Common.load_communities () in
   let graph = Workloads.Workflows.cross_community_pagerank () in
   let merged = Common.run_auto m ~workflow:"cross-community" ~hdfs graph in

@@ -19,7 +19,7 @@ let prefix_graph full x =
   Musketeer.Jobgraph.extract full ids
 
 let setup () =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_netflix ~movies:17000 in
   let full = Workloads.Workflows.netflix_extended () in
   (m, hdfs, full)

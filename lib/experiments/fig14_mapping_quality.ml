@@ -116,7 +116,7 @@ let input_mb_of hdfs graph =
 
 (* evaluate the four deciders on one configuration *)
 let evaluate cfg =
-  let base = Common.musketeer_for cfg.cluster in
+  let base = Musketeer.create ~cluster:cfg.cluster () in
   let hdfs = cfg.hdfs () in
   let graph = cfg.graph () in
   (* ground truth: every feasible single-backend mapping *)

@@ -16,7 +16,7 @@ let backends =
     ("Metis", Engines.Backend.Metis) ]
 
 let study ~workflow ~hdfs ~graph =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let per_backend =
     List.map
       (fun (name, backend) ->

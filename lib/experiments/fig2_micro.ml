@@ -38,7 +38,7 @@ let join_systems =
   :: project_systems
 
 let project_makespans ~size_mb =
-  let m = Common.musketeer_for Common.local7 in
+  let m = Musketeer.create ~cluster:Common.local7 () in
   let hdfs =
     Common.hdfs_with
       [ ("lines", Workloads.Datagen.two_column_ascii ~modeled_mb:size_mb ()) ]
@@ -52,7 +52,7 @@ let project_makespans ~size_mb =
     project_systems
 
 let join_makespans ~symmetric =
-  let m = Common.musketeer_for Common.local7 in
+  let m = Musketeer.create ~cluster:Common.local7 () in
   let hdfs =
     if symmetric then
       Common.hdfs_with

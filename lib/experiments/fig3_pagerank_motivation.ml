@@ -29,7 +29,7 @@ let configs =
       nodes = 1 } ]
 
 let makespan ~spec ~cfg =
-  let m = Common.musketeer_for (Common.ec2 cfg.nodes) in
+  let m = Musketeer.create ~cluster:(Common.ec2 cfg.nodes) () in
   let hdfs = Common.load_graph spec in
   Common.run_forced ~mode:Musketeer.Executor.Baseline m ~workflow:"pagerank"
     ~hdfs ~backend:cfg.backend

@@ -14,7 +14,7 @@
 let scale_factors = [ 10; 25; 50; 75; 100 ]
 
 let series ~scale_factor =
-  let m = Common.musketeer_for (Common.ec2 16) in
+  let m = Musketeer.create ~cluster:(Common.ec2 16) () in
   let hdfs = Common.load_tpch ~scale_factor in
   let graph = Workloads.Workflows.tpch_q17 () in
   let hive_on_hadoop =

@@ -27,7 +27,7 @@ type scale_result = {
 }
 
 let at_scale ~spec nodes =
-  let m = Common.musketeer_for (Common.ec2 nodes) in
+  let m = Musketeer.create ~cluster:(Common.ec2 nodes) () in
   let hdfs = Common.load_graph spec in
   let graph = Workloads.Workflows.pagerank_gas () in
   let baselines =

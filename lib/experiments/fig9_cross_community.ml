@@ -94,7 +94,7 @@ let combos () =
       Musketeer.Executor.Generated ]
 
 let makespans () =
-  let m = Common.musketeer_for Common.local7 in
+  let m = Musketeer.create ~cluster:Common.local7 () in
   let hdfs = Common.load_communities () in
   List.map
     (fun c ->

@@ -9,10 +9,10 @@ module Profile = Musketeer.Profile
 let table1 ppf =
   Format.fprintf ppf
     "@.== Table 1: calibrated rate parameters (7-node local cluster) ==@.";
-  Profile.pp ppf (Musketeer.profile (Common.musketeer_for Common.local7));
+  Profile.pp ppf (Profile.calibrate ~cluster:Common.local7 ());
   Format.fprintf ppf
     "@.== Table 1 (cont.): calibrated rates (EC2, 100 nodes) ==@.";
-  Profile.pp ppf (Musketeer.profile (Common.musketeer_for (Common.ec2 100)))
+  Profile.pp ppf (Profile.calibrate ~cluster:(Common.ec2 100) ())
 
 let table3 ppf =
   Format.fprintf ppf
@@ -28,7 +28,7 @@ let table3 ppf =
    average-programmer baseline (mis-tuned configuration, no combiner,
    per-operator scans). The paper reports 608 s vs 223 s. *)
 let student_join ppf =
-  let m = Common.musketeer_for Common.local7 in
+  let m = Musketeer.create ~cluster:Common.local7 () in
   let l, r = Workloads.Datagen.asymmetric_join_tables () in
   let hdfs =
     Common.hdfs_with

@@ -479,4 +479,6 @@ let parse source =
         | [] -> raise (Parse_error ("empty program", 0))
     in
     Ir.Builder.finish env.builder ~outputs
-  with Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  with
+  | Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  | Ir.Dag.Invalid msg -> raise (Parse_error (msg, 0))

@@ -4,7 +4,9 @@
     Assignment-oriented: every statement binds a relation name, and
     [WHILE] blocks iterate a group of statements with loop-carried
     relations inferred automatically (relations that the block both
-    reads and re-binds). Example (single-source shortest paths):
+    reads and re-binds). A name may be bound again; only its final
+    binding keeps the name in the IR (see {!Ir.Builder}). Example
+    (single-source shortest paths):
 
     {v
 dists = INPUT 'seeds';
@@ -44,6 +46,8 @@ sitem   := col [AS name] | AGG '(' col ')' [AS name]
     [SELECT col AS name] projects and renames; inside a grouped select,
     plain columns must be the group keys. *)
 
+(** Also raised, at line 0, for a program the IR rejects
+    ({!Ir.Dag.Invalid}). *)
 exception Parse_error of string * int
 
 val parse : string -> Ir.Operator.graph

@@ -121,7 +121,9 @@ let parse source =
     | _, None -> raise (Parse_error ("missing ITERATION_STOP section", 0))
     | Some gather, Some iterations ->
       { gather; apply = !apply; scatter = !scatter; iterations }
-  with Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  with
+  | Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  | Ir.Dag.Invalid msg -> raise (Parse_error (msg, 0))
 
 (* ---------------- vertex-centric -> dataflow ---------------- *)
 

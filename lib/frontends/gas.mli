@@ -35,6 +35,8 @@ ITERATION = {
     has [src:int, dst:int]. Vertices with no in-edges keep their value
     through a 0-valued gather. *)
 
+(** Also raised, at line 0, for a program the IR rejects
+    ({!Ir.Dag.Invalid}). *)
 exception Parse_error of string * int
 
 type algebra_op = {

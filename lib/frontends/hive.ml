@@ -224,4 +224,6 @@ let parse source =
     in
     let outputs = if outputs = [] then [ List.hd env.relations ] else outputs in
     Ir.Builder.finish env.builder ~outputs:(List.rev_map snd outputs)
-  with Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  with
+  | Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  | Ir.Dag.Invalid msg -> raise (Parse_error (msg, 0))

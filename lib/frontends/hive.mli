@@ -26,6 +26,8 @@ item      := column | rel.column
 
     Relations defined but never consumed become the workflow outputs. *)
 
+(** Also raised, at line 0, for a program the IR rejects
+    ({!Ir.Dag.Invalid}). *)
 exception Parse_error of string * int
 
 val parse : string -> Ir.Operator.graph

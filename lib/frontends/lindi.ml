@@ -1,11 +1,6 @@
 open Relation
 
-type query = {
-  qid : int;
-  kind : kind;
-}
-
-and kind =
+type query =
   | Read of string
   | Ref of string  (* loop-carried / seed reference inside iterate *)
   | Where of Expr.t * query
@@ -31,64 +26,62 @@ and kind =
       body : (string -> query) -> (string * query) list;
     }
 
-let counter = ref 0
+(* the one leaf, opaque so that no two calls share a static block: a
+   fresh [Read] makes every query built on it fresh *)
+let read relation = Read (Sys.opaque_identity relation)
 
-let mk kind =
-  incr counter;
-  { qid = !counter; kind }
+let where pred q = Where (pred, q)
 
-let read relation = mk (Read relation)
+let select columns q = Select (columns, q)
 
-let where pred q = mk (Where (pred, q))
+let map ~target expr q = Map (target, expr, q)
 
-let select columns q = mk (Select (columns, q))
-
-let map ~target expr q = mk (Map (target, expr, q))
-
-let join ~on left right = mk (Join (on, left, right))
+let join ~on left right = Join (on, left, right)
 
 let left_outer_join ~on ~defaults left right =
-  mk (Louter (on, defaults, left, right))
+  Louter (on, defaults, left, right)
 
-let semi_join ~on left right = mk (Semi (on, left, right))
+let semi_join ~on left right = Semi (on, left, right)
 
-let anti_join ~on left right = mk (Anti (on, left, right))
+let anti_join ~on left right = Anti (on, left, right)
 
-let cross a b = mk (Cross (a, b))
+let cross a b = Cross (a, b)
 
-let union a b = mk (Union (a, b))
+let union a b = Union (a, b)
 
-let intersect a b = mk (Intersect (a, b))
+let intersect a b = Intersect (a, b)
 
-let except a b = mk (Except (a, b))
+let except a b = Except (a, b)
 
-let distinct q = mk (Distinct q)
+let distinct q = Distinct q
 
-let group_by ~keys ~aggs q = mk (Group_by (keys, aggs, q))
+let group_by ~keys ~aggs q = Group_by (keys, aggs, q)
 
-let aggregate aggs q = mk (Aggregate_q (aggs, q))
+let aggregate aggs q = Aggregate_q (aggs, q)
 
-let order_by ?(descending = false) by q = mk (Order_by (descending, by, q))
+let order_by ?(descending = false) by q = Order_by (descending, by, q)
 
-let top ?(descending = true) ~by k q = mk (Top (descending, by, k, q))
+let top ?(descending = true) ~by k q = Top (descending, by, k, q)
 
 let iterate ~carrying ~iterations seeds body =
-  mk (Iterate { carrying; iterations; seeds; body })
+  Iterate { carrying; iterations; seeds; body }
 
 (* ---------------- elaboration ---------------- *)
 
+(* a shared sub-query is one value (every combinator allocates a fresh
+   one), so the memo looks queries up by physical identity *)
 type ctx = {
   builder : Ir.Builder.t;
-  memo : (int, Ir.Builder.handle) Hashtbl.t;
+  mutable memo : (query * Ir.Builder.handle) list;
   refs : (string, Ir.Builder.handle) Hashtbl.t;
 }
 
 let rec elaborate ctx ?name q =
-  match name, Hashtbl.find_opt ctx.memo q.qid with
+  match name, List.assq_opt q ctx.memo with
   | None, Some h -> h
   | _ ->
     let h =
-      match q.kind with
+      match q with
       | Read relation -> Ir.Builder.input ctx.builder relation
       | Ref r -> (
         match Hashtbl.find_opt ctx.refs r with
@@ -135,14 +128,13 @@ let rec elaborate ctx ?name q =
       | Iterate { carrying; iterations; seeds; body } ->
         elaborate_iterate ctx ?name ~carrying ~iterations ~seeds ~body ()
     in
-    if name = None then Hashtbl.replace ctx.memo q.qid h;
+    if name = None then ctx.memo <- (q, h) :: ctx.memo;
     h
 
 and elaborate_iterate ctx ?name ~carrying ~iterations ~seeds ~body () =
   let body_builder = Ir.Builder.create () in
   let body_ctx =
-    { builder = body_builder; memo = Hashtbl.create 16;
-      refs = Hashtbl.create 8 }
+    { builder = body_builder; memo = []; refs = Hashtbl.create 8 }
   in
   (* seed inputs, in seed order — the WHILE binds positionally *)
   List.iter
@@ -150,7 +142,7 @@ and elaborate_iterate ctx ?name ~carrying ~iterations ~seeds ~body () =
        Hashtbl.replace body_ctx.refs seed_name
          (Ir.Builder.input body_builder seed_name))
     seeds;
-  let next = body (fun r -> mk (Ref r)) in
+  let next = body (fun r -> Ref r) in
   let outputs =
     List.map
       (fun carried ->
@@ -170,17 +162,9 @@ and elaborate_iterate ctx ?name ~carrying ~iterations ~seeds ~body () =
     ~max_iterations:(iterations + 1) ~body:body_graph seed_handles
 
 let fresh_ctx () =
-  { builder = Ir.Builder.create (); memo = Hashtbl.create 16;
-    refs = Hashtbl.create 8 }
+  { builder = Ir.Builder.create (); memo = []; refs = Hashtbl.create 8 }
 
 let finish ~name q =
   let ctx = fresh_ctx () in
   let h = elaborate ctx ~name q in
   Ir.Builder.finish ctx.builder ~outputs:[ h ]
-
-let finish_all named =
-  let ctx = fresh_ctx () in
-  let handles =
-    List.map (fun (name, q) -> elaborate ctx ~name q) named
-  in
-  Ir.Builder.finish ctx.builder ~outputs:handles

@@ -71,6 +71,3 @@ val iterate :
 (** Close the pipeline into a one-output workflow graph. [name] is the
     output relation. *)
 val finish : name:string -> query -> Ir.Operator.graph
-
-(** Close with several outputs. *)
-val finish_all : (string * query) list -> Ir.Operator.graph

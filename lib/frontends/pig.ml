@@ -317,4 +317,6 @@ let parse source =
       | stored -> List.rev_map snd stored
     in
     Ir.Builder.finish env.builder ~outputs
-  with Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  with
+  | Parse_state.Parse_error (msg, line) -> raise (Parse_error (msg, line))
+  | Ir.Dag.Invalid msg -> raise (Parse_error (msg, 0))

@@ -38,8 +38,12 @@ item      := group | col [AS name]
     aggregates (the standard Pig aggregation idiom) and becomes a single
     GROUP BY operator; [FOREACH] over a plain relation becomes
     projection / column algebra. [group] expands to the grouping keys.
-    Pig's [==] equality and [!=] are accepted. *)
+    Pig's [==] equality and [!=] are accepted. An alias may be assigned
+    again ([B = FILTER A BY ...; B = DISTINCT B;]); only its final
+    assignment keeps the name in the IR (see {!Ir.Builder}). *)
 
+(** Also raised, at line 0, for a program the IR rejects
+    ({!Ir.Dag.Invalid}). *)
 exception Parse_error of string * int
 
 val parse : string -> Ir.Operator.graph

@@ -6,9 +6,10 @@ type handle = {
 type t = {
   mutable next_id : int;
   mutable rev_nodes : Operator.node list;
+  mutable minted : int list;  (** ids whose name [add] minted *)
 }
 
-let create () = { next_id = 0; rev_nodes = [] }
+let create () = { next_id = 0; rev_nodes = []; minted = [] }
 
 let id h = h.node_id
 
@@ -20,7 +21,9 @@ let add b ?name kind inputs =
   let out_name =
     match name with
     | Some n -> n
-    | None -> Printf.sprintf "tmp%d" node_id
+    | None ->
+      b.minted <- node_id :: b.minted;
+      Printf.sprintf "tmp%d" node_id
   in
   b.rev_nodes <-
     { Operator.id = node_id; kind; inputs = List.map id inputs;
@@ -90,11 +93,66 @@ let while_ b ?name ~condition ~max_iterations ~body inputs =
 let black_box b ?name ~backend_hint ~description inputs =
   add b ?name (Operator.Black_box { backend_hint; description }) inputs
 
+(* An INPUT keeps its relation's name. A given name stays with its last
+   non-INPUT holder (a frontend's final binding), unless that holder
+   takes an INPUT's name without updating it in place and is not a
+   loop-carried body output (whose name is the loop's contract, so
+   validation rejects the body instead). A minted [tmp<id>] yields to
+   any given name. Every other holder becomes [<name>_<k>], the
+   smallest k >= 1 no given and no earlier new name uses; minted names
+   never contain '_', so a build without a collision keeps every name
+   (and its hash). *)
+let unique_names b ~outputs ~loop_carried =
+  let nodes = List.rev b.rev_nodes in
+  (* most builds are rewrites that mint nothing *)
+  let minted =
+    if b.minted = [] then fun _ -> false
+    else
+      let t = Hashtbl.create 16 in
+      List.iter (fun id -> Hashtbl.replace t id ()) b.minted;
+      Hashtbl.mem t
+  in
+  let last = Hashtbl.create 16 and scanned = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Operator.node) ->
+       match n.kind with
+       | Operator.Input _ -> Hashtbl.replace scanned n.output ()
+       | _ when minted n.id -> ()
+       | _ -> Hashtbl.replace last n.output n.id)
+    nodes;
+  let taken name = Hashtbl.mem last name || Hashtbl.mem scanned name in
+  let keeps (n : Operator.node) =
+    match n.kind with
+    | Operator.Input _ -> true
+    | _ when minted n.id -> not (taken n.output)
+    | _ ->
+      Hashtbl.find last n.output = n.id
+      && ((not (Hashtbl.mem scanned n.output))
+          || (List.mem n.output loop_carried && List.mem n.id outputs)
+          || Dag.replaces_input { Operator.nodes; outputs; loop_carried } n)
+  in
+  if List.for_all keeps nodes then nodes
+  else
+    let rec fresh name k =
+      let name' = Printf.sprintf "%s_%d" name k in
+      if taken name' then fresh name (k + 1) else name'
+    in
+    List.map
+      (fun (n : Operator.node) ->
+         if keeps n then n
+         else begin
+           let output = fresh n.output 1 in
+           Hashtbl.replace last output n.id;
+           { n with output }
+         end)
+      nodes
+
 let graph b ~outputs ~loop_carried =
   Obs.Trace.with_span "ir.build" @@ fun () ->
   let g =
-    { Operator.nodes = List.rev b.rev_nodes;
-      outputs = List.map id outputs;
+    let outputs = List.map id outputs in
+    { Operator.nodes = unique_names b ~outputs ~loop_carried;
+      outputs;
       loop_carried }
   in
   Dag.validate g;

@@ -1,5 +1,6 @@
 (** Imperative construction of IR graphs with the invariants {!Dag}
-    expects (strictly increasing ids, edges pointing forward).
+    expects (strictly increasing ids, edges pointing forward, one
+    relation per name).
 
     Front-ends translate their ASTs through this interface; tests and
     the Lindi combinator shim use it directly. *)
@@ -14,13 +15,21 @@ val create : unit -> t
 (** Id of the underlying node (stable once created). *)
 val id : handle -> int
 
-(** Relation name the node produces. *)
+(** Relation name the node produces ({!finish} may rename it). *)
 val relation : handle -> string
 
 val input : t -> string -> handle
 
 (** Unary/binary operators. [?name] sets the output relation name
-    (defaults to a fresh ["tmp<N>"]). *)
+    (defaults to a minted ["tmp<id>"]). A name may be given more than
+    once: {!finish} keeps it on the last non-INPUT node that takes it
+    and renames the others, and a minted name that a given one also
+    uses, to ["<name>_<k>"], the smallest [k >= 1] no given name and no
+    earlier new name uses. It also renames a node that would take an
+    INPUT's name while another reader of that INPUT does not precede it
+    ({!Dag.replaces_input}), except a body's loop-carried output, which
+    {!finish_body} then rejects. A graph without such a collision keeps
+    its names. *)
 
 val select : t -> ?name:string -> pred:Relation.Expr.t -> handle -> handle
 
@@ -72,8 +81,8 @@ val udf : t -> ?name:string -> Operator.udf -> handle list -> handle
 
 (** [while_ b ~condition ~max_iterations ~body inputs] adds a WHILE node.
     [body] must have been finished with {!finish_body}; [inputs] are
-    bound positionally to the body's INPUT relations in body order, and
-    the WHILE node's output relation is the body's first output. *)
+    bound positionally to the body's INPUT relations in body order. The
+    WHILE's output is named [?name] or after the body's first output. *)
 val while_ :
   t -> ?name:string -> condition:Operator.loop_condition ->
   max_iterations:int -> body:Operator.graph -> handle list -> handle
@@ -82,8 +91,8 @@ val black_box :
   t -> ?name:string -> backend_hint:string -> description:string ->
   handle list -> handle
 
-(** Finish a top-level workflow graph. The graph is validated.
-    Raises {!Dag.Invalid} on inconsistency. *)
+(** Finish a top-level workflow graph: unique names (see above), then
+    validation. Raises {!Dag.Invalid} on inconsistency. *)
 val finish : t -> outputs:handle list -> Operator.graph
 
 (** Finish a WHILE body: [loop_carried] names relations rebound between

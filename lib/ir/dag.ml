@@ -12,8 +12,30 @@ let node g id =
   | Some n -> n
   | None -> invalid "no node with id %d" id
 
+(* [n] may take the name of the INPUT relation it replaces when every
+   other node that reads that relation is an ancestor of [n]: no reader
+   can see the new relation under the old name. Lists, not tables: each
+   rebuild of a loop validates its body again, and bodies are small. *)
+let replaces_input (g : t) (n : Operator.node) =
+  let ancestors =
+    List.fold_right
+      (fun (m : Operator.node) acc ->
+         if List.mem m.id acc then m.inputs @ acc else acc)
+      g.nodes [ n.id ]
+  in
+  let scans_it i =
+    match (node g i).kind with
+    | Operator.Input { relation } -> relation = n.output
+    | _ -> false
+  in
+  List.for_all
+    (fun (c : Operator.node) ->
+       List.mem c.id ancestors || not (List.exists scans_it c.inputs))
+    g.nodes
+
 let rec validate (g : t) =
   let seen = Hashtbl.create 16 in
+  let names : (string, Operator.node) Hashtbl.t = Hashtbl.create 16 in
   let last_id = ref (-1) in
   List.iter
     (fun (n : Operator.node) ->
@@ -29,6 +51,13 @@ let rec validate (g : t) =
             if not (Hashtbl.mem seen i) then
               invalid "node %d depends on unknown node %d" n.id i)
          n.inputs;
+       (match Hashtbl.find_opt names n.output, n.kind with
+        | None, _ | Some { kind = Operator.Input _; _ }, Operator.Input _ -> ()
+        | Some { kind = Operator.Input _; _ }, _ when replaces_input g n -> ()
+        | Some p, _ ->
+          invalid "nodes %d and %d both produce relation %S" p.id n.id
+            n.output);
+       Hashtbl.replace names n.output n;
        (match Operator.expected_arity n.kind with
         | Some a when List.length n.inputs <> a ->
           invalid "node %d (%s) has %d inputs, expected %d" n.id

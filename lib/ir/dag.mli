@@ -4,15 +4,31 @@
     {!Builder}): node ids are unique and strictly increasing in
     [nodes]; every edge points from a lower id to a higher id, so the
     graph is acyclic by construction and [nodes] is already one valid
-    topological order. *)
+    topological order.
+
+    One relation, one name: jobs pass intermediates through HDFS by
+    output name, so no two nodes of a graph share one. A WHILE body is
+    a scope of its own. Two INPUTs of one relation share its name, and
+    a node may take the name of an INPUT whose every other reader is
+    its ancestor, an in-place update: a body's loop-carried result
+    replaces the INPUT it rebinds, and k-means' WHILE result replaces
+    its [centroids] input, so a second run on the same HDFS starts
+    from the first run's centroids. {!Builder} establishes the rule:
+    when a frontend binds a name twice, only the final binding keeps
+    it. *)
 
 type t = Operator.graph
 
 exception Invalid of string
 
-(** Full structural validation; raises {!Invalid} with a description of
-    the first problem found. Recurses into WHILE bodies. *)
+(** Full structural validation, names included; raises {!Invalid}
+    with the first problem found. Recurses into WHILE bodies. *)
 val validate : t -> unit
+
+(** [replaces_input g n]: every node of [g] that reads an INPUT of
+    relation [n.output], other than [n], is an ancestor of [n], so [n]
+    may take that name as an in-place update. *)
+val replaces_input : t -> Operator.node -> bool
 
 val node : t -> int -> Operator.node
 

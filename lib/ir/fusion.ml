@@ -161,14 +161,7 @@ let plan ?(protect = []) (g : Operator.graph) =
   List.iter (fun r -> Hashtbl.replace protected r ()) protect;
   List.iter (fun r -> Hashtbl.replace protected r ()) g.loop_carried;
   let is_output : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun id ->
-       Hashtbl.replace is_output id ();
-       (* the WHILE driver (and output collection) may look this
-          relation up by name; an interior node with the same name
-          would silently change which binding wins *)
-       Hashtbl.replace protected (Dag.node g id).Operator.output ())
-    g.outputs;
+  List.iter (fun id -> Hashtbl.replace is_output id ()) g.outputs;
   (* every node's consumers, in one pass: the cost model plans each
      candidate job, and [Dag.consumers] would scan the graph per node *)
   let consumers : (int, Operator.node list) Hashtbl.t = Hashtbl.create 16 in

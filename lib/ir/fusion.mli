@@ -19,8 +19,9 @@
     - it has exactly one consumer, which is the next chain member;
     - it is not a workflow output ([g.outputs]);
     - its output name is not one the WHILE driver looks up by name
-      (loop-carried relations, loop-condition relations, body outputs —
-      see the [protect] argument).
+      (loop-carried and loop-condition relations — see the [protect]
+      argument; body outputs are outputs, and only an INPUT, never a
+      chain member, can share an output's name, see {!Dag}).
 
     One more shape closes over a JOIN head: the {e arg-min diamond}
     ({!argmin}). Planning is pure analysis: it never rewrites the

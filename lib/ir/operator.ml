@@ -172,5 +172,3 @@ let associative_aggregation = function
   | Semi_join _ | Anti_join _ | Cross | Union | Intersect | Difference
   | Distinct | Sort _ | Top_k _ | Udf _ | While _ | Black_box _ ->
     true
-
-let pp_kind ppf kind = Format.pp_print_string ppf (describe kind)

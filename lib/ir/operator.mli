@@ -109,5 +109,3 @@ val needs_shuffle : kind -> bool
     vacuously true for non-aggregating operators. Drives the improved
     Naiad GROUP BY of §6.2 and idiom selection in §4.3.1. *)
 val associative_aggregation : kind -> bool
-
-val pp_kind : Format.formatter -> kind -> unit

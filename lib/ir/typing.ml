@@ -194,17 +194,3 @@ and infer_while ~catalog body input_schemas =
   match body.outputs with
   | first :: _ -> Hashtbl.find body_schemas first
   | [] -> type_error "WHILE: body has no outputs"
-
-let node_schema ~catalog g id =
-  let schemas = infer ~catalog g in
-  match Hashtbl.find_opt schemas id with
-  | Some s -> s
-  | None -> type_error "no node %d" id
-
-let output_schemas ~catalog g =
-  let schemas = infer ~catalog g in
-  List.map
-    (fun id ->
-       let n = Dag.node g id in
-       (n.Operator.output, Hashtbl.find schemas id))
-    g.Operator.outputs

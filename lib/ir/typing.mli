@@ -20,12 +20,3 @@ exception Type_error of string
 val infer :
   catalog:(string -> Relation.Schema.t) -> Dag.t ->
   (int, Relation.Schema.t) Hashtbl.t
-
-(** Schema of a single node (convenience over {!infer}). *)
-val node_schema :
-  catalog:(string -> Relation.Schema.t) -> Dag.t -> int -> Relation.Schema.t
-
-(** Schemas of the graph's output relations, in output order. *)
-val output_schemas :
-  catalog:(string -> Relation.Schema.t) -> Dag.t ->
-  (string * Relation.Schema.t) list

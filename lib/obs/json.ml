@@ -263,7 +263,6 @@ let to_string_opt = function String s -> Some s | _ -> None
 
 let to_list_opt = function List xs -> Some xs | _ -> None
 
-let to_obj_opt = function Obj fields -> Some fields | _ -> None
 
 let get_float ?(default = 0.) j name =
   Option.value ~default (Option.bind (member name j) to_float_opt)

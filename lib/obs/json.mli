@@ -41,8 +41,6 @@ val to_string_opt : t -> string option
 
 val to_list_opt : t -> t list option
 
-val to_obj_opt : t -> (string * t) list option
-
 val get_float : ?default:float -> t -> string -> float
 
 val get_int : ?default:int -> t -> string -> int

@@ -58,10 +58,3 @@ let attach ?(metrics = Metrics.default) ~backend ?(input_mb = 0.)
   Metrics.observe metrics "probe.gc_minor_mwords" sample.minor_mwords;
   Metrics.observe metrics "probe.gc_major_mwords" sample.major_mwords;
   if mb > 0. then observe "probe.mb_per_s" mb_s
-
-let with_probe ?metrics ~backend ?input_mb ?output_mb f =
-  let running = start () in
-  let result = f () in
-  let sample = stop running in
-  attach ?metrics ~backend ?input_mb ?output_mb sample;
-  (result, sample)

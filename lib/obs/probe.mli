@@ -34,10 +34,3 @@ val throughput_mb_s : sample -> mb:float -> float
 val attach :
   ?metrics:Metrics.t -> backend:string -> ?input_mb:float ->
   ?output_mb:float -> sample -> unit
-
-(** [with_probe ~backend f] = start, run [f], stop, attach. The probe
-    is deliberately not exception-safe: a failed dispatch is recorded
-    by the recovery layer, not as a throughput sample. *)
-val with_probe :
-  ?metrics:Metrics.t -> backend:string -> ?input_mb:float ->
-  ?output_mb:float -> (unit -> 'a) -> 'a * sample

@@ -24,10 +24,6 @@ let create () = { recorded = []; stack = []; next_id = 0; epoch_ns = None }
 
 let current : t option ref = ref None
 
-let install t = current := Some t
-
-let uninstall () = current := None
-
 let enabled () = Option.is_some !current
 
 let collecting f =

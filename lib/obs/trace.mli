@@ -36,13 +36,6 @@ type t
 
 val create : unit -> t
 
-(** Make [t] the collector new spans record into (replacing any
-    currently installed one). Prefer {!collecting}, which restores the
-    previous collector on exit. *)
-val install : t -> unit
-
-val uninstall : unit -> unit
-
 (** Whether a collector is installed (spans are being recorded). *)
 val enabled : unit -> bool
 

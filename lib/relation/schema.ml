@@ -42,10 +42,6 @@ let column_names t = List.map (fun c -> c.name) (columns t)
 let restrict t names =
   make (List.map (fun n -> t.cols.(index_of t n)) names)
 
-let rename_prefixed t ~prefix =
-  make
-    (List.map (fun c -> { c with name = prefix ^ "." ^ c.name }) (columns t))
-
 let concat a b =
   let clash name = mem a name in
   let rename c = if clash c.name then { c with name = "r_" ^ c.name } else c in

@@ -33,10 +33,6 @@ val column_names : t -> string list
     [Not_found] if any name is absent. *)
 val restrict : t -> string list -> t
 
-(** [rename t ~prefix] prefixes every column name with [prefix ^ "."],
-    used to disambiguate join outputs. *)
-val rename_prefixed : t -> prefix:string -> t
-
 (** [concat a b] appends the columns of [b] to [a]. Columns of [b] whose
     names clash with [a] get a ["r_"] prefix, mirroring how generated
     back-end code flattens join outputs. *)

@@ -608,7 +608,7 @@ let sum prefix =
    ones. *)
 let test_fallbacks_account_for_row_runs () =
   let fallback0 = sum "kernel.fallback." and row0 = sum "kernel.row." in
-  let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
+  let m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes:16) () in
   List.iter
     (fun (name, hdfs, graph) ->
        match Musketeer.execute m ~workflow:name ~hdfs graph with
@@ -1295,7 +1295,7 @@ let test_executor_outputs_not_views () =
     Qcheck_lite.hdfs_of_spec
       { Qcheck_lite.rows = List.init 120 (fun i -> (i mod 7, i)); ops = [] }
   in
-  let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
+  let m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes:16) () in
   let check_outputs what outputs =
     Alcotest.(check bool) (what ^ ": outputs returned") true (outputs <> []);
     List.iter

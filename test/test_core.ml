@@ -909,6 +909,50 @@ let test_executor_records_history () =
   Alcotest.(check bool) "runtime recorded" true
     (Musketeer.History.last_runtime h ~workflow:"hist" <> None)
 
+(* k-means writes its result over its [centroids] input (an in-place
+   update, dag.mli): a second run on the same HDFS starts from the
+   first run's centroids, which is what the oracle computes from them *)
+let test_kmeans_second_run () =
+  let pts, cents = Workloads.Datagen.kmeans_points ~points:400 ~k:5 () in
+  let hdfs =
+    hdfs_with
+      [ ("points", pts.Workloads.Datagen.table, 64.);
+        ("centroids", cents.Workloads.Datagen.table, 1.) ]
+  in
+  let g = Workloads.Workflows.kmeans ~iterations:2 () in
+  let run () =
+    match Musketeer.execute m ~workflow:"kmeans" ~hdfs g with
+    | Ok (r, _) -> List.assoc "centroids" r.Musketeer.Executor.outputs
+    | Error e -> Alcotest.fail (Engines.Report.error_to_string e)
+  in
+  let oracle centroids =
+    let store =
+      Ir.Interp.store_of_list
+        [ ("points", pts.Workloads.Datagen.table); ("centroids", centroids) ]
+    in
+    List.assoc "centroids" (Ir.Interp.outputs ~store g)
+  in
+  let csv t = Relation.Table.to_csv (Relation.Table.sort_by t [ "cid" ]) in
+  let first = run () in
+  Alcotest.(check string) "first run = oracle"
+    (csv (oracle cents.Workloads.Datagen.table)) (csv first);
+  Alcotest.(check string) "HDFS holds the first result" (csv first)
+    (csv (Engines.Hdfs.table hdfs "centroids"));
+  let second = run () in
+  Alcotest.(check string) "second run starts from it" (csv (oracle first))
+    (csv second);
+  Alcotest.(check bool) "and moves on" true (csv second <> csv first)
+
+(* one relation, one name holds after every rewrite *)
+let test_zoo_optimized_names () =
+  List.iter
+    (fun (name, load) ->
+       let hdfs, g = load () in
+       match Ir.Dag.validate (Musketeer.optimize_ir ~hdfs g) with
+       | () -> ()
+       | exception Ir.Dag.Invalid why -> Alcotest.failf "%s: %s" name why)
+    Experiments.Common.zoo
+
 let test_executor_cross_engine_combo () =
   (* batch phase on Hadoop, iterative phase on PowerGraph — the §6.3
      combination, executed via a hand-constructed plan; results must
@@ -1215,7 +1259,9 @@ let () =
             test_optimizer_select_through_distinct_and_difference;
           Alcotest.test_case "column pruning" `Quick test_column_pruning;
           Alcotest.test_case "pruning respects set ops" `Quick
-            test_column_pruning_respects_set_ops ] );
+            test_column_pruning_respects_set_ops;
+          Alcotest.test_case "zoo names stay unique" `Quick
+            test_zoo_optimized_names ] );
       ( "extensions",
         [ Alcotest.test_case "extended backends plan" `Quick
             test_extended_backends_plannable;
@@ -1243,7 +1289,9 @@ let () =
           Alcotest.test_case "records history" `Quick
             test_executor_records_history;
           Alcotest.test_case "cross-engine combo" `Quick
-            test_executor_cross_engine_combo ] );
+            test_executor_cross_engine_combo;
+          Alcotest.test_case "k-means second run" `Quick
+            test_kmeans_second_run ] );
       ( "mapper",
         [ Alcotest.test_case "decision tree" `Quick test_decision_tree_branches ] );
       ( "facade",

@@ -187,6 +187,194 @@ let test_zoo_report_identity () =
        Alcotest.(check (list string)) (name ^ ": op_stats") off_stats on_stats)
     zoo
 
+(* ---- any mapping computes the oracle's answer ----
+
+   The paper's thesis in full: however a workflow is cut into jobs and
+   whichever admissible engines run them, it computes what the
+   reference interpreter computes on the row kernels. Each workflow
+   runs under the merged plan, the one-job-per-operator plan and a
+   random convex cut of its optimized IR, every job on a random
+   admissible engine; a workflow with a WHILE also runs forced onto
+   Hadoop, so the executor expands the loop per iteration. Jobs pass
+   intermediates through HDFS by relation name, so two relations under
+   one name show up here as a wrong answer. *)
+
+module Rng = Qcheck_lite.Rng
+
+let sorted_csv t = Relation.Table.to_csv (Relation.Table.sort_with t compare)
+
+let oracle hdfs graph =
+  let store =
+    Ir.Interp.store_of_list
+      (List.map
+         (fun r -> (r, Engines.Hdfs.table hdfs r))
+         (Engines.Hdfs.list hdfs))
+  in
+  List.map (fun (r, t) -> (r, sorted_csv t)) (Ir.Interp.outputs ~store graph)
+
+let admissible g ids =
+  List.filter
+    (fun b -> Musketeer.Support.check_bool b g ids)
+    Engines.Backend.all
+
+let random_engines rng g jobs =
+  List.map
+    (fun (_, ids) ->
+       match admissible g ids with
+       | [] -> Alcotest.failf "no engine admits job [%s]"
+                 (String.concat "; " (List.map string_of_int ids))
+       | bs -> (Rng.pick rng bs, ids))
+    jobs
+
+(* contiguous runs of the id order are convex (edges point forward),
+   and so is each weakly connected part of one; ids arrive in order,
+   so a node links to a part only through its own inputs *)
+let random_cut rng (g : Ir.Dag.t) =
+  let ops =
+    List.filter_map
+      (fun (n : Ir.Operator.node) ->
+         match n.kind with Ir.Operator.Input _ -> None | _ -> Some n.id)
+      g.nodes
+  in
+  let runs, last =
+    List.fold_left
+      (fun (runs, run) id ->
+         if run <> [] && Rng.bool rng then (List.rev run :: runs, [ id ])
+         else (runs, id :: run))
+      ([], []) ops
+  in
+  let runs = List.rev (if last = [] then runs else List.rev last :: runs) in
+  let parts run =
+    List.fold_left
+      (fun parts id ->
+         let linked, rest =
+           List.partition
+             (fun part ->
+                List.exists
+                  (fun p -> List.mem p (Ir.Dag.node g id).Ir.Operator.inputs)
+                  part)
+             parts
+         in
+         (id :: List.concat linked) :: rest)
+      [] run
+    |> List.map (List.sort compare)
+    |> List.sort compare
+  in
+  List.map
+    (fun ids -> (Engines.Backend.Serial_c, ids))
+    (List.concat_map parts runs)
+
+(* an engine that rejects a job at run time (a modeled Spark OOM) was
+   not admissible after all: the job moves to the next-best engine *)
+let replan_on_rejection =
+  { Musketeer.Recovery.none with Musketeer.Recovery.allow_replan = true }
+
+let mapping_m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes:16) ()
+
+(* every mapping's outputs against the oracle's; [] when all agree *)
+let mapping_mismatches ~rng ~workflow hdfs graph =
+  let expected = oracle hdfs graph in
+  let plan ?backends ?merging () =
+    match
+      Musketeer.plan mapping_m ?backends ?merging ~workflow ~hdfs graph
+    with
+    | Some p -> p
+    | None -> Alcotest.failf "%s: no plan" workflow
+  in
+  let merged, g' = plan () in
+  let unmerged, g'' = plan ~merging:false () in
+  let mappings =
+    [ ("merged", g', random_engines rng g' merged.Musketeer.Partitioner.jobs);
+      ("unmerged", g'',
+       random_engines rng g'' unmerged.Musketeer.Partitioner.jobs);
+      ("random cut", g', random_engines rng g' (random_cut rng g')) ]
+    @
+    if Engines.Exec_helper.has_while graph then
+      let hadoop, gh = plan ~backends:[ Engines.Backend.Hadoop ] () in
+      [ ("hadoop", gh, hadoop.Musketeer.Partitioner.jobs) ]
+    else []
+  in
+  List.filter_map
+    (fun (label, g, jobs) ->
+       let describe () =
+         Printf.sprintf "%s %s [%s]" workflow label
+           (String.concat " "
+              (List.map
+                 (fun (b, ids) ->
+                    Printf.sprintf "%s{%s}" (Engines.Backend.name b)
+                      (String.concat "," (List.map string_of_int ids)))
+                 jobs))
+       in
+       match
+         Musketeer.execute_plan ~record_history:false mapping_m ~workflow
+           ~recovery:replan_on_rejection
+           ~hdfs:(Engines.Hdfs.snapshot hdfs) ~graph:g
+           { Musketeer.Partitioner.jobs; cost_s = 0. }
+       with
+       | Error e ->
+         Some
+           (describe () ^ " failed: " ^ Engines.Report.error_to_string e)
+       | Ok r ->
+         let got =
+           List.map
+             (fun (name, _) ->
+                (name,
+                 Option.map sorted_csv
+                   (List.assoc_opt name r.Musketeer.Executor.outputs)))
+             expected
+         in
+         if got = List.map (fun (n, csv) -> (n, Some csv)) expected then None
+         else Some (describe () ^ " differs from the oracle"))
+    mappings
+
+let test_zoo_mappings () =
+  let rng = Rng.create seed in
+  let bad =
+    List.concat_map
+      (fun (workflow, load) ->
+         let hdfs, graph = load () in
+         mapping_mismatches ~rng ~workflow hdfs graph)
+      zoo
+  in
+  Alcotest.(check (list string)) "every mapping = oracle" [] bad
+
+(* names a program binds more than once (test/rebinding.ml) *)
+let test_rebinding_mappings () =
+  let rng = Rng.create seed in
+  let bad =
+    List.concat_map
+      (fun (workflow, graph, inputs) ->
+         let hdfs = Engines.Hdfs.create () in
+         List.iter
+           (fun (r, t) -> Engines.Hdfs.put hdfs r ~modeled_mb:64. t)
+           inputs;
+         mapping_mismatches ~rng ~workflow hdfs (graph ()))
+      Rebinding.cases
+  in
+  Alcotest.(check (list string)) "every mapping = oracle" [] bad
+
+let test_generated_mappings () =
+  let agrees (spec : Qcheck_lite.workflow_spec) =
+    let rng = Rng.create (Hashtbl.hash (Qcheck_lite.spec_to_string spec)) in
+    let branches =
+      Qcheck_lite.graph_of_branches ~flipped:false
+        { Qcheck_lite.ops_a = spec.ops; ops_b = List.rev spec.ops }
+    in
+    List.for_all
+      (fun graph ->
+         match
+           mapping_mismatches ~rng ~workflow:"gen"
+             (Qcheck_lite.hdfs_of_spec spec) graph
+         with
+         | [] -> true
+         | bad -> failwith (String.concat "\n" bad))
+      [ Qcheck_lite.graph_of_spec spec; branches ]
+  in
+  try
+    Qcheck_lite.check ~count:25 ~seed ~name:"every mapping = oracle"
+      Qcheck_lite.spec_arbitrary agrees
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
 let () =
   Alcotest.run "differential"
     [ ("one-for-all",
@@ -194,8 +382,13 @@ let () =
            `Slow test_engines_agree;
          Alcotest.test_case "every engine admits a simple select" `Quick
            test_all_engines_admit_simple;
-         Alcotest.test_case "view pipelines agree, jobs 1 and 4" `Slow
-           test_views_agree ]);
+         Alcotest.test_case "view pipelines agree" `Slow test_views_agree;
+         Alcotest.test_case "zoo: every mapping = oracle" `Quick
+           test_zoo_mappings;
+         Alcotest.test_case "names bound twice: every mapping = oracle"
+           `Quick test_rebinding_mappings;
+         Alcotest.test_case "generated DAGs: every mapping = oracle" `Slow
+           test_generated_mappings ]);
       ("reports",
        [ Alcotest.test_case "zoo: columnar on = off" `Quick
            test_zoo_report_identity ]) ]

@@ -196,7 +196,68 @@ let test_beer_parse_errors () =
   expect_error "x = r JOIN;";
   expect_error "WHILE (ITERATION < 2) { y = MAP r SET v = v + 1; }";
   (* WHILE must re-bind something it reads *)
-  expect_error "= broken"
+  expect_error "= broken";
+  (* the body's new [d] would overwrite the [d] that [e] reads, which
+     the IR's naming rule rejects (Ir.Dag.Invalid, as a Parse_error) *)
+  expect_error
+    "WHILE (CHANGES d) MAXITER 5 {\n\
+    \  e = MAP d SET v = v + 1;\n\
+    \  d = SELECT k, v FROM f;\n\
+    \  f = DISTINCT e;\n\
+     }\n"
+
+(* a name bound more than once: only the final binding keeps it, and
+   every case computes what its bindings say (cases in rebinding.ml) *)
+let test_rebinding () =
+  let csv t = Table.to_csv (Table.sort_with t compare) in
+  let names (g : Ir.Operator.graph) =
+    List.map (fun (n : Ir.Operator.node) -> n.output) g.nodes
+  in
+  let expect label ?body outputs expected_names =
+    let _, graph, inputs =
+      List.find (fun (l, _, _) -> l = label) Rebinding.cases
+    in
+    let g = graph () in
+    Alcotest.(check (list (pair string string))) (label ^ ": outputs")
+      (List.map (fun (n, t) -> (n, csv t)) outputs)
+      (List.map (fun (n, t) -> (n, csv t)) (run_graph g inputs));
+    Alcotest.(check (list string)) (label ^ ": names") expected_names
+      (names g);
+    Option.iter
+      (fun expected ->
+         let body =
+           List.find_map
+             (fun (n : Ir.Operator.node) ->
+                match n.kind with
+                | Ir.Operator.While { body; _ } -> Some body
+                | _ -> None)
+             g.nodes
+         in
+         Alcotest.(check (list string)) (label ^ ": body names") expected
+           (names (Option.get body)))
+      body
+  in
+  expect "beer sssp"
+    ~body:[ "dists"; "edges"; "step"; "cand"; "tmp4"; "tmp5"; "next";
+            "dists_1"; "dists" ]
+    [ ("dists",
+       Rebinding.table [ "node"; "cost" ]
+         [ [ 1; 0 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 6 ] ]) ]
+    [ "seeds"; "edges"; "dists" ];
+  expect "beer select then loop"
+    [ ("d_1", kv_table [ (1, 0); (2, 2) ]);
+      ("d", kv_table [ (1, 4); (2, 4) ]) ]
+    [ "r"; "tmp1"; "d_1"; "d" ];
+  (* the WHILE would overwrite [d] while [old] still reads it *)
+  expect "beer input after loop"
+    [ ("delta", kv_table [ (1, 4); (2, 4) ]) ]
+    [ "d"; "d_1"; "d"; "delta" ];
+  expect "pig alias twice"
+    [ ("out", kv_table [ (2, 2); (4, 5) ]) ]
+    [ "r"; "b_1"; "b_2"; "b"; "out" ];
+  expect "hive name twice"
+    [ ("x", kv_table [ (2, 2); (4, 5); (4, 5) ]) ]
+    [ "r"; "tmp1"; "x_1"; "tmp3"; "x" ]
 
 (* ---------------- Hive ---------------- *)
 
@@ -478,7 +539,20 @@ let test_lindi_shared_subquery () =
          match n.kind with Ir.Operator.Input _ -> true | _ -> false)
       g.Ir.Operator.nodes
   in
-  Alcotest.(check int) "one shared input node" 1 (List.length inputs)
+  Alcotest.(check int) "one shared input node" 1 (List.length inputs);
+  (* structurally equal queries built separately stay two nodes *)
+  let twice =
+    Frontends.Lindi.union
+      (Frontends.Lindi.where Expr.(col "v" > int 1) (Frontends.Lindi.read "r"))
+      (Frontends.Lindi.where Expr.(col "v" > int 1) (Frontends.Lindi.read "r"))
+  in
+  let kinds =
+    List.map
+      (fun (n : Ir.Operator.node) -> Ir.Operator.kind_name n.kind)
+      (Frontends.Lindi.finish ~name:"out" twice).Ir.Operator.nodes
+  in
+  Alcotest.(check (list string)) "two scans, two selects"
+    [ "INPUT"; "SELECT"; "INPUT"; "SELECT"; "UNION" ] kinds
 
 let test_lindi_iterate () =
   let q =
@@ -561,7 +635,8 @@ let () =
           Alcotest.test_case "while iteration" `Quick test_beer_while_iteration;
           Alcotest.test_case "loop-carried inference" `Quick
             test_beer_while_loop_carried_inference;
-          Alcotest.test_case "parse errors" `Quick test_beer_parse_errors ] );
+          Alcotest.test_case "parse errors" `Quick test_beer_parse_errors;
+          Alcotest.test_case "names bound twice" `Quick test_rebinding ] );
       ( "hive",
         [ Alcotest.test_case "listing 1" `Quick test_hive_listing1;
           Alcotest.test_case "where/setops" `Quick test_hive_where_and_setops;

@@ -581,7 +581,7 @@ let sum_counters prefix =
    diamond kernel (which its JOIN head joins), and nothing on the row
    kernels *)
 let test_kmeans_fused_heads () =
-  let m = Experiments.Common.musketeer_for (Engines.Cluster.ec2 ~nodes:16) in
+  let m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes:16) () in
   let heads0 = counter "kernel.columnar.argmin"
   and rows0 = sum_counters "kernel.row." in
   Relation.Column.with_enabled true (fun () ->

@@ -74,6 +74,131 @@ let test_validate_rejects_forward_edge () =
   (try Ir.Dag.validate bad; Alcotest.fail "expected Invalid"
    with Ir.Dag.Invalid _ -> ())
 
+(* one relation, one name: within one graph (a WHILE body is a scope of
+   its own) a name belongs to one node, except where a node replaces an
+   INPUT after its last read *)
+let names g =
+  List.map (fun (n : Ir.Operator.node) -> n.output) g.Ir.Operator.nodes
+
+(* [g] with node [id]'s output named [name], past the builder *)
+let renamed (g : Ir.Operator.graph) id name =
+  { g with
+    nodes =
+      List.map
+        (fun (n : Ir.Operator.node) ->
+           if n.id = id then { n with output = name } else n)
+        g.nodes }
+
+(* [Dag.validate] rejects two relations under one name; [Builder]
+   renames every holder but the one the rule lets keep it *)
+let test_unique_names () =
+  let invalid what g =
+    match Ir.Dag.validate g with
+    | () -> Alcotest.failf "%s: expected Invalid" what
+    | exception Ir.Dag.Invalid _ -> ()
+  in
+  (* a name given twice: the last holder keeps it *)
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let x = Ir.Builder.select b ~name:"x" ~pred:Expr.(col "v" > int 0) r in
+  let g = Ir.Builder.finish b ~outputs:[ Ir.Builder.distinct b ~name:"x" x ] in
+  Alcotest.(check (list string)) "superseded" [ "r"; "x_1"; "x" ] (names g);
+  invalid "two nodes, one name" (renamed g 1 "x");
+  (* an INPUT replaced before a later read *)
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let r' = Ir.Builder.distinct b ~name:"r" r in
+  let late = Ir.Builder.select b ~pred:Expr.(col "v" > int 0) r in
+  let g = Ir.Builder.finish b ~outputs:[ Ir.Builder.union b r' late ] in
+  Alcotest.(check (list string)) "read after"
+    [ "r"; "r_1"; "tmp2"; "tmp3" ] (names g);
+  invalid "an INPUT replaced before a later read" (renamed g 1 "r");
+  (* an INPUT replaced beside a reader it does not follow *)
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let s = Ir.Builder.select b ~pred:Expr.(col "v" > int 0) r in
+  let r' = Ir.Builder.distinct b ~name:"r" (Ir.Builder.input b "q") in
+  let g = Ir.Builder.finish b ~outputs:[ s; r' ] in
+  Alcotest.(check (list string)) "beside" [ "r"; "tmp1"; "q"; "r_1" ]
+    (names g);
+  invalid "an INPUT replaced beside a reader it does not follow"
+    (renamed g 3 "r");
+  (* every read of [r] precedes the node that replaces it *)
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let s = Ir.Builder.select b ~name:"s" ~pred:Expr.(col "v" > int 0) r in
+  let g = Ir.Builder.finish b ~outputs:[ Ir.Builder.union b ~name:"r" s r ] in
+  Alcotest.(check (list string)) "in-place update" [ "r"; "s"; "r" ] (names g);
+  (* two scans of one relation are one relation *)
+  let b = Ir.Builder.create () in
+  let u =
+    Ir.Builder.union b (Ir.Builder.input b "r") (Ir.Builder.input b "r")
+  in
+  Alcotest.(check (list string)) "two scans" [ "r"; "r"; "tmp2" ]
+    (names (Ir.Builder.finish b ~outputs:[ u ]))
+
+(* a minted name that a given one also uses is renamed; a build with no
+   collision keeps its names *)
+let test_fresh_names () =
+  let build ~given =
+    let b = Ir.Builder.create () in
+    let r = Ir.Builder.input b "r" in
+    let s = Ir.Builder.select b ~pred:Expr.(col "v" > int 0) r in
+    let o = Ir.Builder.distinct b ~name:given s in
+    Ir.Builder.finish b ~outputs:[ o ]
+  in
+  Alcotest.(check (list string)) "no collision" [ "r"; "tmp1"; "out" ]
+    (names (build ~given:"out"));
+  Alcotest.(check (list string)) "minted name renamed"
+    [ "r"; "tmp1_1"; "tmp1" ] (names (build ~given:"tmp1"));
+  let b = Ir.Builder.create () in
+  let r = Ir.Builder.input b "r" in
+  let s = Ir.Builder.select b ~pred:Expr.(col "v" > int 0) r in
+  let t = Ir.Builder.distinct b ~name:"tmp1_1" s in
+  let u = Ir.Builder.union b ~name:"tmp1" s t in
+  Alcotest.(check (list string)) "skips taken suffixes"
+    [ "r"; "tmp1_2"; "tmp1_1"; "tmp1" ]
+    (names (Ir.Builder.finish b ~outputs:[ u ]))
+
+(* k-means updates [centroids] in place: the body's loop-carried result
+   replaces the body INPUT it rebinds, and the WHILE replaces the
+   workflow INPUT it alone reads *)
+let test_kmeans_in_place () =
+  let g = Workloads.Workflows.kmeans ~iterations:2 () in
+  let loop =
+    List.find
+      (fun (n : Ir.Operator.node) ->
+         match n.kind with Ir.Operator.While _ -> true | _ -> false)
+      g.Ir.Operator.nodes
+  in
+  Alcotest.(check string) "WHILE result" "centroids" loop.output;
+  Alcotest.(check (list string)) "reads" [ "points"; "centroids" ]
+    (List.map (fun i -> (Ir.Dag.node g i).Ir.Operator.output) loop.inputs);
+  (* with a reader of the old centroids after it, the loop's result
+     takes a fresh name, and keeping [centroids] breaks the rule *)
+  let b = Ir.Builder.create () in
+  let inputs =
+    List.map
+      (fun i -> Ir.Builder.input b (Ir.Dag.node g i).Ir.Operator.output)
+      loop.inputs
+  in
+  let body =
+    match loop.kind with
+    | Ir.Operator.While { body; _ } -> body
+    | _ -> assert false
+  in
+  let w =
+    Ir.Builder.while_ b ~condition:(Ir.Operator.Fixed_iterations 2)
+      ~max_iterations:3 ~body inputs
+  in
+  let old = Ir.Builder.distinct b ~name:"old" (List.nth inputs 1) in
+  let g = Ir.Builder.finish b ~outputs:[ w; old ] in
+  Alcotest.(check (list string)) "fresh result"
+    [ "points"; "centroids"; "centroids_1"; "old" ] (names g);
+  match Ir.Dag.validate (renamed g (Ir.Builder.id w) "centroids") with
+  | () -> Alcotest.fail "a read after the in-place update validated"
+  | exception Ir.Dag.Invalid _ -> ()
+
 let test_consumers_sinks () =
   let g, (inp, l, r, u) = diamond_graph () in
   Alcotest.(check (list int)) "input feeds both branches" [ l; r ]
@@ -676,6 +801,10 @@ let () =
           Alcotest.test_case "bad arity" `Quick test_validate_rejects_bad_arity;
           Alcotest.test_case "forward edge" `Quick
             test_validate_rejects_forward_edge;
+          Alcotest.test_case "unique names" `Quick test_unique_names;
+          Alcotest.test_case "fresh names" `Quick test_fresh_names;
+          Alcotest.test_case "k-means updates in place" `Quick
+            test_kmeans_in_place;
           Alcotest.test_case "consumers/sinks" `Quick test_consumers_sinks;
           Alcotest.test_case "topological order" `Quick test_topological_order;
           Alcotest.test_case "order enumeration" `Quick

@@ -12,6 +12,12 @@ let lite_seed =
 
 let cluster = Experiments.Common.ec2 16
 
+(* one calibration per suite; each manager starts with an empty history *)
+let calibrated = Musketeer.create ~cluster ()
+
+let manager () =
+  Musketeer.with_history calibrated (Musketeer.History.create ())
+
 (* ---- fixtures (mirrors the serve bench's tiny key/value world) ---- *)
 
 let kv_schema =
@@ -109,7 +115,7 @@ let plan_once ?breaker ~cache m ~hdfs g =
 
 let test_cache_miss_then_hit () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cache = Musketeer.Plan_cache.create () in
   let g = agg_graph () in
   check_stats "first plan misses" (0, 1, 0) (plan_once ~cache m ~hdfs g);
@@ -121,7 +127,7 @@ let test_cache_miss_then_hit () =
 
 let test_cache_invalidate_on_input_size () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cache = Musketeer.Plan_cache.create () in
   let g = agg_graph () in
   ignore (plan_once ~cache m ~hdfs g);
@@ -136,7 +142,7 @@ let test_cache_invalidate_on_input_size () =
    served the other's plan *)
 let test_cache_invalidate_on_calibration () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let calibrated =
     Musketeer.with_calibration m
       (List.map (fun b -> (Engines.Backend.name b, 3.0)) Engines.Backend.all)
@@ -152,7 +158,7 @@ let test_cache_invalidate_on_calibration () =
 
 let test_cache_invalidate_on_breaker () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cache = Musketeer.Plan_cache.create () in
   let g = agg_graph () in
   let breaker = Engines.Breaker.create ~threshold:1 ~window:4 () in
@@ -242,7 +248,7 @@ let test_scan_intra_flight_counters () =
    replaying a cached plan's scans used to double-bump them. *)
 let test_scan_cross_counters_repeat_traffic () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let svc = Serve.Service.create ~config:(config ()) m ~hdfs in
   let g = agg_graph () in
   let cross0 = metric "scan.cross_workflow"
@@ -266,7 +272,7 @@ let test_scan_cross_counters_repeat_traffic () =
 
 let test_serve_cache_labels () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let g = agg_graph () in
   let outcomes, _ =
     Serve.Service.run ~config:(config ()) m ~hdfs
@@ -280,7 +286,7 @@ let test_serve_cache_labels () =
 
 let test_put_input_invalidates () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let svc = Serve.Service.create ~config:(config ()) m ~hdfs in
   let g = agg_graph () in
   let label at =
@@ -303,7 +309,7 @@ let test_put_input_invalidates () =
    and drain "a" completely first. *)
 let test_wfq_weighted_order () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let g = agg_graph () in
   let subs =
     List.concat_map
@@ -331,7 +337,7 @@ let test_breaker_per_tenant () =
       Serve.Service.breaker =
         Some (Engines.Breaker.create ~threshold:1 ~window:4 ()) }
   in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let svc = Serve.Service.create ~config m ~hdfs:(fresh_hdfs ()) in
   let other = Serve.Service.create ~config m ~hdfs:(fresh_hdfs ()) in
   let quarantined svc tenant =
@@ -368,7 +374,7 @@ let fault_plan spec =
    victim once the tenant cap trips *)
 let test_shed_reject_newest () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cfg =
     { (config ~concurrency:1 ()) with
       Serve.Service.tenant_queue_cap = 1 }
@@ -405,7 +411,7 @@ let test_shed_reject_newest () =
    tenant with the smallest WFQ weight *)
 let test_shed_lowest_weight () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cfg =
     { (config ~concurrency:1
          ~weights:[ ("gold", 4.); ("bronze", 1.) ] ()) with
@@ -434,7 +440,7 @@ let test_shed_lowest_weight () =
 
 let test_shed_oldest_first () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cfg =
     { (config ~concurrency:1 ()) with
       Serve.Service.tenant_queue_cap = 1;
@@ -461,7 +467,7 @@ let test_shed_oldest_first () =
    before admission, with no execution *)
 let test_slo_expires_queued () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let outcomes, _ =
     Serve.Service.run ~config:(config ~concurrency:1 ()) m ~hdfs
       [ sub ~tenant:"a" ~workflow:"heavy" ~at:0. (heavy_graph ());
@@ -481,7 +487,7 @@ let test_slo_expires_queued () =
    completion, even if it blows its own deadline doing so *)
 let test_slo_never_cancels_started () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let outcomes, svc =
     Serve.Service.run ~config:(config ()) m ~hdfs
       [ sub ~slo:0.0001 ~at:0. (agg_graph ()) ]
@@ -508,7 +514,7 @@ let test_latencies_repeat_exactly () =
   let latencies () =
     let outcomes, _ =
       Serve.Service.run ~config:(config ~concurrency:1 ())
-        (Experiments.Common.musketeer_for cluster)
+        (manager ())
         ~hdfs:(fresh_hdfs ()) (trace ())
     in
     List.map
@@ -526,7 +532,7 @@ let test_latencies_repeat_exactly () =
    bytes a submission completes with *)
 let test_degradation_ladder () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let cfg =
     { (config ~concurrency:1 ()) with
       Serve.Service.pressure_threshold_s = 0.05 }
@@ -568,7 +574,7 @@ let test_degradation_ladder () =
    landed *)
 let test_failed_payer_expires_flights () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   (* one injected rejection per submission (plans are reseeded per
      submission), no recovery: both executions fail outright *)
   let cfg =
@@ -598,7 +604,7 @@ let test_retry_budget () =
   in
   let serve_one budget =
     let hdfs = fresh_hdfs () in
-    let m = Experiments.Common.musketeer_for cluster in
+    let m = manager () in
     let cfg =
       { (config ()) with
         Serve.Service.inject = Some (fault_plan "reject");
@@ -637,7 +643,7 @@ let test_retry_budgets_stay_apart () =
         { Musketeer.Recovery.none with Musketeer.Recovery.max_retries = 2 };
       retry_budget = 1.; retry_refill_per_s = 0. }
   in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let a = Serve.Service.create ~config:cfg m ~hdfs:(fresh_hdfs ())
   and b = Serve.Service.create ~config:cfg m ~hdfs:(fresh_hdfs ()) in
   let served svc at =
@@ -661,7 +667,7 @@ let test_restore_replays_ledger () =
         Some (Engines.Breaker.create ~threshold:1 ~window:4 ~cooldown:4 ()) }
   in
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let svc = Serve.Service.create ~config m ~hdfs in
   let serve_rec ~breaker_open ~epochs =
     Obs.Ledger.snapshot
@@ -720,7 +726,7 @@ let test_serve_identity_differential () =
           let hdfs = Qcheck_lite.hdfs_of_spec spec in
           let base = Engines.Hdfs.snapshot hdfs in
           let reference =
-            let m = Experiments.Common.musketeer_for cluster in
+            let m = manager () in
             match
               Musketeer.plan m ~workflow:"spec" ~hdfs:base g
             with
@@ -734,7 +740,7 @@ let test_serve_identity_differential () =
                 Alcotest.fail (Engines.Report.error_to_string e)
               | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
           in
-          let m = Experiments.Common.musketeer_for cluster in
+          let m = manager () in
           let outcomes, _ =
             Serve.Service.run ~config:(config ()) m ~hdfs
               [ sub ~tenant:"a" ~workflow:"spec" ~at:0. g;
@@ -767,7 +773,7 @@ let test_chaos_differential_property () =
       let hdfs = Qcheck_lite.hdfs_of_spec spec in
       let base = Engines.Hdfs.snapshot hdfs in
       let reference =
-        let m = Experiments.Common.musketeer_for cluster in
+        let m = manager () in
         match Musketeer.plan m ~workflow:"spec" ~hdfs:base g with
         | None -> Alcotest.fail "spec should plan"
         | Some (plan', g') -> (
@@ -790,7 +796,7 @@ let test_chaos_differential_property () =
               Musketeer.Recovery.max_retries = 1 };
           inject = Some plan }
       in
-      let m = Experiments.Common.musketeer_for cluster in
+      let m = manager () in
       let subs =
         List.init 3 (fun i ->
             sub ~tenant:"a" ~workflow:"spec"
@@ -847,13 +853,7 @@ let test_services_isolated_property () =
     (fun spec ->
       let g = Qcheck_lite.graph_of_spec spec in
       let service config factors =
-        let m =
-          Musketeer.with_calibration
-            (Musketeer.with_history
-               (Experiments.Common.musketeer_for cluster)
-               (Musketeer.History.create ()))
-            factors
-        in
+        let m = Musketeer.with_calibration (manager ()) factors in
         Serve.Service.create ~config m ~hdfs:(Qcheck_lite.hdfs_of_spec spec)
       in
       let batch i =
@@ -915,7 +915,7 @@ let test_fairness_property () =
       in
       let serve subs =
         let hdfs = fresh_hdfs () in
-        let m = Experiments.Common.musketeer_for cluster in
+        let m = manager () in
         let outcomes, _ =
           Serve.Service.run
             ~config:(config ~concurrency:2 ~weights ())

@@ -15,6 +15,12 @@ let lite_seed =
 
 let cluster = Experiments.Common.ec2 16
 
+(* one calibration per suite; each manager starts with an empty history *)
+let calibrated = Musketeer.create ~cluster ()
+
+let manager () =
+  Musketeer.with_history calibrated (Musketeer.History.create ())
+
 (* ---- fixtures (the serve suite's tiny key/value world) ---- *)
 
 let kv_schema =
@@ -121,7 +127,7 @@ let sorted_csv outputs =
     (List.map (fun (name, t) -> (name, Relation.Table.to_csv t)) outputs)
 
 let run_graph ~hdfs g =
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   match Musketeer.plan m ~workflow:"t" ~hdfs g with
   | None -> Alcotest.fail "graph should plan"
   | Some (plan, g') -> (
@@ -455,7 +461,7 @@ let test_engine_write_invalidates () =
         (Share.claim store ~relation:"r2" ~mb:48.));
   let e0 = Share.epoch store "r2" in
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   (match Musketeer.plan m ~workflow:"w" ~hdfs (write_r2_graph ()) with
    | None -> Alcotest.fail "graph should plan"
    | Some (plan, g) -> (
@@ -787,7 +793,7 @@ let test_store_model () =
    overwrite bumps the epoch and the next submission pays again. *)
 let test_serve_pays_once_per_epoch () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let g = agg_graph () in
   let reference = run_graph ~hdfs:(fresh_hdfs ()) g in
   let service =
@@ -837,7 +843,7 @@ let test_serve_pays_once_per_epoch () =
    share one materialization through the flight table. *)
 let test_serve_co_admission_attaches () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let outcomes, _ =
     Serve.Service.run
       ~config:(config ~concurrency:2 ~subresult_cache_mb:256. ())
@@ -864,7 +870,7 @@ let test_serve_co_admission_attaches () =
 
 let test_serve_sharing_off_by_default () =
   let hdfs = fresh_hdfs () in
-  let m = Experiments.Common.musketeer_for cluster in
+  let m = manager () in
   let outcomes, _ =
     Serve.Service.run ~config:(config ()) m ~hdfs
       [ sub ~at:0. (agg_graph ()); sub ~at:10000. (agg_graph ()) ]
@@ -893,7 +899,7 @@ let test_sharing_identity_differential () =
           let hdfs = Qcheck_lite.hdfs_of_spec spec in
           let base = Engines.Hdfs.snapshot hdfs in
           let reference =
-            let m = Experiments.Common.musketeer_for cluster in
+            let m = manager () in
             match
               Musketeer.plan m ~workflow:"spec" ~hdfs:base g
             with
@@ -907,7 +913,7 @@ let test_sharing_identity_differential () =
                 Alcotest.fail (Engines.Report.error_to_string e)
               | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
           in
-          let m = Experiments.Common.musketeer_for cluster in
+          let m = manager () in
           let outcomes, _ =
             Serve.Service.run
               ~config:(config ~subresult_cache_mb:256. ())
