@@ -134,7 +134,8 @@ let bechamel () =
 
    Times each hot kernel on NetFlix-scale synthetic tables (CROSS on
    k-means-shaped ones: 4 000 points x 100 centroids; JOIN → SELECT
-   on k-means' arg-min step, and the whole arg-min diamond) two ways: the row engine with the
+   on k-means' arg-min step, the whole arg-min diamond, and its
+   distance expression alone) two ways: the row engine with the
    columnar gate off (the pre-columnar baseline) and the columnar
    path. Both outputs must be byte-identical (CSV
    compare; fatal otherwise). Ratios are row-baseline / columnar —
@@ -144,6 +145,8 @@ let bechamel () =
 
 let kernels () =
   let open Relation in
+  (* pairs per block, as in the columnar pair kernels *)
+  let pair_block = 256 in
   let ratings_n = 400_000 and movies_n = 17_000 in
   let ratings =
     let schema =
@@ -252,6 +255,64 @@ let kernels () =
           (Kernel.join d (best groups) ~left_key:"pid" ~right_key:"pid2")
           Expr.(col "dist" = col "bd")
   in
+  (* k-means' distance alone over the same 1,200 x 100 pairs, in the
+     CROSS's order: with the gate on, one compiled program run on each
+     block of 256 pairs, every column read through the block's rows;
+     with it off, [Expr.compile] on each pair's row *)
+  let expr () =
+    let pts, cents = Workloads.Datagen.kmeans_points ~points:1200 ~k:100 () in
+    let pts = pts.Workloads.Datagen.table
+    and cents = cents.Workloads.Datagen.table in
+    let schema = Schema.concat (Table.schema pts) (Table.schema cents) in
+    let expr =
+      Expr.(
+        ((col "px" - col "cx") * (col "px" - col "cx"))
+        + ((col "py" - col "cy") * (col "py" - col "cy")))
+    in
+    let nr = Table.row_count cents in
+    let pairs = Table.row_count pts * nr in
+    let dists out =
+      Table.of_columns
+        (Schema.make [ { Schema.name = "dist"; ty = Value.Tfloat } ])
+        [| Column.make (Column.Floats out) |]
+    in
+    fun () ->
+      let out = Array.create_float pairs in
+      if Column.enabled () then begin
+        let prog = Option.get (Vector.compile schema expr) in
+        let cols = Array.append (Table.columns pts) (Table.columns cents) in
+        let nleft = Schema.arity (Table.schema pts) in
+        let lbuf = Array.make pair_block 0 and rbuf = Array.make pair_block 0 in
+        let sel i = Vector.Sparse (if i < nleft then lbuf else rbuf) in
+        let p = ref 0 and l = ref 0 and r = ref 0 in
+        while !p < pairs do
+          let n = min pair_block (pairs - !p) in
+          for k = 0 to n - 1 do
+            lbuf.(k) <- !l;
+            rbuf.(k) <- !r;
+            incr r;
+            if !r = nr then begin
+              r := 0;
+              incr l
+            end
+          done;
+          (match Vector.run prog cols ~len:n ~sel with
+           | Vector.VFloat a -> Array.blit a 0 out !p n
+           | _ -> assert false);
+          p := !p + n
+        done
+      end
+      else begin
+        let f = Expr.compile schema expr in
+        let lrows = Table.rows pts and rrows = Table.rows cents in
+        for p = 0 to pairs - 1 do
+          match f (Array.append lrows.(p / nr) rrows.(p mod nr)) with
+          | Value.Float x -> out.(p) <- x
+          | _ -> assert false
+        done
+      end;
+      dists out
+  in
   let kernels =
     [ ("select", fun () -> Kernel.select ratings Expr.(col "rating" >= int 4));
       ("project", fun () -> Kernel.project ratings [ "user"; "rating" ]);
@@ -276,7 +337,8 @@ let kernels () =
       (* k-means' assignment step: every point against every centroid *)
       ("cross", fun () -> Kernel.cross_join points centroids);
       ("join_select", join_select);
-      ("argmin", argmin ()) ]
+      ("argmin", argmin ());
+      ("expr", expr ()) ]
   in
   let reps = 5 in
   let best_of ~columnar f =

@@ -55,20 +55,19 @@ let fast_int_filter (a : int array) op k =
 
 (* ---- reading through a view ---- *)
 
-(* Evaluates [e] over the [n] rows of a view: each column reads
-   through its group's index. *)
-let eval_view schema (v : Table.view) ~n e =
-  Vector.eval schema (Array.map fst v.vcols) ~len:n
+(* Runs [prog] over the [n] rows of a view: each column reads through
+   its group's index. *)
+let eval_view ~run prog (v : Table.view) ~n =
+  run prog (Array.map fst v.vcols) ~len:n
     ~sel:(fun i ->
         match v.vcols.(i) with
         | _, -1 -> Vector.Dense
         | _, g -> Vector.Sparse v.idx.(g))
-    e
 
 (* the rows of [v] that [pred] keeps. [col ⊕ const] over a row-aligned
    int column filters it in place; the predicate has type-checked, so
    its column exists *)
-let select_indices schema (v : Table.view) ~n pred =
+let select_indices schema (v : Table.view) ~n prog pred =
   let in_place =
     match (pred : Expr.t) with
     | Expr.Cmp (op, Expr.Col c, Expr.Const (Value.Int k)) -> (
@@ -81,30 +80,30 @@ let select_indices schema (v : Table.view) ~n pred =
   | Some idx -> idx
   | None ->
     mask_to_indices
-      (Vector.to_mask ~length:n (eval_view schema v ~n pred))
+      (Vector.to_mask ~length:n (eval_view ~run:Vector.run prog v ~n))
 
 let try_select t pred =
   if not (Column.enabled ()) then fallback "disabled"
   else begin
     let schema = Table.schema t in
-    if not (Vector.vectorizable schema pred) then fallback "not_vectorizable"
-    else if Expr.infer schema pred <> Value.Tbool then
+    match Vector.compile schema pred with
+    | None -> fallback "not_vectorizable"
+    | Some prog when Vector.ty prog <> Value.Tbool ->
       (* row path raises per live row; let it *)
       fallback "non_bool_predicate"
-    else begin
+    | Some prog ->
       mark "select";
       let n = Table.row_count t in
       if n = 0 then Some t
       else begin
         let v = Table.parts t in
-        let keep = select_indices schema v ~n pred in
+        let keep = select_indices schema v ~n prog pred in
         let kept = Array.length keep in
         (* nothing filtered: the view is shared as it is *)
         Some
           (Table.of_view schema ~rows:kept
              (if kept = n then v else Table.reindex v keep))
       end
-    end
   end
 
 (* ---- PROJECT ---- *)
@@ -132,16 +131,18 @@ let try_map_column t ~target ~expr =
   if not (Column.enabled ()) then fallback "disabled"
   else begin
     let schema = Table.schema t in
-    if not (Vector.vectorizable schema expr) then fallback "not_vectorizable"
-    else begin
+    match Vector.compile schema expr with
+    | None -> fallback "not_vectorizable"
+    | Some prog ->
       mark "map";
-      let ty = Expr.infer schema expr in
+      let ty = Vector.ty prog in
       let out_schema = Schema.with_column schema { Schema.name = target; ty } in
       let n = Table.row_count t in
       let v = Table.parts t in
       let new_col =
         if n = 0 then empty_column ty
-        else Vector.to_column ~length:n (eval_view schema v ~n expr)
+        else
+          Vector.to_column ~length:n (eval_view ~run:Vector.run_kept prog v ~n)
       in
       let vcols =
         if Schema.mem schema target then begin
@@ -152,7 +153,6 @@ let try_map_column t ~target ~expr =
         else Array.append v.vcols [| (new_col, -1) |]
       in
       Some (Table.of_view out_schema ~rows:n { v with vcols })
-    end
   end
 
 (* ---- dense key codes ----
@@ -550,58 +550,80 @@ let place_by_right counts chunks =
     chunks;
   (lidx, ridx)
 
-(* The selection of each column of [lv]'s columns then [rv]'s, over a
-   block of pairs: [lbuf.(k)] and [rbuf.(k)] are pair k's rows. Each
-   column reads its base through its group's index composed with the
-   block's rows, composed once per group and only for the columns an
-   expression names. *)
-let pair_sel (lv : Table.view) (rv : Table.view) lbuf rbuf =
-  let through (v : Table.view) buf =
-    let memo = Array.make (Array.length v.idx) None in
-    fun g ->
-      if g < 0 then Vector.Sparse buf
-      else
-        match memo.(g) with
-        | Some ix -> Vector.Sparse ix
-        | None ->
-          let ix = Table.compose v.idx.(g) buf in
-          memo.(g) <- Some ix;
-          Vector.Sparse ix
+(* The selection of each of [lv]'s columns then [rv]'s over a block of
+   pairs, made once per kernel call: [set lbuf rbuf n] moves it to a
+   block whose pair k, for k < n, is left row [lbuf.(k)] and right row
+   [rbuf.(k)]. A column reads its base through its group's index
+   composed with the block's rows: composed once per group and block,
+   only for the columns a program reads, into a buffer reused from
+   block to block. *)
+let pair_sel (lv : Table.view) (rv : Table.view) =
+  let side (v : Table.view) =
+    let groups = Array.length v.idx in
+    let composed = Array.make groups [||] and ready = Array.make groups false in
+    let buf = ref [||] and len = ref 0 in
+    let set b n =
+      buf := b;
+      len := n;
+      Array.fill ready 0 groups false
+    in
+    let sel g =
+      if g < 0 then Vector.Sparse !buf
+      else begin
+        if not ready.(g) then begin
+          let b = !buf and ix = v.idx.(g) in
+          if Array.length composed.(g) < !len then
+            composed.(g) <- Array.make !len 0;
+          let out = composed.(g) in
+          for k = 0 to !len - 1 do
+            out.(k) <- ix.(b.(k))
+          done;
+          ready.(g) <- true
+        end;
+        Vector.Sparse composed.(g)
+      end
+    in
+    (set, sel)
   in
-  let left_sel = through lv lbuf and right_sel = through rv rbuf in
+  let lset, lsel = side lv and rset, rsel = side rv in
   let nleft = Array.length lv.vcols in
-  fun i ->
-    if i < nleft then left_sel (snd lv.vcols.(i))
-    else right_sel (snd rv.vcols.(i - nleft))
+  ( (fun lbuf rbuf n ->
+        lset lbuf n;
+        rset rbuf n),
+    fun i ->
+      if i < nleft then lsel (snd lv.vcols.(i))
+      else rsel (snd rv.vcols.(i - nleft)) )
 
 (* The smaller side is the build side, so no array is sized by the
    larger input (k-means' 120,000-row [d] probes 1,200 buckets), and
-   only the survivors are placed. *)
+   only the survivors are placed. The predicate is compiled once, by
+   the refusal check, and run on each block. *)
 let try_join_select left right ~left_key ~right_key ~pred =
+  let prog = ref None in
   let refuse schema =
-    if not (Vector.vectorizable schema pred) then Some "not_vectorizable"
-    else if Expr.infer schema pred <> Value.Tbool then
-      Some "non_bool_predicate"
-    else None
+    match Vector.compile schema pred with
+    | None -> Some "not_vectorizable"
+    | Some p when Vector.ty p <> Value.Tbool -> Some "non_bool_predicate"
+    | Some p ->
+      prog := Some p;
+      None
   in
   let build_left = Table.row_count left <= Table.row_count right in
   match join_matches ~refuse ~build_left left right ~left_key ~right_key with
   | Error reason -> refused reason
   | Ok m ->
+    let prog = Option.get !prog in
     let bases =
       Array.append (Array.map fst m.lv.vcols) (Array.map fst m.rv.vcols)
     in
     mark "join_select";
+    let set_block, sel = pair_sel m.lv m.rv in
     let counts = Array.make (Table.row_count right) 0 in
     let kept = ref [] in
-    iter_pairs m ~block:pair_block (fun lbuf rbuf n ->
-        let lb = if n = pair_block then lbuf else Array.sub lbuf 0 n
-        and rb = if n = pair_block then rbuf else Array.sub rbuf 0 n in
+    iter_pairs m ~block:pair_block (fun lb rb n ->
+        set_block lb rb n;
         let mask =
-          Vector.to_mask ~length:n
-            (Vector.eval m.out_schema bases ~len:n
-               ~sel:(pair_sel m.lv m.rv lb rb)
-               pred)
+          Vector.to_mask ~length:n (Vector.run prog bases ~len:n ~sel)
         in
         let hits = ref 0 in
         for k = 0 to n - 1 do
@@ -896,7 +918,9 @@ let argmin_refused reason =
 (* [f lbuf rbuf n] on the pairs of left rows [lo, hi) × [nr] right
    rows in the CROSS's order — left-major, right-minor — in blocks of at
    most [pair_block] pairs that start at a left row's first pair: as
-   many whole left rows as fit, or one left row's pairs in runs. *)
+   many whole left rows as fit, or one left row's pairs in runs. Pair k
+   of a block, for k < n, is [lbuf.(k)] × [rbuf.(k)]; the two buffers
+   are reused from block to block. *)
 let iter_cross ~lo ~hi nr f =
   let span = min nr pair_block in
   let rows = if nr = 0 then 0 else max 1 (pair_block / nr) in
@@ -914,14 +938,14 @@ let iter_cross ~lo ~hi nr f =
       let j = ref 0 in
       while !j < nr do
         let n = min span (nr - !j) in
-        f (Array.sub lbuf 0 n) (Array.init n (fun k -> !j + k)) n;
+        for k = 0 to n - 1 do
+          rbuf.(k) <- !j + k
+        done;
+        f lbuf rbuf n;
         j := !j + n
       done
     end
-    else if take = rows then f lbuf rbuf len
-    else
-      f (Array.sub lbuf 0 (take * nr)) (Array.sub rbuf 0 (take * nr))
-        (take * nr);
+    else f lbuf rbuf (take * nr);
     i := !i + take
   done
 
@@ -943,9 +967,10 @@ let spread_bytes (v : Table.view) ~pairs =
    pair already found, or, for a row with ties, that row's pairs
    evaluated again. MIN is in pair order with strict comparison, so the
    first value seen is kept, as in [Aggregate.step]. *)
-let argmin_run left right ~cross_schema ~d_schema ~target ~ty ~expr ~key
-    ~min_as =
+let argmin_run left right ~cross_schema ~d_schema ~target ~prog ~key ~min_as
+    =
   mark "argmin";
+  let ty = Vector.ty prog in
   let nl = Table.row_count left and nr = Table.row_count right in
   let pairs = nl * nr in
   let lv = Table.parts left and rv = Table.parts right in
@@ -963,32 +988,34 @@ let argmin_run left right ~cross_schema ~d_schema ~target ~ty ~expr ~key
   in
   let ngroups = if nr = 0 then 0 else ngroups in
   let bases = Array.append (Array.map fst lv.vcols) (Array.map fst rv.vcols) in
+  let set_block, sel = pair_sel lv rv in
+  (* the block's values: the program's scratch, valid until the next
+     block *)
   let eval lbuf rbuf n =
-    Vector.to_column ~length:n
-      (Vector.eval cross_schema bases ~len:n ~sel:(pair_sel lv rv lbuf rbuf)
-         expr)
+    set_block lbuf rbuf n;
+    Vector.run prog bases ~len:n ~sel
   in
   let first = Array.make nl 0 and ties = Array.make nl 0 in
-  (* [segments lbuf rbuf n ~reset scan] calls [scan l ~r start stop] on
-     each left row [l]'s run of a block, where slot [q] holds the pair
-     of right row [r + q]. When the run holds the row's first pair,
-     [reset l k] first makes that pair's value the row's MIN, and the
-     scan starts after it. *)
-  let segments lbuf rbuf n ~reset scan =
+  (* [segments a lbuf rbuf n ~reset ~scan] calls [scan a l ~r start
+     stop] on each left row [l]'s run of a block, where slot [q] holds
+     the pair of right row [r + q]. When the run holds the row's first
+     pair, [reset a l k] first makes that pair's value the row's MIN,
+     and the scan starts after it. *)
+  let segments a lbuf rbuf n ~reset ~scan =
     let k = ref 0 in
     while !k < n do
       let l = lbuf.(!k) and r0 = rbuf.(!k) in
       let stop = min n (!k + nr - r0) in
       let start =
         if r0 = 0 then begin
-          reset l !k;
+          reset a l !k;
           first.(l) <- 0;
           ties.(l) <- 1;
           !k + 1
         end
         else !k
       in
-      scan l ~r:(r0 - !k) start stop;
+      scan a l ~r:(r0 - !k) start stop;
       k := stop
     done
   in
@@ -996,51 +1023,60 @@ let argmin_run left right ~cross_schema ~d_schema ~target ~ty ~expr ~key
     match ty with
     | Value.Tfloat ->
       let m = Array.make nl 0. in
+      let reset (a : float array) l k = m.(l) <- a.(k) in
+      let scan (a : float array) l ~r start stop =
+        let best = ref m.(l) and at = ref first.(l) and tied = ref ties.(l) in
+        for q = start to stop - 1 do
+          let x = a.(q) and y = !best in
+          (* [Float.compare], with the ordered cases inline *)
+          let c =
+            if x < y then -1
+            else if x > y then 1
+            else if x = y then 0
+            else Float.compare x y
+          in
+          if c < 0 then begin
+            best := x;
+            at := r + q;
+            tied := 1
+          end
+          else if c = 0 then incr tied
+        done;
+        m.(l) <- !best;
+        first.(l) <- !at;
+        ties.(l) <- !tied
+      in
       iter_cross ~lo:0 ~hi:nl nr (fun lbuf rbuf n ->
-          match (eval lbuf rbuf n).Column.data with
-          | Column.Floats a ->
-            segments lbuf rbuf n ~reset:(fun l k -> m.(l) <- a.(k))
-              (fun l ~r start stop ->
-                 let best = ref m.(l) and at = ref first.(l)
-                 and tied = ref ties.(l) in
-                 for q = start to stop - 1 do
-                   let x = a.(q) and y = !best in
-                   (* [Float.compare], with the ordered cases inline *)
-                   let c =
-                     if x < y then -1
-                     else if x > y then 1
-                     else if x = y then 0
-                     else Float.compare x y
-                   in
-                   if c < 0 then begin
-                     best := x;
-                     at := r + q;
-                     tied := 1
-                   end
-                   else if c = 0 then incr tied
-                 done;
-                 m.(l) <- !best;
-                 first.(l) <- !at;
-                 ties.(l) <- !tied)
-          | _ -> assert false);
+          let a =
+            match eval lbuf rbuf n with
+            | Vector.VFloat a -> a
+            | Vector.VConst (Value.Float x) -> Array.make n x
+            | _ -> assert false
+          in
+          segments a lbuf rbuf n ~reset ~scan);
       Column.make (Column.Floats m)
     | _ ->
       let m = Array.make nl 0 in
+      let reset (a : int array) l k = m.(l) <- a.(k) in
+      let scan (a : int array) l ~r start stop =
+        for q = start to stop - 1 do
+          let c = Int.compare a.(q) m.(l) in
+          if c < 0 then begin
+            m.(l) <- a.(q);
+            first.(l) <- r + q;
+            ties.(l) <- 1
+          end
+          else if c = 0 then ties.(l) <- ties.(l) + 1
+        done
+      in
       iter_cross ~lo:0 ~hi:nl nr (fun lbuf rbuf n ->
-          match (eval lbuf rbuf n).Column.data with
-          | Column.Ints a ->
-            segments lbuf rbuf n ~reset:(fun l k -> m.(l) <- a.(k))
-              (fun l ~r start stop ->
-                 for q = start to stop - 1 do
-                   let c = Int.compare a.(q) m.(l) in
-                   if c < 0 then begin
-                     m.(l) <- a.(q);
-                     first.(l) <- r + q;
-                     ties.(l) <- 1
-                   end
-                   else if c = 0 then ties.(l) <- ties.(l) + 1
-                 done)
-          | _ -> assert false);
+          let a =
+            match eval lbuf rbuf n with
+            | Vector.VInt a -> a
+            | Vector.VConst (Value.Int x) -> Array.make n x
+            | _ -> assert false
+          in
+          segments a lbuf rbuf n ~reset ~scan);
       Column.make (Column.Ints m)
   in
   (* each group's first row, and the row holding its MIN *)
@@ -1078,7 +1114,13 @@ let argmin_run left right ~cross_schema ~d_schema ~target ~ty ~expr ~key
           iter_cross ~lo:l ~hi:(l + 1) nr (fun lbuf rbuf n ->
               let c = eval lbuf rbuf n in
               for k = 0 to n - 1 do
-                let v = Column.get c k in
+                let v =
+                  match c with
+                  | Vector.VFloat a -> Value.Float a.(k)
+                  | Vector.VInt a -> Value.Int a.(k)
+                  | Vector.VConst v -> v
+                  | _ -> assert false
+                in
                 if Value.compare v m = 0 then keep l rbuf.(k) v
               done)
     done;
@@ -1132,10 +1174,10 @@ let try_argmin left right ~target ~expr ~key ~min_as ~min_column =
     let ls = Table.schema left in
     (* same schema (and same clash error) as the CROSS *)
     let cross_schema = Schema.concat ls (Table.schema right) in
-    if not (Vector.vectorizable cross_schema expr) then
-      argmin_refused "not_vectorizable"
-    else begin
-      let ty = Expr.infer cross_schema expr in
+    match Vector.compile cross_schema expr with
+    | None -> argmin_refused "not_vectorizable"
+    | Some prog ->
+      let ty = Vector.ty prog in
       let d_schema =
         Schema.with_column cross_schema { Schema.name = target; ty }
       in
@@ -1149,9 +1191,8 @@ let try_argmin left right ~target ~expr ~key ~min_as ~min_column =
       else if Schema.mem d_schema min_column then
         (* the SELECT would compare with a column of [d], not [best] *)
         argmin_refused "shadowed_min"
-      else Some (argmin_run left right ~cross_schema ~d_schema ~target ~ty
-                   ~expr ~key ~min_as)
-    end
+      else Some (argmin_run left right ~cross_schema ~d_schema ~target ~prog
+                   ~key ~min_as)
   end
 
 (* [best] has one row per group, in group order: the plan's shape makes

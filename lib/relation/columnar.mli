@@ -7,7 +7,7 @@
     back to the serial row path. Each refusal counts
     [kernel.fallback.<reason>], one reason per refusal:
     - [disabled]: the gate ({!Column.enabled}) is off;
-    - [not_vectorizable]: the expression is not {!Vector.vectorizable};
+    - [not_vectorizable]: {!Vector.compile} refuses the expression;
     - [non_bool_predicate]: a SELECT predicate that is not boolean (the
       row path raises on the first live row);
     - [key_type_mismatch], [float_key]: join keys of two types, or a

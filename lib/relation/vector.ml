@@ -63,125 +63,324 @@ let rec scan schema ~guarded (e : Expr.t) : Value.ty =
     if ta <> tb then raise Fallback;
     ta
 
-let vectorizable schema e =
+(* ---- programs ----
+
+   A program is the expression's distinct non-constant subexpressions,
+   one slot each, in evaluation order; an operand names a column (read
+   through its selection inside the consuming loop) or an earlier slot.
+   A constant operand is a [Fill] slot, written only when its buffer is
+   (re)allocated; a subexpression without columns is folded at compile
+   time into the row engine's value. *)
+
+type operand =
+  | K of Value.t  (** a constant: only ever a program's root *)
+  | C of int  (** a schema column *)
+  | S of int  (** an earlier slot *)
+
+type instr =
+  | Fill of Value.t
+  | Gather of int  (** a root that is a bare column *)
+  | Promote of operand  (** int to float, as [Value.to_float] *)
+  | Arith of Expr.binop * operand * operand  (** operands of the slot's type *)
+  | Concat of operand * operand
+  | Compare of Expr.cmpop * Value.ty * operand * operand
+  | Conj of operand * operand
+  | Disj of operand * operand
+  | Neg of operand
+  | Cond of operand * operand * operand
+
+type slot = {
+  instr : instr;
+  sty : Value.ty;
+  mutable buf : vec;  (** scratch of exactly the last run's length *)
+}
+
+type program = {
+  slots : slot array;
+  root : operand;
+  ty : Value.ty;
+  raises : bool;  (** a folded constant divides an int by zero *)
+}
+
+let ty p = p.ty
+
+let fresh ty len =
+  match (ty : Value.ty) with
+  | Value.Tint -> VInt (Array.make len 0)
+  | Value.Tfloat -> VFloat (Array.create_float len)
+  | Value.Tbool -> VBool (Array.make len false)
+  | Value.Tstring -> VStr (Array.make len "")
+
+(* a CSE key: constants are one slot only when their bits agree, so
+   [x + 0.0] and [x + -0.0] stay apart *)
+let same_instr a b =
+  match a, b with
+  | Fill (Value.Float x), Fill (Value.Float y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Fill (Value.Float _), _ | _, Fill (Value.Float _) -> false
+  | _ -> a = b
+
+let default_of : Value.ty -> Value.t = function
+  | Value.Tint -> Value.Int 0
+  | Value.Tfloat -> Value.Float 0.
+  | Value.Tbool -> Value.Bool false
+  | Value.Tstring -> Value.Str ""
+
+let build schema e =
+  let slots = ref [] and count = ref 0 and raises = ref false in
+  let add instr sty =
+    let rec find j = function
+      | [] -> None
+      | s :: rest ->
+        if same_instr s.instr instr then Some j else find (j - 1) rest
+    in
+    match find (!count - 1) !slots with
+    | Some j -> S j
+    | None ->
+      slots := { instr; sty; buf = fresh sty 0 } :: !slots;
+      incr count;
+      S (!count - 1)
+  in
+  let operand = function K v -> add (Fill v) (Value.type_of v) | o -> o in
+  let as_float = function
+    | K (Value.Int x), _ -> K (Value.Float (float_of_int x))
+    | o, Value.Tint -> add (Promote o) Value.Tfloat
+    | o, _ -> o
+  in
+  let rec node (e : Expr.t) : operand * Value.ty =
+    match e with
+    | Expr.Const v -> (K v, Value.type_of v)
+    | Expr.Col c -> (C (Schema.index_of schema c), Schema.column_type schema c)
+    | _ when Expr.columns e = [] -> (
+      match Expr.eval schema [||] e with
+      | v -> (K v, Value.type_of v)
+      | exception Division_by_zero ->
+        (* unguarded, so every row raises: a run over rows does too *)
+        raises := true;
+        let ty = Expr.infer schema e in
+        (K (default_of ty), ty))
+    | Expr.Binop (op, a, b) ->
+      let ((oa, ta) as na) = node a and ((ob, tb) as nb) = node b in
+      if ta = Value.Tstring then
+        (add (Concat (operand oa, operand ob)) ta, ta)
+      else if ta = Value.Tfloat || tb = Value.Tfloat then
+        ( add (Arith (op, operand (as_float na), operand (as_float nb)))
+            Value.Tfloat,
+          Value.Tfloat )
+      else (add (Arith (op, operand oa, operand ob)) Value.Tint, Value.Tint)
+    | Expr.Cmp (op, a, b) ->
+      let ((oa, ta) as na) = node a and ((ob, tb) as nb) = node b in
+      let ty, oa, ob =
+        if ta = tb then (ta, oa, ob)
+        else (Value.Tfloat, as_float na, as_float nb)
+      in
+      (add (Compare (op, ty, operand oa, operand ob)) Value.Tbool, Value.Tbool)
+    | Expr.And (a, b) ->
+      let oa = operand (fst (node a)) and ob = operand (fst (node b)) in
+      (add (Conj (oa, ob)) Value.Tbool, Value.Tbool)
+    | Expr.Or (a, b) ->
+      let oa = operand (fst (node a)) and ob = operand (fst (node b)) in
+      (add (Disj (oa, ob)) Value.Tbool, Value.Tbool)
+    | Expr.Not a ->
+      (add (Neg (operand (fst (node a)))) Value.Tbool, Value.Tbool)
+    | Expr.If (c, a, b) -> (
+      match fst (node c) with
+      | K (Value.Bool true) -> node a
+      | K (Value.Bool false) -> node b
+      | oc ->
+        let oa, ty = node a and ob, _ = node b in
+        (add (Cond (operand oc, operand oa, operand ob)) ty, ty))
+  in
+  let root, ty = node e in
+  let root = match root with C i -> add (Gather i) ty | o -> o in
+  { slots = Array.of_list (List.rev !slots); root; ty; raises = !raises }
+
+let compile schema e =
   match scan schema ~guarded:false e with
-  | (_ : Value.ty) -> true
-  | exception Fallback -> false
+  | (_ : Value.ty) -> Some (build schema e)
+  | exception Fallback -> None
 
-(* ---- typed operand views ---- *)
+(* ---- loops ----
 
-type iv = Ia of int array | Ic of int
-type fv = Fa of float array | Fc of float
-type bv = Ba of bool array | Bc of bool
-type sv = Sa of string array | Sc of string
+   An operand is a base array and the index it is read through: its
+   selection's, or [dense] for a slot or a row-aligned column, read
+   directly. The guard rule: a loop first checks in O(1) that every
+   array it touches without a bounds check holds at least [len] slots:
+   its output, a dense operand's base, an indexed operand's index. A
+   read through an index ([xs.(ix.(k))]) keeps its check. The
+   arithmetic and comparison loops of two dense or two indexed operands
+   are written out per operator: without flambda a closure over floats
+   boxes every value, while the inlined [*_at] and [*_op] helpers below
+   keep floats unboxed but branch on every element. *)
 
-let as_iv = function
-  | VInt a -> Ia a
-  | VConst (Value.Int x) -> Ic x
-  | _ -> invalid_arg "Vector: expected int operand"
+(* the index of a dense operand; an empty index never reaches a loop,
+   which runs only for [len > 0] *)
+let dense : int array = [||]
 
-(* numeric promotion, exactly [Value.to_float] on the types that reach
-   arithmetic post-typecheck *)
-let as_fv = function
-  | VFloat a -> Fa a
-  | VConst (Value.Float x) -> Fc x
-  | VInt a ->
-    let n = Array.length a in
-    let out = Array.create_float n in
-    for i = 0 to n - 1 do
-      out.(i) <- float_of_int a.(i)
-    done;
-    Fa out
-  | VConst (Value.Int x) -> Fc (float_of_int x)
-  | _ -> invalid_arg "Vector: expected numeric operand"
+let guard len a =
+  if Array.length a < len then invalid_arg "Vector.run: array shorter than len"
 
-let as_bv = function
-  | VBool a -> Ba a
-  | VConst (Value.Bool x) -> Bc x
-  | _ -> invalid_arg "Vector: expected bool operand"
+let guard_operand len xs ix = if ix == dense then guard len xs else guard len ix
 
-let as_sv = function
-  | VStr a -> Sa a
-  | VConst (Value.Str x) -> Sc x
-  | _ -> invalid_arg "Vector: expected string operand"
+(* slot [k] of an operand that passed [guard_operand] *)
+let[@inline] int_at (xs : int array) ix k =
+  if ix == dense then Array.unsafe_get xs k else xs.(Array.unsafe_get ix k)
 
-let is_float = function
-  | VFloat _ | VConst (Value.Float _) -> true
-  | _ -> false
+let[@inline] float_at (xs : float array) ix k =
+  if ix == dense then Array.unsafe_get xs k else xs.(Array.unsafe_get ix k)
 
-let is_string = function
-  | VStr _ | VConst (Value.Str _) -> true
-  | _ -> false
+let[@inline] bool_at (xs : bool array) ix k =
+  if ix == dense then Array.unsafe_get xs k else xs.(Array.unsafe_get ix k)
 
-(* ---- arithmetic ---- *)
-
-let int_op : Expr.binop -> int -> int -> int = function
-  | Expr.Add -> ( + )
-  | Expr.Sub -> ( - )
-  | Expr.Mul -> ( * )
-  | Expr.Div -> ( / )
-  | Expr.Mod -> ( mod )
+let[@inline] int_op (op : Expr.binop) (x : int) y =
+  match op with
+  | Expr.Add -> x + y
+  | Expr.Sub -> x - y
+  | Expr.Mul -> x * y
+  | Expr.Div -> x / y
+  | Expr.Mod -> x mod y
 
 (* float division by zero yields 0. and Mod is Float.rem, as in
    [Expr.eval_binop] *)
-let float_op : Expr.binop -> float -> float -> float = function
-  | Expr.Add -> ( +. )
-  | Expr.Sub -> ( -. )
-  | Expr.Mul -> ( *. )
-  | Expr.Div -> fun a b -> if b = 0. then 0. else a /. b
-  | Expr.Mod -> Float.rem
+let[@inline] float_op (op : Expr.binop) (x : float) y =
+  match op with
+  | Expr.Add -> x +. y
+  | Expr.Sub -> x -. y
+  | Expr.Mul -> x *. y
+  | Expr.Div -> if y = 0. then 0. else x /. y
+  | Expr.Mod -> Float.rem x y
 
-(* Every shape runs as array ⊕ array: a constant operand is spread into
-   an array first, and each operator gets its own loop, so the
-   per-element work is a primitive, not a closure call — without
-   flambda a closure over floats would also box every value. *)
+let int_arith op (o : int array) len ((xs : int array), ix)
+    ((ys : int array), iy) =
+  guard len o;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  if ix == dense && iy == dense then
+    match (op : Expr.binop) with
+    | Expr.Add ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k + Array.unsafe_get ys k)
+      done
+    | Expr.Sub ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k - Array.unsafe_get ys k)
+      done
+    | Expr.Mul ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k * Array.unsafe_get ys k)
+      done
+    | Expr.Div ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k / Array.unsafe_get ys k)
+      done
+    | Expr.Mod ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k mod Array.unsafe_get ys k)
+      done
+  else if ix != dense && iy != dense then
+    match op with
+    | Expr.Add ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) + ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Sub ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) - ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Mul ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) * ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Div ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) / ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Mod ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) mod ys.(Array.unsafe_get iy k))
+      done
+  else
+    (* a dense operand beside an indexed one *)
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k (int_op op (int_at xs ix k) (int_at ys iy k))
+    done
 
-let ints ~len = function Ia a -> a | Ic x -> Array.make len x
-let floats ~len = function Fa a -> a | Fc x -> Array.make len x
-let bools ~len = function Ba a -> a | Bc x -> Array.make len x
-let strs ~len = function Sa a -> a | Sc x -> Array.make len x
+let float_arith op (o : float array) len ((xs : float array), ix)
+    ((ys : float array), iy) =
+  guard len o;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  if ix == dense && iy == dense then
+    match (op : Expr.binop) with
+    | Expr.Add ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k +. Array.unsafe_get ys k)
+      done
+    | Expr.Sub ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k -. Array.unsafe_get ys k)
+      done
+    | Expr.Mul ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (Array.unsafe_get xs k *. Array.unsafe_get ys k)
+      done
+    | Expr.Div ->
+      for k = 0 to len - 1 do
+        let y = Array.unsafe_get ys k in
+        Array.unsafe_set o k
+          (if y = 0. then 0. else Array.unsafe_get xs k /. y)
+      done
+    | Expr.Mod ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (Float.rem (Array.unsafe_get xs k) (Array.unsafe_get ys k))
+      done
+  else if ix != dense && iy != dense then
+    match op with
+    | Expr.Add ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) +. ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Sub ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) -. ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Mul ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (xs.(Array.unsafe_get ix k) *. ys.(Array.unsafe_get iy k))
+      done
+    | Expr.Div ->
+      for k = 0 to len - 1 do
+        let y = ys.(Array.unsafe_get iy k) in
+        Array.unsafe_set o k
+          (if y = 0. then 0. else xs.(Array.unsafe_get ix k) /. y)
+      done
+    | Expr.Mod ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k
+          (Float.rem xs.(Array.unsafe_get ix k) ys.(Array.unsafe_get iy k))
+      done
+  else
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k (float_op op (float_at xs ix k) (float_at ys iy k))
+    done
 
-let int_binop ~len op a b =
-  match a, b with
-  | Ic x, Ic y -> VConst (Value.Int (int_op op x y))
-  | _ ->
-    let xs = ints ~len a and ys = ints ~len b in
-    let o = Array.make len 0 in
-    (match op with
-     | Expr.Add -> for i = 0 to len - 1 do o.(i) <- xs.(i) + ys.(i) done
-     | Expr.Sub -> for i = 0 to len - 1 do o.(i) <- xs.(i) - ys.(i) done
-     | Expr.Mul -> for i = 0 to len - 1 do o.(i) <- xs.(i) * ys.(i) done
-     | Expr.Div -> for i = 0 to len - 1 do o.(i) <- xs.(i) / ys.(i) done
-     | Expr.Mod -> for i = 0 to len - 1 do o.(i) <- xs.(i) mod ys.(i) done);
-    VInt o
+let promote (o : float array) len ((xs : int array), ix) =
+  guard len o;
+  guard_operand len xs ix;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (float_of_int (int_at xs ix k))
+  done
 
-let float_binop ~len op a b =
-  match a, b with
-  | Fc x, Fc y -> VConst (Value.Float (float_op op x y))
-  | _ ->
-    let xs = floats ~len a and ys = floats ~len b in
-    let o = Array.create_float len in
-    (match op with
-     | Expr.Add -> for i = 0 to len - 1 do o.(i) <- xs.(i) +. ys.(i) done
-     | Expr.Sub -> for i = 0 to len - 1 do o.(i) <- xs.(i) -. ys.(i) done
-     | Expr.Mul -> for i = 0 to len - 1 do o.(i) <- xs.(i) *. ys.(i) done
-     | Expr.Div ->
-       for i = 0 to len - 1 do
-         let y = ys.(i) in
-         o.(i) <- (if y = 0. then 0. else xs.(i) /. y)
-       done
-     | Expr.Mod ->
-       for i = 0 to len - 1 do o.(i) <- Float.rem xs.(i) ys.(i) done);
-    VFloat o
-
-let str_concat ~len a b =
-  match a, b with
-  | Sc x, Sc y -> VConst (Value.Str (x ^ y))
-  | _ ->
-    let xs = strs ~len a and ys = strs ~len b in
-    VStr (Array.init len (fun i -> xs.(i) ^ ys.(i)))
-
-(* ---- comparisons (Value.compare semantics per type) ---- *)
+(* ---- comparisons: [Value.compare] per type ---- *)
 
 let cmp_test : Expr.cmpop -> int -> bool = function
   | Expr.Eq -> fun c -> c = 0
@@ -191,243 +390,298 @@ let cmp_test : Expr.cmpop -> int -> bool = function
   | Expr.Gt -> fun c -> c > 0
   | Expr.Ge -> fun c -> c >= 0
 
-(* [x < y] etc. on values statically typed [int] compile to primitive
-   integer comparisons, with exactly [Int.compare] semantics *)
-let int_cmp ~len op a b =
-  match a, b with
-  | Ic x, Ic y -> VConst (Value.Bool (cmp_test op (Int.compare x y)))
-  | _ ->
-    let xs = ints ~len a and ys = ints ~len b in
-    let o = Array.make len false in
-    (match op with
-     | Expr.Eq -> for i = 0 to len - 1 do o.(i) <- xs.(i) = ys.(i) done
-     | Expr.Neq -> for i = 0 to len - 1 do o.(i) <- xs.(i) <> ys.(i) done
-     | Expr.Lt -> for i = 0 to len - 1 do o.(i) <- xs.(i) < ys.(i) done
-     | Expr.Le -> for i = 0 to len - 1 do o.(i) <- xs.(i) <= ys.(i) done
-     | Expr.Gt -> for i = 0 to len - 1 do o.(i) <- xs.(i) > ys.(i) done
-     | Expr.Ge -> for i = 0 to len - 1 do o.(i) <- xs.(i) >= ys.(i) done);
-    VBool o
+(* [Float.compare], with the ordered cases inline: NaN equals itself
+   and sorts below every float, as in [Value.compare] *)
+let[@inline] compare_floats (x : float) y =
+  if x < y then -1
+  else if x > y then 1
+  else if x = y then 0
+  else Float.compare x y
 
-(* [test] is a closure over ints, which do not box. Float.compare, not
-   IEEE <: NaN equals itself and sorts deterministically, exactly as in
-   [Value.compare] *)
-let float_cmp ~len op a b =
+(* [test] is a closure over ints, which do not box *)
+let int_compare op (o : bool array) len ((xs : int array), ix)
+    ((ys : int array), iy) =
   let test = cmp_test op in
-  match a, b with
-  | Fc x, Fc y -> VConst (Value.Bool (test (Float.compare x y)))
-  | _ ->
-    let xs = floats ~len a and ys = floats ~len b in
-    let o = Array.make len false in
-    for i = 0 to len - 1 do
-      o.(i) <- test (Float.compare xs.(i) ys.(i))
-    done;
-    VBool o
+  guard len o;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  if ix == dense && iy == dense then
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k
+        (test (Int.compare (Array.unsafe_get xs k) (Array.unsafe_get ys k)))
+    done
+  else
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k
+        (test (Int.compare (int_at xs ix k) (int_at ys iy k)))
+    done
 
-let str_cmp ~len op a b =
+let float_compare op (o : bool array) len ((xs : float array), ix)
+    ((ys : float array), iy) =
   let test = cmp_test op in
-  match a, b with
-  | Sc x, Sc y -> VConst (Value.Bool (test (String.compare x y)))
-  | _ ->
-    let xs = strs ~len a and ys = strs ~len b in
-    VBool (Array.init len (fun i -> test (String.compare xs.(i) ys.(i))))
+  guard len o;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  if ix == dense && iy == dense then
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k
+        (test (compare_floats (Array.unsafe_get xs k) (Array.unsafe_get ys k)))
+    done
+  else if ix != dense && iy != dense then
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k
+        (test
+           (compare_floats xs.(Array.unsafe_get ix k)
+              ys.(Array.unsafe_get iy k)))
+    done
+  else
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k
+        (test (compare_floats (float_at xs ix k) (float_at ys iy k)))
+    done
 
-let bool_cmp ~len op a b =
+let bool_compare op (o : bool array) len ((xs : bool array), ix)
+    ((ys : bool array), iy) =
   let test = cmp_test op in
-  match a, b with
-  | Bc x, Bc y -> VConst (Value.Bool (test (Bool.compare x y)))
-  | _ ->
-    let xs = bools ~len a and ys = bools ~len b in
-    VBool (Array.init len (fun i -> test (Bool.compare xs.(i) ys.(i))))
+  guard len o;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k
+      (test (Bool.compare (bool_at xs ix k) (bool_at ys iy k)))
+  done
+
+(* strings are boxed either way: their operands are read through a
+   closure *)
+let str_compare op (o : bool array) len x y =
+  let test = cmp_test op in
+  guard len o;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (test (String.compare (x k) (y k)))
+  done
+
+let concat (o : string array) len x y =
+  guard len o;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (x k ^ y k)
+  done
 
 (* ---- booleans ---- *)
 
-let bool_binop ~len ~conj a b =
-  match a, b with
-  | Bc x, Bc y -> VConst (Value.Bool (if conj then x && y else x || y))
-  | _ ->
-    let xs = bools ~len a and ys = bools ~len b in
-    let o = Array.make len false in
-    if conj then for i = 0 to len - 1 do o.(i) <- xs.(i) && ys.(i) done
-    else for i = 0 to len - 1 do o.(i) <- xs.(i) || ys.(i) done;
-    VBool o
+let bool_binop ~conj (o : bool array) len ((xs : bool array), ix)
+    ((ys : bool array), iy) =
+  guard len o;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  if conj then
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k (bool_at xs ix k && bool_at ys iy k)
+    done
+  else
+    for k = 0 to len - 1 do
+      Array.unsafe_set o k (bool_at xs ix k || bool_at ys iy k)
+    done
 
-(* ---- column reads through the selection ---- *)
+let neg (o : bool array) len ((xs : bool array), ix) =
+  guard len o;
+  guard_operand len xs ix;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (not (bool_at xs ix k))
+  done
 
-let read_column (col : Column.t) sel =
-  let col =
-    match sel with
-    | Dense -> col
-    | Sparse idx -> Column.gather col idx
-  in
-  match col.Column.data with
-  | Column.Ints a -> VInt a
-  | Column.Floats a -> VFloat a
-  | Column.Bools a -> VBool a
-  | Column.Dict { codes; dict } -> VStr (Array.map (Array.get dict) codes)
+(* ---- conditionals and gathers ---- *)
 
-(* ---- two columns read through row indexes ----
+let cond_ints (o : int array) len ((cs : bool array), ic)
+    ((xs : int array), ix) ((ys : int array), iy) =
+  guard len o;
+  guard_operand len cs ic;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k
+      (if bool_at cs ic k then int_at xs ix k else int_at ys iy k)
+  done
 
-   [col ⊕ col] over a view: the loop reads both operands through their
-   indexes, where gathering each first would take two more passes. *)
+let cond_floats (o : float array) len ((cs : bool array), ic)
+    ((xs : float array), ix) ((ys : float array), iy) =
+  guard len o;
+  guard_operand len cs ic;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k
+      (if bool_at cs ic k then float_at xs ix k else float_at ys iy k)
+  done
 
-type indexed_pair =
-  | Float_pair of float array * int array * float array * int array
-  | Int_pair of int array * int array * int array * int array
-  | No_pair
+let cond_bools (o : bool array) len ((cs : bool array), ic)
+    ((xs : bool array), ix) ((ys : bool array), iy) =
+  guard len o;
+  guard_operand len cs ic;
+  guard_operand len xs ix;
+  guard_operand len ys iy;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k
+      (if bool_at cs ic k then bool_at xs ix k else bool_at ys iy k)
+  done
 
-let float_binop_at op xs ix ys iy =
-  let n = Array.length ix in
-  let o = Array.create_float n in
-  (match op with
-   | Expr.Add -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) +. ys.(iy.(k)) done
-   | Expr.Sub -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) -. ys.(iy.(k)) done
-   | Expr.Mul -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) *. ys.(iy.(k)) done
-   | Expr.Div ->
-     for k = 0 to n - 1 do
-       let y = ys.(iy.(k)) in
-       o.(k) <- (if y = 0. then 0. else xs.(ix.(k)) /. y)
-     done
-   | Expr.Mod ->
-     for k = 0 to n - 1 do o.(k) <- Float.rem xs.(ix.(k)) ys.(iy.(k)) done);
-  VFloat o
+let cond_strs (o : string array) len ((cs : bool array), ic) x y =
+  guard len o;
+  guard_operand len cs ic;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (if bool_at cs ic k then x k else y k)
+  done
 
-let int_binop_at op (xs : int array) ix (ys : int array) iy =
-  let n = Array.length ix in
-  let o = Array.make n 0 in
-  (match op with
-   | Expr.Add -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) + ys.(iy.(k)) done
-   | Expr.Sub -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) - ys.(iy.(k)) done
-   | Expr.Mul -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) * ys.(iy.(k)) done
-   | Expr.Div -> for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) / ys.(iy.(k)) done
-   | Expr.Mod ->
-     for k = 0 to n - 1 do o.(k) <- xs.(ix.(k)) mod ys.(iy.(k)) done);
-  VInt o
+let gather_ints (o : int array) len ((xs : int array), ix) =
+  guard len o;
+  guard_operand len xs ix;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (int_at xs ix k)
+  done
 
-let float_cmp_at op xs ix ys iy =
-  let test = cmp_test op in
-  let n = Array.length ix in
-  let o = Array.make n false in
-  for k = 0 to n - 1 do
-    o.(k) <- test (Float.compare xs.(ix.(k)) ys.(iy.(k)))
-  done;
-  VBool o
+let gather_floats (o : float array) len ((xs : float array), ix) =
+  guard len o;
+  guard_operand len xs ix;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (float_at xs ix k)
+  done
 
-let int_cmp_at op (xs : int array) ix (ys : int array) iy =
-  let test = cmp_test op in
-  let n = Array.length ix in
-  let o = Array.make n false in
-  for k = 0 to n - 1 do
-    o.(k) <- test (Int.compare xs.(ix.(k)) ys.(iy.(k)))
-  done;
-  VBool o
+let gather_bools (o : bool array) len ((xs : bool array), ix) =
+  guard len o;
+  guard_operand len xs ix;
+  for k = 0 to len - 1 do
+    Array.unsafe_set o k (bool_at xs ix k)
+  done
 
-(* ---- evaluation ---- *)
+(* ---- running a program ---- *)
 
-let eval schema cols ~len ~sel e =
-  let index_of c =
-    try Schema.index_of schema c
-    with Not_found ->
-      raise (Expr.Type_error (Printf.sprintf "unknown column %S" c))
-  in
-  let pair a b =
-    match (a : Expr.t), (b : Expr.t) with
-    | Expr.Col x, Expr.Col y -> (
-      let i = index_of x and j = index_of y in
-      match
-        (cols.(i) : Column.t).Column.data, sel i,
-        (cols.(j) : Column.t).Column.data, sel j
-      with
-      | Column.Floats xs, Sparse ix, Column.Floats ys, Sparse iy ->
-        Float_pair (xs, ix, ys, iy)
-      | Column.Ints xs, Sparse ix, Column.Ints ys, Sparse iy ->
-        Int_pair (xs, ix, ys, iy)
-      | _ -> No_pair)
-    | _ -> No_pair
-  in
-  (* a subexpression that occurs twice, like [(x - c) * (x - c)], is
-     computed (or a column read) once; results are never mutated, so
-     sharing is safe *)
-  let memo = ref [] in
-  let rec go (e : Expr.t) : vec =
-    match e with
-    | Expr.Const v -> VConst v
-    | _ -> (
-      match List.find_opt (fun (e', _) -> compare e e' = 0) !memo with
-      | Some (_, v) -> v
-      | None ->
-        let v = compute e in
-        memo := (e, v) :: !memo;
-        v)
-  and compute : Expr.t -> vec = function
-    | Expr.Const v -> VConst v
-    | Expr.Col c ->
-      let i = index_of c in
-      read_column cols.(i) (sel i)
-    | Expr.Binop (op, a, b) -> (
-      match pair a b with
-      | Float_pair (xs, ix, ys, iy) -> float_binop_at op xs ix ys iy
-      | Int_pair (xs, ix, ys, iy) -> int_binop_at op xs ix ys iy
-      | No_pair ->
-        let va = go a and vb = go b in
-        if is_string va || is_string vb then
-          str_concat ~len (as_sv va) (as_sv vb)
-        else if is_float va || is_float vb then
-          float_binop ~len op (as_fv va) (as_fv vb)
-        else int_binop ~len op (as_iv va) (as_iv vb))
-    | Expr.Cmp (op, a, b) -> (
-      match pair a b with
-      | Float_pair (xs, ix, ys, iy) -> float_cmp_at op xs ix ys iy
-      | Int_pair (xs, ix, ys, iy) -> int_cmp_at op xs ix ys iy
-      | No_pair -> (
-        let va = go a and vb = go b in
-        if is_string va || is_string vb then
-          str_cmp ~len op (as_sv va) (as_sv vb)
-        else
-          match va, vb with
-          | (VBool _ | VConst (Value.Bool _)), _ ->
-            bool_cmp ~len op (as_bv va) (as_bv vb)
-          | _ when is_float va || is_float vb ->
-            float_cmp ~len op (as_fv va) (as_fv vb)
-          | _ -> int_cmp ~len op (as_iv va) (as_iv vb)))
-    | Expr.And (a, b) ->
-      bool_binop ~len ~conj:true (as_bv (go a)) (as_bv (go b))
-    | Expr.Or (a, b) ->
-      bool_binop ~len ~conj:false (as_bv (go a)) (as_bv (go b))
-    | Expr.Not a -> (
-      match as_bv (go a) with
-      | Bc x -> VConst (Value.Bool (not x))
-      | Ba xs -> VBool (Array.map not xs))
-    | Expr.If (c, a, b) -> (
-      match as_bv (go c) with
-      | Bc true -> go a
-      | Bc false -> go b
-      | Ba cond -> (
-        let va = go a and vb = go b in
-        if is_string va || is_string vb then begin
-          let x = as_sv va and y = as_sv vb in
-          let at v i = match v with Sa a -> a.(i) | Sc s -> s in
-          VStr (Array.init len (fun i -> if cond.(i) then at x i else at y i))
-        end
-        else if is_float va || is_float vb then begin
-          let x = as_fv va and y = as_fv vb in
-          let at v i = match v with Fa a -> a.(i) | Fc s -> s in
-          VFloat
-            (Array.init len (fun i -> if cond.(i) then at x i else at y i))
-        end
-        else
-          match va, vb with
-          | (VBool _ | VConst (Value.Bool _)), _ ->
-            let x = as_bv va and y = as_bv vb in
-            let at v i = match v with Ba a -> a.(i) | Bc s -> s in
-            VBool
-              (Array.init len (fun i -> if cond.(i) then at x i else at y i))
-          | _ ->
-            let x = as_iv va and y = as_iv vb in
-            let at v i = match v with Ia a -> a.(i) | Ic s -> s in
-            VInt
-              (Array.init len (fun i -> if cond.(i) then at x i else at y i))))
-  in
-  go e
+let mismatch () = invalid_arg "Vector.run: a column does not match the schema"
+
+let index sel i = match sel i with Dense -> dense | Sparse ix -> ix
+
+let ints p (cols : Column.t array) sel = function
+  | S j -> (
+    match p.slots.(j).buf with VInt a -> (a, dense) | _ -> assert false)
+  | C i -> (
+    match cols.(i).Column.data with
+    | Column.Ints a -> (a, index sel i)
+    | _ -> mismatch ())
+  | K _ -> assert false
+
+let floats p (cols : Column.t array) sel = function
+  | S j -> (
+    match p.slots.(j).buf with VFloat a -> (a, dense) | _ -> assert false)
+  | C i -> (
+    match cols.(i).Column.data with
+    | Column.Floats a -> (a, index sel i)
+    | _ -> mismatch ())
+  | K _ -> assert false
+
+let bools p (cols : Column.t array) sel = function
+  | S j -> (
+    match p.slots.(j).buf with VBool a -> (a, dense) | _ -> assert false)
+  | C i -> (
+    match cols.(i).Column.data with
+    | Column.Bools a -> (a, index sel i)
+    | _ -> mismatch ())
+  | K _ -> assert false
+
+let strs p (cols : Column.t array) sel = function
+  | S j -> (
+    match p.slots.(j).buf with
+    | VStr a -> fun k -> a.(k)
+    | _ -> assert false)
+  | C i -> (
+    match cols.(i).Column.data with
+    | Column.Dict { codes; dict } ->
+      let ix = index sel i in
+      if ix == dense then fun k -> dict.(codes.(k))
+      else fun k -> dict.(codes.(ix.(k)))
+    | _ -> mismatch ())
+  | K _ -> assert false
+
+let length = function
+  | VInt a -> Array.length a
+  | VFloat a -> Array.length a
+  | VBool a -> Array.length a
+  | VStr a -> Array.length a
+  | VConst _ -> -1
+
+let exec p cols sel len s =
+  match s.instr with
+  | Fill v ->
+    (* written only when the length changes *)
+    if length s.buf <> len then
+      s.buf <-
+        (match v with
+         | Value.Int x -> VInt (Array.make len x)
+         | Value.Float x -> VFloat (Array.make len x)
+         | Value.Bool x -> VBool (Array.make len x)
+         | Value.Str x -> VStr (Array.make len x))
+  | instr -> (
+    if length s.buf <> len then s.buf <- fresh s.sty len;
+    match instr, s.buf with
+    | Gather i, VInt o -> gather_ints o len (ints p cols sel (C i))
+    | Gather i, VFloat o -> gather_floats o len (floats p cols sel (C i))
+    | Gather i, VBool o -> gather_bools o len (bools p cols sel (C i))
+    | Gather i, VStr o ->
+      let x = strs p cols sel (C i) in
+      guard len o;
+      for k = 0 to len - 1 do
+        Array.unsafe_set o k (x k)
+      done
+    | Promote a, VFloat o -> promote o len (ints p cols sel a)
+    | Arith (op, a, b), VInt o ->
+      int_arith op o len (ints p cols sel a) (ints p cols sel b)
+    | Arith (op, a, b), VFloat o ->
+      float_arith op o len (floats p cols sel a) (floats p cols sel b)
+    | Concat (a, b), VStr o ->
+      concat o len (strs p cols sel a) (strs p cols sel b)
+    | Compare (op, Value.Tint, a, b), VBool o ->
+      int_compare op o len (ints p cols sel a) (ints p cols sel b)
+    | Compare (op, Value.Tfloat, a, b), VBool o ->
+      float_compare op o len (floats p cols sel a) (floats p cols sel b)
+    | Compare (op, Value.Tbool, a, b), VBool o ->
+      bool_compare op o len (bools p cols sel a) (bools p cols sel b)
+    | Compare (op, Value.Tstring, a, b), VBool o ->
+      str_compare op o len (strs p cols sel a) (strs p cols sel b)
+    | Conj (a, b), VBool o ->
+      bool_binop ~conj:true o len (bools p cols sel a) (bools p cols sel b)
+    | Disj (a, b), VBool o ->
+      bool_binop ~conj:false o len (bools p cols sel a) (bools p cols sel b)
+    | Neg a, VBool o -> neg o len (bools p cols sel a)
+    | Cond (c, a, b), VInt o ->
+      cond_ints o len (bools p cols sel c) (ints p cols sel a)
+        (ints p cols sel b)
+    | Cond (c, a, b), VFloat o ->
+      cond_floats o len (bools p cols sel c) (floats p cols sel a)
+        (floats p cols sel b)
+    | Cond (c, a, b), VBool o ->
+      cond_bools o len (bools p cols sel c) (bools p cols sel a)
+        (bools p cols sel b)
+    | Cond (c, a, b), VStr o ->
+      cond_strs o len (bools p cols sel c) (strs p cols sel a)
+        (strs p cols sel b)
+    | _ -> assert false)
+
+let run p cols ~len ~sel =
+  if len > 0 then begin
+    if p.raises then raise Division_by_zero;
+    for j = 0 to Array.length p.slots - 1 do
+      exec p cols sel len p.slots.(j)
+    done
+  end;
+  match p.root with
+  | K v -> VConst v
+  | S _ when len = 0 -> fresh p.ty 0
+  | S j -> p.slots.(j).buf
+  | C _ -> assert false
+
+(* the root's buffer leaves the program with the result: the next run
+   writes a new one *)
+let run_kept p cols ~len ~sel =
+  let v = run p cols ~len ~sel in
+  (match p.root with S j -> p.slots.(j).buf <- fresh p.ty 0 | _ -> ());
+  v
 
 (* ---- materialization ---- *)
 

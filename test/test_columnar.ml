@@ -792,7 +792,7 @@ let test_prop_join_select () =
              in
              let refuse =
                float_key
-               || not (Vector.vectorizable (Table.schema row_join) pred)
+               || Option.is_none (Vector.compile (Table.schema row_join) pred)
              in
              match
                Column.with_enabled true (fun () ->
@@ -809,6 +809,218 @@ let test_prop_join_select () =
                && js.join_bytes = Table.column_bytes col_join
                && js.join_bytes = Table.column_bytes row_join)
           join_case_preds)
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* ---- compiled programs = row evaluation ----
+
+   A vectorizable expression compiled once by [Vector.compile] and run
+   over blocks whose length shrinks and grows (so its scratch buffers
+   are reused, shrunk and regrown) must give, slot for slot and bit for
+   bit, what [Expr.compile] gives on each row, and raise
+   [Division_by_zero] exactly when some row does. Each column is read
+   [Dense] or through a [Sparse] index longer than the block. A result
+   the caller keeps ([Vector.run_kept], as MAP does) must survive a
+   later run of the same length. *)
+
+let prog_schema =
+  Schema.make
+    [ { Schema.name = "i1"; ty = Value.Tint };
+      { Schema.name = "i2"; ty = Value.Tint };
+      { Schema.name = "f1"; ty = Value.Tfloat };
+      { Schema.name = "f2"; ty = Value.Tfloat };
+      { Schema.name = "b1"; ty = Value.Tbool };
+      { Schema.name = "s1"; ty = Value.Tstring };
+      { Schema.name = "s2"; ty = Value.Tstring } ]
+
+let prog_base_rows = 300
+
+let special_floats = [ nan; -0.; 0.; infinity; neg_infinity; 1.5; -2.25; 3. ]
+
+let prog_table seed =
+  let rng = Qcheck_lite.Rng.create seed in
+  let pick xs = Qcheck_lite.Rng.pick rng xs in
+  Table.create_unchecked prog_schema
+    (Array.init prog_base_rows (fun _ ->
+         [| Value.Int (pick [ 0; 1; -1; 2; 7; -5; 1000; min_int ]);
+            Value.Int (pick [ 0; 1; 3; -4; max_int ]);
+            Value.Float (pick special_floats);
+            Value.Float (pick special_floats);
+            Value.Bool (Qcheck_lite.Rng.bool rng);
+            Value.Str (pick [ ""; "a"; "b"; "ab" ]);
+            Value.Str (pick [ "a"; "b"; "z" ]) |]))
+
+(* a typed expression, reusing earlier subexpressions of its type now
+   and then, with constants on either side *)
+let gen_prog_expr rng =
+  let pick xs = Qcheck_lite.Rng.pick rng xs
+  and int = Qcheck_lite.Rng.int rng in
+  let pool = Hashtbl.create 8 in
+  let rec gen ty depth : Expr.t =
+    let reuse = Hashtbl.find_all pool ty in
+    let e =
+      if reuse <> [] && int 5 = 0 then pick reuse
+      else if depth = 0 || int 4 = 0 then leaf ty
+      else node ty (depth - 1)
+    in
+    Hashtbl.add pool ty e;
+    e
+  and leaf ty =
+    match (ty : Value.ty) with
+    | Value.Tint ->
+      if int 2 = 0 then Expr.col (pick [ "i1"; "i2" ])
+      else Expr.int (pick [ 0; 2; -3; 7 ])
+    | Value.Tfloat ->
+      if int 2 = 0 then Expr.col (pick [ "f1"; "f2" ])
+      else Expr.float (pick special_floats)
+    | Value.Tbool ->
+      if int 2 = 0 then Expr.col "b1" else Expr.bool (Qcheck_lite.Rng.bool rng)
+    | Value.Tstring ->
+      if int 2 = 0 then Expr.col (pick [ "s1"; "s2" ])
+      else Expr.str (pick [ "a"; "-" ])
+  and num depth = gen (pick [ Value.Tint; Value.Tfloat ]) depth
+  and node ty depth =
+    let cond () = Expr.If (gen Value.Tbool depth, gen ty depth, gen ty depth) in
+    match ty with
+    | Value.Tint ->
+      if int 5 = 0 then cond ()
+      else
+        Expr.Binop
+          ( pick
+              [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Add; Expr.Sub; Expr.Mul;
+                Expr.Div; Expr.Mod ],
+            gen Value.Tint depth, gen Value.Tint depth )
+    | Value.Tfloat ->
+      if int 5 = 0 then cond ()
+      else
+        let a, b =
+          match int 3 with
+          | 0 -> (gen Value.Tfloat depth, num depth)
+          | 1 -> (num depth, gen Value.Tfloat depth)
+          | _ -> (gen Value.Tfloat depth, gen Value.Tfloat depth)
+        in
+        Expr.Binop
+          (pick [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod ], a, b)
+    | Value.Tbool -> (
+      match int 4 with
+      | 0 -> Expr.And (gen Value.Tbool depth, gen Value.Tbool depth)
+      | 1 -> Expr.Or (gen Value.Tbool depth, gen Value.Tbool depth)
+      | 2 -> Expr.Not (gen Value.Tbool depth)
+      | _ ->
+        let op =
+          pick [ Expr.Eq; Expr.Neq; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ]
+        in
+        let a, b =
+          match int 3 with
+          | 0 -> (num depth, num depth)
+          | 1 ->
+            let ty = pick [ Value.Tbool; Value.Tstring; Value.Tint ] in
+            (gen ty depth, gen ty depth)
+          | _ -> (gen Value.Tfloat depth, gen Value.Tfloat depth)
+        in
+        Expr.Cmp (op, a, b))
+    | Value.Tstring ->
+      if int 3 = 0 then cond ()
+      else
+        Expr.Binop (Expr.Add, gen Value.Tstring depth, gen Value.Tstring depth)
+  in
+  gen (pick [ Value.Tint; Value.Tfloat; Value.Tbool; Value.Tstring ]) 4
+
+(* shapes a random expression rarely hits: equal subexpressions whose
+   constants differ only in the sign of zero must stay two slots *)
+let fixed_prog_exprs =
+  Expr.
+    [ If (col "b1", col "f1" * float 0., col "f1" * float (-0.));
+      If (col "b1", col "f2" + float (-0.), col "f2" + float 0.);
+      ((col "f1" - col "f2") * (col "f1" - col "f2")) + (col "f1" - col "f2") ]
+
+let prog_case_arbitrary =
+  Qcheck_lite.make
+    ~print:(fun (s, e) ->
+        Printf.sprintf "table seed %d: %s" s (Expr.to_string e))
+    (fun rng ->
+       let s = Qcheck_lite.Rng.int rng 1_000_000 in
+       if Qcheck_lite.Rng.int rng 10 = 0 then
+         (s, Qcheck_lite.Rng.pick rng fixed_prog_exprs)
+       else (s, gen_prog_expr rng))
+
+let vec_at (v : Vector.vec) k =
+  match v with
+  | Vector.VInt a -> Value.Int a.(k)
+  | Vector.VFloat a -> Value.Float a.(k)
+  | Vector.VBool a -> Value.Bool a.(k)
+  | Vector.VStr a -> Value.Str a.(k)
+  | Vector.VConst c -> c
+
+let vec_length (v : Vector.vec) =
+  match v with
+  | Vector.VInt a -> Some (Array.length a)
+  | Vector.VFloat a -> Some (Array.length a)
+  | Vector.VBool a -> Some (Array.length a)
+  | Vector.VStr a -> Some (Array.length a)
+  | Vector.VConst _ -> None
+
+let test_prop_programs () =
+  try
+    Qcheck_lite.check ~count:300 ~seed ~name:"programs = row evaluation"
+      prog_case_arbitrary (fun (tseed, e) ->
+        let t = prog_table tseed in
+        let cols = Table.columns t and rows = Table.rows t in
+        let rng = Qcheck_lite.Rng.create (tseed + 1) in
+        let row_eval = Expr.compile prog_schema e in
+        match Vector.compile prog_schema e with
+        | None -> true (* a refusal runs the row path itself *)
+        | Some prog ->
+          (* each column Dense or through an index longer than the block *)
+          let selections len =
+            Array.init (Array.length cols) (fun _ ->
+                if Qcheck_lite.Rng.bool rng then Vector.Dense
+                else
+                  Vector.Sparse
+                    (Array.init (len + Qcheck_lite.Rng.int rng 5) (fun _ ->
+                         Qcheck_lite.Rng.int rng prog_base_rows)))
+          in
+          let row_at sels k =
+            Array.mapi
+              (fun i s ->
+                 let r =
+                   match s with Vector.Dense -> k | Vector.Sparse ix -> ix.(k)
+                 in
+                 rows.(r).(i))
+              sels
+          in
+          let expect sels len =
+            match List.init len (fun k -> row_eval (row_at sels k)) with
+            | vs -> Ok vs
+            | exception Division_by_zero -> Error ()
+          in
+          let agrees ~len expected got =
+            match expected, got with
+            | Error (), Error () -> true
+            | Ok vs, Ok v ->
+              (match vec_length v with Some n -> n = len | None -> true)
+              && List.for_all2 value_bits_equal vs (List.init len (vec_at v))
+            | _ -> false
+          in
+          let run ~kept sels len =
+            let sel i = sels.(i) in
+            match
+              (if kept then Vector.run_kept else Vector.run) prog cols ~len ~sel
+            with
+            | v -> Ok v
+            | exception Division_by_zero -> Error ()
+          in
+          List.for_all
+            (fun len ->
+               let s1 = selections len and s2 = selections len in
+               let e1 = expect s1 len and e2 = expect s2 len in
+               let kept = run ~kept:true s1 len in
+               let ok_kept = agrees ~len e1 kept in
+               (* a later run of the same length leaves [kept] alone *)
+               let ok_next = agrees ~len e2 (run ~kept:false s2 len) in
+               let ok_again = agrees ~len e1 kept in
+               let ok_scratch = agrees ~len e1 (run ~kept:false s1 len) in
+               ok_kept && ok_next && ok_again && ok_scratch)
+            [ 256; 200; 256; 17; 1; 0; 200 ])
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* every refusal counts [kernel.join_select.refused.<reason>] and no
@@ -1535,7 +1747,9 @@ let () =
           Alcotest.test_case "JOIN-SELECT kernel = row SELECT of JOIN"
             `Quick test_prop_join_select;
           Alcotest.test_case "JOIN-SELECT refusals are counted" `Quick
-            test_join_select_refusals ] );
+            test_join_select_refusals;
+          Alcotest.test_case "programs = row evaluation" `Quick
+            test_prop_programs ] );
       ( "regression",
         [ Alcotest.test_case "4k fixture byte-identity" `Quick
             test_fixture_identity;

@@ -573,7 +573,8 @@ let () =
           Alcotest.test_case "group by count" `Quick test_group_by;
           Alcotest.test_case "group by aggs" `Quick test_group_by_aggs;
           Alcotest.test_case "global agg empty" `Quick test_global_agg_empty;
-          Alcotest.test_case "top k" `Quick test_top_k ] );
+          Alcotest.test_case "top k" `Quick test_top_k;
+          Alcotest.test_case "top k descending" `Quick test_top_k_descending ] );
       ( "printers",
         [ Alcotest.test_case "encoded size" `Quick test_value_encoded_size;
           Alcotest.test_case "printers" `Quick test_printers_smoke;
@@ -583,7 +584,4 @@ let () =
       ( "aggregate",
         [ Alcotest.test_case "associativity" `Quick
             test_aggregate_associativity_flags ] );
-      ( "parallel",
-        [ Alcotest.test_case "top k descending" `Quick
-            test_top_k_descending ] );
       ("properties", qcheck_cases) ]
