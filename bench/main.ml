@@ -313,6 +313,46 @@ let kernels () =
       end;
       dists out
   in
+  (* NetFlix's [cand] chain at its CLI shape: 12,480 [sims] rows (120
+     movies x 104 candidates) JOIN 2,500 ratings of 208 users on movie,
+     about 260,000 pairs, then MAP [score := sim * rating] and GROUP BY
+     user, r_movie SUM(score). The gate on runs the JOIN's matches
+     through the MAP → GROUP BY kernel, so no pair is built; off, the
+     serial JOIN, MAP and GROUP BY *)
+  let join_map_group_by =
+    let schema cols =
+      Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) cols)
+    in
+    let sims =
+      Table.create_unchecked
+        (schema
+           [ ("movie", Value.Tint); ("r_movie", Value.Tint);
+             ("sim", Value.Tfloat) ])
+        (Array.init (120 * 104) (fun i ->
+             [| Value.Int (i / 104); Value.Int (i mod 104 * 7 mod 120);
+                Value.Float (float_of_int (i * 37 mod 1009) /. 7.) |]))
+    in
+    let ratings =
+      Table.create_unchecked
+        (schema
+           [ ("user", Value.Tint); ("movie", Value.Tint);
+             ("rating", Value.Tint) ])
+        (Array.init 2_500 (fun i ->
+             [| Value.Int (i * 7919 mod 208); Value.Int (i * 104_729 mod 120);
+                Value.Int (1 + (i * 31 mod 5)) |]))
+    in
+    let expr = Expr.(col "sim" * col "rating") in
+    let keys = [ "user"; "r_movie" ]
+    and aggs = [ Aggregate.make (Aggregate.Sum "score") ~as_name:"total" ] in
+    fun () ->
+      let cand = Kernel.join sims ratings ~left_key:"movie" ~right_key:"movie" in
+      match Columnar.try_map_group_by cand ~target:"score" ~expr ~keys ~aggs with
+      | Some k -> k.grouped
+      | None ->
+        Kernel.group_by
+          (Kernel.map_column cand ~target:"score" ~expr)
+          ~keys ~aggs
+  in
   let kernels =
     [ ("select", fun () -> Kernel.select ratings Expr.(col "rating" >= int 4));
       ("project", fun () -> Kernel.project ratings [ "user"; "rating" ]);
@@ -338,7 +378,8 @@ let kernels () =
       ("cross", fun () -> Kernel.cross_join points centroids);
       ("join_select", join_select);
       ("argmin", argmin ());
-      ("expr", expr ()) ]
+      ("expr", expr ());
+      ("join_map_group_by", join_map_group_by) ]
   in
   let reps = 5 in
   let best_of ~columnar f =

@@ -164,7 +164,9 @@ let publish ~hdfs share (exec : Exec_helper.result) (report : Report.t) =
   List.iter
     (fun (name, table, mb) ->
        Hdfs.put hdfs name ~modeled_mb:mb table;
-       if Relation.Table.is_view (Hdfs.table hdfs name) then incr kept;
+       let stored = Hdfs.table hdfs name in
+       if Relation.Table.is_view stored || Relation.Table.matches stored <> None
+       then incr kept;
        Hdfs.note_write hdfs ~mb;
        (* an overwritten relation invalidates every shared entry that
           read it, scans and subplans alike *)

@@ -42,11 +42,13 @@ let span name attrs f =
    the SELECT takes the pair kernel's output, and pricing reads the
    JOIN's logical column sizes, computed from counts. Neither do the
    CROSS and the MAP of an arg-min diamond: their consumers take the
-   diamond kernel's output, and pricing reads their sizes from counts. *)
+   diamond kernel's output, and pricing reads their sizes from counts.
+   Nor does a MAP run inside the GROUP BY that reads it. *)
 type out =
   | Table of Table.t
   | Joined of Columnar.join_select
   | Argmin of Columnar.argmin * int array  (* the CROSS's or MAP's bytes *)
+  | Grouped of Columnar.map_group_by
 
 type value = { out : out; mb : float }
 
@@ -54,6 +56,7 @@ let column_bytes = function
   | Table t -> Table.column_bytes t
   | Joined js -> js.join_bytes
   | Argmin (_, bytes) -> bytes
+  | Grouped k -> k.map_bytes
 
 let bytes out = Array.fold_left ( + ) 0 (column_bytes out)
 
@@ -63,6 +66,8 @@ let table_of (n : Ir.Operator.node) v =
   | Joined _ -> exec_error "node %d has no table: it ran with its SELECT" n.id
   | Argmin _ ->
     exec_error "node %d has no table: it ran in an arg-min kernel" n.id
+  | Grouped _ ->
+    exec_error "node %d has no table: it ran inside its GROUP BY" n.id
 
 (* Evaluates a graph; [bound] overrides relation lookups (used for WHILE
    bodies); returns per-node values plus output bindings in node order
@@ -71,7 +76,10 @@ let table_of (n : Ir.Operator.node) v =
    Every node runs on its own kernel, except a JOIN heading a chain of
    {!Ir.Fusion.plan}: it runs with its SELECT as one kernel
    ({!Relation.Columnar.try_join_select}), or as the plain JOIN when
-   that kernel refuses.
+   that kernel refuses; an arg-min diamond, run by its CROSS; and a MAP
+   read only by a GROUP BY, run with it
+   ({!Relation.Columnar.try_map_group_by}) or one by one when that
+   kernel refuses.
 
    The plan's chains are priced as merged operators (paper §5):
    interiors get {!Ir.Sizing} priors, the tail the chain's end-to-end
@@ -130,6 +138,7 @@ let rec eval_graph ?(protect = []) ~hdfs
       Obs.Trace.add_attr "path"
         (Obs.Trace.String
            (if Table.is_view out then "view"
+            else if Table.matches out <> None then "matches"
             else if Table.is_columnar out then "columnar"
             else "row"));
     out
@@ -173,6 +182,26 @@ let rec eval_graph ?(protect = []) ~hdfs
       (fun (a : Ir.Fusion.argmin) -> a.cross = id)
       (Ir.Fusion.argmins fplan)
   in
+  (* a MAP read only by a GROUP BY runs the GROUP BY's kernel; the
+     GROUP BY takes its table *)
+  let map_group_by (mg : Ir.Fusion.map_group_by) (map : Ir.Operator.node) t =
+    match
+      span "kernel.fused"
+        (fun () ->
+           [ ("ops", Obs.Trace.String "MAP,GROUP BY");
+             ("rows_in", Obs.Trace.Int (Table.row_count t)) ])
+        (fun () ->
+           Columnar.try_map_group_by t ~target:mg.mg_target ~expr:mg.mg_expr
+             ~keys:mg.mg_keys ~aggs:mg.mg_aggs)
+    with
+    | Some k -> Grouped k
+    | None -> Table (solo map [ t ])
+  in
+  let map_group_by_at id =
+    List.find_opt
+      (fun (mg : Ir.Fusion.map_group_by) -> mg.mg_map = id)
+      (Ir.Fusion.map_group_bys fplan)
+  in
   let run (n : Ir.Operator.node) ins =
     match (ins, n.kind) with
     | [ { out = Table l; _ }; { out = Table r; _ } ], _ -> (
@@ -187,6 +216,11 @@ let rec eval_graph ?(protect = []) ~hdfs
       Ir.Operator.Join { right_key; _ } ->
       Joined (Columnar.argmin_join k best ~right_key)
     | [ { out = Joined js; _ } ], _ -> Table js.table
+    | [ { out = Grouped k; _ } ], Ir.Operator.Group_by _ -> Table k.grouped
+    | [ { out = Table t; _ } ], Ir.Operator.Map _ -> (
+      match map_group_by_at n.id with
+      | Some mg -> map_group_by mg n t
+      | None -> Table (solo n [ t ]))
     | _ -> Table (solo n (List.map (table_of n) ins))
   in
   (* a chain's row-local members start from the one input of the first *)
@@ -213,7 +247,8 @@ let rec eval_graph ?(protect = []) ~hdfs
         let schema =
           match src.out with
           | Table t | Joined { table = t; _ } -> Table.schema t
-          | Argmin _ -> exec_error "chain %d reads an arg-min kernel" n.id
+          | Argmin _ | Grouped _ ->
+            exec_error "chain %d reads a fused kernel's node" n.id
         in
         match
           Ir.Sizing.project_mb schema (lazy (column_bytes src.out)) columns
@@ -246,7 +281,7 @@ let rec eval_graph ?(protect = []) ~hdfs
     Hashtbl.replace values n.id v;
     match v.out with
     | Table t -> Hashtbl.replace by_name n.output (t, v.mb)
-    | Joined _ | Argmin _ -> ()
+    | Joined _ | Argmin _ | Grouped _ -> ()
   in
   List.iter
     (fun (n : Ir.Operator.node) ->
@@ -269,7 +304,7 @@ let rec eval_graph ?(protect = []) ~hdfs
          | Ir.Fusion.Solo | Ir.Fusion.Head _ -> (
            record n;
            match out with
-           | Joined _ | Argmin _ ->
+           | Joined _ | Argmin _ | Grouped _ ->
              (* the JOIN's, CROSS's or MAP's table is one more
                 intermediate never built *)
              Obs.Metrics.add_gauge Obs.Metrics.default

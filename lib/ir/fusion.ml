@@ -23,15 +23,27 @@ type argmin = {
   min_column : string;
 }
 
+type map_group_by = {
+  mg_map : int;
+  mg_group : int;
+  mg_target : string;
+  mg_expr : Relation.Expr.t;
+  mg_keys : string list;
+  mg_aggs : Relation.Aggregate.t list;
+}
+
 type plan = {
   plan_chains : chain list;
   roles : (int, role) Hashtbl.t;
   plan_argmins : argmin list;
+  plan_map_group_bys : map_group_by list Lazy.t;
 }
 
 let chains p = p.plan_chains
 
 let argmins p = p.plan_argmins
+
+let map_group_bys p = Lazy.force p.plan_map_group_bys
 
 let role p id =
   match Hashtbl.find_opt p.roles id with
@@ -240,6 +252,24 @@ let plan ?(protect = []) (g : Operator.graph) =
   let plan_argmins =
     List.filter_map (argmin_of g ~consumers ~hidden) plan_chains
   in
-  { plan_chains; roles; plan_argmins }
+  (* a hidden MAP whose one consumer is a GROUP BY not keyed on its
+     target; only execution asks, so pricing never builds the list *)
+  let plan_map_group_bys =
+    lazy
+      (List.filter_map
+         (fun (m : Operator.node) ->
+            match m.kind with
+            | Operator.Map { target; expr } when hidden m -> (
+              match Hashtbl.find_opt consumers m.id with
+              | Some [ { kind = Operator.Group_by { keys; aggs }; id; _ } ]
+                when not (List.mem target keys) ->
+                Some
+                  { mg_map = m.id; mg_group = id; mg_target = target;
+                    mg_expr = expr; mg_keys = keys; mg_aggs = aggs }
+              | _ -> None)
+            | _ -> None)
+         g.nodes)
+  in
+  { plan_chains; roles; plan_argmins; plan_map_group_bys }
 
 let set_enabled (_ : bool option) = ()

@@ -24,8 +24,9 @@
       chain member, can share an output's name, see {!Dag}).
 
     One more shape closes over a JOIN head: the {e arg-min diamond}
-    ({!argmin}). Planning is pure analysis: it never rewrites the
-    graph. *)
+    ({!argmin}). And a MAP read by nothing but a GROUP BY runs inside
+    it ({!map_group_by}). Planning is pure analysis: it never rewrites
+    the graph. *)
 
 type chain = {
   source : int;  (** node feeding the head (often an INPUT); a JOIN
@@ -74,6 +75,30 @@ type argmin = {
   min_column : string;  (** [b']: the column of [best] the SELECT reads *)
 }
 
+(** A MAP whose only reader is the GROUP BY after it:
+    {v
+    m = MAP t target := expr;  g = GROUP BY m keys aggs
+    v}
+    where [m] is neither a workflow output nor a protected name, so
+    nothing but [g] can ask for its table, and [target] is not one of
+    [keys]. It runs as one kernel, the GROUP BY's blocked pass with the
+    MAP's program run on each block
+    ({!Relation.Columnar.try_map_group_by}): [m] leaves no table, and
+    when [t] is a JOIN's matches, neither do the pairs. The kernel
+    refuses a non-numeric target, and the two operators then run one by
+    one. Pricing is untouched: [m] keeps its role and is priced from
+    the sizes the kernel computes from counts ([t]'s column bytes, and
+    8 bytes a row for [target]). Both nodes are in one graph, so in one
+    job: a MAP its job writes out is an output, and none of these. *)
+type map_group_by = {
+  mg_map : int;  (** [m] *)
+  mg_group : int;  (** [g] *)
+  mg_target : string;
+  mg_expr : Relation.Expr.t;
+  mg_keys : string list;
+  mg_aggs : Relation.Aggregate.t list;
+}
+
 type plan
 
 (** [plan ?protect g] groups maximal fusable chains of [g]. [protect]
@@ -94,6 +119,9 @@ val role : plan -> int -> role
 
 (** The plan's arg-min diamonds, in graph order. *)
 val argmins : plan -> argmin list
+
+(** The plan's MAP → GROUP BY pairs, in graph order. *)
+val map_group_bys : plan -> map_group_by list
 
 (** Does nothing. Kept only because the repository benchmark
     ([perfbench/bench.ml]) calls it, as {!Relation.Pool} is; nothing

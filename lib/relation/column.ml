@@ -190,56 +190,82 @@ let to_options t = Array.init (length t) (fun i -> get_opt t i)
 
 (* ---- selection-vector apply ---- *)
 
-let gather_valid valid idx =
-  match valid with
-  | None -> None
-  | Some bm ->
-    let n = Array.length idx in
-    let out = bitmap_create n in
-    let any_null = ref false in
-    for k = 0 to n - 1 do
-      if bitmap_get bm idx.(k) then bitmap_set out k else any_null := true
-    done;
-    if !any_null then Some out else None
+(* A gather whose index may arrive in runs: each [add] appends the
+   slots of one run, so a caller walking a JOIN's matches builds no
+   index of the output's length. Manual loops: [Array.map] would pay a
+   closure call per element, and gathers sit on the hot edge of every
+   selective kernel. *)
+module Gatherer = struct
+  type column = t
 
-(* manual loops: [Array.map] would pay a closure call per element, and
-   gathers sit on the hot edge of every selective kernel *)
-let gather_ints (a : int array) idx =
-  let n = Array.length idx in
-  let out = Array.make n 0 in
-  for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+  type t = {
+    src : column;
+    out : data;
+    valid : Bytes.t option;
+    mutable at : int;
+  }
 
-let gather_floats (a : float array) idx =
-  let n = Array.length idx in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n a.(idx.(0)) in
-    for k = 1 to n - 1 do
-      out.(k) <- a.(idx.(k))
-    done;
-    out
-  end
+  let create (src : column) n =
+    let out =
+      match src.data with
+      | Ints _ -> Ints (Array.make n 0)
+      | Floats _ -> Floats (Array.create_float n)
+      | Bools _ -> Bools (Array.make n false)
+      | Dict { dict; _ } -> Dict { codes = Array.make n 0; dict }
+    in
+    let valid = Option.map (fun _ -> bitmap_create n) src.valid in
+    { src; out; valid; at = 0 }
 
-let gather_bools (a : bool array) idx =
-  let n = Array.length idx in
-  let out = Array.make n false in
-  for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+  let add g (ix : int array) len =
+    let at = g.at in
+    (match (g.src.data, g.out) with
+     | Ints a, Ints o ->
+       for k = 0 to len - 1 do
+         o.(at + k) <- a.(ix.(k))
+       done
+     | Floats a, Floats o ->
+       for k = 0 to len - 1 do
+         o.(at + k) <- a.(ix.(k))
+       done
+     | Bools a, Bools o ->
+       for k = 0 to len - 1 do
+         o.(at + k) <- a.(ix.(k))
+       done
+     | Dict { codes; _ }, Dict { codes = o; _ } ->
+       for k = 0 to len - 1 do
+         o.(at + k) <- codes.(ix.(k))
+       done
+     | _ -> assert false);
+    (match (g.src.valid, g.valid) with
+     | Some bm, Some out ->
+       for k = 0 to len - 1 do
+         if bitmap_get bm ix.(k) then bitmap_set out (at + k)
+       done
+     | _ -> ());
+    g.at <- at + len
+
+  (* the bitmap is dropped when every gathered slot holds a value *)
+  let finish g =
+    let n = data_length g.out in
+    if g.at <> n then invalid_arg "Column.Gatherer.finish: short gather";
+    let valid =
+      match g.valid with
+      | Some bm ->
+        let all = ref true in
+        for i = 0 to n - 1 do
+          if not (bitmap_get bm i) then all := false
+        done;
+        if !all then None else Some bm
+      | None -> None
+    in
+    { data = g.out; valid }
+end
 
 let gather t idx =
-  let data =
-    match t.data with
-    | Ints a -> Ints (gather_ints a idx)
-    | Floats a -> Floats (gather_floats a idx)
-    | Bools a -> Bools (gather_bools a idx)
-    | Dict { codes; dict } -> Dict { codes = gather_ints codes idx; dict }
-  in
-  { data; valid = gather_valid t.valid idx }
+  let n = Array.length idx in
+  let g = Gatherer.create t n in
+  Gatherer.add g idx n;
+  Gatherer.finish g
 
 (* ---- comparison (Value.compare same-type semantics) ---- *)
 

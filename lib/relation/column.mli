@@ -72,6 +72,23 @@ val to_options : t -> Value.t option array
     and are not charged by {!encoded_bytes}. *)
 val gather : t -> int array -> t
 
+(** A {!gather} whose index arrives in runs, so no index of the
+    output's length is built: [create src n] starts a column of [n]
+    slots, each [add g ix len] appends the slots [ix.(0 .. len - 1)] of
+    [src], and [finish g], once [n] slots are in, is
+    [gather src idx] for the concatenated runs (same dictionary, same
+    validity). Raises [Invalid_argument] on a short gather. *)
+module Gatherer : sig
+  type column := t
+  type t
+
+  val create : column -> int -> t
+
+  val add : t -> int array -> int -> unit
+
+  val finish : t -> column
+end
+
 (** [compare_at t i j] compares slots [i] and [j] with exactly
     {!Value.compare}'s same-type semantics ([Float.compare] on floats,
     so NaN sorts deterministically). Null slots sort before values.

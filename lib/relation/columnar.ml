@@ -139,18 +139,25 @@ let try_map_column t ~target ~expr =
       let out_schema = Schema.with_column schema { Schema.name = target; ty } in
       let n = Table.row_count t in
       let v = Table.parts t in
-      let new_col =
-        if n = 0 then empty_column ty
-        else
-          Vector.to_column ~length:n (eval_view ~run:Vector.run_kept prog v ~n)
+      let entry =
+        match expr with
+        | Expr.Col c ->
+          (* a bare column keeps its base and group, as PROJECT does:
+             zero copy *)
+          v.vcols.(Schema.index_of schema c)
+        | _ when n = 0 -> (empty_column ty, -1)
+        | _ ->
+          ( Vector.to_column ~length:n
+              (eval_view ~run:Vector.run_kept prog v ~n),
+            -1 )
       in
       let vcols =
         if Schema.mem schema target then begin
           let out = Array.copy v.vcols in
-          out.(Schema.index_of schema target) <- (new_col, -1);
+          out.(Schema.index_of schema target) <- entry;
           out
         end
-        else Array.append v.vcols [| (new_col, -1) |]
+        else Array.append v.vcols [| entry |]
       in
       Some (Table.of_view out_schema ~rows:n { v with vcols })
   end
@@ -277,33 +284,12 @@ let int_keys (col : Column.t) =
 
 (* ---- JOIN ---- *)
 
-(* An equi-join's matches, before any pair is emitted. One side is the
-   build side: its keys are dense-coded once and its rows bucketed by
-   code, newest first (a CSR layout:
-   [brows.(bstart.(c) .. bstart.(c+1) - 1)] are the build rows with
-   code c). The other side probes: row q probes the bucket of
-   [pcode.(via q)], -1 for none, where [via] is its key's view index
-   or the identity, so a probe side read through a view is coded once
-   per base row. *)
-type matches = {
-  out_schema : Schema.t;
-  lv : Table.view;
-  rv : Table.view;  (** the right side without its key column *)
-  build_left : bool;
-  nprobe : int;
-  pcode : int array;  (** per row of the probe key's base column *)
-  pvia : int array option;
-  bstart : int array;
-  brows : int array;
-  pairs : int;
-}
-
-let code_at via codes i =
-  match via with None -> codes.(i) | Some ix -> codes.(ix.(i))
-
-(* The matches of [left ⋈ right], built on the left side or the right
-   one, or the reason the columnar path refuses. [refuse] vetoes on the
-   output schema, before any key is coded. *)
+(* The output schema and matches ({!Table.matches}) of [left ⋈ right],
+   built on the left side or the right one, or the reason the columnar
+   path refuses. [refuse] vetoes on the output schema, before any key is
+   coded. Row q of the probe side probes the bucket of [pcode.(via q)],
+   where [via] is its key's view index or the identity, so a probe side
+   read through a view is coded once per base row. *)
 let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
     ~right_key =
   if not (Column.enabled ()) then Error "disabled"
@@ -386,10 +372,17 @@ let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
           fill.(c) <- fill.(c) + 1
         done;
         let pairs = ref 0 in
-        for q = 0 to nprobe - 1 do
-          let c = code_at pvia pcode q in
-          if c >= 0 then pairs := !pairs + bstart.(c + 1) - bstart.(c)
-        done;
+        (match pvia with
+         | None ->
+           for q = 0 to nprobe - 1 do
+             let c = pcode.(q) in
+             if c >= 0 then pairs := !pairs + bstart.(c + 1) - bstart.(c)
+           done
+         | Some ix ->
+           for q = 0 to nprobe - 1 do
+             let c = pcode.(ix.(q)) in
+             if c >= 0 then pairs := !pairs + bstart.(c + 1) - bstart.(c)
+           done);
         let rv =
           { rv with
             vcols =
@@ -397,113 +390,20 @@ let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
                 (List.filteri (fun j _ -> j <> ri) (Array.to_list rv.vcols)) }
         in
         Ok
-          { out_schema; lv; rv; build_left; nprobe; pcode; pvia; bstart;
-            brows; pairs = !pairs }
+          ( out_schema,
+            { Table.lv; rv; build_left; nprobe; pcode; pvia; bstart; brows;
+              pairs = !pairs } )
   end
 
-(* The pairs of [m] handed to [flush lidx ridx n] in runs of [block]
-   pairs (the last may be shorter), through two buffers reused from run
-   to run. A left build side is probed by the right rows in order, so
-   the pairs come in the serial kernel's order — right rows ascending,
-   each right row's left rows newest first, its [Hashtbl.find_all]
-   order — and with [block = m.pairs] the two buffers are its output.
-   A right build side is probed by the left rows, newest first. *)
-let iter_pairs m ~block flush =
-  let lbuf = Array.make block 0 and rbuf = Array.make block 0 in
-  let k = ref 0 in
-  for s = 0 to m.nprobe - 1 do
-    let q = if m.build_left then s else m.nprobe - 1 - s in
-    let c = code_at m.pvia m.pcode q in
-    if c >= 0 then
-      for p = m.bstart.(c) to m.bstart.(c + 1) - 1 do
-        let b = m.brows.(p) in
-        if m.build_left then begin
-          lbuf.(!k) <- b;
-          rbuf.(!k) <- q
-        end
-        else begin
-          lbuf.(!k) <- q;
-          rbuf.(!k) <- b
-        end;
-        incr k;
-        if !k = block then begin
-          flush lbuf rbuf block;
-          k := 0
-        end
-      done
-  done;
-  if !k > 0 then flush lbuf rbuf !k
-
-(* a view: each input's groups composed with its pair index *)
-let pair_view m ~rows lidx ridx =
-  Table.of_view m.out_schema ~rows
-    (Table.concat_views (Table.reindex m.lv lidx) (Table.reindex m.rv ridx))
-
-(* The JOIN's {!Table.column_bytes} from counts, without its pairs: a
-   column of the JOIN's output has [m.pairs] rows, and its values are
-   those of the rows on its side whose key matches at least once. A
-   probe row matches when its bucket is not empty, and a build row when
-   some probe row reaches its bucket. *)
-let join_bytes m =
-  let groups = Array.length m.bstart - 1 in
-  let hit = Array.make groups false in
-  for q = 0 to m.nprobe - 1 do
-    let c = code_at m.pvia m.pcode q in
-    if c >= 0 && m.bstart.(c + 1) > m.bstart.(c) then hit.(c) <- true
-  done;
-  (* the matching rows are listed only for a side with a string column:
-     every other column costs a fixed width per pair, so k-means, whose
-     120,000-row probe side holds no string, lists none *)
-  let probed =
-    lazy
-      (let rows = Array.make m.nprobe 0 and n = ref 0 in
-       for q = 0 to m.nprobe - 1 do
-         let c = code_at m.pvia m.pcode q in
-         if c >= 0 && hit.(c) then begin
-           rows.(!n) <- q;
-           incr n
-         end
-       done;
-       Array.sub rows 0 !n)
-  and built =
-    lazy
-      (let rows = Array.make (Array.length m.brows) 0 and n = ref 0 in
-       for c = 0 to groups - 1 do
-         if hit.(c) then
-           for p = m.bstart.(c) to m.bstart.(c + 1) - 1 do
-             rows.(!n) <- m.brows.(p);
-             incr n
-           done
-       done;
-       Array.sub rows 0 !n)
-  in
-  let bytes (v : Table.view) rows =
-    Array.map
-      (fun (c, g) ->
-         if Column.ty c <> Value.Tstring then
-           Column.encoded_bytes ~rows:m.pairs c
-         else
-           let rows = Lazy.force rows in
-           let idx = if g < 0 then rows else Table.compose v.idx.(g) rows in
-           Column.encoded_bytes ~idx ~rows:m.pairs c)
-      v.vcols
-  in
-  let lrows, rrows =
-    if m.build_left then (built, probed) else (probed, built)
-  in
-  Array.append (bytes m.lv lrows) (bytes m.rv rrows)
-
-(* A plain JOIN's output is every pair, so it is built on the left and
-   emitted in order into two exactly sized index arrays. *)
+(* A plain JOIN is built on the left, as the serial kernel is, and
+   returns its matches: its pairs are the serial kernel's rows, in
+   order, and no pair is built until a consumer reads them. *)
 let try_join left right ~left_key ~right_key =
   match join_matches ~build_left:true left right ~left_key ~right_key with
   | Error reason -> fallback reason
-  | Ok m ->
+  | Ok (out_schema, m) ->
     mark "join";
-    let out = ref ([||], [||]) in
-    iter_pairs m ~block:m.pairs (fun lidx ridx _ -> out := (lidx, ridx));
-    let lidx, ridx = !out in
-    Some (pair_view m ~rows:m.pairs lidx ridx)
+    Some (Table.of_matches out_schema m)
 
 (* ---- JOIN → SELECT ---- *)
 
@@ -550,42 +450,45 @@ let place_by_right counts chunks =
     chunks;
   (lidx, ridx)
 
-(* The selection of each of [lv]'s columns then [rv]'s over a block of
-   pairs, made once per kernel call: [set lbuf rbuf n] moves it to a
-   block whose pair k, for k < n, is left row [lbuf.(k)] and right row
-   [rbuf.(k)]. A column reads its base through its group's index
-   composed with the block's rows: composed once per group and block,
-   only for the columns a program reads, into a buffer reused from
-   block to block. *)
-let pair_sel (lv : Table.view) (rv : Table.view) =
-  let side (v : Table.view) =
-    let groups = Array.length v.idx in
-    let composed = Array.make groups [||] and ready = Array.make groups false in
-    let buf = ref [||] and len = ref 0 in
-    let set b n =
-      buf := b;
-      len := n;
-      Array.fill ready 0 groups false
-    in
-    let sel g =
-      if g < 0 then Vector.Sparse !buf
-      else begin
-        if not ready.(g) then begin
-          let b = !buf and ix = v.idx.(g) in
-          if Array.length composed.(g) < !len then
-            composed.(g) <- Array.make !len 0;
-          let out = composed.(g) in
-          for k = 0 to !len - 1 do
-            out.(k) <- ix.(b.(k))
-          done;
-          ready.(g) <- true
-        end;
-        Vector.Sparse composed.(g)
-      end
-    in
-    (set, sel)
+(* The selection of a view's column groups over a block of its rows,
+   made once per kernel call: [set rows n] moves it to a block whose row
+   k, for k < n, is row [rows.(k)] of the view, and [sel g] is group
+   [g]'s selection for it (-1: the row-aligned columns). A group reads
+   its base through its index composed with the block's rows: composed
+   once per group and block, only for the groups a program reads, into
+   a buffer reused from block to block. *)
+let side_sel (v : Table.view) =
+  let groups = Array.length v.idx in
+  let composed = Array.make groups [||] and ready = Array.make groups false in
+  let buf = ref [||] and len = ref 0 in
+  let set b n =
+    buf := b;
+    len := n;
+    Array.fill ready 0 groups false
   in
-  let lset, lsel = side lv and rset, rsel = side rv in
+  let sel g =
+    if g < 0 then Vector.Sparse !buf
+    else begin
+      if not ready.(g) then begin
+        let b = !buf and ix = v.idx.(g) in
+        if Array.length composed.(g) < !len then
+          composed.(g) <- Array.make !len 0;
+        let out = composed.(g) in
+        for k = 0 to !len - 1 do
+          out.(k) <- ix.(b.(k))
+        done;
+        ready.(g) <- true
+      end;
+      Vector.Sparse composed.(g)
+    end
+  in
+  (set, sel)
+
+(* The selection of each of [lv]'s columns then [rv]'s over a block of
+   pairs: [set lbuf rbuf n] moves it to a block whose pair k, for k <
+   n, is left row [lbuf.(k)] and right row [rbuf.(k)]. *)
+let pair_sel (lv : Table.view) (rv : Table.view) =
+  let lset, lsel = side_sel lv and rset, rsel = side_sel rv in
   let nleft = Array.length lv.vcols in
   ( (fun lbuf rbuf n ->
         lset lbuf n;
@@ -611,16 +514,16 @@ let try_join_select left right ~left_key ~right_key ~pred =
   let build_left = Table.row_count left <= Table.row_count right in
   match join_matches ~refuse ~build_left left right ~left_key ~right_key with
   | Error reason -> refused reason
-  | Ok m ->
+  | Ok (out_schema, m) ->
     let prog = Option.get !prog in
     let bases =
-      Array.append (Array.map fst m.lv.vcols) (Array.map fst m.rv.vcols)
+      Array.append (Array.map fst m.Table.lv.vcols) (Array.map fst m.rv.vcols)
     in
     mark "join_select";
     let set_block, sel = pair_sel m.lv m.rv in
     let counts = Array.make (Table.row_count right) 0 in
     let kept = ref [] in
-    iter_pairs m ~block:pair_block (fun lb rb n ->
+    Table.iter_pairs m ~block:pair_block (fun lb rb n ->
         set_block lb rb n;
         let mask =
           Vector.to_mask ~length:n (Vector.run prog bases ~len:n ~sel)
@@ -643,9 +546,11 @@ let try_join_select left right ~left_key ~right_key ~pred =
         kept := (sl, sr) :: !kept);
     let lidx, ridx = place_by_right counts (List.rev !kept) in
     Some
-      { table = pair_view m ~rows:(Array.length lidx) lidx ridx;
+      { table =
+          Table.of_view out_schema ~rows:(Array.length lidx)
+            (Table.matches_view m lidx ridx);
         pairs = m.pairs;
-        join_bytes = join_bytes m }
+        join_bytes = Table.matches_bytes m }
 
 (* ---- CROSS ---- *)
 
@@ -673,226 +578,697 @@ let try_cross left right =
 
 (* ---- GROUP BY ---- *)
 
-(* Per-row group ids for a key tuple, dense in first-appearance order
-   of the whole tuple. A key is its base column's int keys and, when it
-   is read through a view, the row index. Before the last step any
-   injective code will do: a key whose values span a narrow range is
-   coded as its offset from the minimum, with no array; a wider one is
-   dense-coded off its base column. Each key is folded into the running
-   code as [prev * d + cur], read through the index; the running code is
-   re-densified only when the next fold would leave the range the
-   slot-array path of {!dense_codes} takes, so it stays below n times
-   the base's row count. *)
-let group_ids n keys =
-  let limit = max 4096 (2 * n) in
-  match keys with
-  | [] -> (Array.make n 0, min n 1)  (* keyless: one group of every row *)
-  | [ (base, None) ] ->
-    let codes, count, _ = dense_codes base in
-    (codes, count)
-  | keys ->
-    (* the running code, rewritten in place by every fold *)
-    let acc = Array.make n 0 in
-    let densify range =
-      let _, count, _ = dense_codes ~range ~into:acc acc in
-      count
-    in
-    let range =
-      List.fold_left
-        (fun range ((base : int array), via) ->
-           let lo = ref max_int and hi = ref min_int in
-           Array.iter
-             (fun k ->
-                if k < !lo then lo := k;
-                if k > !hi then hi := k)
-             base;
-           let lo = !lo and hi = !hi in
-           (* [hi - lo] wraps negative when the span exceeds max_int *)
-           let codes, lo, d =
-             if hi - lo >= 0 && hi - lo < limit then (base, lo, hi - lo + 1)
-             else
-               let codes, d, _ = dense_codes base in
-               (codes, 0, d)
-           in
-           let range = if range * d > limit then densify range else range in
-           (match via with
-            | None ->
-              for i = 0 to n - 1 do
-                acc.(i) <- (acc.(i) * d) + codes.(i) - lo
-              done
-            | Some ix ->
-              for i = 0 to n - 1 do
-                acc.(i) <- (acc.(i) * d) + codes.(ix.(i)) - lo
-              done);
-           range * d)
-        1 keys
-    in
-    let count = densify range in
-    (acc, count)
+let sparse = function
+  | Vector.Sparse ix -> ix
+  | Vector.Dense -> invalid_arg "Columnar: a block read without an index"
 
-let summable (fn : Aggregate.fn) (src : Column.t option) =
-  match (fn, src) with
-  | (Aggregate.Sum _ | Aggregate.Avg _),
-    Some { Column.data = Column.Ints _ | Column.Floats _; _ } -> true
-  | (Aggregate.Sum _ | Aggregate.Avg _), _ -> false
+(* Where block row k of a column is in its base: with [ix == direct],
+   slot [off + k]; otherwise slot [ix.(off + k)]. A loop tests
+   [ix == direct] once, as [flat]. An index a block reads is never
+   empty, since blocks hold at least one row. *)
+let direct : int array = [||]
+
+let[@inline] slot_at flat ix off k = if flat then off + k else ix.(off + k)
+
+let[@inline] int_at (a : int array) flat ix off k =
+  if flat then a.(off + k) else a.(ix.(off + k))
+
+let[@inline] float_at (a : float array) flat ix off k =
+  if flat then a.(off + k) else a.(ix.(off + k))
+
+(* A table read in blocks of at most [pair_block] rows, in row order,
+   whatever its form: [run f] calls [f start n pos sel] on each block,
+   whose row k, for k < n, is row [start + k] of the table. Column j of
+   the block is [pos j] into its base [bases.(j)], and [sel j] the same
+   rows as a selection for {!Vector.run}. A plain column or a view's
+   group is read in place at offset [start]; a JOIN's matches are read
+   pair by pair, with no pair index. *)
+type reader = {
+  bases : Column.t array;
+  run :
+    (int -> int -> (int -> int array * int) -> (int -> Vector.sel) -> unit) ->
+    unit;
+  slots : (int -> int array -> int array) option;
+      (** for a table that holds its rows, [slots j rows]: the slots of
+          [rows] in column j's base *)
+}
+
+let reader t =
+  match Table.matches t with
+  | Some m ->
+    { bases =
+        Array.append (Array.map fst m.Table.lv.vcols) (Array.map fst m.rv.vcols);
+      run =
+        (fun f ->
+           let set, sel = pair_sel m.lv m.rv in
+           let pos j = (sparse (sel j), 0) in
+           let start = ref 0 in
+           Table.iter_pairs m
+             ~block:(max 1 (min m.pairs pair_block))
+             (fun lb rb n ->
+               set lb rb n;
+               f !start n pos sel;
+               start := !start + n));
+      slots = None }
+  | None ->
+    let v = Table.parts t and n = Table.row_count t in
+    { bases = Array.map fst v.vcols;
+      run =
+        (fun f ->
+           let set, gsel = side_sel v in
+           (* the block's rows, made and written only when a program
+              reads them *)
+           let rows = ref [||] and filled = ref false in
+           let start = ref 0 and len = ref 0 in
+           let sel j =
+             if not !filled then begin
+               if Array.length !rows = 0 then rows := Array.make (min n pair_block) 0;
+               let rs = !rows in
+               for k = 0 to !len - 1 do
+                 rs.(k) <- !start + k
+               done;
+               set rs !len;
+               filled := true
+             end;
+             gsel (snd v.vcols.(j))
+           in
+           let pos j =
+             match v.vcols.(j) with
+             | _, -1 -> (direct, !start)
+             | _, g -> (v.idx.(g), !start)
+           in
+           while !start < n do
+             len := min pair_block (n - !start);
+             filled := false;
+             f !start !len pos sel;
+             start := !start + !len
+           done);
+      slots =
+        Some
+          (fun j rows ->
+             match v.vcols.(j) with
+             | _, -1 -> rows
+             | _, g -> Table.compose v.idx.(g) rows) }
+
+(* A key's codes off its base column, [(codes, lo, d)]: row r's code is
+   [codes.(r) - lo], below [d]. A key whose values span a narrow range
+   is its own code, offset by its minimum; a wider one is dense-coded. *)
+let key_codes limit (keys : int array) =
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  let lo = !lo and hi = !hi in
+  (* [hi - lo] wraps negative when the span exceeds max_int *)
+  if Array.length keys = 0 then (keys, 0, 1)
+  else if hi - lo >= 0 && hi - lo < limit then (keys, lo, hi - lo + 1)
+  else
+    let codes, d, _ = dense_codes keys in
+    (codes, 0, d)
+
+(* Dense ids for codes below [range], in the order the codes first
+   appear across every block: a slot array when the range is at most
+   [limit], else an open-addressing table of [expect] ids that doubles
+   as it fills. *)
+type ids = {
+  hashed : bool;
+  mutable table : int array;
+      (** the id of each code, or -1; hashed: the id at each probe slot *)
+  mutable held : int array;  (** hashed: the code at each probe slot *)
+  mutable count : int;
+}
+
+let ids ~range ~limit ~expect =
+  if range <= limit then
+    { hashed = false; table = Array.make range (-1); held = [||]; count = 0 }
+  else
+    let slots = pow2_above (2 * expect) 16 in
+    { hashed = true; table = Array.make slots (-1);
+      held = Array.make slots 0; count = 0 }
+
+let rehash d =
+  let slots = 2 * Array.length d.table in
+  let mask = slots - 1 in
+  let table = Array.make slots (-1) and held = Array.make slots 0 in
+  Array.iteri
+    (fun h id ->
+       if id >= 0 then begin
+         let c = d.held.(h) in
+         let j = ref (mix c land mask) in
+         while table.(!j) >= 0 do
+           j := (!j + 1) land mask
+         done;
+         table.(!j) <- id;
+         held.(!j) <- c
+       end)
+    d.table;
+  d.table <- table;
+  d.held <- held
+
+(* [comb.(k) <- comb.(k) * mult + codes.(at k) - lo] for each row k < n
+   of a block, where [at] reads [ix] at [off] by {!slot_at}: one key
+   folded into the running codes ([mult = 0] for the first). *)
+let fold_key (comb : int array) ~mult ~(codes : int array) ~lo ~ix ~off n =
+  let flat = ix == direct in
+  for k = 0 to n - 1 do
+    comb.(k) <- (comb.(k) * mult) + int_at codes flat ix off k - lo
+  done
+
+(* Rewrites each row k < n of [comb] with the id of its code, and with
+   [~sizes] adds 1 to [sizes.(id)], which must hold [count + n] ids. The
+   rows that take a new id are listed in [born], in order, and their
+   count returned: the i-th takes id [count + i] of [d] before the
+   call. *)
+let densify ?sizes d (comb : int array) n (born : int array) =
+  let sizes, sized =
+    match sizes with Some s -> (s, true) | None -> ([||], false)
+  in
+  let nb = ref 0 and count = ref d.count in
+  if not d.hashed then begin
+    let slot = d.table in
+    for k = 0 to n - 1 do
+      let c = comb.(k) in
+      let g = slot.(c) in
+      let g =
+        if g >= 0 then g
+        else begin
+          let g = !count in
+          slot.(c) <- g;
+          count := g + 1;
+          born.(!nb) <- k;
+          incr nb;
+          g
+        end
+      in
+      comb.(k) <- g;
+      if sized then sizes.(g) <- sizes.(g) + 1
+    done
+  end
+  else begin
+    let table = ref d.table and keys = ref d.held in
+    let mask = ref (Array.length !table - 1) in
+    for k = 0 to n - 1 do
+      let c = comb.(k) in
+      let t = !table and ks = !keys and m = !mask in
+      let h = ref (mix c land m) in
+      while t.(!h) >= 0 && ks.(!h) <> c do
+        h := (!h + 1) land m
+      done;
+      let g = t.(!h) in
+      let g =
+        if g >= 0 then g
+        else begin
+          let g = !count in
+          t.(!h) <- g;
+          ks.(!h) <- c;
+          count := g + 1;
+          born.(!nb) <- k;
+          incr nb;
+          if 2 * (g + 1) > m then begin
+            d.count <- g + 1;
+            rehash d;
+            table := d.table;
+            keys := d.held;
+            mask := Array.length d.table - 1
+          end;
+          g
+        end
+      in
+      comb.(k) <- g;
+      if sized then sizes.(g) <- sizes.(g) + 1
+    done
+  end;
+  d.count <- !count;
+  !nb
+
+(* One key of the fold: its column, its codes, and the ids the running
+   code is re-densified through first, when folding it in could
+   overflow. *)
+type key_step = {
+  col : int;
+  codes : int array;
+  lo : int;
+  d : int;
+  pre : ids option;
+}
+
+(* an aggregation's input: a column of the table, or the absorbed
+   MAP's values *)
+type source =
+  | Col of int
+  | Mapped
+
+(* One aggregation's per-group state, grown with the group count:
+   [step start n gid pos mapped] folds in a block whose row k has group
+   [gid.(k)] and table row [start + k], its columns at [pos] and the
+   MAP's values in [mapped]; [result groups] is its output column. *)
+type acc = {
+  grow : int -> unit;
+  step :
+    int -> int -> int array -> (int -> int array * int) -> Vector.vec -> unit;
+  result : int -> Column.t;
+}
+
+(* the first [n] entries of a per-group array: the array itself when
+   it holds exactly the groups *)
+let trim a n = if Array.length a = n then a else Array.sub a 0 n
+
+let grown a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let summable (fn : Aggregate.fn) ty =
+  match fn with
+  | Aggregate.Sum _ | Aggregate.Avg _ -> ty = Value.Tint || ty = Value.Tfloat
   | _ -> true
 
-(* one aggregation's output column over dense group ids [gid], where
-   [reps.(g)] is group g's first row and [counts.(g)] its size *)
-let aggregate ~gid ~reps ~counts (fn : Aggregate.fn) (src : Column.t option) =
-  let groups = Array.length reps and n = Array.length gid in
-  let avg sums =
-    Column.make
-      (Column.Floats
-         (Array.init groups (fun g -> sums.(g) /. float_of_int counts.(g))))
+(* [Float.compare], with the ordered cases inline *)
+let[@inline] compare_floats (x : float) y =
+  if x < y then -1
+  else if x > y then 1
+  else if x = y then 0
+  else Float.compare x y
+
+(* The columnar GROUP BY, one blocked pass over [t] read by [r]: each
+   block's key codes are folded into one code per row, mapped to group
+   ids in first appearance, and every aggregation updated in the same
+   pass; no array of the row count is built. With [map = Some (target,
+   prog)], the GROUP BY reads the MAP [target := prog] of [t] instead
+   of [t], the program run once per block. [kis] are the key columns
+   and [srcs] the aggregation inputs, both in the GROUP BY's input
+   schema; no key is the MAP's target. *)
+let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
+  let n = Table.row_count t in
+  let limit = max 4096 (2 * n) in
+  (* the fold: the running code is re-densified only before a key that
+     would take it past [max_int]; it then stays below [n] *)
+  let range = ref 1 in
+  let steps =
+    Array.of_list
+      (List.map2
+         (fun col (codes, lo, d) ->
+            let pre =
+              if !range > 1 && !range > max_int / d then begin
+                let p = ids ~range:!range ~limit ~expect:(min !range n) in
+                range := min !range n;
+                Some p
+              end
+              else None
+            in
+            range := !range * d;
+            { col; codes; lo; d; pre })
+         kis bases_keys)
   in
-  match (fn, src) with
-  | Aggregate.Count, _ -> Column.make (Column.Ints counts)
-  | Aggregate.Sum _, Some { Column.data = Column.Ints a; _ } ->
-    let sums = Array.make groups 0 in
-    for r = 0 to n - 1 do
-      let g = gid.(r) in
-      sums.(g) <- sums.(g) + a.(r)
-    done;
-    Column.make (Column.Ints sums)
-  | Aggregate.Sum _, Some { Column.data = Column.Floats a; _ } ->
-    (* SUM seeds from the group's first value, like [Aggregate.step]
-       (0. +. -0. would lose the sign) *)
-    let sums = Array.make groups 0. in
-    for r = 0 to n - 1 do
-      let g = gid.(r) in
-      sums.(g) <-
-        (if reps.(g) = r then a.(r) else Aggregate.add_float sums.(g) a.(r))
-    done;
-    Column.make (Column.Floats sums)
-  (* AVG starts from 0. and adds every value, like [Aggregate.S_avg] *)
-  | Aggregate.Avg _, Some { Column.data = Column.Ints a; _ } ->
-    let sums = Array.make groups 0. in
-    for r = 0 to n - 1 do
-      let g = gid.(r) in
-      sums.(g) <- sums.(g) +. float_of_int a.(r)
-    done;
-    avg sums
-  | Aggregate.Avg _, Some { Column.data = Column.Floats a; _ } ->
-    let sums = Array.make groups 0. in
-    for r = 0 to n - 1 do
-      let g = gid.(r) in
-      sums.(g) <- Aggregate.add_float sums.(g) a.(r)
-    done;
-    avg sums
-  | (Aggregate.Min _ | Aggregate.Max _), Some c ->
-    let dir = match fn with Aggregate.Min _ -> -1 | _ -> 1 in
-    (* row index of each group's winner; strict comparison keeps the
-       earliest on ties, exactly as [Aggregate.step] does *)
-    let best = Array.copy reps in
-    (match c.Column.data with
-     | Column.Ints a when Column.all_valid c ->
-       for r = 0 to n - 1 do
-         let g = gid.(r) in
-         if dir * Int.compare a.(r) a.(best.(g)) > 0 then best.(g) <- r
-       done
-     | Column.Floats a when Column.all_valid c ->
-       for r = 0 to n - 1 do
-         let g = gid.(r) in
-         if dir * Float.compare a.(r) a.(best.(g)) > 0 then best.(g) <- r
-       done
-     | _ ->
-       for r = 0 to n - 1 do
-         let g = gid.(r) in
-         if dir * Column.compare_at c r best.(g) > 0 then best.(g) <- r
-       done);
-    Column.gather c best
-  | Aggregate.First _, Some c -> Column.gather c reps
-  | _ -> invalid_arg "Columnar.aggregate: input does not fit the function"
+  (* the group state is sized as the ids are: for every code of a slot
+     array, or, hashed, for every row of a table that holds its rows. A
+     JOIN's matches hold far fewer words than their pairs, so a hashed
+     table over them starts small and doubles *)
+  let expect =
+    if !range <= limit || Table.matches t = None then min n !range
+    else min 4096 n
+  in
+  let final = ids ~range:!range ~limit ~expect in
+  let ids_bound = if final.hashed then max_int else !range in
+  let cap = ref (max 1 expect) in
+  let cap0 = !cap in
+  (* per group: its size, each key's base slot and its first row. A
+     table that holds its rows finds the slots from the first rows; a
+     JOIN's matches keep them per key, and the first rows only when an
+     aggregation seeds from them *)
+  let src_ty = function
+    | Col j -> Column.ty r.bases.(j)
+    | Mapped -> Vector.ty (snd (Option.get map))
+  in
+  let seeded =
+    r.slots <> None
+    || List.exists2
+         (fun (a : Aggregate.t) src ->
+            match (a.fn, Option.map src_ty src) with
+            | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), _ ->
+              true
+            | Aggregate.Sum _, Some ty -> ty = Value.Tfloat
+            | _ -> false)
+         aggs srcs
+  in
+  let first = ref (Array.make (if seeded then cap0 else 0) 0)
+  and counts = ref (Array.make cap0 0) in
+  let keyrows =
+    if r.slots = None then Array.map (fun _ -> Array.make cap0 0) steps
+    else [||]
+  in
+  (* block scratch: the running code, then the group id, of each row *)
+  let block = max 1 (min n pair_block) in
+  let comb = Array.make block 0 in
+  let ints pos mapped = function
+    | Col j -> (
+      match r.bases.(j).Column.data with
+      | Column.Ints a ->
+        let ix, off = pos j in
+        (a, ix, off)
+      | _ -> assert false)
+    | Mapped -> (
+      match mapped with
+      | Vector.VInt a -> (a, direct, 0)
+      | Vector.VConst (Value.Int x) -> (Array.make block x, direct, 0)
+      | _ -> assert false)
+  in
+  let floats pos mapped = function
+    | Col j -> (
+      match r.bases.(j).Column.data with
+      | Column.Floats a ->
+        let ix, off = pos j in
+        (a, ix, off)
+      | _ -> assert false)
+    | Mapped -> (
+      match mapped with
+      | Vector.VFloat a -> (a, direct, 0)
+      | Vector.VConst (Value.Float x) -> (Array.make block x, direct, 0)
+      | _ -> assert false)
+  in
+  let count_acc =
+    { grow = ignore; step = (fun _ _ _ _ _ -> ());
+      result = (fun g -> Column.make (Column.Ints (trim !counts g))) }
+  in
+  (* MIN, MAX and FIRST keep the first value on ties, exactly as
+     [Aggregate.step] does: a later value replaces it only when it
+     compares strictly better; [dir] is 0 for FIRST *)
+  let dir (fn : Aggregate.fn) =
+    match fn with Aggregate.Min _ -> -1 | Aggregate.Max _ -> 1 | _ -> 0
+  in
+  let make_acc (a : Aggregate.t) src =
+    match src with
+    | None -> count_acc
+    | Some src -> (
+      match (a.fn, src_ty src) with
+      | Aggregate.Count, _ -> count_acc
+      | Aggregate.Sum _, Value.Tint ->
+        let sums = ref (Array.make cap0 0) in
+        { grow = (fun c -> sums := grown !sums c 0);
+          step =
+            (fun _ n gid pos mapped ->
+               let a, ix, off = ints pos mapped src and s = !sums in
+               let flat = ix == direct in
+               for k = 0 to n - 1 do
+                 let g = gid.(k) in
+                 s.(g) <- s.(g) + int_at a flat ix off k
+               done);
+          result = (fun g -> Column.make (Column.Ints (trim !sums g))) }
+      | Aggregate.Sum _, _ ->
+        (* SUM seeds from the group's first value, like [Aggregate.step]
+           (0. +. -0. would lose the sign) *)
+        let sums = ref (Array.make cap0 0.) in
+        { grow = (fun c -> sums := grown !sums c 0.);
+          step =
+            (fun start n gid pos mapped ->
+               let a, ix, off = floats pos mapped src
+               and s = !sums and f = !first in
+               let flat = ix == direct in
+               for k = 0 to n - 1 do
+                 let g = gid.(k) and x = float_at a flat ix off k in
+                 s.(g) <-
+                   (if f.(g) = start + k then x
+                    else Aggregate.add_float s.(g) x)
+               done);
+          result =
+            (fun g -> Column.make (Column.Floats (trim !sums g))) }
+      | Aggregate.Avg _, ty ->
+        (* AVG starts from 0. and adds every value, like
+           [Aggregate.S_avg] *)
+        let sums = ref (Array.make cap0 0.) in
+        { grow = (fun c -> sums := grown !sums c 0.);
+          step =
+            (fun _ n gid pos mapped ->
+               let s = !sums in
+               if ty = Value.Tint then begin
+                 let a, ix, off = ints pos mapped src in
+                 let flat = ix == direct in
+                 for k = 0 to n - 1 do
+                   let g = gid.(k) in
+                   s.(g) <- s.(g) +. float_of_int (int_at a flat ix off k)
+                 done
+               end
+               else begin
+                 let a, ix, off = floats pos mapped src in
+                 let flat = ix == direct in
+                 for k = 0 to n - 1 do
+                   let g = gid.(k) in
+                   s.(g) <- Aggregate.add_float s.(g) (float_at a flat ix off k)
+                 done
+               end);
+          result =
+            (fun g ->
+               let s = !sums and c = !counts in
+               Column.make
+                 (Column.Floats
+                    (Array.init g (fun i -> s.(i) /. float_of_int c.(i))))) }
+      | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), Value.Tint ->
+        let best = ref (Array.make cap0 0) and dir = dir a.fn in
+        { grow = (fun c -> best := grown !best c 0);
+          step =
+            (fun start n gid pos mapped ->
+               let a, ix, off = ints pos mapped src
+               and b = !best and f = !first in
+               let flat = ix == direct in
+               for k = 0 to n - 1 do
+                 let g = gid.(k) and x = int_at a flat ix off k in
+                 if f.(g) = start + k || dir * Int.compare x b.(g) > 0 then
+                   b.(g) <- x
+               done);
+          result = (fun g -> Column.make (Column.Ints (trim !best g))) }
+      | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), Value.Tfloat
+        ->
+        let best = ref (Array.make cap0 0.) and dir = dir a.fn in
+        { grow = (fun c -> best := grown !best c 0.);
+          step =
+            (fun start n gid pos mapped ->
+               let a, ix, off = floats pos mapped src
+               and b = !best and f = !first in
+               let flat = ix == direct in
+               for k = 0 to n - 1 do
+                 let g = gid.(k) and x = float_at a flat ix off k in
+                 if f.(g) = start + k || dir * compare_floats x b.(g) > 0 then
+                   b.(g) <- x
+               done);
+          result =
+            (fun g -> Column.make (Column.Floats (trim !best g))) }
+      | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), _ ->
+        (* bools and strings, only ever a column of the table: each
+           group's winning slot of the base column, gathered at the
+           end *)
+        let j = match src with Col j -> j | Mapped -> assert false in
+        let c = r.bases.(j) in
+        let best = ref (Array.make cap0 0) and dir = dir a.fn in
+        { grow = (fun cap -> best := grown !best cap 0);
+          step =
+            (fun start n gid pos _ ->
+               let ix, off = pos j and b = !best and f = !first in
+               let flat = ix == direct in
+               for k = 0 to n - 1 do
+                 let g = gid.(k) and s = slot_at flat ix off k in
+                 if f.(g) = start + k || dir * Column.compare_at c s b.(g) > 0
+                 then b.(g) <- s
+               done);
+          result = (fun g -> Column.gather c (trim !best g)) })
+  in
+  let accs = Array.of_list (List.map2 make_acc aggs srcs) in
+  let grow () =
+    let c = 2 * !cap in
+    if seeded then first := grown !first c 0;
+    counts := grown !counts c 0;
+    Array.iteri (fun i a -> keyrows.(i) <- grown a c 0) keyrows;
+    Array.iter (fun a -> a.grow c) accs;
+    cap := c
+  in
+  (* each key's position in the block *)
+  let kix = Array.make (Array.length steps) direct
+  and koff = Array.make (Array.length steps) 0 in
+  (* the block rows that start a group *)
+  let born = Array.make block 0 in
+  let none = Vector.VConst (Value.Int 0) in
+  r.run (fun start n pos sel ->
+      for i = 0 to Array.length steps - 1 do
+        let st = steps.(i) in
+        let ix, off = pos st.col in
+        kix.(i) <- ix;
+        koff.(i) <- off;
+        (match st.pre with
+         | Some p -> ignore (densify p comb n born)
+         | None -> ());
+        fold_key comb ~mult:(if i = 0 then 0 else st.d) ~codes:st.codes
+          ~lo:st.lo ~ix ~off n
+      done;
+      (* keyless: every row's code is 0 *)
+      if Array.length steps = 0 then Array.fill comb 0 n 0;
+      let g0 = final.count in
+      (* room for every row of the block to start a group, up to the
+         slot array's ids *)
+      while !cap < min (g0 + n) ids_bound do
+        grow ()
+      done;
+      let nb = densify final ~sizes:!counts comb n born in
+      (* the new groups: their first row and each key's base slot *)
+      for i = 0 to nb - 1 do
+        let g = g0 + i and k = born.(i) in
+        if seeded then !first.(g) <- start + k;
+        for j = 0 to Array.length keyrows - 1 do
+          keyrows.(j).(g) <- slot_at (kix.(j) == direct) kix.(j) koff.(j) k
+        done
+      done;
+      let mapped =
+        match map with
+        | Some (_, prog) -> Vector.run prog r.bases ~len:n ~sel
+        | None -> none
+      in
+      for a = 0 to Array.length accs - 1 do
+        accs.(a).step start n comb pos mapped
+      done);
+  let groups = final.count in
+  if kis <> [] || (n > 0 && aggs <> []) then
+    Table.of_columns out_schema
+      (Array.of_list
+         (Array.to_list
+            (Array.mapi
+               (fun i st ->
+                  Column.gather r.bases.(st.col)
+                    (match r.slots with
+                     | Some slots -> slots st.col (trim !first groups)
+                     | None -> trim keyrows.(i) groups))
+               steps)
+          @ Array.to_list (Array.map (fun a -> a.result groups) accs)))
+  else
+    (* a keyless GROUP BY yields one row even with no aggregate, and
+       over an empty input the row kernel's initial states *)
+    Table.create_unchecked out_schema
+      [| Array.of_list
+           (List.map
+              (fun (a : Aggregate.t) ->
+                 Aggregate.finish a.fn (Aggregate.init a.fn))
+              aggs) |]
+
+(* The GROUP BY's plan over [t], or read through the MAP [target :=
+   prog] of [t]: its key columns, their codes and the aggregation
+   inputs, or the reason it refuses. *)
+let group_plan t ~map ~keys ~aggs =
+  let schema = Table.schema t in
+  let gschema =
+    match map with
+    | Some (target, prog) ->
+      Schema.with_column schema { Schema.name = target; ty = Vector.ty prog }
+    | None -> schema
+  in
+  let mapped i =
+    match map with
+    | Some (target, _) -> Schema.index_of gschema target = i
+    | None -> false
+  in
+  (* same Not_found as the row path on unknown keys or inputs *)
+  let kis = List.map (Schema.index_of gschema) keys in
+  let srcs =
+    List.map
+      (fun (a : Aggregate.t) ->
+         Option.map
+           (fun c ->
+              let i = Schema.index_of gschema c in
+              if mapped i then Mapped else Col i)
+           (Aggregate.input_column a.fn))
+      aggs
+  in
+  let limit = max 4096 (2 * Table.row_count t) in
+  let r = reader t in
+  let key_cols =
+    List.filter_map
+      (fun i -> if mapped i then None else int_keys r.bases.(i))
+      kis
+  in
+  let scols = Array.of_list (Schema.columns gschema) in
+  let src_ty = function
+    | Col i -> scols.(i).Schema.ty
+    | Mapped -> (match map with Some (_, p) -> Vector.ty p | None -> assert false)
+  in
+  (* float keys (row-path NaN semantics), repeated keys (a duplicate
+     output column) and SUM/AVG over non-numeric inputs (a schema
+     error) stay on rows *)
+  if List.exists mapped kis then Error "target_key"
+  else if List.length key_cols <> List.length kis then Error "float_key"
+  else if List.length (List.sort_uniq Int.compare kis) <> List.length kis then
+    Error "repeated_key"
+  else if
+    not
+      (List.for_all2
+         (fun (a : Aggregate.t) src ->
+            match src with
+            | None -> true
+            | Some src -> summable a.fn (src_ty src))
+         aggs srcs)
+  then Error "non_numeric_agg"
+  else
+    (* same output schema construction as the serial kernel *)
+    let out_schema =
+      Schema.make
+        (List.map (fun i -> scols.(i)) kis
+         @ List.map2
+             (fun (a : Aggregate.t) src ->
+                { Schema.name = a.as_name;
+                  ty =
+                    Aggregate.result_type a.fn ~input:(Option.map src_ty src) })
+             aggs srcs)
+    in
+    Ok
+      (fun () ->
+         group_run t r ~map ~out_schema ~kis ~aggs ~srcs
+           ~bases_keys:(List.map (key_codes limit) key_cols))
 
 let try_group_by t ~keys ~aggs =
   if not (Column.enabled ()) then fallback "disabled"
+  else
+    match group_plan t ~map:None ~keys ~aggs with
+    | Error reason -> fallback reason
+    | Ok run ->
+      mark "group_by";
+      Some (run ())
+
+(* ---- MAP → GROUP BY ---- *)
+
+type map_group_by = {
+  grouped : Table.t;
+  map_bytes : int array;
+}
+
+let map_group_by_refused reason =
+  Obs.Metrics.incr Obs.Metrics.default ("kernel.map_group_by.refused." ^ reason);
+  None
+
+let try_map_group_by t ~target ~expr ~keys ~aggs =
+  if not (Column.enabled ()) then map_group_by_refused "disabled"
   else begin
     let schema = Table.schema t in
-    (* same Not_found as the row path on unknown keys or inputs *)
-    let kis = List.map (Schema.index_of schema) keys in
-    let inputs =
-      List.map
-        (fun (a : Aggregate.t) ->
-           Option.map (Schema.index_of schema) (Aggregate.input_column a.fn))
-        aggs
-    in
-    (* keys are coded off their base columns, read through the view's
-       indexes; only aggregation inputs are gathered *)
-    let v = Table.parts t in
-    let via i =
-      match v.vcols.(i) with
-      | c, -1 -> (c, None)
-      | c, g -> (c, Some v.idx.(g))
-    in
-    let srcs = List.map (Option.map (Table.column_at t)) inputs in
-    let key_cols =
-      List.filter_map
-        (fun i ->
-           let c, ix = via i in
-           Option.map (fun keys -> (keys, ix)) (int_keys c))
-        kis
-    in
-    (* float keys (row-path NaN semantics), repeated keys (a duplicate
-       output column) and SUM/AVG over non-numeric inputs (a schema
-       error) stay on rows *)
-    if List.length key_cols <> List.length kis then fallback "float_key"
-    else if List.length (List.sort_uniq Int.compare kis) <> List.length kis
-    then fallback "repeated_key"
-    else if
-      not (List.for_all2 (fun (a : Aggregate.t) -> summable a.fn) aggs srcs)
-    then fallback "non_numeric_agg"
-    else begin
-      mark "group_by";
-      let n = Table.row_count t in
-      let gid, groups = group_ids n key_cols in
-      let reps = Array.make groups 0 and counts = Array.make groups 0 in
-      for r = n - 1 downto 0 do
-        let g = gid.(r) in
-        reps.(g) <- r;
-        counts.(g) <- counts.(g) + 1
-      done;
-      (* same output schema construction as the serial kernel *)
-      let scols = Array.of_list (Schema.columns schema) in
-      let agg_cols =
-        List.map2
-          (fun (a : Aggregate.t) i ->
-             { Schema.name = a.as_name;
-               ty =
-                 Aggregate.result_type a.fn
-                   ~input:(Option.map (fun i -> scols.(i).Schema.ty) i) })
-          aggs inputs
-      in
-      let out_schema =
-        Schema.make (List.map (fun i -> scols.(i)) kis @ agg_cols)
-      in
-      let out_keys =
-        List.map
-          (fun i ->
-             match via i with
-             | c, None -> Column.gather c reps
-             | c, Some ix -> Column.gather c (Table.compose ix reps))
-          kis
-      in
-      let out_aggs =
-        List.map2
-          (fun (a : Aggregate.t) src -> aggregate ~gid ~reps ~counts a.fn src)
-          aggs srcs
-      in
-      if keys <> [] || (n > 0 && aggs <> []) then
-        Some
-          (Table.of_columns out_schema (Array.of_list (out_keys @ out_aggs)))
-      else
-        (* a keyless GROUP BY yields one row even with no aggregate, and
-           over an empty input the row kernel's initial states *)
-        Some
-          (Table.create_unchecked out_schema
-             [| Array.of_list
-                  (List.map
-                     (fun (a : Aggregate.t) ->
-                        Aggregate.finish a.fn (Aggregate.init a.fn))
-                     aggs) |])
-    end
+    match Vector.compile schema expr with
+    | None -> map_group_by_refused "not_vectorizable"
+    | Some prog when Vector.ty prog <> Value.Tint && Vector.ty prog <> Value.Tfloat
+      ->
+      map_group_by_refused "non_numeric_target"
+    | Some prog -> (
+      match group_plan t ~map:(Some (target, prog)) ~keys ~aggs with
+      | Error reason -> map_group_by_refused reason
+      | Ok run ->
+        mark "map_group_by";
+        let grouped = run () in
+        (* the MAP's table: the input's columns, the target 8 bytes a
+           row *)
+        let bytes = Table.column_bytes t in
+        let target_bytes = 8 * Table.row_count t in
+        let map_bytes =
+          if Schema.mem schema target then begin
+            let b = Array.copy bytes in
+            b.(Schema.index_of schema target) <- target_bytes;
+            b
+          end
+          else Array.append bytes [| target_bytes |]
+        in
+        Some { grouped; map_bytes })
   end
 
 (* ---- the arg-min diamond ---- *)

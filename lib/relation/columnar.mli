@@ -22,18 +22,21 @@
     [kernel.columnar.<kernel>]. The fused JOIN → SELECT kernel
     ({!try_join_select}) counts its refusals apart, as
     [kernel.join_select.refused.<reason>]: after one the caller runs
-    the plain JOIN, which counts its own path. So does the arg-min
-    diamond's kernel ({!try_argmin}), as [kernel.argmin.refused.<reason>].
-    All of it is serial.
+    the plain JOIN, which counts its own path. So do the arg-min
+    diamond's kernel ({!try_argmin}), as [kernel.argmin.refused.<reason>],
+    and the MAP → GROUP BY kernel ({!try_map_group_by}), as
+    [kernel.map_group_by.refused.<reason>]. All of it is serial.
 
-    Output is late-materialized ({!Table.view}): JOIN and CROSS return
-    their inputs' column groups composed with the pair indices, SELECT
-    composes each group's index with the rows it keeps, PROJECT drops
-    columns, and MAP, the SELECT predicate, GROUP BY and the JOIN keys
-    read only the columns they name, each through its own group's
-    index. Any other reader materializes the view. A view's size is
-    {!Table.encoded_bytes}'s logical one, which does not depend on
-    where or whether the view is gathered.
+    Output is late-materialized: JOIN returns its matches
+    ({!Table.matches}, no pair built), CROSS its inputs' column groups
+    composed with the pair indices ({!Table.view}), SELECT composes each
+    group's index with the rows it keeps, PROJECT drops columns, and a
+    MAP of a bare column keeps that column's base and group. MAP, the
+    SELECT predicate, GROUP BY and the JOIN keys read only the columns
+    they name, each through its own group's index, and GROUP BY reads a
+    JOIN's matches in place. Any other reader expands the matches or
+    materializes the view. A table's size is {!Table.encoded_bytes}'s
+    logical one, which does not depend on its form.
 
     Exceptions the row path would raise (unknown columns, ill-typed
     predicates evaluated on live rows, [Division_by_zero]) propagate
@@ -50,10 +53,11 @@ val try_map_column :
     keys are dense-coded once and the left rows counting-sorted into one
     bucket per key (a CSR layout), newest first — the serial kernel's
     [Hashtbl.find_all] order — so probing in right-row order reproduces
-    its output order, written straight into two exactly sized index
-    arrays. Each side's keys are coded off its base column and read
-    through its view index. String keys map each distinct right
-    dictionary entry to a left code once, not per row. *)
+    its output order. The result is those matches ({!Table.of_matches}):
+    no pair is built until a consumer reads rows. Each side's keys are
+    coded off its base column and read through its view index. String
+    keys map each distinct right dictionary entry to a left code once,
+    not per row. *)
 val try_join :
   Table.t -> Table.t -> left_key:string -> right_key:string ->
   Table.t option
@@ -93,17 +97,52 @@ val try_join_select :
     groups. Either side may be empty. *)
 val try_cross : Table.t -> Table.t -> Table.t option
 
-(** Grouping on zero or more int/string/bool keys. Each key column is
-    dense-coded in first-appearance order (dictionary codes stand in
-    for strings) and folded into one group id per row, re-densified
-    after every key; aggregations then run column-at-a-time into
-    arrays sized to the group count. Group order is first appearance
-    of the whole key tuple, as in the serial kernel. With no keys every
-    row is in one group, and an empty input gives the serial kernel's
-    one row of initial states. A float key or a repeated key returns
-    [None]. *)
+(** Grouping on zero or more int/string/bool keys, in one blocked pass
+    over any table — columns, a view or a JOIN's matches — in blocks of
+    256 rows. Each key is coded off its base column (dictionary codes
+    stand in for strings): its offset from the minimum over a narrow
+    range, else its dense code. Per block, the keys' codes are folded
+    into one code per row, mapped to group ids in first appearance (a
+    slot array over a narrow code range, an open-addressing table
+    otherwise), and each group's first row, size and aggregates are
+    updated in the same pass; no array of the row count is built.
+    Group order is first appearance of the whole key tuple, as in the
+    serial kernel. With no keys every row is in one group, and an empty
+    input gives the serial kernel's one row of initial states. A float
+    key or a repeated key returns [None]. *)
 val try_group_by :
   Table.t -> keys:string list -> aggs:Aggregate.t list -> Table.t option
+
+(** A MAP read only by the GROUP BY after it, run inside that GROUP BY
+    ({!Ir.Fusion.map_group_by}):
+    {v
+    m = MAP t target := expr
+    g = GROUP BY m keys aggs
+    v}
+    [grouped] is the GROUP BY's table, byte-identical to the row
+    kernels': {!try_group_by}'s blocked pass over [t], with [expr]
+    compiled once and run on each block for the aggregates that read
+    [target]. So a JOIN's matches are grouped without their pairs or
+    the MAP's column being built. [map_bytes] is the MAP's
+    {!Table.column_bytes}, from counts: [t]'s, with [target] at 8 bytes
+    a row.
+
+    [None] when the kernel refuses and the caller must run the two
+    operators one by one; each refusal counts
+    [kernel.map_group_by.refused.<reason>], never [kernel.fallback.*]:
+    [disabled], [not_vectorizable], [non_numeric_target] (the MAP is
+    neither int nor float, so its bytes are not 8 a row),
+    [target_key] (a key is the MAP's target), or the GROUP BY's own
+    [float_key], [repeated_key] and [non_numeric_agg]. A run counts
+    [kernel.columnar.map_group_by]. *)
+type map_group_by = {
+  grouped : Table.t;
+  map_bytes : int array;
+}
+
+val try_map_group_by :
+  Table.t -> target:string -> expr:Expr.t -> keys:string list ->
+  aggs:Aggregate.t list -> map_group_by option
 
 (** The arg-min diamond ({!Ir.Fusion.argmin}) in one kernel:
     {v

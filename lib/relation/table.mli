@@ -5,14 +5,15 @@
     the answers Musketeer returns are real — only the clock is modeled.
 
     Physically a table is row-backed (boxed [Value.t] rows, the seed
-    layout), column-backed (typed unboxed {!Column.t}s), or a {!view}
-    over other tables' columns. Rows and columns materialize lazily from
-    whichever form the table has and are memoized, so both APIs are
-    always available. The vectorized kernels ({!Columnar}) produce and
-    consume columns and views; everything else is oblivious. Sizes too:
-    {!encoded_bytes} is one logical size computed from the contents, so
-    a table's rows, its columns and any view of them give the same
-    bytes. *)
+    layout), column-backed (typed unboxed {!Column.t}s), a {!view}
+    over other tables' columns, or a JOIN's {!matches} (a factorized
+    JOIN: the pairs are not built). Rows and columns materialize lazily
+    from whichever form the table has and are memoized, so both APIs
+    are always available. The vectorized kernels ({!Columnar}) produce
+    and consume columns, views and matches; everything else is
+    oblivious. Sizes too: {!encoded_bytes} is one logical size computed
+    from the contents, so a table's rows, its columns, any view of them
+    and a JOIN's matches give the same bytes. *)
 
 type t
 
@@ -44,14 +45,72 @@ val empty : Schema.t -> t
     are non-nullable). *)
 val of_columns : Schema.t -> Column.t array -> t
 
+(** A JOIN's matches, before any pair is emitted. One side is the
+    build side: its keys are dense-coded and its rows bucketed by code,
+    newest first (a CSR layout: [brows.(bstart.(c) .. bstart.(c+1) - 1)]
+    are the build rows with code [c]). The other side probes: probe row
+    [q] reaches the bucket of [pcode.(q)], or of [pcode.(ix.(q))] when
+    [pvia = Some ix], and no bucket when that code is -1. Build and
+    probe rows are rows of [lv] and [rv]: the left input's columns and
+    the right input's without its key. The pairs, in {!iter_pairs}'
+    order, are the table's rows. *)
+type matches = {
+  lv : view;
+  rv : view;
+  build_left : bool;
+  nprobe : int;  (** probe rows *)
+  pcode : int array;  (** per row of the probe key's base column *)
+  pvia : int array option;  (** the probe key's view index, if any *)
+  bstart : int array;
+  brows : int array;
+  pairs : int;  (** the pair count: the sum of the probed buckets' sizes *)
+}
+
 (** [of_view schema ~rows v] builds a view of [rows] rows (no checks:
     kernel output is correct by construction). Unused groups are
     dropped; a view whose columns are all row-aligned is a plain
     column-backed table. *)
 val of_view : Schema.t -> rows:int -> view -> t
 
+(** [of_matches schema m] is the factorized JOIN of [m.pairs] rows:
+    row [i] is the [i]-th pair {!iter_pairs} visits, the left row's
+    columns then the right row's. No pair is built until a consumer
+    reads the table's rows or columns. *)
+val of_matches : Schema.t -> matches -> t
+
+(** The table's matches while it is a factorized JOIN not yet
+    expanded: the blocked GROUP BY reads them in place. *)
+val matches : t -> matches option
+
+(** [iter_pairs m ~block flush] hands the pairs of [m] to [flush lidx
+    ridx n] in runs of [block] pairs (the last may be shorter): pair
+    [k], for [k < n], is left row [lidx.(k)] and right row [ridx.(k)].
+    The two buffers are reused from run to run. A left build side is
+    probed by the right rows in order, so the pairs come in the serial
+    hash join's order: right rows ascending, each one's left rows
+    newest first. A right build side is probed by the left rows, newest
+    first. *)
+val iter_pairs :
+  matches -> block:int -> (int array -> int array -> int -> unit) -> unit
+
+(** [matches_view m lidx ridx]: the view whose row [k] pairs left row
+    [lidx.(k)] with right row [ridx.(k)], each side's groups composed
+    with its index. *)
+val matches_view : matches -> int array -> int array -> view
+
+(** The {!column_bytes} of [m]'s pairs, from counts: 8 bytes per pair
+    for an int or float column, 1 for a bool, and for a string column 4
+    per pair plus the distinct values of the rows on its side whose key
+    matches at least once. *)
+val matches_bytes : matches -> int array
+
 (** The view form of any table: its view, or its columns (materialized
-    from rows if need be) as row-aligned entries. Never gathers. *)
+    from rows if need be) as row-aligned entries. A JOIN's matches are
+    expanded first (counted as [kernel.join.expanded]): into the pair
+    view when its index words plus its distinct base columns' words are
+    no more than its columns' words ({!for_store}'s rule), and into
+    columns gathered straight through the matches otherwise. Never
+    gathers a view. *)
 val parts : t -> view
 
 (** [compose ix keep] is [ix] read through [keep]: [ix.(keep.(k))]. *)
@@ -68,35 +127,44 @@ val concat_views : view -> view -> view
 (** Whether the table is a view not yet materialized. *)
 val is_view : t -> bool
 
-(** Forces a view into columns (counted as [kernel.view.materialized])
-    and drops it, so the table no longer holds its inputs' columns.
-    The unconditional force: the workflow outputs the executor returns
-    pass through here. Other tables are returned as they are. *)
+(** Forces a view or a JOIN's matches into columns and drops it, so the
+    table no longer holds its inputs' columns: a view is gathered
+    (counted as [kernel.view.materialized]), matches are gathered
+    straight through the buckets, run by run, with no pair index
+    (counted as [kernel.join.expanded]). The unconditional force: the
+    workflow outputs the executor returns pass through here. Other
+    tables are returned as they are. *)
 val materialize : t -> t
 
-(** The form a store keeps: a view stays one (counted as
-    [kernel.view.stored]) when its index words (groups × rows) plus the
-    words of every distinct base column it reads through an index are
-    no more than the words of the columns it would gather, and is
-    {!materialize}d otherwise. A word is one column entry, index
-    entry or dictionary code; row-aligned columns and dictionaries are
-    shared by both forms and not counted. So a stored entry never holds
-    more words than its materialized form, and its {!encoded_bytes}
-    and {!to_csv} are those of its materialization either way. HDFS
-    and the serving layer's shared store store through here. *)
+(** The form a store keeps, by words: a word is one column entry,
+    index entry, bucket entry, probe code or dictionary code, and
+    dictionaries are shared by every form and not counted.
+    - A view stays one (counted as [kernel.view.stored]) when its index
+      words (groups × rows) plus the words of every distinct base
+      column it reads through an index are no more than the words of
+      the columns it would gather, and is {!materialize}d otherwise
+      (row-aligned columns are shared by both forms and not counted).
+    - A JOIN's matches stay (counted as [kernel.join.stored]) when
+      their buckets, probe codes, both sides' indexes and distinct base
+      columns hold no more words than the pairs' columns (arity ×
+      pairs); otherwise they are expanded
+      as {!parts} expands them and the result stored by the view rule.
+    So a stored entry never holds more words than its materialized
+    form, and its {!encoded_bytes} and {!to_csv} are those of its
+    materialization either way. That still holds after a consumer
+    expands a stored JOIN: the expansion is the pair view only when the
+    view holds no more words than the columns. HDFS and the serving
+    layer's shared store store through here. *)
 val for_store : t -> t
-
-(** [column_at t j] is column [j] row-aligned: gathered through its
-    group's index when [t] is a view, which stays a view. *)
-val column_at : t -> int -> Column.t
 
 (** The logical encoded size of each column, in bytes: 8 per row for
     ints and floats, 1 for bools, and for strings a 4-byte code per row
     plus [length + 1] for each distinct value present (see
     {!Column.encoded_bytes}). Computed from whichever form the table
-    has, without converting or gathering it, and memoized: a table's
-    rows form, its columns form and any view of the same rows give the
-    same ints. *)
+    has, without converting or gathering it ({!matches_bytes} for a
+    JOIN's matches), and memoized: a table's rows form, its columns
+    form, any view of the same rows and a JOIN's matches give the same
+    ints. *)
 val column_bytes : t -> int array
 
 val schema : t -> Schema.t
@@ -105,8 +173,8 @@ val schema : t -> Schema.t
     table is column-backed. *)
 val rows : t -> Value.t array array
 
-(** Columns; materialized from the rows or the view (and memoized) when
-    the table has none yet. *)
+(** Columns; materialized from the rows, the view or the matches (and
+    memoized) when the table has none yet. *)
 val columns : t -> Column.t array
 
 (** Whether the columns are already materialized — i.e. reading

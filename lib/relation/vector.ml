@@ -112,13 +112,22 @@ let fresh ty len =
   | Value.Tstring -> VStr (Array.make len "")
 
 (* a CSE key: constants are one slot only when their bits agree, so
-   [x + 0.0] and [x + -0.0] stay apart *)
-let same_instr a b =
-  match a, b with
-  | Fill (Value.Float x), Fill (Value.Float y) ->
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Fill (Value.Float _), _ | _, Fill (Value.Float _) -> false
-  | _ -> a = b
+   [x + 0.0] and [x + -0.0] stay apart. Only a [Fill] holds a float:
+   every other instruction's operands are columns or slots. *)
+module Instr_key = Hashtbl.Make (struct
+  type t = instr
+
+  let equal a b =
+    match a, b with
+    | Fill (Value.Float x), Fill (Value.Float y) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | Fill (Value.Float _), _ | _, Fill (Value.Float _) -> false
+    | _ -> a = b
+
+  let hash = function
+    | Fill (Value.Float x) -> Hashtbl.hash (Int64.bits_of_float x)
+    | i -> Hashtbl.hash i
+end)
 
 let default_of : Value.ty -> Value.t = function
   | Value.Tint -> Value.Int 0
@@ -126,18 +135,33 @@ let default_of : Value.ty -> Value.t = function
   | Value.Tbool -> Value.Bool false
   | Value.Tstring -> Value.Str ""
 
+(* Whether each subexpression names a column, computed once bottom-up:
+   [sub] follows the expression's operands in order. *)
+type shape = {
+  cols : bool;
+  sub : shape array;
+}
+
+let rec shape (e : Expr.t) =
+  let node sub = { cols = Array.exists (fun s -> s.cols) sub; sub } in
+  match e with
+  | Expr.Col _ -> { cols = true; sub = [||] }
+  | Expr.Const _ -> { cols = false; sub = [||] }
+  | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b)
+    ->
+    node [| shape a; shape b |]
+  | Expr.Not a -> node [| shape a |]
+  | Expr.If (c, a, b) -> node [| shape c; shape a; shape b |]
+
 let build schema e =
   let slots = ref [] and count = ref 0 and raises = ref false in
+  let seen = Instr_key.create 16 in
   let add instr sty =
-    let rec find j = function
-      | [] -> None
-      | s :: rest ->
-        if same_instr s.instr instr then Some j else find (j - 1) rest
-    in
-    match find (!count - 1) !slots with
+    match Instr_key.find_opt seen instr with
     | Some j -> S j
     | None ->
       slots := { instr; sty; buf = fresh sty 0 } :: !slots;
+      Instr_key.add seen instr !count;
       incr count;
       S (!count - 1)
   in
@@ -147,11 +171,11 @@ let build schema e =
     | o, Value.Tint -> add (Promote o) Value.Tfloat
     | o, _ -> o
   in
-  let rec node (e : Expr.t) : operand * Value.ty =
+  let rec node (e : Expr.t) (sh : shape) : operand * Value.ty =
     match e with
     | Expr.Const v -> (K v, Value.type_of v)
     | Expr.Col c -> (C (Schema.index_of schema c), Schema.column_type schema c)
-    | _ when Expr.columns e = [] -> (
+    | _ when not sh.cols -> (
       match Expr.eval schema [||] e with
       | v -> (K v, Value.type_of v)
       | exception Division_by_zero ->
@@ -160,7 +184,8 @@ let build schema e =
         let ty = Expr.infer schema e in
         (K (default_of ty), ty))
     | Expr.Binop (op, a, b) ->
-      let ((oa, ta) as na) = node a and ((ob, tb) as nb) = node b in
+      let ((oa, ta) as na) = node a sh.sub.(0)
+      and ((ob, tb) as nb) = node b sh.sub.(1) in
       if ta = Value.Tstring then
         (add (Concat (operand oa, operand ob)) ta, ta)
       else if ta = Value.Tfloat || tb = Value.Tfloat then
@@ -169,29 +194,32 @@ let build schema e =
           Value.Tfloat )
       else (add (Arith (op, operand oa, operand ob)) Value.Tint, Value.Tint)
     | Expr.Cmp (op, a, b) ->
-      let ((oa, ta) as na) = node a and ((ob, tb) as nb) = node b in
+      let ((oa, ta) as na) = node a sh.sub.(0)
+      and ((ob, tb) as nb) = node b sh.sub.(1) in
       let ty, oa, ob =
         if ta = tb then (ta, oa, ob)
         else (Value.Tfloat, as_float na, as_float nb)
       in
       (add (Compare (op, ty, operand oa, operand ob)) Value.Tbool, Value.Tbool)
     | Expr.And (a, b) ->
-      let oa = operand (fst (node a)) and ob = operand (fst (node b)) in
+      let oa = operand (fst (node a sh.sub.(0)))
+      and ob = operand (fst (node b sh.sub.(1))) in
       (add (Conj (oa, ob)) Value.Tbool, Value.Tbool)
     | Expr.Or (a, b) ->
-      let oa = operand (fst (node a)) and ob = operand (fst (node b)) in
+      let oa = operand (fst (node a sh.sub.(0)))
+      and ob = operand (fst (node b sh.sub.(1))) in
       (add (Disj (oa, ob)) Value.Tbool, Value.Tbool)
     | Expr.Not a ->
-      (add (Neg (operand (fst (node a)))) Value.Tbool, Value.Tbool)
+      (add (Neg (operand (fst (node a sh.sub.(0))))) Value.Tbool, Value.Tbool)
     | Expr.If (c, a, b) -> (
-      match fst (node c) with
-      | K (Value.Bool true) -> node a
-      | K (Value.Bool false) -> node b
+      match fst (node c sh.sub.(0)) with
+      | K (Value.Bool true) -> node a sh.sub.(1)
+      | K (Value.Bool false) -> node b sh.sub.(2)
       | oc ->
-        let oa, ty = node a and ob, _ = node b in
+        let oa, ty = node a sh.sub.(1) and ob, _ = node b sh.sub.(2) in
         (add (Cond (operand oc, operand oa, operand ob)) ty, ty))
   in
-  let root, ty = node e in
+  let root, ty = node e (shape e) in
   let root = match root with C i -> add (Gather i) ty | o -> o in
   { slots = Array.of_list (List.rev !slots); root; ty; raises = !raises }
 

@@ -1172,6 +1172,9 @@ let test_prop_view_chains () =
           sources)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
+(* a view or a JOIN's matches: a table not yet gathered *)
+let is_lazy t = Table.is_view t || Table.matches t <> None
+
 (* a view's size is counted without gathering it, and equals, column
    by column, the size of its materialization and of the same relation
    the row kernels compute — dictionary values a filter drops included.
@@ -1232,9 +1235,9 @@ let test_prop_view_encoded_bytes () =
         && List.for_all
              (fun v ->
                 let t = Column.with_enabled true v in
-                let viewed = Table.is_view t || Table.row_count t = 0 in
+                let viewed = is_lazy t || Table.row_count t = 0 in
                 let bytes = Table.column_bytes t in
-                let still_view = Table.is_view t || Table.row_count t = 0 in
+                let still_view = is_lazy t || Table.row_count t = 0 in
                 let materialized =
                   Table.of_columns (Table.schema t) (Table.columns t)
                 in
@@ -1307,24 +1310,39 @@ let test_prop_lazy_sizes_are_eager () =
           chains)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
-(* The words a table holds beyond its dictionaries, read off
-   [Table.parts] (which never gathers): one per row-aligned column
+(* The words a table holds beyond its dictionaries: for a JOIN's
+   matches, one per bucket entry, probe code and index entry, and one
+   per entry of each distinct base column; otherwise, read off
+   [Table.parts] (which never gathers), one per row-aligned column
    entry and index entry, and one per entry of each distinct base
    column it reads through an index. Its materialized form holds
    arity x rows. *)
+let distinct_base_words cols =
+  List.fold_left
+    (fun s c -> s + Column.length c)
+    0
+    (List.fold_left (fun acc c -> if List.memq c acc then acc else c :: acc) [] cols)
+
 let words t =
-  let v = Table.parts t and n = Table.row_count t in
-  let bases, aligned =
-    Array.fold_left
-      (fun (bases, aligned) (c, g) ->
-         if g < 0 then (bases, aligned + n)
-         else if List.memq c bases then (bases, aligned)
-         else (c :: bases, aligned))
-      ([], 0) v.Table.vcols
-  in
-  (Array.length v.Table.idx * n)
-  + aligned
-  + List.fold_left (fun s c -> s + Column.length c) 0 bases
+  match Table.matches t with
+  | Some m ->
+    let idx (v : Table.view) =
+      Array.fold_left (fun s ix -> s + Array.length ix) 0 v.Table.idx
+    in
+    Array.length m.Table.bstart + Array.length m.brows + Array.length m.pcode
+    + Option.fold ~none:0 ~some:Array.length m.pvia
+    + idx m.lv + idx m.rv
+    + distinct_base_words
+        (List.map fst (Array.to_list m.lv.vcols @ Array.to_list m.rv.vcols))
+  | None ->
+    let v = Table.parts t and n = Table.row_count t in
+    let bases, aligned =
+      Array.fold_left
+        (fun (bases, aligned) (c, g) ->
+           if g < 0 then (bases, aligned + n) else (c :: bases, aligned))
+        ([], 0) v.Table.vcols
+    in
+    (Array.length v.Table.idx * n) + aligned + distinct_base_words bases
 
 let materialized_words t = Schema.arity (Table.schema t) * Table.row_count t
 
@@ -1393,11 +1411,11 @@ let stored_forms t =
     (find "in the budget" == leased);
   [ ("HDFS entry", Engines.Hdfs.table hdfs "x"); ("store entry", leased) ]
 
-(* The stores that outlive a job keep the smaller form: a CROSS or JOIN
-   view over small bases indexes fewer words than it would gather, so
-   it stays a view, reading back as its materialization does; a SELECT
-   that keeps a few rows of a large base would pin the whole base, so
-   it is gathered. *)
+(* The stores that outlive a job keep the smaller form: a CROSS view
+   or a JOIN's matches over small bases hold fewer words than they
+   would gather, so they stay as they are, reading back as their
+   materialization does; a SELECT that keeps a few rows of a large base
+   would pin the whole base, so it is gathered. *)
 let test_stores_keep_smaller_form () =
   Column.with_enabled true @@ fun () ->
   let t =
@@ -1409,13 +1427,12 @@ let test_stores_keep_smaller_form () =
   let force v = Table.of_columns (Table.schema v) (Table.columns v) in
   List.iter
     (fun (what, view) ->
-       Alcotest.(check bool) (what ^ " is a view") true
-         (Table.is_view (view ()));
+       Alcotest.(check bool) (what ^ " is lazy") true (is_lazy (view ()));
        let expect = force (view ()) in
        List.iter
          (fun (store, s) ->
-            Alcotest.(check bool) (what ^ ": " ^ store ^ " keeps the view")
-              true (Table.is_view s);
+            Alcotest.(check bool) (what ^ ": " ^ store ^ " keeps its form")
+              true (is_lazy s);
             Alcotest.(check int) (what ^ ": " ^ store ^ " encoded bytes")
               (Table.encoded_bytes expect) (Table.encoded_bytes s);
             Alcotest.(check string) (what ^ ": " ^ store ^ " reads back")
@@ -1490,12 +1507,13 @@ let test_prop_stored_words () =
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* The outputs a workflow run returns are plain tables, one-shot or
-   served, even when HDFS stored the output as a view: a self-JOIN over
-   a low-cardinality key indexes fewer words than it gathers. *)
+   served, even when HDFS stored the output as a JOIN's matches: a
+   self-JOIN over a low-cardinality key holds fewer words in its
+   matches than it gathers. *)
 let test_executor_outputs_not_views () =
   Column.with_enabled true @@ fun () ->
   let stored () =
-    Obs.Metrics.counter Obs.Metrics.default "kernel.view.stored"
+    Obs.Metrics.counter Obs.Metrics.default "kernel.join.stored"
   in
   let graph () =
     let b = Ir.Builder.create () in
@@ -1513,14 +1531,14 @@ let test_executor_outputs_not_views () =
     List.iter
       (fun (rel, t) ->
          Alcotest.(check bool) (what ^ ": " ^ rel ^ " is no view") false
-           (Table.is_view t))
+           (is_lazy t))
       outputs
   in
   let before = stored () in
   (match Musketeer.execute m ~workflow:"selfjoin" ~hdfs:(hdfs ()) (graph ()) with
    | Ok (r, _) -> check_outputs "one-shot" r.Musketeer.Executor.outputs
    | Error e -> Alcotest.fail (Engines.Report.error_to_string e));
-  Alcotest.(check bool) "one-shot: HDFS stored the output as a view" true
+  Alcotest.(check bool) "one-shot: HDFS stored the output as matches" true
     (stored () > before);
   let before = stored () in
   let outcomes, _ =
@@ -1531,8 +1549,116 @@ let test_executor_outputs_not_views () =
   List.iter
     (fun (o : Serve.Service.outcome) -> check_outputs "served" o.outputs)
     outcomes;
-  Alcotest.(check bool) "served: HDFS stored the output as a view" true
+  Alcotest.(check bool) "served: HDFS stored the output as matches" true
     (stored () > before)
+
+let counter name = Obs.Metrics.counter Obs.Metrics.default name
+
+(* ---- a JOIN's matches ----
+
+   Every consumer of a factorized JOIN reads what it would read from
+   the JOIN's expanded form: each consumer below gets a fresh JOIN, so
+   its first read is the one that expands it. Left and right sides may
+   be views (a SELECT) or plain columns, and either may be empty. *)
+let test_prop_matches_consumers () =
+  let expanded t =
+    ignore (Table.parts t);
+    t
+  in
+  try
+    Qcheck_lite.check ~count:25 ~seed ~name:"matches consumers = expanded"
+      Qcheck_lite.shape_pair_arbitrary (fun (sa, sb) ->
+        Column.with_enabled true @@ fun () ->
+        let a = Qcheck_lite.table_of_shape (cap_rows sa)
+        and b = Qcheck_lite.table_of_shape (cap_rows sb) in
+        let joins =
+          [ (fun () -> Kernel.join a b ~left_key:"k" ~right_key:"k");
+            (fun () ->
+               Kernel.join
+                 (Kernel.select a Expr.(col "k" > int (-3)))
+                 b ~left_key:"k" ~right_key:"k");
+            (fun () -> Kernel.join b a ~left_key:"k" ~right_key:"k") ]
+        in
+        let consumers =
+          [ ("UNION", fun j -> Kernel.union j (Kernel.select j Expr.(col "k" > int 0)));
+            ("DIFFERENCE",
+             fun j -> Kernel.difference j (Kernel.select j Expr.(col "k" > int 0)));
+            ("SELECT", fun j -> Kernel.select j Expr.(col "k" <> int 1));
+            ("DISTINCT", Kernel.distinct);
+            ("SORT", fun j -> Table.sort_by j [ "k" ]);
+            ("rows", fun j -> Table.create_unchecked (Table.schema j) (Table.rows j));
+            ("materialize", Table.materialize);
+            ("store", fun j ->
+                let hdfs = Engines.Hdfs.create () in
+                Engines.Hdfs.put hdfs "j" j;
+                Engines.Hdfs.table hdfs "j") ]
+        in
+        List.for_all
+          (fun join ->
+             let lazy_ok = Table.matches (join ()) <> None in
+             let bytes = Table.column_bytes (join ()) in
+             lazy_ok
+             && bytes = Table.column_bytes (expanded (join ()))
+             && bytes = Table.column_bytes (row_reference join)
+             && Table.to_csv (join ()) = Table.to_csv (expanded (join ()))
+             && Table.to_csv (join ()) = Table.to_csv (row_reference join)
+             && List.for_all
+                  (fun (_, f) ->
+                     let got = f (join ()) and want = f (expanded (join ())) in
+                     Table.to_csv got = Table.to_csv want
+                     && Table.column_bytes got = Table.column_bytes want)
+                  consumers)
+          joins)
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* In a one-shot NetFlix run at CLI sizes, the JOINs [pairs] and [cand]
+   cross their job boundaries as matches and are grouped in blocks by
+   the MAP → GROUP BY kernel, so neither is ever expanded: only [rm],
+   which its store gathers, and [pick], which a SELECT reads in the
+   next job, are. *)
+let test_netflix_matches_never_expand () =
+  Column.with_enabled true @@ fun () ->
+  let hdfs, graph = (List.assoc "netflix" Experiments.Common.zoo) () in
+  let m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes:16) () in
+  let expanded0 = counter "kernel.join.expanded"
+  and stored0 = counter "kernel.join.stored"
+  and fused0 = counter "kernel.columnar.map_group_by" in
+  (match Musketeer.execute m ~workflow:"netflix" ~hdfs graph with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Engines.Report.error_to_string e));
+  Alcotest.(check int) "JOINs expanded: rm and pick" 2
+    (counter "kernel.join.expanded" - expanded0);
+  Alcotest.(check int) "JOINs stored as matches: pairs and cand" 2
+    (counter "kernel.join.stored" - stored0);
+  Alcotest.(check int) "MAP → GROUP BY kernels: prod and scored" 2
+    (counter "kernel.columnar.map_group_by" - fused0)
+
+(* A MAP of a bare column takes the column's base and group, as PROJECT
+   does: no copy, and the rows the row kernel computes *)
+let test_bare_column_map_zero_copy () =
+  Column.with_enabled true @@ fun () ->
+  let t =
+    Qcheck_lite.table_of_shape
+      { Qcheck_lite.sh_rows = 50;
+        sh_extra = [ (Value.Tstring, 10); (Value.Tfloat, 5) ];
+        sh_null = 0.; sh_seed = 3 }
+  in
+  let view = Kernel.select t Expr.(col "k" > int 0) in
+  List.iter
+    (fun (what, src, target) ->
+       let out = Kernel.map_column src ~target ~expr:(Expr.col "c0") in
+       let base v name =
+         (Table.parts v).Table.vcols.(Schema.index_of (Table.schema v) name)
+       in
+       let (c, g) = base out target and (c', g') = base src "c0" in
+       Alcotest.(check bool) (what ^ ": same base column") true (c == c');
+       Alcotest.(check int) (what ^ ": same group") g' g;
+       Alcotest.(check string) (what ^ ": rows = row kernel")
+         (Table.to_csv
+            (row_reference (fun () ->
+                 Kernel.map_column src ~target ~expr:(Expr.col "c0"))))
+         (Table.to_csv out))
+    [ ("columns", t, "copy"); ("view", view, "copy"); ("view, replacing", view, "c1") ]
 
 (* ---- satellite: 4k-row fixture regression ----
 
@@ -1740,6 +1866,12 @@ let () =
             test_stores_keep_smaller_form;
           Alcotest.test_case "stored words <= materialized words" `Quick
             test_prop_stored_words;
+          Alcotest.test_case "matches consumers = expanded" `Quick
+            test_prop_matches_consumers;
+          Alcotest.test_case "netflix never expands pairs or cand" `Quick
+            test_netflix_matches_never_expand;
+          Alcotest.test_case "bare-column MAP is zero copy" `Quick
+            test_bare_column_map_zero_copy;
           Alcotest.test_case "executor outputs are never views" `Quick
             test_executor_outputs_not_views;
           Alcotest.test_case "fused chains = row oracle" `Quick

@@ -850,6 +850,248 @@ let test_argmin_refusals () =
   Alcotest.(check int) "fallbacks = row runs" rows
     (sum_counters "kernel.fallback." - fallback0)
 
+(* ---- MAP → GROUP BY over a JOIN's matches ----
+
+   A generated JOIN → MAP → GROUP BY chain, run once in one job and once
+   with the JOIN in a job of its own, so its matches cross HDFS before
+   the MAP and GROUP BY read them in blocks. Each run must print the
+   row oracle's CSV and every op_stat and volume of the same graphs run
+   one by one on the row kernels, and the MAP → GROUP BY kernel must
+   run once per run. Values come from a pool with NaN, ±inf and ±0.0;
+   join keys repeat and either side may be empty; a group key may come
+   from either side, and one case in five spreads its keys wide enough
+   that their codes need the hashed ids. *)
+
+type mgb_case = {
+  mgb_strings : bool;  (** string join keys *)
+  mgb_wide : bool;
+  mgb_left : (int * int * int * float) list;  (** k, g, a, x *)
+  mgb_right : (int * int * int * float) list;  (** k2, h, b, y *)
+  mgb_expr : int;
+  mgb_keys : int;
+  mgb_agg : int;
+}
+
+let mgb_pool = argmin_pool
+
+let gen_mgb_case rng =
+  let module R = Qcheck_lite.Rng in
+  let value () = mgb_pool.(R.int rng (Array.length mgb_pool)) in
+  let wide = R.int rng 5 = 0 in
+  let rows n =
+    List.init n (fun i ->
+        ( R.int rng 4,
+          (if wide then (i * 1_000_003) + R.int rng 3 else R.int rng 5),
+          R.int rng 7 - 3,
+          value () ))
+  in
+  let side () = if wide then 60 + R.int rng 40 else R.int rng 12 in
+  { mgb_strings = R.bool rng; mgb_wide = wide; mgb_left = rows (side ());
+    mgb_right = rows (side ()); mgb_expr = R.int rng 5;
+    mgb_keys = R.int rng 4; mgb_agg = R.int rng 6 }
+
+let print_mgb_case c =
+  let rows xs =
+    String.concat ";"
+      (List.map (fun (k, g, a, x) -> Printf.sprintf "(%d,%d,%d,%h)" k g a x) xs)
+  in
+  Printf.sprintf "{strings=%b wide=%b expr=%d keys=%d agg=%d left=[%s] right=[%s]}"
+    c.mgb_strings c.mgb_wide c.mgb_expr c.mgb_keys c.mgb_agg (rows c.mgb_left)
+    (rows c.mgb_right)
+
+let mgb_arbitrary = Qcheck_lite.make ~print:print_mgb_case gen_mgb_case
+
+(* the MAP's target and expression: ints or floats, a new column or one
+   overwriting a left column *)
+let mgb_map c =
+  let open Relation.Expr in
+  match c.mgb_expr with
+  | 0 -> ("t", col "a" * col "b")
+  | 1 -> ("t", col "x" * col "y")
+  | 2 -> ("x", col "x" + col "b")
+  | 3 -> ("a", col "a" - col "b")
+  | _ -> ("t", (col "x" - col "y") * float 0.5)
+
+let mgb_group c =
+  let open Relation in
+  let target, _ = mgb_map c in
+  let keys =
+    match c.mgb_keys with
+    | 0 -> [ "g" ]
+    | 1 -> [ "h" ]
+    | 2 -> [ "g"; "h" ]
+    | _ -> [ "h"; "k" ]
+  in
+  let agg fn = Aggregate.make fn ~as_name:"agg" in
+  let aggs =
+    match c.mgb_agg with
+    | 0 -> [ agg (Aggregate.Sum target) ]
+    | 1 -> [ agg (Aggregate.Avg target); Aggregate.make Aggregate.Count ~as_name:"n" ]
+    | 2 -> [ agg (Aggregate.Min target) ]
+    | 3 -> [ agg (Aggregate.Max target); Aggregate.make (Aggregate.Sum "y") ~as_name:"sy" ]
+    | 4 -> [ Aggregate.make Aggregate.Count ~as_name:"n" ]
+    | _ -> [ agg (Aggregate.First target); Aggregate.make (Aggregate.Min "k") ~as_name:"mk" ]
+  in
+  (keys, aggs)
+
+(* [split]: the JOIN ends a graph of its own, and the MAP and GROUP BY
+   read its HDFS entry *)
+let mgb_graphs c ~split =
+  let target, expr = mgb_map c and keys, aggs = mgb_group c in
+  let b = Ir.Builder.create () in
+  let j =
+    if split then Ir.Builder.input b "j"
+    else
+      Ir.Builder.join b ~left_key:"k" ~right_key:"k2" (Ir.Builder.input b "l")
+        (Ir.Builder.input b "r")
+  in
+  let m = Ir.Builder.map b ~target ~expr j in
+  let g = Ir.Builder.group_by b ~name:"out" ~keys ~aggs m in
+  let rest = Ir.Builder.finish b ~outputs:[ g ] in
+  if not split then [ rest ]
+  else begin
+    let b = Ir.Builder.create () in
+    let j =
+      Ir.Builder.join b ~name:"j" ~left_key:"k" ~right_key:"k2"
+        (Ir.Builder.input b "l") (Ir.Builder.input b "r")
+    in
+    [ Ir.Builder.finish b ~outputs:[ j ]; rest ]
+  end
+
+let mgb_hdfs c =
+  let open Relation in
+  let key k =
+    if c.mgb_strings then Value.Str (Printf.sprintf "key%d" k) else Value.Int k
+  in
+  let table names rows =
+    Table.create_unchecked
+      (Schema.make
+         (List.map2
+            (fun name ty -> { Schema.name; ty })
+            names
+            [ (if c.mgb_strings then Value.Tstring else Value.Tint); Value.Tint;
+              Value.Tint; Value.Tfloat ]))
+      (Array.of_list
+         (List.map
+            (fun (k, g, a, x) -> [| key k; Value.Int g; Value.Int a; Value.Float x |])
+            rows))
+  in
+  let hdfs = Engines.Hdfs.create () in
+  Engines.Hdfs.put hdfs "l" ~modeled_mb:24. (table [ "k"; "g"; "a"; "x" ] c.mgb_left);
+  Engines.Hdfs.put hdfs "r" ~modeled_mb:8. (table [ "k2"; "h"; "b"; "y" ] c.mgb_right);
+  hdfs
+
+(* each graph in turn on one HDFS, every output written back as an
+   engine writes it; the stats and volumes of every graph, and the last
+   one's CSV *)
+let mgb_run c ~split ~columnar =
+  Relation.Column.with_enabled columnar @@ fun () ->
+  let hdfs = mgb_hdfs c in
+  let results =
+    List.map
+      (fun g ->
+         let r = Engines.Exec_helper.execute ~hdfs g in
+         List.iter
+           (fun (name, t, mb) -> Engines.Hdfs.put hdfs name ~modeled_mb:mb t)
+           r.Engines.Exec_helper.outputs;
+         r)
+      (mgb_graphs c ~split)
+  in
+  let last = List.nth results (List.length results - 1) in
+  ( List.concat_map stat_lines results,
+    outputs_csv (List.map (fun (name, t, _) -> (name, t)) last.outputs) )
+
+let mgb_invariant c =
+  let oracle =
+    let g = List.hd (mgb_graphs c ~split:false) in
+    oracle_csv (mgb_hdfs c) g
+  in
+  List.for_all
+    (fun split ->
+       let ran0 = counter "kernel.columnar.map_group_by" in
+       let stats, csv = mgb_run c ~split ~columnar:true in
+       let ran = counter "kernel.columnar.map_group_by" - ran0 in
+       let row_stats, row_csv = mgb_run c ~split ~columnar:false in
+       ran = 1 && csv = oracle && row_csv = oracle && stats = row_stats)
+    [ false; true ]
+
+let test_map_group_by_differential () =
+  try
+    Qcheck_lite.check ~count:200 ~seed ~name:"MAP → GROUP BY kernel = row oracle"
+      mgb_arbitrary mgb_invariant
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
+
+(* a MAP read only by a GROUP BY pairs with it, unless the MAP is an
+   output, protected, read twice, or the target a GROUP BY key *)
+let test_plan_map_group_by () =
+  let open Relation in
+  let graph ?(output = false) ?(second = false) ~keys () =
+    let b = Ir.Builder.create () in
+    let r = Ir.Builder.input b "r" in
+    let m = Ir.Builder.map b ~name:"m" ~target:"t" ~expr:Expr.(col "v" * int 2) r in
+    let g =
+      Ir.Builder.group_by b ~name:"out" ~keys
+        ~aggs:[ Aggregate.make (Aggregate.Sum "t") ~as_name:"s" ]
+        m
+    in
+    let outs = if output then [ g; m ] else [ g ] in
+    let outs =
+      if second then Ir.Builder.project b ~name:"p" ~columns:[ "t" ] m :: outs
+      else outs
+    in
+    (Ir.Builder.finish b ~outputs:outs, Ir.Builder.id m, Ir.Builder.id g)
+  in
+  let pairs ?protect g =
+    List.map
+      (fun (mg : Ir.Fusion.map_group_by) -> (mg.mg_map, mg.mg_group))
+      (Ir.Fusion.map_group_bys (Ir.Fusion.plan ?protect g))
+  in
+  let g, m, gb = graph ~keys:[ "k" ] () in
+  Alcotest.(check (list (pair int int))) "paired" [ (m, gb) ] (pairs g);
+  let g, _, _ = graph ~output:true ~keys:[ "k" ] () in
+  Alcotest.(check int) "the MAP is an output" 0 (List.length (pairs g));
+  let g, _, _ = graph ~second:true ~keys:[ "k" ] () in
+  Alcotest.(check int) "the MAP has two readers" 0 (List.length (pairs g));
+  let g, _, _ = graph ~keys:[ "k" ] () in
+  Alcotest.(check int) "the MAP is protected" 0
+    (List.length (pairs ~protect:[ "m" ] g));
+  let g, _, _ = graph ~keys:[ "t" ] () in
+  Alcotest.(check int) "the target is a key" 0 (List.length (pairs g))
+
+(* a non-numeric target, a float key and the gate off each refuse the
+   kernel, counted apart from [kernel.fallback.*]; the operators then
+   run one by one and match the row oracle *)
+let test_map_group_by_refusals () =
+  let open Relation in
+  let t =
+    Table.create_unchecked
+      (Schema.make
+         [ { Schema.name = "k"; ty = Value.Tint };
+           { Schema.name = "v"; ty = Value.Tint };
+           { Schema.name = "x"; ty = Value.Tfloat } ])
+      (Array.init 20 (fun i ->
+           [| Value.Int (i mod 3); Value.Int i; Value.Float (float_of_int i) |]))
+  in
+  let sum = [ Aggregate.make (Aggregate.Sum "t") ~as_name:"s" ] in
+  List.iter
+    (fun (reason, columnar, expr, keys, aggs) ->
+       let name = "kernel.map_group_by.refused." ^ reason in
+       let before = counter name and fallbacks = sum_counters "kernel.fallback." in
+       Alcotest.(check bool) (reason ^ ": refused") true
+         (Column.with_enabled columnar (fun () ->
+              Columnar.try_map_group_by t ~target:"t" ~expr ~keys ~aggs)
+          = None);
+       Alcotest.(check int) (reason ^ ": counted") 1 (counter name - before);
+       Alcotest.(check int) (reason ^ ": no kernel fallback") fallbacks
+         (sum_counters "kernel.fallback."))
+    Expr.
+      [ ("disabled", false, col "v" * int 2, [ "k" ], sum);
+        ("not_vectorizable", true, col "nope", [ "k" ], sum);
+        ("non_numeric_target", true, col "v" > int 2, [ "k" ],
+         [ Aggregate.make Aggregate.Count ~as_name:"n" ]);
+        ("float_key", true, col "v" * int 2, [ "x" ], sum);
+        ("repeated_key", true, col "v" * int 2, [ "k"; "k" ], sum) ]
+
 (* ---- differential property over generated pipelines ----
 
    The full planning + engine execution path: a random kv pipeline is
@@ -935,6 +1177,13 @@ let () =
            test_argmin_differential;
          Alcotest.test_case "refusals are counted" `Quick
            test_argmin_refusals ]);
+      ("map_group_by",
+       [ Alcotest.test_case "a MAP pairs with its one GROUP BY" `Quick
+           test_plan_map_group_by;
+         Alcotest.test_case "generated chains = row oracle" `Quick
+           test_map_group_by_differential;
+         Alcotest.test_case "refusals are counted" `Quick
+           test_map_group_by_refusals ]);
       ("differential",
        [ Alcotest.test_case "generated pipelines fused = unfused" `Slow
            test_fused_differential ]) ]
