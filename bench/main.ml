@@ -145,8 +145,8 @@ let bechamel () =
 
 let kernels () =
   let open Relation in
-  (* pairs per block, as in the columnar pair kernels *)
-  let pair_block = 256 in
+  (* pairs per block, as in the columnar kernels *)
+  let pair_block = Table.block in
   let ratings_n = 400_000 and movies_n = 17_000 in
   let ratings =
     let schema =

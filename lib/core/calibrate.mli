@@ -19,11 +19,7 @@
 
 val default_min_samples : int
 
-val default_alpha : float
-
-(** Fitted factors are clamped into [\[clamp_lo, clamp_hi\]]. *)
-val clamp_lo : float
-
+(** Fitted factors are clamped into [\[0.2, clamp_hi\]]. *)
 val clamp_hi : float
 
 (** [fit records] returns [(backend, factor)] sorted by backend name,
@@ -32,7 +28,7 @@ val clamp_hi : float
     factor 1.0).
     @param min_samples default {!default_min_samples}
     @param alpha EWMA weight of the newest record's median,
-           default {!default_alpha} *)
+           default 0.5 *)
 val fit :
   ?min_samples:int -> ?alpha:float -> Obs.Ledger.record list ->
   (string * float) list

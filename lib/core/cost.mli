@@ -28,11 +28,6 @@ val job_cost :
   profile:Profile.t -> graph:Ir.Dag.t -> est:Estimator.t ->
   Engines.Backend.t -> int list -> verdict
 
-(** Estimated volumes for the same candidate job (used by tests and the
-    plan explainer). *)
-val job_volumes :
-  graph:Ir.Dag.t -> est:Estimator.t -> int list -> Engines.Perf.volumes
-
 (** Cost of a whole partitioning: the sum of its job costs, each with
     its chosen backend. *)
 val plan_cost :

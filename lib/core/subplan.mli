@@ -38,6 +38,3 @@ val relation : hash:string -> string
 
 val is_subplan_relation : string -> bool
 
-(** The fusion-interior barrier for a graph, suitable for
-    {!Ir.Dag.sharable}/{!Ir.Dag.shared_prefixes}. *)
-val fusion_barrier : Ir.Dag.t -> int -> bool

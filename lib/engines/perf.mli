@@ -39,22 +39,14 @@ type rates = {
 (** [makespan rates volumes] — the breakdown and its total. *)
 val makespan : rates -> volumes -> Report.breakdown * float
 
-(** Relative per-byte processing weight of an operator vs a SELECT scan
-    (UDFs use their declared cost factor). *)
-val op_weight : Ir.Operator.kind -> float
-
-(** Processing weight of a fused chain: its single pass is charged at
-    the most expensive member's weight (floor 1.0, a SELECT scan),
-    instead of one full-input charge per member. *)
-val fused_weight : Ir.Operator.kind list -> float
-
 (** Process-volume charges under a fusion plan: merged operators
     (paper §5) make one pass, so the row-local members of a chain of
     the plan ({!Ir.Fusion.row_local}) that lie wholly [within] a job are
-    charged once, to the first member at {!fused_weight} over their
-    kinds, and the others nothing. Every other node is charged its own
-    {!op_weight}. The executor and the cost model both price with this
-    rule. *)
+    charged once, to the first member at the most expensive member's
+    per-byte weight (floor 1.0, a SELECT scan), and the others nothing.
+    Every other node is charged its own weight relative to a SELECT scan
+    (UDFs use their declared cost factor). The executor and the cost
+    model both price with this rule. *)
 type charges
 
 (** [charges plan g ~within] — the rule for [plan]'s chains over [g]. *)

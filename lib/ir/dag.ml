@@ -302,8 +302,6 @@ let rec pp_graph indent ppf (g : t) =
 
 let pp ppf g = pp_graph "" ppf g
 
-let to_string g = Format.asprintf "%a" pp g
-
 let dot_escape s =
   String.concat "\\\"" (String.split_on_char '"' s)
 

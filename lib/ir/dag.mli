@@ -79,8 +79,6 @@ val input_relations : t -> string list
 
 val pp : Format.formatter -> t -> unit
 
-val to_string : t -> string
-
 (** Graphviz rendering of the DAG (WHILE bodies become clusters);
     useful with the CLI's [--dot] flag. *)
 val to_dot : ?name:string -> t -> string

@@ -31,10 +31,17 @@ type recovery_event = {
   recovery_s : float;
 }
 
+(* a histogram's samples in record order, unboxed: a growable float
+   array holds one word a sample, where a [float list] held five *)
+type samples = {
+  mutable data : float array;
+  mutable len : int;
+}
+
 type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
-  histos : (string, float list ref) Hashtbl.t;  (* reverse record order *)
+  histos : (string, samples) Hashtbl.t;
   mutable preds : prediction list;              (* reverse record order *)
   mutable recs : recovery_event list;           (* reverse record order *)
 }
@@ -84,8 +91,25 @@ let gauge t name = Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
 let gauges t = sorted_bindings t.gauges
 
 let observe t name v =
-  let r = cell t.histos name [] in
-  r := v :: !r
+  let s =
+    match Hashtbl.find_opt t.histos name with
+    | Some s -> s
+    | None ->
+      let s = { data = [||]; len = 0 } in
+      Hashtbl.add t.histos name s;
+      s
+  in
+  if s.len = Array.length s.data then begin
+    let data = Array.make (max 8 (2 * s.len)) 0. in
+    Array.blit s.data 0 data 0 s.len;
+    s.data <- data
+  end;
+  s.data.(s.len) <- v;
+  s.len <- s.len + 1
+
+(* newest first, the order the stats have always been computed in: a
+   sort that is not stable may place -0.0 and 0.0 by it *)
+let newest_first s = Array.init s.len (fun i -> s.data.(s.len - 1 - i))
 
 (* linear interpolation between order statistics *)
 let quantile_of_sorted a q =
@@ -99,11 +123,9 @@ let quantile_of_sorted a q =
     Some (a.(lo) +. (frac *. (a.(hi) -. a.(lo))))
   end
 
-let stats_of_values values =
-  match values with
-  | [] -> None
-  | _ ->
-    let a = Array.of_list values in
+let stats_of_array a =
+  if Array.length a = 0 then None
+  else begin
     Array.sort compare a;
     let n = Array.length a in
     let sum = Array.fold_left ( +. ) 0. a in
@@ -111,22 +133,26 @@ let stats_of_values values =
     Some
       { count = n; min = a.(0); max = a.(n - 1);
         mean = sum /. float_of_int n; p50 = q 0.5; p90 = q 0.9; p99 = q 0.99 }
+  end
+
+let stats_of_values values = stats_of_array (Array.of_list values)
 
 let quantile t name q =
   match Hashtbl.find_opt t.histos name with
   | None -> None
-  | Some { contents = vs } ->
-    let a = Array.of_list vs in
+  | Some s ->
+    let a = newest_first s in
     Array.sort compare a;
     quantile_of_sorted a q
 
 let histogram t name =
-  Option.bind (Hashtbl.find_opt t.histos name) (fun r -> stats_of_values !r)
+  Option.bind (Hashtbl.find_opt t.histos name) (fun s ->
+      stats_of_array (newest_first s))
 
 let histograms t =
   Hashtbl.fold
-    (fun name r acc ->
-       match stats_of_values !r with
+    (fun name s acc ->
+       match stats_of_array (newest_first s) with
        | Some s -> (name, s) :: acc
        | None -> acc)
     t.histos []

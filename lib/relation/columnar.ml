@@ -11,6 +11,14 @@ let fallback reason =
   Obs.Metrics.incr Obs.Metrics.default ("kernel.fallback." ^ reason);
   None
 
+(* a refusal of a fused kernel: the caller runs its operators one by
+   one, each counting its own path, so these stay out of
+   [kernel.fallback.*] *)
+let refused kernel reason =
+  Obs.Metrics.incr Obs.Metrics.default
+    ("kernel." ^ kernel ^ ".refused." ^ reason);
+  None
+
 (* ---- SELECT ---- *)
 
 let mask_to_indices mask =
@@ -125,6 +133,16 @@ let try_project t names =
 
 (* ---- MAP ---- *)
 
+(* [a] with [x] at [target]'s column of [schema], or appended when
+   [schema] has no such column: where a MAP puts its target *)
+let put schema target a x =
+  if Schema.mem schema target then begin
+    let a = Array.copy a in
+    a.(Schema.index_of schema target) <- x;
+    a
+  end
+  else Array.append a [| x |]
+
 let empty_column ty = Column.Builder.to_column (Column.Builder.create ty)
 
 let try_map_column t ~target ~expr =
@@ -151,38 +169,27 @@ let try_map_column t ~target ~expr =
               (eval_view ~run:Vector.run_kept prog v ~n),
             -1 )
       in
-      let vcols =
-        if Schema.mem schema target then begin
-          let out = Array.copy v.vcols in
-          out.(Schema.index_of schema target) <- entry;
-          out
-        end
-        else Array.append v.vcols [| entry |]
-      in
-      Some (Table.of_view out_schema ~rows:n { v with vcols })
+      Some
+        (Table.of_view out_schema ~rows:n
+           { v with vcols = put schema target v.vcols entry })
   end
 
-(* ---- dense key codes ----
+(* ---- key coding ----
 
-   [dense_codes a] renumbers an int key column by first appearance:
-   row i gets a code below [count], equal codes iff equal keys, and
-   code c is the c-th distinct key in row order. Narrow key ranges
-   index a slot array directly; wide ones go through an
-   open-addressing table. The returned index also answers lookups of
-   keys from another column (a join's probe side): -1 for a key the
-   column never holds, which no code can be. *)
+   A coder gives int keys dense ids in order of first appearance: the
+   i-th distinct key it meets gets id i. Keys in a range of at most
+   [limit] slots index a slot array directly; wider ones go through an
+   open-addressing table that doubles as it fills. *)
 
-type key_index =
-  | Slots of {
-      lo : int;
-      hi : int;
-      slot : int array;  (** [slot.(k - lo)] = code of [k], or -1 *)
-    }
-  | Probe of {
-      keys : int array;
-      ids : int array;  (** code of the key in [keys] at the same slot, or -1 *)
-      mask : int;
-    }
+type coder = {
+  lo : int;  (** slots: the key of slot 0 *)
+  hashed : bool;
+  mutable table : int array;
+      (** the id of each slot's key, or -1; hashed: the id at each probe
+          slot *)
+  mutable held : int array;  (** hashed: the key at each probe slot *)
+  mutable count : int;  (** the ids given so far *)
+}
 
 (* spread high key bits into the low ones the probe mask keeps *)
 let mix k =
@@ -191,85 +198,148 @@ let mix k =
 
 let rec pow2_above n p = if p >= n then p else pow2_above n (2 * p)
 
-(* [?range]: every key is known to lie in [0, range), which saves the
-   bounds scan. [?into] receives the codes (default: a fresh array); it
-   may be [a] itself, since row i's key is read before its code is
-   written. *)
-let dense_codes ?range ?into (a : int array) =
-  let n = Array.length a in
-  let codes = match into with Some c -> c | None -> Array.make n 0 in
-  let next = ref 0 in
-  let lo, hi =
-    match range with
-    | Some r -> (0, r - 1)
-    | None ->
-      let lo = ref max_int and hi = ref min_int in
-      for i = 0 to n - 1 do
-        let k = a.(i) in
-        if k < !lo then lo := k;
-        if k > !hi then hi := k
-      done;
-      (!lo, !hi)
-  in
-  (* [hi - lo] wraps negative when the true span exceeds max_int *)
-  let span = hi - lo in
-  let index =
-    if n > 0 && span >= 0 && span < max 4096 (2 * n) then begin
-      let slot = Array.make (span + 1) (-1) in
-      for i = 0 to n - 1 do
-        let s = a.(i) - lo in
-        let c = slot.(s) in
-        if c >= 0 then codes.(i) <- c
-        else begin
-          slot.(s) <- !next;
-          codes.(i) <- !next;
-          incr next
-        end
-      done;
-      Slots { lo; hi; slot }
-    end
-    else begin
-      let cap = pow2_above (2 * n) 16 in
-      let mask = cap - 1 in
-      let keys = Array.make cap 0 and ids = Array.make cap (-1) in
-      for i = 0 to n - 1 do
-        let k = a.(i) in
-        let h = ref (mix k land mask) in
-        while ids.(!h) >= 0 && keys.(!h) <> k do
-          h := (!h + 1) land mask
-        done;
-        if ids.(!h) < 0 then begin
-          keys.(!h) <- k;
-          ids.(!h) <- !next;
-          incr next
-        end;
-        codes.(i) <- ids.(!h)
-      done;
-      Probe { keys; ids; mask }
-    end
-  in
-  (codes, !next, index)
+(* a coder of keys in [lo, lo + range), with room for [expect] ids
+   before it first doubles when hashed *)
+let coder ?(lo = 0) ~range ~limit ~expect () =
+  if range <= limit then
+    { lo; hashed = false; table = Array.make range (-1); held = [||];
+      count = 0 }
+  else
+    let slots = pow2_above (2 * expect) 16 in
+    { lo; hashed = true; table = Array.make slots (-1);
+      held = Array.make slots 0; count = 0 }
 
-(* the code of every key of [a] under [index], -1 where absent *)
-let lookup_codes index (a : int array) =
+let rehash d =
+  let slots = 2 * Array.length d.table in
+  let mask = slots - 1 in
+  let table = Array.make slots (-1) and held = Array.make slots 0 in
+  Array.iteri
+    (fun h id ->
+       if id >= 0 then begin
+         let c = d.held.(h) in
+         let j = ref (mix c land mask) in
+         while table.(!j) >= 0 do
+           j := (!j + 1) land mask
+         done;
+         table.(!j) <- id;
+         held.(!j) <- c
+       end)
+    d.table;
+  d.table <- table;
+  d.held <- held
+
+(* Writes the id of each key k < n of [keys] into [into.(k)] (default:
+   over the key), giving new keys the next ids. With [~sizes], adds 1
+   to [sizes.(id)], which must hold [count + n] ids; with [~born], lists
+   in order the rows that take a new id. Returns how many did: the i-th
+   took id [count + i] of [d] before the call. *)
+let densify ?sizes ?born ?into d (keys : int array) n =
+  let into = Option.value into ~default:keys in
+  let sizes, sized =
+    match sizes with Some s -> (s, true) | None -> ([||], false)
+  in
+  let born, listed =
+    match born with Some b -> (b, true) | None -> ([||], false)
+  in
+  let nb = ref 0 and count = ref d.count in
+  if not d.hashed then begin
+    let slot = d.table and lo = d.lo in
+    for k = 0 to n - 1 do
+      let c = keys.(k) - lo in
+      let g = slot.(c) in
+      let g =
+        if g >= 0 then g
+        else begin
+          let g = !count in
+          slot.(c) <- g;
+          count := g + 1;
+          if listed then born.(!nb) <- k;
+          incr nb;
+          g
+        end
+      in
+      into.(k) <- g;
+      if sized then sizes.(g) <- sizes.(g) + 1
+    done
+  end
+  else begin
+    let table = ref d.table and held = ref d.held in
+    let mask = ref (Array.length !table - 1) in
+    for k = 0 to n - 1 do
+      let c = keys.(k) in
+      let t = !table and ks = !held and m = !mask in
+      let h = ref (mix c land m) in
+      while t.(!h) >= 0 && ks.(!h) <> c do
+        h := (!h + 1) land m
+      done;
+      let g = t.(!h) in
+      let g =
+        if g >= 0 then g
+        else begin
+          let g = !count in
+          t.(!h) <- g;
+          ks.(!h) <- c;
+          count := g + 1;
+          if listed then born.(!nb) <- k;
+          incr nb;
+          if 2 * (g + 1) > m then begin
+            d.count <- g + 1;
+            rehash d;
+            table := d.table;
+            held := d.held;
+            mask := Array.length d.table - 1
+          end;
+          g
+        end
+      in
+      into.(k) <- g;
+      if sized then sizes.(g) <- sizes.(g) + 1
+    done
+  end;
+  d.count <- !count;
+  !nb
+
+(* the id of key [k], or -1 when [d] never met it; [k - lo] is tested
+   for wrapping, since [k] may lie anywhere *)
+let[@inline] lookup d k =
+  if not d.hashed then begin
+    let s = k - d.lo in
+    if k >= d.lo && s >= 0 && s < Array.length d.table then d.table.(s) else -1
+  end
+  else begin
+    let t = d.table and ks = d.held in
+    let m = Array.length t - 1 in
+    let h = ref (mix k land m) in
+    while t.(!h) >= 0 && ks.(!h) <> k do
+      h := (!h + 1) land m
+    done;
+    t.(!h)
+  end
+
+(* The least key of [a] and how many ints lie from it to the greatest,
+   [max_int] when that count does not fit. *)
+let key_range (a : int array) =
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to Array.length a - 1 do
+    let k = a.(i) in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  (* [hi - lo] wraps negative when the true span exceeds max_int *)
+  let span = !hi - !lo in
+  (!lo, if span >= 0 && span < max_int then span + 1 else max_int)
+
+(* [a]'s keys renumbered by first appearance, and the coder that holds
+   them all: it also answers lookups of another column's keys (a join's
+   probe side) *)
+let dense_codes (a : int array) =
   let n = Array.length a in
-  let out = Array.make n (-1) in
-  (match index with
-   | Slots { lo; hi; slot } ->
-     for i = 0 to n - 1 do
-       let k = a.(i) in
-       if k >= lo && k <= hi then out.(i) <- slot.(k - lo)
-     done
-   | Probe { keys; ids; mask } ->
-     for i = 0 to n - 1 do
-       let k = a.(i) in
-       let h = ref (mix k land mask) in
-       while ids.(!h) >= 0 && keys.(!h) <> k do
-         h := (!h + 1) land mask
-       done;
-       out.(i) <- ids.(!h)
-     done);
-  out
+  let lo, range = key_range a in
+  let d = coder ~lo ~range ~limit:(max 4096 (2 * n)) ~expect:n () in
+  (* the ids go to a fresh array: [a] may be a base column *)
+  let codes = Array.make n 0 in
+  ignore (densify ~into:codes d a n);
+  (codes, d)
 
 (* int view of a join/group key column; [None] when the type cannot key
    byte-identically (floats: the row engine's structural equality makes
@@ -281,6 +351,39 @@ let int_keys (col : Column.t) =
   | Column.Bools a -> Some (Array.map (fun b -> if b then 1 else 0) a)
   | Column.Dict { codes; _ } -> Some codes
   | Column.Floats _ -> None
+
+(* ---- placement ----
+
+   A stable counting sort: the items [0, n), item i's key [key.(i)]
+   below [keys], listed in key order, each key's items in the order
+   given, or newest first. [start.(c)] is where key c's items begin, and
+   [start.(keys)] is n. *)
+let place ?(newest_first = false) ~keys (key : int array) =
+  let n = Array.length key in
+  let start = Array.make (keys + 1) 0 in
+  for i = 0 to n - 1 do
+    let c = key.(i) in
+    start.(c + 1) <- start.(c + 1) + 1
+  done;
+  for c = 1 to keys do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let next = Array.sub start 0 keys and order = Array.make n 0 in
+  (* the two orders as two loops: a test per item costs small inputs
+     a few percent *)
+  if newest_first then
+    for i = n - 1 downto 0 do
+      let c = key.(i) in
+      order.(next.(c)) <- i;
+      next.(c) <- next.(c) + 1
+    done
+  else
+    for i = 0 to n - 1 do
+      let c = key.(i) in
+      order.(next.(c)) <- i;
+      next.(c) <- next.(c) + 1
+    done;
+  (start, order)
 
 (* ---- JOIN ---- *)
 
@@ -321,12 +424,12 @@ let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
           | c, -1 -> (c, None, n)
           | c, g -> (c, Some v.idx.(g), n)
         in
-        let (bkey, bvia, nb), (pkey, pvia, nprobe) =
+        let (bkey, bvia, _), (pkey, pvia, nprobe) =
           let l = side lv li (Table.row_count left)
           and r = side rv ri (Table.row_count right) in
           if build_left then (l, r) else (r, l)
         in
-        let bbase, groups, index = dense_codes (Option.get (int_keys bkey)) in
+        let bbase, coder = dense_codes (Option.get (int_keys bkey)) in
         let bcode =
           match bvia with None -> bbase | Some ix -> Table.compose bbase ix
         in
@@ -338,14 +441,11 @@ let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
             (* two dictionaries: hash each distinct string once, not per
                row. An entry no build row holds maps to -1 or to an
                empty bucket. *)
-            let entry_code =
-              lookup_codes index (Array.init (Array.length bdict) Fun.id)
-            in
-            let by_string = Hashtbl.create (max 16 groups) in
+            let by_string = Hashtbl.create (max 16 coder.count) in
             Array.iteri
               (fun e s ->
-                 if entry_code.(e) >= 0 then
-                   Hashtbl.replace by_string s entry_code.(e))
+                 let c = lookup coder e in
+                 if c >= 0 then Hashtbl.replace by_string s c)
               bdict;
             let pmap =
               Array.map
@@ -354,23 +454,17 @@ let join_matches ?(refuse = fun _ -> None) ~build_left left right ~left_key
                 pdict
             in
             Array.map (fun c -> pmap.(c)) pkeys
-          | _ -> lookup_codes index pkeys
+          | _ ->
+            let codes = Array.make (Array.length pkeys) 0 in
+            for i = 0 to Array.length pkeys - 1 do
+              codes.(i) <- lookup coder pkeys.(i)
+            done;
+            codes
         in
-        let bstart = Array.make (groups + 1) 0 in
-        for b = 0 to nb - 1 do
-          let c = bcode.(b) in
-          bstart.(c + 1) <- bstart.(c + 1) + 1
-        done;
-        for c = 1 to groups do
-          bstart.(c) <- bstart.(c) + bstart.(c - 1)
-        done;
-        let fill = Array.sub bstart 0 groups in
-        let brows = Array.make nb 0 in
-        for b = nb - 1 downto 0 do
-          let c = bcode.(b) in
-          brows.(fill.(c)) <- b;
-          fill.(c) <- fill.(c) + 1
-        done;
+        (* the buckets, each one's rows newest first *)
+        let bstart, brows =
+          place ~newest_first:true ~keys:coder.count bcode
+        in
         let pairs = ref 0 in
         (match pvia with
          | None ->
@@ -405,6 +499,134 @@ let try_join left right ~left_key ~right_key =
     mark "join";
     Some (Table.of_matches out_schema m)
 
+(* ---- sources ----
+
+   A source reads a table, or a set of pairs, in blocks of
+   {!Table.block} rows (a CROSS's: whole left rows), in order: [run f]
+   calls [f b] on each block [b]. Block row k, for k < [len], is row
+   [start + k] of the source. Column j of the block is at [pos j = (ix,
+   off)] in its base [bases.(j)]: slot [ix.(off + k)], or [off + k]
+   when [ix == direct]; [sel j] gives the same rows as a selection for
+   {!Vector.run}. In a block of pairs ([paired]), row k is left row
+   [lrows.(k)] and right row [rrows.(k)], and the columns are the left
+   side's then the right side's. *)
+
+(* An index a block reads is never empty, since blocks hold at least
+   one row, so the empty array marks a column read in place. *)
+let direct : int array = [||]
+
+type block = {
+  mutable start : int;
+  mutable len : int;
+  mutable lrows : int array;
+  mutable rrows : int array;
+  pos : int -> int array * int;
+  sel : int -> Vector.sel;
+}
+
+type source = {
+  bases : Column.t array;
+  run : (block -> unit) -> unit;
+  paired : bool;
+  slots : int -> int array -> int array -> int array;
+      (** [slots j l r]: column j's base slots of the rows whose left
+          rows are [l] and right rows [r] (a table's rows: [l]) *)
+}
+
+(* the base slots of column [j] of [v] at its rows [rows] *)
+let view_slots (v : Table.view) j rows =
+  match v.vcols.(j) with _, -1 -> rows | _, g -> Table.compose v.idx.(g) rows
+
+(* the pairs of [lv]'s and [rv]'s rows that [pairs] lists, each column
+   read through its group's index composed with the block's rows *)
+let pair_source (lv : Table.view) (rv : Table.view) pairs =
+  { bases = Array.append (Array.map fst lv.vcols) (Array.map fst rv.vcols);
+    run =
+      (fun f ->
+         let lset, lsel = Table.block_sel lv
+         and rset, rsel = Table.block_sel rv in
+         let nleft = Array.length lv.vcols in
+         let rows j =
+           if j < nleft then lsel (snd lv.vcols.(j))
+           else rsel (snd rv.vcols.(j - nleft))
+         in
+         let b =
+           { start = 0; len = 0; lrows = direct; rrows = direct;
+             pos = (fun j -> (rows j, 0));
+             sel = (fun j -> Vector.Sparse (rows j)) }
+         in
+         Table.iter_pairs pairs (fun lb rb n ->
+             lset lb n;
+             rset rb n;
+             b.len <- n;
+             b.lrows <- lb;
+             b.rrows <- rb;
+             f b;
+             b.start <- b.start + n));
+    paired = true;
+    slots =
+      (fun j l r ->
+         let nleft = Array.length lv.vcols in
+         if j < nleft then view_slots lv j l else view_slots rv (j - nleft) r) }
+
+(* Any table: a JOIN's matches are read pair by pair, with no pair
+   index; a plain column or a view's group in place, at the block's
+   offset, and through the block's rows, made only when a program reads
+   them. *)
+let table_source t =
+  match Table.matches t with
+  | Some m -> pair_source m.lv m.rv (Table.Matches m)
+  | None ->
+    let v = Table.parts t and n = Table.row_count t in
+    { bases = Array.map fst v.vcols;
+      run =
+        (fun f ->
+           let set, gsel = Table.block_sel v in
+           let rows = Array.make (max 1 (min n Table.block)) 0 in
+           let filled = ref false in
+           let rec b =
+             { start = 0; len = 0; lrows = direct; rrows = direct;
+               pos =
+                 (fun j ->
+                    match v.vcols.(j) with
+                    | _, -1 -> (direct, b.start)
+                    | _, g -> (v.idx.(g), b.start));
+               sel =
+                 (fun j ->
+                    if not !filled then begin
+                      for k = 0 to b.len - 1 do
+                        rows.(k) <- b.start + k
+                      done;
+                      set rows b.len;
+                      filled := true
+                    end;
+                    Vector.Sparse (gsel (snd v.vcols.(j)))) }
+           in
+           while b.start < n do
+             b.len <- min Table.block (n - b.start);
+             filled := false;
+             f b;
+             b.start <- b.start + b.len
+           done);
+      paired = false;
+      slots = (fun j l _ -> view_slots v j l) }
+
+(* [prog] run once per block of [src], its values handed to [sink] with
+   the block: valid until the next block *)
+let each src prog sink =
+  src.run (fun b -> sink b (Vector.run prog src.bases ~len:b.len ~sel:b.sel))
+
+(* A program's values over [n] rows as an array, a constant spread *)
+let ints_of n = function
+  | Vector.VInt a -> a
+  | Vector.VConst (Value.Int x) -> Array.make n x
+  | _ -> assert false
+
+let floats_of n = function
+  | Vector.VFloat a -> a
+  | Vector.VConst (Value.Float x) -> Array.make n x
+  | _ -> assert false
+
 (* ---- JOIN → SELECT ---- *)
 
 type join_select = {
@@ -413,94 +635,11 @@ type join_select = {
   join_bytes : int array;
 }
 
-(* a refusal of the fused kernel: the caller runs the plain JOIN, which
-   may still take the columnar path, so these stay out of
-   [kernel.fallback.*] *)
-let refused reason =
-  Obs.Metrics.incr Obs.Metrics.default ("kernel.join_select.refused." ^ reason);
-  None
-
-(* pairs per expression evaluation in the pair kernels: they hold no
-   index of the pair count, and a block's arrays stay small enough for
-   the minor heap *)
-let pair_block = 256
-
-(* The survivors, given in chunks in [iter_pairs]'s order with
-   [counts.(r)] of them on right row r, each placed at its right row's
-   next slot: a counting sort by right row, stable in the order given,
-   so they come out in the serial kernel's order. *)
-let place_by_right counts chunks =
-  let nr = Array.length counts in
-  let next = Array.make nr 0 in
-  let total = ref 0 in
-  for r = 0 to nr - 1 do
-    next.(r) <- !total;
-    total := !total + counts.(r)
-  done;
-  let lidx = Array.make !total 0 and ridx = Array.make !total 0 in
-  List.iter
-    (fun (sl, sr) ->
-       for k = 0 to Array.length sl - 1 do
-         let r = sr.(k) in
-         let p = next.(r) in
-         lidx.(p) <- sl.(k);
-         ridx.(p) <- r;
-         next.(r) <- p + 1
-       done)
-    chunks;
-  (lidx, ridx)
-
-(* The selection of a view's column groups over a block of its rows,
-   made once per kernel call: [set rows n] moves it to a block whose row
-   k, for k < n, is row [rows.(k)] of the view, and [sel g] is group
-   [g]'s selection for it (-1: the row-aligned columns). A group reads
-   its base through its index composed with the block's rows: composed
-   once per group and block, only for the groups a program reads, into
-   a buffer reused from block to block. *)
-let side_sel (v : Table.view) =
-  let groups = Array.length v.idx in
-  let composed = Array.make groups [||] and ready = Array.make groups false in
-  let buf = ref [||] and len = ref 0 in
-  let set b n =
-    buf := b;
-    len := n;
-    Array.fill ready 0 groups false
-  in
-  let sel g =
-    if g < 0 then Vector.Sparse !buf
-    else begin
-      if not ready.(g) then begin
-        let b = !buf and ix = v.idx.(g) in
-        if Array.length composed.(g) < !len then
-          composed.(g) <- Array.make !len 0;
-        let out = composed.(g) in
-        for k = 0 to !len - 1 do
-          out.(k) <- ix.(b.(k))
-        done;
-        ready.(g) <- true
-      end;
-      Vector.Sparse composed.(g)
-    end
-  in
-  (set, sel)
-
-(* The selection of each of [lv]'s columns then [rv]'s over a block of
-   pairs: [set lbuf rbuf n] moves it to a block whose pair k, for k <
-   n, is left row [lbuf.(k)] and right row [rbuf.(k)]. *)
-let pair_sel (lv : Table.view) (rv : Table.view) =
-  let lset, lsel = side_sel lv and rset, rsel = side_sel rv in
-  let nleft = Array.length lv.vcols in
-  ( (fun lbuf rbuf n ->
-        lset lbuf n;
-        rset rbuf n),
-    fun i ->
-      if i < nleft then lsel (snd lv.vcols.(i))
-      else rsel (snd rv.vcols.(i - nleft)) )
-
 (* The smaller side is the build side, so no array is sized by the
-   larger input (k-means' 120,000-row [d] probes 1,200 buckets), and
-   only the survivors are placed. The predicate is compiled once, by
-   the refusal check, and run on each block. *)
+   larger input (k-means' 120,000-row [d] probes 1,200 buckets). The
+   predicate is compiled once, by the refusal check, and run on each
+   block of candidate pairs; the sink keeps the survivors, which are
+   then placed by right row, stably: the serial kernel's order. *)
 let try_join_select left right ~left_key ~right_key ~pred =
   let prog = ref None in
   let refuse schema =
@@ -513,42 +652,23 @@ let try_join_select left right ~left_key ~right_key ~pred =
   in
   let build_left = Table.row_count left <= Table.row_count right in
   match join_matches ~refuse ~build_left left right ~left_key ~right_key with
-  | Error reason -> refused reason
+  | Error reason -> refused "join_select" reason
   | Ok (out_schema, m) ->
-    let prog = Option.get !prog in
-    let bases =
-      Array.append (Array.map fst m.Table.lv.vcols) (Array.map fst m.rv.vcols)
-    in
     mark "join_select";
-    let set_block, sel = pair_sel m.lv m.rv in
-    let counts = Array.make (Table.row_count right) 0 in
     let kept = ref [] in
-    Table.iter_pairs m ~block:pair_block (fun lb rb n ->
-        set_block lb rb n;
-        let mask =
-          Vector.to_mask ~length:n (Vector.run prog bases ~len:n ~sel)
-        in
-        let hits = ref 0 in
-        for k = 0 to n - 1 do
-          if mask.(k) then incr hits
-        done;
-        let sl = Array.make !hits 0 and sr = Array.make !hits 0 in
-        let j = ref 0 in
-        for k = 0 to n - 1 do
-          if mask.(k) then begin
-            let r = rb.(k) in
-            sl.(!j) <- lb.(k);
-            sr.(!j) <- r;
-            counts.(r) <- counts.(r) + 1;
-            incr j
-          end
-        done;
-        kept := (sl, sr) :: !kept);
-    let lidx, ridx = place_by_right counts (List.rev !kept) in
+    each (pair_source m.lv m.rv (Table.Matches m)) (Option.get !prog)
+      (fun b v ->
+         let hits = mask_to_indices (Vector.to_mask ~length:b.len v) in
+         kept :=
+           (Table.compose b.lrows hits, Table.compose b.rrows hits) :: !kept);
+    let lidx = Array.concat (List.rev_map fst !kept)
+    and ridx = Array.concat (List.rev_map snd !kept) in
+    let _, order = place ~keys:(Table.row_count right) ridx in
     Some
       { table =
-          Table.of_view out_schema ~rows:(Array.length lidx)
-            (Table.matches_view m lidx ridx);
+          Table.of_view out_schema ~rows:(Array.length order)
+            (Table.pair_view m.lv m.rv
+               (Table.compose lidx order, Table.compose ridx order));
         pairs = m.pairs;
         join_bytes = Table.matches_bytes m }
 
@@ -561,32 +681,13 @@ let try_cross left right =
     let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
     mark "cross";
     let nl = Table.row_count left and nr = Table.row_count right in
-    (* left-major, right-minor: the serial kernel's nested-loop order *)
-    let lidx = Array.make (nl * nr) 0 and ridx = Array.make (nl * nr) 0 in
-    for i = 0 to nl - 1 do
-      for j = 0 to nr - 1 do
-        lidx.((i * nr) + j) <- i;
-        ridx.((i * nr) + j) <- j
-      done
-    done;
     Some
       (Table.of_view out_schema ~rows:(nl * nr)
-         (Table.concat_views
-            (Table.reindex (Table.parts left) lidx)
-            (Table.reindex (Table.parts right) ridx)))
+         (Table.pair_view (Table.parts left) (Table.parts right)
+            (Table.pair_rows (Table.Cross { lo = 0; hi = nl; nr }))))
   end
 
 (* ---- GROUP BY ---- *)
-
-let sparse = function
-  | Vector.Sparse ix -> ix
-  | Vector.Dense -> invalid_arg "Columnar: a block read without an index"
-
-(* Where block row k of a column is in its base: with [ix == direct],
-   slot [off + k]; otherwise slot [ix.(off + k)]. A loop tests
-   [ix == direct] once, as [flat]. An index a block reads is never
-   empty, since blocks hold at least one row. *)
-let direct : int array = [||]
 
 let[@inline] slot_at flat ix off k = if flat then off + k else ix.(off + k)
 
@@ -596,136 +697,21 @@ let[@inline] int_at (a : int array) flat ix off k =
 let[@inline] float_at (a : float array) flat ix off k =
   if flat then a.(off + k) else a.(ix.(off + k))
 
-(* A table read in blocks of at most [pair_block] rows, in row order,
-   whatever its form: [run f] calls [f start n pos sel] on each block,
-   whose row k, for k < n, is row [start + k] of the table. Column j of
-   the block is [pos j] into its base [bases.(j)], and [sel j] the same
-   rows as a selection for {!Vector.run}. A plain column or a view's
-   group is read in place at offset [start]; a JOIN's matches are read
-   pair by pair, with no pair index. *)
-type reader = {
-  bases : Column.t array;
-  run :
-    (int -> int -> (int -> int array * int) -> (int -> Vector.sel) -> unit) ->
-    unit;
-  slots : (int -> int array -> int array) option;
-      (** for a table that holds its rows, [slots j rows]: the slots of
-          [rows] in column j's base *)
-}
-
-let reader t =
-  match Table.matches t with
-  | Some m ->
-    { bases =
-        Array.append (Array.map fst m.Table.lv.vcols) (Array.map fst m.rv.vcols);
-      run =
-        (fun f ->
-           let set, sel = pair_sel m.lv m.rv in
-           let pos j = (sparse (sel j), 0) in
-           let start = ref 0 in
-           Table.iter_pairs m
-             ~block:(max 1 (min m.pairs pair_block))
-             (fun lb rb n ->
-               set lb rb n;
-               f !start n pos sel;
-               start := !start + n));
-      slots = None }
-  | None ->
-    let v = Table.parts t and n = Table.row_count t in
-    { bases = Array.map fst v.vcols;
-      run =
-        (fun f ->
-           let set, gsel = side_sel v in
-           (* the block's rows, made and written only when a program
-              reads them *)
-           let rows = ref [||] and filled = ref false in
-           let start = ref 0 and len = ref 0 in
-           let sel j =
-             if not !filled then begin
-               if Array.length !rows = 0 then rows := Array.make (min n pair_block) 0;
-               let rs = !rows in
-               for k = 0 to !len - 1 do
-                 rs.(k) <- !start + k
-               done;
-               set rs !len;
-               filled := true
-             end;
-             gsel (snd v.vcols.(j))
-           in
-           let pos j =
-             match v.vcols.(j) with
-             | _, -1 -> (direct, !start)
-             | _, g -> (v.idx.(g), !start)
-           in
-           while !start < n do
-             len := min pair_block (n - !start);
-             filled := false;
-             f !start !len pos sel;
-             start := !start + !len
-           done);
-      slots =
-        Some
-          (fun j rows ->
-             match v.vcols.(j) with
-             | _, -1 -> rows
-             | _, g -> Table.compose v.idx.(g) rows) }
+(* [Aggregate.add_float], here so that the loops below add unboxed
+   floats: without cross-module inlining a call boxes both operands and
+   the result *)
+let[@inline] add_float acc x = if Float.is_nan acc then acc else acc +. x
 
 (* A key's codes off its base column, [(codes, lo, d)]: row r's code is
    [codes.(r) - lo], below [d]. A key whose values span a narrow range
    is its own code, offset by its minimum; a wider one is dense-coded. *)
 let key_codes limit (keys : int array) =
-  let lo = ref max_int and hi = ref min_int in
-  for i = 0 to Array.length keys - 1 do
-    let k = keys.(i) in
-    if k < !lo then lo := k;
-    if k > !hi then hi := k
-  done;
-  let lo = !lo and hi = !hi in
-  (* [hi - lo] wraps negative when the span exceeds max_int *)
+  let lo, range = key_range keys in
   if Array.length keys = 0 then (keys, 0, 1)
-  else if hi - lo >= 0 && hi - lo < limit then (keys, lo, hi - lo + 1)
+  else if range <= limit then (keys, lo, range)
   else
-    let codes, d, _ = dense_codes keys in
-    (codes, 0, d)
-
-(* Dense ids for codes below [range], in the order the codes first
-   appear across every block: a slot array when the range is at most
-   [limit], else an open-addressing table of [expect] ids that doubles
-   as it fills. *)
-type ids = {
-  hashed : bool;
-  mutable table : int array;
-      (** the id of each code, or -1; hashed: the id at each probe slot *)
-  mutable held : int array;  (** hashed: the code at each probe slot *)
-  mutable count : int;
-}
-
-let ids ~range ~limit ~expect =
-  if range <= limit then
-    { hashed = false; table = Array.make range (-1); held = [||]; count = 0 }
-  else
-    let slots = pow2_above (2 * expect) 16 in
-    { hashed = true; table = Array.make slots (-1);
-      held = Array.make slots 0; count = 0 }
-
-let rehash d =
-  let slots = 2 * Array.length d.table in
-  let mask = slots - 1 in
-  let table = Array.make slots (-1) and held = Array.make slots 0 in
-  Array.iteri
-    (fun h id ->
-       if id >= 0 then begin
-         let c = d.held.(h) in
-         let j = ref (mix c land mask) in
-         while table.(!j) >= 0 do
-           j := (!j + 1) land mask
-         done;
-         table.(!j) <- id;
-         held.(!j) <- c
-       end)
-    d.table;
-  d.table <- table;
-  d.held <- held
+    let codes, d = dense_codes keys in
+    (codes, 0, d.count)
 
 (* [comb.(k) <- comb.(k) * mult + codes.(at k) - lo] for each row k < n
    of a block, where [at] reads [ix] at [off] by {!slot_at}: one key
@@ -736,98 +722,30 @@ let fold_key (comb : int array) ~mult ~(codes : int array) ~lo ~ix ~off n =
     comb.(k) <- (comb.(k) * mult) + int_at codes flat ix off k - lo
   done
 
-(* Rewrites each row k < n of [comb] with the id of its code, and with
-   [~sizes] adds 1 to [sizes.(id)], which must hold [count + n] ids. The
-   rows that take a new id are listed in [born], in order, and their
-   count returned: the i-th takes id [count + i] of [d] before the
-   call. *)
-let densify ?sizes d (comb : int array) n (born : int array) =
-  let sizes, sized =
-    match sizes with Some s -> (s, true) | None -> ([||], false)
-  in
-  let nb = ref 0 and count = ref d.count in
-  if not d.hashed then begin
-    let slot = d.table in
-    for k = 0 to n - 1 do
-      let c = comb.(k) in
-      let g = slot.(c) in
-      let g =
-        if g >= 0 then g
-        else begin
-          let g = !count in
-          slot.(c) <- g;
-          count := g + 1;
-          born.(!nb) <- k;
-          incr nb;
-          g
-        end
-      in
-      comb.(k) <- g;
-      if sized then sizes.(g) <- sizes.(g) + 1
-    done
-  end
-  else begin
-    let table = ref d.table and keys = ref d.held in
-    let mask = ref (Array.length !table - 1) in
-    for k = 0 to n - 1 do
-      let c = comb.(k) in
-      let t = !table and ks = !keys and m = !mask in
-      let h = ref (mix c land m) in
-      while t.(!h) >= 0 && ks.(!h) <> c do
-        h := (!h + 1) land m
-      done;
-      let g = t.(!h) in
-      let g =
-        if g >= 0 then g
-        else begin
-          let g = !count in
-          t.(!h) <- g;
-          ks.(!h) <- c;
-          count := g + 1;
-          born.(!nb) <- k;
-          incr nb;
-          if 2 * (g + 1) > m then begin
-            d.count <- g + 1;
-            rehash d;
-            table := d.table;
-            keys := d.held;
-            mask := Array.length d.table - 1
-          end;
-          g
-        end
-      in
-      comb.(k) <- g;
-      if sized then sizes.(g) <- sizes.(g) + 1
-    done
-  end;
-  d.count <- !count;
-  !nb
-
-(* One key of the fold: its column, its codes, and the ids the running
-   code is re-densified through first, when folding it in could
+(* One key of the fold: its column, its codes, and the coder the
+   running code is re-densified through first, when folding it in could
    overflow. *)
 type key_step = {
   col : int;
   codes : int array;
   lo : int;
   d : int;
-  pre : ids option;
+  pre : coder option;
 }
 
 (* an aggregation's input: a column of the table, or the absorbed
    MAP's values *)
-type source =
+type input =
   | Col of int
   | Mapped
 
 (* One aggregation's per-group state, grown with the group count:
-   [step start n gid pos mapped] folds in a block whose row k has group
-   [gid.(k)] and table row [start + k], its columns at [pos] and the
-   MAP's values in [mapped]; [result groups] is its output column. *)
+   [step b gid mapped] folds in block [b], whose row k has group
+   [gid.(k)], with the MAP's values in [mapped]; [result groups] is its
+   output column. *)
 type acc = {
   grow : int -> unit;
-  step :
-    int -> int -> int array -> (int -> int array * int) -> Vector.vec -> unit;
+  step : block -> int array -> Vector.vec -> unit;
   result : int -> Column.t;
 }
 
@@ -845,6 +763,10 @@ let summable (fn : Aggregate.fn) ty =
   | Aggregate.Sum _ | Aggregate.Avg _ -> ty = Value.Tint || ty = Value.Tfloat
   | _ -> true
 
+(* whether row k of a block, of group g, starts its group: [born]
+   lists the block's rows that start one, the i-th group [g0 + i] *)
+let[@inline] born_at (born : int array) g0 g k = g >= g0 && born.(g - g0) = k
+
 (* [Float.compare], with the ordered cases inline *)
 let[@inline] compare_floats (x : float) y =
   if x < y then -1
@@ -852,15 +774,16 @@ let[@inline] compare_floats (x : float) y =
   else if x = y then 0
   else Float.compare x y
 
-(* The columnar GROUP BY, one blocked pass over [t] read by [r]: each
-   block's key codes are folded into one code per row, mapped to group
-   ids in first appearance, and every aggregation updated in the same
-   pass; no array of the row count is built. With [map = Some (target,
-   prog)], the GROUP BY reads the MAP [target := prog] of [t] instead
-   of [t], the program run once per block. [kis] are the key columns
-   and [srcs] the aggregation inputs, both in the GROUP BY's input
-   schema; no key is the MAP's target. *)
-let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
+(* The columnar GROUP BY, one blocked pass over [src], a source of [t]:
+   each block's key codes are folded into one code per row, mapped to
+   group ids in first appearance, and every aggregation updated in the
+   same pass; no array of the row count is built. With [map = Some
+   (target, prog)], the GROUP BY reads the MAP [target := prog] of [t]
+   instead of [t], the program run once per block. [kis] are the key
+   columns and [srcs] the aggregation inputs, both in the GROUP BY's
+   input schema; no key is the MAP's target. *)
+let group_run ?ids t src ~map ~out_schema ~kis ~aggs ~srcs ~src_ty
+    ~bases_keys =
   let n = Table.row_count t in
   let limit = max 4096 (2 * n) in
   (* the fold: the running code is re-densified only before a key that
@@ -872,7 +795,7 @@ let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
          (fun col (codes, lo, d) ->
             let pre =
               if !range > 1 && !range > max_int / d then begin
-                let p = ids ~range:!range ~limit ~expect:(min !range n) in
+                let p = coder ~range:!range ~limit ~expect:(min !range n) () in
                 range := min !range n;
                 Some p
               end
@@ -890,66 +813,54 @@ let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
     if !range <= limit || Table.matches t = None then min n !range
     else min 4096 n
   in
-  let final = ids ~range:!range ~limit ~expect in
+  let final = coder ~range:!range ~limit ~expect () in
   let ids_bound = if final.hashed then max_int else !range in
   let cap = ref (max 1 expect) in
   let cap0 = !cap in
-  (* per group: its size, each key's base slot and its first row. A
-     table that holds its rows finds the slots from the first rows; a
-     JOIN's matches keep them per key, and the first rows only when an
-     aggregation seeds from them *)
-  let src_ty = function
-    | Col j -> Column.ty r.bases.(j)
-    | Mapped -> Vector.ty (snd (Option.get map))
-  in
-  let seeded =
-    r.slots <> None
-    || List.exists2
-         (fun (a : Aggregate.t) src ->
-            match (a.fn, Option.map src_ty src) with
-            | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), _ ->
-              true
-            | Aggregate.Sum _, Some ty -> ty = Value.Tfloat
-            | _ -> false)
-         aggs srcs
-  in
-  let first = ref (Array.make (if seeded then cap0 else 0) 0)
-  and counts = ref (Array.make cap0 0) in
-  let keyrows =
-    if r.slots = None then Array.map (fun _ -> Array.make cap0 0) steps
-    else [||]
-  in
-  (* block scratch: the running code, then the group id, of each row *)
-  let block = max 1 (min n pair_block) in
+  (* per group: its size, and its first row: a table's row, or a pair's
+     left and right rows *)
+  let counts = ref (Array.make cap0 0) in
+  let lfirst = ref (Array.make cap0 0)
+  and rfirst = ref (Array.make (if src.paired then cap0 else 0) 0) in
+  (* block scratch: the running code, then the group id, of each row;
+     the rows that start a group, and the first new group's id: group g
+     starts at row k of the block iff [born_at born !g0 g k] *)
+  let block = max 1 (min n Table.block) in
   let comb = Array.make block 0 in
-  let ints pos mapped = function
-    | Col j -> (
-      match r.bases.(j).Column.data with
-      | Column.Ints a ->
-        let ix, off = pos j in
-        (a, ix, off)
-      | _ -> assert false)
-    | Mapped -> (
-      match mapped with
-      | Vector.VInt a -> (a, direct, 0)
-      | Vector.VConst (Value.Int x) -> (Array.make block x, direct, 0)
-      | _ -> assert false)
+  let born = Array.make block 0 and g0 = ref 0 in
+  (* an input's values in block [b]: an array and where [b] reads it *)
+  let base =
+    Array.map
+      (fun (c : Column.t) ->
+         match c.data with
+         | Column.Ints a -> Vector.VInt a
+         | Column.Floats a -> Vector.VFloat a
+         | _ -> Vector.VConst (Value.Int 0))
+      src.bases
   in
-  let floats pos mapped = function
-    | Col j -> (
-      match r.bases.(j).Column.data with
-      | Column.Floats a ->
-        let ix, off = pos j in
-        (a, ix, off)
-      | _ -> assert false)
-    | Mapped -> (
-      match mapped with
-      | Vector.VFloat a -> (a, direct, 0)
-      | Vector.VConst (Value.Float x) -> (Array.make block x, direct, 0)
-      | _ -> assert false)
+  let values (b : block) mapped = function
+    | Col j ->
+      let ix, off = b.pos j in
+      (base.(j), ix, off)
+    | Mapped -> (mapped, direct, 0)
+  in
+  let ints b mapped input =
+    let v, ix, off = values b mapped input in
+    (ints_of b.len v, ix, off)
+  and floats b mapped input =
+    let v, ix, off = values b mapped input in
+    (floats_of b.len v, ix, off)
+  in
+  (* AVG's result: each group's sum over its size *)
+  let averages sums g =
+    let avg = Array.make g 0. and c = !counts in
+    for i = 0 to g - 1 do
+      avg.(i) <- sums.(i) /. float_of_int c.(i)
+    done;
+    Column.make (Column.Floats avg)
   in
   let count_acc =
-    { grow = ignore; step = (fun _ _ _ _ _ -> ());
+    { grow = ignore; step = (fun _ _ _ -> ());
       result = (fun g -> Column.make (Column.Ints (trim !counts g))) }
   in
   (* MIN, MAX and FIRST keep the first value on ties, exactly as
@@ -958,84 +869,70 @@ let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
   let dir (fn : Aggregate.fn) =
     match fn with Aggregate.Min _ -> -1 | Aggregate.Max _ -> 1 | _ -> 0
   in
-  let make_acc (a : Aggregate.t) src =
-    match src with
+  let make_acc (a : Aggregate.t) input =
+    match input with
     | None -> count_acc
-    | Some src -> (
-      match (a.fn, src_ty src) with
+    | Some input -> (
+      match (a.fn, src_ty input) with
       | Aggregate.Count, _ -> count_acc
       | Aggregate.Sum _, Value.Tint ->
         let sums = ref (Array.make cap0 0) in
         { grow = (fun c -> sums := grown !sums c 0);
           step =
-            (fun _ n gid pos mapped ->
-               let a, ix, off = ints pos mapped src and s = !sums in
+            (fun b gid mapped ->
+               let a, ix, off = ints b mapped input and s = !sums in
                let flat = ix == direct in
-               for k = 0 to n - 1 do
+               for k = 0 to b.len - 1 do
                  let g = gid.(k) in
                  s.(g) <- s.(g) + int_at a flat ix off k
                done);
           result = (fun g -> Column.make (Column.Ints (trim !sums g))) }
-      | Aggregate.Sum _, _ ->
-        (* SUM seeds from the group's first value, like [Aggregate.step]
-           (0. +. -0. would lose the sign) *)
+      | Aggregate.Avg _, Value.Tint ->
         let sums = ref (Array.make cap0 0.) in
         { grow = (fun c -> sums := grown !sums c 0.);
           step =
-            (fun start n gid pos mapped ->
-               let a, ix, off = floats pos mapped src
-               and s = !sums and f = !first in
+            (fun b gid mapped ->
+               let a, ix, off = ints b mapped input and s = !sums in
                let flat = ix == direct in
-               for k = 0 to n - 1 do
+               for k = 0 to b.len - 1 do
+                 let g = gid.(k) in
+                 s.(g) <- s.(g) +. float_of_int (int_at a flat ix off k)
+               done);
+          result = (fun g -> averages !sums g) }
+      | (Aggregate.Sum _ | Aggregate.Avg _), _ ->
+        (* SUM seeds from the group's first value, like [Aggregate.step]
+           (0. +. -0. would lose the sign); AVG starts from 0. and adds
+           every value, like [Aggregate.S_avg] *)
+        let seeds = match a.fn with Aggregate.Sum _ -> true | _ -> false in
+        let sums = ref (Array.make cap0 0.) in
+        { grow = (fun c -> sums := grown !sums c 0.);
+          step =
+            (fun b gid mapped ->
+               let a, ix, off = floats b mapped input
+               and s = !sums and g0 = !g0 in
+               let flat = ix == direct in
+               for k = 0 to b.len - 1 do
                  let g = gid.(k) and x = float_at a flat ix off k in
                  s.(g) <-
-                   (if f.(g) = start + k then x
-                    else Aggregate.add_float s.(g) x)
+                   (if seeds && born_at born g0 g k then x
+                    else add_float s.(g) x)
                done);
           result =
-            (fun g -> Column.make (Column.Floats (trim !sums g))) }
-      | Aggregate.Avg _, ty ->
-        (* AVG starts from 0. and adds every value, like
-           [Aggregate.S_avg] *)
-        let sums = ref (Array.make cap0 0.) in
-        { grow = (fun c -> sums := grown !sums c 0.);
-          step =
-            (fun _ n gid pos mapped ->
-               let s = !sums in
-               if ty = Value.Tint then begin
-                 let a, ix, off = ints pos mapped src in
-                 let flat = ix == direct in
-                 for k = 0 to n - 1 do
-                   let g = gid.(k) in
-                   s.(g) <- s.(g) +. float_of_int (int_at a flat ix off k)
-                 done
-               end
-               else begin
-                 let a, ix, off = floats pos mapped src in
-                 let flat = ix == direct in
-                 for k = 0 to n - 1 do
-                   let g = gid.(k) in
-                   s.(g) <- Aggregate.add_float s.(g) (float_at a flat ix off k)
-                 done
-               end);
-          result =
             (fun g ->
-               let s = !sums and c = !counts in
-               Column.make
-                 (Column.Floats
-                    (Array.init g (fun i -> s.(i) /. float_of_int c.(i))))) }
+               if seeds then Column.make (Column.Floats (trim !sums g))
+               else averages !sums g) }
       | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), Value.Tint ->
         let best = ref (Array.make cap0 0) and dir = dir a.fn in
         { grow = (fun c -> best := grown !best c 0);
           step =
-            (fun start n gid pos mapped ->
-               let a, ix, off = ints pos mapped src
-               and b = !best and f = !first in
+            (fun b gid mapped ->
+               let a, ix, off = ints b mapped input
+               and m = !best and g0 = !g0 in
                let flat = ix == direct in
-               for k = 0 to n - 1 do
+               for k = 0 to b.len - 1 do
                  let g = gid.(k) and x = int_at a flat ix off k in
-                 if f.(g) = start + k || dir * Int.compare x b.(g) > 0 then
-                   b.(g) <- x
+                 if born_at born g0 g k || dir * Int.compare x m.(g) > 0 then
+                   m.(g) <- x
                done);
           result = (fun g -> Column.make (Column.Ints (trim !best g))) }
       | (Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _), Value.Tfloat
@@ -1043,14 +940,14 @@ let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
         let best = ref (Array.make cap0 0.) and dir = dir a.fn in
         { grow = (fun c -> best := grown !best c 0.);
           step =
-            (fun start n gid pos mapped ->
-               let a, ix, off = floats pos mapped src
-               and b = !best and f = !first in
+            (fun b gid mapped ->
+               let a, ix, off = floats b mapped input
+               and m = !best and g0 = !g0 in
                let flat = ix == direct in
-               for k = 0 to n - 1 do
+               for k = 0 to b.len - 1 do
                  let g = gid.(k) and x = float_at a flat ix off k in
-                 if f.(g) = start + k || dir * compare_floats x b.(g) > 0 then
-                   b.(g) <- x
+                 if born_at born g0 g k || dir * compare_floats x m.(g) > 0 then
+                   m.(g) <- x
                done);
           result =
             (fun g -> Column.make (Column.Floats (trim !best g))) }
@@ -1058,86 +955,82 @@ let group_run t r ~map ~out_schema ~kis ~aggs ~srcs ~bases_keys =
         (* bools and strings, only ever a column of the table: each
            group's winning slot of the base column, gathered at the
            end *)
-        let j = match src with Col j -> j | Mapped -> assert false in
-        let c = r.bases.(j) in
+        let j = match input with Col j -> j | Mapped -> assert false in
+        let c = src.bases.(j) in
         let best = ref (Array.make cap0 0) and dir = dir a.fn in
         { grow = (fun cap -> best := grown !best cap 0);
           step =
-            (fun start n gid pos _ ->
-               let ix, off = pos j and b = !best and f = !first in
+            (fun b gid _ ->
+               let ix, off = b.pos j and m = !best and g0 = !g0 in
                let flat = ix == direct in
-               for k = 0 to n - 1 do
+               for k = 0 to b.len - 1 do
                  let g = gid.(k) and s = slot_at flat ix off k in
-                 if f.(g) = start + k || dir * Column.compare_at c s b.(g) > 0
-                 then b.(g) <- s
+                 if born_at born g0 g k || dir * Column.compare_at c s m.(g) > 0
+                 then m.(g) <- s
                done);
           result = (fun g -> Column.gather c (trim !best g)) })
   in
   let accs = Array.of_list (List.map2 make_acc aggs srcs) in
   let grow () =
     let c = 2 * !cap in
-    if seeded then first := grown !first c 0;
     counts := grown !counts c 0;
-    Array.iteri (fun i a -> keyrows.(i) <- grown a c 0) keyrows;
+    lfirst := grown !lfirst c 0;
+    if src.paired then rfirst := grown !rfirst c 0;
     Array.iter (fun a -> a.grow c) accs;
     cap := c
   in
-  (* each key's position in the block *)
-  let kix = Array.make (Array.length steps) direct
-  and koff = Array.make (Array.length steps) 0 in
-  (* the block rows that start a group *)
-  let born = Array.make block 0 in
   let none = Vector.VConst (Value.Int 0) in
-  r.run (fun start n pos sel ->
+  src.run (fun b ->
+      let n = b.len in
       for i = 0 to Array.length steps - 1 do
         let st = steps.(i) in
-        let ix, off = pos st.col in
-        kix.(i) <- ix;
-        koff.(i) <- off;
+        let ix, off = b.pos st.col in
         (match st.pre with
-         | Some p -> ignore (densify p comb n born)
+         | Some p -> ignore (densify p comb n)
          | None -> ());
         fold_key comb ~mult:(if i = 0 then 0 else st.d) ~codes:st.codes
           ~lo:st.lo ~ix ~off n
       done;
       (* keyless: every row's code is 0 *)
       if Array.length steps = 0 then Array.fill comb 0 n 0;
-      let g0 = final.count in
+      g0 := final.count;
       (* room for every row of the block to start a group, up to the
          slot array's ids *)
-      while !cap < min (g0 + n) ids_bound do
+      while !cap < min (!g0 + n) ids_bound do
         grow ()
       done;
-      let nb = densify final ~sizes:!counts comb n born in
-      (* the new groups: their first row and each key's base slot *)
-      for i = 0 to nb - 1 do
-        let g = g0 + i and k = born.(i) in
-        if seeded then !first.(g) <- start + k;
-        for j = 0 to Array.length keyrows - 1 do
-          keyrows.(j).(g) <- slot_at (kix.(j) == direct) kix.(j) koff.(j) k
+      let nb = densify final ~sizes:!counts ~born comb n in
+      Option.iter (fun a -> Array.blit comb 0 a b.start n) ids;
+      (* each new group's first row *)
+      let g0 = !g0 and lf = !lfirst and rf = !rfirst in
+      if src.paired then
+        for i = 0 to nb - 1 do
+          lf.(g0 + i) <- b.lrows.(born.(i));
+          rf.(g0 + i) <- b.rrows.(born.(i))
         done
-      done;
+      else
+        for i = 0 to nb - 1 do
+          lf.(g0 + i) <- b.start + born.(i)
+        done;
       let mapped =
         match map with
-        | Some (_, prog) -> Vector.run prog r.bases ~len:n ~sel
+        | Some (_, prog) -> Vector.run prog src.bases ~len:n ~sel:b.sel
         | None -> none
       in
       for a = 0 to Array.length accs - 1 do
-        accs.(a).step start n comb pos mapped
+        accs.(a).step b comb mapped
       done);
   let groups = final.count in
   if kis <> [] || (n > 0 && aggs <> []) then
     Table.of_columns out_schema
-      (Array.of_list
-         (Array.to_list
-            (Array.mapi
-               (fun i st ->
-                  Column.gather r.bases.(st.col)
-                    (match r.slots with
-                     | Some slots -> slots st.col (trim !first groups)
-                     | None -> trim keyrows.(i) groups))
-               steps)
-          @ Array.to_list (Array.map (fun a -> a.result groups) accs)))
+      (Array.append
+         (Array.map
+            (fun st ->
+               Column.gather src.bases.(st.col)
+                 (src.slots st.col (trim !lfirst groups)
+                    (if src.paired then trim !rfirst groups else [||])))
+            steps)
+         (Array.map (fun a -> a.result groups) accs))
   else
     (* a keyless GROUP BY yields one row even with no aggregate, and
        over an empty input the row kernel's initial states *)
@@ -1177,10 +1070,10 @@ let group_plan t ~map ~keys ~aggs =
       aggs
   in
   let limit = max 4096 (2 * Table.row_count t) in
-  let r = reader t in
+  let src = table_source t in
   let key_cols =
     List.filter_map
-      (fun i -> if mapped i then None else int_keys r.bases.(i))
+      (fun i -> if mapped i then None else int_keys src.bases.(i))
       kis
   in
   let scols = Array.of_list (Schema.columns gschema) in
@@ -1217,8 +1110,8 @@ let group_plan t ~map ~keys ~aggs =
              aggs srcs)
     in
     Ok
-      (fun () ->
-         group_run t r ~map ~out_schema ~kis ~aggs ~srcs
+      (fun ?ids () ->
+         group_run ?ids t src ~map ~out_schema ~kis ~aggs ~srcs ~src_ty
            ~bases_keys:(List.map (key_codes limit) key_cols))
 
 let try_group_by t ~keys ~aggs =
@@ -1237,38 +1130,28 @@ type map_group_by = {
   map_bytes : int array;
 }
 
-let map_group_by_refused reason =
-  Obs.Metrics.incr Obs.Metrics.default ("kernel.map_group_by.refused." ^ reason);
-  None
-
 let try_map_group_by t ~target ~expr ~keys ~aggs =
-  if not (Column.enabled ()) then map_group_by_refused "disabled"
+  if not (Column.enabled ()) then refused "map_group_by" "disabled"
   else begin
     let schema = Table.schema t in
     match Vector.compile schema expr with
-    | None -> map_group_by_refused "not_vectorizable"
+    | None -> refused "map_group_by" "not_vectorizable"
     | Some prog when Vector.ty prog <> Value.Tint && Vector.ty prog <> Value.Tfloat
       ->
-      map_group_by_refused "non_numeric_target"
+      refused "map_group_by" "non_numeric_target"
     | Some prog -> (
       match group_plan t ~map:(Some (target, prog)) ~keys ~aggs with
-      | Error reason -> map_group_by_refused reason
+      | Error reason -> refused "map_group_by" reason
       | Ok run ->
         mark "map_group_by";
         let grouped = run () in
         (* the MAP's table: the input's columns, the target 8 bytes a
            row *)
-        let bytes = Table.column_bytes t in
-        let target_bytes = 8 * Table.row_count t in
-        let map_bytes =
-          if Schema.mem schema target then begin
-            let b = Array.copy bytes in
-            b.(Schema.index_of schema target) <- target_bytes;
-            b
-          end
-          else Array.append bytes [| target_bytes |]
-        in
-        Some { grouped; map_bytes })
+        Some
+          { grouped;
+            map_bytes =
+              put schema target (Table.column_bytes t)
+                (8 * Table.row_count t) })
   end
 
 (* ---- the arg-min diamond ---- *)
@@ -1287,286 +1170,174 @@ type argmin = {
   selected : argmin_selected;
 }
 
-let argmin_refused reason =
-  Obs.Metrics.incr Obs.Metrics.default ("kernel.argmin.refused." ^ reason);
-  None
-
-(* [f lbuf rbuf n] on the pairs of left rows [lo, hi) × [nr] right
-   rows in the CROSS's order — left-major, right-minor — in blocks of at
-   most [pair_block] pairs that start at a left row's first pair: as
-   many whole left rows as fit, or one left row's pairs in runs. Pair k
-   of a block, for k < n, is [lbuf.(k)] × [rbuf.(k)]; the two buffers
-   are reused from block to block. *)
-let iter_cross ~lo ~hi nr f =
-  let span = min nr pair_block in
-  let rows = if nr = 0 then 0 else max 1 (pair_block / nr) in
-  let len = rows * span in
-  let lbuf = Array.make len 0 in
-  let rbuf = Array.init len (fun k -> k mod span) in
-  let i = ref (if nr = 0 then hi else lo) in
-  while !i < hi do
-    let take = min rows (hi - !i) in
-    for row = 0 to take - 1 do
-      Array.fill lbuf (row * span) span (!i + row)
-    done;
-    if span < nr then begin
-      (* one left row, wider than a block, in runs *)
-      let j = ref 0 in
-      while !j < nr do
-        let n = min span (nr - !j) in
-        for k = 0 to n - 1 do
-          rbuf.(k) <- !j + k
-        done;
-        f lbuf rbuf n;
-        j := !j + n
-      done
-    end
-    else f lbuf rbuf (take * nr);
-    i := !i + take
-  done
-
-(* The {!Table.column_bytes} of [pairs] rows that read, between them,
-   every row of [v]: what a CROSS's, MAP's or JOIN's table would give,
-   computed from counts. Nothing is read when there are no pairs. *)
-let spread_bytes (v : Table.view) ~pairs =
-  Array.map
-    (fun (c, g) ->
-       if pairs = 0 then 0
-       else if g < 0 then Column.encoded_bytes ~rows:pairs c
-       else Column.encoded_bytes ~idx:v.idx.(g) ~rows:pairs c)
-    v.vcols
-
 (* Each left row's pairs are a run of the CROSS's order, so one pass
-   over the pairs keeps, per left row, its MIN, the first right row
-   holding it and how many do. A group's MIN is then its rows' MIN, and
-   its survivors the pairs of the rows whose MIN equals it: the one
-   pair already found, or, for a row with ties, that row's pairs
-   evaluated again. MIN is in pair order with strict comparison, so the
-   first value seen is kept, as in [Aggregate.step]. *)
+   over the pairs, a MIN-scan sink, keeps per left row its MIN, the
+   first right row holding it and how many do. A group's MIN is then its
+   rows' MIN, and its survivors the pairs of the rows whose MIN equals
+   it: the one pair already found, or, for a row with ties, that row's
+   pairs evaluated again. MIN is in pair order with strict comparison,
+   so the first value seen is kept, as in [Aggregate.step]. *)
 let argmin_run left right ~cross_schema ~d_schema ~target ~prog ~key ~min_as
     =
   mark "argmin";
   let ty = Vector.ty prog in
-  let nl = Table.row_count left and nr = Table.row_count right in
+  (* with no right row there is no pair, and no left row is grouped *)
+  let nr = Table.row_count right and rv = Table.parts right in
+  let nl = if nr = 0 then 0 else Table.row_count left in
+  let lv =
+    if nr = 0 then Table.reindex (Table.parts left) [||] else Table.parts left
+  in
   let pairs = nl * nr in
-  let lv = Table.parts left and rv = Table.parts right in
-  let ls = Table.schema left in
-  (* each left row's group: its key, dense-coded in first appearance *)
-  let kcol, kidx =
-    match lv.vcols.(Schema.index_of ls key) with
-    | c, -1 -> (c, None)
-    | c, g -> (c, Some lv.idx.(g))
-  in
-  let gcode, ngroups, _ =
-    let base = Option.get (int_keys kcol) in
-    dense_codes
-      (match kidx with None -> base | Some ix -> Table.compose base ix)
-  in
-  let ngroups = if nr = 0 then 0 else ngroups in
-  let bases = Array.append (Array.map fst lv.vcols) (Array.map fst rv.vcols) in
-  let set_block, sel = pair_sel lv rv in
-  (* the block's values: the program's scratch, valid until the next
-     block *)
-  let eval lbuf rbuf n =
-    set_block lbuf rbuf n;
-    Vector.run prog bases ~len:n ~sel
-  in
+  let cross lo hi = pair_source lv rv (Table.Cross { lo; hi; nr }) in
+  (* the MIN-scan sink: a CROSS's block holds whole left rows, so row
+     l's pairs are the run [o, o + nr) that starts at [l]'s first pair;
+     a later value replaces the MIN only when strictly below it *)
   let first = Array.make nl 0 and ties = Array.make nl 0 in
-  (* [segments a lbuf rbuf n ~reset ~scan] calls [scan a l ~r start
-     stop] on each left row [l]'s run of a block, where slot [q] holds
-     the pair of right row [r + q]. When the run holds the row's first
-     pair, [reset a l k] first makes that pair's value the row's MIN,
-     and the scan starts after it. *)
-  let segments a lbuf rbuf n ~reset ~scan =
-    let k = ref 0 in
-    while !k < n do
-      let l = lbuf.(!k) and r0 = rbuf.(!k) in
-      let stop = min n (!k + nr - r0) in
-      let start =
-        if r0 = 0 then begin
-          reset a l !k;
-          first.(l) <- 0;
-          ties.(l) <- 1;
-          !k + 1
-        end
-        else !k
-      in
-      scan a l ~r:(r0 - !k) start stop;
-      k := stop
-    done
-  in
   let lmin =
     match ty with
     | Value.Tfloat ->
       let m = Array.make nl 0. in
-      let reset (a : float array) l k = m.(l) <- a.(k) in
-      let scan (a : float array) l ~r start stop =
-        let best = ref m.(l) and at = ref first.(l) and tied = ref ties.(l) in
-        for q = start to stop - 1 do
-          let x = a.(q) and y = !best in
-          (* [Float.compare], with the ordered cases inline *)
-          let c =
-            if x < y then -1
-            else if x > y then 1
-            else if x = y then 0
-            else Float.compare x y
-          in
-          if c < 0 then begin
-            best := x;
-            at := r + q;
-            tied := 1
-          end
-          else if c = 0 then incr tied
-        done;
-        m.(l) <- !best;
-        first.(l) <- !at;
-        ties.(l) <- !tied
-      in
-      iter_cross ~lo:0 ~hi:nl nr (fun lbuf rbuf n ->
-          let a =
-            match eval lbuf rbuf n with
-            | Vector.VFloat a -> a
-            | Vector.VConst (Value.Float x) -> Array.make n x
-            | _ -> assert false
-          in
-          segments a lbuf rbuf n ~reset ~scan);
+      each (cross 0 nl) prog (fun b v ->
+          let a = floats_of b.len v in
+          for row = 0 to (b.len / nr) - 1 do
+            let o = row * nr in
+            let best = ref a.(o) and at = ref 0 and tied = ref 1 in
+            for q = o + 1 to o + nr - 1 do
+              let c = compare_floats a.(q) !best in
+              if c < 0 then begin
+                best := a.(q);
+                at := q - o;
+                tied := 1
+              end
+              else if c = 0 then incr tied
+            done;
+            let l = b.lrows.(o) in
+            m.(l) <- !best;
+            first.(l) <- !at;
+            ties.(l) <- !tied
+          done);
       Column.make (Column.Floats m)
     | _ ->
       let m = Array.make nl 0 in
-      let reset (a : int array) l k = m.(l) <- a.(k) in
-      let scan (a : int array) l ~r start stop =
-        for q = start to stop - 1 do
-          let c = Int.compare a.(q) m.(l) in
-          if c < 0 then begin
-            m.(l) <- a.(q);
-            first.(l) <- r + q;
-            ties.(l) <- 1
-          end
-          else if c = 0 then ties.(l) <- ties.(l) + 1
-        done
-      in
-      iter_cross ~lo:0 ~hi:nl nr (fun lbuf rbuf n ->
-          let a =
-            match eval lbuf rbuf n with
-            | Vector.VInt a -> a
-            | Vector.VConst (Value.Int x) -> Array.make n x
-            | _ -> assert false
-          in
-          segments a lbuf rbuf n ~reset ~scan);
+      each (cross 0 nl) prog (fun b v ->
+          let a = ints_of b.len v in
+          for row = 0 to (b.len / nr) - 1 do
+            let o = row * nr in
+            let best = ref a.(o) and at = ref 0 and tied = ref 1 in
+            for q = o + 1 to o + nr - 1 do
+              let c = Int.compare a.(q) !best in
+              if c < 0 then begin
+                best := a.(q);
+                at := q - o;
+                tied := 1
+              end
+              else if c = 0 then incr tied
+            done;
+            let l = b.lrows.(o) in
+            m.(l) <- !best;
+            first.(l) <- !at;
+            ties.(l) <- !tied
+          done);
       Column.make (Column.Ints m)
   in
-  (* each group's first row, and the row holding its MIN *)
-  let reps = Array.make ngroups (-1) and winner = Array.make ngroups 0 in
-  if nr > 0 then
-    for l = 0 to nl - 1 do
-      let g = gcode.(l) in
-      if reps.(g) < 0 then begin
-        reps.(g) <- l;
-        winner.(g) <- l
-      end
-      else if Column.compare_at lmin l winner.(g) < 0 then winner.(g) <- l
-    done;
+  (* the GROUP BY: a blocked pass over the left rows' keys and MINs,
+     which also gives each left row its group *)
+  let gcode = Array.make nl 0 in
   let groups =
-    let kc = List.nth (Schema.columns ls) (Schema.index_of ls key) in
-    Table.of_columns
-      (Schema.make [ kc; { Schema.name = min_as; ty } ])
-      [| Column.gather kcol
-           (match kidx with None -> reps | Some ix -> Table.compose ix reps);
-         Column.gather lmin winner |]
+    let ls = Table.schema left in
+    let ki = Schema.index_of ls key in
+    let t =
+      Table.of_view
+        (Schema.make
+           [ List.nth (Schema.columns ls) ki; { Schema.name = target; ty } ])
+        ~rows:nl
+        { lv with vcols = [| lv.vcols.(ki); (lmin, -1) |] }
+    in
+    match
+      group_plan t ~map:None ~keys:[ key ]
+        ~aggs:[ Aggregate.make (Aggregate.Min target) ~as_name:min_as ]
+    with
+    | Ok run -> run ~ids:gcode ()
+    | Error _ -> assert false
   in
-  (* the survivors, newest first — the reverse of pair order — each
-     with its own value (-0.0 equals 0.0 but prints apart) *)
-  let kept = ref [] and counts = Array.make ngroups 0 in
-  let keep l r v =
-    kept := (l, r, v) :: !kept;
-    counts.(gcode.(l)) <- counts.(gcode.(l)) + 1
+  let ngroups = Table.row_count groups in
+  (* whether left row l's MIN is its group's *)
+  let wins =
+    match (lmin.Column.data, (Table.columns groups).(1).Column.data) with
+    | Column.Floats a, Column.Floats m ->
+      fun l -> compare_floats a.(l) m.(gcode.(l)) = 0
+    | Column.Ints a, Column.Ints m -> fun l -> a.(l) = m.(gcode.(l))
+    | _ -> assert false
   in
-  if nr > 0 then
-    for l = 0 to nl - 1 do
-      if Column.compare_at lmin l winner.(gcode.(l)) = 0 then
-        if ties.(l) = 1 then keep l first.(l) (Column.get lmin l)
-        else
-          let m = Column.get lmin l in
-          iter_cross ~lo:l ~hi:(l + 1) nr (fun lbuf rbuf n ->
-              let c = eval lbuf rbuf n in
-              for k = 0 to n - 1 do
-                let v =
-                  match c with
-                  | Vector.VFloat a -> Value.Float a.(k)
-                  | Vector.VInt a -> Value.Int a.(k)
-                  | Vector.VConst v -> v
-                  | _ -> assert false
-                in
-                if Value.compare v m = 0 then keep l rbuf.(k) v
-              done)
-    done;
-  (* the JOIN's order: groups (the rows of [best]) in turn, each one's
-     pairs newest first — a stable counting sort by group *)
-  let next = Array.make ngroups 0 in
-  for g = 1 to ngroups - 1 do
-    next.(g) <- next.(g - 1) + counts.(g - 1)
+  (* the survivors, newest first, each with its own value (-0.0 equals
+     0.0 but prints apart) *)
+  let kept = ref [] in
+  let keep l r v = kept := (l, r, v) :: !kept in
+  for l = 0 to nl - 1 do
+    if wins l then
+      let m = Column.get lmin l in
+      if ties.(l) = 1 then keep l first.(l) m
+      else
+        each (cross l (l + 1)) prog (fun b c ->
+            for k = 0 to b.len - 1 do
+              let v =
+                match c with
+                | Vector.VFloat a -> Value.Float a.(k)
+                | Vector.VInt a -> Value.Int a.(k)
+                | Vector.VConst v -> v
+                | _ -> assert false
+              in
+              if Value.compare v m = 0 then keep l b.rrows.(k) v
+            done)
   done;
-  let placed = Array.make (List.length !kept) (0, 0, Value.Int 0) in
-  let group_of = Array.make (Array.length placed) 0 in
-  List.iter
-    (fun ((l, _, _) as s) ->
-       let g = gcode.(l) in
-       placed.(next.(g)) <- s;
-       group_of.(next.(g)) <- g;
-       next.(g) <- next.(g) + 1)
-    !kept;
+  (* the JOIN's order: groups (the rows of [best]) in turn, each one's
+     pairs newest first *)
+  let kept = Array.of_list !kept in
+  let _, order =
+    place ~keys:ngroups (Array.map (fun (l, _, _) -> gcode.(l)) kept)
+  in
+  let placed = Array.map (Array.get kept) order in
+  let group_of = Array.map (fun (l, _, _) -> gcode.(l)) placed in
   let values = Column.of_values ty (Array.map (fun (_, _, v) -> v) placed) in
   let d_view =
     let v =
-      Table.concat_views
-        (Table.reindex lv (Array.map (fun (l, _, _) -> l) placed))
-        (Table.reindex rv (Array.map (fun (_, r, _) -> r) placed))
+      Table.pair_view lv rv
+        ( Array.map (fun (l, _, _) -> l) placed,
+          Array.map (fun (_, r, _) -> r) placed )
     in
-    if Schema.mem cross_schema target then begin
-      let vcols = Array.copy v.vcols in
-      vcols.(Schema.index_of cross_schema target) <- (values, -1);
-      { v with vcols }
-    end
-    else { v with vcols = Array.append v.vcols [| (values, -1) |] }
+    { v with vcols = put cross_schema target v.vcols (values, -1) }
   in
   (* every row of each side is in some pair, unless there are none *)
   let cross_bytes =
-    Array.append (spread_bytes lv ~pairs) (spread_bytes rv ~pairs)
+    Array.append (Table.spread_bytes lv ~pairs) (Table.spread_bytes rv ~pairs)
   in
-  let map_bytes =
-    if Schema.mem cross_schema target then begin
-      let b = Array.copy cross_bytes in
-      b.(Schema.index_of cross_schema target) <- 8 * pairs;
-      b
-    end
-    else Array.append cross_bytes [| 8 * pairs |]
-  in
-  { groups; cross_bytes; map_bytes;
+  { groups; cross_bytes;
+    map_bytes = put cross_schema target cross_bytes (8 * pairs);
     selected = { d_schema; d_view; group_of; pairs } }
 
 let try_argmin left right ~target ~expr ~key ~min_as ~min_column =
-  if not (Column.enabled ()) then argmin_refused "disabled"
+  if not (Column.enabled ()) then refused "argmin" "disabled"
   else begin
     let ls = Table.schema left in
     (* same schema (and same clash error) as the CROSS *)
     let cross_schema = Schema.concat ls (Table.schema right) in
     match Vector.compile cross_schema expr with
-    | None -> argmin_refused "not_vectorizable"
+    | None -> refused "argmin" "not_vectorizable"
     | Some prog ->
       let ty = Vector.ty prog in
       let d_schema =
         Schema.with_column cross_schema { Schema.name = target; ty }
       in
       if ty <> Value.Tint && ty <> Value.Tfloat then
-        argmin_refused "non_numeric_min"
+        refused "argmin" "non_numeric_min"
       else if key = target || not (Schema.mem ls key) then
         (* the groups are the left rows' keys *)
-        argmin_refused "key_not_left"
+        refused "argmin" "key_not_left"
       else if Schema.column_type ls key = Value.Tfloat then
-        argmin_refused "float_key"
+        refused "argmin" "float_key"
       else if Schema.mem d_schema min_column then
         (* the SELECT would compare with a column of [d], not [best] *)
-        argmin_refused "shadowed_min"
+        refused "argmin" "shadowed_min"
       else Some (argmin_run left right ~cross_schema ~d_schema ~target ~prog
                    ~key ~min_as)
   end
@@ -1596,4 +1367,5 @@ let argmin_join a best ~right_key =
         (Table.concat_views sel.d_view (Table.reindex bv sel.group_of));
     pairs = sel.pairs;
     (* every pair matches its group's one row of [best] *)
-    join_bytes = Array.append a.map_bytes (spread_bytes bv ~pairs:sel.pairs) }
+    join_bytes =
+      Array.append a.map_bytes (Table.spread_bytes bv ~pairs:sel.pairs) }

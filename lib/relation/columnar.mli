@@ -74,8 +74,9 @@ val try_join :
     same key coding, buckets and pair enumeration — built on the
     smaller side, so no array is sized by the larger input: the larger
     side probes row by row. The predicate is evaluated on blocks of 256
-    candidate pairs, and the survivors are counting-sorted by right row
-    into the serial order, so no array of the pair count is built.
+    candidate pairs, and the survivors are placed by right row, a stable
+    counting sort, into the serial order, so no array of the pair count
+    is built.
     [None] when the fusion is refused and the caller must run the plain
     JOIN: each refusal counts [kernel.join_select.refused.<reason>]
     ([disabled], [key_type_mismatch], [float_key], [not_vectorizable]
@@ -152,12 +153,14 @@ val try_map_group_by :
     v}
     where [best] is [groups] carried through MAPs and PROJECTs. One
     pass over the CROSS's pairs, in its order, evaluates [expr] over
-    blocks of at most 256 pairs and keeps each left row's MIN, the first
-    right row holding it and how many do. A key's MIN is its rows'
-    MIN, and the survivors are the pairs of the rows whose MIN equals
-    their key's, with their own values: the one pair found, or, for a
-    row with ties, that row's pairs evaluated again. No table, index or
-    column of the pair count is built.
+    blocks of whole left rows (as many as 256 pairs hold, and at least
+    one) and keeps each left row's MIN, the first right row holding it
+    and how many do. A key's MIN is its rows' MIN, computed by
+    {!try_group_by}'s blocked pass over the left rows, and the
+    survivors are the pairs of the rows whose MIN equals their key's,
+    with their own values: the one pair found, or, for a row with ties,
+    that row's pairs evaluated again. No table, index or column of the
+    pair count is built.
 
     [groups] is the GROUP BY's table, byte-identical to the row
     kernel's: one row per key, in the order each key first appears.

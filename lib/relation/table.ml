@@ -80,8 +80,6 @@ let create schema rows =
 
 let create_unchecked schema rows = of_rows schema rows
 
-let empty schema = of_rows schema [||]
-
 let of_columns schema cols =
   let arity = Schema.arity schema in
   if Array.length cols <> arity then
@@ -155,71 +153,133 @@ let prune v =
   { idx = Array.of_list (List.map (Array.get v.idx) used);
     vcols = Array.map (fun (c, g) -> (c, remap g)) v.vcols }
 
-(* ---- a JOIN's matches ---- *)
+(* ---- a JOIN's matches, and pairs in blocks ---- *)
 
 let code_at via codes i =
   match via with None -> codes.(i) | Some ix -> codes.(ix.(i))
 
-(* The pairs of [m] handed to [flush lidx ridx n] in runs of [block]
-   pairs (the last may be shorter), through two buffers reused from run
-   to run. A left build side is probed by the right rows in order, so
-   the pairs come in the serial kernel's order — right rows ascending,
-   each right row's left rows newest first, its [Hashtbl.find_all]
-   order. A right build side is probed by the left rows, newest
-   first. *)
-let iter_pairs m ~block flush =
-  let lbuf = Array.make block 0 and rbuf = Array.make block 0 in
-  let build, probe = if m.build_left then (lbuf, rbuf) else (rbuf, lbuf) in
-  let bstart = m.bstart and brows = m.brows and pcode = m.pcode in
-  let k = ref 0 in
-  for s = 0 to m.nprobe - 1 do
-    let q = if m.build_left then s else m.nprobe - 1 - s in
-    let c = match m.pvia with None -> pcode.(q) | Some ix -> pcode.(ix.(q)) in
-    if c >= 0 then
-      for p = bstart.(c) to bstart.(c + 1) - 1 do
-        build.(!k) <- brows.(p);
-        probe.(!k) <- q;
-        incr k;
-        if !k = block then begin
-          flush lbuf rbuf block;
-          k := 0
-        end
+(* rows per block in the blocked kernels: a block's buffers stay in the
+   minor heap *)
+let block = 256
+
+type pairs =
+  | Matches of matches
+  | Cross of { lo : int; hi : int; nr : int }
+
+let pair_count = function
+  | Matches m -> m.pairs
+  | Cross { lo; hi; nr } -> (hi - lo) * nr
+
+(* A left build side is probed by the right rows in order, so a JOIN's
+   pairs come in the serial kernel's order — right rows ascending, each
+   right row's left rows newest first, its [Hashtbl.find_all] order. A
+   right build side is probed by the left rows, newest first. A CROSS's
+   pairs come left-major, right-minor, as many whole left rows a block
+   as fit and at least one, so the right rows are written once. *)
+let iter_pairs ?(block = block) src flush =
+  let block = max 1 (min block (pair_count src)) in
+  match src with
+  | Matches m ->
+    let lbuf = Array.make block 0 and rbuf = Array.make block 0 in
+    let build, probe = if m.build_left then (lbuf, rbuf) else (rbuf, lbuf) in
+    let bstart = m.bstart and brows = m.brows and pcode = m.pcode in
+    let k = ref 0 in
+    for s = 0 to m.nprobe - 1 do
+      let q = if m.build_left then s else m.nprobe - 1 - s in
+      let c = match m.pvia with None -> pcode.(q) | Some ix -> pcode.(ix.(q)) in
+      if c >= 0 then
+        for p = bstart.(c) to bstart.(c + 1) - 1 do
+          build.(!k) <- brows.(p);
+          probe.(!k) <- q;
+          incr k;
+          if !k = block then begin
+            flush lbuf rbuf block;
+            k := 0
+          end
+        done
+    done;
+    if !k > 0 then flush lbuf rbuf !k
+  | Cross { lo; hi; nr } ->
+    let rows = max 1 (block / max 1 nr) in
+    let lbuf = Array.make (rows * nr) 0 and rbuf = Array.make (rows * nr) 0 in
+    for row = 0 to rows - 1 do
+      for q = 0 to nr - 1 do
+        rbuf.((row * nr) + q) <- q
       done
-  done;
-  if !k > 0 then flush lbuf rbuf !k
+    done;
+    let l = ref (if nr = 0 then hi else lo) in
+    while !l < hi do
+      let take = min rows (hi - !l) in
+      (* a loop, not [Array.fill], which checks every old value once
+         the buffer has left the minor heap *)
+      for row = 0 to take - 1 do
+        for q = row * nr to (row * nr) + nr - 1 do
+          lbuf.(q) <- !l + row
+        done
+      done;
+      flush lbuf rbuf (take * nr);
+      l := !l + take
+    done
 
-let matches_view m lidx ridx =
-  concat_views (reindex m.lv lidx) (reindex m.rv ridx)
+(* [set rows n] moves the selection to a block whose row k, for k < n,
+   is row [rows.(k)] of [v]; [sel g] is then group [g]'s index composed
+   with those rows, composed once per group and block, only for the
+   groups read, into a buffer reused from block to block ([rows] itself
+   for the row-aligned columns, [g = -1]) *)
+let block_sel (v : view) =
+  let groups = Array.length v.idx in
+  let composed = Array.make groups [||] and ready = Array.make groups false in
+  let buf = ref [||] and len = ref 0 in
+  let set b n =
+    buf := b;
+    len := n;
+    Array.fill ready 0 groups false
+  in
+  let sel g =
+    if g < 0 then !buf
+    else begin
+      if not ready.(g) then begin
+        let b = !buf and ix = v.idx.(g) in
+        if Array.length composed.(g) < !len then
+          composed.(g) <- Array.make !len 0;
+        let out = composed.(g) in
+        for k = 0 to !len - 1 do
+          out.(k) <- ix.(b.(k))
+        done;
+        ready.(g) <- true
+      end;
+      composed.(g)
+    end
+  in
+  (set, sel)
 
-(* pairs per run when a JOIN's matches are gathered: each run's
-   buffers stay in the minor heap *)
-let matches_block = 256
+let pair_view lv rv (lidx, ridx) =
+  concat_views (reindex lv lidx) (reindex rv ridx)
+
+(* every pair of [src] in one run: its left rows and its right rows *)
+let pair_rows src =
+  let out = ref ([||], [||]) in
+  iter_pairs ~block:(pair_count src) src (fun lidx ridx _ ->
+      out := (lidx, ridx));
+  !out
 
 (* Every column of [m]'s pairs, gathered straight through the matches
-   in runs: a column of a side's group reads through that group's
-   index composed with the run's rows, composed once per run. *)
+   block by block. *)
 let gather_matches m =
-  let block = max 1 (min m.pairs matches_block) in
   let side (v : view) =
-    let out = Array.map (fun (c, _) -> Column.Gatherer.create c m.pairs) v.vcols in
-    let composed = Array.map (fun _ -> Array.make block 0) v.idx in
-    let add (rows : int array) n =
-      Array.iteri
-        (fun g ix ->
-           let o = composed.(g) in
-           for k = 0 to n - 1 do
-             o.(k) <- ix.(rows.(k))
-           done)
-        v.idx;
-      Array.iteri
-        (fun j (_, g) ->
-           Column.Gatherer.add out.(j) (if g < 0 then rows else composed.(g)) n)
-        v.vcols
+    let out =
+      Array.map (fun (c, _) -> Column.Gatherer.create c m.pairs) v.vcols
     in
-    (out, add)
+    let set, sel = block_sel v in
+    ( out,
+      fun rows n ->
+        set rows n;
+        Array.iteri
+          (fun j (_, g) -> Column.Gatherer.add out.(j) (sel g) n)
+          v.vcols )
   in
   let lout, ladd = side m.lv and rout, radd = side m.rv in
-  iter_pairs m ~block (fun lb rb n ->
+  iter_pairs (Matches m) (fun lb rb n ->
       ladd lb n;
       radd rb n);
   Array.map Column.Gatherer.finish (Array.append lout rout)
@@ -243,26 +303,26 @@ let view_words v ~rows =
          (fun (c, g) -> if g >= 0 then Some c else None)
          (Array.to_list v.vcols))
 
+let bases_words m =
+  distinct_words
+    (List.map fst (Array.to_list m.lv.vcols @ Array.to_list m.rv.vcols))
+
 let matches_words m =
   let idx_words (v : view) =
     Array.fold_left (fun s ix -> s + Array.length ix) 0 v.idx
   in
   Array.length m.bstart + Array.length m.brows + Array.length m.pcode
   + (match m.pvia with Some ix -> Array.length ix | None -> 0)
-  + idx_words m.lv + idx_words m.rv
-  + distinct_words
-      (List.map fst (Array.to_list m.lv.vcols @ Array.to_list m.rv.vcols))
+  + idx_words m.lv + idx_words m.rv + bases_words m
 
-(* the words of the pair view [matches_view] would build: one index per
+(* the words of the pair view [pair_view] would build: one index per
    group a side's columns read, plus one for its row-aligned columns *)
 let pair_view_words m =
   let groups (v : view) =
     List.length (used_groups v)
     + if Array.exists (fun (_, g) -> g < 0) v.vcols then 1 else 0
   in
-  ((groups m.lv + groups m.rv) * m.pairs)
-  + distinct_words
-      (List.map fst (Array.to_list m.lv.vcols @ Array.to_list m.rv.vcols))
+  ((groups m.lv + groups m.rv) * m.pairs) + bases_words m
 
 let view_materialized = "kernel.view.materialized"
 
@@ -296,10 +356,7 @@ let expand ~fit t m =
   if (not fit) || pair_view_words m <= Schema.arity t.schema * t.nrows
   then begin
     Obs.Metrics.incr Obs.Metrics.default join_expanded;
-    let out = ref ([||], [||]) in
-    iter_pairs m ~block:m.pairs (fun lidx ridx _ -> out := (lidx, ridx));
-    let lidx, ridx = !out in
-    t.view_v <- Some (prune (matches_view m lidx ridx));
+    t.view_v <- Some (prune (pair_view m.lv m.rv (pair_rows (Matches m))));
     t.join_v <- None
   end
   else ignore (gather_join t m)
@@ -407,12 +464,6 @@ let rec for_store t =
     end
     else materialize t
 
-let column t name =
-  let i = Schema.index_of t.schema name in
-  match cols_opt t with
-  | Some cols -> Column.to_values cols.(i)
-  | None -> Array.map (fun row -> row.(i)) (rows t)
-
 let get t i name =
   let j = Schema.index_of t.schema name in
   match cols_opt t with
@@ -446,16 +497,37 @@ let rows_column_bytes rows j (c : Schema.column) =
          | _ -> bytes)
       (4 * n) rows
 
-(* A JOIN's {!column_bytes} from counts, without its pairs: a column
-   of the JOIN's output has [m.pairs] rows, and its values are those of
+(* The {!column_bytes} of [pairs] rows that read, on [v]'s side, the
+   rows [rows] of [v] (default: every row), computed from counts: a
+   column has [pairs] rows, and its distinct values are those of the
+   rows read. [rows] is forced only for a string column, and nothing is
+   read when there are no pairs. A view's own bytes are those of its
+   row count. *)
+let spread_bytes ?rows (v : view) ~pairs =
+  Array.map
+    (fun (c, g) ->
+       if pairs = 0 then 0
+       else if Column.ty c <> Value.Tstring then
+         Column.encoded_bytes ~rows:pairs c
+       else
+         let idx =
+           match (Option.map Lazy.force rows, g) with
+           | None, -1 -> None
+           | None, g -> Some v.idx.(g)
+           | Some rows, -1 -> Some rows
+           | Some rows, g -> Some (compose v.idx.(g) rows)
+         in
+         Column.encoded_bytes ?idx ~rows:pairs c)
+    v.vcols
+
+(* A JOIN's {!column_bytes}: the values of a side's column are those of
    the rows on its side whose key matches at least once. A probe row
    matches when its bucket is not empty, and a build row when some probe
    row reaches its bucket. *)
 let matches_bytes m =
   let groups = Array.length m.bstart - 1 in
   (* the matching rows are listed only for a side with a string column:
-     every other column costs a fixed width per pair, so k-means, whose
-     120,000-row probe side holds no string, lists none *)
+     k-means, whose 120,000-row probe side holds no string, lists none *)
   let hit =
     lazy
       (let hit = Array.make groups false in
@@ -490,21 +562,12 @@ let matches_bytes m =
        done;
        Array.sub rows 0 !n)
   in
-  let bytes (v : view) rows =
-    Array.map
-      (fun (c, g) ->
-         if Column.ty c <> Value.Tstring then
-           Column.encoded_bytes ~rows:m.pairs c
-         else
-           let rows = Lazy.force rows in
-           let idx = if g < 0 then rows else compose v.idx.(g) rows in
-           Column.encoded_bytes ~idx ~rows:m.pairs c)
-      v.vcols
-  in
   let lrows, rrows =
     if m.build_left then (built, probed) else (probed, built)
   in
-  Array.append (bytes m.lv lrows) (bytes m.rv rrows)
+  Array.append
+    (spread_bytes ~rows:lrows m.lv ~pairs:m.pairs)
+    (spread_bytes ~rows:rrows m.rv ~pairs:m.pairs)
 
 let column_bytes t =
   match t.bytes with
@@ -513,12 +576,7 @@ let column_bytes t =
     let b =
       match (t.join_v, t.view_v, t.cols_v) with
       | Some m, _, _ -> matches_bytes m
-      | None, Some v, _ ->
-        Array.map
-          (fun (c, g) ->
-             if g < 0 then Column.encoded_bytes c
-             else Column.encoded_bytes ~idx:v.idx.(g) c)
-          v.vcols
+      | None, Some v, _ -> spread_bytes v ~pairs:t.nrows
       | None, None, Some cols ->
         Array.map (fun c -> Column.encoded_bytes c) cols
       | None, None, None ->

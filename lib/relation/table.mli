@@ -37,8 +37,6 @@ val create : Schema.t -> Value.t array list -> t
     output rows are correct by construction. *)
 val create_unchecked : Schema.t -> Value.t array array -> t
 
-val empty : Schema.t -> t
-
 (** [of_columns schema cols] builds a column-backed table, one column
     per schema column in order. Raises [Invalid_argument] on an arity,
     length or type mismatch, or if any column has null slots (tables
@@ -82,21 +80,53 @@ val of_matches : Schema.t -> matches -> t
     expanded: the blocked GROUP BY reads them in place. *)
 val matches : t -> matches option
 
-(** [iter_pairs m ~block flush] hands the pairs of [m] to [flush lidx
-    ridx n] in runs of [block] pairs (the last may be shorter): pair
-    [k], for [k < n], is left row [lidx.(k)] and right row [ridx.(k)].
-    The two buffers are reused from run to run. A left build side is
-    probed by the right rows in order, so the pairs come in the serial
-    hash join's order: right rows ascending, each one's left rows
-    newest first. A right build side is probed by the left rows, newest
-    first. *)
-val iter_pairs :
-  matches -> block:int -> (int array -> int array -> int -> unit) -> unit
+(** Rows per block in the blocked kernels: 256. *)
+val block : int
 
-(** [matches_view m lidx ridx]: the view whose row [k] pairs left row
-    [lidx.(k)] with right row [ridx.(k)], each side's groups composed
-    with its index. *)
-val matches_view : matches -> int array -> int array -> view
+(** A set of pairs of a left and a right table's rows: a JOIN's
+    matches, or the CROSS of the left rows [\[lo, hi)] with [nr] right
+    rows. *)
+type pairs =
+  | Matches of matches
+  | Cross of { lo : int; hi : int; nr : int }
+
+(** [iter_pairs ?block src flush] hands the pairs of [src] to [flush
+    lidx ridx n] in runs: pair [k], for [k < n], is left row [lidx.(k)]
+    and right row [ridx.(k)], and the two buffers are reused from run
+    to run. A JOIN's runs hold [block] pairs (default {!block}; the last
+    may be shorter). Built on the left, it is probed by the right rows
+    in order, so its pairs come in the serial hash join's order: right
+    rows ascending, each one's left rows newest first. Built on the
+    right, it is probed by the left rows, newest first. A CROSS's pairs
+    come left-major, right-minor, the serial nested loop's order, in
+    runs of as many whole left rows as [block] pairs hold, and at least
+    one. *)
+val iter_pairs :
+  ?block:int -> pairs -> (int array -> int array -> int -> unit) -> unit
+
+(** The selection of a view's column groups over a block of its rows:
+    [let set, sel = block_sel v], then [set rows n] moves it to a block
+    whose row [k], for [k < n], is row [rows.(k)] of [v], and [sel g] is
+    group [g]'s index composed with those rows ([rows] itself for
+    [g = -1]). Each group is composed at most once per block, when
+    first read, into a buffer reused from block to block. *)
+val block_sel : view -> (int array -> int -> unit) * (int -> int array)
+
+(** [pair_view lv rv (lidx, ridx)]: the view whose row [k] pairs row
+    [lidx.(k)] of [lv] with row [ridx.(k)] of [rv], each side's groups
+    composed with its rows. *)
+val pair_view : view -> view -> int array * int array -> view
+
+(** Every pair of a source in one run, as {!iter_pairs} lists them:
+    their left rows and their right rows. *)
+val pair_rows : pairs -> int array * int array
+
+(** The {!column_bytes} of [pairs] rows that read, on [v]'s side, its
+    rows [rows] (default: every row of [v]), from counts: 8 bytes per
+    pair for an int or float column, 1 for a bool, and for a string
+    column 4 per pair plus the distinct values of those rows. [rows] is
+    forced only for a string column; with no pairs every column is 0. *)
+val spread_bytes : ?rows:int array Lazy.t -> view -> pairs:int -> int array
 
 (** The {!column_bytes} of [m]'s pairs, from counts: 8 bytes per pair
     for an int or float column, 1 for a bool, and for a string column 4
@@ -184,9 +214,6 @@ val is_columnar : t -> bool
 val row_count : t -> int
 
 val is_empty : t -> bool
-
-(** [column t name] extracts one column. Raises [Not_found]. *)
-val column : t -> string -> Value.t array
 
 (** [get t i name] is the cell at row [i], column [name]. *)
 val get : t -> int -> string -> Value.t

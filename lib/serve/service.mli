@@ -89,8 +89,6 @@ type shed_policy =
                             lowest-weight tenant with a backlog *)
   | Oldest_first        (** drop the globally oldest queued item *)
 
-val shed_policy_name : shed_policy -> string
-
 val shed_policy_of_string : string -> shed_policy option
 
 type config = {

@@ -1707,6 +1707,13 @@ let fixture_kernels t =
               Aggregate.make (Aggregate.Min "v") ~as_name:"lo";
               Aggregate.make (Aggregate.Avg "v") ~as_name:"avg";
               Aggregate.make (Aggregate.First "tag") ~as_name:"tag" ]);
+    (* float SUM and AVG add unboxed: no float is boxed per row *)
+    ("group_by float sum", fun () ->
+        Kernel.group_by t ~keys:[ "k" ]
+          ~aggs:[ Aggregate.make (Aggregate.Sum "x") ~as_name:"s" ]);
+    ("group_by float avg", fun () ->
+        Kernel.group_by t ~keys:[ "k" ]
+          ~aggs:[ Aggregate.make (Aggregate.Avg "x") ~as_name:"a" ]);
     ("project", fun () -> Kernel.project t [ "tag"; "k"; "x" ]);
     ("join", fun () ->
         Kernel.join t (Lazy.force fixture_dims) ~left_key:"k"
@@ -1723,12 +1730,15 @@ let test_fixture_identity () =
 
 (* Per-row allocation budgets, in bytes per input row. The columnar
    kernels allocate unboxed index/accumulator arrays (measured on this
-   fixture: group_by ~8, project ~0, join ~72 B/row) where the row
+   fixture: group_by ~8, float SUM and AVG ~0.5, project ~0, join ~72
+   B/row; float SUM and AVG took 6.3 and 6.5 B/row while each row's
+   addition boxed its operands) where the row
    engine boxes every cell (group_by ~480 B/row). Budgets sit 3-8x
    above the measured columnar cost and far below per-row boxing, so a
    silent fallback to the row path trips them. *)
 let alloc_budgets =
-  [ ("group_by", 64.); ("project", 16.); ("join", 256.) ]
+  [ ("group_by", 64.); ("group_by float sum", 2.);
+    ("group_by float avg", 2.); ("project", 16.); ("join", 256.) ]
 
 let test_fixture_alloc_bound () =
   let t = load_fixture () in

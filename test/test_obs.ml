@@ -256,6 +256,68 @@ let test_histogram_quantiles () =
   Alcotest.(check (option (float 1e-9))) "singleton" (Some 42.)
     (Obs.Metrics.quantile single "one" 0.5)
 
+(* A histogram keeps its samples unboxed: one word each, plus a
+   doubling array's slack, where a list of boxed floats took five. Its
+   stats are those of the list it replaced (newest first, then sorted),
+   bit for bit, also where NaN and -0.0 against 0.0 make the sort's
+   input order visible. *)
+let test_histogram_storage () =
+  let n = 10_000 in
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.observe m "h" 0.;
+  let before = Obj.reachable_words (Obj.repr m) in
+  for i = 1 to n do
+    Obs.Metrics.observe m "h" (float_of_int (i mod 97))
+  done;
+  let grown = Obj.reachable_words (Obj.repr m) - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d samples hold %d words (at most 2 each)" n grown)
+    true (grown <= 2 * n);
+  let bits x = Int64.bits_of_float x in
+  let reference values =
+    (* the list-based registry: newest first, sorted, interpolated *)
+    let a = Array.of_list (List.rev values) in
+    Array.sort compare a;
+    let len = Array.length a in
+    let q p =
+      let h = p *. float_of_int (len - 1) in
+      let lo = int_of_float (floor h) in
+      let hi = min (lo + 1) (len - 1) in
+      a.(lo) +. ((h -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+    in
+    [ a.(0); a.(len - 1); Array.fold_left ( +. ) 0. a /. float_of_int len;
+      q 0.5; q 0.9; q 0.99; q 0.25 ]
+  in
+  let rng = Random.State.make [| 7 |] in
+  let pick () =
+    match Random.State.int rng 6 with
+    | 0 -> Float.nan
+    | 1 -> 0.
+    | 2 -> -0.
+    | 3 -> -.Float.nan
+    | _ -> float_of_int (Random.State.int rng 4 - 2)
+  in
+  for trial = 1 to 50 do
+    let values = List.init (1 + Random.State.int rng 40) (fun _ -> pick ()) in
+    let m = Obs.Metrics.create () in
+    List.iter (Obs.Metrics.observe m "h") values;
+    let s = Option.get (Obs.Metrics.histogram m "h") in
+    let got =
+      [ s.min; s.max; s.mean; s.p50; s.p90; s.p99;
+        Option.get (Obs.Metrics.quantile m "h" 0.25) ]
+    in
+    Alcotest.(check int) "count" (List.length values) s.count;
+    Alcotest.(check (list int64))
+      (Printf.sprintf "trial %d: stats bit-identical to the list's" trial)
+      (List.map bits (reference values)) (List.map bits got);
+    let fields (s : Obs.Metrics.histogram_stats) =
+      List.map bits [ s.min; s.max; s.mean; s.p50; s.p90; s.p99 ]
+    in
+    Alcotest.(check (list (pair string (list int64))))
+      "histograms lists the same stats" [ ("h", fields s) ]
+      (List.map (fun (name, s) -> (name, fields s)) (Obs.Metrics.histograms m))
+  done
+
 let test_prediction_records () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.record_prediction m ~workflow:"wf" ~job:"wf/job0"
@@ -600,6 +662,8 @@ let () =
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "histogram quantiles" `Quick
             test_histogram_quantiles;
+          Alcotest.test_case "histogram storage" `Quick
+            test_histogram_storage;
           Alcotest.test_case "prediction records" `Quick
             test_prediction_records ] );
       ( "export",
