@@ -382,7 +382,10 @@ let kernels () =
       ("join_map_group_by", join_map_group_by) ]
   in
   let reps = 5 in
+  (* each kernel's repetitions start on a fully collected heap, so a
+     figure does not swing with the garbage the rows before it left *)
   let best_of ~columnar f =
+    Gc.full_major ();
     let best = ref infinity and out = ref None in
     for _ = 1 to reps do
       let result, s =
@@ -589,7 +592,7 @@ let supervision_bench () =
     let est = Musketeer.estimator m ~workflow:"spec-sup" ~hdfs:hdfs0 g' in
     let backend, ids = List.hd plan.Musketeer.Partitioner.jobs in
     Musketeer.Cost.seconds
-      (Musketeer.Cost.job_cost ~profile:(Musketeer.profile m) ~graph:g' ~est
+      (Musketeer.Cost.job_cost ~profile:(Musketeer.profile m) ~est
          backend ids)
   in
   let race =

@@ -12,83 +12,14 @@ let seconds = function
 
 (* ---- volume estimation for a candidate job ---- *)
 
-(* Process charges among [ids]: the row-local members of a chain
-   entirely inside the candidate job price as merged operators
-   ({!Engines.Perf.charges}), exactly as the executor prices them; a
-   JOIN head is charged as the solo JOIN, so a lone SELECT after it
-   prices as a solo SELECT. A chain that crosses the job boundary is
-   not merged at execution either (the crossing node becomes a job
-   output, a fusion barrier), so it keeps per-node pricing. The chains
-   are [est]'s, planned once per graph. *)
-let charges ~est ~graph ids =
-  let in_set = Hashtbl.create 8 in
-  List.iter (fun id -> Hashtbl.replace in_set id ()) ids;
-  Engines.Perf.charges (Estimator.fusion est) graph
-    ~within:(Hashtbl.mem in_set)
-
-(* process/comm volumes of one WHILE body pass, with the loop inputs
-   bound to the estimated sizes of the WHILE node's producers *)
-let rec body_pass_volumes ~est ~graph (n : Ir.Operator.node) body =
-  let ins =
-    List.map (fun i -> Estimator.output_mb est i) n.Ir.Operator.inputs
-  in
-  let bound = Hashtbl.create 8 in
-  (try
-     List.iter2
-       (fun (bn : Ir.Operator.node) mb ->
-          match bn.kind with
-          | Ir.Operator.Input { relation } -> Hashtbl.replace bound relation mb
-          | _ -> ())
-       (Ir.Dag.sources body) ins
-   with Invalid_argument _ -> ());
-  (* mirror the executor: the loop driver reads the condition relation
-     by name, so its producer is a fusion barrier inside the body *)
-  let protect =
-    match n.Ir.Operator.kind with
-    | Ir.Operator.While { condition = Ir.Operator.Until_empty r; _ }
-    | Ir.Operator.While { condition = Ir.Operator.Until_fixpoint r; _ } ->
-      [ r ]
-    | _ -> []
-  in
-  let inner_est =
-    Estimator.build ~protect
-      ~input_mb:(fun r -> Hashtbl.find_opt bound r)
-      ~history:(History.create ()) ~workflow:"body" body
-  in
-  let charges =
-    charges ~est:inner_est ~graph:body
-      (List.map (fun (bn : Ir.Operator.node) -> bn.id) body.Ir.Operator.nodes)
-  in
-  List.fold_left
-    (fun (process, comm, shuffles) (bn : Ir.Operator.node) ->
-       match bn.kind with
-       | Ir.Operator.Input _ -> (process, comm, shuffles)
-       | Ir.Operator.While _ as k ->
-         let p, c, s = body_pass_volumes ~est:inner_est ~graph bn
-             (match k with
-              | Ir.Operator.While { body; _ } -> body
-              | _ -> assert false)
-         in
-         let iters = float_of_int (Estimator.iterations k) in
-         (process +. (iters *. p), comm +. (iters *. c), shuffles + s)
-       | kind ->
-         let in_mb = Estimator.input_mb inner_est bn.id in
-         let process =
-           process +. Engines.Perf.process_mb charges bn.id kind ~in_mb
-         in
-         if Ir.Operator.needs_shuffle kind then
-           (process, comm +. in_mb, shuffles + 1)
-         else (process, comm, shuffles))
-    (0., 0., 0) body.Ir.Operator.nodes
-
-let job_volumes ~graph ~est ids =
+let job_volumes ~est ids =
   let in_set = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.replace in_set id ()) ids;
   (* pulled data: distinct producers outside the set + INPUT nodes inside *)
   let pulled = Hashtbl.create 8 in
   List.iter
     (fun id ->
-       let n = Ir.Dag.node graph id in
+       let n = Estimator.node est id in
        match n.kind with
        | Ir.Operator.Input _ -> Hashtbl.replace pulled n.id ()
        | _ ->
@@ -104,7 +35,7 @@ let job_volumes ~graph ~est ids =
     Hashtbl.fold
       (fun id () acc ->
          let duplicate =
-           match (Ir.Dag.node graph id).Ir.Operator.kind with
+           match (Estimator.node est id).Ir.Operator.kind with
            | Ir.Operator.Input { relation } ->
              if Hashtbl.mem seen_rel relation then true
              else begin
@@ -116,22 +47,36 @@ let job_volumes ~graph ~est ids =
          if duplicate then acc else acc +. Estimator.output_mb est id)
       pulled 0.
   in
+  (* outputs leaving the set, in node order: a workflow output or a
+     node read outside the set *)
   let output_mb =
     List.fold_left
       (fun acc (n : Ir.Operator.node) ->
-         acc +. Estimator.output_mb est n.id)
-      0.
-      (Ir.Dag.external_outputs graph ids)
+         if
+           Hashtbl.mem in_set n.id
+           && (Estimator.is_output est n.id
+               || List.exists
+                    (fun c -> not (Hashtbl.mem in_set c))
+                    (Estimator.consumers est n.id))
+         then acc +. Estimator.output_mb est n.id
+         else acc)
+      0. (Estimator.graph est).Ir.Operator.nodes
   in
-  let charges = charges ~est ~graph ids in
+  (* the row-local members of a chain entirely inside the job price as
+     merged operators ({!Engines.Perf.charges}), exactly as the
+     executor prices them; a JOIN head is charged as the solo JOIN, so
+     a lone SELECT after it prices as a solo SELECT. A chain that
+     crosses the job boundary is not merged at execution either (the
+     crossing node becomes a job output, a fusion barrier), so it keeps
+     per-node pricing. *)
+  let charges = Estimator.charges est ~within:(Hashtbl.mem in_set) in
   let process_mb, comm_mb, iterations =
     List.fold_left
       (fun (process, comm, iters) id ->
-         let n = Ir.Dag.node graph id in
-         match n.kind with
+         match (Estimator.node est id).kind with
          | Ir.Operator.Input _ -> (process, comm, iters)
-         | Ir.Operator.While { body; _ } as k ->
-           let p, c, _ = body_pass_volumes ~est ~graph n body in
+         | Ir.Operator.While _ as k ->
+           let p, c, _ = Estimator.body_pass est id in
            let k_iters = Estimator.iterations k in
            let fi = float_of_int k_iters in
            (process +. (fi *. p), comm +. (fi *. c), max iters k_iters)
@@ -149,9 +94,9 @@ let job_volumes ~graph ~est ids =
     process_mb; scan_extra_mb = 0.; comm_mb; iterations }
 
 (* per-iteration job-chain pricing for WHILE on MapReduce engines *)
-let expanded_while_cost ~rates ~est ~graph (n : Ir.Operator.node) body kind =
-  let process, comm, shuffles = body_pass_volumes ~est ~graph n body in
-  let iters = float_of_int (Estimator.iterations kind) in
+let expanded_while_cost ~rates ~est (n : Ir.Operator.node) =
+  let process, comm, shuffles = Estimator.body_pass est n.id in
+  let iters = float_of_int (Estimator.iterations n.kind) in
   let jobs_per_iter = float_of_int (max 1 shuffles) in
   let input_mb =
     List.fold_left
@@ -175,10 +120,10 @@ let expanded_while_cost ~rates ~est ~graph (n : Ir.Operator.node) body kind =
    generative operators with small output bounds; an operator with an
    unknown output bound (JOIN, CROSS, UDF) may not feed another operator
    inside the same job until history has tightened its bound *)
-let conservative_merge_violation ~graph ~est ids =
+let conservative_merge_violation ~est ids =
   List.find_map
     (fun id ->
-       let n = Ir.Dag.node graph id in
+       let n = Estimator.node est id in
        let unbounded =
          match n.Ir.Operator.kind with
          | Ir.Operator.While _ | Ir.Operator.Input _ -> false
@@ -188,44 +133,87 @@ let conservative_merge_violation ~graph ~est ids =
        if
          unbounded
          && (not (Estimator.from_history est id))
-         && List.exists
-              (fun c -> List.mem c ids)
-              (Ir.Dag.consumers graph id)
+         && List.exists (fun c -> List.mem c ids) (Estimator.consumers est id)
        then Some n
        else None)
     ids
 
-let job_cost ~profile ~graph ~est backend ids =
-  match Support.check backend graph ids with
-  | Error reason -> Infeasible reason
-  | Ok () ->
-    match conservative_merge_violation ~graph ~est ids with
-    | Some n ->
-      Infeasible
-        (Printf.sprintf
-           "no size bound for %s output (node %d) without history"
-           (Ir.Operator.kind_name n.Ir.Operator.kind)
-           n.Ir.Operator.id)
+(* ---- one candidate job, priced once per set ---- *)
+
+type job = {
+  est : Estimator.t;
+  ids : int list;
+  shape : Support.shape;
+  unbounded : Ir.Operator.node option Lazy.t;
+  lone_while : Ir.Operator.node option;
+  mutable volumes : Engines.Perf.volumes option;
+  mutable volumes_priced : int;
+}
+
+let job ~est ids =
+  let nodes = List.map (Estimator.node est) ids in
+  let lone_while =
+    match nodes with
+    | [ ({ Ir.Operator.kind = Ir.Operator.While _; _ } as n) ] -> Some n
+    | _ -> None
+  in
+  let vertex_centric =
+    lazy
+      (match ids with [ id ] -> Estimator.vertex_centric est id | _ -> false)
+  in
+  { est;
+    ids;
+    shape =
+      Support.shape
+        (List.map (fun (n : Ir.Operator.node) -> n.kind) nodes)
+        ~vertex_centric;
+    unbounded = lazy (conservative_merge_violation ~est ids);
+    lone_while;
+    volumes = None;
+    volumes_priced = 0 }
+
+(* computed on first use: a set no backend admits needs no volumes *)
+let volumes job =
+  match job.volumes with
+  | Some v -> v
+  | None ->
+    let v = job_volumes ~est:job.est job.ids in
+    job.volumes_priced <- job.volumes_priced + 1;
+    job.volumes <- Some v;
+    v
+
+let volumes_priced job = job.volumes_priced
+
+type refusal =
+  | Unsupported of Support.refusal
+  | Unbounded of Ir.Operator.node
+
+let price ~profile job backend =
+  match Support.check backend job.shape with
+  | Error r -> Error (Unsupported r)
+  | Ok () -> (
+    match Lazy.force job.unbounded with
+    | Some n -> Error (Unbounded n)
     | None ->
       let rates = Profile.rates profile backend in
-    let expanded_while =
-      match Support.while_support backend, ids with
-      | Support.Expand_per_iteration, [ id ] -> (
-        let n = Ir.Dag.node graph id in
-        match n.kind with
-        | Ir.Operator.While { body; _ } as kind ->
-          Some (expanded_while_cost ~rates ~est ~graph n body kind)
-        | _ -> None)
-      | _ -> None
-    in
-    (* ledger-fitted per-engine correction; 1.0 without calibration *)
-    let factor = Profile.factor profile (Engines.Backend.name backend) in
-    (match expanded_while with
-     | Some cost -> Finite (factor *. cost)
-     | None ->
-       let volumes = job_volumes ~graph ~est ids in
-       let _, total = Engines.Perf.makespan rates volumes in
-       Finite (factor *. total))
+      (* ledger-fitted per-engine correction; 1.0 without calibration *)
+      let factor = Profile.factor profile (Engines.Backend.name backend) in
+      match Support.while_support backend, job.lone_while with
+      | Support.Expand_per_iteration, Some n ->
+        Ok (factor *. expanded_while_cost ~rates ~est:job.est n)
+      | _ ->
+        let _, total = Engines.Perf.makespan rates (volumes job) in
+        Ok (factor *. total))
+
+let job_cost ~profile ~est backend ids =
+  match price ~profile (job ~est ids) backend with
+  | Ok s -> Finite s
+  | Error (Unsupported r) -> Infeasible (Support.reason backend r)
+  | Error (Unbounded n) ->
+    Infeasible
+      (Printf.sprintf "no size bound for %s output (node %d) without history"
+         (Ir.Operator.kind_name n.Ir.Operator.kind)
+         n.Ir.Operator.id)
 
 (* Plan-time pricing of a common-subplan cut (docs/serving.md): an
    attached or cached prefix is replaced by a synthetic INPUT, so the
@@ -235,21 +223,21 @@ let job_cost ~profile ~graph ~est backend ids =
    processing and its shuffle traffic. The serving layer materializes
    a prefix only when saved exceeds read, so sharing never inflates
    the modeled makespan. *)
-let subplan_cut ~graph ~est id =
-  let cone = Ir.Dag.cone graph id in
+let subplan_cut ~est id =
+  let cone = Ir.Dag.cone (Estimator.graph est) id in
   let read_mb = Estimator.output_mb est id in
-  let v = job_volumes ~graph ~est cone in
+  let v = job_volumes ~est cone in
   ( read_mb,
     v.Engines.Perf.input_mb +. v.Engines.Perf.process_mb
     +. v.Engines.Perf.comm_mb )
 
-let plan_cost ~profile ~graph ~est plan =
+let plan_cost ~profile ~est plan =
   List.fold_left
     (fun acc (backend, ids) ->
        match acc with
        | Infeasible _ -> acc
        | Finite total -> (
-         match job_cost ~profile ~graph ~est backend ids with
+         match job_cost ~profile ~est backend ids with
          | Finite c -> Finite (total +. c)
          | Infeasible _ as inf -> inf))
     (Finite 0.) plan

@@ -4,9 +4,20 @@ type entry = {
   historical : bool;
 }
 
+(* The estimates plus the pricing context: per-graph facts every
+   candidate job {!Cost} prices reads. They are indexed once per plan
+   here, not scanned again for each of the thousands of sets a search
+   prices. The WHILE memos hold per-node facts of this graph only,
+   never a per-set result. *)
 type t = {
   entries : (int, entry) Hashtbl.t;
   fusion : Ir.Fusion.plan;
+  graph : Ir.Dag.t;
+  nodes : (int, Ir.Operator.node) Hashtbl.t;
+  consumers : (int, int list) Hashtbl.t;
+  outputs : (int, unit) Hashtbl.t;
+  body_passes : (int, float * float * int) Hashtbl.t;
+  vertex_centric : (int, bool) Hashtbl.t;
 }
 
 let conservative_factor = 3.
@@ -18,6 +29,36 @@ let iterations (kind : Ir.Operator.kind) =
   | Ir.Operator.While { condition = Ir.Operator.Fixed_iterations n; _ } -> n
   | Ir.Operator.While { max_iterations; _ } -> min 10 max_iterations
   | _ -> 1
+
+(* the relation sizes a WHILE body's INPUT nodes take: the loop's
+   inputs, bound positionally *)
+let bind_body_inputs body ins =
+  let bound = Hashtbl.create 8 in
+  (try
+     List.iter2
+       (fun (n : Ir.Operator.node) mb ->
+          match n.kind with
+          | Ir.Operator.Input { relation } -> Hashtbl.replace bound relation mb
+          | _ -> ())
+       (Ir.Dag.sources body) ins
+   with Invalid_argument _ -> ());
+  fun r -> Hashtbl.find_opt bound r
+
+(* each consumer once, in node order, as {!Ir.Dag.consumers} lists them *)
+let index_consumers (g : Ir.Dag.t) =
+  let consumers = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Ir.Operator.node) ->
+       List.iter
+         (fun i ->
+            let cur = Option.value (Hashtbl.find_opt consumers i) ~default:[] in
+            match cur with
+            | c :: _ when c = n.id -> ()
+            | _ -> Hashtbl.replace consumers i (n.id :: cur))
+         n.inputs)
+    g.Ir.Operator.nodes;
+  Hashtbl.filter_map_inplace (fun _ cs -> Some (List.rev cs)) consumers;
+  consumers
 
 let rec build ?protect ~input_mb ~history ~workflow (g : Ir.Dag.t) =
   let entries = Hashtbl.create 16 in
@@ -52,25 +93,21 @@ let rec build ?protect ~input_mb ~history ~workflow (g : Ir.Dag.t) =
        Hashtbl.replace entries n.id { out_mb; in_mb = in_total;
                                       historical })
     g.Ir.Operator.nodes;
-  { entries; fusion = Ir.Fusion.plan ?protect g }
+  let nodes = Hashtbl.create 16 and outputs = Hashtbl.create 4 in
+  List.iter
+    (fun (n : Ir.Operator.node) -> Hashtbl.replace nodes n.id n)
+    g.Ir.Operator.nodes;
+  List.iter (fun id -> Hashtbl.replace outputs id ()) g.Ir.Operator.outputs;
+  { entries; fusion = Ir.Fusion.plan ?protect g; graph = g; nodes;
+    consumers = index_consumers g; outputs;
+    body_passes = Hashtbl.create 2; vertex_centric = Hashtbl.create 2 }
 
 and estimate_while ~history:_ ~workflow ~body ~ins =
   (* bind body inputs positionally, then fold the body estimates;
      history is keyed by top-level node ids, so bodies are estimated
      a-priori *)
-  let body_inputs = Ir.Dag.sources body in
-  let bound = Hashtbl.create 8 in
-  (try
-     List.iter2
-       (fun (n : Ir.Operator.node) mb ->
-          match n.kind with
-          | Ir.Operator.Input { relation } -> Hashtbl.replace bound relation mb
-          | _ -> ())
-       body_inputs ins
-   with Invalid_argument _ -> ());
   let inner =
-    build
-      ~input_mb:(fun r -> Hashtbl.find_opt bound r)
+    build ~input_mb:(bind_body_inputs body ins)
       ~history:(History.create ()) ~workflow body
   in
   match body.Ir.Operator.outputs with
@@ -78,6 +115,18 @@ and estimate_while ~history:_ ~workflow ~body ~ins =
   | [] -> 0.
 
 let fusion t = t.fusion
+
+let graph t = t.graph
+
+let node t id =
+  match Hashtbl.find_opt t.nodes id with
+  | Some n -> n
+  | None -> Ir.Dag.node t.graph id
+
+let consumers t id =
+  Option.value (Hashtbl.find_opt t.consumers id) ~default:[]
+
+let is_output t id = Hashtbl.mem t.outputs id
 
 let output_mb t id =
   match Hashtbl.find_opt t.entries id with
@@ -93,6 +142,61 @@ let from_history t id =
   match Hashtbl.find_opt t.entries id with
   | Some e -> e.historical
   | None -> false
+
+let memo table id f =
+  match Hashtbl.find_opt table id with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add table id v;
+    v
+
+let charges t ~within = Engines.Perf.charges t.fusion t.graph ~within
+
+let vertex_centric t id =
+  memo t.vertex_centric id @@ fun () ->
+  match (node t id).Ir.Operator.kind with
+  | Ir.Operator.While { body; _ } -> Ir.Gas_check.body_is_vertex_centric body
+  | _ -> false
+
+(* process/comm volumes of one WHILE body pass, with the loop inputs
+   bound to the estimated sizes of the WHILE node's producers *)
+let rec body_pass t id =
+  memo t.body_passes id @@ fun () ->
+  let n = node t id in
+  match n.Ir.Operator.kind with
+  | Ir.Operator.While { body; condition; _ } ->
+    (* mirror the executor: the loop driver reads the condition relation
+       by name, so its producer is a fusion barrier inside the body *)
+    let protect =
+      match condition with
+      | Ir.Operator.Until_empty r | Ir.Operator.Until_fixpoint r -> [ r ]
+      | Ir.Operator.Fixed_iterations _ -> []
+    in
+    let inner =
+      build ~protect
+        ~input_mb:(bind_body_inputs body (List.map (output_mb t) n.inputs))
+        ~history:(History.create ()) ~workflow:"body" body
+    in
+    let charges = charges inner ~within:(fun _ -> true) in
+    List.fold_left
+      (fun (process, comm, shuffles) (bn : Ir.Operator.node) ->
+         match bn.kind with
+         | Ir.Operator.Input _ -> (process, comm, shuffles)
+         | Ir.Operator.While _ as k ->
+           let p, c, s = body_pass inner bn.id in
+           let iters = float_of_int (iterations k) in
+           (process +. (iters *. p), comm +. (iters *. c), shuffles + s)
+         | kind ->
+           let in_mb = input_mb inner bn.id in
+           let process =
+             process +. Engines.Perf.process_mb charges bn.id kind ~in_mb
+           in
+           if Ir.Operator.needs_shuffle kind then
+             (process, comm +. in_mb, shuffles + 1)
+           else (process, comm, shuffles))
+      (0., 0., 0) body.Ir.Operator.nodes
+  | _ -> (0., 0., 0)
 
 let size_rel_error t id ~observed_mb =
   let predicted = output_mb t id in

@@ -27,6 +27,43 @@ val build :
     however many candidate jobs {!Cost} prices against it. *)
 val fusion : t -> Ir.Fusion.plan
 
+(** {2 Pricing context}
+
+    Per-graph facts every candidate job {!Cost} prices reads, indexed
+    or memoized once per estimator: however many sets a search prices,
+    each of these is computed once. Nothing here depends on a set. *)
+
+(** The graph the estimator was built for. *)
+val graph : t -> Ir.Dag.t
+
+(** The node with this id; raises like {!Ir.Dag.node} for an unknown
+    id. *)
+val node : t -> int -> Ir.Operator.node
+
+(** The distinct consumers of a node, in node order (as
+    {!Ir.Dag.consumers}). *)
+val consumers : t -> int -> int list
+
+(** Whether the node is one of the graph's outputs. *)
+val is_output : t -> int -> bool
+
+(** {!Engines.Perf.charges} over the estimator's fusion plan, for the
+    chains whose members all satisfy [within]. *)
+val charges : t -> within:(int -> bool) -> Engines.Perf.charges
+
+(** [body_pass t id] = [(process_mb, comm_mb, shuffles)] of one pass
+    of the WHILE node [id]'s body, with the loop inputs bound to the
+    estimated sizes of its producers; nested loops count their
+    iterations. Memoized per node; [(0, 0, 0)] for a non-WHILE node. *)
+val body_pass : t -> int -> float * float * int
+
+(** Whether the WHILE node [id]'s body is vertex-centric
+    ({!Ir.Gas_check.body_is_vertex_centric}); memoized per node,
+    [false] for a non-WHILE node. *)
+val vertex_centric : t -> int -> bool
+
+(** {2 Estimates} *)
+
 (** Predicted output size of a node. *)
 val output_mb : t -> int -> float
 

@@ -254,7 +254,7 @@ let run_plan ?(mode = Generated) ?(record_history = true)
     match est with
     | None -> None
     | Some est -> (
-      match Cost.job_cost ~profile ~graph ~est backend ids with
+      match Cost.job_cost ~profile ~est backend ids with
       | Cost.Finite s -> Some s
       | Cost.Infeasible _ -> None)
   in

@@ -43,7 +43,7 @@ let explain ?(backends = Engines.Backend.all) ~profile ~history ~workflow
         (fun (backend, ids) ->
            ( backend, ids,
              Cost.seconds
-               (Cost.job_cost ~profile ~graph:optimized ~est backend ids) ))
+               (Cost.job_cost ~profile ~est backend ids) ))
         p.Partitioner.jobs
   in
   let op_ids =

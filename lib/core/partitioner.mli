@@ -16,10 +16,14 @@
       (§8, Figure 16); {!dynamic_multi_order} retries over several
       linearizations, the fix the paper suggests.
 
-    Job sets are scored with {!Cost.job_cost}, so automatic back-end
-    mapping (§5.2) falls out: pass every available backend in
-    [backends] and each job independently picks its cheapest engine.
-    Restricting [backends] to a singleton forces a manual mapping. *)
+    Job sets are scored with the cost function ({!Cost.price}, each set
+    read once by {!Cost.job} however many backends price it), so
+    automatic back-end mapping (§5.2) falls out: pass every available
+    backend in [backends] and each job independently picks its
+    cheapest engine. Restricting [backends] to a singleton forces a
+    manual mapping. Every search's [partition] span carries
+    [sets_scored] and [volumes_priced], the sets whose volumes it
+    computed (at most once each). *)
 
 type plan = {
   jobs : (Engines.Backend.t * int list) list;

@@ -59,7 +59,7 @@ let alternatives ?breaker ~profile ~graph ~est ~candidates ~exclude ids =
   let score b =
     match est with
     | Some est -> (
-      match Cost.job_cost ~profile ~graph ~est b ids with
+      match Cost.job_cost ~profile ~est b ids with
       | Cost.Finite s -> Some s
       | Cost.Infeasible _ -> None)
     | None ->

@@ -267,7 +267,7 @@ let maybe_replan ~breaker ~config ~profile ~history ~workflow ~hdfs ~graph ~est
             let old_cost_s =
               try
                 Cost.seconds
-                  (Cost.plan_cost ~profile ~graph:sub ~est:est'
+                  (Cost.plan_cost ~profile ~est:est'
                      (List.map
                         (fun (b, ids) ->
                            (b, List.map (fun id -> List.assoc id to_sub) ids))

@@ -55,6 +55,10 @@ let eval_kind (kind : Operator.kind) (inputs : Table.t list) =
       (List.length inputs)
 
 let loop_finished condition ~iteration ~max_iterations ~current ~previous =
+  Obs.Trace.with_span
+    ~attrs:[ ("iteration", Obs.Trace.Int iteration) ]
+    "while.test"
+  @@ fun () ->
   if iteration >= max_iterations then true
   else
     match condition with

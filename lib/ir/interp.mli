@@ -33,8 +33,9 @@ val eval_kind : Operator.kind -> Relation.Table.t list -> Relation.Table.t
 
 (** [loop_finished condition ~iteration ~max_iterations ~current ~previous]
     decides whether a WHILE loop should stop *after* an iteration, given
-    the loop-carried relation values before and after it. Exposed so
-    engine simulators implement identical loop semantics. *)
+    the loop-carried relation values before and after it, inside a
+    [while.test] span. Exposed so engine simulators implement
+    identical loop semantics. *)
 val loop_finished :
   Operator.loop_condition -> iteration:int -> max_iterations:int ->
   current:(string -> Relation.Table.t) ->

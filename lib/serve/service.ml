@@ -393,7 +393,7 @@ let prepare_subplans t ~recovery ~breaker ~inject ~retries sub =
                           sp_attached_mb = !prep.sp_attached_mb +. mb }
          | None ->
            let read_mb, saved_mb =
-             Musketeer.Cost.subplan_cut ~graph:g ~est:(Lazy.force est) c.sc_id
+             Musketeer.Cost.subplan_cut ~est:(Lazy.force est) c.sc_id
            in
            if saved_mb <= read_mb then ()
            else if t.rung >= 2 then

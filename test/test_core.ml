@@ -263,7 +263,7 @@ let test_cost_finite_and_ordering () =
   in
   let cost est =
     Musketeer.Cost.seconds
-      (Musketeer.Cost.job_cost ~profile ~graph:g ~est Engines.Backend.Naiad
+      (Musketeer.Cost.job_cost ~profile ~est Engines.Backend.Naiad
          [ 1; 2; 3 ])
   in
   Alcotest.(check bool) "finite" true (Float.is_finite (cost small));
@@ -273,7 +273,7 @@ let test_cost_infeasible_paradigm () =
   let g = chain_graph () in
   let est = estimator_for (default_hdfs ()) g in
   match
-    Musketeer.Cost.job_cost ~profile ~graph:g ~est
+    Musketeer.Cost.job_cost ~profile ~est
       Engines.Backend.Power_graph [ 1; 2; 3 ]
   with
   | Musketeer.Cost.Infeasible _ -> ()
@@ -292,7 +292,7 @@ let test_cost_conservative_first_run () =
   in
   let est = estimator_for hdfs g in
   let merged =
-    Musketeer.Cost.job_cost ~profile ~graph:g ~est Engines.Backend.Naiad
+    Musketeer.Cost.job_cost ~profile ~est Engines.Backend.Naiad
       [ Ir.Builder.id j; Ir.Builder.id s ]
   in
   Alcotest.(check bool) "merge across join infeasible without history" false
@@ -304,7 +304,7 @@ let test_cost_conservative_first_run () =
     Musketeer.estimator (Musketeer.with_history m h) ~workflow:"wf" ~hdfs g
   in
   let merged' =
-    Musketeer.Cost.job_cost ~profile ~graph:g ~est:est' Engines.Backend.Naiad
+    Musketeer.Cost.job_cost ~profile ~est:est' Engines.Backend.Naiad
       [ Ir.Builder.id j; Ir.Builder.id s ]
   in
   Alcotest.(check bool) "history unlocks the merge" true
@@ -1197,13 +1197,151 @@ let prop_history_roundtrip =
            | _ -> false)
         entries)
 
+(* ---------------- Pricing context ---------------- *)
+
+(* the operator sets the searches price: every contiguous run of the
+   topological order (the dynamic search's segments) and, up to eight
+   operators, every subset (which holds the exhaustive search's
+   connected convex sets) *)
+let candidate_sets g =
+  let ops =
+    List.filter_map
+      (fun (n : Ir.Operator.node) ->
+         match n.kind with Ir.Operator.Input _ -> None | _ -> Some n.id)
+      (Ir.Dag.topological_order g)
+  in
+  let a = Array.of_list ops in
+  let k = Array.length a in
+  let runs =
+    List.concat
+      (List.init k (fun i ->
+           List.init (k - i) (fun len -> Array.to_list (Array.sub a i (len + 1)))))
+  in
+  if k > 8 then runs
+  else
+    runs
+    @ List.init ((1 lsl k) - 1) (fun m ->
+        List.filteri (fun i _ -> (m + 1) land (1 lsl i) <> 0) ops)
+
+(* Every set priced the planner's way — one job, one shared estimator
+   for the whole graph, every backend — equals Cost.job_cost on an
+   estimator built afresh for that one call: the same backends admit
+   it, at the same cost bits, with the same refusal text. *)
+let shared_context_agrees ~fresh g =
+  let shared = fresh () in
+  List.for_all
+    (fun ids ->
+       let job = Musketeer.Cost.job ~est:shared ids in
+       List.for_all
+         (fun b ->
+            match
+              ( Musketeer.Cost.price ~profile job b,
+                Musketeer.Cost.job_cost ~profile ~est:(fresh ()) b ids )
+            with
+            | Ok s, Musketeer.Cost.Finite s' ->
+              Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float s')
+            | Error _, (Musketeer.Cost.Infeasible _ as v) ->
+              Musketeer.Cost.job_cost ~profile ~est:shared b ids = v
+            | _ -> false)
+         Engines.Backend.all)
+    (candidate_sets g)
+
+(* each zoo workflow's input store, submitted graph and optimized graph *)
+let zoo_plans =
+  lazy
+    (List.map
+       (fun (name, load) ->
+          let hdfs, graph = load () in
+          match Musketeer.plan m ~workflow:name ~hdfs graph with
+          | Some (_, optimized) -> (name, hdfs, graph, optimized)
+          | None -> Alcotest.failf "%s: no plan" name)
+       Experiments.Common.zoo)
+
+let netflix_prefixes =
+  lazy
+    (let hdfs = Experiments.Common.load_netflix ~movies:17000 in
+     let full = Workloads.Workflows.netflix_extended () in
+     ( hdfs,
+       List.init 18 (fun i ->
+           Experiments.Fig13_partitioning.prefix_graph full (i + 1)) ))
+
+let test_shared_context_zoo_and_prefixes () =
+  List.iter
+    (fun (name, hdfs, _, g) ->
+       Alcotest.(check bool) (name ^ ": shared = fresh") true
+         (shared_context_agrees ~fresh:(fun () -> estimator_for hdfs g) g))
+    (Lazy.force zoo_plans);
+  let hdfs, prefixes = Lazy.force netflix_prefixes in
+  List.iter
+    (fun g ->
+       Alcotest.(check bool)
+         (Printf.sprintf "NetFlix prefix of %d ops: shared = fresh"
+            (Ir.Dag.operator_count g))
+         true
+         (shared_context_agrees ~fresh:(fun () -> estimator_for hdfs g) g))
+    prefixes
+
+let prop_shared_context_agrees =
+  QCheck.Test.make ~name:"shared pricing context = fresh per call" ~count:30
+    gen_stages (fun stages ->
+      let g = graph_of_stages stages in
+      let hdfs = default_hdfs () in
+      shared_context_agrees ~fresh:(fun () -> estimator_for hdfs g) g)
+
+(* counted, not timed: a search computes a set's volumes at most once,
+   whatever the number of backends that admit it *)
+let test_volumes_priced_once_per_set () =
+  let check_partition label trace =
+    match Obs.Trace.find trace ~name:"partition" with
+    | [ s ] ->
+      let attr k =
+        match List.assoc_opt k s.Obs.Trace.attrs with
+        | Some (Obs.Trace.Int n) -> n
+        | _ -> Alcotest.failf "%s: partition span has no %s" label k
+      in
+      Alcotest.(check bool)
+        (label ^ ": volumes_priced <= sets_scored")
+        true
+        (attr "volumes_priced" <= attr "sets_scored")
+    | spans ->
+      Alcotest.failf "%s: %d partition spans" label (List.length spans)
+  in
+  List.iter
+    (fun (name, hdfs, graph, _) ->
+       let trace, _ =
+         Obs.Trace.collecting (fun () ->
+             Musketeer.plan
+               (Musketeer.with_history m (Musketeer.History.create ()))
+               ~workflow:name ~hdfs graph)
+       in
+       check_partition name trace)
+    (Lazy.force zoo_plans);
+  let hdfs, prefixes = Lazy.force netflix_prefixes in
+  List.iter
+    (fun g ->
+       let est = estimator_for hdfs g in
+       let ops = Ir.Dag.operator_count g in
+       List.iter
+         (fun (search, f) ->
+            let trace, _ =
+              Obs.Trace.collecting (fun () -> f ~profile ~est ~backends g)
+            in
+            check_partition (Printf.sprintf "%s at %d ops" search ops) trace)
+         (( "dynamic", Musketeer.Partitioner.dynamic )
+          ::
+          (if ops <= 10 then
+             [ ("exhaustive", Musketeer.Partitioner.exhaustive) ]
+           else [])))
+    prefixes
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_optimizer_preserves_semantics;
       prop_plans_partition_the_operators;
       prop_dynamic_cost_not_below_exhaustive;
       prop_execute_equals_interp;
-      prop_history_roundtrip ]
+      prop_history_roundtrip;
+      prop_shared_context_agrees ]
 
 let () =
   Alcotest.run "core"
@@ -1244,6 +1382,11 @@ let () =
           Alcotest.test_case "forced backend" `Quick test_forced_backend;
           Alcotest.test_case "fig16 multi-order" `Quick
             test_fig16_multi_order_not_worse ] );
+      ( "pricing",
+        [ Alcotest.test_case "shared context = fresh (zoo, prefixes)" `Quick
+            test_shared_context_zoo_and_prefixes;
+          Alcotest.test_case "volumes once per set" `Quick
+            test_volumes_priced_once_per_set ] );
       ( "jobgraph",
         [ Alcotest.test_case "extract runs" `Quick test_jobgraph_extract_runs;
           Alcotest.test_case "mapping" `Quick test_jobgraph_mapping;

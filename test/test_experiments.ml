@@ -115,6 +115,10 @@ let test_fig13_exponential_vs_linear () =
     match List.find (fun (ops, _, _) -> ops = x) rows with _, _, n -> n
   in
   Alcotest.(check bool) "exhaustive blows up" true (exh 14 > 20 * exh 8);
+  (* the paper's search re-scores every candidate: how it keys or
+     prices sets must not change which sets it scores *)
+  Alcotest.(check int) "exhaustive scores 119 sets at 8 ops" 119 (exh 8);
+  Alcotest.(check int) "exhaustive scores 2,399 sets at 14 ops" 2399 (exh 14);
   List.iter
     (fun x ->
        Alcotest.(check int)

@@ -161,7 +161,7 @@ let test_speculation_observed_matches_predicted () =
   let backend, ids = List.hd plan.Musketeer.Partitioner.jobs in
   let predicted_s =
     Musketeer.Cost.seconds
-      (Musketeer.Cost.job_cost ~profile:(Musketeer.profile m) ~graph:g' ~est
+      (Musketeer.Cost.job_cost ~profile:(Musketeer.profile m) ~est
          backend ids)
   in
   let base_s =
