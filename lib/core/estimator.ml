@@ -16,6 +16,7 @@ type t = {
   nodes : (int, Ir.Operator.node) Hashtbl.t;
   consumers : (int, int list) Hashtbl.t;
   outputs : (int, unit) Hashtbl.t;
+  bodies : (int, t) Hashtbl.t;  (* each WHILE node's body estimator *)
   body_passes : (int, float * float * int) Hashtbl.t;
   vertex_centric : (int, bool) Hashtbl.t;
 }
@@ -34,15 +35,13 @@ let iterations (kind : Ir.Operator.kind) =
    inputs, bound positionally *)
 let bind_body_inputs body ins =
   let bound = Hashtbl.create 8 in
-  (try
-     List.iter2
-       (fun (n : Ir.Operator.node) mb ->
-          match n.kind with
-          | Ir.Operator.Input { relation } -> Hashtbl.replace bound relation mb
-          | _ -> ())
-       (Ir.Dag.sources body) ins
-   with Invalid_argument _ -> ());
-  fun r -> Hashtbl.find_opt bound r
+  List.iter2
+    (fun (n : Ir.Operator.node) mb ->
+       match n.kind with
+       | Ir.Operator.Input { relation } -> Hashtbl.replace bound relation mb
+       | _ -> ())
+    (Ir.Dag.sources body) ins;
+  Hashtbl.find_opt bound
 
 (* each consumer once, in node order, as {!Ir.Dag.consumers} lists them *)
 let index_consumers (g : Ir.Dag.t) =
@@ -60,8 +59,8 @@ let index_consumers (g : Ir.Dag.t) =
   Hashtbl.filter_map_inplace (fun _ cs -> Some (List.rev cs)) consumers;
   consumers
 
-let rec build ?protect ~input_mb ~history ~workflow (g : Ir.Dag.t) =
-  let entries = Hashtbl.create 16 in
+let rec build ~input_mb ~history ~workflow (g : Ir.Dag.t) =
+  let entries = Hashtbl.create 16 and bodies = Hashtbl.create 2 in
   let out_of id = (Hashtbl.find entries id).out_mb in
   List.iter
     (fun (n : Ir.Operator.node) ->
@@ -74,9 +73,16 @@ let rec build ?protect ~input_mb ~history ~workflow (g : Ir.Dag.t) =
            | Some mb -> mb
            | None -> default_unknown_input_mb)
          | Ir.Operator.While { body; _ } ->
-           (* the loop's result is its body's first output; estimate one
-              body pass with the loop inputs bound *)
-           estimate_while ~history ~workflow ~body ~ins
+           (* the loop's result is its body's first output: estimate one
+              body pass with the loop inputs bound, a-priori (history is
+              keyed by top-level node ids) *)
+           let inner =
+             build ~input_mb:(bind_body_inputs body ins)
+               ~history:(History.create ()) ~workflow body
+           in
+           Hashtbl.replace bodies n.id inner;
+           (Hashtbl.find inner.entries (List.hd body.Ir.Operator.outputs))
+             .out_mb
          | kind ->
            let est = Ir.Sizing.of_kind kind ~inputs:ins in
            (match est.Ir.Sizing.upper with
@@ -98,21 +104,9 @@ let rec build ?protect ~input_mb ~history ~workflow (g : Ir.Dag.t) =
     (fun (n : Ir.Operator.node) -> Hashtbl.replace nodes n.id n)
     g.Ir.Operator.nodes;
   List.iter (fun id -> Hashtbl.replace outputs id ()) g.Ir.Operator.outputs;
-  { entries; fusion = Ir.Fusion.plan ?protect g; graph = g; nodes;
-    consumers = index_consumers g; outputs;
+  { entries; fusion = Ir.Fusion.plan g; graph = g; nodes;
+    consumers = index_consumers g; outputs; bodies;
     body_passes = Hashtbl.create 2; vertex_centric = Hashtbl.create 2 }
-
-and estimate_while ~history:_ ~workflow ~body ~ins =
-  (* bind body inputs positionally, then fold the body estimates;
-     history is keyed by top-level node ids, so bodies are estimated
-     a-priori *)
-  let inner =
-    build ~input_mb:(bind_body_inputs body ins)
-      ~history:(History.create ()) ~workflow body
-  in
-  match body.Ir.Operator.outputs with
-  | id :: _ -> (Hashtbl.find inner.entries id).out_mb
-  | [] -> 0.
 
 let fusion t = t.fusion
 
@@ -165,19 +159,8 @@ let rec body_pass t id =
   memo t.body_passes id @@ fun () ->
   let n = node t id in
   match n.Ir.Operator.kind with
-  | Ir.Operator.While { body; condition; _ } ->
-    (* mirror the executor: the loop driver reads the condition relation
-       by name, so its producer is a fusion barrier inside the body *)
-    let protect =
-      match condition with
-      | Ir.Operator.Until_empty r | Ir.Operator.Until_fixpoint r -> [ r ]
-      | Ir.Operator.Fixed_iterations _ -> []
-    in
-    let inner =
-      build ~protect
-        ~input_mb:(bind_body_inputs body (List.map (output_mb t) n.inputs))
-        ~history:(History.create ()) ~workflow:"body" body
-    in
+  | Ir.Operator.While { body; _ } ->
+    let inner = Hashtbl.find t.bodies id in
     let charges = charges inner ~within:(fun _ -> true) in
     List.fold_left
       (fun (process, comm, shuffles) (bn : Ir.Operator.node) ->

@@ -14,14 +14,15 @@
 
 type t
 
-(** [build ?protect ~input_mb ~history ~workflow g] — [input_mb]
-    resolves the size of INPUT relations (missing relations are treated
-    as produced upstream and must have been estimated; unknown names
-    default to 64 MB). [g]'s fusion plan is made here too, with
-    [protect] as {!Ir.Fusion.plan} takes it. *)
+(** [build ~input_mb ~history ~workflow g] — [input_mb] resolves the
+    size of INPUT relations (missing relations are treated as produced
+    upstream and must have been estimated; unknown names default to
+    64 MB). [g]'s fusion plan is made here too, and one estimator per
+    WHILE body, with the loop inputs bound to their producers'
+    estimates. *)
 val build :
-  ?protect:string list -> input_mb:(string -> float option) ->
-  history:History.t -> workflow:string -> Ir.Dag.t -> t
+  input_mb:(string -> float option) -> history:History.t ->
+  workflow:string -> Ir.Dag.t -> t
 
 (** The fusion plan of the graph the estimator was built for, made once
     however many candidate jobs {!Cost} prices against it. *)
@@ -52,9 +53,9 @@ val is_output : t -> int -> bool
 val charges : t -> within:(int -> bool) -> Engines.Perf.charges
 
 (** [body_pass t id] = [(process_mb, comm_mb, shuffles)] of one pass
-    of the WHILE node [id]'s body, with the loop inputs bound to the
-    estimated sizes of its producers; nested loops count their
-    iterations. Memoized per node; [(0, 0, 0)] for a non-WHILE node. *)
+    of the WHILE node [id]'s body, read off the body's estimator;
+    nested loops count their iterations. Memoized per node; [(0, 0, 0)]
+    for a non-WHILE node. *)
 val body_pass : t -> int -> float * float * int
 
 (** Whether the WHILE node [id]'s body is vertex-centric

@@ -87,7 +87,10 @@ let dispatch ~mode ~profile ~history ~workflow ~record_history ~hdfs ~inject
         report.Engines.Report.op_output_mb;
     report
 
-(* WHILE on a MapReduce engine: per-iteration job chains (§4.2) *)
+(* WHILE on a MapReduce engine: per-iteration job chains (§4.2). The
+   body's jobs run against a scope of their own, a snapshot of HDFS:
+   only the loop's result enters the caller's HDFS, with the scope's
+   read and written totals. *)
 let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
     ~inject ~share ~breaker ~graph ~recovery ~backend (n : Ir.Operator.node) =
   let condition, max_iterations, body =
@@ -96,127 +99,100 @@ let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
       (condition, max_iterations, body)
     | _ -> invalid_arg "Executor.expand_while: not a WHILE node"
   in
-  (* the body is a scope of its own: a relation it binds that exists
-     before the loop gets its entry back when the loop ends, so a later
-     reader sees what it would have seen without the loop *)
-  let shadowed =
-    List.filter_map
-      (fun (bn : Ir.Operator.node) ->
-         if Engines.Hdfs.mem hdfs bn.output then
-           Some (bn.output, Engines.Hdfs.get hdfs bn.output)
-         else None)
-      body.Ir.Operator.nodes
+  let scope = Engines.Hdfs.snapshot hdfs in
+  (* a binding that changes a relation in the scope invalidates the
+     shared entries that read it, as a job's write does *)
+  let bind r (e : Engines.Hdfs.entry) =
+    let unchanged = Engines.Hdfs.mem scope r && Engines.Hdfs.get scope r == e in
+    if not unchanged then begin
+      Engines.Hdfs.put scope r ~modeled_mb:e.modeled_mb e.table;
+      Option.iter (fun share -> Engines.Share.note_write share r) share
+    end
   in
-  (* bind the loop's inputs: alias producers' relations to the body's
-     INPUT names *)
-  let body_inputs = Ir.Dag.sources body in
-  (try
-     List.iter2
-       (fun (bn : Ir.Operator.node) producer_id ->
-          match bn.kind with
-          | Ir.Operator.Input { relation } ->
-            let producer_rel =
-              (Ir.Dag.node graph producer_id).Ir.Operator.output
-            in
-            if producer_rel <> relation then begin
-              let e = Engines.Hdfs.get hdfs producer_rel in
-              Engines.Hdfs.put hdfs relation
-                ~modeled_mb:e.Engines.Hdfs.modeled_mb e.Engines.Hdfs.table
-            end
-          | _ -> ())
-       body_inputs n.inputs
-   with Invalid_argument _ ->
-     raise
-       (Execution_failed
-          (Engines.Report.Unsupported "WHILE arity mismatch at expansion")));
-  let est =
-    Estimator.build
-      ~input_mb:(fun r ->
-        if Engines.Hdfs.mem hdfs r then Some (Engines.Hdfs.modeled_mb hdfs r)
-        else None)
-      ~history:(History.create ()) ~workflow body
-  in
+  (* planned once the loop's inputs are bound in the scope *)
   let body_plan =
-    match
-      Partitioner.dynamic ~profile ~est ~backends:[ backend ] body
-    with
-    | Some plan -> plan
-    | None ->
-      raise
-        (Execution_failed
-           (Engines.Report.Unsupported
-              (Printf.sprintf "cannot partition WHILE body for %s"
-                 (Engines.Backend.name backend))))
+    lazy
+      (let est =
+         Estimator.build
+           ~input_mb:(fun r ->
+             if Engines.Hdfs.mem scope r then
+               Some (Engines.Hdfs.modeled_mb scope r)
+             else None)
+           ~history:(History.create ()) ~workflow body
+       in
+       match Partitioner.dynamic ~profile ~est ~backends:[ backend ] body with
+       | Some plan -> plan
+       | None ->
+         raise
+           (Execution_failed
+              (Engines.Report.Unsupported
+                 (Printf.sprintf "cannot partition WHILE body for %s"
+                    (Engines.Backend.name backend)))))
   in
   let reports = ref [] in
-  let first_output =
-    match body.Ir.Operator.outputs with
-    | id :: _ -> (Ir.Dag.node body id).Ir.Operator.output
-    | [] ->
-      raise
-        (Execution_failed (Engines.Report.Unsupported "WHILE body no output"))
-  in
-  let rec iterate i =
-    let finished =
-      (* one sibling span per dynamically expanded iteration (§4.2) *)
-      Obs.Trace.with_span
-        ~attrs:[ ("loop", Obs.Trace.String n.Ir.Operator.output);
-                 ("iteration", Obs.Trace.Int i) ]
-        "while.iter"
-      @@ fun () ->
-      let previous_tables =
-        List.map
-          (fun r -> (r, Engines.Hdfs.table hdfs r))
-          body.Ir.Operator.loop_carried
-      in
-      List.iteri
-        (fun j (job_backend, ids) ->
-           let job_graph, mapping = Jobgraph.extract_mapped body ids in
-           let label =
-             Printf.sprintf "%s/iter%d/job%d" n.Ir.Operator.output i j
-           in
-           (* retries rewind to the job's pre-attempt snapshot, so a
-              half-written iteration cannot leak into the re-run *)
-           let pre = Engines.Hdfs.snapshot hdfs in
-           let reset () = Engines.Hdfs.restore hdfs ~from:pre in
-           let report =
-             let run =
-               Recovery.with_retries ?breaker ~reset ~policy:recovery
-                 ~workflow ~label ~backend:job_backend (fun () ->
-                   try
-                     Ok
-                       (dispatch ~mode ~profile ~history ~workflow
-                          ~record_history:false ~hdfs ~inject ~share ~label
-                          ~backend:job_backend job_graph mapping)
-                   with Execution_failed e -> Error e)
-             in
-             spend run.Recovery.retries;
-             match run.Recovery.result with
-             | Ok report -> report
-             | Error e -> raise (Execution_failed e)
-           in
-           ignore record_history;
-           reports := report :: !reports)
-        body_plan.Partitioner.jobs;
-      let current r = Engines.Hdfs.table hdfs r in
-      let previous r = List.assoc r previous_tables in
-      Ir.Interp.loop_finished condition ~iteration:i ~max_iterations ~current
-        ~previous
+  let pass i =
+    (* one sibling span per dynamically expanded iteration (§4.2) *)
+    Obs.Trace.with_span
+      ~attrs:[ ("loop", Obs.Trace.String n.Ir.Operator.output);
+               ("iteration", Obs.Trace.Int i) ]
+      "while.iter"
+    @@ fun () ->
+    List.iteri
+      (fun j (job_backend, ids) ->
+         let job_graph, mapping = Jobgraph.extract_mapped body ids in
+         let label =
+           Printf.sprintf "%s/iter%d/job%d" n.Ir.Operator.output i j
+         in
+         (* retries rewind to the job's pre-attempt snapshot, so a
+            half-written iteration cannot leak into the re-run *)
+         let pre = Engines.Hdfs.snapshot scope in
+         let reset () = Engines.Hdfs.restore scope ~from:pre in
+         let run =
+           Recovery.with_retries ?breaker ~reset ~policy:recovery ~workflow
+             ~label ~backend:job_backend (fun () ->
+               try
+                 Ok
+                   (dispatch ~mode ~profile ~history ~workflow
+                      ~record_history:false ~hdfs:scope ~inject ~share ~label
+                      ~backend:job_backend job_graph mapping)
+               with Execution_failed e -> Error e)
+         in
+         spend run.Recovery.retries;
+         match run.Recovery.result with
+         | Ok report -> reports := report :: !reports
+         | Error e -> raise (Execution_failed e))
+      (Lazy.force body_plan).Partitioner.jobs;
+    (* read before the driver rebinds anything in the scope *)
+    let produced =
+      List.map
+        (fun r -> (r, Engines.Hdfs.get scope r))
+        (Ir.Dag.output_relations body)
     in
-    if not finished then iterate (i + 1)
+    fun r -> List.assoc r produced
   in
-  iterate 1;
-  (* expose the loop's result under the WHILE node's output relation *)
-  let result = Engines.Hdfs.get hdfs first_output in
-  List.iter
-    (fun (r, (e : Engines.Hdfs.entry)) ->
-       Engines.Hdfs.put hdfs r ~modeled_mb:e.modeled_mb e.table)
-    shadowed;
-  Engines.Hdfs.put hdfs n.Ir.Operator.output
-    ~modeled_mb:result.Engines.Hdfs.modeled_mb result.Engines.Hdfs.table;
+  let result, _ =
+    Ir.Interp.loop ~bind ~pass
+      ~table:(fun (e : Engines.Hdfs.entry) -> e.table)
+      ~condition ~max_iterations body
+      (List.map
+         (fun id ->
+            Engines.Hdfs.get hdfs (Ir.Dag.node graph id).Ir.Operator.output)
+         n.inputs)
+  in
+  Engines.Hdfs.note_read hdfs
+    ~mb:(Engines.Hdfs.total_read_mb scope -. Engines.Hdfs.total_read_mb hdfs);
+  Engines.Hdfs.note_write hdfs
+    ~mb:
+      (Engines.Hdfs.total_written_mb scope
+       -. Engines.Hdfs.total_written_mb hdfs);
+  Engines.Hdfs.put hdfs n.Ir.Operator.output ~modeled_mb:result.modeled_mb
+    result.table;
+  Option.iter
+    (fun share -> Engines.Share.note_write share n.Ir.Operator.output)
+    share;
   if record_history then
     History.record history ~workflow ~node_id:n.Ir.Operator.id
-      ~output_mb:(Engines.Hdfs.modeled_mb hdfs n.Ir.Operator.output);
+      ~output_mb:result.modeled_mb;
   List.rev !reports
 
 let is_expandable_while ~backend ~graph ids =

@@ -46,12 +46,6 @@ let explain ?(backends = Engines.Backend.all) ~profile ~history ~workflow
                (Cost.job_cost ~profile ~est backend ids) ))
         p.Partitioner.jobs
   in
-  let op_ids =
-    List.filter_map
-      (fun (n : Ir.Operator.node) ->
-         match n.kind with Ir.Operator.Input _ -> None | _ -> Some n.id)
-      optimized.Ir.Operator.nodes
-  in
   let alternatives =
     List.map
       (fun backend ->
@@ -63,7 +57,6 @@ let explain ?(backends = Engines.Backend.all) ~profile ~history ~workflow
            | Some p -> Cost.Finite p.Partitioner.cost_s
            | None -> Cost.Infeasible "no single-backend plan"
          in
-         ignore op_ids;
          (backend, verdict))
       backends
   in

@@ -108,8 +108,7 @@ let pagerank_graph ~iterations =
       ~columns:[ "id"; "rank"; "degree" ] newrank
   in
   let body =
-    Ir.Builder.finish_body body_b ~outputs:[ out ]
-      ~loop_carried:[ "cal_ranks" ]
+    Ir.Builder.finish_body body_b ~carried:[ ("cal_ranks", out) ]
   in
   let b = Ir.Builder.create () in
   let ranks0 = Ir.Builder.input b "cal_ranks" in

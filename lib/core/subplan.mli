@@ -19,8 +19,9 @@ type candidate = {
   sc_ops : int;  (** operator count of the cone (INPUTs excluded) *)
 }
 
-(** Eligible cut points, topmost first, respecting WHILE-protected
-    names, UDF/BLACK_BOX opacity and fusion barriers. *)
+(** Eligible cut points, topmost first ({!Ir.Dag.sharable}: no WHILE
+    or carried INPUT in the cone, UDF/BLACK_BOX opacity, fusion
+    barriers). *)
 val candidates : Ir.Dag.t -> candidate list
 
 (** The prefix workflow rooted at a cut node: its input cone extracted

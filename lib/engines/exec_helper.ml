@@ -86,13 +86,10 @@ let table_of (n : Ir.Operator.node) v =
    measured selectivity, and the process volume is charged once
    ({!Perf.charges}); the row-local members' op_stats are recorded at
    the tail. A JOIN head is priced as the solo JOIN, and every other
-   node from its measured bytes. [protect] names relations the caller
-   will look up by name in the returned [by_name] (the WHILE driver's
-   condition relations). *)
-let rec eval_graph ?(protect = []) ~hdfs
-    ~(bound : (string, Table.t * float) Hashtbl.t) ~acc
+   node from its measured bytes. *)
+let rec eval_graph ~hdfs ~(bound : (string, Table.t * float) Hashtbl.t) ~acc
     (g : Ir.Operator.graph) =
-  let fplan = Ir.Fusion.plan ~protect g in
+  let fplan = Ir.Fusion.plan g in
   let charges = Perf.charges fplan g ~within:(fun _ -> true) in
   let values : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let by_name : (string, Table.t * float) Hashtbl.t = Hashtbl.create 16 in
@@ -329,59 +326,17 @@ let rec eval_graph ?(protect = []) ~hdfs
   (values, by_name)
 
 and eval_while ~hdfs ~acc ~condition ~max_iterations ~body ins =
-  let body_inputs = Ir.Dag.sources body in
-  if List.length body_inputs <> List.length ins then
-    exec_error "WHILE: body has %d inputs, %d provided"
-      (List.length body_inputs) (List.length ins);
-  let bound : (string, Table.t * float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter2
-    (fun (n : Ir.Operator.node) v ->
-       match n.kind with
-       | Ir.Operator.Input { relation } -> Hashtbl.replace bound relation v
-       | _ -> assert false)
-    body_inputs ins;
-  let first_output =
-    match body.Ir.Operator.outputs with
-    | id :: _ -> (Ir.Dag.node body id).Ir.Operator.output
-    | [] -> exec_error "WHILE: body has no outputs"
+  let bound = Hashtbl.create 8 in
+  let pass _ =
+    let _, by_name = eval_graph ~hdfs ~bound ~acc body in
+    Hashtbl.find by_name
   in
-  (* the loop driver reads the condition relation out of [by_name] each
-     iteration; the fusion planner must not make its producer a chain
-     interior, priced from a prior *)
-  let protect =
-    match condition with
-    | Ir.Operator.Until_empty r | Ir.Operator.Until_fixpoint r -> [ r ]
-    | Ir.Operator.Fixed_iterations _ -> []
+  let result, iterations =
+    Ir.Interp.loop ~bind:(Hashtbl.replace bound) ~pass ~table:fst ~condition
+      ~max_iterations body ins
   in
-  let result = ref None in
-  let rec iterate i =
-    let _, by_name = eval_graph ~protect ~hdfs ~bound ~acc body in
-    let find r =
-      match Hashtbl.find_opt by_name r with
-      | Some (t, mb) -> (t, mb)
-      | None -> exec_error "WHILE: body did not produce %S" r
-    in
-    let current r = fst (find r) in
-    let previous r =
-      match Hashtbl.find_opt bound r with
-      | Some (t, _) -> t
-      | None -> exec_error "WHILE: %S is not loop-carried" r
-    in
-    let finished =
-      Ir.Interp.loop_finished condition ~iteration:i ~max_iterations ~current
-        ~previous
-    in
-    List.iter
-      (fun r -> Hashtbl.replace bound r (find r))
-      body.Ir.Operator.loop_carried;
-    result := Some (find first_output);
-    if finished then acc.iterations <- max acc.iterations i
-    else iterate (i + 1)
-  in
-  iterate 1;
-  match !result with
-  | Some v -> v
-  | None -> assert false
+  acc.iterations <- max acc.iterations iterations;
+  result
 
 let execute ~hdfs (g : Ir.Operator.graph) =
   let acc =

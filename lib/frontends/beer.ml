@@ -426,23 +426,11 @@ and elaborate_while env ~cond ~maxiter ~body =
     (fun r -> bind body_env r (Ir.Builder.input body_builder r))
     free;
   elaborate_items body_env body;
-  (* body outputs: final bindings of loop-carried relations, re-named so
-     the carried relation is re-produced under its own name *)
-  let body_outputs =
-    List.map
-      (fun r ->
-         let h = List.assoc r body_env.bindings in
-         if Ir.Builder.relation h = r then h
-         else
-           (* carried relation must be re-produced under its own name;
-              insert a no-op SELECT true to rebind the name *)
-           Ir.Builder.select body_builder ~name:r ~pred:(Expr.bool true) h)
-      loop_carried
+  (* each carried relation's final binding replaces it next iteration *)
+  let carried =
+    List.map (fun r -> (r, List.assoc r body_env.bindings)) loop_carried
   in
-  let body_graph =
-    Ir.Builder.finish_body body_builder ~outputs:body_outputs
-      ~loop_carried
-  in
+  let body_graph = Ir.Builder.finish_body body_builder ~carried in
   let condition, default_max =
     match cond with
     | Citer n -> (Ir.Operator.Fixed_iterations n, n + 1)

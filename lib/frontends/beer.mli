@@ -5,8 +5,11 @@
     [WHILE] blocks iterate a group of statements with loop-carried
     relations inferred automatically (relations that the block both
     reads and re-binds). A name may be bound again; only its final
-    binding keeps the name in the IR (see {!Ir.Builder}). Example
-    (single-source shortest paths):
+    binding keeps the name in the IR (see {!Ir.Builder}). In a WHILE
+    body every binding gets a name of its own, and each carried
+    relation is paired with its final binding in the block, whatever
+    the order of its reads and binds. Example (single-source shortest
+    paths):
 
     {v
 dists = INPUT 'seeds';

@@ -199,7 +199,7 @@ let body_graph p ~vertices ~edges =
       ~columns:[ "id"; "vertex_value"; "vertex_degree" ]
       applied
   in
-  Ir.Builder.finish_body body_b ~outputs:[ next ] ~loop_carried:[ vertices ]
+  Ir.Builder.finish_body body_b ~carried:[ (vertices, next) ]
 
 let to_dataflow p ~vertices ~edges =
   let body = body_graph p ~vertices ~edges in

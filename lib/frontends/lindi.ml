@@ -143,19 +143,17 @@ and elaborate_iterate ctx ?name ~carrying ~iterations ~seeds ~body () =
          (Ir.Builder.input body_builder seed_name))
     seeds;
   let next = body (fun r -> Ref r) in
-  let outputs =
+  let carried =
     List.map
-      (fun carried ->
-         match List.assoc_opt carried next with
-         | Some q -> elaborate body_ctx ~name:carried q
+      (fun r ->
+         match List.assoc_opt r next with
+         | Some q -> (r, elaborate body_ctx ~name:r q)
          | None ->
            invalid_arg
-             (Printf.sprintf "Lindi.iterate: body does not produce %S" carried))
+             (Printf.sprintf "Lindi.iterate: body does not produce %S" r))
       carrying
   in
-  let body_graph =
-    Ir.Builder.finish_body body_builder ~outputs ~loop_carried:carrying
-  in
+  let body_graph = Ir.Builder.finish_body body_builder ~carried in
   let seed_handles = List.map (fun (_, q) -> elaborate ctx q) seeds in
   Ir.Builder.while_ ctx.builder ?name
     ~condition:(Ir.Operator.Fixed_iterations iterations)

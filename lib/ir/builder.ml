@@ -78,15 +78,11 @@ let top_k b ?name ~by ~descending ~k h =
 let udf b ?name u inputs = add b ?name (Operator.Udf u) inputs
 
 let while_ b ?name ~condition ~max_iterations ~body inputs =
-  let default_name =
-    match body.Operator.outputs with
-    | first :: _ -> Some (Dag.node body first).Operator.output
-    | [] -> None
-  in
   let name =
-    match name, default_name with
+    match name, body.Operator.carried with
     | Some n, _ -> Some n
-    | None, d -> d
+    | None, (old, _) :: _ -> Some old
+    | None, [] -> None
   in
   add b ?name (Operator.While { condition; max_iterations; body }) inputs
 
@@ -95,14 +91,14 @@ let black_box b ?name ~backend_hint ~description inputs =
 
 (* An INPUT keeps its relation's name. A given name stays with its last
    non-INPUT holder (a frontend's final binding), unless that holder
-   takes an INPUT's name without updating it in place and is not a
-   loop-carried body output (whose name is the loop's contract, so
-   validation rejects the body instead). A minted [tmp<id>] yields to
-   any given name. Every other holder becomes [<name>_<k>], the
-   smallest k >= 1 no given and no earlier new name uses; minted names
-   never contain '_', so a build without a collision keeps every name
-   (and its hash). *)
-let unique_names b ~outputs ~loop_carried =
+   takes an INPUT's name: at top level it may when it updates the INPUT
+   in place ([in_place]), while a WHILE body gives every definition its
+   own name and lists the carried pairs instead. A minted [tmp<id>]
+   yields to any given name. Every other holder becomes [<name>_<k>],
+   the smallest k >= 1 no given and no earlier new name uses; minted
+   names never contain '_', so a build without a collision keeps every
+   name (and its hash). *)
+let unique_names b ~in_place ~outputs =
   let nodes = List.rev b.rev_nodes in
   (* most builds are rewrites that mint nothing *)
   let minted =
@@ -128,8 +124,8 @@ let unique_names b ~outputs ~loop_carried =
     | _ ->
       Hashtbl.find last n.output = n.id
       && ((not (Hashtbl.mem scanned n.output))
-          || (List.mem n.output loop_carried && List.mem n.id outputs)
-          || Dag.replaces_input { Operator.nodes; outputs; loop_carried } n)
+          || in_place
+             && Dag.replaces_input { Operator.nodes; outputs; carried = [] } n)
   in
   if List.for_all keeps nodes then nodes
   else
@@ -147,19 +143,23 @@ let unique_names b ~outputs ~loop_carried =
          end)
       nodes
 
-let graph b ~outputs ~loop_carried =
+let graph b ~in_place ~outputs ~carried =
   Obs.Trace.with_span "ir.build" @@ fun () ->
+  let outputs = List.map id outputs in
+  let nodes = unique_names b ~in_place ~outputs in
+  let name h =
+    (List.find (fun (n : Operator.node) -> n.id = id h) nodes).output
+  in
   let g =
-    let outputs = List.map id outputs in
-    { Operator.nodes = unique_names b ~outputs ~loop_carried;
-      outputs;
-      loop_carried }
+    { Operator.nodes; outputs;
+      carried = List.map (fun (old, next) -> (old, name next)) carried }
   in
   Dag.validate g;
   Obs.Trace.add_attr "nodes" (Obs.Trace.Int (List.length g.Operator.nodes));
   Obs.Trace.add_attr "outputs" (Obs.Trace.Int (List.length g.Operator.outputs));
   g
 
-let finish b ~outputs = graph b ~outputs ~loop_carried:[]
+let finish b ~outputs = graph b ~in_place:true ~outputs ~carried:[]
 
-let finish_body b ~outputs ~loop_carried = graph b ~outputs ~loop_carried
+let finish_body b ~carried =
+  graph b ~in_place:false ~outputs:(List.map snd carried) ~carried

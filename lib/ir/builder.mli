@@ -25,11 +25,12 @@ val input : t -> string -> handle
     once: {!finish} keeps it on the last non-INPUT node that takes it
     and renames the others, and a minted name that a given one also
     uses, to ["<name>_<k>"], the smallest [k >= 1] no given name and no
-    earlier new name uses. It also renames a node that would take an
-    INPUT's name while another reader of that INPUT does not precede it
-    ({!Dag.replaces_input}), except a body's loop-carried output, which
-    {!finish_body} then rejects. A graph without such a collision keeps
-    its names. *)
+    earlier new name uses. A node that would take an INPUT's name is
+    renamed too, except, at top level, one that updates it in place
+    ({!Dag.replaces_input}); in a WHILE body every definition gets a
+    name of its own, and {!finish_body}'s carried pairs say which
+    replaces which INPUT. A graph without such a collision keeps its
+    names. *)
 
 val select : t -> ?name:string -> pred:Relation.Expr.t -> handle -> handle
 
@@ -81,8 +82,9 @@ val udf : t -> ?name:string -> Operator.udf -> handle list -> handle
 
 (** [while_ b ~condition ~max_iterations ~body inputs] adds a WHILE node.
     [body] must have been finished with {!finish_body}; [inputs] are
-    bound positionally to the body's INPUT relations in body order. The
-    WHILE's output is named [?name] or after the body's first output. *)
+    bound positionally to the body's INPUT nodes in body order. The
+    WHILE's output is named [?name] or after the INPUT relation of the
+    body's first carried pair. *)
 val while_ :
   t -> ?name:string -> condition:Operator.loop_condition ->
   max_iterations:int -> body:Operator.graph -> handle list -> handle
@@ -95,7 +97,9 @@ val black_box :
     validation. Raises {!Dag.Invalid} on inconsistency. *)
 val finish : t -> outputs:handle list -> Operator.graph
 
-(** Finish a WHILE body: [loop_carried] names relations rebound between
-    iterations; they must appear among the body's inputs and outputs. *)
-val finish_body :
-  t -> outputs:handle list -> loop_carried:string list -> Operator.graph
+(** Finish a WHILE body from its carried pairs [(old, next)]: [old] is
+    a body INPUT relation and [next] the node whose relation replaces
+    it in the next iteration, under whatever name {!finish} rules give
+    it. The [next] nodes are the body's outputs, in pair order; the
+    first is the loop's result. *)
+val finish_body : t -> carried:(string * handle) list -> Operator.graph

@@ -33,6 +33,17 @@ let replaces_input (g : t) (n : Operator.node) =
        List.mem c.id ancestors || not (List.exists scans_it c.inputs))
     g.nodes
 
+let output_relations (g : t) =
+  List.map (fun id -> (node g id).Operator.output) g.outputs
+
+let input_relations (g : t) =
+  List.filter_map
+    (fun (n : Operator.node) ->
+       match n.kind with
+       | Operator.Input { relation } -> Some relation
+       | _ -> None)
+    g.nodes
+
 let rec validate (g : t) =
   let seen = Hashtbl.create 16 in
   let names : (string, Operator.node) Hashtbl.t = Hashtbl.create 16 in
@@ -69,38 +80,22 @@ let rec validate (g : t) =
          if max_iterations <= 0 then
            invalid "node %d: WHILE max_iterations must be positive" n.id;
          validate body;
-         let body_inputs =
-           List.filter_map
-             (fun (b : Operator.node) ->
-                match b.kind with
-                | Operator.Input { relation } -> Some relation
-                | _ -> None)
-             body.nodes
-         in
+         if body.carried = [] then
+           invalid "node %d: WHILE carries no relation" n.id;
          List.iter
-           (fun r ->
-              if not (List.mem r body_inputs) then
-                invalid
-                  "node %d: loop-carried relation %S is not a body input"
-                  n.id r)
-           body.loop_carried;
-         let body_outputs =
-           List.map
-             (fun id -> (node body id).Operator.output)
-             body.outputs
-         in
-         List.iter
-           (fun r ->
-              if not (List.mem r body_outputs) then
-                invalid
-                  "node %d: loop-carried relation %S not produced by body"
-                  n.id r)
-           body.loop_carried;
+           (fun (old, next) ->
+              if not (List.mem old (input_relations body)) then
+                invalid "node %d: carried relation %S is not a body input"
+                  n.id old;
+              if not (List.mem next (output_relations body)) then
+                invalid "node %d: carried relation %S is not a body output"
+                  n.id next)
+           body.carried;
          (match condition with
           | Operator.Fixed_iterations k ->
             if k <= 0 then invalid "node %d: WHILE iteration bound %d" n.id k
           | Operator.Until_empty r | Operator.Until_fixpoint r ->
-            if not (List.mem r body.loop_carried) then
+            if not (List.mem_assoc r body.carried) then
               invalid
                 "node %d: WHILE condition relation %S is not loop-carried"
                 n.id r)
@@ -273,17 +268,6 @@ let external_outputs (g : t) ids =
                 (consumers g n.id)))
     g.nodes
 
-let output_relations (g : t) =
-  List.map (fun id -> (node g id).Operator.output) g.outputs
-
-let input_relations (g : t) =
-  List.filter_map
-    (fun (n : Operator.node) ->
-       match n.kind with
-       | Operator.Input { relation } -> Some relation
-       | _ -> None)
-    g.nodes
-
 let rec pp_graph indent ppf (g : t) =
   List.iter
     (fun (n : Operator.node) ->
@@ -347,8 +331,8 @@ let to_dot ?(name = "workflow") (g : t) =
    in its operator description, output relation and the hashes of its
    input nodes (bottom-up — [validate] guarantees inputs have lower
    ids, so one forward pass suffices); the graph hash combines the
-   sorted multiset of node hashes with the output-node and loop-carried
-   sets. Raw node ids never enter the hash, so two DAGs that differ
+   sorted multiset of node hashes with the output-node set and the
+   carried pairs. Raw node ids never enter the hash, so two DAGs that differ
    only in operator insertion order (and hence in id assignment) hash
    equal, while a duplicated subtree still differs from a shared one
    (the duplicate contributes its hash twice to the multiset). This is
@@ -409,7 +393,10 @@ and structural_hash (g : Operator.graph) =
     feed_sorted h (List.map (fun id -> hex (Hashtbl.find by_id id)) g.Operator.outputs)
   in
   let h = fnv_feed h "|carried|" in
-  let h = feed_sorted h g.Operator.loop_carried in
+  let h =
+    feed_sorted h
+      (List.map (fun (old, next) -> old ^ ">" ^ next) g.Operator.carried)
+  in
   hex h
 
 (* Hashes are recomputed on every ledger append, history record,
@@ -474,13 +461,13 @@ let cone (g : t) id =
    - never an INPUT (that is just a scan, shared as one) and never
      a workflow output (cutting there would rename an output relation);
    - it must have consumers (cutting a dead sink shares nothing);
-   - its cone must not contain WHILE (loop expansion writes
-     loop-carried relations into HDFS by name), UDF or BLACK_BOX
-     (their closures/side effects are invisible to the hash, so
-     hash-equal cones could compute different bytes);
-   - no cone relation may be WHILE-protected: inside a loop body the
-     loop-carried inputs are rebound every iteration, so a prefix
-     reading them is never the same computation twice;
+   - its cone must not contain WHILE (loop expansion runs against a
+     scope of its own), UDF or BLACK_BOX (their closures/side effects
+     are invisible to the hash, so hash-equal cones could compute
+     different bytes);
+   - its cone must not read a carried INPUT: inside a loop body those
+     are rebound every iteration, so a prefix reading them is never the
+     same computation twice;
    - [barrier] lets callers exclude more nodes — the serving layer
      passes the fusion plan's chain interiors, whose tables fusion
      promises never to materialize. *)
@@ -494,14 +481,12 @@ let sharable ?(barrier = fun _ -> false) (g : t) id =
     && (not (barrier id))
     && List.for_all
          (fun cid ->
-            let c = node g cid in
-            (match c.Operator.kind with
-             | Operator.While _ | Operator.Udf _ | Operator.Black_box _ ->
-               false
-             | Operator.Input { relation } ->
-               not (List.mem relation g.loop_carried)
-             | _ -> true)
-            && not (List.mem c.Operator.output g.loop_carried))
+            match (node g cid).Operator.kind with
+            | Operator.While _ | Operator.Udf _ | Operator.Black_box _ ->
+              false
+            | Operator.Input { relation } ->
+              not (List.mem_assoc relation g.carried)
+            | _ -> true)
          (cone g id)
 
 (* The matched frontier between two DAGs: pairs of nodes with equal

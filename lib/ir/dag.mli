@@ -10,12 +10,17 @@
     output name, so no two nodes of a graph share one. A WHILE body is
     a scope of its own. Two INPUTs of one relation share its name, and
     a node may take the name of an INPUT whose every other reader is
-    its ancestor, an in-place update: a body's loop-carried result
-    replaces the INPUT it rebinds, and k-means' WHILE result replaces
+    its ancestor, an in-place update: k-means' WHILE result replaces
     its [centroids] input, so a second run on the same HDFS starts
     from the first run's centroids. {!Builder} establishes the rule:
     when a frontend binds a name twice, only the final binding keeps
-    it. *)
+    it, and a body's definitions all get names of their own, its
+    carried pairs saying which replaces which INPUT.
+
+    A WHILE node takes as many inputs as its body has INPUT nodes and
+    carries at least one pair: each pair's first relation is a body
+    INPUT and its second a body output, and the condition names a
+    pair's INPUT. *)
 
 type t = Operator.graph
 
@@ -84,7 +89,7 @@ val pp : Format.formatter -> t -> unit
 val to_dot : ?name:string -> t -> string
 
 (** Stable structural hash ("fnv1a:<16 hex>") over operator
-    descriptions, edges, output relations and loop-carried names,
+    descriptions, edges, output relations and carried pairs,
     recursing into WHILE bodies. Node ids never enter the hash, so the
     result is independent of operator insertion order: two graphs built
     in different orders but with the same structure hash equal, while
@@ -120,7 +125,8 @@ val cone : t -> int -> int list
 (** [sharable ?barrier g id] — is [id] a sound subplan cut point?
     True when the node is not an INPUT, not a workflow output, has at
     least one consumer, its cone contains no WHILE/UDF/BLACK_BOX
-    operator and touches no WHILE-protected (loop-carried) relation,
+    operator and reads no carried INPUT (a body's carried relations are
+    rebound every iteration),
     and [barrier id] is false for it. [barrier] (default: none) lets
     callers exclude additional nodes, e.g. fusion-chain interiors
     whose tables fusion promises never to materialize. *)

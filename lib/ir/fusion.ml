@@ -168,10 +168,7 @@ let argmin_of g ~consumers ~hidden (c : chain) =
     { cross = x.id; map = m.id; group = gb.id; join = j.id; select = s.id;
       target; expr; key = left_key; min_as; min_column }
 
-let plan ?(protect = []) (g : Operator.graph) =
-  let protected : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace protected r ()) protect;
-  List.iter (fun r -> Hashtbl.replace protected r ()) g.loop_carried;
+let plan (g : Operator.graph) =
   let is_output : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.replace is_output id ()) g.outputs;
   (* every node's consumers, in one pass: the cost model plans each
@@ -186,11 +183,10 @@ let plan ?(protect = []) (g : Operator.graph) =
          n.inputs)
     g.nodes;
   let taken : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* whether nobody but its consumers — not job output collection, not
-     a by-name lookup — can see [t]'s table *)
-  let hidden (t : Operator.node) =
-    not (Hashtbl.mem is_output t.id || Hashtbl.mem protected t.output)
-  in
+  (* whether nobody but its consumers can see [t]'s table: job output
+     collection and the WHILE driver (whose carried relations are body
+     outputs) read outputs only *)
+  let hidden (t : Operator.node) = not (Hashtbl.mem is_output t.id) in
   (* the node that may follow [t] in a chain: [t]'s single consumer,
      when [t] is hidden *)
   let next (t : Operator.node) =

@@ -17,11 +17,9 @@
     when nothing else can observe its table:
 
     - it has exactly one consumer, which is the next chain member;
-    - it is not a workflow output ([g.outputs]);
-    - its output name is not one the WHILE driver looks up by name
-      (loop-carried and loop-condition relations — see the [protect]
-      argument; body outputs are outputs, and only an INPUT, never a
-      chain member, can share an output's name, see {!Dag}).
+    - it is not a workflow output ([g.outputs]); the WHILE driver
+      looks up nothing else by name, since every carried relation,
+      the condition's included, is a body output.
 
     One more shape closes over a JOIN head: the {e arg-min diamond}
     ({!argmin}). And a MAP read by nothing but a GROUP BY runs inside
@@ -57,11 +55,11 @@ type role =
     ({!Relation.Columnar.try_argmin}): the CROSS, the MAP and the JOIN
     leave no table, the GROUP BY's table and the SELECT's come from the
     kernel, and the nodes from [g] to [best] run on their own. [d] has
-    two consumers, but both are members: like [x], it is neither a
-    workflow output nor a protected name, so nothing outside the shape
-    can ask for its table. Pricing is untouched: the CROSS, the MAP and
-    the GROUP BY stay {!Solo} and the JOIN a {!Head}, priced from the
-    sizes the kernel computes from counts. *)
+    two consumers, but both are members: like [x], it is not a
+    workflow output, so nothing outside the shape can ask for its
+    table. Pricing is untouched: the CROSS, the MAP and the GROUP BY
+    stay {!Solo} and the JOIN a {!Head}, priced from the sizes the
+    kernel computes from counts. *)
 type argmin = {
   cross : int;  (** [x] *)
   map : int;  (** [d] *)
@@ -79,8 +77,8 @@ type argmin = {
     {v
     m = MAP t target := expr;  g = GROUP BY m keys aggs
     v}
-    where [m] is neither a workflow output nor a protected name, so
-    nothing but [g] can ask for its table, and [target] is not one of
+    where [m] is not a workflow output, so nothing but [g] can ask
+    for its table, and [target] is not one of
     [keys]. It runs as one kernel, the GROUP BY's blocked pass with the
     MAP's program run on each block
     ({!Relation.Columnar.try_map_group_by}): [m] leaves no table, and
@@ -101,11 +99,8 @@ type map_group_by = {
 
 type plan
 
-(** [plan ?protect g] groups maximal fusable chains of [g]. [protect]
-    adds relation names that must stay materialized under their own
-    node (used for WHILE bodies, whose condition relations are looked
-    up by name by the loop driver). *)
-val plan : ?protect:string list -> Operator.graph -> plan
+(** [plan g] groups maximal fusable chains of [g]. *)
+val plan : Operator.graph -> plan
 
 val chains : plan -> chain list
 

@@ -11,7 +11,7 @@ let taints (body : Operator.graph) =
        let own =
          match n.kind with
          | Operator.Input { relation } ->
-           if List.mem relation body.loop_carried then
+           if List.mem_assoc relation body.carried then
              { carried = true; read_only = false }
            else { carried = false; read_only = true }
          | _ -> { carried = false; read_only = false }

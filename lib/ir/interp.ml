@@ -54,20 +54,43 @@ let eval_kind (kind : Operator.kind) (inputs : Table.t list) =
     runtime_error "%s: wrong number of inputs (%d)" (Operator.kind_name kind)
       (List.length inputs)
 
-let loop_finished condition ~iteration ~max_iterations ~current ~previous =
-  Obs.Trace.with_span
-    ~attrs:[ ("iteration", Obs.Trace.Int iteration) ]
-    "while.test"
-  @@ fun () ->
-  if iteration >= max_iterations then true
-  else
-    match condition with
-    | Operator.Fixed_iterations n -> iteration >= n
-    | Operator.Until_empty r -> Table.is_empty (current r)
-    | Operator.Until_fixpoint r ->
-      Table.equal_unordered (current r) (previous r)
+let loop ~bind ~pass ~table ~condition ~max_iterations (body : Operator.graph)
+    inputs =
+  (* each body INPUT's current value, for the fixpoint test *)
+  let bound = Hashtbl.create 4 in
+  let rebind r v =
+    Hashtbl.replace bound r v;
+    bind r v
+  in
+  List.iter2
+    (fun (n : Operator.node) v ->
+       match n.kind with
+       | Operator.Input { relation } -> rebind relation v
+       | _ -> assert false)
+    (Dag.sources body) inputs;
+  let first = (Dag.node body (List.hd body.outputs)).output in
+  let rec iterate i =
+    let find = pass i in
+    let renewed r = table (find (List.assoc r body.carried)) in
+    let finished =
+      Obs.Trace.with_span
+        ~attrs:[ ("iteration", Obs.Trace.Int i) ]
+        "while.test"
+      @@ fun () ->
+      i >= max_iterations
+      ||
+      match condition with
+      | Operator.Fixed_iterations n -> i >= n
+      | Operator.Until_empty r -> Table.is_empty (renewed r)
+      | Operator.Until_fixpoint r ->
+        Table.equal_unordered (renewed r) (table (Hashtbl.find bound r))
+    in
+    List.iter (fun (old, next) -> rebind old (find next)) body.carried;
+    if finished then (find first, i) else iterate (i + 1)
+  in
+  iterate 1
 
-let rec run ~(store : store) (g : Dag.t) =
+let rec eval ~lookup (g : Dag.t) =
   let values : (int, Table.t) Hashtbl.t = Hashtbl.create 16 in
   let bindings = ref [] in
   List.iter
@@ -83,11 +106,24 @@ let rec run ~(store : store) (g : Dag.t) =
        let result =
          match n.kind with
          | Operator.Input { relation } -> (
-           match Hashtbl.find_opt store relation with
+           match lookup relation with
            | Some t -> t
            | None -> runtime_error "missing input relation %S" relation)
          | Operator.While { condition; max_iterations; body } ->
-           run_while ~store ~condition ~max_iterations ~body input_tables
+           (* a pass sees the loop's bindings over the enclosing ones *)
+           let bound = Hashtbl.create 8 in
+           let lookup r =
+             match Hashtbl.find_opt bound r with
+             | Some t -> Some t
+             | None -> lookup r
+           in
+           let pass _ =
+             let bindings = eval ~lookup body in
+             fun r -> List.assoc r bindings
+           in
+           fst
+             (loop ~bind:(Hashtbl.replace bound) ~pass ~table:Fun.id
+                ~condition ~max_iterations body input_tables)
          | _ -> eval_kind n.kind input_tables
        in
        Hashtbl.replace values n.id result;
@@ -95,59 +131,7 @@ let rec run ~(store : store) (g : Dag.t) =
     g.nodes;
   List.rev !bindings
 
-and run_while ~store ~condition ~max_iterations ~body input_tables =
-  let body_inputs = Dag.sources body in
-  if List.length body_inputs <> List.length input_tables then
-    runtime_error "WHILE: body has %d inputs but %d were provided"
-      (List.length body_inputs)
-      (List.length input_tables);
-  (* Current binding of every body input relation. Loop-carried ones are
-     rebound after each iteration; the rest stay fixed (e.g. the edge
-     relation of PageRank). *)
-  let bound : (string, Table.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter2
-    (fun (n : Operator.node) t ->
-       match n.kind with
-       | Operator.Input { relation } -> Hashtbl.replace bound relation t
-       | _ -> assert false)
-    body_inputs input_tables;
-  let result = ref None in
-  let rec iterate i =
-    let iteration_store : store = Hashtbl.copy store in
-    Hashtbl.iter (fun r t -> Hashtbl.replace iteration_store r t) bound;
-    let iteration_bindings = run ~store:iteration_store body in
-    (* a body node may legitimately re-produce a relation name it reads
-       (loop carry); the newest binding wins *)
-    let find r =
-      match List.assoc_opt r (List.rev iteration_bindings) with
-      | Some t -> t
-      | None -> runtime_error "WHILE: body did not produce %S" r
-    in
-    let previous r =
-      match Hashtbl.find_opt bound r with
-      | Some t -> t
-      | None -> runtime_error "WHILE: %S is not loop-carried" r
-    in
-    let first_output =
-      match body.Operator.outputs with
-      | id :: _ -> (Dag.node body id).Operator.output
-      | [] -> runtime_error "WHILE: body has no outputs"
-    in
-    let finished =
-      loop_finished condition ~iteration:i ~max_iterations ~current:find
-        ~previous
-    in
-    (* rebind loop-carried relations for the next round *)
-    List.iter
-      (fun r -> Hashtbl.replace bound r (find r))
-      body.loop_carried;
-    result := Some (find first_output);
-    if not finished then iterate (i + 1)
-  in
-  iterate 1;
-  match !result with
-  | Some t -> t
-  | None -> assert false
+let run ~store g = eval ~lookup:(Hashtbl.find_opt store) g
 
 let outputs ~store g =
   let bindings = run ~store g in

@@ -6,8 +6,9 @@
     [Interp] output, and the engines only differ in simulated time.
 
     WHILE operators are executed by successive body expansion, as the
-    paper describes (§4.2): each iteration re-evaluates the body with the
-    loop-carried relations rebound to the previous iteration's outputs. *)
+    paper describes (§4.2): each iteration re-evaluates the body with
+    every carried pair's INPUT rebound to the relation that replaces it
+    ({!loop}). *)
 
 exception Runtime_error of string
 
@@ -31,12 +32,18 @@ val outputs : store:store -> Dag.t -> (string * Relation.Table.t) list
     rejected with {!Runtime_error} (engines handle them structurally). *)
 val eval_kind : Operator.kind -> Relation.Table.t list -> Relation.Table.t
 
-(** [loop_finished condition ~iteration ~max_iterations ~current ~previous]
-    decides whether a WHILE loop should stop *after* an iteration, given
-    the loop-carried relation values before and after it, inside a
-    [while.test] span. Exposed so engine simulators implement
-    identical loop semantics. *)
-val loop_finished :
-  Operator.loop_condition -> iteration:int -> max_iterations:int ->
-  current:(string -> Relation.Table.t) ->
-  previous:(string -> Relation.Table.t) -> bool
+(** [loop ~bind ~pass ~table ~condition ~max_iterations body inputs] is
+    the one WHILE driver: the interpreter, the engines' interpreter and
+    the per-iteration job chains of a MapReduce engine each supply
+    only their [pass]. It binds [inputs] positionally to [body]'s
+    INPUT nodes with [bind]; then each iteration [i] runs [pass i],
+    which returns a lookup of the relations that pass produced, tests
+    the condition after it (inside a [while.test] span: [Until_empty r]
+    and [Until_fixpoint r] read the relation paired with the INPUT
+    [r]), and rebinds every carried pair's INPUT to its new value with
+    [bind]. Returns the body's first output after the last iteration,
+    and the iteration count. [table] reads a value's table. *)
+val loop :
+  bind:(string -> 'v -> unit) -> pass:(int -> string -> 'v) ->
+  table:('v -> Relation.Table.t) -> condition:Operator.loop_condition ->
+  max_iterations:int -> Operator.graph -> 'v list -> 'v * int

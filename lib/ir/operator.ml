@@ -47,7 +47,7 @@ and node = {
 and graph = {
   nodes : node list;
   outputs : int list;
-  loop_carried : string list;
+  carried : (string * string) list;
 }
 
 let expected_arity = function
@@ -59,7 +59,13 @@ let expected_arity = function
   | Intersect | Difference ->
     Some 2
   | Udf u -> Some u.arity
-  | While _ | Black_box _ -> None
+  | While { body; _ } ->
+    Some
+      (List.length
+         (List.filter
+            (fun n -> match n.kind with Input _ -> true | _ -> false)
+            body.nodes))
+  | Black_box _ -> None
 
 let kind_name = function
   | Input _ -> "INPUT"

@@ -17,11 +17,11 @@ type loop_condition =
   | Fixed_iterations of int
       (** the paper's [ITERATION_STOP (iteration < n)] *)
   | Until_empty of string
-      (** iterate while the named loop-carried relation has rows
-          (frontier-style algorithms, e.g. SSSP) *)
+      (** iterate while the new value of the named carried INPUT has
+          rows (frontier-style algorithms, e.g. SSSP) *)
   | Until_fixpoint of string
-      (** iterate until the named loop-carried relation stops changing
-          (within [max_iterations] as a safety net) *)
+      (** iterate until the named carried INPUT's new value equals its
+          old one (within [max_iterations] as a safety net) *)
 
 type kind =
   | Input of { relation : string }
@@ -78,13 +78,15 @@ and node = {
 and graph = {
   nodes : node list;       (** in increasing-id order *)
   outputs : int list;      (** ids of nodes whose relations are workflow results *)
-  loop_carried : string list;
-      (** for WHILE bodies only: relation names rebound between
-          iterations (body inputs consumed and re-produced each round) *)
+  carried : (string * string) list;
+      (** for WHILE bodies only: the loop-carried pairs [(old, next)],
+          where [old] is a body INPUT relation and [next] the body
+          output relation that replaces it in the next iteration *)
 }
 
-(** Number of inputs the operator consumes. [None] for UDFs (checked
-    against [udf.arity]) and WHILE (its body determines it). *)
+(** Number of inputs the operator consumes: a UDF's [arity], a WHILE's
+    count of body INPUT nodes (bound positionally); [None] for
+    BLACK_BOX. *)
 val expected_arity : kind -> int option
 
 (** Short name used in plans, costs tables and rendered code. *)

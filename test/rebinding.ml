@@ -1,7 +1,8 @@
 (* Programs that bind one name more than once, in BEER, Pig and Hive. Only
    the final binding keeps the user's name: {!Ir.Builder} gives every
-   superseded binding, and a result that would overwrite a relation
-   still read elsewhere, a fresh [<name>_<k>]. test_frontends checks
+   superseded binding, a result that would overwrite a relation still
+   read elsewhere, and every definition in a WHILE body, a fresh
+   [<name>_<k>]. test_frontends checks
    what each computes; test_differential runs each under every mapping
    against the oracle, where two relations under one name would show
    up as a wrong answer. *)
@@ -56,6 +57,16 @@ let input_after_loop =
      delta = d DIFFERENCE old;\n\
      OUTPUT delta;\n"
 
+(* the new [d] is defined before [e] reads the old one: each carried
+   relation's new definition has a name of its own *)
+let carried_out_of_order =
+  "WHILE (CHANGES d) MAXITER 5 {\n\
+  \  e = MAP d SET v = v + 1;\n\
+  \  d = SELECT k, v FROM f;\n\
+  \  f = DISTINCT e;\n\
+   }\n\
+   OUTPUT d;\n"
+
 let pig_twice =
   "a = LOAD 'r';\n\
    b = FILTER a BY v > 1;\n\
@@ -76,6 +87,9 @@ let cases =
     ("beer input after loop",
      (fun () -> Frontends.Beer.parse input_after_loop),
      [ ("d", kv [ (1, 0); (2, 2); (3, 9) ]) ]);
+    ("beer carried out of order",
+     (fun () -> Frontends.Beer.parse carried_out_of_order),
+     [ ("d", kv [ (1, 0) ]); ("f", kv [ (1, 0); (2, 2); (2, 2) ]) ]);
     ("pig alias twice", (fun () -> Frontends.Pig.parse pig_twice),
      [ ("r", r) ]);
     ("hive name twice", (fun () -> Frontends.Hive.parse hive_twice),

@@ -131,7 +131,7 @@ let test_exec_iteration_count () =
       st
   in
   let body =
-    Ir.Builder.finish_body body_b ~outputs:[ next ] ~loop_carried:[ "s" ]
+    Ir.Builder.finish_body body_b ~carried:[ ("s", next) ]
   in
   let b = Ir.Builder.create () in
   let init = Ir.Builder.input b "s" in

@@ -182,8 +182,9 @@ let test_beer_while_loop_carried_inference () =
       g.Ir.Operator.nodes
     |> Option.get
   in
-  Alcotest.(check (list string)) "carried" [ "dists" ]
-    while_body.Ir.Operator.loop_carried
+  Alcotest.(check (list (pair string string))) "carried"
+    [ ("dists", "dists_1") ]
+    while_body.Ir.Operator.carried
 
 let test_beer_parse_errors () =
   let expect_error src =
@@ -196,15 +197,7 @@ let test_beer_parse_errors () =
   expect_error "x = r JOIN;";
   expect_error "WHILE (ITERATION < 2) { y = MAP r SET v = v + 1; }";
   (* WHILE must re-bind something it reads *)
-  expect_error "= broken";
-  (* the body's new [d] would overwrite the [d] that [e] reads, which
-     the IR's naming rule rejects (Ir.Dag.Invalid, as a Parse_error) *)
-  expect_error
-    "WHILE (CHANGES d) MAXITER 5 {\n\
-    \  e = MAP d SET v = v + 1;\n\
-    \  d = SELECT k, v FROM f;\n\
-    \  f = DISTINCT e;\n\
-     }\n"
+  expect_error "= broken"
 
 (* a name bound more than once: only the final binding keeps it, and
    every case computes what its bindings say (cases in rebinding.ml) *)
@@ -239,7 +232,7 @@ let test_rebinding () =
   in
   expect "beer sssp"
     ~body:[ "dists"; "edges"; "step"; "cand"; "tmp4"; "tmp5"; "next";
-            "dists_1"; "dists" ]
+            "dists_1"; "dists_2" ]
     [ ("dists",
        Rebinding.table [ "node"; "cost" ]
          [ [ 1; 0 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 6 ] ]) ]
@@ -252,6 +245,10 @@ let test_rebinding () =
   expect "beer input after loop"
     [ ("delta", kv_table [ (1, 4); (2, 4) ]) ]
     [ "d"; "d_1"; "d"; "delta" ];
+  (* d = f, then f = DISTINCT (d + 1): d5 = DISTINCT (f0 + 2) *)
+  expect "beer carried out of order" ~body:[ "d"; "f"; "e"; "d_1"; "f_1" ]
+    [ ("d", kv_table [ (1, 2); (2, 4) ]) ]
+    [ "d"; "f"; "d" ];
   expect "pig alias twice"
     [ ("out", kv_table [ (2, 2); (4, 5) ]) ]
     [ "r"; "b_1"; "b_2"; "b"; "out" ];

@@ -66,26 +66,50 @@ let test_output_barrier () =
     "a workflow output cannot be fused away" 0
     (List.length (Ir.Fusion.chains (Ir.Fusion.plan g)))
 
+(* the WHILE driver reads a loop's condition relation by name: it is
+   a carried pair's new side, so a body output, and a body output is
+   never a chain interior *)
 let test_protected_name_barrier () =
-  let b = Ir.Builder.create () in
-  let r = Ir.Builder.input b "r" in
-  let s =
-    Ir.Builder.select b ~name:"cond"
-      ~pred:Relation.Expr.(col "v" > int 10)
-      r
+  let body ~carry_x =
+    let b = Ir.Builder.create () in
+    let x = Ir.Builder.input b "x" in
+    ignore (Ir.Builder.input b "y");
+    let s =
+      Ir.Builder.select b ~name:"x" ~pred:Relation.Expr.(col "v" > int 10) x
+    in
+    let m =
+      Ir.Builder.map b ~name:"y" ~target:"v"
+        ~expr:Relation.Expr.(col "v" + int 1)
+        s
+    in
+    let carried = [ ("y", m) ] in
+    ( Ir.Builder.finish_body b
+        ~carried:(if carry_x then ("x", s) :: carried else carried),
+      Ir.Builder.id s )
   in
-  let m =
-    Ir.Builder.map b ~name:"out" ~target:"v"
-      ~expr:Relation.Expr.(col "v" + int 1)
-      s
+  let loop body =
+    let b = Ir.Builder.create () in
+    let w =
+      Ir.Builder.while_ b ~condition:(Ir.Operator.Until_empty "x")
+        ~max_iterations:5 ~body
+        [ Ir.Builder.input b "x0"; Ir.Builder.input b "y0" ]
+    in
+    Ir.Builder.finish b ~outputs:[ w ]
   in
-  let g = Ir.Builder.finish b ~outputs:[ m ] in
-  Alcotest.(check int)
-    "without protection the pair fuses" 1
-    (List.length (Ir.Fusion.chains (Ir.Fusion.plan g)));
-  Alcotest.(check int)
-    "protecting the interior's name blocks the chain" 0
-    (List.length (Ir.Fusion.chains (Ir.Fusion.plan ~protect:[ "cond" ] g)))
+  let chains body = List.length (Ir.Fusion.chains (Ir.Fusion.plan body)) in
+  let carrying, s = body ~carry_x:true in
+  ignore (loop carrying);
+  Alcotest.(check int) "the condition's producer heads no chain" 0
+    (chains carrying);
+  Alcotest.(check bool) "nor sits inside one" true
+    (match Ir.Fusion.role (Ir.Fusion.plan carrying) s with
+     | Ir.Fusion.Interior _ -> false
+     | _ -> true);
+  let uncarried, _ = body ~carry_x:false in
+  Alcotest.(check int) "not carried, the pair fuses" 1 (chains uncarried);
+  match loop uncarried with
+  | _ -> Alcotest.fail "a condition on an uncarried relation validated"
+  | exception Ir.Dag.Invalid _ -> ()
 
 let test_while_body_plan () =
   let b = Ir.Builder.create () in
@@ -98,7 +122,7 @@ let test_while_body_plan () =
       ~pred:Relation.Expr.(col "k" > int (-1))
       m
   in
-  let body = Ir.Builder.finish_body b ~outputs:[ o ] ~loop_carried:[ "x" ] in
+  let body = Ir.Builder.finish_body b ~carried:[ ("x", o) ] in
   match Ir.Fusion.chains (Ir.Fusion.plan body) with
   | [ c ] ->
     Alcotest.(check int) "three fused ops inside the loop body" 3
@@ -164,11 +188,11 @@ let test_plan_join_head () =
   | cs -> Alcotest.failf "expected one chain, got %d" (List.length cs)
 
 let test_join_head_barriers () =
-  let join_heads ?protect g =
+  let join_heads g =
     List.length
       (List.filter
          (fun (c : Ir.Fusion.chain) -> c.join_head)
-         (Ir.Fusion.chains (Ir.Fusion.plan ?protect g)))
+         (Ir.Fusion.chains (Ir.Fusion.plan g)))
   in
   let g, _, _, _ = join_graph ~join_is_output:true () in
   Alcotest.(check int) "a JOIN that is an output" 0 (join_heads g);
@@ -177,8 +201,7 @@ let test_join_head_barriers () =
   let g, _, _, _ = join_graph ~after:`Map () in
   Alcotest.(check int) "a JOIN followed by a MAP" 0 (join_heads g);
   let g, _, _, _ = join_graph () in
-  Alcotest.(check int) "a protected JOIN" 0 (join_heads ~protect:[ "j" ] g);
-  Alcotest.(check int) "an unprotected JOIN" 1 (join_heads g)
+  Alcotest.(check int) "a JOIN only its SELECT reads" 1 (join_heads g)
 
 (* ---- fused execution is byte-identical ---- *)
 
@@ -255,7 +278,7 @@ let test_while_fused () =
       ~pred:Relation.Expr.(col "k" > int (-1))
       m
   in
-  let body = Ir.Builder.finish_body b ~outputs:[ o ] ~loop_carried:[ "x" ] in
+  let body = Ir.Builder.finish_body b ~carried:[ ("x", o) ] in
   let b = Ir.Builder.create () in
   let r = Ir.Builder.input b "r" in
   let loop =
@@ -394,7 +417,7 @@ let test_plan_argmin () =
     | Some body -> body
     | None -> Alcotest.fail "k-means has no WHILE"
   in
-  let diamonds ?protect g = Ir.Fusion.argmins (Ir.Fusion.plan ?protect g) in
+  let diamonds g = Ir.Fusion.argmins (Ir.Fusion.plan g) in
   (match diamonds body with
    | [ a ] ->
      Alcotest.(check (list int)) "members" [ 2; 3; 4; 7; 8 ]
@@ -405,8 +428,6 @@ let test_plan_argmin () =
    | ds -> Alcotest.failf "expected one diamond, got %d" (List.length ds));
   Alcotest.(check int) "d is an output" 0
     (List.length (diamonds { body with outputs = 3 :: body.outputs }));
-  Alcotest.(check int) "d is protected" 0
-    (List.length (diamonds ~protect:[ "d" ] body));
   let strict =
     List.map
       (fun (n : Ir.Operator.node) ->
@@ -1022,7 +1043,7 @@ let test_map_group_by_differential () =
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 (* a MAP read only by a GROUP BY pairs with it, unless the MAP is an
-   output, protected, read twice, or the target a GROUP BY key *)
+   output, read twice, or the target a GROUP BY key *)
 let test_plan_map_group_by () =
   let open Relation in
   let graph ?(output = false) ?(second = false) ~keys () =
@@ -1041,10 +1062,10 @@ let test_plan_map_group_by () =
     in
     (Ir.Builder.finish b ~outputs:outs, Ir.Builder.id m, Ir.Builder.id g)
   in
-  let pairs ?protect g =
+  let pairs g =
     List.map
       (fun (mg : Ir.Fusion.map_group_by) -> (mg.mg_map, mg.mg_group))
-      (Ir.Fusion.map_group_bys (Ir.Fusion.plan ?protect g))
+      (Ir.Fusion.map_group_bys (Ir.Fusion.plan g))
   in
   let g, m, gb = graph ~keys:[ "k" ] () in
   Alcotest.(check (list (pair int int))) "paired" [ (m, gb) ] (pairs g);
@@ -1052,9 +1073,6 @@ let test_plan_map_group_by () =
   Alcotest.(check int) "the MAP is an output" 0 (List.length (pairs g));
   let g, _, _ = graph ~second:true ~keys:[ "k" ] () in
   Alcotest.(check int) "the MAP has two readers" 0 (List.length (pairs g));
-  let g, _, _ = graph ~keys:[ "k" ] () in
-  Alcotest.(check int) "the MAP is protected" 0
-    (List.length (pairs ~protect:[ "m" ] g));
   let g, _, _ = graph ~keys:[ "t" ] () in
   Alcotest.(check int) "the target is a key" 0 (List.length (pairs g))
 

@@ -56,7 +56,7 @@ let test_validate_rejects_bad_arity () =
             output = "r" };
           { Ir.Operator.id = 1; kind = Ir.Operator.Union; inputs = [ 0 ];
             output = "u" } ];
-      outputs = [ 1 ]; loop_carried = [] }
+      outputs = [ 1 ]; carried = [] }
   in
   (try Ir.Dag.validate bad; Alcotest.fail "expected Invalid"
    with Ir.Dag.Invalid _ -> ())
@@ -69,10 +69,42 @@ let test_validate_rejects_forward_edge () =
           { Ir.Operator.id = 1;
             kind = Ir.Operator.Input { relation = "r" }; inputs = [];
             output = "r" } ];
-      outputs = [ 0 ]; loop_carried = [] }
+      outputs = [ 0 ]; carried = [] }
   in
   (try Ir.Dag.validate bad; Alcotest.fail "expected Invalid"
    with Ir.Dag.Invalid _ -> ())
+
+(* a WHILE takes one input per body INPUT node and carries at least
+   one pair; the builder rejects any other WHILE before it can run *)
+let test_validate_rejects_bad_while () =
+  let body_b = Ir.Builder.create () in
+  let s = Ir.Builder.input body_b "s" in
+  let e = Ir.Builder.input body_b "e" in
+  let next = Ir.Builder.union body_b ~name:"s" s e in
+  let body = Ir.Builder.finish_body body_b ~carried:[ ("s", next) ] in
+  let loop ?(body = body) inputs =
+    let b = Ir.Builder.create () in
+    let w =
+      Ir.Builder.while_ b ~condition:(Ir.Operator.Fixed_iterations 2)
+        ~max_iterations:3 ~body
+        (List.map (Ir.Builder.input b) inputs)
+    in
+    Ir.Builder.finish b ~outputs:[ w ]
+  in
+  let rejected what ?body inputs =
+    match loop ?body inputs with
+    | _ -> Alcotest.failf "%s: expected Invalid" what
+    | exception Ir.Dag.Invalid _ -> ()
+  in
+  ignore (loop [ "s0"; "e0" ]);
+  rejected "one input for two body INPUTs" [ "s0" ];
+  rejected "three inputs for two body INPUTs" [ "s0"; "e0"; "x0" ];
+  let uncarried =
+    let b = Ir.Builder.create () in
+    ignore (Ir.Builder.input b "s");
+    Ir.Builder.finish_body b ~carried:[]
+  in
+  rejected "a body carrying nothing" ~body:uncarried [ "s0" ]
 
 (* one relation, one name: within one graph (a WHILE body is a scope of
    its own) a name belongs to one node, except where a node replaces an
@@ -160,9 +192,9 @@ let test_fresh_names () =
     [ "r"; "tmp1_2"; "tmp1_1"; "tmp1" ]
     (names (Ir.Builder.finish b ~outputs:[ u ]))
 
-(* k-means updates [centroids] in place: the body's loop-carried result
-   replaces the body INPUT it rebinds, and the WHILE replaces the
-   workflow INPUT it alone reads *)
+(* k-means updates [centroids] in place: the WHILE replaces the
+   workflow INPUT it alone reads, while its body names the new
+   centroids apart and pairs them with the INPUT *)
 let test_kmeans_in_place () =
   let g = Workloads.Workflows.kmeans ~iterations:2 () in
   let loop =
@@ -172,6 +204,11 @@ let test_kmeans_in_place () =
       g.Ir.Operator.nodes
   in
   Alcotest.(check string) "WHILE result" "centroids" loop.output;
+  (match loop.kind with
+   | Ir.Operator.While { body; _ } ->
+     Alcotest.(check (list (pair string string))) "carried"
+       [ ("centroids", "centroids_1") ] body.carried
+   | _ -> assert false);
   Alcotest.(check (list string)) "reads" [ "points"; "centroids" ]
     (List.map (fun i -> (Ir.Dag.node g i).Ir.Operator.output) loop.inputs);
   (* with a reader of the old centroids after it, the loop's result
@@ -366,8 +403,7 @@ let doubling_while () =
       ~expr:Expr.(col "v" * int 2) state
   in
   let body =
-    Ir.Builder.finish_body body_b ~outputs:[ doubled ]
-      ~loop_carried:[ "state" ]
+    Ir.Builder.finish_body body_b ~carried:[ ("state", doubled) ]
   in
   let b = Ir.Builder.create () in
   let init = Ir.Builder.input b "init" in
@@ -397,8 +433,7 @@ let test_interp_while_until_empty () =
     Ir.Builder.select body_b ~name:"frontier" ~pred:Expr.(col "v" > int 0) dec
   in
   let body =
-    Ir.Builder.finish_body body_b ~outputs:[ alive ]
-      ~loop_carried:[ "frontier" ]
+    Ir.Builder.finish_body body_b ~carried:[ ("frontier", alive) ]
   in
   let b = Ir.Builder.create () in
   let init = Ir.Builder.input b "init" in
@@ -426,7 +461,7 @@ let test_interp_while_fixpoint () =
       state
   in
   let body =
-    Ir.Builder.finish_body body_b ~outputs:[ next ] ~loop_carried:[ "state" ]
+    Ir.Builder.finish_body body_b ~carried:[ ("state", next) ]
   in
   let b = Ir.Builder.create () in
   let init = Ir.Builder.input b "init" in
@@ -456,7 +491,7 @@ let test_interp_until_empty_immediately () =
     Ir.Builder.select body_b ~name:"f" ~pred:Expr.(col "v" > int 0) st
   in
   let body =
-    Ir.Builder.finish_body body_b ~outputs:[ next ] ~loop_carried:[ "f" ]
+    Ir.Builder.finish_body body_b ~carried:[ ("f", next) ]
   in
   let b = Ir.Builder.create () in
   let init = Ir.Builder.input b "f" in
@@ -479,7 +514,7 @@ let test_interp_nested_while () =
       s0
   in
   let inner =
-    Ir.Builder.finish_body inner_b ~outputs:[ s1 ] ~loop_carried:[ "s" ]
+    Ir.Builder.finish_body inner_b ~carried:[ ("s", s1) ]
   in
   let outer_b = Ir.Builder.create () in
   let o0 = Ir.Builder.input outer_b "s" in
@@ -489,7 +524,7 @@ let test_interp_nested_while () =
       ~body:inner [ o0 ]
   in
   let outer =
-    Ir.Builder.finish_body outer_b ~outputs:[ o1 ] ~loop_carried:[ "s" ]
+    Ir.Builder.finish_body outer_b ~carried:[ ("s", o1) ]
   in
   let b = Ir.Builder.create () in
   let init = Ir.Builder.input b "s" in
@@ -576,7 +611,7 @@ let prop_while_fixed_n_equals_unrolled =
           ~expr:Expr.(col "v" + int 1) st
       in
       let body =
-        Ir.Builder.finish_body body_b ~outputs:[ inc ] ~loop_carried:[ "s" ]
+        Ir.Builder.finish_body body_b ~carried:[ ("s", inc) ]
       in
       let b = Ir.Builder.create () in
       let init = Ir.Builder.input b "init" in
@@ -799,6 +834,7 @@ let () =
     [ ( "dag",
         [ Alcotest.test_case "builder linear" `Quick test_builder_linear;
           Alcotest.test_case "bad arity" `Quick test_validate_rejects_bad_arity;
+          Alcotest.test_case "bad WHILE" `Quick test_validate_rejects_bad_while;
           Alcotest.test_case "forward edge" `Quick
             test_validate_rejects_forward_edge;
           Alcotest.test_case "unique names" `Quick test_unique_names;
