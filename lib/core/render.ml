@@ -107,6 +107,10 @@ let rec spark_lines ~shared_scans (g : Ir.Operator.graph) =
                  (String.split_on_char '\n'
                     (spark_lines ~shared_scans body))));
          line "";
+         List.iter
+           (fun (old, next) ->
+              line "  %s.saveAsTextFile(\"hdfs:///%s\")  // carried" next old)
+           body.Ir.Operator.carried;
          line "  iter += 1";
          line "}"
        | Ir.Operator.Black_box { description; _ } ->
