@@ -106,16 +106,16 @@ let required_of_schemas ~schemas (g : Ir.Dag.t) =
 let required_columns ~catalog g =
   required_of_schemas ~schemas:(Ir.Typing.infer ~catalog g) g
 
-let prune_inputs ~catalog (g : Ir.Dag.t) =
-  let schemas = Ir.Typing.infer ~catalog g in
+let prune_inputs ~schemas (g : Ir.Dag.t) =
   let required = required_of_schemas ~schemas g in
   let is_project id =
     match (Ir.Dag.node g id).Ir.Operator.kind with
     | Ir.Operator.Project _ -> true
     | _ -> false
   in
+  (* the first INPUT with a column nobody reads, and the columns it keeps *)
   let candidate =
-    List.find_opt
+    List.find_map
       (fun (n : Ir.Operator.node) ->
          match n.kind with
          | Ir.Operator.Input _ ->
@@ -125,41 +125,24 @@ let prune_inputs ~catalog (g : Ir.Dag.t) =
            let schema_cols =
              Schema.column_names (Hashtbl.find schemas n.id)
            in
-           live <> []
+           if live <> []
            && List.length live < List.length schema_cols
            && (not (List.mem n.id g.Ir.Operator.outputs))
            (* consumers that already project gain nothing (and guard the
               rewrite fixpoint) *)
            && not (List.for_all is_project (Ir.Dag.consumers g n.id))
-         | _ -> false)
+           then Some (n.id, List.filter (fun c -> List.mem c live) schema_cols)
+           else None
+         | _ -> None)
       g.Ir.Operator.nodes
   in
-  match candidate with
-  | None -> None
-  | Some target ->
-    let live = Hashtbl.find required target.id in
-    let schema_cols = Schema.column_names (Hashtbl.find schemas target.id) in
-    let keep = List.filter (fun c -> List.mem c live) schema_cols in
-    let b = Ir.Builder.create () in
-    let handles : (int, Ir.Builder.handle) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (n : Ir.Operator.node) ->
-         let handle =
-           if n.id = target.id then begin
-             let relation =
-               match n.kind with
-               | Ir.Operator.Input { relation } -> relation
-               | _ -> assert false
-             in
-             let inp = Ir.Builder.input b relation in
-             Ir.Builder.project b ~columns:keep inp
-           end
+  Option.map
+    (fun (target, columns) ->
+       Rebuild.rewrite g ~decide:(fun (n : Ir.Operator.node) ->
+           if n.id <> target then Rebuild.Keep
            else
-             Rebuild.copy_node b ~name:n.output n.kind
-               (List.map (Hashtbl.find handles) n.inputs)
-         in
-         Hashtbl.replace handles n.id handle)
-      (Ir.Dag.topological_order g);
-    Some
-      (Ir.Builder.finish b
-         ~outputs:(List.map (Hashtbl.find handles) g.Ir.Operator.outputs))
+             Rebuild.Replace
+               (fun b _ ->
+                  Ir.Builder.project b ~columns
+                    (Rebuild.copy_node b ~name:n.output n.kind []))))
+    candidate

@@ -21,7 +21,9 @@ val required_columns :
   (int, string list) Hashtbl.t
 
 (** The rewrite, in the optimizer's single-step interface: returns the
-    graph with one pruning PROJECT inserted, or [None] when every input
-    is already fully live. *)
+    graph with one pruning PROJECT inserted (through {!Rebuild.rewrite},
+    so a WHILE body keeps its carried pairs), or [None] when every input
+    is already fully live. [schemas] is the optimizer pass's
+    {!Ir.Typing.infer} of the graph; the rewrite types nothing itself. *)
 val prune_inputs :
-  catalog:(string -> Relation.Schema.t) -> Ir.Dag.t -> Ir.Dag.t option
+  schemas:(int, Relation.Schema.t) Hashtbl.t -> Ir.Dag.t -> Ir.Dag.t option

@@ -148,18 +148,23 @@ let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
          let pre = Engines.Hdfs.snapshot scope in
          let reset () = Engines.Hdfs.restore scope ~from:pre in
          let run =
-           Recovery.with_retries ?breaker ~reset ~policy:recovery ~workflow
-             ~label ~backend:job_backend (fun () ->
+           Recovery.run_job ?breaker
+             ~policy:{ recovery with Recovery.allow_replan = false }
+             ~profile ~graph:body ~est:None ~candidates:[] ~workflow ~label
+             ~ids ~reset
+             ~dispatch:(fun b ->
                try
                  Ok
-                   (dispatch ~mode ~profile ~history ~workflow
-                      ~record_history:false ~hdfs:scope ~inject ~share ~label
-                      ~backend:job_backend job_graph mapping)
+                   [ dispatch ~mode ~profile ~history ~workflow
+                       ~record_history:false ~hdfs:scope ~inject ~share
+                       ~label ~backend:b job_graph mapping ]
                with Execution_failed e -> Error e)
+             job_backend
          in
          spend run.Recovery.retries;
          match run.Recovery.result with
-         | Ok report -> reports := report :: !reports
+         | Ok outcome ->
+           reports := List.rev_append outcome.Recovery.reports !reports
          | Error e -> raise (Execution_failed e))
       (Lazy.force body_plan).Partitioner.jobs;
     (* read before the driver rebinds anything in the scope *)
@@ -194,14 +199,6 @@ let expand_while ~spend ~mode ~profile ~history ~workflow ~record_history ~hdfs
     History.record history ~workflow ~node_id:n.Ir.Operator.id
       ~output_mb:result.modeled_mb;
   List.rev !reports
-
-let is_expandable_while ~backend ~graph ids =
-  match Support.while_support backend, ids with
-  | Support.Expand_per_iteration, [ id ] -> (
-    match (Ir.Dag.node graph id).Ir.Operator.kind with
-    | Ir.Operator.While _ -> true
-    | _ -> false)
-  | _ -> false
 
 let run_plan ?(mode = Generated) ?(record_history = true)
     ?(recovery = Recovery.none) ?(candidates = Engines.Backend.all)
@@ -267,7 +264,7 @@ let run_plan ?(mode = Generated) ?(record_history = true)
       let reset () = Engines.Hdfs.restore hdfs ~from:pre in
       let dispatch_on b =
         try
-          if is_expandable_while ~backend:b ~graph ids then
+          if Recovery.expandable_while ~graph b ids then
             Ok
               (expand_while ~spend ~mode ~profile ~history ~workflow
                  ~record_history ~hdfs ~inject ~share ~breaker ~graph

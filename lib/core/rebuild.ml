@@ -36,3 +36,36 @@ let copy_node b ~name kind inputs =
       (Printf.sprintf "Rebuild.copy_node: %s with %d inputs"
          (Ir.Operator.kind_name kind)
          (List.length inputs))
+
+type action =
+  | Keep
+  | Skip
+  | Replace of
+      (Ir.Builder.t -> (int -> Ir.Builder.handle) -> Ir.Builder.handle)
+
+(* [nodes] is already a topological order (Ir.Dag's invariant) *)
+let rewrite (g : Ir.Dag.t) ~decide =
+  let b = Ir.Builder.create () in
+  let handles : (int, Ir.Builder.handle) Hashtbl.t = Hashtbl.create 16 in
+  let get id =
+    match Hashtbl.find_opt handles id with
+    | Some h -> h
+    | None ->
+      invalid_arg (Printf.sprintf "Rebuild.rewrite: node %d was dropped" id)
+  in
+  List.iter
+    (fun (n : Ir.Operator.node) ->
+       match decide n with
+       | Skip -> ()
+       | Keep ->
+         Hashtbl.replace handles n.id
+           (copy_node b ~name:n.output n.kind (List.map get n.inputs))
+       | Replace f -> Hashtbl.replace handles n.id (f b get))
+    g.Ir.Operator.nodes;
+  let outputs = List.map get g.Ir.Operator.outputs in
+  if g.Ir.Operator.carried = [] then Ir.Builder.finish b ~outputs
+  else
+    (* a body's outputs are its carried pairs' new sides, in order *)
+    Ir.Builder.finish_body b
+      ~carried:
+        (List.map2 (fun (old, _) h -> (old, h)) g.Ir.Operator.carried outputs)

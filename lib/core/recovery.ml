@@ -37,7 +37,7 @@ type 'a spent = {
 }
 
 (* WHILE nodes on per-iteration engines are not one admissible job but
-   the executor can still expand them — mirror its check *)
+   the executor can still expand them *)
 let expandable_while ~graph backend ids =
   match Support.while_support backend, ids with
   | Support.Expand_per_iteration, [ id ] -> (
@@ -203,50 +203,4 @@ let run_job ?breaker ~policy ~profile ~graph ~est ~candidates ~workflow ~label
     go backend ~retries_left:policy.max_retries ~tried:[] ~failures:[]
       ~attempt:1
   in
-  { result; retries = !retries }
-
-let with_retries ?breaker ?(reset = fun () -> ()) ~policy ~workflow ~label
-    ~backend f =
-  let retries = ref 0 in
-  let rec go ~retries_left ~failures ~attempt =
-    match attempt_span ~label ~backend ~attempt f with
-    | Ok (report : Engines.Report.t) ->
-      record breaker true backend;
-      let ordered = List.rev failures in
-      (match ordered with
-       | [] -> Ok report
-       | (_, first_error) :: _ ->
-         let recovery_s =
-           List.fold_left
-             (fun acc f ->
-                acc
-                +. failure_cost_s ~final_makespan_s:report.makespan_s f)
-             0. ordered
-           +. backoff_total_s ~policy ~failures:(List.length ordered)
-         in
-         Obs.Metrics.record_recovery Obs.Metrics.default ~workflow ~job:label
-           ~from_backend:(Engines.Backend.name backend)
-           ~to_backend:(Engines.Backend.name backend)
-           ~attempts:attempt
-           ~first_error:(Engines.Report.error_to_string first_error)
-           ~recovery_s;
-         match charge_recovery recovery_s [ report ] with
-         | [ charged ] -> Ok charged
-         | _ -> Ok report)
-    | Error e ->
-      record breaker false backend;
-      Obs.Metrics.incr Obs.Metrics.default "recovery.failed_attempts";
-      if retries_left > 0 then begin
-        Obs.Metrics.incr Obs.Metrics.default "recovery.retries";
-        incr retries;
-        (* restore pre-attempt state: a half-written iteration (e.g.
-           a WHILE body that materialized some outputs before the
-           fault) must not leak into the retry *)
-        reset ();
-        go ~retries_left:(retries_left - 1) ~failures:((backend, e) :: failures)
-          ~attempt:(attempt + 1)
-      end
-      else Error e
-  in
-  let result = go ~retries_left:policy.max_retries ~failures:[] ~attempt:1 in
   { result; retries = !retries }

@@ -52,6 +52,13 @@ type 'a spent = {
   retries : int;
 }
 
+(** [expandable_while ~graph backend ids] — the job [ids] of [graph]
+    is a single WHILE node that [backend] runs as per-iteration job
+    chains ({!Support.Expand_per_iteration}); the executor expands such
+    a job instead of dispatching it whole. *)
+val expandable_while :
+  graph:Ir.Dag.t -> Engines.Backend.t -> int list -> bool
+
 (** [record breaker ok backend] — note one engine run outcome
     ([ok] = success) on [breaker]; a no-op without one. *)
 val record : Engines.Breaker.t option -> bool -> Engines.Backend.t -> unit
@@ -72,7 +79,10 @@ val alternatives :
     invoked before every re-attempt to restore pre-job state (the
     executor passes an HDFS snapshot restore). Every attempt's outcome
     is recorded on [breaker], when given. Returns the last error when
-    the policy is exhausted. *)
+    the policy is exhausted. With [allow_replan = false] it only
+    retries on [backend] and never reads [profile], [graph], [est],
+    [candidates] or [ids]: that is how the per-iteration jobs of an
+    expanded WHILE, which cannot move engine, are run. *)
 val run_job :
   ?breaker:Engines.Breaker.t -> policy:policy -> profile:Profile.t ->
   graph:Ir.Dag.t -> est:Estimator.t option ->
@@ -92,15 +102,3 @@ val run_job :
     [s]. Identity for [s <= 0.] or an empty list. *)
 val charge_recovery :
   float -> Engines.Report.t list -> Engines.Report.t list
-
-(** Lightweight same-engine retry loop for jobs that cannot be
-    re-planned (the per-iteration jobs of an expanded WHILE). [reset]
-    (default no-op) restores pre-attempt state before every retry —
-    the executor passes an HDFS snapshot restore so a half-written
-    iteration cannot leak into the re-run. *)
-val with_retries :
-  ?breaker:Engines.Breaker.t -> ?reset:(unit -> unit) ->
-  policy:policy -> workflow:string -> label:string ->
-  backend:Engines.Backend.t ->
-  (unit -> (Engines.Report.t, Engines.Report.error) result) ->
-  Engines.Report.t spent

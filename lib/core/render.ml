@@ -14,13 +14,15 @@ let input_name (g : Ir.Operator.graph) id =
 
 (* ------------- Spark (Scala-like RDD chains) ------------- *)
 
-let rec spark_lines ~shared_scans (g : Ir.Operator.graph) =
+(* [vars]: INPUT relations a loop already holds in a [var] *)
+let rec spark_lines ?(vars = []) ~shared_scans (g : Ir.Operator.graph) =
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   List.iter
     (fun (n : Ir.Operator.node) ->
        let arg i = input_name g (List.nth n.inputs i) in
        match n.kind with
+       | Ir.Operator.Input { relation } when List.mem relation vars -> ()
        | Ir.Operator.Input { relation } ->
          line "val %s = sc.textFile(\"hdfs:///%s\").map(parse)" n.output
            relation
@@ -94,6 +96,20 @@ let rec spark_lines ~shared_scans (g : Ir.Operator.graph) =
            (String.concat ", "
               (List.mapi (fun i _ -> arg i) n.inputs))
        | Ir.Operator.While { condition; max_iterations; body } ->
+         (* each carried relation is a var, first bound to the loop's
+            input and then to its new value at the end of every pass *)
+         let vars = List.map fst body.Ir.Operator.carried in
+         List.iteri
+           (fun i (src : Ir.Operator.node) ->
+              match src.kind with
+              | Ir.Operator.Input { relation } when List.mem relation vars ->
+                line "var %s = %s" relation (arg i)
+              | _ -> ())
+           (Ir.Dag.sources body);
+         (match condition with
+          | Ir.Operator.Until_fixpoint r ->
+            line "var %s_prev: RDD[Row] = null" r
+          | _ -> ());
          line "var iter = 0";
          line "while (%s) {  // max %d"
            (match condition with
@@ -101,18 +117,23 @@ let rec spark_lines ~shared_scans (g : Ir.Operator.graph) =
             | Ir.Operator.Until_empty r -> Printf.sprintf "!%s.isEmpty()" r
             | Ir.Operator.Until_fixpoint r -> Printf.sprintf "%s != %s_prev" r r)
            max_iterations;
+         (match condition with
+          | Ir.Operator.Until_fixpoint r -> line "  %s_prev = %s" r r
+          | _ -> ());
          Buffer.add_string buf
            (String.concat "\n"
               (List.map (fun l -> "  " ^ l)
                  (String.split_on_char '\n'
-                    (spark_lines ~shared_scans body))));
+                    (spark_lines ~vars ~shared_scans body))));
          line "";
          List.iter
-           (fun (old, next) ->
-              line "  %s.saveAsTextFile(\"hdfs:///%s\")  // carried" next old)
+           (fun (old, next) -> line "  %s = %s  // carried" old next)
            body.Ir.Operator.carried;
          line "  iter += 1";
-         line "}"
+         line "}";
+         (* the loop's result is its first pair's new value *)
+         if n.output <> List.hd vars then
+           line "val %s = %s" n.output (List.hd vars)
        | Ir.Operator.Black_box { description; _ } ->
          line "// black box: %s" description)
     g.nodes;

@@ -75,8 +75,8 @@ let extract (g : Ir.Dag.t) id = Jobgraph.extract g (Ir.Dag.cone g id)
 
 (* [cut g cuts] — replace each cut node by an INPUT reading its
    materialized relation and drop cone nodes nothing else needs. The
-   suffix is rebuilt through Builder, so it revalidates and gets fresh
-   contiguous ids; its canonical hash is deterministic (the synthetic
+   suffix is rebuilt through Rebuild.rewrite, so it revalidates and
+   gets fresh contiguous ids; its canonical hash is deterministic (the synthetic
    relation name embeds the subtree hash), so the plan cache works for
    rewritten suffixes exactly as for full graphs. *)
 let cut (g : Ir.Dag.t) (cuts : (int * string) list) =
@@ -95,24 +95,10 @@ let cut (g : Ir.Dag.t) (cuts : (int * string) list) =
       end
     in
     List.iter need g.Ir.Operator.outputs;
-    let b = Ir.Builder.create () in
-    let handles : (int, Ir.Builder.handle) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (n : Ir.Operator.node) ->
-         if Hashtbl.mem needed n.id then begin
-           let h =
-             match Hashtbl.find_opt cutmap n.id with
-             | Some rel -> Ir.Builder.input b rel
-             | None -> (
-               match n.kind with
-               | Ir.Operator.Input { relation } -> Ir.Builder.input b relation
-               | kind ->
-                 Rebuild.copy_node b ~name:n.output kind
-                   (List.map (Hashtbl.find handles) n.inputs))
-           in
-           Hashtbl.replace handles n.id h
-         end)
-      g.Ir.Operator.nodes;
-    Ir.Builder.finish b
-      ~outputs:(List.map (Hashtbl.find handles) g.Ir.Operator.outputs)
+    Rebuild.rewrite g ~decide:(fun (n : Ir.Operator.node) ->
+        if not (Hashtbl.mem needed n.id) then Rebuild.Skip
+        else
+          match Hashtbl.find_opt cutmap n.id with
+          | Some rel -> Rebuild.Replace (fun b _ -> Ir.Builder.input b rel)
+          | None -> Rebuild.Keep)
   end

@@ -37,6 +37,15 @@ let sssp_inputs =
      table [ "src"; "dst"; "weight" ]
        [ [ 1; 2; 3 ]; [ 2; 3; 1 ]; [ 1; 3; 7 ]; [ 3; 4; 2 ] ]) ]
 
+(* the same loop over an [edges] with a column nothing reads: the
+   optimizer prunes [label] inside the WHILE body, which must keep its
+   carried pair *)
+let sssp_label_inputs =
+  [ ("seeds", table [ "node"; "cost" ] [ [ 1; 0 ] ]);
+    ("edges",
+     table [ "src"; "dst"; "weight"; "label" ]
+       [ [ 1; 2; 3; 7 ]; [ 2; 3; 1; 7 ]; [ 1; 3; 7; 8 ]; [ 3; 4; 2; 9 ] ]) ]
+
 (* a loop that raises every [v] below 5 to 4, one step an iteration *)
 let raise_to_four =
   "WHILE (CHANGES d) MAXITER 20 {\n\
@@ -93,4 +102,6 @@ let cases =
     ("pig alias twice", (fun () -> Frontends.Pig.parse pig_twice),
      [ ("r", r) ]);
     ("hive name twice", (fun () -> Frontends.Hive.parse hive_twice),
-     [ ("r", r) ]) ]
+     [ ("r", r) ]);
+    ("beer sssp, unread edge column", (fun () -> Frontends.Beer.parse sssp),
+     sssp_label_inputs) ]

@@ -694,6 +694,131 @@ let test_column_pruning_respects_set_ops () =
   Alcotest.(check int) "all columns live" 4
     (List.length (Hashtbl.find required 0))
 
+(* how often [rule] fires while optimizing [g], read off its
+   rewrite.<rule> counter; asserts the rewritten graph computes what [g]
+   does *)
+let rule_firings ~rule inputs g =
+  let hdfs = hdfs_with (List.map (fun (r, t) -> (r, t, 10.)) inputs) in
+  let fired () = Obs.Metrics.counter Obs.Metrics.default ("rewrite." ^ rule) in
+  let before = fired () in
+  let optimized = Musketeer.Optimizer.optimize ~catalog:(catalog_for hdfs) g in
+  let store = Ir.Interp.store_of_list inputs in
+  List.iter2
+    (fun (r, t) (r', t') ->
+       Alcotest.(check string) (rule ^ ": output name") r r';
+       Alcotest.(check bool) (rule ^ ": same " ^ r) true
+         (Table.equal_unordered t t'))
+    (Ir.Interp.outputs ~store g)
+    (Ir.Interp.outputs ~store optimized);
+  fired () - before
+
+let rule_inputs =
+  [ ("a", kv_table sample_rows);
+    ("b", kv_table (List.init 150 (fun i -> (i mod 30, i))));
+    ("wide", wide_table sample_rows) ]
+
+let one_output build =
+  let b = Ir.Builder.create () in
+  let a = Ir.Builder.input b "a" and r = Ir.Builder.input b "b" in
+  Ir.Builder.finish b ~outputs:[ build b a r ]
+
+let v_over n = Expr.(col "v" > int n)
+
+(* each rewrite once: a graph on which it fires *)
+let test_optimizer_each_rule () =
+  let select b h = Ir.Builder.select b ~name:"out" ~pred:(v_over 10) h in
+  List.iter
+    (fun (rule, g) ->
+       Alcotest.(check bool) (rule ^ " fires") true
+         (rule_firings ~rule rule_inputs g >= 1))
+    [ ("fuse-selects",
+       one_output (fun b a _ ->
+           select b (Ir.Builder.select b ~pred:Expr.(col "v" < int 90) a)));
+      ("select-through-join",
+       one_output (fun b a r ->
+           select b (Ir.Builder.join b ~left_key:"k" ~right_key:"k" a r)));
+      ("select-through-map",
+       one_output (fun b a _ ->
+           select b
+             (Ir.Builder.map b ~target:"w" ~expr:Expr.(col "v" * int 2) a)));
+      ("select-through-union",
+       one_output (fun b a r -> select b (Ir.Builder.union b a r)));
+      ("select-through-distinct",
+       one_output (fun b a _ -> select b (Ir.Builder.distinct b a)));
+      ("select-through-difference",
+       one_output (fun b a r -> select b (Ir.Builder.difference b a r)));
+      ("dead-elimination",
+       one_output (fun b a _ ->
+           ignore (Ir.Builder.distinct b a);
+           select b a));
+      ("prune-input-columns",
+       let b = Ir.Builder.create () in
+       let wide = Ir.Builder.input b "wide" in
+       let sums =
+         Ir.Builder.group_by b ~keys:[ "k" ]
+           ~aggs:[ Aggregate.make (Aggregate.Sum "v") ~as_name:"v" ]
+           wide
+       in
+       Ir.Builder.finish b ~outputs:[ select b sums ]) ]
+
+(* SELECT stays above a MAP whose column it reads, or that another
+   operator also reads *)
+let test_optimizer_map_push_down_guards () =
+  let rule = "select-through-map" in
+  let map b a = Ir.Builder.map b ~target:"w" ~expr:Expr.(col "v" * int 2) a in
+  let reads_target =
+    one_output (fun b a _ ->
+        Ir.Builder.select b ~name:"out" ~pred:Expr.(col "w" > int 10) (map b a))
+  in
+  let shared =
+    let b = Ir.Builder.create () in
+    let m = map b (Ir.Builder.input b "a") in
+    let s = Ir.Builder.select b ~name:"out" ~pred:(v_over 10) m in
+    Ir.Builder.finish b ~outputs:[ s; Ir.Builder.distinct b ~name:"all" m ]
+  in
+  List.iter
+    (fun (label, g) ->
+       Alcotest.(check int) label 0 (rule_firings ~rule rule_inputs g))
+    [ ("predicate reads the mapped column", reads_target);
+      ("the MAP has a second reader", shared) ]
+
+(* pruning a WHILE body's loop-invariant input keeps the body's carried
+   pairs (a body finished as a top-level graph lost them and failed
+   validation) *)
+let test_optimizer_prunes_inside_body () =
+  let g = Frontends.Beer.parse Rebinding.sssp in
+  let catalog r = Table.schema (List.assoc r Rebinding.sssp_label_inputs) in
+  let body g =
+    List.find_map
+      (fun (n : Ir.Operator.node) ->
+         match n.kind with
+         | Ir.Operator.While { body; _ } -> Some body
+         | _ -> None)
+      g.Ir.Operator.nodes
+    |> Option.get
+  in
+  let optimized = Musketeer.Optimizer.optimize ~catalog g in
+  let b = body optimized in
+  Alcotest.(check (list (pair string string))) "carried pairs kept"
+    (body g).Ir.Operator.carried b.Ir.Operator.carried;
+  let prunes_edges =
+    List.exists
+      (fun (n : Ir.Operator.node) ->
+         match n.kind, n.inputs with
+         | Ir.Operator.Project { columns }, [ i ] ->
+           (Ir.Dag.node b i).Ir.Operator.kind
+           = Ir.Operator.Input { relation = "edges" }
+           && columns = [ "src"; "dst"; "weight" ]
+         | _ -> false)
+      b.Ir.Operator.nodes
+  in
+  Alcotest.(check bool) "a PROJECT prunes the body's edges" true prunes_edges;
+  let store = Ir.Interp.store_of_list Rebinding.sssp_label_inputs in
+  Alcotest.(check bool) "same distances" true
+    (Table.equal_unordered
+       (snd (List.hd (Ir.Interp.outputs ~store g)))
+       (snd (List.hd (Ir.Interp.outputs ~store optimized))))
+
 let prop_optimizer_preserves_semantics =
   QCheck.Test.make ~name:"optimizer preserves semantics" ~count:40
     (QCheck.pair (QCheck.int_range 0 50) (QCheck.int_range 50 100))
@@ -846,6 +971,28 @@ let test_codegen_renders_all_backends () =
          true
          (String.length source > 0))
     Engines.Backend.all
+
+(* a Spark fixpoint loop declares what its condition reads: a var per
+   carried relation, the previous value taken at the top of each pass *)
+let test_codegen_spark_loop_names () =
+  let g = Frontends.Beer.parse Rebinding.sssp in
+  let lines =
+    String.split_on_char '\n'
+      (Musketeer.Render.render Engines.Backend.Spark ~shared_scans:true g)
+  in
+  let index l =
+    match List.find_index (String.equal l) lines with
+    | Some i -> i
+    | None -> Alcotest.failf "no line %S" l
+  in
+  let loop = index "while (dists != dists_prev) {  // max 50" in
+  Alcotest.(check bool) "vars before the loop" true
+    (index "var dists = seeds" < loop
+     && index "var dists_prev: RDD[Row] = null" < loop);
+  Alcotest.(check int) "previous value first in the pass" (loop + 1)
+    (index "  dists_prev = dists");
+  Alcotest.(check bool) "new value carried" true
+    (index "  dists = dists_2  // carried" > loop)
 
 (* ---------------- Executor ---------------- *)
 
@@ -1400,6 +1547,12 @@ let () =
             test_optimizer_dead_elimination;
           Alcotest.test_case "distinct/difference push-down" `Quick
             test_optimizer_select_through_distinct_and_difference;
+          Alcotest.test_case "each rule fires once" `Quick
+            test_optimizer_each_rule;
+          Alcotest.test_case "map push-down guards" `Quick
+            test_optimizer_map_push_down_guards;
+          Alcotest.test_case "prunes inside a WHILE body" `Quick
+            test_optimizer_prunes_inside_body;
           Alcotest.test_case "column pruning" `Quick test_column_pruning;
           Alcotest.test_case "pruning respects set ops" `Quick
             test_column_pruning_respects_set_ops;
@@ -1423,6 +1576,8 @@ let () =
           Alcotest.test_case "spark residual" `Quick
             test_codegen_spark_residual_pass;
           Alcotest.test_case "listing 3 vs 4" `Quick test_codegen_listing_3_vs_4;
+          Alcotest.test_case "spark loop reads defined names" `Quick
+            test_codegen_spark_loop_names;
           Alcotest.test_case "renders all" `Quick
             test_codegen_renders_all_backends ] );
       ( "executor",

@@ -238,11 +238,12 @@ let test_charge_recovery_proportional () =
   Alcotest.(check int) "empty stays empty" 0
     (List.length (Musketeer.Recovery.charge_recovery 2. []))
 
-(* ---- with_retries restores state between attempts (regression) ----
+(* ---- a retry restores state between attempts (regression) ----
 
-   Before the fix, with_retries never called a reset, so an attempt
-   that materialized partial state before failing leaked it into the
-   retry (the WHILE-iteration path). *)
+   Before the fix, the WHILE-iteration retry loop never called a reset,
+   so an attempt that materialized partial state before failing leaked
+   it into the retry. That path now runs [run_job] with re-planning
+   off, which this drives the same way. *)
 let test_with_retries_resets_state () =
   let hdfs = Engines.Hdfs.create () in
   Engines.Hdfs.put hdfs "base" ~modeled_mb:1.
@@ -250,7 +251,7 @@ let test_with_retries_resets_state () =
   let pre = Engines.Hdfs.snapshot hdfs in
   let attempts = ref 0 in
   let leaked_into_retry = ref false in
-  let f () =
+  let dispatch _backend =
     incr attempts;
     if Engines.Hdfs.mem hdfs "junk" then leaked_into_retry := true;
     if !attempts = 1 then begin
@@ -259,17 +260,18 @@ let test_with_retries_resets_state () =
         (Qcheck_lite.table_of_rows [ (9, 9) ]);
       Error (Engines.Report.Out_of_memory "injected")
     end
-    else Ok (mk_report "retry")
+    else Ok [ mk_report "retry" ]
   in
   let policy =
     { Musketeer.Recovery.max_retries = 1; allow_replan = false;
       backoff_base_s = 0. }
   in
   let run =
-    Musketeer.Recovery.with_retries
+    Musketeer.Recovery.run_job ~policy ~profile:(Musketeer.profile m)
+      ~graph:(Qcheck_lite.graph_of_spec acceptance_spec) ~est:None
+      ~candidates:[] ~workflow:"reset-test" ~label:"job" ~ids:[]
       ~reset:(fun () -> Engines.Hdfs.restore hdfs ~from:pre)
-      ~policy ~workflow:"reset-test" ~label:"job" ~backend:Engines.Backend.Metis
-      f
+      ~dispatch Engines.Backend.Metis
   in
   Alcotest.(check int) "one retry spent" 1 run.Musketeer.Recovery.retries;
   match run.Musketeer.Recovery.result with
